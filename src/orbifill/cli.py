@@ -363,6 +363,10 @@ def reeb_cmd(action, path, bound, fmt, max_order, cache_dir):
         )
         return
     families = families_below(group, Fraction(bound))
+    discrepancy = None
+    if group.order != 1:
+        disc, verdict = mclean_discrepancy(group)
+        discrepancy = {"minimal_discrepancy": str(disc), "verdict": verdict}
     _emit(
         {
             "metadata": _metadata(digest),
@@ -377,12 +381,7 @@ def reeb_cmd(action, path, bound, fmt, max_order, cache_dir):
                 }
                 for f in families
             ],
-            "discrepancy": None
-            if group.order == 1
-            else {
-                "minimal_discrepancy": str(mclean_discrepancy(group)[0]),
-                "verdict": mclean_discrepancy(group)[1],
-            },
+            "discrepancy": discrepancy,
             "components": loop_components(group),
         },
         fmt,

@@ -13,15 +13,10 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
-from .cyclotomic import (
-    CyclotomicNumber,
-    euler_phi,
-    make,
-    parse_literal,
-    _reduction_table,
-)
+from .cyclotomic import CyclotomicNumber, divisors, euler_phi, make, parse_literal
 from .errors import (
     GroupTooLarge,
     InternalInconsistency,
@@ -126,9 +121,6 @@ class EigenData:
     order: int
     multiplicities: dict[int, int]
 
-    def multiplicity(self, m: int) -> int:
-        return self.multiplicities.get(m % self.order, 0)
-
 
 class FiniteUnitaryGroup:
     """A finite subgroup of U(n), staged as parsed-then-enumerated."""
@@ -145,7 +137,6 @@ class FiniteUnitaryGroup:
         self._inverses = None
         self._orders: dict[int, int] = {}
         self._eigen: dict[int, EigenData] = {}
-        self._traces: dict[int, tuple] = {}
         self._classes = None
         self._class_of = None
         self._isolated = None
@@ -229,11 +220,15 @@ class FiniteUnitaryGroup:
         table = self.mult_table
         out = [0]
         cur = i
-        while cur != 0:
+        for _ in range(len(self.elements)):
+            if cur == 0:
+                self._orders[i] = len(out)
+                return out
             out.append(cur)
             cur = table[cur][i]
-        self._orders[i] = len(out)
-        return out
+        raise InternalInconsistency(
+            f"powers of element {i} do not return to the identity within |G| steps"
+        )
 
     # -- conjugacy structure ---------------------------------------------------
 
@@ -282,50 +277,36 @@ class FiniteUnitaryGroup:
 
     # -- eigenvalue data -------------------------------------------------------
 
+    @cached_property
+    def _reduction(self) -> "_ModularReduction":
+        return _ModularReduction(self)
+
     def eigen_multiplicities(self, i: int) -> EigenData:
-        """Multiplicity of each eigenvalue zeta_o^m via the character formula
-        mult(m) = (1/o) * sum_k zeta_o^(-mk) trace(g^k)."""
+        """Multiplicity of each eigenvalue zeta_o^m, read over F_p as
+        mult(m) = n - rank(g - w_o^m I); see :class:`_ModularReduction`."""
         self._require_enumerated()
         cached = self._eigen.get(i)
         if cached is not None:
             return cached
-        powers = self.power_indices(i)
-        o = len(powers)
+        o = self.element_order(i)
+        red = self._reduction
+        if red.lcm % o:
+            raise InternalInconsistency(f"order {o} of element {i} does not divide |G|")
+        g = red.matrix(self.elements[i])
+        w, lam = pow(red.root, red.lcm // o, red.prime), 1
         n_dim = self.dimension
-        lift_to = self.conductor * o // math.gcd(self.conductor, o)
-        traces = [
-            [(e, c) for e, c in enumerate(self.elements[p].trace().lift(lift_to).coefficients) if c]
-            for p in powers
-        ]
-        phi = euler_phi(lift_to)
-        red = _reduction_table(lift_to)
-        step = lift_to // o
         mults: dict[int, int] = {}
         total = 0
         for m in range(o):
-            acc = [Fraction(0)] * phi
-            for k in range(o):
-                shift = (-m * k * step) % lift_to
-                for e, c in traces[k]:
-                    idx = e + shift
-                    if idx < phi:
-                        acc[idx] += c
-                    else:
-                        for t, r in enumerate(red[idx]):
-                            if r:
-                                acc[t] += c * r
-            if any(acc[1:]):
-                raise InternalInconsistency(
-                    f"eigenvalue multiplicity of element {i} is not rational"
-                )
-            val = acc[0] / o
-            if val.denominator != 1 or val < 0:
-                raise InternalInconsistency(
-                    f"eigenvalue multiplicity of element {i} is not a non-negative integer"
-                )
-            if val:
-                mults[m] = int(val)
-                total += int(val)
+            mult = n_dim - red.rank_shifted(g, lam)
+            if mult:
+                mults[m] = mult
+                total += mult
+                # Eigenspaces of distinct eigenvalues are independent, so
+                # once they fill F_p^n no other exponent can occur.
+                if total >= n_dim:
+                    break
+            lam = lam * w % red.prime
         if total != n_dim:
             raise InternalInconsistency(
                 f"eigenvalue multiplicities of element {i} sum to {total}, not {n_dim}"
@@ -334,37 +315,11 @@ class FiniteUnitaryGroup:
         self._eigen[i] = data
         return data
 
-    def _trace_sparse(self, i: int) -> tuple:
-        """Nonzero (exponent, coefficient) pairs of the element's trace."""
-        cached = self._traces.get(i)
-        if cached is None:
-            cached = tuple(
-                (e, c) for e, c in enumerate(self.elements[i].trace().coefficients) if c
-            )
-            self._traces[i] = cached
-        return cached
-
     def fixed_space_dimension(self, i: int) -> int:
-        """dim ker(g - I): the multiplicity of eigenvalue 1, computed cheaply."""
-        cached = self._eigen.get(i)
-        if cached is not None:
-            return cached.multiplicity(0)
-        powers = self.power_indices(i)
-        o = len(powers)
-        acc: dict[int, Fraction] = {}
-        for p in powers:
-            for e, c in self._trace_sparse(p):
-                acc[e] = acc.get(e, 0) + c
-        if any(v for e, v in acc.items() if e > 0):
-            raise InternalInconsistency(
-                f"fixed-space dimension of element {i} is not rational"
-            )
-        val = Fraction(acc.get(0, 0), o)
-        if val.denominator != 1 or val < 0:
-            raise InternalInconsistency(
-                f"fixed-space dimension of element {i} is not a non-negative integer"
-            )
-        return int(val)
+        """dim ker(g - I): the multiplicity of eigenvalue 1, read over F_p."""
+        self._require_enumerated()
+        red = self._reduction
+        return self.dimension - red.rank_shifted(red.matrix(self.elements[i]), 1)
 
     def is_isolated_singularity(self) -> tuple[bool, int | None]:
         """True when no nontrivial element has eigenvalue 1.
@@ -389,6 +344,66 @@ class FiniteUnitaryGroup:
 
 def _age_from_eigen(data: EigenData) -> Fraction:
     return Fraction(sum(m * mult for m, mult in data.multiplicities.items()), data.order)
+
+
+class _ModularReduction:
+    """The ring map Z[1/d][zeta_L] -> F_p, zeta_L -> w_L, for one group.
+
+    L = lcm(N, |G|); p is the smallest prime = 1 (mod L) above n that divides
+    no denominator d of a generator coefficient, and ``root`` is w_L, a
+    primitive L-th root of unity mod p. Since o | p - 1 for every element
+    order o, reduced elements are diagonalizable over F_p with the eigenvalue
+    zeta_o^m sent to w_o^m = w_L^(mL/o), so the ranks below give exact
+    multiplicities (README, Conventions).
+    """
+
+    __slots__ = ("prime", "lcm", "root", "_zeta_powers")
+
+    def __init__(self, group: FiniteUnitaryGroup):
+        self.lcm = L = math.lcm(group.conductor, group.order)
+        dens = math.lcm(*(c.denominator for g in group.generators
+                          for row in g.entries for x in row for c in x.coefficients))
+        p = L + 1
+        while p <= group.dimension or dens % p == 0 or not _is_prime(p):
+            p += L
+        self.prime = p
+        factors = [q for q in divisors(L) if _is_prime(q)]
+        powers = (pow(a, (p - 1) // L, p) for a in range(1, p))
+        self.root = next(w for w in powers if all(pow(w, L // q, p) != 1 for q in factors))
+        w_n = pow(self.root, L // group.conductor, p)
+        self._zeta_powers = [pow(w_n, e, p) for e in range(euler_phi(group.conductor))]
+
+    def matrix(self, element: UnitaryElement) -> list[list[int]]:
+        """The element's entries mapped to F_p."""
+        p, zp = self.prime, self._zeta_powers
+        try:
+            return [
+                [sum(c.numerator * pow(c.denominator, -1, p) * z
+                     for c, z in zip(x.coefficients, zp) if c) % p for x in row]
+                for row in element.entries
+            ]
+        except ValueError:
+            raise InternalInconsistency(f"an element entry has a denominator divisible by {p}")
+
+    def rank_shifted(self, g: list[list[int]], lam: int) -> int:
+        """rank over F_p of g - lam * I."""
+        p = self.prime
+        rows = [[(x - lam) % p if r == c else x for c, x in enumerate(row)]
+                for r, row in enumerate(g)]
+        rank = 0
+        while rows:
+            pivot_row = rows.pop()
+            col = next((c for c, x in enumerate(pivot_row) if x), None)
+            if col is None:
+                continue
+            rank += 1
+            inv = pow(pivot_row[col], -1, p)
+            rows = [[(x - r[col] * inv * y) % p for x, y in zip(r, pivot_row)] for r in rows]
+        return rank
+
+
+def _is_prime(q: int) -> bool:
+    return q > 1 and all(q % d for d in range(2, math.isqrt(q) + 1))
 
 
 # -- document handling --------------------------------------------------------

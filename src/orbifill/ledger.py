@@ -187,19 +187,3 @@ def sh_vanishing(group: FiniteUnitaryGroup, ring: CoefficientRing) -> bool:
     """Whether the symplectic invariant vanishes: |G| invertible in the ring."""
     group.require_isolated()
     return ring.is_invertible(group.order)
-
-
-def exact_triangle_report(group: FiniteUnitaryGroup, ring: CoefficientRing) -> dict:
-    """Rank bookkeeping only: the constant generators realize the Chen-Ruan
-    ranks; the positive-action part is not combinatorially determined."""
-    from .chen_ruan import twisted_sectors
-
-    sectors = twisted_sectors(group)
-    return {
-        "coefficient": ring.describe(),
-        "constant_ranks_by_degree": {
-            str(s.degree): sum(1 for t in sectors if t.degree == s.degree)
-            for s in sectors
-        },
-        "vanishes": sh_vanishing(group, ring),
-    }

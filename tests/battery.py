@@ -1,6 +1,9 @@
 """Shared group documents and builders for the test suite."""
 
+import math
+
 from orbifill import enumerate_group, parse_group
+from orbifill.cyclotomic import parse_literal
 
 
 def scalar_cyclic(k, n=2):
@@ -41,6 +44,34 @@ def binary_dihedral(m):
         "dimension": 2,
         "conductor": 2 * m,
         "generators": [[["z", "0"], ["0", f"1*z^{2 * m - 1}"]], [["0", "1"], ["-1", "0"]]],
+    }
+
+
+def binary_tetrahedral():
+    """2T, order 24 in SU(2): Q8 and -(1 + i + j + k)/2, whose entries have
+    denominator 2; its elements of order 3 and 6 have eigenvalues outside
+    Q(zeta_4)."""
+    q8 = quaternion()["generators"]
+    omega = [["-1/2 - 1/2*z", "-1/2 - 1/2*z"], ["1/2 - 1/2*z", "-1/2 + 1/2*z"]]
+    return {"name": "2T", "dimension": 2, "conductor": 4, "generators": q8 + [omega]}
+
+
+def times_scalars(doc, k):
+    """Wolf-type free action G x mu_k: the generators of doc lifted to the
+    conductor lcm(N, k), plus the scalar zeta_k."""
+    base = doc["conductor"]
+    conductor = math.lcm(base, k)
+    n = doc["dimension"]
+    gens = [
+        [[parse_literal(e, base).lift(conductor).to_literal() for e in row] for row in g]
+        for g in doc["generators"]
+    ]
+    scalar = [[f"1*z^{conductor // k}" if i == j else "0" for j in range(n)] for i in range(n)]
+    return {
+        "name": f"{doc['name']}xmu{k}",
+        "dimension": n,
+        "conductor": conductor,
+        "generators": gens + [scalar],
     }
 
 

@@ -2,13 +2,26 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from battery import a_type, antipodal, battery_48, build, quaternion, scalar_cyclic, trivial
+from battery import (
+    a_type,
+    antipodal,
+    battery_48,
+    binary_dihedral,
+    binary_tetrahedral,
+    build,
+    quaternion,
+    scalar_cyclic,
+    times_scalars,
+    trivial,
+)
 from orbifill import (
     GroupTooLarge,
+    InternalInconsistency,
     NotUnitary,
     ParseError,
     canonical_document,
@@ -18,7 +31,50 @@ from orbifill import (
     enumerate_group,
     parse_group,
 )
+from orbifill.cyclotomic import _reduction_table, euler_phi
 from orbifill.groups import load_enumerated, serialize_enumerated
+
+
+def character_formula(group, i):
+    """Exact reference for eigen data: the multiplicity of zeta_o^m is
+    (1/o) * sum_k zeta_o^(-mk) trace(g^k), evaluated in Q(zeta_lcm(N, o))."""
+    powers = group.power_indices(i)
+    o = len(powers)
+    lift_to = math.lcm(group.conductor, o)
+    traces = [
+        [(e, c) for e, c in enumerate(group.elements[p].trace().lift(lift_to).coefficients) if c]
+        for p in powers
+    ]
+    phi = euler_phi(lift_to)
+    red = _reduction_table(lift_to)
+    step = lift_to // o
+    mults = {}
+    for m in range(o):
+        acc = [Fraction(0)] * phi
+        for k in range(o):
+            shift = (-m * k * step) % lift_to
+            for e, c in traces[k]:
+                idx = e + shift
+                if idx < phi:
+                    acc[idx] += c
+                else:
+                    for t, r in enumerate(red[idx]):
+                        if r:
+                            acc[t] += c * r
+        assert not any(acc[1:])
+        val = acc[0] / o
+        assert val.denominator == 1 and val >= 0
+        if val:
+            mults[m] = int(val)
+    return o, mults
+
+
+def pythagorean_klein():
+    """{+-I, +-R} with R the reflection [[3/5, 4/5], [4/5, -3/5]]. L = 4, and
+    5, the first prime = 1 (mod 4), divides the entries' denominators."""
+    reflection = [["3/5", "4/5"], ["4/5", "-3/5"]]
+    return {"name": "klein5", "dimension": 2, "conductor": 2,
+            "generators": [[["-1", "0"], ["0", "-1"]], reflection]}
 
 
 class TestParsing:
@@ -86,6 +142,15 @@ class TestEnumeration:
     def test_order_cap(self):
         with pytest.raises(GroupTooLarge):
             build(scalar_cyclic(30), max_order=10)
+
+    def test_corrupt_table_power_walk_is_bounded(self):
+        g = build(quaternion())
+        i = 3
+        g.mult_table[i][i] = i
+        with pytest.raises(InternalInconsistency):
+            g.power_indices(i)
+        with pytest.raises(InternalInconsistency):
+            g.eigen_multiplicities(i)
 
     def test_trivial_group(self):
         g = build(trivial())
@@ -179,6 +244,38 @@ class TestEigenData:
                     d.multiplicities == datas[0].multiplicities and d.order == datas[0].order
                     for d in datas
                 )
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            times_scalars(quaternion(), 3),
+            times_scalars(quaternion(), 5),
+            times_scalars(binary_dihedral(3), 5),
+            scalar_cyclic(30, n=3),
+            binary_tetrahedral(),
+            pythagorean_klein(),
+        ],
+        ids=lambda d: d["name"],
+    )
+    def test_against_character_formula(self, doc):
+        self._check_against_character_formula(build(doc))
+
+    def test_against_character_formula_battery(self):
+        for g in battery_48():
+            self._check_against_character_formula(g)
+
+    @staticmethod
+    def _check_against_character_formula(g):
+        for i in range(g.order):
+            o, mults = character_formula(g, i)
+            data = g.eigen_multiplicities(i)
+            assert (data.order, data.multiplicities) == (o, mults), (g.name, i)
+            assert g.fixed_space_dimension(i) == mults.get(0, 0), (g.name, i)
+
+    def test_reduction_prime_skips_denominators(self):
+        g = build(pythagorean_klein())
+        assert g.order == 4
+        assert g._reduction.prime == 13
 
     def test_against_float_eigendecomposition(self):
         # Independent oracle: numerical eigenvalues of the complex matrix.
