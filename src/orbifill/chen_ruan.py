@@ -11,6 +11,7 @@ explicit convention flag and an associativity sweep arbitrates empirically.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -85,54 +86,54 @@ class CRRing:
 
 
 def build_ring(group: FiniteUnitaryGroup, convention: CupConvention = DEFAULT_CONVENTION) -> CRRing:
+    """Structure constants of the product of sectors i, j >= 1 in sector k.
+
+    Conjugation carries the pairs (h1, h2) in C_i x C_j with h1*h2 = x onto
+    those with h1*h2 = gxg^-1, so a sum over all pairs with product in C_k is
+    |C_k| times the sum over the pairs with h1*h2 = rep(C_k), that is with
+    h2 = h1^-1 * rep(C_k). Only pairs whose ages add contribute. Each such
+    pair stands for its conjugation orbit, of size |G| / |Z(h1) & Z(rep(C_k))|
+    since Z(h1) & Z(h2) = Z(h1) & Z(rep(C_k)). The literal pair sum of
+    |Z(rep(C_k))| / |Z(h1) & Z(h2)| is thus the sum of these orbit sizes, and
+    by orbit-stabilizer the orbit-representative sum is the class-sum count
+    a_ijk = #{(h1, h2) in C_i x C_j : h1*h2 = rep(C_k)}.
+    """
     sectors = twisted_sectors(group)
     ring = CRRing(group, sectors, convention)
     table = group.mult_table
-    inv = [group.inverse_index(g) for g in range(group.order)]
     ages = [s.age for s in sectors]
-    cent_orders = [s.centralizer_order for s in sectors]
-    pos_of = group.class_position
-    elem_cent: dict[int, frozenset] = {}
-
-    def centralizer_of(h):
-        cached = elem_cent.get(h)
-        if cached is None:
-            cached = frozenset(
-                x for x in range(group.order) if table[x][h] == table[h][x]
-            )
-            elem_cent[h] = cached
-        return cached
-
-    for i in range(1, len(sectors)):
-        for j in range(1, len(sectors)):
-            contributions: dict[int, Fraction] = {}
-            seen_orbits: set = set()
+    inv = [group.inverse_index(h) for h in range(group.order)]
+    class_of = [group.class_position(h) for h in range(group.order)]
+    full = convention is CupConvention.FULL_PAIR_SUM
+    count = len(sectors)
+    contributions: dict[tuple[int, int], dict[int, int]] = {
+        (i, j): {} for i in range(1, count) for j in range(1, count)
+    }
+    for k in range(1, count):
+        rep = sectors[k].class_ref.representative_index
+        rep_centralizer = sectors[k].class_ref.centralizer_indices
+        for i in range(1, count):
+            age_j = ages[k] - ages[i]
+            if age_j <= 0:
+                continue
             for h1 in sectors[i].class_ref.member_indices:
-                for h2 in sectors[j].class_ref.member_indices:
-                    p = table[h1][h2]
-                    if p == 0:
-                        continue
-                    k = pos_of(p)
-                    if ages[i] + ages[j] != ages[k]:
-                        continue
-                    if ring.convention is CupConvention.ORBIT_REPRESENTATIVE_SUM:
-                        orbit = min(
-                            (table[table[g][h1]][inv[g]], table[table[g][h2]][inv[g]])
-                            for g in range(group.order)
-                        )
-                        if orbit in seen_orbits:
-                            continue
-                        seen_orbits.add(orbit)
-                    inter = len(centralizer_of(h1) & centralizer_of(h2))
-                    coeff = Fraction(cent_orders[k], inter)
-                    contributions[k] = contributions.get(k, Fraction(0)) + coeff
-            terms = tuple(sorted((k, c) for k, c in contributions.items() if c))
-            for k, _ in terms:
-                if ring.sectors[k].degree != ring.sectors[i].degree + ring.sectors[j].degree:
-                    raise InternalInconsistency(
-                        "cup product term violates degree additivity"
-                    )
-            ring.structure_constants[(i, j)] = terms
+                j = class_of[table[inv[h1]][rep]]
+                if ages[j] != age_j:
+                    continue
+                weight = 1
+                if full:
+                    row = table[h1]
+                    stabilizer = sum(1 for x in rep_centralizer if table[x][h1] == row[x])
+                    weight = group.order // stabilizer
+                terms = contributions[(i, j)]
+                terms[k] = terms.get(k, 0) + weight
+    for (i, j), terms in contributions.items():
+        for k in terms:
+            if sectors[k].degree != sectors[i].degree + sectors[j].degree:
+                raise InternalInconsistency("cup product term violates degree additivity")
+        ring.structure_constants[(i, j)] = tuple(
+            (k, Fraction(c)) for k, c in sorted(terms.items())
+        )
     return ring
 
 
@@ -148,34 +149,49 @@ def cr_cup(ring: CRRing, i: int, j: int) -> list[tuple[int, Fraction]]:
     return list(ring.structure_constants[(i, j)])
 
 
-def _cup_linear(ring: CRRing, terms, j: int) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for s, c in terms:
-        for t, d in cr_cup(ring, s, j):
-            out[t] = out.get(t, Fraction(0)) + c * d
-    return {k: v for k, v in out.items() if v}
-
-
 def associativity_sweep(ring: CRRing):
     """Check ([a][b])[c] = [a]([b][c]) over all sector triples.
 
     Returns (passes, counterexample) where the counterexample is the first
-    failing triple with both evaluations.
+    failing triple, in lexicographic order, with both evaluations.
+
+    Every constant is scaled by D, the lcm of their denominators, so both
+    evaluations are integers scaled by D^2 and compare exactly. Triples that
+    contain the unit sector 0 pass by the unit law and are not evaluated.
     """
     count = ring.sector_count()
-    for a in range(count):
-        for b in range(count):
-            ab = cr_cup(ring, a, b)
-            for c in range(count):
-                left = _cup_linear(ring, ab, c)
-                bc = cr_cup(ring, b, c)
-                right = {}
-                for t, d in bc:
-                    for u, e in cr_cup(ring, a, t):
-                        right[u] = right.get(u, Fraction(0)) + d * e
-                right = {k: v for k, v in right.items() if v}
+    scale = math.lcm(1, *(c.denominator for terms in ring.structure_constants.values()
+                          for _, c in terms))
+    prod = [[[(t, int(c * scale)) for t, c in cr_cup(ring, a, b)] for b in range(count)]
+            for a in range(count)]
+    for a in range(1, count):
+        row_a = prod[a]
+        for b in range(1, count):
+            ab = row_a[b]
+            row_b = prod[b]
+            for c in range(1, count):
+                bc = row_b[c]
+                if not ab and not bc:
+                    continue
+                left: dict[int, int] = {}
+                for t, x in ab:
+                    for u, y in prod[t][c]:
+                        left[u] = left.get(u, 0) + x * y
+                right: dict[int, int] = {}
+                for t, x in bc:
+                    for u, y in row_a[t]:
+                        right[u] = right.get(u, 0) + x * y
+                if left == right:
+                    continue
+                left = {u: v for u, v in left.items() if v}
+                right = {u: v for u, v in right.items() if v}
                 if left != right:
-                    return False, {"triple": (a, b, c), "left": left, "right": right}
+                    square = scale * scale
+                    return False, {
+                        "triple": (a, b, c),
+                        "left": {u: Fraction(v, square) for u, v in left.items()},
+                        "right": {u: Fraction(v, square) for u, v in right.items()},
+                    }
     return True, None
 
 
@@ -190,27 +206,23 @@ def commutativity_check(ring: CRRing):
 
 
 def choose_ring(group: FiniteUnitaryGroup, convention: CupConvention | None = None):
-    """Build the ring, selecting the convention when the caller does not.
+    """Build and sweep the ring under both conventions and pick one.
 
     The default is the literal pair-sum reading; if that fails the
     associativity sweep for this group while the orbit reading passes, the
-    orbit reading is selected. Sweep verdicts for both are always reported.
+    orbit reading is selected. Returns the chosen ring and, by convention
+    value, each ring's (passes, counterexample) sweep result.
     """
-    full = build_ring(group, CupConvention.FULL_PAIR_SUM)
-    full_ok, _ = associativity_sweep(full)
-    orbit = build_ring(group, CupConvention.ORBIT_REPRESENTATIVE_SUM)
-    orbit_ok, _ = associativity_sweep(orbit)
-    verdicts = {
-        CupConvention.FULL_PAIR_SUM.value: full_ok,
-        CupConvention.ORBIT_REPRESENTATIVE_SUM.value: orbit_ok,
-    }
-    if convention is CupConvention.FULL_PAIR_SUM:
-        return full, verdicts
-    if convention is CupConvention.ORBIT_REPRESENTATIVE_SUM:
-        return orbit, verdicts
-    if full_ok or not orbit_ok:
-        return full, verdicts
-    return orbit, verdicts
+    rings = {c: build_ring(group, c) for c in CupConvention}
+    sweeps = {c.value: associativity_sweep(ring) for c, ring in rings.items()}
+    if convention is None:
+        full_ok = sweeps[CupConvention.FULL_PAIR_SUM.value][0]
+        orbit_ok = sweeps[CupConvention.ORBIT_REPRESENTATIVE_SUM.value][0]
+        convention = (
+            CupConvention.FULL_PAIR_SUM if full_ok or not orbit_ok
+            else CupConvention.ORBIT_REPRESENTATIVE_SUM
+        )
+    return rings[convention], sweeps
 
 
 def cr_pairing_check(group: FiniteUnitaryGroup) -> dict:
@@ -267,8 +279,9 @@ def cr_of_filling(profile: FillingCRProfile) -> dict[Fraction, int]:
     return dict(sorted(ranks.items()))
 
 
-def sector_report(ring: CRRing) -> dict:
-    """JSON-ready description of sectors, products, and ring diagnostics."""
+def sector_report(ring: CRRing, sweep) -> dict:
+    """JSON-ready description of sectors, products, and ring diagnostics;
+    ``sweep`` is the ring's (passes, counterexample) from the sweep."""
     sectors = [
         {
             "label": s.label,
@@ -294,7 +307,7 @@ def sector_report(ring: CRRing) -> dict:
                     ],
                 }
             )
-    assoc_ok, counterexample = associativity_sweep(ring)
+    assoc_ok, counterexample = sweep
     comm_ok, comm_pair = commutativity_check(ring)
     return {
         "convention": ring.convention.value,

@@ -320,9 +320,21 @@ def cr_cmd(action, path, convention, betti, singularities, coefficient, fmt, max
         _emit({"metadata": _metadata(digest), **report}, fmt)
         sys.exit(EXIT_OK if report["all_pass"] else EXIT_NEGATIVE)
     wanted = CupConvention(convention) if convention else None
-    ring, verdicts = choose_ring(group, wanted)
-    report = sector_report(ring)
-    report["associativity_sweep"] = verdicts
+    ring, sweeps = choose_ring(group, wanted)
+    report = sector_report(ring, sweeps[ring.convention.value])
+    report["associativity_sweep"] = {c: ok for c, (ok, _) in sweeps.items()}
+    verdicts = []
+    for name, (ok, counterexample) in sweeps.items():
+        if ok:
+            verdicts.append(f"{name} passes")
+        else:
+            triple = ", ".join(ring.sectors[p].label for p in counterexample["triple"])
+            verdicts.append(f"{name} fails at ({triple})")
+    how = "requested" if wanted else "chosen by sweep"
+    click.echo(
+        f"associativity sweep: {'; '.join(verdicts)}; using {ring.convention.value} ({how})",
+        err=True,
+    )
     _emit(
         {
             "metadata": _metadata(digest, conventions={"cup_product": ring.convention.value}),

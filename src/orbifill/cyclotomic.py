@@ -15,10 +15,6 @@ from functools import lru_cache
 
 from .errors import IncompatibleConductor, InternalInconsistency, ParseError
 
-# The spec's Rational is exactly what fractions.Fraction provides: reduced,
-# unbounded, positive denominator.
-Rational = Fraction
-
 
 def divisors(n: int) -> list[int]:
     """Positive divisors of n in ascending order."""

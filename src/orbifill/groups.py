@@ -154,7 +154,7 @@ class FiniteUnitaryGroup:
 
     def _require_enumerated(self):
         if not self.is_enumerated:
-            raise ValueError("group is not enumerated yet")
+            raise InternalInconsistency("group is not enumerated yet")
 
     def element_index(self, element: UnitaryElement) -> int:
         self._require_enumerated()

@@ -4,7 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from battery import a_type, antipodal, battery_24, battery_48, build, quaternion, scalar_cyclic, trivial
+from battery import (
+    a_type,
+    antipodal,
+    battery_24,
+    battery_48,
+    binary_dihedral,
+    build,
+    quaternion,
+    scalar_cyclic,
+    times_scalars,
+    trivial,
+)
 from orbifill import (
     CoefficientRing,
     CupConvention,
@@ -20,6 +31,86 @@ from orbifill import (
     cr_pairing_check,
     twisted_sectors,
 )
+
+
+def reference_constants(group, convention):
+    """Exact reference for the structure constants: every pair (h1, h2) of
+    class members with product in C_k and additive ages contributes
+    |Z(h_k)| / |Z(h1) & Z(h2)|; the orbit reading keeps one pair per
+    simultaneous-conjugation orbit, found as the orbit's minimum over G."""
+    sectors = twisted_sectors(group)
+    table = group.mult_table
+    inv = [group.inverse_index(g) for g in range(group.order)]
+    ages = [s.age for s in sectors]
+
+    def centralizer(h):
+        return {x for x in range(group.order) if table[x][h] == table[h][x]}
+
+    constants = {}
+    for i in range(1, len(sectors)):
+        for j in range(1, len(sectors)):
+            contributions = {}
+            seen_orbits = set()
+            for h1 in sectors[i].class_ref.member_indices:
+                for h2 in sectors[j].class_ref.member_indices:
+                    p = table[h1][h2]
+                    if p == 0:
+                        continue
+                    k = group.class_position(p)
+                    if ages[i] + ages[j] != ages[k]:
+                        continue
+                    if convention is CupConvention.ORBIT_REPRESENTATIVE_SUM:
+                        orbit = min(
+                            (table[table[g][h1]][inv[g]], table[table[g][h2]][inv[g]])
+                            for g in range(group.order)
+                        )
+                        if orbit in seen_orbits:
+                            continue
+                        seen_orbits.add(orbit)
+                    inter = len(centralizer(h1) & centralizer(h2))
+                    coeff = Fraction(sectors[k].centralizer_order, inter)
+                    contributions[k] = contributions.get(k, Fraction(0)) + coeff
+            constants[(i, j)] = tuple(sorted((k, c) for k, c in contributions.items() if c))
+    return constants
+
+
+def reference_sweep(ring):
+    """Exact reference for the associativity sweep: every triple, in
+    lexicographic order, evaluated in Fractions through cr_cup."""
+
+    def cup_linear(terms, j):
+        out = {}
+        for s, c in terms:
+            for t, d in cr_cup(ring, s, j):
+                out[t] = out.get(t, Fraction(0)) + c * d
+        return {k: v for k, v in out.items() if v}
+
+    count = ring.sector_count()
+    for a in range(count):
+        for b in range(count):
+            ab = cr_cup(ring, a, b)
+            for c in range(count):
+                left = cup_linear(ab, c)
+                right = {}
+                for t, d in cr_cup(ring, b, c):
+                    for u, e in cr_cup(ring, a, t):
+                        right[u] = right.get(u, Fraction(0)) + d * e
+                right = {k: v for k, v in right.items() if v}
+                if left != right:
+                    return False, {"triple": (a, b, c), "left": left, "right": right}
+    return True, None
+
+
+WOLF_DOCS = [
+    times_scalars(quaternion(), 3),
+    times_scalars(quaternion(), 5),
+    times_scalars(binary_dihedral(3), 5),
+]
+
+
+@pytest.fixture(scope="module")
+def reference_groups():
+    return battery_48() + [build(d) for d in WOLF_DOCS]
 
 
 class TestAge:
@@ -142,6 +233,47 @@ class TestCupProduct:
         ring = build_ring(build(antipodal(2)))
         with pytest.raises(ValueError):
             cr_cup(ring, 0, 5)
+
+
+class TestAgainstReference:
+    def test_structure_constants(self, reference_groups):
+        for g in reference_groups:
+            for convention in CupConvention:
+                ring = build_ring(g, convention)
+                assert ring.structure_constants == reference_constants(g, convention), (
+                    g.name, convention)
+
+    def test_sweep(self, reference_groups):
+        failing = set()
+        for g in reference_groups:
+            for convention in CupConvention:
+                ring = build_ring(g, convention)
+                result = associativity_sweep(ring)
+                assert result == reference_sweep(ring), (g.name, convention)
+                if not result[0]:
+                    failing.add((g.name, convention.value))
+        # Full-pairs is not associative on the Wolf-type free actions, so the
+        # counterexample path, left and right included, is compared there.
+        assert failing == {(d["name"], "full-pairs") for d in WOLF_DOCS}
+
+    def test_sweep_fractional_constants(self, reference_groups):
+        # Built rings have integer constants; dividing each by k + 1 gives
+        # mixed denominators, so the D^2 scaling and the division of
+        # left/right back into Fractions are compared too.
+        for g in reference_groups[-len(WOLF_DOCS):]:
+            for convention in CupConvention:
+                ring = build_ring(g, convention)
+                ring.structure_constants = {
+                    key: tuple((k, c / (k + 1)) for k, c in terms)
+                    for key, terms in ring.structure_constants.items()
+                }
+                assert associativity_sweep(ring) == reference_sweep(ring), (g.name, convention)
+
+    def test_choose_ring_sweeps(self, reference_groups):
+        ring, sweeps = choose_ring(reference_groups[-1])
+        assert ring.convention is CupConvention.ORBIT_REPRESENTATIVE_SUM
+        for convention in CupConvention:
+            assert sweeps[convention.value] == reference_sweep(build_ring(reference_groups[-1], convention))
 
 
 class TestPairing:

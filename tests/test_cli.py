@@ -5,8 +5,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from battery import antipodal, quaternion, scalar_cyclic
-from orbifill.cli import cli
+from battery import antipodal, binary_dihedral, quaternion, scalar_cyclic, times_scalars
+from orbifill import parse_group
+from orbifill.cli import EXIT_INTERNAL, _guarded, cli
 
 
 @pytest.fixture
@@ -19,6 +20,7 @@ def workspace(tmp_path):
     (tmp_path / "antipodal2.json").write_text(json.dumps(antipodal(2)))
     (tmp_path / "q8.json").write_text(json.dumps(quaternion()))
     (tmp_path / "z3.json").write_text(json.dumps(scalar_cyclic(3, n=3)))
+    (tmp_path / "bd12xmu5.json").write_text(json.dumps(times_scalars(binary_dihedral(3), 5)))
     (tmp_path / "broken.json").write_text(
         json.dumps({"dimension": 2, "conductor": 2, "generators": [[["1/2", "0"], ["0", "1"]]]})
     )
@@ -77,6 +79,27 @@ class TestExitCodes:
         result = runner.invoke(cli, ["group", "info", str(workspace / "broken.json")])
         assert result.exit_code == 2
         assert "not unitary" in result.stderr
+
+    def test_unenumerated_group_exits_three(self):
+        # Reading an enumerated-only property of a parsed group is a broken
+        # internal state, not an input error.
+        group = parse_group(quaternion())
+        with pytest.raises(SystemExit) as info:
+            _guarded(lambda: group.order)()
+        assert info.value.code == EXIT_INTERNAL
+
+    def test_cr_ring_reports_sweep_on_stderr(self, runner, workspace):
+        result = invoke(runner, workspace, "cr", "ring", str(workspace / "bd12xmu5.json"),
+                        "--format", "json")
+        assert result.exit_code == 0
+        payload = json.loads(result.stdout)
+        assert payload["convention"] == "orbit-reps"
+        assert payload["associativity_sweep"] == {"full-pairs": False, "orbit-reps": True}
+        line = next(x for x in result.stderr.splitlines() if x.startswith("associativity sweep:"))
+        assert line == (
+            "associativity sweep: full-pairs fails at (c1, c1, c3); orbit-reps passes; "
+            "using orbit-reps (chosen by sweep)"
+        )
 
     def test_non_vanishing_report(self, runner, workspace):
         result = invoke(runner, workspace, "ledger", "build", str(workspace / "antipodal2.json"),

@@ -152,6 +152,11 @@ class TestEnumeration:
         with pytest.raises(InternalInconsistency):
             g.eigen_multiplicities(i)
 
+    def test_unenumerated_group_is_internal(self):
+        group = parse_group(quaternion())
+        with pytest.raises(InternalInconsistency, match="not enumerated"):
+            group.order
+
     def test_trivial_group(self):
         g = build(trivial())
         assert g.order == 1 and g.classes[0].label == "Id"
