@@ -1,9 +1,10 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 Values are stored in the power basis 1, z, ..., z^(phi(N)-1) reduced modulo
-the N-th cyclotomic polynomial Phi_N, with Fraction coefficients. Everything
-is exact; no floating point enters this module (a decimal rendering for
-display is the lone, clearly-marked exception).
+the N-th cyclotomic polynomial Phi_N, as int numerators over one positive int
+denominator with no common factor, so arithmetic, hashing and comparison run
+on ints. Everything is exact; no floating point enters this module (a decimal
+rendering for display is the lone, clearly-marked exception).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 from .errors import IncompatibleConductor, InternalInconsistency, ParseError
 
@@ -84,68 +86,101 @@ def cyclotomic_polynomial(n: int) -> CyclotomicPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(n: int) -> tuple[tuple[int, ...], ...]:
-    # Row e is x^e mod Phi_n as an integer vector of length phi(n), for
+def _sparse_reduction(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # Row e holds the nonzero (index, value) pairs of x^e mod Phi_n, for
     # 0 <= e < 2n. Exponents are always brought below 2n before lookup.
+    # Row e is x * row(e - 1), with x^phi folded back through monic Phi_n.
     phi_coeffs = cyclotomic_polynomial(n).coefficients
     d = len(phi_coeffs) - 1
-    rows: list[list[int]] = []
+    fold = [(i, c) for i, c in enumerate(phi_coeffs[:-1]) if c]
+    rows = []
+    row: dict[int, int] = {}
     for e in range(2 * n):
         if e < d:
-            row = [0] * d
-            row[e] = 1
+            row = {e: 1}
         else:
-            prev = rows[e - 1]
-            row = [0] + list(prev[:-1])
-            lead = prev[-1]
-            if lead:
-                for i in range(d):
-                    row[i] -= lead * phi_coeffs[i]
-        rows.append(row)
-    return tuple(tuple(r) for r in rows)
+            lead = row.get(d - 1, 0)
+            row = {i + 1: r for i, r in row.items() if i + 1 < d}
+            for i, c in fold:
+                v = row.get(i, 0) - lead * c
+                if v:
+                    row[i] = v
+                else:
+                    row.pop(i, None)
+        rows.append(tuple(row.items()))
+    return tuple(rows)
 
 
-_ZERO = Fraction(0)
+@lru_cache(maxsize=None)
+def _reduction_table(n: int) -> tuple[tuple[int, ...], ...]:
+    # Row e is x^e mod Phi_n as a dense integer vector of length phi(n).
+    d = euler_phi(n)
+    rows = []
+    for sparse in _sparse_reduction(n):
+        row = [0] * d
+        for i, r in sparse:
+            row[i] = r
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 class CyclotomicNumber:
     """An element of Q(zeta_N) in reduced power-basis form.
 
-    Instances are immutable. Equality compares underlying field elements:
-    representations at different conductors are lifted to the lcm first.
+    The value is sum(nums[e] * zeta_N^e) / den over int numerators ``nums``
+    and an int ``den > 0`` with gcd(den, *nums) == 1; zero is (0, ..., 0)/1.
+    This normal form is unique at each conductor. Instances are immutable.
+    Equality compares underlying field elements: representations at
+    different conductors are lifted to the lcm first.
     """
 
-    __slots__ = ("conductor", "coefficients", "_minimal")
+    __slots__ = ("conductor", "nums", "den", "_minimal")
 
-    def __init__(self, conductor: int, coefficients):
-        self.conductor = conductor
-        self.coefficients = tuple(coefficients)
-        self._minimal = None
-        if len(self.coefficients) != euler_phi(conductor):
+    def __init__(self, conductor: int, nums, den: int = 1):
+        nums = tuple(nums)
+        if len(nums) != euler_phi(conductor):
             raise InternalInconsistency("coefficient vector has wrong length")
+        if den != 1:
+            if den == 0:
+                raise ZeroDivisionError("cyclotomic value with denominator zero")
+            g = math.gcd(den, *nums)
+            if den < 0:
+                g = -g
+            if g != 1:
+                den //= g
+                nums = tuple(c // g for c in nums)
+        self.conductor = conductor
+        self.nums = nums
+        self.den = den
+        self._minimal = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def rational(value) -> "CyclotomicNumber":
-        return CyclotomicNumber(1, (Fraction(value),))
+        return make(1, [(value, 0)])
 
     def __repr__(self):
         return f"cyclo({self.conductor}, {self.to_literal()!r})"
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """Read-only view of the power-basis coefficients as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
     def is_zero(self) -> bool:
-        return not any(self.coefficients)
+        return not any(self.nums)
 
     def __bool__(self):
         return not self.is_zero()
 
     def as_rational(self):
         """The Fraction value if this element is rational, else None."""
-        if any(self.coefficients[1:]):
+        if any(self.nums[1:]):
             return None
-        return self.coefficients[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- conductor handling --------------------------------------------------
 
@@ -158,21 +193,18 @@ class CyclotomicNumber:
                 f"cannot lift conductor {self.conductor} to {conductor}"
             )
         step = conductor // self.conductor
-        red = _reduction_table(conductor)
-        acc = [_ZERO] * euler_phi(conductor)
-        for j, c in enumerate(self.coefficients):
-            if c:
-                for i, r in enumerate(red[j * step]):
-                    if r:
-                        acc[i] += c * r
-        return CyclotomicNumber(conductor, acc)
+        red = _sparse_reduction(conductor)
+        acc = [0] * euler_phi(conductor)
+        for j, c in _support(self.nums):
+            for i, r in red[j * step]:
+                acc[i] += c * r
+        return CyclotomicNumber(conductor, acc, self.den)
 
     def minimal(self) -> "CyclotomicNumber":
         """The equal value at the smallest conductor dividing this one."""
         if self._minimal is None:
-            r = self.as_rational()
-            if r is not None:
-                out = CyclotomicNumber(1, (r,))
+            if self.as_rational() is not None:
+                out = CyclotomicNumber(1, self.nums[:1], self.den)
             else:
                 out = self
                 for d in divisors(self.conductor)[:-1]:
@@ -189,42 +221,43 @@ class CyclotomicNumber:
         n = self.conductor
         red = _reduction_table(n)
         cols = euler_phi(d)
-        rows = euler_phi(n)
-        mat = [[Fraction(red[(n // d) * j][i]) for j in range(cols)] for i in range(rows)]
-        rhs = [Fraction(c) for c in self.coefficients]
-        sol = _solve_exact(mat, rhs)
+        mat = [[red[(n // d) * j][i] for j in range(cols)] for i in range(euler_phi(n))]
+        sol = _solve_exact(mat, self.nums)
         if sol is None:
             return None
-        return CyclotomicNumber(d, sol)
+        nums, den = sol
+        return CyclotomicNumber(d, nums, den * self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
     def _pair(self, other):
         if isinstance(other, CyclotomicNumber):
+            if other.conductor == self.conductor:
+                return self, other
             b = other
         elif isinstance(other, (int, Fraction)):
             b = CyclotomicNumber.rational(other)
         else:
             return None, None
-        lcm = self.conductor * b.conductor // math.gcd(self.conductor, b.conductor)
+        lcm = math.lcm(self.conductor, b.conductor)
         return self.lift(lcm), b.lift(lcm)
 
     def __add__(self, other):
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return CyclotomicNumber(a.conductor, tuple(x + y for x, y in zip(a.coefficients, b.coefficients)))
+        return _combine(a, b, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.conductor, tuple(-c for c in self.coefficients))
+        return CyclotomicNumber(self.conductor, [-c for c in self.nums], self.den)
 
     def __sub__(self, other):
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return CyclotomicNumber(a.conductor, tuple(x - y for x, y in zip(a.coefficients, b.coefficients)))
+        return _combine(a, b, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -233,24 +266,24 @@ class CyclotomicNumber:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        n = a.conductor
-        phi = len(a.coefficients)
-        an = [(i, c) for i, c in enumerate(a.coefficients) if c]
-        bn = [(j, c) for j, c in enumerate(b.coefficients) if c]
-        acc = [_ZERO] * phi
-        if an and bn:
-            red = _reduction_table(n)
-            for i, c in an:
-                for j, d in bn:
-                    cd = c * d
-                    e = i + j
-                    if e < phi:
-                        acc[e] += cd
-                    else:
-                        for t, r in enumerate(red[e]):
-                            if r:
-                                acc[t] += cd * r
-        return CyclotomicNumber(n, acc)
+        phi = len(a.nums)
+        an, bn = _support(a.nums), _support(b.nums)
+        if not an or not bn:
+            return CyclotomicNumber(a.conductor, [0] * phi)
+        # Schoolbook product into degree < 2*phi - 1, then fold the high
+        # degrees back through the reduction table.
+        acc = [0] * (2 * phi - 1)
+        for i, c in an:
+            for j, d in bn:
+                acc[i + j] += c * d
+        red = _sparse_reduction(a.conductor)
+        for e in range(phi, 2 * phi - 1):
+            c = acc[e]
+            if c:
+                for t, r in red[e]:
+                    acc[t] += c * r
+        del acc[phi:]
+        return CyclotomicNumber(a.conductor, acc, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -259,11 +292,10 @@ class CyclotomicNumber:
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
         n = self.conductor
-        modulus = [Fraction(c) for c in cyclotomic_polynomial(n).coefficients]
-        g, s = _poly_invert(list(self.coefficients), modulus)
-        phi = euler_phi(n)
-        coeffs = [(s[i] if i < len(s) else _ZERO) / g for i in range(phi)]
-        return CyclotomicNumber(n, coeffs)
+        g, s = _poly_invert(list(self.nums), cyclotomic_polynomial(n).coefficients)
+        # s * nums = g (mod Phi_N), so (nums / den)^-1 = s * den / g.
+        nums = [c * self.den for c in s] + [0] * (euler_phi(n) - len(s))
+        return CyclotomicNumber(n, nums, g)
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -291,14 +323,12 @@ class CyclotomicNumber:
         n = self.conductor
         if math.gcd(k, n) != 1:
             raise ValueError("automorphism exponent must be coprime to the conductor")
-        red = _reduction_table(n)
-        acc = [_ZERO] * euler_phi(n)
-        for j, c in enumerate(self.coefficients):
-            if c:
-                for i, r in enumerate(red[(j * k) % n]):
-                    if r:
-                        acc[i] += c * r
-        return CyclotomicNumber(n, acc)
+        red = _sparse_reduction(n)
+        acc = [0] * euler_phi(n)
+        for j, c in _support(self.nums):
+            for i, r in red[(j * k) % n]:
+                acc[i] += c * r
+        return CyclotomicNumber(n, acc, self.den)
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation, realized as zeta_N -> zeta_N^(N-1)."""
@@ -310,31 +340,31 @@ class CyclotomicNumber:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.as_rational() == Fraction(other)
+            # Both sides are in lowest terms, so they compare term by term.
+            return (not any(self.nums[1:]) and self.nums[0] == other.numerator
+                    and self.den == other.denominator)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        if self.conductor == other.conductor:
-            return self.coefficients == other.coefficients
         a, b = self._pair(other)
-        return a.coefficients == b.coefficients
+        return a.den == b.den and a.nums == b.nums
 
     def __hash__(self):
         r = self.as_rational()
         if r is not None:
             return hash(r)
         m = self.minimal()
-        return hash((m.conductor, m.coefficients))
+        return hash((m.conductor, m.den, m.nums))
 
     # -- rendering -----------------------------------------------------------
 
     def to_literal(self) -> str:
         """Canonical literal in the document grammar (z means zeta_conductor)."""
         parts = []
-        for e, c in enumerate(self.coefficients):
-            if not c:
-                continue
-            mag = abs(c)
-            body = str(mag) if e == 0 else f"{mag}*z^{e}"
+        den = self.den
+        for e, c in _support(self.nums):
+            g = math.gcd(c, den)
+            mag = str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
+            body = mag if e == 0 else f"{mag}*z^{e}"
             if not parts:
                 parts.append(body if c > 0 else "-" + body)
             else:
@@ -344,24 +374,49 @@ class CyclotomicNumber:
     def approx(self) -> complex:
         """Floating approximation, for display only."""
         z = cmath.exp(2j * cmath.pi / self.conductor)
-        return sum(float(c) * z**e for e, c in enumerate(self.coefficients))
+        return complex(sum(c * z**e for e, c in enumerate(self.nums))) / self.den
+
+
+def _support(nums) -> list[tuple[int, int]]:
+    # The (index, value) pairs of the nonzero entries, found in C.
+    return [(i, nums[i]) for i in compress(range(len(nums)), nums)]
+
+
+def _combine(a: CyclotomicNumber, b: CyclotomicNumber, sign: int) -> CyclotomicNumber:
+    # a + sign * b for a and b at one conductor, over the lcm of the
+    # denominators.
+    if a.den == b.den:
+        return CyclotomicNumber(a.conductor, [x + sign * y for x, y in zip(a.nums, b.nums)], a.den)
+    g = math.gcd(a.den, b.den)
+    sa, sb = b.den // g, sign * (a.den // g)
+    return CyclotomicNumber(
+        a.conductor, [x * sa + y * sb for x, y in zip(a.nums, b.nums)], a.den * sa
+    )
+
+
+def _from_terms(conductor: int, terms) -> CyclotomicNumber:
+    # sum(num / den * zeta_conductor^exp) for int (num, den, exp) terms, den > 0.
+    if conductor < 1:
+        raise ValueError("conductor must be positive")
+    terms = [t for t in terms if t[0]]
+    den = math.lcm(*(d for _, d, _ in terms))
+    red = _sparse_reduction(conductor)
+    acc = [0] * euler_phi(conductor)
+    for num, d, exp in terms:
+        c = num * (den // d)
+        for i, r in red[exp % conductor]:
+            acc[i] += c * r
+    return CyclotomicNumber(conductor, acc, den)
 
 
 def make(conductor: int, terms) -> CyclotomicNumber:
     """Canonical representative of sum(c * zeta_conductor^e) for (c, e) terms."""
-    if conductor < 1:
-        raise ValueError("conductor must be positive")
-    phi = euler_phi(conductor)
-    red = _reduction_table(conductor)
-    acc = [_ZERO] * phi
+    out = []
     for coeff, exp in terms:
-        c = Fraction(coeff)
-        if not c:
-            continue
-        for i, r in enumerate(red[exp % conductor]):
-            if r:
-                acc[i] += c * r
-    return CyclotomicNumber(conductor, acc)
+        if not isinstance(coeff, (int, Fraction)):
+            coeff = Fraction(coeff)
+        out.append((coeff.numerator, coeff.denominator, exp))
+    return _from_terms(conductor, out)
 
 
 def zeta(conductor: int, exponent: int = 1) -> CyclotomicNumber:
@@ -376,7 +431,7 @@ def one(conductor: int = 1) -> CyclotomicNumber:
     return make(conductor, [(1, 0)])
 
 
-# -- polynomial helpers over Fraction coefficients ----------------------------
+# -- integer polynomial helpers (ascending coefficients) ----------------------
 
 
 def _poly_trim(p):
@@ -386,47 +441,60 @@ def _poly_trim(p):
 
 
 def _poly_invert(a, modulus):
-    # Extended Euclid for a modulo Phi_N; Phi_N is irreducible over Q so the
-    # gcd of a nonzero residue is a nonzero constant g, and s*a = g mod Phi_N.
-    r0, r1 = [Fraction(c) for c in modulus], _poly_trim([Fraction(c) for c in a])
-    s0, s1 = [Fraction(0)], [Fraction(1)]
+    # Extended Euclid for a modulo Phi_N over Z[x], by pseudo-division. Each
+    # step keeps r = s * a (mod Phi_N) and divides the pair (r, s) by its
+    # content. Phi_N is irreducible over Q, so the last nonzero remainder is
+    # a nonzero integer g, and s * a = g (mod Phi_N).
+    r0, r1 = list(modulus), _poly_trim(list(a))
+    s0, s1 = [0], [1]
     while r1:
-        q, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+        scale, q, rem = _poly_divmod(r0, r1)
+        s = _poly_sub([scale * c for c in s0], _poly_mul(q, s1))
+        g = math.gcd(*rem, *s)
+        if g > 1:
+            rem = [c // g for c in rem]
+            s = [c // g for c in s]
+        r0, r1, s0, s1 = r1, rem, s1, s
     if len(r0) != 1:
         raise InternalInconsistency("gcd against an irreducible modulus is not constant")
     return r0[0], s0
 
 
 def _poly_divmod(a, b):
+    # Pseudo-division: (scale, q, r) with scale * a = q * b + r, deg r < deg b.
+    # a is multiplied by lc(b) only when a leading coefficient needs it.
     a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    db = len(b) - 1
-    while len(a) - 1 >= db and any(a):
-        _poly_trim(a)
-        if len(a) - 1 < db:
-            break
-        c = a[-1] / b[-1]
-        shift = len(a) - 1 - db
+    db, lead = len(b) - 1, b[-1]
+    q = [0] * max(1, len(a) - db)
+    scale = 1
+    for top in range(len(a) - 1, db - 1, -1):
+        c = a[top]
+        if not c:
+            continue
+        if c % lead:
+            a = [x * lead for x in a]
+            q = [x * lead for x in q]
+            scale *= lead
+        else:
+            c //= lead
+        shift = top - db
         q[shift] += c
         for j, bj in enumerate(b):
             a[shift + j] -= c * bj
-    return _poly_trim(q) or [Fraction(0)], _poly_trim(a)
+    return scale, _poly_trim(q), _poly_trim(a[:db])
 
 
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
+                out[i + j] += x * y
     return _poly_trim(out)
 
 
 def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
+    out = [0] * max(len(a), len(b))
     for i, x in enumerate(a):
         out[i] += x
     for i, y in enumerate(b):
@@ -435,13 +503,14 @@ def _poly_sub(a, b):
 
 
 def _solve_exact(mat, rhs):
-    # Gaussian elimination over Q; returns the solution vector when the
-    # system is consistent, else None. The columns passed here are always
-    # linearly independent (they are images of a field basis), so a
-    # consistent system has a unique solution.
+    # Fraction-free Gauss-Jordan elimination over Z, each row kept primitive.
+    # Returns (nums, den) with mat * nums = den * rhs when the system is
+    # consistent, else None. The columns passed here are always linearly
+    # independent (they are images of a field basis), so a consistent system
+    # has a unique solution.
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
-    aug = [mat[i] + [rhs[i]] for i in range(rows)]
+    aug = [list(mat[i]) + [rhs[i]] for i in range(rows)]
     pivots = []
     r = 0
     for c in range(cols):
@@ -449,23 +518,25 @@ def _solve_exact(mat, rhs):
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
+        prow = aug[r]
+        pv = prow[c]
         for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+            f = aug[i][c]
+            if i != r and f:
+                row = [pv * x - f * y for x, y in zip(aug[i], prow)]
+                g = math.gcd(*row)
+                aug[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    for i in range(r, rows):
-        if aug[i][cols]:
-            return None
-    sol = [Fraction(0)] * cols
+    if any(aug[i][cols] for i in range(r, rows)):
+        return None
+    den = math.lcm(*(aug[i][c] for i, c in enumerate(pivots)))
+    sol = [0] * cols
     for i, c in enumerate(pivots):
-        sol[c] = aug[i][cols]
-    return sol
+        sol[c] = aug[i][cols] * (den // aug[i][c])
+    return sol, den
 
 
 # -- literal grammar ----------------------------------------------------------
@@ -530,7 +601,7 @@ def parse_literal(text: str, conductor: int, locus: str | None = None) -> Cyclot
         skip_ws()
         if pos < len(s) and s[pos] == "z":
             pos += 1
-            terms.append((Fraction(sign), read_exponent()))
+            terms.append((sign, 1, read_exponent()))
         else:
             num = read_int(signed=False)
             den = 1
@@ -540,7 +611,6 @@ def parse_literal(text: str, conductor: int, locus: str | None = None) -> Cyclot
                 den = read_int(signed=False)
                 if den == 0:
                     err("zero denominator")
-            coeff = Fraction(sign * num, den)
             skip_ws()
             if pos < len(s) and s[pos] == "*":
                 pos += 1
@@ -548,13 +618,13 @@ def parse_literal(text: str, conductor: int, locus: str | None = None) -> Cyclot
                 if pos >= len(s) or s[pos] != "z":
                     err("expected 'z' after '*'")
                 pos += 1
-                terms.append((coeff, read_exponent()))
+                terms.append((sign * num, den, read_exponent()))
             else:
-                terms.append((coeff, 0))
+                terms.append((sign * num, den, 0))
         first = False
         skip_ws()
         if pos >= len(s):
             break
         if s[pos] not in "+-":
             err(f"unexpected character {s[pos]!r}")
-    return make(conductor, terms)
+    return _from_terms(conductor, terms)

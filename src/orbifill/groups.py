@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .cyclotomic import CyclotomicNumber, divisors, euler_phi, make, parse_literal
+from .cyclotomic import CyclotomicNumber, divisors, euler_phi, make, parse_literal, zero
 from .errors import (
     GroupTooLarge,
     InternalInconsistency,
@@ -37,9 +37,9 @@ class UnitaryElement:
 
     def __init__(self, entries: Matrix):
         self.entries = entries
-        # All entries of a group live at the document conductor, so the raw
-        # coefficient tuples form a faithful canonical key.
-        self.key = tuple(c.coefficients for row in entries for c in row)
+        # All entries of a group live at the document conductor, so the
+        # normal forms (den, nums) are a faithful canonical key of ints.
+        self.key = tuple((c.den, c.nums) for row in entries for c in row)
 
     @property
     def dimension(self) -> int:
@@ -63,18 +63,17 @@ class UnitaryElement:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n = len(a)
+    nil = zero(math.lcm(a[0][0].conductor, b[0][0].conductor))
     out = []
     for i in range(n):
         row = []
         for j in range(n):
-            acc = None
+            acc = nil
             for k in range(n):
-                x = a[i][k]
-                if x.is_zero():
-                    continue
-                term = x * b[k][j]
-                acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else a[i][0] * 0)
+                x, y = a[i][k], b[k][j]
+                if x and y:
+                    acc = x * y if acc is nil else acc + x * y
+            row.append(acc)
         out.append(tuple(row))
     return tuple(out)
 
@@ -201,10 +200,10 @@ class FiniteUnitaryGroup:
     def inverse_index(self, i: int) -> int:
         self._require_enumerated()
         if self._inverses is None:
-            self._inverses = [None] * len(self.elements)
-        if self._inverses[i] is None:
-            inv = UnitaryElement(mat_conj_transpose(self.elements[i].entries))
-            self._inverses[i] = self.element_index(inv)
+            try:
+                self._inverses = [row.index(0) for row in self.mult_table]
+            except ValueError:
+                raise InternalInconsistency("a row of the multiplication table misses the identity")
         return self._inverses[i]
 
     def element_order(self, i: int) -> int:
@@ -256,7 +255,9 @@ class FiniteUnitaryGroup:
                 key=lambda c: (
                     _age_from_eigen(self.eigen_multiplicities(c[0])),
                     len(c[1]),
-                    self.elements[c[0]].key,
+                    # Ties break on the Fraction coefficients, the order
+                    # class labels have always had.
+                    tuple(x.coefficients for row in self.elements[c[0]].entries for x in row),
                 )
             )
             classes = []
@@ -361,8 +362,7 @@ class _ModularReduction:
 
     def __init__(self, group: FiniteUnitaryGroup):
         self.lcm = L = math.lcm(group.conductor, group.order)
-        dens = math.lcm(*(c.denominator for g in group.generators
-                          for row in g.entries for x in row for c in x.coefficients))
+        dens = math.lcm(*(x.den for g in group.generators for row in g.entries for x in row))
         p = L + 1
         while p <= group.dimension or dens % p == 0 or not _is_prime(p):
             p += L
@@ -378,8 +378,8 @@ class _ModularReduction:
         p, zp = self.prime, self._zeta_powers
         try:
             return [
-                [sum(c.numerator * pow(c.denominator, -1, p) * z
-                     for c, z in zip(x.coefficients, zp) if c) % p for x in row]
+                [sum(c * z for c, z in zip(x.nums, zp) if c) * pow(x.den, -1, p) % p
+                 for x in row]
                 for row in element.entries
             ]
         except ValueError:
@@ -467,8 +467,7 @@ def _check_unitary(element: UnitaryElement, generator_index: int, conductor: int
     n = element.dimension
     for r in range(n):
         for c in range(n):
-            expected = Fraction(1 if r == c else 0)
-            if product[r][c] != expected:
+            if product[r][c] != (1 if r == c else 0):
                 raise NotUnitary(generator_index, (r, c))
 
 

@@ -1,5 +1,6 @@
 """Cyclotomic field arithmetic: exactness, canonical form, the grammar."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,191 @@ from orbifill import (
     zero,
     zeta,
 )
-from orbifill.cyclotomic import divisors
+from orbifill.cyclotomic import _reduction_table, divisors
+
+
+# -- exact reference: the Fraction-vector kernel ------------------------------
+#
+# The kernel as it was when values were tuples of Fraction coefficients. It
+# is kept here only to check the integer kernel against, value by value.
+
+
+class FractionCyclotomic:
+    def __init__(self, conductor, coefficients):
+        self.conductor = conductor
+        self.coefficients = tuple(Fraction(c) for c in coefficients)
+        assert len(self.coefficients) == euler_phi(conductor)
+
+    def lift(self, conductor):
+        if conductor == self.conductor:
+            return self
+        step = conductor // self.conductor
+        red = _reduction_table(conductor)
+        acc = [Fraction(0)] * euler_phi(conductor)
+        for j, c in enumerate(self.coefficients):
+            if c:
+                for i, r in enumerate(red[j * step]):
+                    if r:
+                        acc[i] += c * r
+        return FractionCyclotomic(conductor, acc)
+
+    def minimal(self):
+        if not any(self.coefficients[1:]):
+            return FractionCyclotomic(1, self.coefficients[:1])
+        n = self.conductor
+        red = _reduction_table(n)
+        for d in divisors(n)[:-1]:
+            mat = [[Fraction(red[(n // d) * j][i]) for j in range(euler_phi(d))]
+                   for i in range(euler_phi(n))]
+            sol = fraction_solve(mat, list(self.coefficients))
+            if sol is not None:
+                return FractionCyclotomic(d, sol)
+        return self
+
+    def _pair(self, other):
+        lcm = math.lcm(self.conductor, other.conductor)
+        return self.lift(lcm), other.lift(lcm)
+
+    def __add__(self, other):
+        a, b = self._pair(other)
+        return FractionCyclotomic(a.conductor, [x + y for x, y in zip(a.coefficients, b.coefficients)])
+
+    def __sub__(self, other):
+        a, b = self._pair(other)
+        return FractionCyclotomic(a.conductor, [x - y for x, y in zip(a.coefficients, b.coefficients)])
+
+    def __mul__(self, other):
+        a, b = self._pair(other)
+        n, phi = a.conductor, len(a.coefficients)
+        red = _reduction_table(n)
+        acc = [Fraction(0)] * phi
+        an = [(i, c) for i, c in enumerate(a.coefficients) if c]
+        bn = [(j, c) for j, c in enumerate(b.coefficients) if c]
+        for i, c in an:
+            for j, d in bn:
+                if i + j < phi:
+                    acc[i + j] += c * d
+                else:
+                    for t, r in enumerate(red[i + j]):
+                        if r:
+                            acc[t] += c * d * r
+        return FractionCyclotomic(n, acc)
+
+    def inverse(self):
+        n = self.conductor
+        r0 = [Fraction(c) for c in cyclotomic_polynomial(n).coefficients]
+        r1 = fraction_trim(list(self.coefficients))
+        s0, s1 = [Fraction(0)], [Fraction(1)]
+        while r1:
+            q, rem = fraction_divmod(r0, r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, fraction_sub(s0, fraction_mul(q, s1))
+        assert len(r0) == 1
+        return FractionCyclotomic(n, [(s0[i] if i < len(s0) else 0) / r0[0] for i in range(euler_phi(n))])
+
+    def galois(self, k):
+        n = self.conductor
+        red = _reduction_table(n)
+        acc = [Fraction(0)] * euler_phi(n)
+        for j, c in enumerate(self.coefficients):
+            if c:
+                for i, r in enumerate(red[(j * k) % n]):
+                    if r:
+                        acc[i] += c * r
+        return FractionCyclotomic(n, acc)
+
+    def conjugate(self):
+        return self if self.conductor == 1 else self.galois(self.conductor - 1)
+
+    def __eq__(self, other):
+        a, b = self._pair(other)
+        return a.coefficients == b.coefficients
+
+    def to_literal(self):
+        parts = []
+        for e, c in enumerate(self.coefficients):
+            if c:
+                body = str(abs(c)) if e == 0 else f"{abs(c)}*z^{e}"
+                if not parts:
+                    parts.append(body if c > 0 else "-" + body)
+                else:
+                    parts.append((" + " if c > 0 else " - ") + body)
+        return "".join(parts) if parts else "0"
+
+
+def fraction_make(conductor, terms):
+    red = _reduction_table(conductor)
+    acc = [Fraction(0)] * euler_phi(conductor)
+    for coeff, exp in terms:
+        for i, r in enumerate(red[exp % conductor]):
+            if r:
+                acc[i] += Fraction(coeff) * r
+    return FractionCyclotomic(conductor, acc)
+
+
+def fraction_trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def fraction_divmod(a, b):
+    a = list(a)
+    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    db = len(b) - 1
+    while len(a) - 1 >= db and any(a):
+        fraction_trim(a)
+        if len(a) - 1 < db:
+            break
+        c = a[-1] / b[-1]
+        shift = len(a) - 1 - db
+        q[shift] += c
+        for j, bj in enumerate(b):
+            a[shift + j] -= c * bj
+    return fraction_trim(q) or [Fraction(0)], fraction_trim(a)
+
+
+def fraction_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return fraction_trim(out)
+
+
+def fraction_sub(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] -= y
+    return fraction_trim(out)
+
+
+def fraction_solve(mat, rhs):
+    rows, cols = len(mat), len(mat[0])
+    aug = [mat[i] + [rhs[i]] for i in range(rows)]
+    pivots, r = [], 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if aug[i][c]), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        aug[r] = [x / aug[r][c] for x in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    if any(aug[i][cols] for i in range(r, rows)):
+        return None
+    sol = [Fraction(0)] * cols
+    for i, c in enumerate(pivots):
+        sol[c] = aug[i][cols]
+    return sol
 
 
 def poly_mul_int(a, b):
@@ -229,3 +414,141 @@ class TestLiteralGrammar:
             ]
             x = make(n, terms)
             assert parse_literal(x.to_literal(), n) == x
+
+
+class TestAgainstFractionReference:
+    """The integer kernel against the Fraction-vector reference, value by value,
+    on seeded random cases at conductors 1-60 and 500."""
+
+    SMALL = list(range(1, 61))
+
+    def random_pair(self, rng, n, terms=4):
+        spec = [
+            (Fraction(rng.randint(-9, 9), rng.randint(1, 6)), rng.randrange(2 * n))
+            for _ in range(rng.randint(1, terms))
+        ]
+        return make(n, spec), fraction_make(n, spec)
+
+    def cases(self, seed, small, large):
+        rng = random.Random(seed)
+        for k in range(small + large):
+            yield rng, (rng.choice(self.SMALL) if k < small else 500)
+
+    @staticmethod
+    def same(x, ref):
+        return x.conductor == ref.conductor and x.coefficients == ref.coefficients
+
+    def test_add_sub_mul_eq(self):
+        for rng, n in self.cases(70101, 400, 20):
+            a, ra = self.random_pair(rng, n)
+            b, rb = self.random_pair(rng, n)
+            m = rng.choice(divisors(n if n == 500 else 2 * n))
+            c, rc = self.random_pair(rng, m)
+            for x, y, rx, ry in ((a, b, ra, rb), (a, c, ra, rc), (c, a, rc, ra)):
+                assert self.same(x + y, rx + ry)
+                assert self.same(x - y, rx - ry)
+                assert self.same(x * y, rx * ry)
+                assert (x == y) == (rx == ry)
+            assert a == a.lift(2 * n) and ra == ra.lift(2 * n)
+            assert (a == a + c) == (ra == ra + rc)
+
+    def test_inverse(self):
+        # The reference's Fraction Euclid takes up to a minute on one dense
+        # four-term value at conductor 500, so binomials stand in there.
+        for rng, n in self.cases(70102, 300, 6):
+            a, ra = self.random_pair(rng, n, terms=4 if n < 500 else 2)
+            if a.is_zero():
+                continue
+            assert self.same(a.inverse(), ra.inverse())
+
+    def test_galois_conjugate_lift(self):
+        for rng, n in self.cases(70103, 400, 20):
+            a, ra = self.random_pair(rng, n)
+            k = rng.choice([k for k in range(1, 2 * n + 1) if math.gcd(k, n) == 1])
+            assert self.same(a.galois(k), ra.galois(k))
+            assert self.same(a.conjugate(), ra.conjugate())
+            target = n * rng.choice((2, 3)) if n < 500 else 1000
+            assert self.same(a.lift(target), ra.lift(target))
+
+    def test_minimal(self):
+        for rng, n in self.cases(70104, 300, 0):
+            a, ra = self.random_pair(rng, n)
+            # A value from a subfield, written at conductor n.
+            d = rng.choice(divisors(n))
+            b, rb = self.random_pair(rng, d)
+            assert self.same(a.minimal(), ra.minimal())
+            assert self.same(b.lift(n).minimal(), rb.lift(n).minimal())
+        # At 500, values of Q(zeta_100) and Q written at conductor 500.
+        rng = random.Random(70105)
+        for d in (1, 4, 100):
+            b, rb = self.random_pair(rng, d)
+            assert self.same(b.lift(500).minimal(), rb.lift(500).minimal())
+
+    def test_literals(self):
+        for rng, n in self.cases(70106, 400, 20):
+            a, ra = self.random_pair(rng, n)
+            text = ra.to_literal()
+            assert a.to_literal() == text
+            assert self.same(parse_literal(text, n), ra)
+            assert parse_literal(a.to_literal(), n).nums == a.nums
+
+
+class TestNormalForm:
+    """den > 0, gcd(den, *nums) == 1, zero is (0, ..., 0)/1, and hashes that
+    agree with the cross-conductor equality."""
+
+    @staticmethod
+    def assert_normal(x):
+        assert x.den > 0
+        assert math.gcd(x.den, *x.nums) == 1
+        assert all(type(c) is int for c in x.nums) and type(x.den) is int
+        if x.is_zero():
+            assert x.den == 1
+
+    def test_results_are_normal(self):
+        rng = random.Random(70201)
+        for _ in range(300):
+            n = rng.choice(range(1, 61))
+            spec = [(Fraction(rng.randint(-6, 6), rng.randint(1, 8)), rng.randrange(n))
+                    for _ in range(3)]
+            a = make(n, spec)
+            b = make(n, spec[:2])
+            for x in (a, b, a + b, a - b, a * b, a - a, a * 0, -a, a.conjugate(), a.lift(2 * n),
+                      a.minimal()):
+                self.assert_normal(x)
+            if a:
+                self.assert_normal(a.inverse())
+
+    def test_constructor_normalises(self):
+        x = CyclotomicNumber(4, (2, 4), -6)
+        assert (x.nums, x.den) == ((-1, -2), 3)
+        z = CyclotomicNumber(5, (0, 0, 0, 0), 7)
+        assert (z.nums, z.den) == ((0, 0, 0, 0), 1)
+        assert x == make(4, [(Fraction(-1, 3), 0), (Fraction(-2, 3), 1)])
+        with pytest.raises(ZeroDivisionError):
+            CyclotomicNumber(1, (1,), 0)
+
+    def test_zero_is_canonical(self):
+        for n in (1, 2, 12, 60):
+            assert zero(n).nums == (0,) * euler_phi(n) and zero(n).den == 1
+            a = make(n, [(Fraction(3, 7), 1)])
+            assert ((a - a).nums, (a - a).den) == (zero(n).nums, 1)
+
+    def test_hash_invariant_under_lift(self):
+        rng = random.Random(70202)
+        for _ in range(200):
+            n = rng.choice(range(1, 31))
+            a = make(n, [(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randrange(n))
+                         for _ in range(3)])
+            for k in (2, 3, 4):
+                assert hash(a) == hash(a.lift(k * n))
+
+    def test_hash_of_rationals(self):
+        for r in (Fraction(0), Fraction(5), Fraction(-7, 3), Fraction(1, 2)):
+            for n in (1, 2, 3, 12):
+                x = CyclotomicNumber.rational(r).lift(n)
+                assert x == r and hash(x) == hash(Fraction(r))
+        rational_sum = make(5, [(1, 1), (1, 2), (1, 3), (1, 4), (Fraction(1, 2), 0)])
+        assert rational_sum == Fraction(-1, 2)
+        assert hash(rational_sum) == hash(Fraction(-1, 2))
+        assert hash(make(3, [(4, 0)])) == hash(4)

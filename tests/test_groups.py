@@ -24,6 +24,7 @@ from orbifill import (
     InternalInconsistency,
     NotUnitary,
     ParseError,
+    age,
     canonical_document,
     centralizer_intersection,
     conjugacy_classes,
@@ -32,7 +33,12 @@ from orbifill import (
     parse_group,
 )
 from orbifill.cyclotomic import _reduction_table, euler_phi
-from orbifill.groups import load_enumerated, serialize_enumerated
+from orbifill.groups import (
+    UnitaryElement,
+    load_enumerated,
+    mat_conj_transpose,
+    serialize_enumerated,
+)
 
 
 def character_formula(group, i):
@@ -354,3 +360,60 @@ class TestClassesAPI:
     def test_enumerate_is_idempotent(self):
         g = build(antipodal(2))
         assert enumerate_group(g) is g
+
+
+def fraction_key(element):
+    """The element key as it was before keys were ints: the entries'
+    Fraction coefficients, which class order breaks its ties on."""
+    return tuple(x.coefficients for row in element.entries for x in row)
+
+
+def leaves(value):
+    if isinstance(value, tuple):
+        for v in value:
+            yield from leaves(v)
+    else:
+        yield value
+
+
+def commuting_reflections():
+    """diag(R, 1) and diag(1, 1, -1) with R = [[3/5, 4/5], [4/5, -3/5]]: two
+    classes of age 1/2 and size 1 whose representatives tie until the key.
+    Their first entries 3/5 < 1 order them one way as Fractions and the
+    other way as (den, nums) pairs, since 5 > 1."""
+    return {"name": "refl3", "dimension": 3, "conductor": 2, "generators": [
+        [["3/5", "4/5", "0"], ["4/5", "-3/5", "0"], ["0", "0", "1"]],
+        [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]]}
+
+
+class TestIntegerKeys:
+    @pytest.fixture(scope="class")
+    def groups(self):
+        docs = [times_scalars(quaternion(), 3), times_scalars(quaternion(), 5),
+                times_scalars(binary_dihedral(3), 5), binary_tetrahedral(),
+                commuting_reflections()]
+        return battery_48() + [build(d) for d in docs]
+
+    def test_keys_hold_only_ints(self, groups):
+        for g in groups:
+            for e in g.elements:
+                assert all(type(v) is int for v in leaves(e.key)), g.name
+
+    def test_class_order_keeps_fraction_tie_break(self, groups):
+        for g in groups:
+            classes = g.classes
+            expected = sorted(classes, key=lambda c: (
+                age(g, c.representative_index), c.size,
+                fraction_key(g.elements[c.representative_index])))
+            assert [c.representative_index for c in classes] == [
+                c.representative_index for c in expected], g.name
+            assert [c.label for c in classes] == [
+                "Id" if c.representative_index == 0 else f"c{pos}"
+                for pos, c in enumerate(expected)], g.name
+
+    def test_inverses_from_table(self, groups):
+        for g in groups:
+            for i, e in enumerate(g.elements):
+                inv = g.elements[g.inverse_index(i)]
+                assert inv == UnitaryElement(mat_conj_transpose(e.entries)), g.name
+
