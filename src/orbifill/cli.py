@@ -1,4 +1,7 @@
-"""Command-line frontend: document I/O, caching, and report rendering.
+"""Command-line frontend: document I/O and report rendering.
+
+Each query parses its group document once and enumerates the group from it;
+nothing is cached between runs.
 
 JSON output is the machine contract and is byte-deterministic for fixed
 inputs, flags, and seed; table output is for humans and carries no stability
@@ -46,9 +49,7 @@ from .groups import (
     canonical_document,
     document_digest,
     enumerate_group,
-    load_enumerated,
     parse_group,
-    serialize_enumerated,
 )
 from .ledger import build_ledger, check_ledger, known_differentials, sh_vanishing
 from .reeb import families_below, loop_components, mclean_discrepancy
@@ -63,12 +64,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-
-CACHE_ENV = "ORBIFILL_CACHE_DIR"
-
-
-def _default_cache_dir() -> str:
-    return os.environ.get(CACHE_ENV, os.path.join(Path.home(), ".cache", "orbifill"))
 
 
 def _metadata(digest=None, seed=None, conventions=None):
@@ -146,6 +141,15 @@ def _common_options(fn):
     return fn
 
 
+# Nothing is cached: --cache-dir is accepted and ignored so that existing
+# invocations keep their exit codes. _default_cache_dir and the cache_dir
+# parameter of _load_group stay only because bench/tracer.py reads them,
+# until the benchmark retires its cache metrics.
+_ignored_cache_dir = click.option(
+    "--cache-dir", type=click.Path(file_okay=False), default=None, hidden=True
+)
+
+
 def _group_options(fn):
     fn = click.option(
         "--max-order",
@@ -154,38 +158,17 @@ def _group_options(fn):
         show_default=True,
         help="Abort enumeration beyond this order.",
     )(fn)
-    fn = click.option(
-        "--cache-dir",
-        type=click.Path(file_okay=False),
-        default=None,
-        help=f"Enumerated-group cache directory (default ${CACHE_ENV} or ~/.cache/orbifill).",
-    )(fn)
+    fn = _ignored_cache_dir(fn)
     return fn
 
 
+def _default_cache_dir() -> str:
+    return os.path.join(Path.home(), ".cache", "orbifill")
+
+
 def _load_group(path, max_order, cache_dir):
-    raw = Path(path).read_text()
-    digest = document_digest(raw)
-    cache_root = Path(cache_dir or _default_cache_dir())
-    cache_file = cache_root / f"{digest}.json"
-    if cache_file.exists():
-        try:
-            group = load_enumerated(json.loads(cache_file.read_text()))
-            if len(group.elements) <= max_order:
-                click.echo(f"cache hit: {cache_file.name}", err=True)
-                return group, digest
-        except Exception as e:  # corrupt entries are recomputed
-            click.echo(f"warning: ignoring corrupt cache entry ({e})", err=True)
-    click.echo("cache miss: enumerating", err=True)
-    group = enumerate_group(parse_group(raw), max_order)
-    try:
-        cache_root.mkdir(parents=True, exist_ok=True)
-        tmp = cache_file.with_suffix(".tmp")
-        tmp.write_text(json.dumps(serialize_enumerated(group), sort_keys=True))
-        tmp.replace(cache_file)
-    except OSError as e:
-        click.echo(f"warning: could not write cache ({e})", err=True)
-    return group, digest
+    group = parse_group(Path(path).read_text())
+    return enumerate_group(group, max_order), document_digest(group)
 
 
 @click.group()
@@ -206,11 +189,11 @@ def cli():
 def group_cmd(action, path, fmt, max_order, cache_dir):
     """Inspect a group document: enumeration, classes, eigenvalue data."""
     if action == "canonical":
-        raw = Path(path).read_text()
+        group = parse_group(Path(path).read_text())
         _emit(
             {
-                "metadata": _metadata(document_digest(raw)),
-                "canonical": canonical_document(raw),
+                "metadata": _metadata(document_digest(group)),
+                "canonical": canonical_document(group),
             },
             fmt,
         )
@@ -474,7 +457,7 @@ def ledger_cmd(action, path, slope, profiles, coefficient, fmt, max_order, cache
     show_default=True,
     help="Largest group order used by the randomized battery.",
 )
-@click.option("--cache-dir", type=click.Path(file_okay=False), default=None)
+@_ignored_cache_dir
 @_common_options
 @_guarded
 def span_cmd(action, path, trials, seed, max_order, cache_dir, fmt):

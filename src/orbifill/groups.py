@@ -132,6 +132,7 @@ class FiniteUnitaryGroup:
         self.elements: list[UnitaryElement] | None = None
         self._index: dict | None = None
         self._parents: list[tuple[int, int]] | None = None
+        self._gen_cols: list[list[int]] | None = None
         self._mult_table = None
         self._inverses = None
         self._orders: dict[int, int] = {}
@@ -164,36 +165,21 @@ class FiniteUnitaryGroup:
 
     @property
     def mult_table(self) -> list[list[int]]:
-        """|G| x |G| index table, built lazily.
+        """|G| x |G| index table, built lazily without matrix products.
 
-        Column j of the table is derived from column parents: every element
-        was discovered as parent * generator, so only generator columns need
-        matrix products.
+        Every element j was discovered as parent * generator with parent < j,
+        so i * j is the generator column (recorded by the enumeration) read
+        at i * parent, an entry already filled in row i.
         """
         self._require_enumerated()
         if self._mult_table is None:
-            n = len(self.elements)
-            table: list[list[int]] = [[0] * n for _ in range(n)]
-            gen_cols: dict[int, list[int]] = {}
-            for i in range(n):
-                table[i][0] = i
-            for j in range(1, n):
-                parent, gen_idx = self._parents[j]
-                col = gen_cols.get(gen_idx)
-                if col is None:
-                    g = self.generators[gen_idx]
-                    col = [
-                        self.element_index(UnitaryElement(mat_mul(e.entries, g.entries)))
-                        for e in self.elements
-                    ]
-                    gen_cols[gen_idx] = col
-                if parent == 0:
-                    for i in range(n):
-                        table[i][j] = col[i]
-                else:
-                    parent_col = [table[i][parent] for i in range(n)]
-                    for i in range(n):
-                        table[i][j] = col[parent_col[i]]
+            steps = [(parent, self._gen_cols[gen_idx]) for parent, gen_idx in self._parents[1:]]
+            table = []
+            for i in range(len(self.elements)):
+                row = [i]
+                for parent, gen_col in steps:
+                    row.append(gen_col[row[parent]])
+                table.append(row)
             self._mult_table = table
         return self._mult_table
 
@@ -479,6 +465,10 @@ def enumerate_group(group: FiniteUnitaryGroup, max_order: int = DEFAULT_MAX_ORDE
     elements = [identity]
     index = {identity.key: 0}
     parents: list[tuple[int, int]] = [(0, -1)]
+    # gen_cols[gi][e] is the index of element e * generator gi. Elements
+    # pass through the frontier once each and in index order, so appending
+    # fills every column in order.
+    gen_cols: list[list[int]] = [[] for _ in group.generators]
     frontier = [0]
     while frontier:
         fresh = []
@@ -486,19 +476,22 @@ def enumerate_group(group: FiniteUnitaryGroup, max_order: int = DEFAULT_MAX_ORDE
             base = elements[ei].entries
             for gi, g in enumerate(group.generators):
                 p = UnitaryElement(mat_mul(base, g.entries))
-                if p.key not in index:
+                idx = index.get(p.key)
+                if idx is None:
                     if len(elements) >= max_order:
                         raise GroupTooLarge(
                             f"closure exceeded the order cap {max_order}"
                         )
-                    index[p.key] = len(elements)
+                    idx = index[p.key] = len(elements)
                     elements.append(p)
                     parents.append((ei, gi))
-                    fresh.append(index[p.key])
+                    fresh.append(idx)
+                gen_cols[gi].append(idx)
         frontier = fresh
     group.elements = elements
     group._index = index
     group._parents = parents
+    group._gen_cols = gen_cols
     return group
 
 
@@ -516,12 +509,15 @@ def centralizer_intersection(group: FiniteUnitaryGroup, a: int, b: int) -> int:
     )
 
 
-# -- canonical documents, digests, cache serialization ------------------------
+# -- canonical documents and digests ------------------------------------------
 
 
 def canonical_document(document) -> dict:
-    """Re-render a group document with canonical entry literals and ordering."""
-    group = parse_group(document)
+    """Re-render a group document with canonical entry literals and ordering.
+
+    ``document`` is text, a mapping, or a group :func:`parse_group` returned.
+    """
+    group = document if isinstance(document, FiniteUnitaryGroup) else parse_group(document)
     return {
         "name": group.name,
         "dimension": group.dimension,
@@ -534,53 +530,3 @@ def document_digest(document) -> str:
     canon = canonical_document(document)
     payload = json.dumps(canon, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(payload).hexdigest()
-
-
-def serialize_enumerated(group: FiniteUnitaryGroup) -> dict:
-    """Cache form: the canonical document plus elements and the index table."""
-    group._require_enumerated()
-    return {
-        "name": group.name,
-        "dimension": group.dimension,
-        "conductor": group.conductor,
-        "generators": [g.to_literals() for g in group.generators],
-        "elements": [e.to_literals() for e in group.elements],
-        "mult_table": group.mult_table,
-    }
-
-
-def load_enumerated(doc: dict) -> FiniteUnitaryGroup:
-    """Rebuild an enumerated group from its cache form; raises on corruption."""
-    group = parse_group(
-        {
-            "name": doc["name"],
-            "dimension": doc["dimension"],
-            "conductor": doc["conductor"],
-            "generators": doc["generators"],
-        }
-    )
-    elements = []
-    index = {}
-    for li, literals in enumerate(doc["elements"]):
-        rows = []
-        for ri, row in enumerate(literals):
-            rows.append(
-                tuple(
-                    parse_literal(entry, group.conductor, f"elements[{li}][{ri}]")
-                    for entry in row
-                )
-            )
-        el = UnitaryElement(tuple(rows))
-        index[el.key] = li
-        elements.append(el)
-    table = doc["mult_table"]
-    n = len(elements)
-    if n == 0 or len(index) != n or len(table) != n or any(len(r) != n for r in table):
-        raise ParseError("corrupt enumerated-group cache entry")
-    if elements[0].key != UnitaryElement(mat_identity(group.dimension, group.conductor)).key:
-        raise ParseError("cache entry does not start with the identity element")
-    group.elements = elements
-    group._index = index
-    group._mult_table = [list(map(int, row)) for row in table]
-    group._parents = None
-    return group

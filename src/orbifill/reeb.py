@@ -67,8 +67,7 @@ def _periods_below(group, class_position, bound: Fraction):
     """Admissible (period, fixed_dim) pairs of one class, strictly below bound."""
     out = []
     for base, mult in _class_period_data(group, class_position):
-        start = base if base > 0 else Fraction(1)
-        period = start
+        period = base or Fraction(1)
         while period < bound:
             out.append((period, mult))
             period += 1
@@ -76,16 +75,21 @@ def _periods_below(group, class_position, bound: Fraction):
     return out
 
 
+def _fixed_dim_at(group, class_position, period: Fraction) -> int | None:
+    """Fixed-space dimension of the class's family at the period, or None
+    when the period is not admissible for the class."""
+    for base, mult in _class_period_data(group, class_position):
+        offset = period - (base or 1)
+        if offset >= 0 and offset.denominator == 1:
+            return mult
+    return None
+
+
 def is_on_spectrum(group: FiniteUnitaryGroup, value: Fraction) -> bool:
     """Whether the value is an admissible period of some orbit family."""
-    if value <= 0:
-        return False
-    for pos in range(len(group.classes)):
-        for base, _ in _class_period_data(group, pos):
-            offset = value - (base if base > 0 else Fraction(1))
-            if offset >= 0 and offset.denominator == 1:
-                return True
-    return False
+    return value > 0 and any(
+        _fixed_dim_at(group, pos, value) is not None for pos in range(len(group.classes))
+    )
 
 
 def admissible_periods(group: FiniteUnitaryGroup, class_position: int, bound) -> list[tuple[Fraction, int]]:
@@ -93,13 +97,11 @@ def admissible_periods(group: FiniteUnitaryGroup, class_position: int, bound) ->
     dimensions; the bound itself must not be a period of this class."""
     group.require_isolated()
     bound = _validated_period(bound)
-    for base, _ in _class_period_data(group, class_position):
-        offset = bound - (base if base > 0 else Fraction(1))
-        if offset >= 0 and offset.denominator == 1:
-            raise SlopeOnSpectrum(
-                f"bound {bound} is an admissible period of class "
-                f"{group.classes[class_position].label}"
-            )
+    if _fixed_dim_at(group, class_position, bound) is not None:
+        raise SlopeOnSpectrum(
+            f"bound {bound} is an admissible period of class "
+            f"{group.classes[class_position].label}"
+        )
     return _periods_below(group, class_position, bound)
 
 
@@ -112,19 +114,12 @@ def cz_family(group: FiniteUnitaryGroup, class_position: int, period) -> Fractio
     n = group.dimension
     prior = sum(d for _, d in _periods_below(group, class_position, period))
     fixed = _fixed_dim_at(group, class_position, period)
+    if fixed is None:
+        raise ValueError(
+            f"period {period} is not admissible for class "
+            f"{group.classes[class_position].label}"
+        )
     return n - 2 * a + 2 * prior + fixed
-
-
-def _fixed_dim_at(group, class_position, period: Fraction) -> int:
-    for base, mult in _class_period_data(group, class_position):
-        start = base if base > 0 else Fraction(1)
-        offset = period - start
-        if offset >= 0 and offset.denominator == 1:
-            return mult
-    raise ValueError(
-        f"period {period} is not admissible for class "
-        f"{group.classes[class_position].label}"
-    )
 
 
 def orbit_family(group: FiniteUnitaryGroup, class_position: int, period) -> OrbitFamily:

@@ -1,4 +1,4 @@
-"""End-to-end CLI behavior: exit codes, determinism, caching."""
+"""End-to-end CLI behavior: exit codes, determinism, the ignored --cache-dir."""
 
 import json
 
@@ -44,6 +44,16 @@ def workspace(tmp_path):
                 "span": {
                     "left": {"cyclic": 1}, "middle": {"cyclic": 4}, "right": {"cyclic": 2},
                     "source": [0, 0, 0, 0], "target": [0, 1, 0, 1],
+                }
+            }
+        )
+    )
+    (tmp_path / "ref_span.json").write_text(
+        json.dumps(
+            {
+                "span": {
+                    "left": {"ref": "q8.json"}, "middle": {"cyclic": 1}, "right": {"cyclic": 1},
+                    "source": [0], "target": [0],
                 }
             }
         )
@@ -116,6 +126,13 @@ class TestDeterminism:
         assert first.stdout == second.stdout
         assert first.exit_code == second.exit_code == 0
 
+    def test_group_info_byte_identical(self, runner, workspace):
+        args = ("group", "info", str(workspace / "q8.json"), "--format", "json")
+        first = invoke(runner, workspace, *args)
+        second = invoke(runner, workspace, *args)
+        assert first.exit_code == second.exit_code == 0
+        assert first.stdout == second.stdout
+
     def test_span_battery_seeded(self, runner, workspace):
         args = ("span", "random", "--trials", "25", "--seed", "11", "--format", "json")
         first = invoke(runner, workspace, *args)
@@ -125,39 +142,49 @@ class TestDeterminism:
         assert json.loads(first.stdout)["all_equal"] is True
 
 
-class TestCache:
-    def test_roundtrip_hit(self, runner, workspace, capfd):
+class TestIgnoredCacheDir:
+    """Nothing is cached: --cache-dir is accepted for old invocations, and no
+    query writes under it, $ORBIFILL_CACHE_DIR or ~/.cache/orbifill."""
+
+    QUERIES = [
+        ("group", "info", "q8.json"),
+        ("cr", "ring", "bd12xmu5.json"),
+        ("reeb", "report", "antipodal2.json", "--bound", "9/4"),
+        ("ledger", "build", "antipodal2.json", "--slope", "5/4"),
+        ("constraints", "admit", "z3.json", "--boundary", "lens:2,3"),
+        ("span", "check", "ref_span.json"),
+    ]
+
+    @pytest.mark.parametrize("query", QUERIES, ids=lambda q: f"{q[0]}-{q[1]}")
+    def test_cache_dir_accepted_and_unused(self, runner, workspace, monkeypatch, query):
+        home, env_dir = workspace / "home", workspace / "env-cache"
+        home.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setenv("ORBIFILL_CACHE_DIR", str(env_dir))
+        command, action, doc, *rest = query
+        args = [command, action, str(workspace / doc), *rest, "--format", "json"]
+        plain = runner.invoke(cli, args, catch_exceptions=False)
+        with_dir = invoke(runner, workspace, *args)
+        assert plain.exit_code == with_dir.exit_code
+        assert plain.stdout == with_dir.stdout
+        assert not (workspace / "cache").exists()
+        assert not env_dir.exists()
+        assert list(home.iterdir()) == []
+
+    def test_cache_dir_hidden_from_help(self, runner):
+        for command in ("group", "span"):
+            result = runner.invoke(cli, [command, "--help"])
+            assert result.exit_code == 0
+            assert "--cache-dir" not in result.stdout
+
+    def test_stale_cache_file_is_ignored(self, runner, workspace):
         target = str(workspace / "q8.json")
         first = invoke(runner, workspace, "group", "info", target, "--format", "json")
-        capfd.readouterr()
+        digest = json.loads(first.stdout)["metadata"]["input_digest"]
+        (workspace / "cache").mkdir()
+        (workspace / "cache" / f"{digest}.json").write_text("{definitely corrupt")
         second = invoke(runner, workspace, "group", "info", target, "--format", "json")
-        assert first.stdout == second.stdout
-        cache_files = list((workspace / "cache").glob("*.json"))
-        assert len(cache_files) == 1
-
-    def test_whitespace_only_change_hits_cache(self, runner, workspace):
-        target = workspace / "q8.json"
-        doc = json.loads(target.read_text())
-        pretty = workspace / "q8_pretty.json"
-        pretty.write_text(json.dumps(doc, indent=6))
-        invoke(runner, workspace, "group", "info", str(target), "--format", "json")
-        invoke(runner, workspace, "group", "info", str(pretty), "--format", "json")
-        assert len(list((workspace / "cache").glob("*.json"))) == 1
-
-    def test_changed_entry_misses_cache(self, runner, workspace):
-        invoke(runner, workspace, "group", "info", str(workspace / "q8.json"),
-               "--format", "json")
-        invoke(runner, workspace, "group", "info", str(workspace / "antipodal2.json"),
-               "--format", "json")
-        assert len(list((workspace / "cache").glob("*.json"))) == 2
-
-    def test_corrupt_cache_recomputed(self, runner, workspace):
-        target = str(workspace / "q8.json")
-        first = invoke(runner, workspace, "group", "info", target, "--format", "json")
-        (cache_file,) = (workspace / "cache").glob("*.json")
-        cache_file.write_text("{definitely corrupt")
-        second = invoke(runner, workspace, "group", "info", target, "--format", "json")
-        assert second.exit_code == 0
+        assert first.exit_code == second.exit_code == 0
         assert first.stdout == second.stdout
 
 

@@ -33,12 +33,7 @@ from orbifill import (
     parse_group,
 )
 from orbifill.cyclotomic import _reduction_table, euler_phi
-from orbifill.groups import (
-    UnitaryElement,
-    load_enumerated,
-    mat_conj_transpose,
-    serialize_enumerated,
-)
+from orbifill.groups import UnitaryElement, mat_conj_transpose, mat_mul
 
 
 def character_formula(group, i):
@@ -144,6 +139,15 @@ class TestEnumeration:
             assert table[i][g.inverse_index(i)] == 0
             for j in range(n):
                 assert 0 <= table[i][j] < n
+
+    def test_table_matches_matrix_products(self):
+        docs = [times_scalars(quaternion(), 3), times_scalars(binary_dihedral(3), 5)]
+        for g in battery_48() + [build(d) for d in docs]:
+            elements = g.elements
+            for i, row in enumerate(g.mult_table):
+                for j, k in enumerate(row):
+                    product = UnitaryElement(mat_mul(elements[i].entries, elements[j].entries))
+                    assert k == g.element_index(product), (g.name, i, j)
 
     def test_order_cap(self):
         with pytest.raises(GroupTooLarge):
@@ -338,14 +342,12 @@ class TestCanonicalForm:
     def test_digest_changes_with_content(self):
         assert document_digest(antipodal(2)) != document_digest(antipodal(3))
 
-    def test_canonical_key_matches_reserialized_equality(self):
-        g = build(quaternion())
-        doc = serialize_enumerated(g)
-        reloaded = load_enumerated(json.loads(json.dumps(doc)))
-        assert reloaded.order == g.order
-        for a, b in zip(g.elements, reloaded.elements):
-            assert a.key == b.key
-        assert reloaded.mult_table == g.mult_table
+    def test_digest_of_parsed_group_equals_digest_of_document(self):
+        for doc in (antipodal(2), quaternion(), times_scalars(binary_dihedral(3), 5)):
+            text = json.dumps(doc)
+            group = parse_group(text)
+            assert document_digest(group) == document_digest(text) == document_digest(doc)
+            assert canonical_document(group) == canonical_document(doc)
 
     def test_canonical_document_shape(self):
         canon = canonical_document(antipodal(2))
