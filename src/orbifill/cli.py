@@ -54,6 +54,7 @@ from .groups import (
 from .ledger import build_ledger, check_ledger, known_differentials, sh_vanishing
 from .reeb import families_below, loop_components, mclean_discrepancy
 from .spans import (
+    BATTERY_MAX_ORDER,
     composition_check,
     pushpull,
     random_composition_battery,
@@ -448,14 +449,15 @@ def ledger_cmd(action, path, slope, profiles, coefficient, fmt, max_order, cache
 @cli.command("span")
 @click.argument("action", type=click.Choice(["check", "random"]))
 @click.argument("path", type=click.Path(exists=True, dir_okay=False), required=False)
-@click.option("--trials", type=int, default=1000, show_default=True)
+@click.option("--trials", type=click.IntRange(min=0), default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option(
     "--max-order",
-    type=int,
-    default=24,
-    show_default=True,
-    help="Largest group order used by the randomized battery.",
+    type=click.IntRange(min=2),
+    default=None,
+    help="Largest group order: of the randomized battery's groups and middles "
+    f"(random, default {BATTERY_MAX_ORDER}), or of a 'ref' group's enumeration "
+    f"(check, default {DEFAULT_MAX_ORDER}).",
 )
 @_ignored_cache_dir
 @_common_options
@@ -463,15 +465,19 @@ def ledger_cmd(action, path, slope, profiles, coefficient, fmt, max_order, cache
 def span_cmd(action, path, trials, seed, max_order, cache_dir, fmt):
     """Pullback-pushforward counts and the composition identity."""
     if action == "random":
+        if max_order is None:
+            max_order = BATTERY_MAX_ORDER
         report = random_composition_battery(trials, seed, max_order)
         _emit({"metadata": _metadata(seed=seed), **report}, fmt)
         sys.exit(EXIT_OK if report["all_equal"] else EXIT_NEGATIVE)
     if path is None:
         raise click.UsageError("span check requires a document path")
     doc = json.loads(Path(path).read_text())
+    if max_order is None:
+        max_order = DEFAULT_MAX_ORDER
 
     def loader(ref):
-        group, _ = _load_group(Path(path).parent / ref, DEFAULT_MAX_ORDER, cache_dir)
+        group, _ = _load_group(Path(path).parent / ref, max_order, cache_dir)
         return group
 
     if "span1" in doc and "span2" in doc:

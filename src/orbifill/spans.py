@@ -27,15 +27,11 @@ class FiniteGroupTable:
         n = len(self.table)
         if validate:
             self._validate(n)
-        inverse = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if self.table[i][j] == 0:
-                    inverse[i] = j
-                    break
-            if inverse[i] is None or self.table[inverse[i]][i] != 0:
+        inverse = tuple(row.index(0) if 0 in row else -1 for row in self.table)
+        for i, j in enumerate(inverse):
+            if j < 0 or self.table[j][i] != 0:
                 raise ParseError(f"element {i} has no two-sided inverse")
-        self.inverse = tuple(inverse)
+        self.inverse = inverse
         self.generators = tuple(generators) if generators is not None else tuple(range(n))
         self.labels = tuple(labels) if labels is not None else tuple(range(n))
         self.name = name
@@ -144,10 +140,15 @@ def direct_product(a: FiniteGroupTable, b: FiniteGroupTable) -> FiniteGroupTable
 
 
 def subgroup_of_product(
-    a: FiniteGroupTable, b: FiniteGroupTable, pair_gens: list[tuple[int, int]], name=""
-) -> FiniteGroupTable:
+    a: FiniteGroupTable,
+    b: FiniteGroupTable,
+    pair_gens: list[tuple[int, int]],
+    max_order: int,
+    name="",
+) -> FiniteGroupTable | None:
     """The subgroup of A x B generated by the given pairs, built without
-    materializing the full product table."""
+    materializing the full product table; None once the closure holds more
+    than max_order elements, in which case no table is built."""
     identity = (0, 0)
     elements = [identity]
     index = {identity: 0}
@@ -158,6 +159,8 @@ def subgroup_of_product(
             for gx, gy in pair_gens:
                 q = (a.table[x][gx], b.table[y][gy])
                 if q not in index:
+                    if len(elements) >= max_order:
+                        return None
                     index[q] = len(elements)
                     elements.append(q)
                     fresh.append(q)
@@ -194,18 +197,28 @@ class Homomorphism:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.images) != self.source.order:
+        f = self.images
+        if len(f) != self.source.order:
             raise ParseError("homomorphism image list has the wrong length")
-        if self.images[0] != 0:
+        n_target = self.target.order
+        for v in f:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n_target:
+                raise ParseError(
+                    f"homomorphism images must be element indices below {n_target}"
+                )
+        if f[0] != 0:
             raise ParseError("homomorphism must send identity to identity")
-        for i in range(self.source.order):
-            for j in range(self.source.order):
-                lhs = self.images[self.source.table[i][j]]
-                rhs = self.target.table[self.images[i]][self.images[j]]
-                if lhs != rhs:
-                    raise ParseError(
-                        f"map is not a homomorphism at pair ({i}, {j})"
-                    )
+        # f(x*g) = f(x)*f(g) for every x and every generator g implies
+        # f(x*y) = f(x)*f(y) for all y, by induction on the word length of y,
+        # whenever the generators generate the source. Groups built in code
+        # carry such a set; table and ref groups from documents carry all
+        # elements, so they get the all-pairs check.
+        src, tgt = self.source.table, self.target.table
+        for g in self.source.generators:
+            fg = f[g]
+            for x in range(len(f)):
+                if f[src[x][g]] != tgt[f[x]][fg]:
+                    raise ParseError(f"map is not a homomorphism at pair ({x}, {g})")
 
 
 @dataclass(frozen=True)
@@ -356,6 +369,8 @@ def composition_check(span1, span2):
 
 # -- randomized battery --------------------------------------------------------
 
+BATTERY_MAX_ORDER = 24
+
 
 def _group_pool(max_order: int) -> list[FiniteGroupTable]:
     pool = [cyclic(k) for k in range(2, 13)]
@@ -369,32 +384,31 @@ def _group_pool(max_order: int) -> list[FiniteGroupTable]:
 
 
 def _random_span(rng: random.Random, left, right, max_middle: int) -> PointOrbifoldSpan:
+    # A subgroup with more than max_middle elements is rejected before any
+    # further draw, so stopping its closure early leaves the stream unchanged.
     while True:
         k = rng.choice((1, 1, 2, 2, 3))
         pair_gens = [
             (rng.randrange(left.order), rng.randrange(right.order)) for _ in range(k)
         ]
-        sub = subgroup_of_product(left, right, pair_gens)
-        middle = sub
-        kernel = None
-        if sub.order * 2 <= max_middle and rng.random() < 0.5:
-            kernel = cyclic(rng.choice((2, 3, 4)))
-            if sub.order * kernel.order <= max_middle:
-                middle = direct_product(sub, kernel)
-            else:
-                kernel = None
-        if middle.order > max_middle:
-            continue
-        if kernel is None:
-            s_images = tuple(a for a, _ in sub.labels)
-            t_images = tuple(b for _, b in sub.labels)
-        else:
-            s_images = tuple(a for (a, _), _ in middle.labels)
-            t_images = tuple(b for (_, b), _ in middle.labels)
-        return span(left, middle, right, s_images, t_images)
+        sub = subgroup_of_product(left, right, pair_gens, max_middle)
+        if sub is not None:
+            break
+    middle = sub
+    pairs = sub.labels
+    if sub.order * 2 <= max_middle and rng.random() < 0.5:
+        kernel = cyclic(rng.choice((2, 3, 4)))
+        if sub.order * kernel.order <= max_middle:
+            middle = direct_product(sub, kernel)
+            pairs = tuple(pair for pair, _ in middle.labels)
+    s_images = tuple(a for a, _ in pairs)
+    t_images = tuple(b for _, b in pairs)
+    return span(left, middle, right, s_images, t_images)
 
 
-def random_composition_battery(trials: int, seed: int, max_order: int = 24) -> dict:
+def random_composition_battery(
+    trials: int, seed: int, max_order: int = BATTERY_MAX_ORDER
+) -> dict:
     """Seeded random composable span pairs, checking the composition identity.
 
     Per-trial randomness derives deterministically from the master seed, so
@@ -453,6 +467,9 @@ def span_from_document(doc, loader=None) -> PointOrbifoldSpan:
     for key in ("left", "middle", "right", "source", "target"):
         if key not in doc:
             raise ParseError(f"span document is missing '{key}'")
+    for key in ("source", "target"):
+        if not isinstance(doc[key], list):
+            raise ParseError(f"'{key}' must be a list of element indices")
     left = group_from_document(doc["left"], loader)
     middle = group_from_document(doc["middle"], loader)
     right = group_from_document(doc["right"], loader)

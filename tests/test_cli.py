@@ -118,6 +118,45 @@ class TestExitCodes:
         assert json.loads(result.stdout)["vanishes"] is False
 
 
+class TestSpanInputs:
+    """Malformed span documents and out-of-range span options are input
+    errors: exit 2 with a message, never a traceback."""
+
+    @pytest.mark.parametrize("source", [[0, 5], [0, True], 1], ids=["index-5", "bool", "not-list"])
+    def test_bad_image_list_exits_two(self, runner, workspace, source):
+        doc = json.loads((workspace / "span_pair.json").read_text())
+        doc["span1"]["source"] = source
+        (workspace / "bad_span.json").write_text(json.dumps(doc))
+        result = invoke(runner, workspace, "span", "check", str(workspace / "bad_span.json"))
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_random_max_order_below_two_exits_two(self, runner, workspace, value):
+        result = invoke(runner, workspace, "span", "random", "--trials", "3",
+                        "--max-order", value)
+        assert result.exit_code == 2
+        assert "x>=2" in result.stderr
+
+    def test_random_negative_trials_exits_two(self, runner, workspace):
+        result = invoke(runner, workspace, "span", "random", "--trials", "-1")
+        assert result.exit_code == 2
+        assert "x>=0" in result.stderr
+
+    def test_check_honours_max_order(self, runner, workspace):
+        target = str(workspace / "ref_span.json")
+        capped = invoke(runner, workspace, "span", "check", target, "--max-order", "4")
+        assert capped.exit_code == 2
+        assert "order cap 4" in capped.stderr
+        default = invoke(runner, workspace, "span", "check", target, "--format", "json")
+        exact = invoke(runner, workspace, "span", "check", target, "--max-order", "8",
+                       "--format", "json")
+        assert default.exit_code == exact.exit_code == 0
+        assert default.stdout == exact.stdout
+        assert json.loads(default.stdout)["pushpull"] == "1"
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, runner, workspace):
         args = ("cr", "ring", str(workspace / "q8.json"), "--format", "json")
