@@ -62,8 +62,6 @@ from .groups import (
     FiniteUnitaryGroup,
     UnitaryElement,
     canonical_document,
-    centralizer_intersection,
-    conjugacy_classes,
     document_digest,
     enumerate_group,
     parse_group,

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .coefficients import CoefficientRing
 from .errors import InternalInconsistency
-from .groups import ConjugacyClass, FiniteUnitaryGroup, _age_from_eigen
+from .groups import ConjugacyClass, FiniteUnitaryGroup, _age_from_eigen, conjugation_orbit
 
 
 def age(group: FiniteUnitaryGroup, element_index: int) -> Fraction:
@@ -100,31 +100,28 @@ def build_ring(group: FiniteUnitaryGroup, convention: CupConvention = DEFAULT_CO
     """
     sectors = twisted_sectors(group)
     ring = CRRing(group, sectors, convention)
-    table = group.mult_table
     ages = [s.age for s in sectors]
     inv = [group.inverse_index(h) for h in range(group.order)]
     class_of = [group.class_position(h) for h in range(group.order)]
     full = convention is CupConvention.FULL_PAIR_SUM
+    conj = group.conjugation_maps() if full else None
     count = len(sectors)
     contributions: dict[tuple[int, int], dict[int, int]] = {
         (i, j): {} for i in range(1, count) for j in range(1, count)
     }
     for k in range(1, count):
         rep = sectors[k].class_ref.representative_index
-        rep_centralizer = sectors[k].class_ref.centralizer_indices
+        # r[h1] = rep^-1 * h1, so h1^-1 * rep = inv[r[h1]].
+        r = group.row(inv[rep])
         for i in range(1, count):
             age_j = ages[k] - ages[i]
             if age_j <= 0:
                 continue
             for h1 in sectors[i].class_ref.member_indices:
-                j = class_of[table[inv[h1]][rep]]
+                j = class_of[inv[r[h1]]]
                 if ages[j] != age_j:
                     continue
-                weight = 1
-                if full:
-                    row = table[h1]
-                    stabilizer = sum(1 for x in rep_centralizer if table[x][h1] == row[x])
-                    weight = group.order // stabilizer
+                weight = len(conjugation_orbit(conj, (h1, rep))) if full else 1
                 terms = contributions[(i, j)]
                 terms[k] = terms.get(k, 0) + weight
     for (i, j), terms in contributions.items():

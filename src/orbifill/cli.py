@@ -154,7 +154,7 @@ _ignored_cache_dir = click.option(
 def _group_options(fn):
     fn = click.option(
         "--max-order",
-        type=int,
+        type=click.IntRange(min=1),
         default=DEFAULT_MAX_ORDER,
         show_default=True,
         help="Abort enumeration beyond this order.",

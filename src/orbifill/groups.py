@@ -3,8 +3,10 @@
 A group is described by a JSON document declaring the dimension n, a single
 cyclotomic conductor N, and generator matrices whose entries are literals in
 the cyclotomic grammar. Enumeration is a breadth-first closure keyed by the
-canonical form of each matrix; everything downstream (classes, centralizers,
-eigenvalue multiplicities) is exact.
+canonical form of each matrix that records, per generator s, the column
+x -> x * s. Classes, inverses and products are read off those columns;
+element orders and eigenvalue multiplicities come from one reduction mod a
+prime. Everything is exact.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -80,7 +83,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_conj_transpose(a: Matrix) -> Matrix:
     n = len(a)
-    return tuple(tuple(a[j][i].conjugate() for j in range(n)) for i in range(n))
+    return tuple(tuple(a[j][i] and a[j][i].conjugate() for j in range(n)) for i in range(n))
 
 
 def mat_identity(n: int, conductor: int) -> Matrix:
@@ -91,21 +94,17 @@ def mat_identity(n: int, conductor: int) -> Matrix:
 
 @dataclass(frozen=True)
 class ConjugacyClass:
-    """A conjugation orbit with its centralizer, in deterministic order."""
+    """A conjugation orbit with its centralizer order, in deterministic order."""
 
     label: str
     representative_index: int
     member_indices: tuple[int, ...]
-    centralizer_indices: tuple[int, ...]
+    centralizer_order: int
     order: int
 
     @property
     def size(self) -> int:
         return len(self.member_indices)
-
-    @property
-    def centralizer_order(self) -> int:
-        return len(self.centralizer_indices)
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,6 @@ class FiniteUnitaryGroup:
         self._gen_cols: list[list[int]] | None = None
         self._mult_table = None
         self._inverses = None
-        self._orders: dict[int, int] = {}
         self._eigen: dict[int, EigenData] = {}
         self._classes = None
         self._class_of = None
@@ -163,95 +161,77 @@ class FiniteUnitaryGroup:
             raise InternalInconsistency("product escaped the enumerated closure")
         return idx
 
-    @property
-    def mult_table(self) -> list[list[int]]:
-        """|G| x |G| index table, built lazily without matrix products.
+    def row(self, i: int) -> list[int]:
+        """[i * x for x in G], composed without matrix products.
 
-        Every element j was discovered as parent * generator with parent < j,
-        so i * j is the generator column (recorded by the enumeration) read
-        at i * parent, an entry already filled in row i.
+        Every element x was discovered as parent * generator with parent < x,
+        so i * x is the generator column (recorded by the enumeration) read
+        at i * parent, an entry already filled in.
         """
         self._require_enumerated()
+        gen_cols = self._gen_cols
+        out = [i]
+        for parent, gen_idx in self._parents[1:]:
+            out.append(gen_cols[gen_idx][out[parent]])
+        return out
+
+    @property
+    def mult_table(self) -> list[list[int]]:
+        """|G| x |G| index table, for consumers that need every product."""
         if self._mult_table is None:
-            steps = [(parent, self._gen_cols[gen_idx]) for parent, gen_idx in self._parents[1:]]
-            table = []
-            for i in range(len(self.elements)):
-                row = [i]
-                for parent, gen_col in steps:
-                    row.append(gen_col[row[parent]])
-                table.append(row)
-            self._mult_table = table
+            self._mult_table = [self.row(i) for i in range(self.order)]
         return self._mult_table
 
     def inverse_index(self, i: int) -> int:
+        """Elements are unitary, so the inverse is the conjugate transpose."""
         self._require_enumerated()
         if self._inverses is None:
-            try:
-                self._inverses = [row.index(0) for row in self.mult_table]
-            except ValueError:
-                raise InternalInconsistency("a row of the multiplication table misses the identity")
+            inverses = (UnitaryElement(mat_conj_transpose(e.entries)) for e in self.elements)
+            self._inverses = [self.element_index(x) for x in inverses]
         return self._inverses[i]
 
     def element_order(self, i: int) -> int:
-        self._require_enumerated()
-        o = self._orders.get(i)
-        if o is None:
-            o = len(self.power_indices(i))
-        return o
-
-    def power_indices(self, i: int) -> list[int]:
-        """Indices of g^0, g^1, ..., g^(o-1)."""
-        self._require_enumerated()
-        table = self.mult_table
-        out = [0]
-        cur = i
-        for _ in range(len(self.elements)):
-            if cur == 0:
-                self._orders[i] = len(out)
-                return out
-            out.append(cur)
-            cur = table[cur][i]
-        raise InternalInconsistency(
-            f"powers of element {i} do not return to the identity within |G| steps"
-        )
+        """Order of element i, read over F_p; see :meth:`_ModularReduction.order`."""
+        return self.eigen_multiplicities(i).order
 
     # -- conjugacy structure ---------------------------------------------------
+
+    def conjugation_maps(self) -> list[list[int]]:
+        """For each generator s, the map x -> s^-1 * x * s.
+
+        The generator column gives x -> x * s, and s^-1 * x = (x^-1 * s)^-1,
+        so s^-1 * x * s = col_s[inv[col_s[inv[x]]]].
+        """
+        inv = [self.inverse_index(x) for x in range(len(self.elements))]
+        return [[col[inv[col[inv[x]]]] for x in range(len(inv))] for col in self._gen_cols]
 
     @property
     def classes(self) -> tuple[ConjugacyClass, ...]:
         self._require_enumerated()
         if self._classes is None:
-            table = self.mult_table
+            conj = self.conjugation_maps()
             n = len(self.elements)
-            inv = [self.inverse_index(g) for g in range(n)]
-            seen = [False] * n
-            raw = []
+            orbit_of: dict[int, tuple[int, ...]] = {}
             for i in range(n):
-                if seen[i]:
-                    continue
-                members = sorted({table[table[g][i]][inv[g]] for g in range(n)})
-                for m in members:
-                    seen[m] = True
-                rep = members[0]
-                centralizer = tuple(
-                    h for h in range(n) if table[h][rep] == table[rep][h]
-                )
-                raw.append((rep, tuple(members), centralizer))
-            raw.sort(
+                if i not in orbit_of:
+                    members = tuple(sorted(x for (x,) in conjugation_orbit(conj, (i,))))
+                    orbit_of.update(dict.fromkeys(members, members))
+            raw = sorted(
+                set(orbit_of.values()),
                 key=lambda c: (
                     _age_from_eigen(self.eigen_multiplicities(c[0])),
-                    len(c[1]),
+                    len(c),
                     # Ties break on the Fraction coefficients, the order
                     # class labels have always had.
                     tuple(x.coefficients for row in self.elements[c[0]].entries for x in row),
-                )
+                ),
             )
             classes = []
-            for pos, (rep, members, centralizer) in enumerate(raw):
+            for pos, members in enumerate(raw):
+                rep = members[0]
                 label = "Id" if rep == 0 else f"c{pos}"
-                classes.append(
-                    ConjugacyClass(label, rep, members, centralizer, self.element_order(rep))
-                )
+                order = self.element_order(rep)
+                classes.append(ConjugacyClass(label, rep, members, n // len(members), order))
             self._classes = tuple(classes)
             self._class_of = {
                 m: pos for pos, cls in enumerate(self._classes) for m in cls.member_indices
@@ -275,11 +255,9 @@ class FiniteUnitaryGroup:
         cached = self._eigen.get(i)
         if cached is not None:
             return cached
-        o = self.element_order(i)
         red = self._reduction
-        if red.lcm % o:
-            raise InternalInconsistency(f"order {o} of element {i} does not divide |G|")
         g = red.matrix(self.elements[i])
+        o = red.order(g, i)
         w, lam = pow(red.root, red.lcm // o, red.prime), 1
         n_dim = self.dimension
         mults: dict[int, int] = {}
@@ -344,7 +322,7 @@ class _ModularReduction:
     multiplicities (README, Conventions).
     """
 
-    __slots__ = ("prime", "lcm", "root", "_zeta_powers")
+    __slots__ = ("prime", "lcm", "factors", "root", "_zeta_powers")
 
     def __init__(self, group: FiniteUnitaryGroup):
         self.lcm = L = math.lcm(group.conductor, group.order)
@@ -353,9 +331,9 @@ class _ModularReduction:
         while p <= group.dimension or dens % p == 0 or not _is_prime(p):
             p += L
         self.prime = p
-        factors = [q for q in divisors(L) if _is_prime(q)]
+        self.factors = [q for q in divisors(L) if _is_prime(q)]
         powers = (pow(a, (p - 1) // L, p) for a in range(1, p))
-        self.root = next(w for w in powers if all(pow(w, L // q, p) != 1 for q in factors))
+        self.root = next(w for w in powers if all(pow(w, L // q, p) != 1 for q in self.factors))
         w_n = pow(self.root, L // group.conductor, p)
         self._zeta_powers = [pow(w_n, e, p) for e in range(euler_phi(group.conductor))]
 
@@ -370,6 +348,34 @@ class _ModularReduction:
             ]
         except ValueError:
             raise InternalInconsistency(f"an element entry has a denominator divisible by {p}")
+
+    def order(self, g: list[list[int]], i: int) -> int:
+        """Multiplicative order of g, the reduction of element i, which is the
+        element's order: reduction mod p sends to I only elements of p-power
+        order, and p = 1 (mod |G|) does not divide |G|, so it is injective on
+        G. Divide each prime q out of o = L while g^(o/q) = I."""
+        one = [[int(r == c) for c in range(len(g))] for r in range(len(g))]
+        if self._power(g, self.lcm) != one:
+            raise InternalInconsistency(f"element {i} does not satisfy g^L = I mod {self.prime}")
+        o = self.lcm
+        for q in self.factors:
+            while o % q == 0 and self._power(g, o // q) == one:
+                o //= q
+        return o
+
+    def _power(self, g: list[list[int]], e: int) -> list[list[int]]:
+        """g^e for e >= 1, by square-and-multiply over the bits of e."""
+        p = self.prime
+
+        def mul(a, b):
+            return [[sum(map(operator.mul, row, col)) % p for col in zip(*b)] for row in a]
+
+        out = g
+        for bit in bin(e)[3:]:
+            out = mul(out, out)
+            if bit == "1":
+                out = mul(out, g)
+        return out
 
     def rank_shifted(self, g: list[list[int]], lam: int) -> int:
         """rank over F_p of g - lam * I."""
@@ -495,18 +501,19 @@ def enumerate_group(group: FiniteUnitaryGroup, max_order: int = DEFAULT_MAX_ORDE
     return group
 
 
-def conjugacy_classes(group: FiniteUnitaryGroup) -> tuple[ConjugacyClass, ...]:
-    return group.classes
-
-
-def centralizer_intersection(group: FiniteUnitaryGroup, a: int, b: int) -> int:
-    """Order of the subgroup commuting with both elements a and b."""
-    table = group.mult_table
-    return sum(
-        1
-        for h in range(group.order)
-        if table[h][a] == table[a][h] and table[h][b] == table[b][h]
-    )
+def conjugation_orbit(conj: list[list[int]], point: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Orbit of a tuple of element indices under simultaneous conjugation,
+    in breadth-first order over the maps of
+    :meth:`FiniteUnitaryGroup.conjugation_maps`."""
+    orbit = [point]
+    seen = {point}
+    for pt in orbit:
+        for c in conj:
+            image = tuple(c[x] for x in pt)
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    return orbit
 
 
 # -- canonical documents and digests ------------------------------------------

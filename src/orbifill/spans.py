@@ -41,7 +41,7 @@ class FiniteGroupTable:
             if len(row) != n:
                 raise ParseError("multiplication table is not square")
             for v in row:
-                if not isinstance(v, int) or not 0 <= v < n:
+                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                     raise ParseError("table entries must be element indices")
         for i in range(n):
             if self.table[0][i] != i or self.table[i][0] != i:
@@ -452,7 +452,7 @@ def group_from_document(doc, loader=None) -> FiniteGroupTable:
         return FiniteGroupTable(doc["table"], name=doc.get("name", ""), validate=True)
     if isinstance(doc, dict) and "cyclic" in doc:
         k = doc["cyclic"]
-        if not isinstance(k, int) or k < 1:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ParseError("cyclic order must be a positive integer")
         return cyclic(k)
     if isinstance(doc, dict) and "ref" in doc:

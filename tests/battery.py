@@ -75,6 +75,17 @@ def times_scalars(doc, k):
     }
 
 
+def z7_semidirect_z9():
+    """Z7 x| Z9 in U(3), order 63 with 15 classes and isolated: A =
+    diag(z^9, z^18, z^36) has order 7, and B, the cyclic shift with corner
+    z^21, has B^3 = zeta_3 I and B A B^-1 = A^2. Non-abelian, outside
+    SU(3), with twisted sectors that multiply; both cup conventions are
+    associative on it, yet their constants differ."""
+    shift = [["0", "1", "0"], ["0", "0", "1"], ["1*z^21", "0", "0"]]
+    diagonal = [["1*z^9", "0", "0"], ["0", "1*z^18", "0"], ["0", "0", "1*z^36"]]
+    return {"name": "Z7xZ9", "dimension": 3, "conductor": 63, "generators": [diagonal, shift]}
+
+
 def trivial(n=2):
     return {"name": "trivial", "dimension": n, "conductor": 1, "generators": []}
 

@@ -15,6 +15,7 @@ from battery import (
     scalar_cyclic,
     times_scalars,
     trivial,
+    z7_semidirect_z9,
 )
 from orbifill import (
     CoefficientRing,
@@ -110,7 +111,9 @@ WOLF_DOCS = [
 
 @pytest.fixture(scope="module")
 def reference_groups():
-    return battery_48() + [build(d) for d in WOLF_DOCS]
+    # Z7 x| Z9 goes before the Wolf-type groups, which the tests below read
+    # from the end of the list.
+    return battery_48() + [build(z7_semidirect_z9())] + [build(d) for d in WOLF_DOCS]
 
 
 class TestAge:
@@ -268,6 +271,24 @@ class TestAgainstReference:
                     for key, terms in ring.structure_constants.items()
                 }
                 assert associativity_sweep(ring) == reference_sweep(ring), (g.name, convention)
+
+    def test_conventions_differ_on_z7_semidirect_z9(self):
+        # Both rings pass the sweep, but 13 of the 14 nonzero ordered
+        # products differ by exactly a factor of 3 (full-pairs over
+        # orbit-reps); c1 * c1 -> c11 is the same in both.
+        g = build(z7_semidirect_z9())
+        assert (g.order, len(g.classes)) == (63, 15)
+        full, orbit = (build_ring(g, c) for c in CupConvention)
+        assert associativity_sweep(full)[0] and associativity_sweep(orbit)[0]
+        ratios = {}
+        for key, terms in orbit.structure_constants.items():
+            full_terms = full.structure_constants[key]
+            assert [k for k, _ in full_terms] == [k for k, _ in terms], key
+            if terms:
+                ratios[key] = {f / c for (_, f), (_, c) in zip(full_terms, terms)}
+        assert len(ratios) == 14
+        assert sorted(r for r in ratios.values() if r != {3}) == [{1}]
+        assert ratios[(1, 1)] == {1}
 
     def test_choose_ring_sweeps(self, reference_groups):
         ring, sweeps = choose_ring(reference_groups[-1])

@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from battery import antipodal, binary_dihedral, quaternion, scalar_cyclic, times_scalars
+from battery import antipodal, binary_dihedral, quaternion, scalar_cyclic, times_scalars, trivial
 from orbifill import parse_group
 from orbifill.cli import EXIT_INTERNAL, _guarded, cli
 
@@ -20,6 +20,7 @@ def workspace(tmp_path):
     (tmp_path / "antipodal2.json").write_text(json.dumps(antipodal(2)))
     (tmp_path / "q8.json").write_text(json.dumps(quaternion()))
     (tmp_path / "z3.json").write_text(json.dumps(scalar_cyclic(3, n=3)))
+    (tmp_path / "trivial.json").write_text(json.dumps(trivial()))
     (tmp_path / "bd12xmu5.json").write_text(json.dumps(times_scalars(binary_dihedral(3), 5)))
     (tmp_path / "broken.json").write_text(
         json.dumps({"dimension": 2, "conductor": 2, "generators": [[["1/2", "0"], ["0", "1"]]]})
@@ -132,6 +133,25 @@ class TestSpanInputs:
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize(
+        "groups",
+        [{"left": {"cyclic": True}},
+         {"middle": {"table": [[False, True], [True, False]]}},
+         {"left": {"cyclic": True}, "middle": {"table": [[False, True], [True, False]]}}],
+        ids=["cyclic-bool", "table-bools", "both"],
+    )
+    def test_bool_group_exits_two(self, runner, workspace, groups):
+        # Read as ints, these are Z1 and Z2 and the span would pass with
+        # pushpull 1/2.
+        doc = {"span": {"left": {"cyclic": 1}, "middle": {"cyclic": 2},
+                        "right": {"cyclic": 1}, "source": [0, 0], "target": [0, 0],
+                        **groups}}
+        (workspace / "bool_span.json").write_text(json.dumps(doc))
+        result = invoke(runner, workspace, "span", "check", str(workspace / "bool_span.json"))
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("value", ["0", "1"])
     def test_random_max_order_below_two_exits_two(self, runner, workspace, value):
         result = invoke(runner, workspace, "span", "random", "--trials", "3",
@@ -155,6 +175,30 @@ class TestSpanInputs:
         assert default.exit_code == exact.exit_code == 0
         assert default.stdout == exact.stdout
         assert json.loads(default.stdout)["pushpull"] == "1"
+
+
+class TestMaxOrder:
+    QUERIES = [
+        ("group", "info", "trivial.json"),
+        ("cr", "ring", "trivial.json"),
+        ("reeb", "report", "trivial.json"),
+        ("ledger", "build", "trivial.json", "--slope", "5/4"),
+        ("constraints", "admit", "trivial.json", "--boundary", "lens:2,2"),
+    ]
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_cap_below_one_exits_two(self, runner, workspace, value):
+        for command, action, doc, *rest in self.QUERIES:
+            result = invoke(runner, workspace, command, action, str(workspace / doc), *rest,
+                            "--max-order", value)
+            assert result.exit_code == 2, command
+            assert "x>=1" in result.stderr, command
+
+    def test_cap_of_one_admits_trivial_group(self, runner, workspace):
+        result = invoke(runner, workspace, "group", "info", str(workspace / "trivial.json"),
+                        "--max-order", "1", "--format", "json")
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["order"] == 1
 
 
 class TestDeterminism:

@@ -18,6 +18,7 @@ from battery import (
     scalar_cyclic,
     times_scalars,
     trivial,
+    z7_semidirect_z9,
 )
 from orbifill import (
     GroupTooLarge,
@@ -26,20 +27,30 @@ from orbifill import (
     ParseError,
     age,
     canonical_document,
-    centralizer_intersection,
-    conjugacy_classes,
     document_digest,
     enumerate_group,
     parse_group,
 )
-from orbifill.cyclotomic import _reduction_table, euler_phi
-from orbifill.groups import UnitaryElement, mat_conj_transpose, mat_mul
+from orbifill.cyclotomic import _reduction_table, euler_phi, parse_literal
+from orbifill.groups import UnitaryElement, conjugation_orbit, mat_conj_transpose, mat_mul
+
+
+def table_powers(group, i):
+    """Indices of g^0, g^1, ..., g^(o-1), walked through the table."""
+    table = group.mult_table
+    powers = [0]
+    cur = i
+    while cur != 0:
+        assert len(powers) <= group.order, (group.name, i)
+        powers.append(cur)
+        cur = table[cur][i]
+    return powers
 
 
 def character_formula(group, i):
     """Exact reference for eigen data: the multiplicity of zeta_o^m is
     (1/o) * sum_k zeta_o^(-mk) trace(g^k), evaluated in Q(zeta_lcm(N, o))."""
-    powers = group.power_indices(i)
+    powers = table_powers(group, i)
     o = len(powers)
     lift_to = math.lcm(group.conductor, o)
     traces = [
@@ -153,12 +164,21 @@ class TestEnumeration:
         with pytest.raises(GroupTooLarge):
             build(scalar_cyclic(30), max_order=10)
 
-    def test_corrupt_table_power_walk_is_bounded(self):
-        g = build(quaternion())
+    @pytest.mark.parametrize(
+        "doc, entries",
+        [(binary_tetrahedral(), [["2", "0"], ["0", "1"]]),
+         (quaternion(), [["1", "1"], ["0", "1"]])],
+        ids=["diag(2,1)", "unipotent"],
+    )
+    def test_non_group_element_is_internal(self, doc, entries):
+        # Neither matrix has finite order dividing L = lcm(N, |G|) mod the
+        # eigen prime (2 has order 9 mod 73 for 2T), so no order exists.
+        g = build(doc)
         i = 3
-        g.mult_table[i][i] = i
+        g.elements[i] = UnitaryElement(tuple(
+            tuple(parse_literal(x, g.conductor) for x in row) for row in entries))
         with pytest.raises(InternalInconsistency):
-            g.power_indices(i)
+            g.element_order(i)
         with pytest.raises(InternalInconsistency):
             g.eigen_multiplicities(i)
 
@@ -192,14 +212,32 @@ class TestConjugacyClasses:
             assert sum(c.size for c in g.classes) == g.order
 
     def test_centralizer_is_subgroup(self):
-        g = build(quaternion())
-        table = g.mult_table
-        for c in g.classes:
-            cent = set(c.centralizer_indices)
-            assert 0 in cent
-            for a in cent:
-                for b in cent:
-                    assert table[a][b] in cent
+        for g in [build(quaternion()), build(z7_semidirect_z9())]:
+            table = g.mult_table
+            for c in g.classes:
+                r = c.representative_index
+                cent = {h for h in range(g.order) if table[h][r] == table[r][h]}
+                assert len(cent) == c.centralizer_order, (g.name, c.label)
+                assert 0 in cent
+                for a in cent:
+                    for b in cent:
+                        assert table[a][b] in cent
+
+    def test_classes_match_table_orbits(self):
+        # Reference: the orbit {g x g^-1 : g in G} read from the full table.
+        docs = [times_scalars(quaternion(), 5), times_scalars(binary_dihedral(3), 5),
+                binary_tetrahedral(), z7_semidirect_z9()]
+        for g in battery_48() + [build(d) for d in docs]:
+            table = g.mult_table
+            inv = [row.index(0) for row in table]
+            expected = {
+                tuple(sorted({table[table[x][i]][inv[x]] for x in range(g.order)}))
+                for i in range(g.order)
+            }
+            assert {c.member_indices for c in g.classes} == expected, g.name
+            for c in g.classes:
+                assert c.representative_index == c.member_indices[0]
+                assert c.order == len(table_powers(g, c.representative_index)), g.name
 
     def test_class_ordering_is_by_age(self):
         from orbifill import age
@@ -208,6 +246,12 @@ class TestConjugacyClasses:
             ages = [age(g, c.representative_index) for c in g.classes]
             assert ages == sorted(ages)
             assert ages[0] == 0
+
+
+def centralizer_intersection(g, a, b):
+    """|Z(a) & Z(b)| as |G| over the orbit of (a, b) under simultaneous
+    conjugation, the weight the full-pair ring convention reads."""
+    return g.order // len(conjugation_orbit(g.conjugation_maps(), (a, b)))
 
 
 class TestCentralizerIntersection:
@@ -269,6 +313,7 @@ class TestEigenData:
             scalar_cyclic(30, n=3),
             binary_tetrahedral(),
             pythagorean_klein(),
+            z7_semidirect_z9(),
         ],
         ids=lambda d: d["name"],
     )
@@ -355,10 +400,6 @@ class TestCanonicalForm:
 
 
 class TestClassesAPI:
-    def test_conjugacy_classes_function(self):
-        g = build(quaternion())
-        assert conjugacy_classes(g) is g.classes
-
     def test_enumerate_is_idempotent(self):
         g = build(antipodal(2))
         assert enumerate_group(g) is g
@@ -415,7 +456,8 @@ class TestIntegerKeys:
 
     def test_inverses_from_table(self, groups):
         for g in groups:
+            table = g.mult_table
             for i, e in enumerate(g.elements):
-                inv = g.elements[g.inverse_index(i)]
-                assert inv == UnitaryElement(mat_conj_transpose(e.entries)), g.name
-
+                j = g.inverse_index(i)
+                assert table[i][j] == table[j][i] == 0, g.name
+                assert g.elements[j] == UnitaryElement(mat_conj_transpose(e.entries)), g.name
