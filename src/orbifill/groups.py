@@ -2,11 +2,31 @@
 
 A group is described by a JSON document declaring the dimension n, a single
 cyclotomic conductor N, and generator matrices whose entries are literals in
-the cyclotomic grammar. Enumeration is a breadth-first closure keyed by the
-canonical form of each matrix that records, per generator s, the column
-x -> x * s. Classes, inverses and products are read off those columns;
-element orders and eigenvalue multiplicities come from one reduction mod a
-prime. Everything is exact.
+the cyclotomic grammar. Enumeration is a breadth-first closure over F_p0:
+each element is keyed by its reduction mod one odd prime p0 = 1 (mod N) that
+does not divide D, the lcm of the generator denominators, and the closure
+records each element's parent and, per generator s, the column x -> x * s.
+Classes, inverses and products are read off those columns and keys; element
+orders and eigenvalue multiplicities come from a second reduction, mod a
+prime chosen after the closure. Exact matrices are rebuilt along the parent
+chain only when something asks for them.
+
+Why the keys are exact. If D = 1, every entry lies in Z[zeta_N], so G is a
+discrete subset of the Minkowski embedding; every Galois conjugate of a
+generator is unitary, because complex conjugation is central in
+Gal(Q(zeta_N)/Q), so G is also bounded, hence finite. Reduction at a
+degree-1 prime above an odd p0 has a torsion-free kernel (e = 1 < p0 - 1),
+so it is injective on G and the closure mod p0 is G. If D > 1, G can be
+infinite while its image mod p0 is finite, so the closure is certified.
+Each element is the product of the generators on its parent chain; let d be
+the largest number of generators with a denominator on one chain (at most
+the depth of the closure). Every relation x * s = col_s[x] is checked
+modulo further primes q = 1 (mod N) prime to D until
+p0 * prod(q) > (2 D^(d+1))^phi(N). Each entry of D^(d+1) (x s - y) is an
+algebraic integer of absolute value at most 2 D^(d+1) under every
+embedding; if all those primes divide it, so does its norm, which is then
+0. The relations hold exactly and the closure is G. A failed relation means
+the generators do not generate a finite group.
 """
 
 from __future__ import annotations
@@ -18,6 +38,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import groupby
 
 from .cyclotomic import CyclotomicNumber, divisors, euler_phi, make, parse_literal, zero
 from .errors import (
@@ -31,6 +52,8 @@ from .errors import (
 DEFAULT_MAX_ORDER = 20000
 
 Matrix = tuple[tuple[CyclotomicNumber, ...], ...]
+# A matrix over Z/m: a tuple of row tuples of ints in 0..m-1.
+Residues = tuple[tuple[int, ...], ...]
 
 
 class UnitaryElement:
@@ -128,10 +151,12 @@ class FiniteUnitaryGroup:
         self.dimension = dimension
         self.conductor = conductor
         self.generators = generators
-        self.elements: list[UnitaryElement] | None = None
-        self._index: dict | None = None
+        self._keys: list[Residues] | None = None
+        self._index: dict[Residues, int] | None = None
+        self._key_map: _ResidueMap | None = None
         self._parents: list[tuple[int, int]] | None = None
         self._gen_cols: list[list[int]] | None = None
+        self._elements: list[UnitaryElement] | None = None
         self._mult_table = None
         self._inverses = None
         self._eigen: dict[int, EigenData] = {}
@@ -143,21 +168,52 @@ class FiniteUnitaryGroup:
 
     @property
     def is_enumerated(self) -> bool:
-        return self.elements is not None
+        return self._keys is not None
 
     @property
     def order(self) -> int:
         self._require_enumerated()
-        return len(self.elements)
+        return len(self._keys)
 
     def _require_enumerated(self):
         if not self.is_enumerated:
             raise InternalInconsistency("group is not enumerated yet")
 
-    def element_index(self, element: UnitaryElement) -> int:
+    @property
+    def elements(self) -> list[UnitaryElement]:
+        """The exact elements in index order, built on first read by one
+        exact product per element along the parent chain."""
         self._require_enumerated()
-        idx = self._index.get(element.key)
-        if idx is None:
+        if self._elements is None:
+            self._elements = [UnitaryElement(self._exact(i)) for i in range(self.order)]
+        return self._elements
+
+    @cached_property
+    def _exact_known(self) -> dict[int, Matrix]:
+        return {0: mat_identity(self.dimension, self.conductor)}
+
+    def _exact(self, i: int) -> Matrix:
+        """Element i as an exact matrix, its parent's times its generator.
+        Every matrix built on the way is kept, so no element is built twice."""
+        known = self._exact_known
+        chain = []
+        while i not in known:
+            chain.append(i)
+            i = self._parents[i][0]
+        m = known[i]
+        for c in reversed(chain):
+            m = known[c] = mat_mul(m, self.generators[self._parents[c][1]].entries)
+        return m
+
+    def element_index(self, element: UnitaryElement) -> int:
+        """Index of a member, looked up by its key mod p0. A non-member can
+        share a member's key, so the exact matrices are compared too."""
+        self._require_enumerated()
+        try:
+            idx = self._index.get(self._key_map.reduce(element.entries))
+        except ValueError:  # a denominator divisible by p0: not a member
+            idx = None
+        if idx is None or UnitaryElement(self._exact(idx)) != element:
             raise InternalInconsistency("product escaped the enumerated closure")
         return idx
 
@@ -183,11 +239,14 @@ class FiniteUnitaryGroup:
         return self._mult_table
 
     def inverse_index(self, i: int) -> int:
-        """Elements are unitary, so the inverse is the conjugate transpose."""
+        """The element whose key is the inverse of key i mod p0."""
         self._require_enumerated()
         if self._inverses is None:
-            inverses = (UnitaryElement(mat_conj_transpose(e.entries)) for e in self.elements)
-            self._inverses = [self.element_index(x) for x in inverses]
+            p, index = self._key_map.modulus, self._index
+            try:
+                self._inverses = [index[_inverse_mod(k, p)] for k in self._keys]
+            except KeyError:
+                raise InternalInconsistency("an inverse escaped the enumerated closure")
         return self._inverses[i]
 
     def element_order(self, i: int) -> int:
@@ -202,7 +261,7 @@ class FiniteUnitaryGroup:
         The generator column gives x -> x * s, and s^-1 * x = (x^-1 * s)^-1,
         so s^-1 * x * s = col_s[inv[col_s[inv[x]]]].
         """
-        inv = [self.inverse_index(x) for x in range(len(self.elements))]
+        inv = [self.inverse_index(x) for x in range(self.order)]
         return [[col[inv[col[inv[x]]]] for x in range(len(inv))] for col in self._gen_cols]
 
     @property
@@ -210,22 +269,25 @@ class FiniteUnitaryGroup:
         self._require_enumerated()
         if self._classes is None:
             conj = self.conjugation_maps()
-            n = len(self.elements)
+            n = self.order
             orbit_of: dict[int, tuple[int, ...]] = {}
             for i in range(n):
                 if i not in orbit_of:
                     members = tuple(sorted(x for (x,) in conjugation_orbit(conj, (i,))))
                     orbit_of.update(dict.fromkeys(members, members))
-            raw = sorted(
-                set(orbit_of.values()),
-                key=lambda c: (
-                    _age_from_eigen(self.eigen_multiplicities(c[0])),
-                    len(c),
-                    # Ties break on the Fraction coefficients, the order
-                    # class labels have always had.
-                    tuple(x.coefficients for row in self.elements[c[0]].entries for x in row),
-                ),
+            coarse = sorted(
+                ((_age_from_eigen(self.eigen_multiplicities(c[0])), len(c)), c)
+                for c in set(orbit_of.values())
             )
+            raw = []
+            for _, run in groupby(coarse, key=operator.itemgetter(0)):
+                run = [c for _, c in run]
+                if len(run) > 1:
+                    # Ties on (age, size) break on the representatives'
+                    # Fraction coefficients, the order labels have always had.
+                    run.sort(key=lambda c: tuple(
+                        x.coefficients for row in self._exact(c[0]) for x in row))
+                raw.extend(run)
             classes = []
             for pos, members in enumerate(raw):
                 rep = members[0]
@@ -256,7 +318,7 @@ class FiniteUnitaryGroup:
         if cached is not None:
             return cached
         red = self._reduction
-        g = red.matrix(self.elements[i])
+        g = red.matrices[i]
         o = red.order(g, i)
         w, lam = pow(red.root, red.lcm // o, red.prime), 1
         n_dim = self.dimension
@@ -284,7 +346,7 @@ class FiniteUnitaryGroup:
         """dim ker(g - I): the multiplicity of eigenvalue 1, read over F_p."""
         self._require_enumerated()
         red = self._reduction
-        return self.dimension - red.rank_shifted(red.matrix(self.elements[i]), 1)
+        return self.dimension - red.rank_shifted(red.matrices[i], 1)
 
     def is_isolated_singularity(self) -> tuple[bool, int | None]:
         """True when no nontrivial element has eigenvalue 1.
@@ -294,7 +356,7 @@ class FiniteUnitaryGroup:
         self._require_enumerated()
         if self._isolated is None:
             witness = None
-            for i in range(1, len(self.elements)):
+            for i in range(1, self.order):
                 if self.fixed_space_dimension(i) > 0:
                     witness = i
                     break
@@ -311,50 +373,100 @@ def _age_from_eigen(data: EigenData) -> Fraction:
     return Fraction(sum(m * mult for m, mult in data.multiplicities.items()), data.order)
 
 
-class _ModularReduction:
-    """The ring map Z[1/d][zeta_L] -> F_p, zeta_L -> w_L, for one group.
+class _ResidueMap:
+    """The ring map Z[1/D][zeta_N] -> Z/m, zeta_N -> ``root``, on matrices.
 
-    L = lcm(N, |G|); p is the smallest prime = 1 (mod L) above n that divides
-    no denominator d of a generator coefficient, and ``root`` is w_L, a
-    primitive L-th root of unity mod p. Since o | p - 1 for every element
-    order o, reduced elements are diagonalizable over F_p with the eigenvalue
-    zeta_o^m sent to w_o^m = w_L^(mL/o), so the ranks below give exact
-    multiplicities (README, Conventions).
+    ``root`` is a primitive N-th root of unity mod m and m is prime to D, the
+    lcm of the generator denominators, so every group element has an image.
     """
 
-    __slots__ = ("prime", "lcm", "factors", "root", "_zeta_powers")
+    __slots__ = ("modulus", "zeta_powers")
+
+    def __init__(self, conductor: int, modulus: int, root: int):
+        self.modulus = modulus
+        self.zeta_powers = [pow(root, e, modulus) for e in range(euler_phi(conductor))]
+
+    def reduce(self, entries: Matrix) -> Residues:
+        """The matrix's image; ValueError if a denominator is not prime to m."""
+        m, zp = self.modulus, self.zeta_powers
+        return tuple(
+            tuple(sum(c * z for c, z in zip(x.nums, zp) if c) * pow(x.den, -1, m) % m
+                  for x in row)
+            for row in entries
+        )
+
+    def replay(self, group: FiniteUnitaryGroup, parents) -> list[Residues]:
+        """The image of every element in index order, each the image of its
+        parent times that of its generator."""
+        m = self.modulus
+        gens = [_columns(self.reduce(g.entries)) for g in group.generators]
+        out = [_identity_mod(group.dimension)]
+        for parent, gi in parents[1:]:
+            out.append(_mul_mod(out[parent], gens[gi], m))
+        return out
+
+
+def _identity_mod(n: int) -> Residues:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _columns(a: Residues) -> Residues:
+    return tuple(zip(*a))
+
+
+def _mul_mod(a: Residues, b_columns: Residues, m: int) -> Residues:
+    """a * b over Z/m, with b given by its columns."""
+    return tuple(tuple(sum(map(operator.mul, row, col)) % m for col in b_columns) for row in a)
+
+
+def _inverse_mod(a: Residues, p: int) -> Residues:
+    """a^-1 over F_p, by Gauss-Jordan elimination on [a | I]."""
+    n = len(a)
+    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = pow(rows[c][c], -1, p)
+        rows[c] = [x * inv % p for x in rows[c]]
+        for r in range(n):
+            f = rows[r][c]
+            if r != c and f:
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[c])]
+    return tuple(tuple(r[n:]) for r in rows)
+
+
+def _denominator(group: FiniteUnitaryGroup) -> int:
+    """D: the lcm of the generator entries' denominators."""
+    return math.lcm(*(x.den for g in group.generators for row in g.entries for x in row))
+
+
+class _ModularReduction:
+    """The ring map Z[1/D][zeta_L] -> F_p, zeta_L -> w_L, for one group.
+
+    L = lcm(N, |G|); p is the smallest prime = 1 (mod L) above n that divides
+    no generator denominator, and ``root`` is w_L, a primitive L-th root of
+    unity mod p. Since o | p - 1 for every element order o, reduced elements
+    are diagonalizable over F_p with the eigenvalue zeta_o^m sent to
+    w_o^m = w_L^(mL/o), so the ranks below give exact multiplicities (README,
+    Conventions). ``matrices[i]`` is element i mod p, replayed along the
+    parent chain from the reduced generators.
+    """
+
+    __slots__ = ("prime", "lcm", "factors", "root", "matrices")
 
     def __init__(self, group: FiniteUnitaryGroup):
         self.lcm = L = math.lcm(group.conductor, group.order)
-        dens = math.lcm(*(x.den for g in group.generators for row in g.entries for x in row))
-        p = L + 1
-        while p <= group.dimension or dens % p == 0 or not _is_prime(p):
-            p += L
-        self.prime = p
-        self.factors = [q for q in divisors(L) if _is_prime(q)]
-        powers = (pow(a, (p - 1) // L, p) for a in range(1, p))
-        self.root = next(w for w in powers if all(pow(w, L // q, p) != 1 for q in self.factors))
-        w_n = pow(self.root, L // group.conductor, p)
-        self._zeta_powers = [pow(w_n, e, p) for e in range(euler_phi(group.conductor))]
+        self.prime, self.root = p, root = _split_prime(L, _denominator(group), group.dimension)
+        self.factors = _prime_factors(L)
+        residues = _ResidueMap(group.conductor, p, pow(root, L // group.conductor, p))
+        self.matrices = residues.replay(group, group._parents)
 
-    def matrix(self, element: UnitaryElement) -> list[list[int]]:
-        """The element's entries mapped to F_p."""
-        p, zp = self.prime, self._zeta_powers
-        try:
-            return [
-                [sum(c * z for c, z in zip(x.nums, zp) if c) * pow(x.den, -1, p) % p
-                 for x in row]
-                for row in element.entries
-            ]
-        except ValueError:
-            raise InternalInconsistency(f"an element entry has a denominator divisible by {p}")
-
-    def order(self, g: list[list[int]], i: int) -> int:
+    def order(self, g: Residues, i: int) -> int:
         """Multiplicative order of g, the reduction of element i, which is the
         element's order: reduction mod p sends to I only elements of p-power
         order, and p = 1 (mod |G|) does not divide |G|, so it is injective on
         G. Divide each prime q out of o = L while g^(o/q) = I."""
-        one = [[int(r == c) for c in range(len(g))] for r in range(len(g))]
+        one = _identity_mod(len(g))
         if self._power(g, self.lcm) != one:
             raise InternalInconsistency(f"element {i} does not satisfy g^L = I mod {self.prime}")
         o = self.lcm
@@ -363,21 +475,17 @@ class _ModularReduction:
                 o //= q
         return o
 
-    def _power(self, g: list[list[int]], e: int) -> list[list[int]]:
+    def _power(self, g: Residues, e: int) -> Residues:
         """g^e for e >= 1, by square-and-multiply over the bits of e."""
-        p = self.prime
-
-        def mul(a, b):
-            return [[sum(map(operator.mul, row, col)) % p for col in zip(*b)] for row in a]
-
+        p, g_columns = self.prime, _columns(g)
         out = g
         for bit in bin(e)[3:]:
-            out = mul(out, out)
+            out = _mul_mod(out, _columns(out), p)
             if bit == "1":
-                out = mul(out, g)
+                out = _mul_mod(out, g_columns, p)
         return out
 
-    def rank_shifted(self, g: list[list[int]], lam: int) -> int:
+    def rank_shifted(self, g: Residues, lam: int) -> int:
         """rank over F_p of g - lam * I."""
         p = self.prime
         rows = [[(x - lam) % p if r == c else x for c, x in enumerate(row)]
@@ -392,6 +500,21 @@ class _ModularReduction:
             inv = pow(pivot_row[col], -1, p)
             rows = [[(x - r[col] * inv * y) % p for x, y in zip(r, pivot_row)] for r in rows]
         return rank
+
+
+def _split_prime(order: int, avoid: int, floor: int) -> tuple[int, int]:
+    """The smallest prime p > floor with p = 1 (mod order) that does not
+    divide ``avoid``, and a primitive order-th root of unity mod p."""
+    p = order * -(-floor // order) + 1
+    while avoid % p == 0 or not _is_prime(p):
+        p += order
+    factors = _prime_factors(order)
+    powers = (pow(a, (p - 1) // order, p) for a in range(1, p))
+    return p, next(w for w in powers if all(pow(w, order // q, p) != 1 for q in factors))
+
+
+def _prime_factors(n: int) -> list[int]:
+    return [q for q in divisors(n) if _is_prime(q)]
 
 
 def _is_prime(q: int) -> bool:
@@ -464,41 +587,84 @@ def _check_unitary(element: UnitaryElement, generator_index: int, conductor: int
 
 
 def enumerate_group(group: FiniteUnitaryGroup, max_order: int = DEFAULT_MAX_ORDER) -> FiniteUnitaryGroup:
-    """Breadth-first closure of the generators under multiplication."""
+    """Breadth-first closure of the generators under multiplication, over
+    F_p0 (module docstring): elements are keyed by their reduction mod p0,
+    and a closure whose generators have denominators is certified exact."""
     if group.is_enumerated:
         return group
-    identity = UnitaryElement(mat_identity(group.dimension, group.conductor))
-    elements = [identity]
-    index = {identity.key: 0}
+    if max_order < 1:
+        raise GroupTooLarge(f"the order cap {max_order} is below 1, the order of the trivial group")
+    dens = _denominator(group)
+    key_map = _ResidueMap(group.conductor, *_split_prime(group.conductor, dens, 2))
+    p0 = key_map.modulus
+    gens = [_columns(key_map.reduce(g.entries)) for g in group.generators]
+    identity = _identity_mod(group.dimension)
+    keys = [identity]
+    index = {identity: 0}
     parents: list[tuple[int, int]] = [(0, -1)]
     # gen_cols[gi][e] is the index of element e * generator gi. Elements
     # pass through the frontier once each and in index order, so appending
     # fills every column in order.
-    gen_cols: list[list[int]] = [[] for _ in group.generators]
+    gen_cols: list[list[int]] = [[] for _ in gens]
     frontier = [0]
     while frontier:
         fresh = []
         for ei in frontier:
-            base = elements[ei].entries
-            for gi, g in enumerate(group.generators):
-                p = UnitaryElement(mat_mul(base, g.entries))
-                idx = index.get(p.key)
+            base = keys[ei]
+            for gi, g in enumerate(gens):
+                key = _mul_mod(base, g, p0)
+                idx = index.get(key)
                 if idx is None:
-                    if len(elements) >= max_order:
+                    if len(keys) >= max_order:
                         raise GroupTooLarge(
                             f"closure exceeded the order cap {max_order}"
                         )
-                    idx = index[p.key] = len(elements)
-                    elements.append(p)
+                    idx = index[key] = len(keys)
+                    keys.append(key)
                     parents.append((ei, gi))
                     fresh.append(idx)
                 gen_cols[gi].append(idx)
         frontier = fresh
-    group.elements = elements
+    if dens > 1:
+        _certify(group, dens, p0, parents, gen_cols)
+    group._keys = keys
     group._index = index
+    group._key_map = key_map
     group._parents = parents
     group._gen_cols = gen_cols
     return group
+
+
+# Certificate primes are drawn from above this floor, so that few of them
+# cover the bound and trial division stays cheap.
+_CERTIFICATE_PRIME_FLOOR = 1 << 20
+
+
+def _certify(group: FiniteUnitaryGroup, dens: int, p0: int, parents, gen_cols):
+    """Check every relation x * s = col_s[x] of a closure mod p0 exactly, or
+    raise GroupTooLarge: modulo primes q = 1 (mod N) prime to D = ``dens``
+    with p0 * prod(q) > (2 D^(d+1))^phi(N), all at once modulo their
+    product; d is the largest number of generators with a denominator on one
+    parent chain (module docstring)."""
+    conductor = group.conductor
+    fractional = [any(x.den > 1 for row in g.entries for x in row) for g in group.generators]
+    depth = [0]
+    for parent, gi in parents[1:]:
+        depth.append(depth[parent] + fractional[gi])
+    bound = (2 * dens ** (max(depth) + 1)) ** euler_phi(conductor)
+    modulus, root, q = 1, 0, max(p0, _CERTIFICATE_PRIME_FLOOR)
+    while p0 * modulus <= bound:
+        q, w = _split_prime(conductor, dens, q)
+        # Chinese remainders: root stays root mod modulus and becomes w mod q.
+        root += modulus * ((w - root) * pow(modulus, -1, q) % q)
+        modulus *= q
+    residues = _ResidueMap(conductor, modulus, root)
+    mats = residues.replay(group, parents)
+    gens = [_columns(residues.reduce(g.entries)) for g in group.generators]
+    for g, col in zip(gens, gen_cols):
+        for x, y in enumerate(col):
+            if _mul_mod(mats[x], g, modulus) != mats[y]:
+                raise GroupTooLarge("the generators do not generate a finite group")
 
 
 def conjugation_orbit(conj: list[list[int]], point: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -6,8 +6,10 @@ import pytest
 from click.testing import CliRunner
 
 from battery import antipodal, binary_dihedral, quaternion, scalar_cyclic, times_scalars, trivial
+from orbifill import cli as cli_module
 from orbifill import parse_group
 from orbifill.cli import EXIT_INTERNAL, _guarded, cli
+from orbifill.cyclotomic import CyclotomicNumber
 
 
 @pytest.fixture
@@ -90,6 +92,16 @@ class TestExitCodes:
         result = runner.invoke(cli, ["group", "info", str(workspace / "broken.json")])
         assert result.exit_code == 2
         assert "not unitary" in result.stderr
+
+    def test_infinite_group_exits_two(self, runner, workspace):
+        # A unitary rotation of infinite order: 3/5 + 4/5 i is no root of unity.
+        path = workspace / "rotation.json"
+        path.write_text(json.dumps({"name": "rot", "dimension": 2, "conductor": 4,
+                                    "generators": [[["3/5", "-4/5"], ["4/5", "3/5"]]]}))
+        result = invoke(runner, workspace, "group", "info", str(path))
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [
+            "error: the generators do not generate a finite group"]
 
     def test_unenumerated_group_exits_three(self):
         # Reading an enumerated-only property of a parsed group is a broken
@@ -329,6 +341,32 @@ class TestCommands:
         result = invoke(runner, workspace, "cr", "sectors", str(workspace / "antipodal2.json"))
         assert result.exit_code == 0
         assert "degree" in result.stdout
+
+    def test_admit_multiplies_no_cyclotomics_after_parsing(self, runner, workspace,
+                                                           monkeypatch):
+        # Admissibility reads only |G|, which the closure mod p0 gives
+        # without an exact matrix product.
+        path = workspace / "mu500.json"
+        path.write_text(json.dumps(scalar_cyclic(500)))
+        products = []
+        multiply = CyclotomicNumber.__mul__
+
+        def counted(a, b):
+            products.append(1)
+            return multiply(a, b)
+
+        def parse_then_count(text):
+            group = parse_group(text)
+            monkeypatch.setattr(CyclotomicNumber, "__mul__", counted)
+            monkeypatch.setattr(CyclotomicNumber, "__rmul__", counted)
+            return group
+
+        monkeypatch.setattr(cli_module, "parse_group", parse_then_count)
+        result = invoke(runner, workspace, "constraints", "admit", str(path),
+                        "--boundary", "lens:2,2", "--format", "json")
+        assert json.loads(result.stdout)["group_order"] == 500
+        assert CyclotomicNumber.__mul__ is counted
+        assert products == []
 
     def test_version(self, runner):
         result = runner.invoke(cli, ["--version"])

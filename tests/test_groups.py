@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -31,8 +32,16 @@ from orbifill import (
     enumerate_group,
     parse_group,
 )
+from orbifill import groups
 from orbifill.cyclotomic import _reduction_table, euler_phi, parse_literal
-from orbifill.groups import UnitaryElement, conjugation_orbit, mat_conj_transpose, mat_mul
+from orbifill.groups import (
+    DEFAULT_MAX_ORDER,
+    UnitaryElement,
+    conjugation_orbit,
+    mat_conj_transpose,
+    mat_identity,
+    mat_mul,
+)
 
 
 def table_powers(group, i):
@@ -164,23 +173,40 @@ class TestEnumeration:
         with pytest.raises(GroupTooLarge):
             build(scalar_cyclic(30), max_order=10)
 
+    def test_order_cap_below_one(self):
+        with pytest.raises(GroupTooLarge, match="below 1"):
+            build(trivial(), max_order=0)
+
     @pytest.mark.parametrize(
         "doc, entries",
-        [(binary_tetrahedral(), [["2", "0"], ["0", "1"]]),
-         (quaternion(), [["1", "1"], ["0", "1"]])],
+        [(binary_tetrahedral(), ((2, 0), (0, 1))),
+         (quaternion(), ((1, 1), (0, 1)))],
         ids=["diag(2,1)", "unipotent"],
     )
     def test_non_group_element_is_internal(self, doc, entries):
         # Neither matrix has finite order dividing L = lcm(N, |G|) mod the
         # eigen prime (2 has order 9 mod 73 for 2T), so no order exists.
+        # The eigen code reads element i as its replayed matrix mod p.
         g = build(doc)
         i = 3
-        g.elements[i] = UnitaryElement(tuple(
-            tuple(parse_literal(x, g.conductor) for x in row) for row in entries))
+        g._reduction.matrices[i] = entries
         with pytest.raises(InternalInconsistency):
             g.element_order(i)
         with pytest.raises(InternalInconsistency):
             g.eigen_multiplicities(i)
+
+    def test_element_index_confirms_key_collisions(self):
+        # Q8 is keyed mod p0 = 5: diag(5 + z, -z) shares the key of the
+        # member diag(z, -z), and diag(1/5, 1) has no key at all.
+        g = build(quaternion())
+        member = UnitaryElement(tuple(
+            tuple(parse_literal(x, 4) for x in row) for row in [["z", "0"], ["0", "-z"]]))
+        assert g.elements[g.element_index(member)] == member
+        for entries in ([["5 + z", "0"], ["0", "-z"]], [["1/5", "0"], ["0", "1"]]):
+            other = UnitaryElement(tuple(
+                tuple(parse_literal(x, 4) for x in row) for row in entries))
+            with pytest.raises(InternalInconsistency, match="escaped"):
+                g.element_index(other)
 
     def test_unenumerated_group_is_internal(self):
         group = parse_group(quaternion())
@@ -461,3 +487,112 @@ class TestIntegerKeys:
                 j = g.inverse_index(i)
                 assert table[i][j] == table[j][i] == 0, g.name
                 assert g.elements[j] == UnitaryElement(mat_conj_transpose(e.entries)), g.name
+
+
+def exact_closure(group):
+    """Reference: the breadth-first closure over exact matrices keyed by the
+    entries' (den, nums) normal forms, as enumeration ran before its keys
+    moved to F_p0. Returns the elements, their index by key, the parents and
+    the generator columns."""
+    identity = UnitaryElement(mat_identity(group.dimension, group.conductor))
+    elements, index, parents = [identity], {identity.key: 0}, [(0, -1)]
+    gen_cols = [[] for _ in group.generators]
+    frontier = [0]
+    while frontier:
+        fresh = []
+        for ei in frontier:
+            for gi, g in enumerate(group.generators):
+                product = UnitaryElement(mat_mul(elements[ei].entries, g.entries))
+                idx = index.get(product.key)
+                if idx is None:
+                    assert len(elements) < DEFAULT_MAX_ORDER
+                    idx = index[product.key] = len(elements)
+                    elements.append(product)
+                    parents.append((ei, gi))
+                    fresh.append(idx)
+                gen_cols[gi].append(idx)
+        frontier = fresh
+    return elements, index, parents, gen_cols
+
+
+def rotation():
+    """[[3/5, -4/5], [4/5, 3/5]]: unitary and of infinite order, since the
+    denominators of its powers grow like 5^k, yet of finite order mod 13."""
+    return {"name": "rot", "dimension": 2, "conductor": 4,
+            "generators": [[["3/5", "-4/5"], ["4/5", "3/5"]]]}
+
+
+class TestAgainstExactClosure:
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        docs = [times_scalars(quaternion(), 3), times_scalars(quaternion(), 5),
+                times_scalars(binary_dihedral(3), 5), binary_tetrahedral(),
+                times_scalars(binary_tetrahedral(), 5), z7_semidirect_z9(),
+                commuting_reflections(), scalar_cyclic(500)]
+        return [(g, exact_closure(g)) for g in battery_48() + [build(d) for d in docs]]
+
+    def test_order_parents_and_columns(self, pairs):
+        for g, (elements, _, parents, gen_cols) in pairs:
+            assert g.order == len(elements), g.name
+            assert g._parents == parents, g.name
+            assert g._gen_cols == gen_cols, g.name
+
+    def test_exact_elements_rebuilt_on_demand(self, pairs):
+        for g, (elements, *_) in pairs:
+            last = g.order - 1
+            assert g._exact(last) == elements[last].entries, g.name
+            assert g.elements == elements, g.name
+
+    def test_inverses(self, pairs):
+        for g, (elements, index, *_) in pairs:
+            assert [g.inverse_index(i) for i in range(g.order)] == [
+                index[UnitaryElement(mat_conj_transpose(e.entries)).key] for e in elements
+            ], g.name
+
+    def test_element_orders(self, pairs):
+        for g, (elements, _, parents, gen_cols) in pairs:
+            # Right multiplication by x follows x's parent chain through the
+            # reference's generator columns; the order is the length of the
+            # power walk back to the identity.
+            words = [()]
+            for parent, gi in parents[1:]:
+                words.append(words[parent] + (gi,))
+            for x in range(g.order):
+                power, o = x, 1
+                while power != 0:
+                    for gi in words[x]:
+                        power = gen_cols[gi][power]
+                    o += 1
+                assert g.element_order(x) == o, (g.name, x)
+
+
+class TestCertificate:
+    def test_infinite_rotation_is_rejected_quickly(self):
+        start = time.perf_counter()
+        with pytest.raises(GroupTooLarge, match="do not generate a finite group"):
+            build(rotation())
+        assert time.perf_counter() - start < 2
+
+    def test_primes_cover_the_bound(self, monkeypatch):
+        # 2T x mu5: D = 2 from the generator -(1 + i + j + k)/2, N = 20.
+        found = []
+        split = groups._split_prime
+        monkeypatch.setattr(groups, "_split_prime", lambda *a: found.append(split(*a)) or found[-1])
+        g = build(times_scalars(binary_tetrahedral(), 5))
+        fractional = [any(x.den > 1 for row in s.entries for x in row) for s in g.generators]
+        counts = [0]
+        for parent, gi in g._parents[1:]:
+            counts.append(counts[parent] + fractional[gi])
+        bound = (2 * 2 ** (max(counts) + 1)) ** euler_phi(20)
+        (p0, _), *certificate = found
+        primes = [q for q, _ in certificate]
+        assert p0 == g._key_map.modulus and p0 % 20 == 1
+        assert len(set(primes)) == len(primes) >= 2
+        assert all(q % 20 == 1 and q != p0 for q in primes)
+        assert p0 * math.prod(primes) > bound >= p0 * math.prod(primes[:-1])
+
+    def test_cap_is_met_at_the_default(self):
+        doc = binary_dihedral(DEFAULT_MAX_ORDER // 4)
+        assert build(doc).order == DEFAULT_MAX_ORDER
+        with pytest.raises(GroupTooLarge, match="order cap"):
+            build(doc, max_order=DEFAULT_MAX_ORDER - 1)
