@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coefficients import CoefficientRing
 from .errors import InternalInconsistency
 from .groups import ConjugacyClass, FiniteUnitaryGroup, _age_from_eigen, conjugation_orbit
+from .record import Record
 
 
 def age(group: FiniteUnitaryGroup, element_index: int) -> Fraction:
@@ -25,14 +25,13 @@ def age(group: FiniteUnitaryGroup, element_index: int) -> Fraction:
     return _age_from_eigen(group.eigen_multiplicities(element_index))
 
 
-@dataclass(frozen=True)
-class TwistedSector:
+class TwistedSector(Record):
     """One conjugacy class of the inertia groupoid, with its degree shift."""
 
-    class_ref: ConjugacyClass
-    age: Fraction
-    degree: Fraction
-    centralizer_order: int
+    def __init__(self, class_ref: ConjugacyClass, age: Fraction, degree: Fraction,
+                 centralizer_order: int):
+        self.__dict__.update(class_ref=class_ref, age=age, degree=degree,
+                             centralizer_order=centralizer_order)
 
     @property
     def label(self) -> str:
@@ -72,14 +71,23 @@ def _zz2_parity(degree: Fraction) -> str:
     return "indeterminate"
 
 
-@dataclass
 class CRRing:
     """The Chen-Ruan cohomology ring of C^n/G as structure constants."""
 
-    group: FiniteUnitaryGroup
-    sectors: tuple[TwistedSector, ...]
-    convention: CupConvention
-    structure_constants: dict = field(repr=False, default_factory=dict)
+    def __init__(self, group: FiniteUnitaryGroup, sectors: tuple[TwistedSector, ...],
+                 convention: CupConvention, structure_constants: dict | None = None):
+        self.group = group
+        self.sectors = sectors
+        self.convention = convention
+        self.structure_constants = {} if structure_constants is None else structure_constants
+
+    # Mutable, so equal by value like a record but unhashable.
+    __eq__ = Record.__eq__
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"CRRing(group={self.group!r}, sectors={self.sectors!r}, "
+                f"convention={self.convention!r})")
 
     def sector_count(self) -> int:
         return len(self.sectors)
@@ -249,16 +257,13 @@ def cr_pairing_check(group: FiniteUnitaryGroup) -> dict:
     return {"dimension": n, "all_pass": all_pass, "pairs": pairs}
 
 
-@dataclass(frozen=True)
-class FillingCRProfile:
+class FillingCRProfile(Record):
     """Additive input for the Chen-Ruan groups of an exact orbifold filling."""
 
-    betti: tuple[int, ...]
-    singularities: tuple[FiniteUnitaryGroup, ...]
-    coefficient: CoefficientRing
-
-    def __post_init__(self):
-        if any(b < 0 for b in self.betti):
+    def __init__(self, betti: tuple[int, ...], singularities: tuple[FiniteUnitaryGroup, ...],
+                 coefficient: CoefficientRing):
+        self.__dict__.update(betti=betti, singularities=singularities, coefficient=coefficient)
+        if any(b < 0 for b in betti):
             raise ValueError("Betti numbers must be non-negative")
 
 

@@ -11,14 +11,13 @@ guarantee. Exit codes: 0 success, 1 domain-negative result, 2 input error,
 
 from __future__ import annotations
 
+import argparse
 import functools
 import json
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-import click
 
 from . import __version__
 from .chen_ruan import (
@@ -77,12 +76,21 @@ def _metadata(digest=None, seed=None, conventions=None):
     return meta
 
 
+def _echo(text: str, err: bool = False):
+    """Write one line with its newline in a single write, then flush. print()
+    writes the newline separately, and on an unbuffered stream a reader that
+    closes the pipe after the line would make that second write fail."""
+    stream = sys.stderr if err else sys.stdout
+    stream.write(text + "\n")
+    stream.flush()
+
+
 def _emit(report: dict, fmt: str):
     if fmt == "json":
-        click.echo(json.dumps(report, sort_keys=True, indent=2))
+        _echo(json.dumps(report, sort_keys=True, indent=2))
     else:
         for line in _tableize(report):
-            click.echo(line)
+            _echo(line)
 
 
 def _tableize(value, prefix=""):
@@ -113,54 +121,88 @@ def _guarded(fn):
         try:
             return fn(*args, **kwargs)
         except (InputError, ValueError, OSError) as e:
-            click.echo(f"error: {e}", err=True)
+            _echo(f"error: {e}", err=True)
             sys.exit(EXIT_INPUT)
         except NonIsolated as e:
-            click.echo(f"not an isolated singularity: {e}", err=True)
+            _echo(f"not an isolated singularity: {e}", err=True)
             sys.exit(EXIT_NEGATIVE)
         except NotApplicable as e:
-            click.echo(f"constraints not applicable: {e}", err=True)
+            _echo(f"constraints not applicable: {e}", err=True)
             sys.exit(EXIT_NEGATIVE)
         except InvariantViolation as e:
-            click.echo(f"check failed: {e}", err=True)
+            _echo(f"check failed: {e}", err=True)
             sys.exit(EXIT_NEGATIVE)
         except InternalInconsistency as e:
-            click.echo(f"internal invariant violation: {e}", err=True)
+            _echo(f"internal invariant violation: {e}", err=True)
             sys.exit(EXIT_INTERNAL)
 
     return wrapper
 
 
-def _common_options(fn):
-    fn = click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["table", "json"]),
-        default="table",
-        help="Report rendering; json is the stable machine contract.",
-    )(fn)
-    return fn
+class UsageError(Exception):
+    """A command line that parses but asks for something its command cannot do."""
 
 
+def _at_least(low):
+    """An argparse type: an int no smaller than ``low``."""
+
+    def integer(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
+        return value
+
+    return integer
+
+
+def _document(text):
+    if not os.path.exists(text):
+        raise argparse.ArgumentTypeError(f"file {text!r} does not exist")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"file {text!r} is a directory")
+    return text
+
+
+def _directory(text):
+    if os.path.isfile(text):
+        raise argparse.ArgumentTypeError(f"directory {text!r} is a file")
+    return text
+
+
+def _arg(*names, **kwargs):
+    """The arguments of one ``add_argument`` call."""
+    return names, kwargs
+
+
+FORMAT = _arg("--format", dest="fmt", choices=["table", "json"], default="table",
+              help="report rendering; json is the stable machine contract")
 # Nothing is cached: --cache-dir is accepted and ignored so that existing
 # invocations keep their exit codes. _default_cache_dir and the cache_dir
 # parameter of _load_group stay only because bench/tracer.py reads them,
 # until the benchmark retires its cache metrics.
-_ignored_cache_dir = click.option(
-    "--cache-dir", type=click.Path(file_okay=False), default=None, hidden=True
+CACHE_DIR = _arg("--cache-dir", type=_directory, help=argparse.SUPPRESS)
+GROUP_OPTIONS = (
+    _arg("--max-order", type=_at_least(1), default=DEFAULT_MAX_ORDER,
+         help="abort enumeration beyond this order (default: %(default)s)"),
+    CACHE_DIR,
 )
 
+# name -> (command, its add_argument calls), in the order of `orbifill --help`.
+COMMANDS = {}
 
-def _group_options(fn):
-    fn = click.option(
-        "--max-order",
-        type=click.IntRange(min=1),
-        default=DEFAULT_MAX_ORDER,
-        show_default=True,
-        help="Abort enumeration beyond this order.",
-    )(fn)
-    fn = _ignored_cache_dir(fn)
-    return fn
+
+def _command(name, *arguments):
+    """Register ``fn`` as command ``name``; ``arguments`` are its ``_arg`` calls,
+    and the first line of its docstring is its summary in ``orbifill --help``."""
+
+    def register(fn):
+        COMMANDS[name] = (_guarded(fn), arguments)
+        return fn
+
+    return register
 
 
 def _default_cache_dir() -> str:
@@ -172,21 +214,11 @@ def _load_group(path, max_order, cache_dir):
     return enumerate_group(group, max_order), document_digest(group)
 
 
-@click.group()
-@click.version_option(__version__, prog_name="orbifill")
-def cli():
-    """Exact invariants of isolated quotient singularities C^n/G."""
-
-
 # -- group ----------------------------------------------------------------------
 
 
-@cli.command("group")
-@click.argument("action", type=click.Choice(["info", "canonical"]))
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@_common_options
-@_group_options
-@_guarded
+@_command("group", _arg("action", choices=["info", "canonical"]),
+          _arg("path", type=_document), FORMAT, *GROUP_OPTIONS)
 def group_cmd(action, path, fmt, max_order, cache_dir):
     """Inspect a group document: enumeration, classes, eigenvalue data."""
     if action == "canonical":
@@ -232,27 +264,19 @@ def group_cmd(action, path, fmt, max_order, cache_dir):
 # -- chen-ruan -------------------------------------------------------------------
 
 
-@cli.command("cr")
-@click.argument("action", type=click.Choice(["ring", "sectors", "pairing", "filling"]))
-@click.argument("path", type=click.Path(exists=True, dir_okay=False), required=False)
-@click.option(
-    "--convention",
-    type=click.Choice([c.value for c in CupConvention]),
-    default=None,
-    help="Cup-product summation convention; default picks one that passes associativity.",
+@_command(
+    "cr",
+    _arg("action", choices=["ring", "sectors", "pairing", "filling"]),
+    _arg("path", nargs="?", type=_document),
+    _arg("--convention", choices=[c.value for c in CupConvention],
+         help="cup-product summation convention; default picks one that passes associativity"),
+    _arg("--betti", default="1", help="comma-separated Betti numbers of the space"),
+    _arg("--singularity", dest="singularities", action="append", default=[], type=_document,
+         help="group document of an isolated singularity (repeatable)"),
+    _arg("--coefficient", default="Q", help="coefficient ring: Q, Z, or Z/m"),
+    FORMAT,
+    *GROUP_OPTIONS,
 )
-@click.option("--betti", default="1", help="Comma-separated Betti numbers of the space.")
-@click.option(
-    "--singularity",
-    "singularities",
-    multiple=True,
-    type=click.Path(exists=True, dir_okay=False),
-    help="Group document of an isolated singularity (repeatable).",
-)
-@click.option("--coefficient", default="Q", help="Coefficient ring: Q, Z, or Z/m.")
-@_common_options
-@_group_options
-@_guarded
 def cr_cmd(action, path, convention, betti, singularities, coefficient, fmt, max_order, cache_dir):
     """Chen-Ruan data: sectors, ring structure, pairing, filling ranks."""
     if action == "filling":
@@ -278,7 +302,7 @@ def cr_cmd(action, path, convention, betti, singularities, coefficient, fmt, max
         )
         return
     if path is None:
-        raise click.UsageError("a group document is required")
+        raise UsageError("a group document is required")
     group, digest = _load_group(path, max_order, cache_dir)
     if action == "sectors":
         sectors = twisted_sectors(group)
@@ -315,10 +339,8 @@ def cr_cmd(action, path, convention, betti, singularities, coefficient, fmt, max
             triple = ", ".join(ring.sectors[p].label for p in counterexample["triple"])
             verdicts.append(f"{name} fails at ({triple})")
     how = "requested" if wanted else "chosen by sweep"
-    click.echo(
-        f"associativity sweep: {'; '.join(verdicts)}; using {ring.convention.value} ({how})",
-        err=True,
-    )
+    _echo(f"associativity sweep: {'; '.join(verdicts)}; using {ring.convention.value} ({how})",
+          err=True)
     _emit(
         {
             "metadata": _metadata(digest, conventions={"cup_product": ring.convention.value}),
@@ -331,13 +353,10 @@ def cr_cmd(action, path, convention, betti, singularities, coefficient, fmt, max
 # -- reeb ------------------------------------------------------------------------
 
 
-@cli.command("reeb")
-@click.argument("action", type=click.Choice(["report", "discrepancy", "components"]))
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--bound", default="3", help="Period bound (rational, units of 2*pi).")
-@_common_options
-@_group_options
-@_guarded
+@_command("reeb", _arg("action", choices=["report", "discrepancy", "components"]),
+          _arg("path", type=_document),
+          _arg("--bound", default="3", help="period bound (rational, units of 2*pi)"),
+          FORMAT, *GROUP_OPTIONS)
 def reeb_cmd(action, path, bound, fmt, max_order, cache_dir):
     """Reeb orbit families, indices, discrepancy, loop components."""
     group, digest = _load_group(path, max_order, cache_dir)
@@ -400,20 +419,17 @@ def _parse_profiles(specs):
     return profiles
 
 
-@cli.command("ledger")
-@click.argument("action", type=click.Choice(["build"]))
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--slope", required=True, help="Hamiltonian slope (rational, off the spectrum).")
-@click.option(
-    "--profile",
-    "profiles",
-    multiple=True,
-    help="Morse cell profile per family, e.g. 'Id:1=0,3' (default: min and top cell).",
+@_command(
+    "ledger",
+    _arg("action", choices=["build"]),
+    _arg("path", type=_document),
+    _arg("--slope", required=True, help="Hamiltonian slope (rational, off the spectrum)"),
+    _arg("--profile", dest="profiles", action="append", default=[],
+         help="Morse cell profile per family, e.g. 'Id:1=0,3' (default: min and top cell)"),
+    _arg("--coefficient", default="Q", help="coefficient ring for the vanishing verdict"),
+    FORMAT,
+    *GROUP_OPTIONS,
 )
-@click.option("--coefficient", default="Q", help="Coefficient ring for the vanishing verdict.")
-@_common_options
-@_group_options
-@_guarded
 def ledger_cmd(action, path, slope, profiles, coefficient, fmt, max_order, cache_dir):
     """Assemble the generator ledger at a slope, with forced differentials."""
     group, digest = _load_group(path, max_order, cache_dir)
@@ -446,22 +462,19 @@ def ledger_cmd(action, path, slope, profiles, coefficient, fmt, max_order, cache
 # -- span ------------------------------------------------------------------------
 
 
-@cli.command("span")
-@click.argument("action", type=click.Choice(["check", "random"]))
-@click.argument("path", type=click.Path(exists=True, dir_okay=False), required=False)
-@click.option("--trials", type=click.IntRange(min=0), default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option(
-    "--max-order",
-    type=click.IntRange(min=2),
-    default=None,
-    help="Largest group order: of the randomized battery's groups and middles "
-    f"(random, default {BATTERY_MAX_ORDER}), or of a 'ref' group's enumeration "
-    f"(check, default {DEFAULT_MAX_ORDER}).",
+@_command(
+    "span",
+    _arg("action", choices=["check", "random"]),
+    _arg("path", nargs="?", type=_document),
+    _arg("--trials", type=_at_least(0), default=1000, help="(default: %(default)s)"),
+    _arg("--seed", type=int, default=0, help="(default: %(default)s)"),
+    _arg("--max-order", type=_at_least(2),
+         help="largest group order: of the randomized battery's groups and middles "
+         f"(random, default {BATTERY_MAX_ORDER}), or of a 'ref' group's enumeration "
+         f"(check, default {DEFAULT_MAX_ORDER})"),
+    CACHE_DIR,
+    FORMAT,
 )
-@_ignored_cache_dir
-@_common_options
-@_guarded
 def span_cmd(action, path, trials, seed, max_order, cache_dir, fmt):
     """Pullback-pushforward counts and the composition identity."""
     if action == "random":
@@ -471,7 +484,7 @@ def span_cmd(action, path, trials, seed, max_order, cache_dir, fmt):
         _emit({"metadata": _metadata(seed=seed), **report}, fmt)
         sys.exit(EXIT_OK if report["all_equal"] else EXIT_NEGATIVE)
     if path is None:
-        raise click.UsageError("span check requires a document path")
+        raise UsageError("span check requires a document path")
     doc = json.loads(Path(path).read_text())
     if max_order is None:
         max_order = DEFAULT_MAX_ORDER
@@ -498,19 +511,16 @@ def span_cmd(action, path, trials, seed, max_order, cache_dir, fmt):
         sp = span_from_document(doc["span"], loader)
         _emit({"metadata": _metadata(), "pushpull": str(pushpull(sp))}, fmt)
         return
-    raise click.UsageError("span document must contain 'span' or 'span1' and 'span2'")
+    raise UsageError("span document must contain 'span' or 'span1' and 'span2'")
 
 
 # -- constraints -------------------------------------------------------------------
 
 
-@cli.command("constraints")
-@click.argument("action", type=click.Choice(["boundary", "admit", "rp"]))
-@click.argument("target", required=True)
-@click.option("--boundary", "boundary_opt", default=None, help="Boundary descriptor for 'admit'.")
-@_common_options
-@_group_options
-@_guarded
+@_command("constraints", _arg("action", choices=["boundary", "admit", "rp"]),
+          _arg("target"),
+          _arg("--boundary", dest="boundary_opt", help="boundary descriptor for 'admit'"),
+          FORMAT, *GROUP_OPTIONS)
 def constraints_cmd(action, target, boundary_opt, fmt, max_order, cache_dir):
     """Filling constraints: divisor tables, admissibility, uniqueness."""
     if action == "boundary":
@@ -530,7 +540,7 @@ def constraints_cmd(action, target, boundary_opt, fmt, max_order, cache_dir):
         _emit({"metadata": _metadata(), **rp_report(int(target))}, fmt)
         return
     if boundary_opt is None:
-        raise click.UsageError("'admit' requires --boundary")
+        raise UsageError("'admit' requires --boundary")
     b = BoundaryDescriptor.parse(boundary_opt)
     group, digest = _load_group(target, max_order, cache_dir)
     ok, explanation = admissible(group, b)
@@ -547,8 +557,34 @@ def constraints_cmd(action, target, boundary_opt, fmt, max_order, cache_dir):
     sys.exit(EXIT_OK if ok else EXIT_NEGATIVE)
 
 
-def main():
-    cli(standalone_mode=True)
+def main(argv=None):
+    """Run one command line; ``argv`` defaults to ``sys.argv[1:]``."""
+    top = argparse.ArgumentParser(
+        prog="orbifill",
+        description="Exact invariants of isolated quotient singularities C^n/G.",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<12} {fn.__doc__.splitlines()[0]}" for name, (fn, _) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
+    )
+    top.add_argument("--version", action="version", version=f"orbifill, version {__version__}")
+    top.add_argument("command", choices=COMMANDS, metavar="COMMAND",
+                     help="one of the commands listed below")
+    top.add_argument("args", nargs=argparse.REMAINDER, metavar="ARGS",
+                     help="the command's arguments; see 'orbifill COMMAND --help'")
+    ns = top.parse_args(argv)
+    fn, arguments = COMMANDS[ns.command]
+    parser = argparse.ArgumentParser(prog=f"orbifill {ns.command}", description=fn.__doc__,
+                                     allow_abbrev=False)
+    for names, kwargs in arguments:
+        parser.add_argument(*names, **kwargs)
+    # Intermixed, so that options may also come between the action and an
+    # optional path, as in 'cr ring --format json PATH'.
+    args = parser.parse_intermixed_args(ns.args)
+    try:
+        fn(**vars(args))
+    except UsageError as e:
+        parser.error(str(e))
 
 
 if __name__ == "__main__":

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CoefficientRing:
-    kind: str  # "Q", "Z", or "Z/m"
-    modulus: int | None = None
+class CoefficientRing(Record):
+    def __init__(self, kind: str, modulus: int | None = None):
+        # kind is "Q", "Z", or "Z/m"
+        self.__dict__.update(kind=kind, modulus=modulus)
 
     @staticmethod
     def rationals() -> "CoefficientRing":

@@ -9,10 +9,10 @@ silence is never mistaken for permission.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NotApplicable
 from .groups import FiniteUnitaryGroup
+from .record import Record
 
 LENS = "lens"
 BRIESKORN = "brieskorn"
@@ -20,23 +20,19 @@ SUBCRITICAL = "subcritical"
 DILATION = "dilation"
 
 
-@dataclass(frozen=True)
-class BoundaryDescriptor:
-    variant: str
-    n: int
-    k: int | None = None
-
-    def __post_init__(self):
-        if self.variant in (LENS, BRIESKORN):
-            if self.k is None or self.k < 2:
+class BoundaryDescriptor(Record):
+    def __init__(self, variant: str, n: int, k: int | None = None):
+        self.__dict__.update(variant=variant, n=n, k=k)
+        if variant in (LENS, BRIESKORN):
+            if k is None or k < 2:
                 raise ValueError("k must be at least 2")
-            if self.n < 2:
+            if n < 2:
                 raise ValueError("n must be at least 2")
-        elif self.variant in (SUBCRITICAL, DILATION):
-            if self.n < 1:
+        elif variant in (SUBCRITICAL, DILATION):
+            if n < 1:
                 raise ValueError("n must be positive")
         else:
-            raise ValueError(f"unknown boundary variant {self.variant!r}")
+            raise ValueError(f"unknown boundary variant {variant!r}")
 
     @property
     def dimension(self) -> int:
@@ -64,13 +60,11 @@ class BoundaryDescriptor:
         raise ValueError(f"unknown boundary kind {head!r}")
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    divisors: tuple[int, ...]
-    rules: tuple[str, ...]
-    applicable: bool
-    reason: str | None = None
-    uniqueness: dict | None = None
+class ConstraintSet(Record):
+    def __init__(self, divisors: tuple[int, ...], rules: tuple[str, ...], applicable: bool,
+                 reason: str | None = None, uniqueness: dict | None = None):
+        self.__dict__.update(divisors=divisors, rules=rules, applicable=applicable,
+                             reason=reason, uniqueness=uniqueness)
 
     @property
     def effective_bound(self) -> int:

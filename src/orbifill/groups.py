@@ -35,7 +35,6 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import groupby
@@ -48,6 +47,7 @@ from .errors import (
     NotUnitary,
     ParseError,
 )
+from .record import Record
 
 DEFAULT_MAX_ORDER = 20000
 
@@ -115,32 +115,30 @@ def mat_identity(n: int, conductor: int) -> Matrix:
     return tuple(tuple(one if i == j else nil for j in range(n)) for i in range(n))
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(Record):
     """A conjugation orbit with its centralizer order, in deterministic order."""
 
-    label: str
-    representative_index: int
-    member_indices: tuple[int, ...]
-    centralizer_order: int
-    order: int
+    def __init__(self, label: str, representative_index: int, member_indices: tuple[int, ...],
+                 centralizer_order: int, order: int):
+        self.__dict__.update(label=label, representative_index=representative_index,
+                             member_indices=member_indices,
+                             centralizer_order=centralizer_order, order=order)
 
     @property
     def size(self) -> int:
         return len(self.member_indices)
 
 
-@dataclass(frozen=True)
-class EigenData:
+class EigenData(Record):
     """Exact eigenvalue multiplicities of one element.
 
     ``multiplicities`` maps an exponent m in 0..o-1 to the multiplicity of
     the eigenvalue zeta_o^m; exponents with multiplicity zero are omitted.
     """
 
-    element_index: int
-    order: int
-    multiplicities: dict[int, int]
+    def __init__(self, element_index: int, order: int, multiplicities: dict[int, int]):
+        self.__dict__.update(element_index=element_index, order=order,
+                             multiplicities=multiplicities)
 
 
 class FiniteUnitaryGroup:
@@ -283,10 +281,7 @@ class FiniteUnitaryGroup:
             for _, run in groupby(coarse, key=operator.itemgetter(0)):
                 run = [c for _, c in run]
                 if len(run) > 1:
-                    # Ties on (age, size) break on the representatives'
-                    # Fraction coefficients, the order labels have always had.
-                    run.sort(key=lambda c: tuple(
-                        x.coefficients for row in self._exact(c[0]) for x in row))
+                    run = self._tie_break(run)
                 raw.extend(run)
             classes = []
             for pos, members in enumerate(raw):
@@ -299,6 +294,17 @@ class FiniteUnitaryGroup:
                 m: pos for pos, cls in enumerate(self._classes) for m in cls.member_indices
             }
         return self._classes
+
+    def _tie_break(self, run: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """Classes that tie on (age, size), in the order labels have always
+        had: by their representatives' power-basis coefficients as Fractions,
+        entry by entry. Scaled to the lcm of the run's denominators those are
+        ints in the same order, so no Fraction is built."""
+        entries = [[x for row in self._exact(c[0]) for x in row] for c in run]
+        scale = math.lcm(*(x.den for rep in entries for x in rep))
+        keys = [tuple(tuple(v * (scale // x.den) for v in x.nums) for x in rep)
+                for rep in entries]
+        return [c for _, c in sorted(zip(keys, run))]
 
     def class_position(self, element_index: int) -> int:
         self.classes

@@ -10,13 +10,13 @@ necessary conditions (same class, degree +1, strictly increasing action).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chen_ruan import age
 from .coefficients import CoefficientRing
 from .errors import InvariantViolation
 from .groups import FiniteUnitaryGroup
+from .record import Record
 from .reeb import MorseCell, cz_generator, families_below
 
 KIND_CONSTANT_TWISTED = "constant-twisted"
@@ -27,15 +27,14 @@ PROVENANCE_PAPER = "established"
 PROVENANCE_USER = "user-supplied"
 
 
-@dataclass(frozen=True)
-class FloerGenerator:
-    kind: str
-    homotopy_class: str
-    degree: Fraction
-    action: Fraction  # units of 2*pi; constants sit at zero, orbits below
-    isotropy_order: int
-    period: Fraction | None = None
-    morse_index: int | None = None
+class FloerGenerator(Record):
+    def __init__(self, kind: str, homotopy_class: str, degree: Fraction, action: Fraction,
+                 isotropy_order: int, period: Fraction | None = None,
+                 morse_index: int | None = None):
+        # action is in units of 2*pi; constants sit at zero, orbits below
+        self.__dict__.update(kind=kind, homotopy_class=homotopy_class, degree=degree,
+                             action=action, isotropy_order=isotropy_order, period=period,
+                             morse_index=morse_index)
 
     def describe(self) -> dict:
         out = {
@@ -51,19 +50,17 @@ class FloerGenerator:
         return out
 
 
-@dataclass(frozen=True)
-class DifferentialEntry:
-    source: FloerGenerator
-    target: FloerGenerator
-    coefficient: int
-    provenance: str
+class DifferentialEntry(Record):
+    def __init__(self, source: FloerGenerator, target: FloerGenerator, coefficient: int,
+                 provenance: str):
+        self.__dict__.update(source=source, target=target, coefficient=coefficient,
+                             provenance=provenance)
 
 
-@dataclass(frozen=True)
-class GeneratorLedger:
-    group: FiniteUnitaryGroup
-    slope: Fraction
-    generators: tuple[FloerGenerator, ...]
+class GeneratorLedger(Record):
+    def __init__(self, group: FiniteUnitaryGroup, slope: Fraction,
+                 generators: tuple[FloerGenerator, ...]):
+        self.__dict__.update(group=group, slope=slope, generators=generators)
 
     def minimum_cell(self, class_label: str, period: Fraction) -> FloerGenerator | None:
         for g in self.generators:

@@ -8,12 +8,12 @@ comparison against the full period spectrum instead of a measure argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chen_ruan import age
 from .errors import SlopeOnSpectrum
 from .groups import FiniteUnitaryGroup
+from .record import Record
 
 
 def _validated_period(value) -> Fraction:
@@ -23,15 +23,13 @@ def _validated_period(value) -> Fraction:
     return period
 
 
-@dataclass(frozen=True)
-class OrbitFamily:
+class OrbitFamily(Record):
     """A family of parameterized Reeb orbits with one class and period."""
 
-    class_label: str
-    class_position: int
-    period: Fraction
-    fixed_dim: int
-    cz_index: Fraction
+    def __init__(self, class_label: str, class_position: int, period: Fraction,
+                 fixed_dim: int, cz_index: Fraction):
+        self.__dict__.update(class_label=class_label, class_position=class_position,
+                             period=period, fixed_dim=fixed_dim, cz_index=cz_index)
 
     @property
     def homotopy_class(self) -> str:
@@ -44,17 +42,12 @@ class OrbitFamily:
         return 2 * self.fixed_dim - 1
 
 
-@dataclass(frozen=True)
-class MorseCell:
-    family: OrbitFamily
-    morse_index: int
-
-    def __post_init__(self):
-        top = self.family.manifold_dimension
-        if not 0 <= self.morse_index <= top:
-            raise ValueError(
-                f"Morse index {self.morse_index} outside 0..{top} for this family"
-            )
+class MorseCell(Record):
+    def __init__(self, family: OrbitFamily, morse_index: int):
+        self.__dict__.update(family=family, morse_index=morse_index)
+        top = family.manifold_dimension
+        if not 0 <= morse_index <= top:
+            raise ValueError(f"Morse index {morse_index} outside 0..{top} for this family")
 
 
 def _class_period_data(group: FiniteUnitaryGroup, class_position: int):

@@ -11,10 +11,10 @@ computations is the identity exercised by the randomized battery.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MiddleMismatch, ParseError
+from .record import Record
 
 
 class FiniteGroupTable:
@@ -190,17 +190,14 @@ def from_elements_of_product(
     return FiniteGroupTable(table, labels=elements, name=name)
 
 
-@dataclass(frozen=True)
-class Homomorphism:
-    source: FiniteGroupTable
-    target: FiniteGroupTable
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        f = self.images
-        if len(f) != self.source.order:
+class Homomorphism(Record):
+    def __init__(self, source: FiniteGroupTable, target: FiniteGroupTable,
+                 images: tuple[int, ...]):
+        self.__dict__.update(source=source, target=target, images=images)
+        f = images
+        if len(f) != source.order:
             raise ParseError("homomorphism image list has the wrong length")
-        n_target = self.target.order
+        n_target = target.order
         for v in f:
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n_target:
                 raise ParseError(
@@ -213,28 +210,23 @@ class Homomorphism:
         # whenever the generators generate the source. Groups built in code
         # carry such a set; table and ref groups from documents carry all
         # elements, so they get the all-pairs check.
-        src, tgt = self.source.table, self.target.table
-        for g in self.source.generators:
+        src, tgt = source.table, target.table
+        for g in source.generators:
             fg = f[g]
             for x in range(len(f)):
                 if f[src[x][g]] != tgt[f[x]][fg]:
                     raise ParseError(f"map is not a homomorphism at pair ({x}, {g})")
 
 
-@dataclass(frozen=True)
-class PointOrbifoldSpan:
+class PointOrbifoldSpan(Record):
     """*/H1 <-s- */G -t-> */H2 with verified homomorphisms."""
 
-    left: FiniteGroupTable
-    middle: FiniteGroupTable
-    right: FiniteGroupTable
-    s: Homomorphism
-    t: Homomorphism
-
-    def __post_init__(self):
-        if self.s.source is not self.middle or self.s.target is not self.left:
+    def __init__(self, left: FiniteGroupTable, middle: FiniteGroupTable,
+                 right: FiniteGroupTable, s: Homomorphism, t: Homomorphism):
+        self.__dict__.update(left=left, middle=middle, right=right, s=s, t=t)
+        if s.source is not middle or s.target is not left:
             raise ParseError("source map must go from the middle to the left group")
-        if self.t.source is not self.middle or self.t.target is not self.right:
+        if t.source is not middle or t.target is not right:
             raise ParseError("target map must go from the middle to the right group")
 
 
@@ -258,11 +250,12 @@ def pushpull(sp: PointOrbifoldSpan) -> Fraction:
     return Fraction(sp.right.order, sp.middle.order)
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
+class OrbitDecomposition(Record):
     """Orbit sizes and stabilizer orders of the fiber-product action."""
 
-    orbits: tuple[tuple[int, int], ...]  # (orbit size, stabilizer order)
+    def __init__(self, orbits: tuple[tuple[int, int], ...]):
+        # each orbit is (orbit size, stabilizer order)
+        self.__dict__.update(orbits=orbits)
 
     @property
     def total(self) -> int:

@@ -1,20 +1,48 @@
 """End-to-end CLI behavior: exit codes, determinism, the ignored --cache-dir."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from battery import antipodal, binary_dihedral, quaternion, scalar_cyclic, times_scalars, trivial
 from orbifill import cli as cli_module
 from orbifill import parse_group
-from orbifill.cli import EXIT_INTERNAL, _guarded, cli
+from orbifill.cli import EXIT_INTERNAL, _guarded, main
 from orbifill.cyclotomic import CyclotomicNumber
+
+
+class Result:
+    def __init__(self, exit_code, stdout, stderr):
+        self.exit_code = exit_code
+        self.stdout = stdout
+        self.stderr = stderr
+        self.output = stdout + stderr
+
+
+class Runner:
+    """Runs ``main(argv)`` in process, capturing stdout, stderr and the code
+    it exits with (0 when it returns)."""
+
+    def invoke(self, args):
+        out, err = io.StringIO(), io.StringIO()
+        code = 0
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(list(args))
+            except SystemExit as e:
+                code = 0 if e.code is None else e.code
+        return Result(code, out.getvalue(), err.getvalue())
 
 
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 @pytest.fixture
@@ -65,9 +93,7 @@ def workspace(tmp_path):
 
 
 def invoke(runner, workspace, *args):
-    return runner.invoke(
-        cli, [*args, "--cache-dir", str(workspace / "cache")], catch_exceptions=False
-    )
+    return runner.invoke([*args, "--cache-dir", str(workspace / "cache")])
 
 
 class TestExitCodes:
@@ -89,7 +115,7 @@ class TestExitCodes:
         assert result.exit_code == 0
 
     def test_parse_diagnostics_exit_two(self, runner, workspace):
-        result = runner.invoke(cli, ["group", "info", str(workspace / "broken.json")])
+        result = runner.invoke(["group", "info", str(workspace / "broken.json")])
         assert result.exit_code == 2
         assert "not unitary" in result.stderr
 
@@ -258,7 +284,7 @@ class TestIgnoredCacheDir:
         monkeypatch.setenv("ORBIFILL_CACHE_DIR", str(env_dir))
         command, action, doc, *rest = query
         args = [command, action, str(workspace / doc), *rest, "--format", "json"]
-        plain = runner.invoke(cli, args, catch_exceptions=False)
+        plain = runner.invoke(args)
         with_dir = invoke(runner, workspace, *args)
         assert plain.exit_code == with_dir.exit_code
         assert plain.stdout == with_dir.stdout
@@ -268,7 +294,7 @@ class TestIgnoredCacheDir:
 
     def test_cache_dir_hidden_from_help(self, runner):
         for command in ("group", "span"):
-            result = runner.invoke(cli, [command, "--help"])
+            result = runner.invoke([command, "--help"])
             assert result.exit_code == 0
             assert "--cache-dir" not in result.stdout
 
@@ -369,5 +395,73 @@ class TestCommands:
         assert products == []
 
     def test_version(self, runner):
-        result = runner.invoke(cli, ["--version"])
+        result = runner.invoke(["--version"])
         assert result.exit_code == 0 and "orbifill" in result.output
+
+
+class TestCommandLine:
+    """The parts of the command-line contract that do not depend on a command's
+    output: version text, usage errors exit 2, help exits 0."""
+
+    def test_version_text(self, runner):
+        result = runner.invoke(["--version"])
+        assert result.exit_code == 0
+        assert result.stdout == "orbifill, version 0.1.0\n"
+
+    def test_no_command_exits_two(self, runner):
+        result = runner.invoke([])
+        assert result.exit_code == 2
+        assert result.stdout == "" and "usage: orbifill" in result.stderr
+
+    def test_unknown_action_exits_two(self, runner, workspace):
+        result = invoke(runner, workspace, "group", "describe", str(workspace / "q8.json"))
+        assert result.exit_code == 2
+        assert "invalid choice: 'describe'" in result.stderr
+
+    def test_missing_document_exits_two(self, runner, workspace):
+        result = invoke(runner, workspace, "group", "info", str(workspace / "absent.json"))
+        assert result.exit_code == 2
+        assert "absent.json' does not exist" in result.stderr
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command", [[], ["group"], ["cr"], ["reeb"], ["ledger"], ["span"],
+                                         ["constraints"]], ids=lambda c: c[0] if c else "top")
+    def test_help_exits_zero(self, runner, command):
+        result = runner.invoke([*command, "--help"])
+        assert result.exit_code == 0
+        assert result.stdout.startswith(" ".join(["usage: orbifill", *command]))
+
+    def test_each_line_is_one_write(self, monkeypatch):
+        # On an unbuffered stdout, a reader that closes the pipe after the
+        # report would fail a separate write of the final newline.
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        cli_module._emit({"a": 1}, "json")
+        cli_module._emit({"a": 1}, "table")
+        assert writes == ['{\n  "a": 1\n}\n', "a: 1\n"]
+
+    def test_options_may_precede_an_optional_path(self, runner, workspace):
+        target = str(workspace / "q8.json")
+        before = invoke(runner, workspace, "cr", "sectors", "--format", "json", target)
+        after = invoke(runner, workspace, "cr", "sectors", target, "--format", "json")
+        assert before.exit_code == after.exit_code == 0
+        assert before.stdout == after.stdout
+
+
+def test_import_loads_neither_click_nor_dataclasses():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = "import sys, orbifill.cli; print([m for m in ('click', 'dataclasses') if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

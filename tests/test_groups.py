@@ -458,9 +458,12 @@ def commuting_reflections():
 class TestIntegerKeys:
     @pytest.fixture(scope="class")
     def groups(self):
+        # BD200 and the Wolf-type products have long runs of classes that tie
+        # on (age, size), which the Fraction tie-break orders.
         docs = [times_scalars(quaternion(), 3), times_scalars(quaternion(), 5),
-                times_scalars(binary_dihedral(3), 5), binary_tetrahedral(),
-                commuting_reflections()]
+                times_scalars(quaternion(), 7), times_scalars(binary_dihedral(3), 5),
+                times_scalars(binary_dihedral(5), 7), binary_dihedral(50),
+                binary_tetrahedral(), commuting_reflections()]
         return battery_48() + [build(d) for d in docs]
 
     def test_keys_hold_only_ints(self, groups):
