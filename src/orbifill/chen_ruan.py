@@ -108,9 +108,11 @@ def build_ring(group: FiniteUnitaryGroup, convention: CupConvention = DEFAULT_CO
     """
     sectors = twisted_sectors(group)
     ring = CRRing(group, sectors, convention)
-    ages = [s.age for s in sectors]
+    # Ages as ints, scaled to the lcm of their denominators.
+    scale = math.lcm(*(s.age.denominator for s in sectors))
+    ages = [s.age.numerator * (scale // s.age.denominator) for s in sectors]
     inv = [group.inverse_index(h) for h in range(group.order)]
-    class_of = [group.class_position(h) for h in range(group.order)]
+    inv_class = [group.class_position(h) for h in inv]
     full = convention is CupConvention.FULL_PAIR_SUM
     conj = group.conjugation_maps() if full else None
     count = len(sectors)
@@ -119,14 +121,14 @@ def build_ring(group: FiniteUnitaryGroup, convention: CupConvention = DEFAULT_CO
     }
     for k in range(1, count):
         rep = sectors[k].class_ref.representative_index
-        # r[h1] = rep^-1 * h1, so h1^-1 * rep = inv[r[h1]].
+        # r[h1] = rep^-1 * h1, so h1^-1 * rep = inv[r[h1]], in class inv_class[r[h1]].
         r = group.row(inv[rep])
         for i in range(1, count):
             age_j = ages[k] - ages[i]
             if age_j <= 0:
                 continue
             for h1 in sectors[i].class_ref.member_indices:
-                j = class_of[inv[r[h1]]]
+                j = inv_class[r[h1]]
                 if ages[j] != age_j:
                     continue
                 weight = len(conjugation_orbit(conj, (h1, rep))) if full else 1
@@ -134,7 +136,7 @@ def build_ring(group: FiniteUnitaryGroup, convention: CupConvention = DEFAULT_CO
                 terms[k] = terms.get(k, 0) + weight
     for (i, j), terms in contributions.items():
         for k in terms:
-            if sectors[k].degree != sectors[i].degree + sectors[j].degree:
+            if ages[k] != ages[i] + ages[j]:
                 raise InternalInconsistency("cup product term violates degree additivity")
         ring.structure_constants[(i, j)] = tuple(
             (k, Fraction(c)) for k, c in sorted(terms.items())
@@ -163,49 +165,67 @@ def associativity_sweep(ring: CRRing):
     Every constant is scaled by D, the lcm of their denominators, so both
     evaluations are integers scaled by D^2 and compare exactly. Triples that
     contain the unit sector 0 pass by the unit law and are not evaluated.
+    For each (a, b), both sides are summed at once over the c with a nonzero
+    [t][c] for some t in [a][b] or a nonzero [b][c], keyed by the int
+    c * count + u; every other c gives 0 on both sides. When the sums differ
+    by a nonzero term, the smallest such c gives the failing triple.
     """
     count = ring.sector_count()
-    scale = math.lcm(1, *(c.denominator for terms in ring.structure_constants.values()
-                          for _, c in terms))
-    prod = [[[(t, int(c * scale)) for t, c in cr_cup(ring, a, b)] for b in range(count)]
-            for a in range(count)]
+    constants = ring.structure_constants
+    scale = math.lcm(1, *(c.denominator for terms in constants.values() for _, c in terms))
+    # prod[a][b]: [a][b] scaled by D, the unit sector 0 included.
+    prod = [[[(b, scale)] for b in range(count)]]
+    for a in range(1, count):
+        prod.append([[(a, scale)]] + [
+            [(t, c.numerator * (scale // c.denominator)) for t, c in constants[(a, b)]]
+            for b in range(1, count)
+        ])
+    # support[t]: the nonzero products [t][c], c >= 1, as (c * count, u, coefficient).
+    support = [[(c * count, u, y) for c in range(1, count) for u, y in prod[t][c]]
+               for t in range(count)]
     for a in range(1, count):
         row_a = prod[a]
         for b in range(1, count):
-            ab = row_a[b]
-            row_b = prod[b]
-            for c in range(1, count):
-                bc = row_b[c]
-                if not ab and not bc:
-                    continue
-                left: dict[int, int] = {}
-                for t, x in ab:
-                    for u, y in prod[t][c]:
-                        left[u] = left.get(u, 0) + x * y
-                right: dict[int, int] = {}
-                for t, x in bc:
-                    for u, y in row_a[t]:
-                        right[u] = right.get(u, 0) + x * y
-                if left == right:
-                    continue
-                left = {u: v for u, v in left.items() if v}
-                right = {u: v for u, v in right.items() if v}
-                if left != right:
-                    square = scale * scale
-                    return False, {
-                        "triple": (a, b, c),
-                        "left": {u: Fraction(v, square) for u, v in left.items()},
-                        "right": {u: Fraction(v, square) for u, v in right.items()},
-                    }
+            left: dict[int, int] = {}
+            for t, x in row_a[b]:
+                for base, u, y in support[t]:
+                    left[base + u] = left.get(base + u, 0) + x * y
+            right: dict[int, int] = {}
+            for base, t, x in support[b]:
+                for u, y in row_a[t]:
+                    right[base + u] = right.get(base + u, 0) + x * y
+            if left == right:
+                continue
+            # The smallest c at which the sides differ by a nonzero term.
+            c = min((key // count for key in left.keys() | right.keys()
+                     if left.get(key, 0) != right.get(key, 0)), default=None)
+            if c is not None:
+                square = scale * scale
+                return False, {
+                    "triple": (a, b, c),
+                    "left": _terms_at(left, c, count, square),
+                    "right": _terms_at(right, c, count, square),
+                }
     return True, None
 
 
+def _terms_at(terms: dict[int, int], c: int, count: int, square: int) -> dict[int, Fraction]:
+    """The nonzero terms of one c, keyed by u, from terms keyed c * count + u."""
+    return {key % count: Fraction(v, square) for key, v in terms.items()
+            if key // count == c and v}
+
+
 def commutativity_check(ring: CRRing):
-    """Flag any sector pair whose products differ as coefficient multisets."""
+    """Flag the first sector pair whose products differ as coefficient
+    multisets. Products with the unit sector commute by the unit law, and a
+    failing pair (i, j) with j < i would have been found as (j, i) first,
+    so only the constants of pairs 1 <= i < j are compared."""
+    constants = ring.structure_constants
     count = ring.sector_count()
-    for i in range(count):
-        for j in range(count):
-            if dict(cr_cup(ring, i, j)) != dict(cr_cup(ring, j, i)):
+    for i in range(1, count):
+        for j in range(i + 1, count):
+            ij, ji = constants[(i, j)], constants[(j, i)]
+            if ij != ji and dict(ij) != dict(ji):
                 return False, (i, j)
     return True, None
 

@@ -248,7 +248,9 @@ class FiniteUnitaryGroup:
         return self._inverses[i]
 
     def element_order(self, i: int) -> int:
-        """Order of element i, read over F_p; see :meth:`_ModularReduction.order`."""
+        """Order of element i, read off its eigen data over F_p. Reduction mod
+        p sends to I only elements of p-power order, and p = 1 (mod |G|) does
+        not divide |G|, so it is injective on G and keeps orders."""
         return self.eigen_multiplicities(i).order
 
     # -- conjugacy structure ---------------------------------------------------
@@ -317,34 +319,17 @@ class FiniteUnitaryGroup:
         return _ModularReduction(self)
 
     def eigen_multiplicities(self, i: int) -> EigenData:
-        """Multiplicity of each eigenvalue zeta_o^m, read over F_p as
-        mult(m) = n - rank(g - w_o^m I); see :class:`_ModularReduction`."""
+        """Multiplicity of each eigenvalue zeta_o^m, read over F_p as a root
+        of the characteristic polynomial; see :class:`_ModularReduction`.
+        The order o is |G| / gcd(|G|, exponents): the reduced element is
+        diagonalizable, so its order is the lcm of its eigenvalues' orders."""
         self._require_enumerated()
         cached = self._eigen.get(i)
         if cached is not None:
             return cached
-        red = self._reduction
-        g = red.matrices[i]
-        o = red.order(g, i)
-        w, lam = pow(red.root, red.lcm // o, red.prime), 1
-        n_dim = self.dimension
-        mults: dict[int, int] = {}
-        total = 0
-        for m in range(o):
-            mult = n_dim - red.rank_shifted(g, lam)
-            if mult:
-                mults[m] = mult
-                total += mult
-                # Eigenspaces of distinct eigenvalues are independent, so
-                # once they fill F_p^n no other exponent can occur.
-                if total >= n_dim:
-                    break
-            lam = lam * w % red.prime
-        if total != n_dim:
-            raise InternalInconsistency(
-                f"eigenvalue multiplicities of element {i} sum to {total}, not {n_dim}"
-            )
-        data = EigenData(i, o, mults)
+        exponents = self._reduction.eigen_exponents(self._reduction.matrices[i])
+        step = math.gcd(self.order, *exponents)
+        data = EigenData(i, self.order // step, {j // step: m for j, m in exponents.items()})
         self._eigen[i] = data
         return data
 
@@ -450,46 +435,69 @@ class _ModularReduction:
     """The ring map Z[1/D][zeta_L] -> F_p, zeta_L -> w_L, for one group.
 
     L = lcm(N, |G|); p is the smallest prime = 1 (mod L) above n that divides
-    no generator denominator, and ``root`` is w_L, a primitive L-th root of
-    unity mod p. Since o | p - 1 for every element order o, reduced elements
-    are diagonalizable over F_p with the eigenvalue zeta_o^m sent to
-    w_o^m = w_L^(mL/o), so the ranks below give exact multiplicities (README,
-    Conventions). ``matrices[i]`` is element i mod p, replayed along the
-    parent chain from the reduced generators.
+    no generator denominator, and w_L is a primitive L-th root of unity mod
+    p. ``matrices[i]`` is element i mod p, replayed along the parent chain
+    from the reduced generators. Every eigenvalue of an element is a |G|-th
+    root of unity (g^|G| = I), so ``powers[j]`` = w^j for the primitive
+    |G|-th root w = w_L^(L/|G|) lists them all; the eigenvalue zeta_o^m goes
+    to w^(m |G|/o). Since p = 1 (mod |G|), x^|G| - 1 is separable mod p, so
+    reduced elements are diagonalizable over F_p, and the reduction keeps
+    eigenvalue multiplicities (README, Conventions).
     """
 
-    __slots__ = ("prime", "lcm", "factors", "root", "matrices")
+    __slots__ = ("prime", "matrices", "powers")
 
     def __init__(self, group: FiniteUnitaryGroup):
-        self.lcm = L = math.lcm(group.conductor, group.order)
-        self.prime, self.root = p, root = _split_prime(L, _denominator(group), group.dimension)
-        self.factors = _prime_factors(L)
+        L = math.lcm(group.conductor, group.order)
+        p, root = _split_prime(L, _denominator(group), group.dimension)
+        self.prime = p
         residues = _ResidueMap(group.conductor, p, pow(root, L // group.conductor, p))
         self.matrices = residues.replay(group, group._parents)
+        w = pow(root, L // group.order, p)
+        powers = [1]
+        for _ in range(group.order - 1):
+            powers.append(powers[-1] * w % p)
+        self.powers = powers
 
-    def order(self, g: Residues, i: int) -> int:
-        """Multiplicative order of g, the reduction of element i, which is the
-        element's order: reduction mod p sends to I only elements of p-power
-        order, and p = 1 (mod |G|) does not divide |G|, so it is injective on
-        G. Divide each prime q out of o = L while g^(o/q) = I."""
-        one = _identity_mod(len(g))
-        if self._power(g, self.lcm) != one:
-            raise InternalInconsistency(f"element {i} does not satisfy g^L = I mod {self.prime}")
-        o = self.lcm
-        for q in self.factors:
-            while o % q == 0 and self._power(g, o // q) == one:
-                o //= q
-        return o
+    def eigen_exponents(self, g: Residues) -> dict[int, int]:
+        """{j: multiplicity} of the eigenvalues w^j of g, in ascending j.
 
-    def _power(self, g: Residues, e: int) -> Residues:
-        """g^e for e >= 1, by square-and-multiply over the bits of e."""
-        p, g_columns = self.prime, _columns(g)
-        out = g
-        for bit in bin(e)[3:]:
-            out = _mul_mod(out, _columns(out), p)
-            if bit == "1":
-                out = _mul_mod(out, g_columns, p)
-        return out
+        The roots of the characteristic polynomial are looked for among the
+        powers of w in ascending order, and the polynomial is deflated at
+        each root until its degree is 0. A repeated root is confirmed by one
+        rank, n - rank(g - w^j I) = multiplicity; a simple root's eigenspace
+        is a line. InternalInconsistency is raised unless g is
+        diagonalizable with |G|-th roots of unity as eigenvalues, as every
+        reduced element is.
+        """
+        p = self.prime
+        poly = _charpoly(g, p)
+        found: dict[int, int] = {}
+        for j, lam in enumerate(self.powers):
+            if len(poly) == 1:
+                break
+            value = 0
+            for c in poly:
+                value = (value * lam + c) % p
+            if value:
+                continue
+            mult = 0
+            quotient, value = _divide(poly, lam, p)
+            while not value:
+                poly, mult = quotient, mult + 1
+                quotient, value = _divide(poly, lam, p)
+            if mult > 1 and len(g) - self.rank_shifted(g, lam) != mult:
+                raise InternalInconsistency(
+                    f"a reduced element is not diagonalizable mod {p}: the eigenvalue "
+                    f"w^{j} has multiplicity {mult} but a smaller eigenspace"
+                )
+            found[j] = mult
+        if len(poly) > 1:
+            raise InternalInconsistency(
+                f"a reduced element has eigenvalues mod {p} that are not "
+                f"{len(self.powers)}-th roots of unity"
+            )
+        return found
 
     def rank_shifted(self, g: Residues, lam: int) -> int:
         """rank over F_p of g - lam * I."""
@@ -506,6 +514,30 @@ class _ModularReduction:
             inv = pow(pivot_row[col], -1, p)
             rows = [[(x - r[col] * inv * y) % p for x, y in zip(r, pivot_row)] for r in rows]
         return rank
+
+
+def _charpoly(g: Residues, p: int) -> list[int]:
+    """det(xI - g) over F_p as [1, c_(n-1), ..., c_0], by Faddeev-LeVerrier:
+    M_1 = I, c_(n-k) = -tr(g M_k) / k and M_(k+1) = g M_k + c_(n-k) I. The
+    divisions by k <= n need p > n."""
+    n = len(g)
+    poly, m = [1], _identity_mod(n)
+    for k in range(1, n + 1):
+        gm = _mul_mod(g, _columns(m), p)
+        c = -sum(gm[r][r] for r in range(n)) * pow(k, -1, p) % p
+        poly.append(c)
+        m = tuple(tuple((x + c) % p if r == s else x for s, x in enumerate(row))
+                  for r, row in enumerate(gm))
+    return poly
+
+
+def _divide(poly: list[int], root: int, p: int) -> tuple[list[int], int]:
+    """poly = (x - root) * quotient + poly(root) over F_p: (quotient,
+    poly(root)), by synthetic division."""
+    out = [poly[0]]
+    for c in poly[1:]:
+        out.append((out[-1] * root + c) % p)
+    return out[:-1], out[-1]
 
 
 def _split_prime(order: int, avoid: int, floor: int) -> tuple[int, int]:

@@ -75,28 +75,30 @@ def reference_constants(group, convention):
     return constants
 
 
+def reference_sides(ring, a, b, c):
+    """([a][b])[c] and [a]([b][c]) in Fractions through cr_cup, with any
+    zero-valued terms kept."""
+    left, right = {}, {}
+    for t, x in cr_cup(ring, a, b):
+        for u, y in cr_cup(ring, t, c):
+            left[u] = left.get(u, Fraction(0)) + x * y
+    for t, x in cr_cup(ring, b, c):
+        for u, y in cr_cup(ring, a, t):
+            right[u] = right.get(u, Fraction(0)) + x * y
+    return left, right
+
+
 def reference_sweep(ring):
     """Exact reference for the associativity sweep: every triple, in
     lexicographic order, evaluated in Fractions through cr_cup."""
-
-    def cup_linear(terms, j):
-        out = {}
-        for s, c in terms:
-            for t, d in cr_cup(ring, s, j):
-                out[t] = out.get(t, Fraction(0)) + c * d
-        return {k: v for k, v in out.items() if v}
-
     count = ring.sector_count()
     for a in range(count):
         for b in range(count):
-            ab = cr_cup(ring, a, b)
             for c in range(count):
-                left = cup_linear(ab, c)
-                right = {}
-                for t, d in cr_cup(ring, b, c):
-                    for u, e in cr_cup(ring, a, t):
-                        right[u] = right.get(u, Fraction(0)) + d * e
-                right = {k: v for k, v in right.items() if v}
+                left, right = (
+                    {k: v for k, v in side.items() if v}
+                    for side in reference_sides(ring, a, b, c)
+                )
                 if left != right:
                     return False, {"triple": (a, b, c), "left": left, "right": right}
     return True, None
@@ -271,6 +273,36 @@ class TestAgainstReference:
                     for key, terms in ring.structure_constants.items()
                 }
                 assert associativity_sweep(ring) == reference_sweep(ring), (g.name, convention)
+
+    def test_sweep_reports_smallest_c(self):
+        # mu7 on C^2 multiplies c_a * c_b = c_(a+b) for a + b < 7. Three
+        # perturbed constants: [2][1] gains the zero-valued term 0 * c4, so
+        # (1, 1, 1) and (1, 2, 1) differ only by zero-valued terms, and [3][2]
+        # and [3][3] are rescaled, so (1, 2, 2) and (1, 2, 3) both fail. The
+        # sweep must pass over (1, 1) and report c = 2 for (1, 2).
+        ring = build_ring(build(scalar_cyclic(7)), CupConvention.ORBIT_REPRESENTATIVE_SUM)
+        assert all(ring.structure_constants[(a, b)] == (((a + b, 1),) if a + b < 7 else ())
+                   for a in range(1, 7) for b in range(1, 7))
+        ring.structure_constants.update({
+            (2, 1): ((3, Fraction(1)), (4, Fraction(0))),
+            (3, 2): ((5, Fraction(1, 2)),),
+            (3, 3): ((6, Fraction(3, 2)),),
+        })
+
+        def verdict(a, b, c):
+            left, right = reference_sides(ring, a, b, c)
+            if left == right:
+                return "equal"
+            nonzero = [{k: v for k, v in side.items() if v} for side in (left, right)]
+            return "zero terms" if nonzero[0] == nonzero[1] else "fail"
+
+        assert [verdict(1, 1, c) for c in range(1, 7)] == ["zero terms"] + ["equal"] * 5
+        assert [verdict(1, 2, c) for c in range(1, 4)] == ["zero terms", "fail", "fail"]
+        result = associativity_sweep(ring)
+        assert result == reference_sweep(ring)
+        assert result[1]["triple"] == (1, 2, 2)
+        # [1][2] = c3 and [2][1] = c3 + 0 * c4 differ as coefficient maps.
+        assert commutativity_check(ring) == (False, (1, 2))
 
     def test_conventions_differ_on_z7_semidirect_z9(self):
         # Both rings pass the sweep, but 13 of the 14 nonzero ordered

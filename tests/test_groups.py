@@ -90,6 +90,36 @@ def character_formula(group, i):
     return o, mults
 
 
+def rank_reading(group, i):
+    """Reference for eigen data, read as before the characteristic
+    polynomial: the order o by powering the reduced matrix until it is I,
+    then one rank per candidate exponent, mult(m) = n - rank(g - w_o^m I)
+    for m = 0, 1, ..., until the multiplicities sum to n."""
+    red, n = group._reduction, group.dimension
+    p, g = red.prime, red.matrices[i]
+    identity = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+    power, o = g, 1
+    while power != identity:
+        power = tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in zip(*g))
+                      for row in power)
+        o += 1
+        assert o <= group.order, (group.name, i)
+    lcm = math.lcm(group.conductor, group.order)
+    _, root = groups._split_prime(lcm, groups._denominator(group), n)
+    w, lam = pow(root, lcm // o, p), 1
+    mults, total = {}, 0
+    for m in range(o):
+        mult = n - red.rank_shifted(g, lam)
+        if mult:
+            mults[m] = mult
+            total += mult
+            if total == n:
+                break
+        lam = lam * w % p
+    assert total == n, (group.name, i)
+    return o, mults
+
+
 def pythagorean_klein():
     """{+-I, +-R} with R the reflection [[3/5, 4/5], [4/5, -3/5]]. L = 4, and
     5, the first prime = 1 (mod 4), divides the entries' denominators."""
@@ -184,8 +214,9 @@ class TestEnumeration:
         ids=["diag(2,1)", "unipotent"],
     )
     def test_non_group_element_is_internal(self, doc, entries):
-        # Neither matrix has finite order dividing L = lcm(N, |G|) mod the
-        # eigen prime (2 has order 9 mod 73 for 2T), so no order exists.
+        # Neither matrix is diagonalizable with |G|-th roots of unity as
+        # eigenvalues mod the eigen prime (2 has order 9 mod 73, and 2T has
+        # order 24), so no order exists.
         # The eigen code reads element i as its replayed matrix mod p.
         g = build(doc)
         i = 3
@@ -357,6 +388,44 @@ class TestEigenData:
             data = g.eigen_multiplicities(i)
             assert (data.order, data.multiplicities) == (o, mults), (g.name, i)
             assert g.fixed_space_dimension(i) == mults.get(0, 0), (g.name, i)
+
+    def test_against_rank_reading(self):
+        docs = [z7_semidirect_z9(), times_scalars(quaternion(), 3),
+                times_scalars(quaternion(), 5), times_scalars(binary_dihedral(3), 5),
+                times_scalars(binary_tetrahedral(), 5), scalar_cyclic(500)]
+        for g in battery_48() + [build(d) for d in docs]:
+            for i in range(g.order):
+                data = g.eigen_multiplicities(i)
+                o, mults = rank_reading(g, i)
+                assert (data.order, list(data.multiplicities.items())) == (
+                    o, list(mults.items())), (g.name, i)
+
+    def test_reduced_matrix_not_diagonalizable(self):
+        red = build(quaternion())._reduction
+        with pytest.raises(InternalInconsistency, match="not diagonalizable"):
+            red.eigen_exponents(((1, 1), (0, 1)))
+
+    def test_reduced_eigenvalue_not_a_root_of_unity(self):
+        # Q8: the eigenvalues of its elements are 8th roots of unity mod 17.
+        red = build(quaternion())._reduction
+        stray = next(x for x in range(2, red.prime) if x not in red.powers)
+        with pytest.raises(InternalInconsistency, match="not 8-th roots of unity"):
+            red.eigen_exponents(((stray, 0), (0, 1)))
+        with pytest.raises(InternalInconsistency, match="not 8-th roots of unity"):
+            red.eigen_exponents(((1, 0), (0, stray)))
+
+    def test_at_most_dimension_ranks_per_element(self, monkeypatch):
+        # The exponent scan this replaced made up to o ranks per element,
+        # 1.1M for the classes of mu2000.
+        g = build(scalar_cyclic(500))
+        calls = []
+        rank = groups._ModularReduction.rank_shifted
+        monkeypatch.setattr(groups._ModularReduction, "rank_shifted",
+                            lambda red, m, lam: calls.append(lam) or rank(red, m, lam))
+        for cls in g.classes:
+            g.eigen_multiplicities(cls.representative_index)
+        assert len(g.classes) == 500
+        assert 0 < len(calls) <= g.dimension * len(g.classes)
 
     def test_reduction_prime_skips_denominators(self):
         g = build(pythagorean_klein())
