@@ -60,7 +60,6 @@ from .groups import (
     ConjugacyClass,
     EigenData,
     FiniteUnitaryGroup,
-    UnitaryElement,
     canonical_document,
     document_digest,
     enumerate_group,

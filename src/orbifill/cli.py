@@ -158,6 +158,15 @@ def _at_least(low):
     return integer
 
 
+def rational(text):
+    """A Fraction from text; ValueError, not ZeroDivisionError, for p/0. As
+    an argparse type it makes a bad value a usage error (exit 2)."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+
+
 def _document(text):
     if not os.path.exists(text):
         raise argparse.ArgumentTypeError(f"file {text!r} does not exist")
@@ -355,7 +364,7 @@ def cr_cmd(action, path, convention, betti, singularities, coefficient, fmt, max
 
 @_command("reeb", _arg("action", choices=["report", "discrepancy", "components"]),
           _arg("path", type=_document),
-          _arg("--bound", default="3", help="period bound (rational, units of 2*pi)"),
+          _arg("--bound", type=rational, default="3", help="period bound (rational, units of 2*pi)"),
           FORMAT, *GROUP_OPTIONS)
 def reeb_cmd(action, path, bound, fmt, max_order, cache_dir):
     """Reeb orbit families, indices, discrepancy, loop components."""
@@ -377,7 +386,7 @@ def reeb_cmd(action, path, bound, fmt, max_order, cache_dir):
             fmt,
         )
         return
-    families = families_below(group, Fraction(bound))
+    families = families_below(group, bound)
     discrepancy = None
     if group.order != 1:
         disc, verdict = mclean_discrepancy(group)
@@ -385,7 +394,7 @@ def reeb_cmd(action, path, bound, fmt, max_order, cache_dir):
     _emit(
         {
             "metadata": _metadata(digest),
-            "bound": str(Fraction(bound)),
+            "bound": str(bound),
             "families": [
                 {
                     "class": f.class_label,
@@ -415,7 +424,7 @@ def _parse_profiles(specs):
             raise ValueError(
                 f"profile {spec!r} must look like CLASS:PERIOD=idx,idx,..."
             )
-        profiles[(label, Fraction(period))] = tuple(int(i) for i in tail.split(","))
+        profiles[(label, rational(period))] = tuple(int(i) for i in tail.split(","))
     return profiles
 
 
@@ -423,7 +432,7 @@ def _parse_profiles(specs):
     "ledger",
     _arg("action", choices=["build"]),
     _arg("path", type=_document),
-    _arg("--slope", required=True, help="Hamiltonian slope (rational, off the spectrum)"),
+    _arg("--slope", type=rational, required=True, help="Hamiltonian slope (rational, off the spectrum)"),
     _arg("--profile", dest="profiles", action="append", default=[],
          help="Morse cell profile per family, e.g. 'Id:1=0,3' (default: min and top cell)"),
     _arg("--coefficient", default="Q", help="coefficient ring for the vanishing verdict"),
@@ -434,7 +443,7 @@ def ledger_cmd(action, path, slope, profiles, coefficient, fmt, max_order, cache
     """Assemble the generator ledger at a slope, with forced differentials."""
     group, digest = _load_group(path, max_order, cache_dir)
     ring = CoefficientRing.parse(coefficient)
-    ledger = build_ledger(group, Fraction(slope), _parse_profiles(profiles))
+    ledger = build_ledger(group, slope, _parse_profiles(profiles))
     entries = known_differentials(ledger)
     report = check_ledger(ledger, entries)
     _emit(

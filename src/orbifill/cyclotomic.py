@@ -2,14 +2,12 @@
 
 Values are stored in the power basis 1, z, ..., z^(phi(N)-1) reduced modulo
 the N-th cyclotomic polynomial Phi_N, as int numerators over one positive int
-denominator with no common factor, so arithmetic, hashing and comparison run
-on ints. Everything is exact; no floating point enters this module (a decimal
-rendering for display is the lone, clearly-marked exception).
+denominator with no common factor, so arithmetic and comparison run on ints.
+Everything is exact; no floating point enters this module.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -101,12 +99,13 @@ def _sparse_reduction(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         else:
             lead = row.get(d - 1, 0)
             row = {i + 1: r for i, r in row.items() if i + 1 < d}
-            for i, c in fold:
-                v = row.get(i, 0) - lead * c
-                if v:
-                    row[i] = v
-                else:
-                    row.pop(i, None)
+            if lead:
+                for i, c in fold:
+                    v = row.get(i, 0) - lead * c
+                    if v:
+                        row[i] = v
+                    else:
+                        row.pop(i, None)
         rows.append(tuple(row.items()))
     return tuple(rows)
 
@@ -131,10 +130,12 @@ class CyclotomicNumber:
     and an int ``den > 0`` with gcd(den, *nums) == 1; zero is (0, ..., 0)/1.
     This normal form is unique at each conductor. Instances are immutable.
     Equality compares underlying field elements: representations at
-    different conductors are lifted to the lcm first.
+    different conductors are lifted to the lcm first. Values are not
+    hashable, since equal values at different conductors have different
+    normal forms.
     """
 
-    __slots__ = ("conductor", "nums", "den", "_minimal")
+    __slots__ = ("conductor", "nums", "den")
 
     def __init__(self, conductor: int, nums, den: int = 1):
         nums = tuple(nums)
@@ -152,13 +153,6 @@ class CyclotomicNumber:
         self.conductor = conductor
         self.nums = nums
         self.den = den
-        self._minimal = None
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def rational(value) -> "CyclotomicNumber":
-        return make(1, [(value, 0)])
 
     def __repr__(self):
         return f"cyclo({self.conductor}, {self.to_literal()!r})"
@@ -175,12 +169,6 @@ class CyclotomicNumber:
 
     def __bool__(self):
         return not self.is_zero()
-
-    def as_rational(self):
-        """The Fraction value if this element is rational, else None."""
-        if any(self.nums[1:]):
-            return None
-        return Fraction(self.nums[0], self.den)
 
     # -- conductor handling --------------------------------------------------
 
@@ -200,34 +188,6 @@ class CyclotomicNumber:
                 acc[i] += c * r
         return CyclotomicNumber(conductor, acc, self.den)
 
-    def minimal(self) -> "CyclotomicNumber":
-        """The equal value at the smallest conductor dividing this one."""
-        if self._minimal is None:
-            if self.as_rational() is not None:
-                out = CyclotomicNumber(1, self.nums[:1], self.den)
-            else:
-                out = self
-                for d in divisors(self.conductor)[:-1]:
-                    cand = self._at_conductor(d)
-                    if cand is not None:
-                        out = cand
-                        break
-            self._minimal = out
-        return self._minimal
-
-    def _at_conductor(self, d: int):
-        # Solve for coordinates of self in the basis zeta_d^j, j < phi(d),
-        # inside Q(zeta_N); returns None when self lies outside Q(zeta_d).
-        n = self.conductor
-        red = _reduction_table(n)
-        cols = euler_phi(d)
-        mat = [[red[(n // d) * j][i] for j in range(cols)] for i in range(euler_phi(n))]
-        sol = _solve_exact(mat, self.nums)
-        if sol is None:
-            return None
-        nums, den = sol
-        return CyclotomicNumber(d, nums, den * self.den)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _pair(self, other):
@@ -236,7 +196,7 @@ class CyclotomicNumber:
                 return self, other
             b = other
         elif isinstance(other, (int, Fraction)):
-            b = CyclotomicNumber.rational(other)
+            b = make(1, [(other, 0)])
         else:
             return None, None
         lcm = math.lcm(self.conductor, b.conductor)
@@ -258,9 +218,6 @@ class CyclotomicNumber:
         if a is None:
             return NotImplemented
         return _combine(a, b, -1)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
 
     def __mul__(self, other):
         a, b = self._pair(other)
@@ -297,27 +254,6 @@ class CyclotomicNumber:
         nums = [c * self.den for c in s] + [0] * (euler_phi(n) - len(s))
         return CyclotomicNumber(n, nums, g)
 
-    def __truediv__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return a * b.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = CyclotomicNumber.rational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def galois(self, k: int) -> "CyclotomicNumber":
         """Apply the field automorphism zeta_N -> zeta_N^k, gcd(k, N) = 1."""
         n = self.conductor
@@ -348,13 +284,6 @@ class CyclotomicNumber:
         a, b = self._pair(other)
         return a.den == b.den and a.nums == b.nums
 
-    def __hash__(self):
-        r = self.as_rational()
-        if r is not None:
-            return hash(r)
-        m = self.minimal()
-        return hash((m.conductor, m.den, m.nums))
-
     # -- rendering -----------------------------------------------------------
 
     def to_literal(self) -> str:
@@ -370,11 +299,6 @@ class CyclotomicNumber:
             else:
                 parts.append((" + " if c > 0 else " - ") + body)
         return "".join(parts) if parts else "0"
-
-    def approx(self) -> complex:
-        """Floating approximation, for display only."""
-        z = cmath.exp(2j * cmath.pi / self.conductor)
-        return complex(sum(c * z**e for e, c in enumerate(self.nums))) / self.den
 
 
 def _support(nums) -> list[tuple[int, int]]:
@@ -500,43 +424,6 @@ def _poly_sub(a, b):
     for i, y in enumerate(b):
         out[i] -= y
     return _poly_trim(out)
-
-
-def _solve_exact(mat, rhs):
-    # Fraction-free Gauss-Jordan elimination over Z, each row kept primitive.
-    # Returns (nums, den) with mat * nums = den * rhs when the system is
-    # consistent, else None. The columns passed here are always linearly
-    # independent (they are images of a field basis), so a consistent system
-    # has a unique solution.
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    aug = [list(mat[i]) + [rhs[i]] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        prow = aug[r]
-        pv = prow[c]
-        for i in range(rows):
-            f = aug[i][c]
-            if i != r and f:
-                row = [pv * x - f * y for x, y in zip(aug[i], prow)]
-                g = math.gcd(*row)
-                aug[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    if any(aug[i][cols] for i in range(r, rows)):
-        return None
-    den = math.lcm(*(aug[i][c] for i, c in enumerate(pivots)))
-    sol = [0] * cols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][cols] * (den // aug[i][c])
-    return sol, den
 
 
 # -- literal grammar ----------------------------------------------------------

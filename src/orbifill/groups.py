@@ -56,37 +56,6 @@ Matrix = tuple[tuple[CyclotomicNumber, ...], ...]
 Residues = tuple[tuple[int, ...], ...]
 
 
-class UnitaryElement:
-    """A group element: an n x n cyclotomic matrix with a canonical key."""
-
-    __slots__ = ("entries", "key")
-
-    def __init__(self, entries: Matrix):
-        self.entries = entries
-        # All entries of a group live at the document conductor, so the
-        # normal forms (den, nums) are a faithful canonical key of ints.
-        self.key = tuple((c.den, c.nums) for row in entries for c in row)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, UnitaryElement) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def trace(self) -> CyclotomicNumber:
-        t = self.entries[0][0]
-        for i in range(1, len(self.entries)):
-            t = t + self.entries[i][i]
-        return t
-
-    def to_literals(self) -> list[list[str]]:
-        return [[c.to_literal() for c in row] for row in self.entries]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n = len(a)
     nil = zero(math.lcm(a[0][0].conductor, b[0][0].conductor))
@@ -142,7 +111,8 @@ class EigenData(Record):
 
 
 class FiniteUnitaryGroup:
-    """A finite subgroup of U(n), staged as parsed-then-enumerated."""
+    """A finite subgroup of U(n), staged as parsed-then-enumerated.
+    ``generators`` are exact matrices at the group's one conductor."""
 
     def __init__(self, name, dimension, conductor, generators):
         self.name = name
@@ -154,7 +124,6 @@ class FiniteUnitaryGroup:
         self._key_map: _ResidueMap | None = None
         self._parents: list[tuple[int, int]] | None = None
         self._gen_cols: list[list[int]] | None = None
-        self._elements: list[UnitaryElement] | None = None
         self._mult_table = None
         self._inverses = None
         self._eigen: dict[int, EigenData] = {}
@@ -177,15 +146,6 @@ class FiniteUnitaryGroup:
         if not self.is_enumerated:
             raise InternalInconsistency("group is not enumerated yet")
 
-    @property
-    def elements(self) -> list[UnitaryElement]:
-        """The exact elements in index order, built on first read by one
-        exact product per element along the parent chain."""
-        self._require_enumerated()
-        if self._elements is None:
-            self._elements = [UnitaryElement(self._exact(i)) for i in range(self.order)]
-        return self._elements
-
     @cached_property
     def _exact_known(self) -> dict[int, Matrix]:
         return {0: mat_identity(self.dimension, self.conductor)}
@@ -200,20 +160,8 @@ class FiniteUnitaryGroup:
             i = self._parents[i][0]
         m = known[i]
         for c in reversed(chain):
-            m = known[c] = mat_mul(m, self.generators[self._parents[c][1]].entries)
+            m = known[c] = mat_mul(m, self.generators[self._parents[c][1]])
         return m
-
-    def element_index(self, element: UnitaryElement) -> int:
-        """Index of a member, looked up by its key mod p0. A non-member can
-        share a member's key, so the exact matrices are compared too."""
-        self._require_enumerated()
-        try:
-            idx = self._index.get(self._key_map.reduce(element.entries))
-        except ValueError:  # a denominator divisible by p0: not a member
-            idx = None
-        if idx is None or UnitaryElement(self._exact(idx)) != element:
-            raise InternalInconsistency("product escaped the enumerated closure")
-        return idx
 
     def row(self, i: int) -> list[int]:
         """[i * x for x in G], composed without matrix products.
@@ -390,7 +338,7 @@ class _ResidueMap:
         """The image of every element in index order, each the image of its
         parent times that of its generator."""
         m = self.modulus
-        gens = [_columns(self.reduce(g.entries)) for g in group.generators]
+        gens = [_columns(self.reduce(g)) for g in group.generators]
         out = [_identity_mod(group.dimension)]
         for parent, gi in parents[1:]:
             out.append(_mul_mod(out[parent], gens[gi], m))
@@ -428,7 +376,7 @@ def _inverse_mod(a: Residues, p: int) -> Residues:
 
 def _denominator(group: FiniteUnitaryGroup) -> int:
     """D: the lcm of the generator entries' denominators."""
-    return math.lcm(*(x.den for g in group.generators for row in g.entries for x in row))
+    return math.lcm(*(x.den for g in group.generators for row in g for x in row))
 
 
 class _ModularReduction:
@@ -609,15 +557,15 @@ def parse_group(document) -> FiniteUnitaryGroup:
                     parse_literal(entry, conductor, f"generators[{gi}][{ri}][{ci}]")
                 )
             rows.append(tuple(parsed))
-        element = UnitaryElement(tuple(rows))
-        _check_unitary(element, gi, conductor)
-        generators.append(element)
+        matrix = tuple(rows)
+        _check_unitary(matrix, gi)
+        generators.append(matrix)
     return FiniteUnitaryGroup(name, dimension, conductor, generators)
 
 
-def _check_unitary(element: UnitaryElement, generator_index: int, conductor: int):
-    product = mat_mul(mat_conj_transpose(element.entries), element.entries)
-    n = element.dimension
+def _check_unitary(matrix: Matrix, generator_index: int):
+    product = mat_mul(mat_conj_transpose(matrix), matrix)
+    n = len(matrix)
     for r in range(n):
         for c in range(n):
             if product[r][c] != (1 if r == c else 0):
@@ -635,7 +583,7 @@ def enumerate_group(group: FiniteUnitaryGroup, max_order: int = DEFAULT_MAX_ORDE
     dens = _denominator(group)
     key_map = _ResidueMap(group.conductor, *_split_prime(group.conductor, dens, 2))
     p0 = key_map.modulus
-    gens = [_columns(key_map.reduce(g.entries)) for g in group.generators]
+    gens = [_columns(key_map.reduce(g)) for g in group.generators]
     identity = _identity_mod(group.dimension)
     keys = [identity]
     index = {identity: 0}
@@ -685,7 +633,7 @@ def _certify(group: FiniteUnitaryGroup, dens: int, p0: int, parents, gen_cols):
     product; d is the largest number of generators with a denominator on one
     parent chain (module docstring)."""
     conductor = group.conductor
-    fractional = [any(x.den > 1 for row in g.entries for x in row) for g in group.generators]
+    fractional = [any(x.den > 1 for row in g for x in row) for g in group.generators]
     depth = [0]
     for parent, gi in parents[1:]:
         depth.append(depth[parent] + fractional[gi])
@@ -698,7 +646,7 @@ def _certify(group: FiniteUnitaryGroup, dens: int, p0: int, parents, gen_cols):
         modulus *= q
     residues = _ResidueMap(conductor, modulus, root)
     mats = residues.replay(group, parents)
-    gens = [_columns(residues.reduce(g.entries)) for g in group.generators]
+    gens = [_columns(residues.reduce(g)) for g in group.generators]
     for g, col in zip(gens, gen_cols):
         for x, y in enumerate(col):
             if _mul_mod(mats[x], g, modulus) != mats[y]:
@@ -733,7 +681,7 @@ def canonical_document(document) -> dict:
         "name": group.name,
         "dimension": group.dimension,
         "conductor": group.conductor,
-        "generators": [g.to_literals() for g in group.generators],
+        "generators": [[[x.to_literal() for x in row] for row in g] for g in group.generators],
     }
 
 

@@ -134,10 +134,14 @@ def families_below(group: FiniteUnitaryGroup, slope) -> list[OrbitFamily]:
     if is_on_spectrum(group, slope):
         raise SlopeOnSpectrum(f"slope {slope} is an admissible period")
     out = []
-    for pos in range(len(group.classes)):
-        for period, _ in _periods_below(group, pos, slope):
-            out.append(orbit_family(group, pos, period))
-    out.sort(key=lambda f: (f.class_position, f.period))
+    n = group.dimension
+    # One walk per class, in ascending period, with the running index of
+    # cz_family: n - 2*age + 2*(earlier fixed dims) + fixed_dim.
+    for pos, cls in enumerate(group.classes):
+        index = n - 2 * age(group, cls.representative_index)
+        for period, fixed in _periods_below(group, pos, slope):
+            out.append(OrbitFamily(cls.label, pos, period, fixed, index + fixed))
+            index += 2 * fixed
     return out
 
 
@@ -148,8 +152,7 @@ def cz_generator(cell: MorseCell, group: FiniteUnitaryGroup) -> tuple[Fraction, 
     family into cells replaces that last term by 1 + ind(x).
     """
     family = cell.family
-    base = cz_family(group, family.class_position, family.period)
-    mu = base - family.fixed_dim + 1 + cell.morse_index
+    mu = family.cz_index - family.fixed_dim + 1 + cell.morse_index
     return mu, group.dimension - mu
 
 

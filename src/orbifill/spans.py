@@ -442,6 +442,9 @@ def group_from_document(doc, loader=None) -> FiniteGroupTable:
     """A group in a span document: a table, a cyclic shorthand, or a
     reference to a unitary group document resolved by the loader."""
     if isinstance(doc, dict) and "table" in doc:
+        table = doc["table"]
+        if not (isinstance(table, list) and table and all(isinstance(r, list) for r in table)):
+            raise ParseError("multiplication table must be a non-empty list of rows")
         return FiniteGroupTable(doc["table"], name=doc.get("name", ""), validate=True)
     if isinstance(doc, dict) and "cyclic" in doc:
         k = doc["cyclic"]

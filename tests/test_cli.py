@@ -190,6 +190,18 @@ class TestSpanInputs:
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("table", [5, [1, 2], None, []],
+                             ids=["int", "flat-list", "null", "empty"])
+    def test_malformed_table_exits_two(self, runner, workspace, table):
+        # Empty image lists match the empty table, which has no identity.
+        doc = {"span": {"left": {"cyclic": 1}, "middle": {"table": table},
+                        "right": {"cyclic": 1}, "source": [], "target": []}}
+        (workspace / "table_span.json").write_text(json.dumps(doc))
+        result = invoke(runner, workspace, "span", "check", str(workspace / "table_span.json"))
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("value", ["0", "1"])
     def test_random_max_order_below_two_exits_two(self, runner, workspace, value):
         result = invoke(runner, workspace, "span", "random", "--trials", "3",
@@ -213,6 +225,23 @@ class TestSpanInputs:
         assert default.exit_code == exact.exit_code == 0
         assert default.stdout == exact.stdout
         assert json.loads(default.stdout)["pushpull"] == "1"
+
+
+class TestZeroDenominators:
+    """A rational option with denominator 0 is an input error (exit 2), not
+    a ZeroDivisionError."""
+
+    @pytest.mark.parametrize("args", [
+        ("reeb", "report", "antipodal2.json", "--bound", "1/0"),
+        ("ledger", "build", "antipodal2.json", "--slope", "1/0"),
+        ("ledger", "build", "antipodal2.json", "--slope", "5/4", "--profile", "Id:1/0=0"),
+    ], ids=["bound", "slope", "profile"])
+    def test_exits_two(self, runner, workspace, args):
+        command, action, doc, *rest = args
+        result = invoke(runner, workspace, command, action, str(workspace / doc), *rest)
+        assert result.exit_code == 2
+        assert "1/0" in result.stderr
+        assert "Traceback" not in result.output
 
 
 class TestMaxOrder:

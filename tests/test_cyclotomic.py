@@ -18,7 +18,7 @@ from orbifill import (
     zero,
     zeta,
 )
-from orbifill.cyclotomic import _reduction_table, divisors
+from orbifill.cyclotomic import _reduction_table, _sparse_reduction, divisors
 
 
 # -- exact reference: the Fraction-vector kernel ------------------------------
@@ -45,19 +45,6 @@ class FractionCyclotomic:
                     if r:
                         acc[i] += c * r
         return FractionCyclotomic(conductor, acc)
-
-    def minimal(self):
-        if not any(self.coefficients[1:]):
-            return FractionCyclotomic(1, self.coefficients[:1])
-        n = self.conductor
-        red = _reduction_table(n)
-        for d in divisors(n)[:-1]:
-            mat = [[Fraction(red[(n // d) * j][i]) for j in range(euler_phi(d))]
-                   for i in range(euler_phi(n))]
-            sol = fraction_solve(mat, list(self.coefficients))
-            if sol is not None:
-                return FractionCyclotomic(d, sol)
-        return self
 
     def _pair(self, other):
         lcm = math.lcm(self.conductor, other.conductor)
@@ -179,32 +166,6 @@ def fraction_sub(a, b):
     return fraction_trim(out)
 
 
-def fraction_solve(mat, rhs):
-    rows, cols = len(mat), len(mat[0])
-    aug = [mat[i] + [rhs[i]] for i in range(rows)]
-    pivots, r = [], 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        aug[r] = [x / aug[r][c] for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    if any(aug[i][cols] for i in range(r, rows)):
-        return None
-    sol = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][cols]
-    return sol
-
-
 def poly_mul_int(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -239,6 +200,16 @@ class TestCyclotomicPolynomial:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             cyclotomic_polynomial(0)
+
+    def test_sparse_reduction_at_a_prime(self):
+        # Phi_p = 1 + x + ... + x^(p-1), so x^(p-1) = -(1 + ... + x^(p-2)),
+        # x^p = 1 and x^(2p-1) = x^(p-1).
+        p = 9973
+        rows = _sparse_reduction(p)
+        wrapped = dict.fromkeys(range(p - 1), -1)
+        assert dict(rows[p - 1]) == wrapped
+        assert dict(rows[p]) == {0: 1}
+        assert dict(rows[2 * p - 1]) == wrapped
 
 
 class TestMake:
@@ -280,7 +251,7 @@ class TestArithmetic:
                 assert zeta(n, k).inverse() == zeta(n, n - k)
 
     def test_inverse_of_rational(self):
-        assert CyclotomicNumber.rational(2).inverse() == Fraction(1, 2)
+        assert make(1, [(2, 0)]).inverse() == Fraction(1, 2)
 
     def test_inverse_of_one_plus_i(self):
         a = make(4, [(1, 0), (1, 1)])
@@ -294,42 +265,35 @@ class TestArithmetic:
 
     def test_conjugate_examples(self):
         assert zeta(4).conjugate() == -zeta(4)
-        q = CyclotomicNumber.rational(Fraction(-7, 3))
+        q = make(1, [(Fraction(-7, 3), 0)])
         assert q.conjugate() == q
         x = make(12, [(1, 1), (Fraction(2, 5), 7)])
         assert x.conjugate().conjugate() == x
 
     def test_lift_examples(self):
         assert make(2, [(1, 1)]).lift(4) == zeta(4, 2)
-        assert CyclotomicNumber.rational(5).lift(12) == 5
+        assert make(1, [(5, 0)]).lift(12) == 5
 
     def test_lift_requires_divisibility(self):
         with pytest.raises(IncompatibleConductor):
             zeta(4).lift(6)
 
-    def test_lift_roundtrip_via_minimal(self):
+    def test_lift_roundtrip(self):
         rng = random.Random(1017)
         for _ in range(200):
             n = rng.choice([d for d in range(1, 25)])
             terms = [(Fraction(rng.randint(-3, 3)), rng.randrange(2 * n)) for _ in range(3)]
             x = make(n, terms)
             lifted = x.lift(n * rng.choice((2, 3, 5)))
-            assert lifted == x
-            assert lifted.minimal() == x.minimal()
-            assert lifted.minimal().conductor == x.minimal().conductor
+            assert lifted == x and x == lifted
+            assert lifted.conductor != x.conductor
 
-    def test_as_rational(self):
-        assert make(3, [(1, 0), (1, 1), (1, 2), (5, 0)]).as_rational() == 5
-        assert zeta(4).as_rational() is None
-        prim5 = make(5, [(1, 1), (1, 2), (1, 3), (1, 4)])
-        assert prim5.as_rational() == -1
-
-    def test_hash_respects_cross_conductor_equality(self):
-        a = zeta(12, 4)  # equals zeta_3
-        b = zeta(3)
-        assert a == b
-        assert hash(a) == hash(b)
-        assert len({a, b}) == 1
+    def test_values_are_unhashable(self):
+        # zeta_12^4 equals zeta_3, at another conductor and in another
+        # normal form, so no hash of the normal form could agree with ==.
+        assert zeta(12, 4) == zeta(3)
+        with pytest.raises(TypeError):
+            hash(make(4, [(1, 1)]))
 
 
 class TestRandomizedProperties:
@@ -470,20 +434,6 @@ class TestAgainstFractionReference:
             target = n * rng.choice((2, 3)) if n < 500 else 1000
             assert self.same(a.lift(target), ra.lift(target))
 
-    def test_minimal(self):
-        for rng, n in self.cases(70104, 300, 0):
-            a, ra = self.random_pair(rng, n)
-            # A value from a subfield, written at conductor n.
-            d = rng.choice(divisors(n))
-            b, rb = self.random_pair(rng, d)
-            assert self.same(a.minimal(), ra.minimal())
-            assert self.same(b.lift(n).minimal(), rb.lift(n).minimal())
-        # At 500, values of Q(zeta_100) and Q written at conductor 500.
-        rng = random.Random(70105)
-        for d in (1, 4, 100):
-            b, rb = self.random_pair(rng, d)
-            assert self.same(b.lift(500).minimal(), rb.lift(500).minimal())
-
     def test_literals(self):
         for rng, n in self.cases(70106, 400, 20):
             a, ra = self.random_pair(rng, n)
@@ -494,8 +444,8 @@ class TestAgainstFractionReference:
 
 
 class TestNormalForm:
-    """den > 0, gcd(den, *nums) == 1, zero is (0, ..., 0)/1, and hashes that
-    agree with the cross-conductor equality."""
+    """den > 0, gcd(den, *nums) == 1, zero is (0, ..., 0)/1, and rationals
+    compare equal at every conductor."""
 
     @staticmethod
     def assert_normal(x):
@@ -513,8 +463,7 @@ class TestNormalForm:
                     for _ in range(3)]
             a = make(n, spec)
             b = make(n, spec[:2])
-            for x in (a, b, a + b, a - b, a * b, a - a, a * 0, -a, a.conjugate(), a.lift(2 * n),
-                      a.minimal()):
+            for x in (a, b, a + b, a - b, a * b, a - a, a * 0, -a, a.conjugate(), a.lift(2 * n)):
                 self.assert_normal(x)
             if a:
                 self.assert_normal(a.inverse())
@@ -534,21 +483,11 @@ class TestNormalForm:
             a = make(n, [(Fraction(3, 7), 1)])
             assert ((a - a).nums, (a - a).den) == (zero(n).nums, 1)
 
-    def test_hash_invariant_under_lift(self):
-        rng = random.Random(70202)
-        for _ in range(200):
-            n = rng.choice(range(1, 31))
-            a = make(n, [(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randrange(n))
-                         for _ in range(3)])
-            for k in (2, 3, 4):
-                assert hash(a) == hash(a.lift(k * n))
-
-    def test_hash_of_rationals(self):
+    def test_rationals_at_any_conductor(self):
         for r in (Fraction(0), Fraction(5), Fraction(-7, 3), Fraction(1, 2)):
             for n in (1, 2, 3, 12):
-                x = CyclotomicNumber.rational(r).lift(n)
-                assert x == r and hash(x) == hash(Fraction(r))
+                x = make(1, [(r, 0)]).lift(n)
+                assert x == r and x == make(n, [(r, 0)])
         rational_sum = make(5, [(1, 1), (1, 2), (1, 3), (1, 4), (Fraction(1, 2), 0)])
         assert rational_sum == Fraction(-1, 2)
-        assert hash(rational_sum) == hash(Fraction(-1, 2))
-        assert hash(make(3, [(4, 0)])) == hash(4)
+        assert make(3, [(4, 0)]) == 4

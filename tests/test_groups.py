@@ -1,5 +1,6 @@
 """Group enumeration, conjugacy structure, and exact eigenvalue data."""
 
+import cmath
 import json
 import math
 import time
@@ -33,15 +34,26 @@ from orbifill import (
     parse_group,
 )
 from orbifill import groups
-from orbifill.cyclotomic import _reduction_table, euler_phi, parse_literal
+from orbifill.cyclotomic import _reduction_table, euler_phi
 from orbifill.groups import (
     DEFAULT_MAX_ORDER,
-    UnitaryElement,
     conjugation_orbit,
     mat_conj_transpose,
     mat_identity,
     mat_mul,
 )
+
+
+def key(matrix):
+    """An exact matrix's canonical key: its entries' (den, nums) normal forms,
+    faithful because all entries of a group share one conductor."""
+    return tuple((x.den, x.nums) for row in matrix for x in row)
+
+
+def approx(x):
+    """A cyclotomic value as a complex float, for the numerical oracle."""
+    z = cmath.exp(2j * cmath.pi / x.conductor)
+    return sum(c * z**e for e, c in enumerate(x.nums)) / x.den
 
 
 def table_powers(group, i):
@@ -62,10 +74,11 @@ def character_formula(group, i):
     powers = table_powers(group, i)
     o = len(powers)
     lift_to = math.lcm(group.conductor, o)
-    traces = [
-        [(e, c) for e, c in enumerate(group.elements[p].trace().lift(lift_to).coefficients) if c]
-        for p in powers
-    ]
+    traces = []
+    for p in powers:
+        m = group._exact(p)
+        trace = sum((m[r][r] for r in range(1, len(m))), m[0][0])
+        traces.append([(e, c) for e, c in enumerate(trace.lift(lift_to).coefficients) if c])
     phi = euler_phi(lift_to)
     red = _reduction_table(lift_to)
     step = lift_to // o
@@ -177,7 +190,7 @@ class TestEnumeration:
 
     def test_identity_is_index_zero(self):
         g = build(quaternion())
-        assert all(c == (1 if i == j else 0) for i, row in enumerate(g.elements[0].entries)
+        assert all(c == (1 if i == j else 0) for i, row in enumerate(g._exact(0))
                    for j, c in enumerate(row))
 
     def test_closure_and_inverses(self):
@@ -193,11 +206,11 @@ class TestEnumeration:
     def test_table_matches_matrix_products(self):
         docs = [times_scalars(quaternion(), 3), times_scalars(binary_dihedral(3), 5)]
         for g in battery_48() + [build(d) for d in docs]:
-            elements = g.elements
+            elements = [g._exact(i) for i in range(g.order)]
             for i, row in enumerate(g.mult_table):
                 for j, k in enumerate(row):
-                    product = UnitaryElement(mat_mul(elements[i].entries, elements[j].entries))
-                    assert k == g.element_index(product), (g.name, i, j)
+                    product = mat_mul(elements[i], elements[j])
+                    assert key(product) == key(elements[k]), (g.name, i, j)
 
     def test_order_cap(self):
         with pytest.raises(GroupTooLarge):
@@ -225,19 +238,6 @@ class TestEnumeration:
             g.element_order(i)
         with pytest.raises(InternalInconsistency):
             g.eigen_multiplicities(i)
-
-    def test_element_index_confirms_key_collisions(self):
-        # Q8 is keyed mod p0 = 5: diag(5 + z, -z) shares the key of the
-        # member diag(z, -z), and diag(1/5, 1) has no key at all.
-        g = build(quaternion())
-        member = UnitaryElement(tuple(
-            tuple(parse_literal(x, 4) for x in row) for row in [["z", "0"], ["0", "-z"]]))
-        assert g.elements[g.element_index(member)] == member
-        for entries in ([["5 + z", "0"], ["0", "-z"]], [["1/5", "0"], ["0", "1"]]):
-            other = UnitaryElement(tuple(
-                tuple(parse_literal(x, 4) for x in row) for row in entries))
-            with pytest.raises(InternalInconsistency, match="escaped"):
-                g.element_index(other)
 
     def test_unenumerated_group_is_internal(self):
         group = parse_group(quaternion())
@@ -440,9 +440,7 @@ class TestEigenData:
             for cls in g.classes:
                 idx = cls.representative_index
                 data = g.eigen_multiplicities(idx)
-                mat = np.array(
-                    [[c.approx() for c in row] for row in g.elements[idx].entries]
-                )
+                mat = np.array([[approx(c) for c in row] for row in g._exact(idx)])
                 angles = np.angle(np.linalg.eigvals(mat)) / (2 * np.pi) % 1.0
                 got = sorted(angles)
                 expected = sorted(
@@ -500,10 +498,10 @@ class TestClassesAPI:
         assert enumerate_group(g) is g
 
 
-def fraction_key(element):
+def fraction_key(matrix):
     """The element key as it was before keys were ints: the entries'
     Fraction coefficients, which class order breaks its ties on."""
-    return tuple(x.coefficients for row in element.entries for x in row)
+    return tuple(x.coefficients for row in matrix for x in row)
 
 
 def leaves(value):
@@ -537,15 +535,15 @@ class TestIntegerKeys:
 
     def test_keys_hold_only_ints(self, groups):
         for g in groups:
-            for e in g.elements:
-                assert all(type(v) is int for v in leaves(e.key)), g.name
+            for i in range(g.order):
+                assert all(type(v) is int for v in leaves(key(g._exact(i)))), g.name
 
     def test_class_order_keeps_fraction_tie_break(self, groups):
         for g in groups:
             classes = g.classes
             expected = sorted(classes, key=lambda c: (
                 age(g, c.representative_index), c.size,
-                fraction_key(g.elements[c.representative_index])))
+                fraction_key(g._exact(c.representative_index))))
             assert [c.representative_index for c in classes] == [
                 c.representative_index for c in expected], g.name
             assert [c.label for c in classes] == [
@@ -555,10 +553,10 @@ class TestIntegerKeys:
     def test_inverses_from_table(self, groups):
         for g in groups:
             table = g.mult_table
-            for i, e in enumerate(g.elements):
+            for i in range(g.order):
                 j = g.inverse_index(i)
                 assert table[i][j] == table[j][i] == 0, g.name
-                assert g.elements[j] == UnitaryElement(mat_conj_transpose(e.entries)), g.name
+                assert key(g._exact(j)) == key(mat_conj_transpose(g._exact(i))), g.name
 
 
 def exact_closure(group):
@@ -566,19 +564,19 @@ def exact_closure(group):
     entries' (den, nums) normal forms, as enumeration ran before its keys
     moved to F_p0. Returns the elements, their index by key, the parents and
     the generator columns."""
-    identity = UnitaryElement(mat_identity(group.dimension, group.conductor))
-    elements, index, parents = [identity], {identity.key: 0}, [(0, -1)]
+    identity = mat_identity(group.dimension, group.conductor)
+    elements, index, parents = [identity], {key(identity): 0}, [(0, -1)]
     gen_cols = [[] for _ in group.generators]
     frontier = [0]
     while frontier:
         fresh = []
         for ei in frontier:
             for gi, g in enumerate(group.generators):
-                product = UnitaryElement(mat_mul(elements[ei].entries, g.entries))
-                idx = index.get(product.key)
+                product = mat_mul(elements[ei], g)
+                idx = index.get(key(product))
                 if idx is None:
                     assert len(elements) < DEFAULT_MAX_ORDER
-                    idx = index[product.key] = len(elements)
+                    idx = index[key(product)] = len(elements)
                     elements.append(product)
                     parents.append((ei, gi))
                     fresh.append(idx)
@@ -612,13 +610,13 @@ class TestAgainstExactClosure:
     def test_exact_elements_rebuilt_on_demand(self, pairs):
         for g, (elements, *_) in pairs:
             last = g.order - 1
-            assert g._exact(last) == elements[last].entries, g.name
-            assert g.elements == elements, g.name
+            assert key(g._exact(last)) == key(elements[last]), g.name
+            assert [key(g._exact(i)) for i in range(g.order)] == list(map(key, elements)), g.name
 
     def test_inverses(self, pairs):
         for g, (elements, index, *_) in pairs:
             assert [g.inverse_index(i) for i in range(g.order)] == [
-                index[UnitaryElement(mat_conj_transpose(e.entries)).key] for e in elements
+                index[key(mat_conj_transpose(e))] for e in elements
             ], g.name
 
     def test_element_orders(self, pairs):
@@ -651,7 +649,7 @@ class TestCertificate:
         split = groups._split_prime
         monkeypatch.setattr(groups, "_split_prime", lambda *a: found.append(split(*a)) or found[-1])
         g = build(times_scalars(binary_tetrahedral(), 5))
-        fractional = [any(x.den > 1 for row in s.entries for x in row) for s in g.generators]
+        fractional = [any(x.den > 1 for row in s for x in row) for s in g.generators]
         counts = [0]
         for parent, gi in g._parents[1:]:
             counts.append(counts[parent] + fractional[gi])

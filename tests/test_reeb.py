@@ -17,6 +17,8 @@ from orbifill import (
     mclean_discrepancy,
     orbit_family,
 )
+from orbifill import reeb
+from orbifill.ledger import build_ledger
 from orbifill.reeb import is_on_spectrum
 
 
@@ -192,3 +194,18 @@ class TestFamiliesBelow:
             ("Id", "1", 2),
             ("c1", "1/2", 2),
         ]
+
+    def test_families_match_orbit_family(self):
+        for g in battery_24():
+            for f in families_below(g, Fraction(292, 97)):
+                assert f == orbit_family(g, f.class_position, f.period), g.name
+
+    def test_one_period_walk_per_class(self, monkeypatch):
+        calls = []
+        walk = reeb._periods_below
+        monkeypatch.setattr(reeb, "_periods_below", lambda *a: calls.append(a[1]) or walk(*a))
+        for g in battery_24():
+            for run in (families_below, build_ledger):
+                calls.clear()
+                run(g, Fraction(292, 97))
+                assert calls == list(range(len(g.classes))), (g.name, run.__name__)
