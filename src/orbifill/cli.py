@@ -479,7 +479,7 @@ def ledger_cmd(action, path, slope, profiles, coefficient, fmt, max_order, cache
     _arg("--seed", type=int, default=0, help="(default: %(default)s)"),
     _arg("--max-order", type=_at_least(2),
          help="largest group order: of the randomized battery's groups and middles "
-         f"(random, default {BATTERY_MAX_ORDER}), or of a 'ref' group's enumeration "
+         f"(random, default {BATTERY_MAX_ORDER}), or of every group of the document "
          f"(check, default {DEFAULT_MAX_ORDER})"),
     CACHE_DIR,
     FORMAT,
@@ -503,8 +503,8 @@ def span_cmd(action, path, trials, seed, max_order, cache_dir, fmt):
         return group
 
     if "span1" in doc and "span2" in doc:
-        span1 = span_from_document(doc["span1"], loader)
-        span2 = span_from_document(doc["span2"], loader)
+        span1 = span_from_document(doc["span1"], loader, max_order)
+        span2 = span_from_document(doc["span2"], loader, max_order)
         lhs, rhs, equal = composition_check(span1, span2)
         _emit(
             {
@@ -517,7 +517,7 @@ def span_cmd(action, path, trials, seed, max_order, cache_dir, fmt):
         )
         sys.exit(EXIT_OK if equal else EXIT_NEGATIVE)
     if "span" in doc:
-        sp = span_from_document(doc["span"], loader)
+        sp = span_from_document(doc["span"], loader, max_order)
         _emit({"metadata": _metadata(), "pushpull": str(pushpull(sp))}, fmt)
         return
     raise UsageError("span document must contain 'span' or 'span1' and 'span2'")

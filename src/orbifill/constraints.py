@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+from .cyclotomic import factorize
 from .errors import NotApplicable
 from .groups import FiniteUnitaryGroup
 from .record import Record
@@ -92,19 +93,7 @@ def is_squarefree(k: int) -> bool:
     """No repeated prime factor."""
     if k < 1:
         raise ValueError("squarefree is defined for positive integers")
-    if k % 4 == 0:
-        return False
-    while k % 2 == 0:
-        k //= 2
-    d = 3
-    while d * d <= k:
-        if k % d == 0:
-            k //= d
-            if k % d == 0:
-                return False
-        else:
-            d += 2
-    return True
+    return all(e == 1 for e in factorize(k).values())
 
 
 def is_power_of_two(n: int) -> bool:

@@ -29,28 +29,35 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def factorize(n: int) -> dict[int, int]:
+    """The prime factorization of n >= 1 as {prime: exponent}, primes
+    ascending, by trial division."""
+    if n < 1:
+        raise ValueError("only positive integers have a prime factorization")
+    factors, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        factors[n] = 1
+    return factors
+
+
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("conductor must be positive")
-    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+    return math.prod((p - 1) * p ** (e - 1) for p, e in factorize(n).items())
 
 
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    # Exact division of integer polynomials (ascending coefficients), where
-    # den is monic; the remainder must vanish.
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        out[i - dd] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i - dd + j] -= c * dj
-    if any(num):
-        raise InternalInconsistency("polynomial division left a remainder")
-    return out
+def reduction_size(n: int) -> int:
+    """An upper bound on the entries of the reduction table of conductor n:
+    phi(n) one-term rows below phi(n), and above it rows of x^e mod
+    Phi_n(x) = Phi_r(x^(n/r)), r = rad n, with at most phi(r) terms each."""
+    phi = euler_phi(n)
+    return phi + (n - phi) * euler_phi(math.prod(factorize(n)))
 
 
 class CyclotomicPolynomial:
@@ -72,28 +79,45 @@ class CyclotomicPolynomial:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> CyclotomicPolynomial:
-    """Phi_n, by iterated exact division of x^n - 1 by Phi_d for d | n, d < n."""
+    """Phi_n(x) = Phi_r(x^(n/r)) for the radical r of n, where
+    Phi_r = prod over d | r of (x^d - 1)^mu(r/d) (Washington, Introduction
+    to Cyclotomic Fields, ch. 2)."""
     if n < 1:
         raise ValueError("conductor must be positive")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in divisors(n):
-        if d == n:
-            break
-        poly = _poly_div_exact(poly, list(cyclotomic_polynomial(d).coefficients))
-    return CyclotomicPolynomial(n, tuple(poly))
+    primes = list(factorize(n))
+    r = math.prod(primes)
+    # d = r / prod(S) for each subset S of the primes, and mu(r/d) = (-1)^|S|.
+    even, odd = [], []
+    for mask in range(1 << len(primes)):
+        chosen = [p for i, p in enumerate(primes) if mask >> i & 1]
+        (odd if len(chosen) % 2 else even).append(r // math.prod(chosen))
+    poly = [1]
+    for d in even:
+        poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+    for d in odd:
+        # Exact division by x^d - 1 from the top: afterwards poly[i + d] is
+        # the quotient's coefficient of x^i, and poly[:d] the remainder.
+        for i in range(len(poly) - 1, d - 1, -1):
+            poly[i - d] += poly[i]
+        if any(poly[:d]):
+            raise InternalInconsistency("polynomial division left a remainder")
+        del poly[:d]
+    spread = [0] * (n // r * (len(poly) - 1) + 1)
+    spread[:: n // r] = poly
+    return CyclotomicPolynomial(n, tuple(spread))
 
 
 @lru_cache(maxsize=None)
 def _sparse_reduction(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     # Row e holds the nonzero (index, value) pairs of x^e mod Phi_n, for
-    # 0 <= e < 2n. Exponents are always brought below 2n before lookup.
-    # Row e is x * row(e - 1), with x^phi folded back through monic Phi_n.
+    # 0 <= e < n, since x^n = 1 (mod Phi_n). Row e is x * row(e - 1), with
+    # x^phi folded back through monic Phi_n.
     phi_coeffs = cyclotomic_polynomial(n).coefficients
     d = len(phi_coeffs) - 1
     fold = [(i, c) for i, c in enumerate(phi_coeffs[:-1]) if c]
     rows = []
     row: dict[int, int] = {}
-    for e in range(2 * n):
+    for e in range(n):
         if e < d:
             row = {e: 1}
         else:
@@ -107,19 +131,6 @@ def _sparse_reduction(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
                     else:
                         row.pop(i, None)
         rows.append(tuple(row.items()))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _reduction_table(n: int) -> tuple[tuple[int, ...], ...]:
-    # Row e is x^e mod Phi_n as a dense integer vector of length phi(n).
-    d = euler_phi(n)
-    rows = []
-    for sparse in _sparse_reduction(n):
-        row = [0] * d
-        for i, r in sparse:
-            row[i] = r
-        rows.append(tuple(row))
     return tuple(rows)
 
 
@@ -228,7 +239,8 @@ class CyclotomicNumber:
         if not an or not bn:
             return CyclotomicNumber(a.conductor, [0] * phi)
         # Schoolbook product into degree < 2*phi - 1, then fold the high
-        # degrees back through the reduction table.
+        # degrees back through the reduction table; 2*phi - 2 >= n when n
+        # is prime, so the row is read at e mod n.
         acc = [0] * (2 * phi - 1)
         for i, c in an:
             for j, d in bn:
@@ -237,7 +249,7 @@ class CyclotomicNumber:
         for e in range(phi, 2 * phi - 1):
             c = acc[e]
             if c:
-                for t, r in red[e]:
+                for t, r in red[e % a.conductor]:
                     acc[t] += c * r
         del acc[phi:]
         return CyclotomicNumber(a.conductor, acc, a.den * b.den)

@@ -39,7 +39,8 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import groupby
 
-from .cyclotomic import CyclotomicNumber, divisors, euler_phi, make, parse_literal, zero
+from .cyclotomic import (CyclotomicNumber, euler_phi, factorize, make, parse_literal,
+                         reduction_size, zero)
 from .errors import (
     GroupTooLarge,
     InternalInconsistency,
@@ -50,6 +51,11 @@ from .errors import (
 from .record import Record
 
 DEFAULT_MAX_ORDER = 20000
+# The most entries a group document's conductor may ask of the reduction
+# table (cyclotomic.reduction_size). The table has at least one entry per
+# row and a row per exponent below the conductor, so a larger conductor is
+# rejected before it is factorized.
+MAX_REDUCTION_SIZE = 4_000_000
 
 Matrix = tuple[tuple[CyclotomicNumber, ...], ...]
 # A matrix over Z/m: a tuple of row tuples of ints in 0..m-1.
@@ -494,13 +500,9 @@ def _split_prime(order: int, avoid: int, floor: int) -> tuple[int, int]:
     p = order * -(-floor // order) + 1
     while avoid % p == 0 or not _is_prime(p):
         p += order
-    factors = _prime_factors(order)
+    factors = factorize(order)
     powers = (pow(a, (p - 1) // order, p) for a in range(1, p))
     return p, next(w for w in powers if all(pow(w, order // q, p) != 1 for q in factors))
-
-
-def _prime_factors(n: int) -> list[int]:
-    return [q for q in divisors(n) if _is_prime(q)]
 
 
 def _is_prime(q: int) -> bool:
@@ -528,11 +530,16 @@ def parse_group(document) -> FiniteUnitaryGroup:
     if not isinstance(name, str):
         raise ParseError("must be a string", "name")
     dimension = doc.get("dimension")
-    if not isinstance(dimension, int) or dimension < 1:
+    if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
         raise ParseError("must be a positive integer", "dimension")
     conductor = doc.get("conductor")
-    if not isinstance(conductor, int) or conductor < 1:
+    if not isinstance(conductor, int) or isinstance(conductor, bool) or conductor < 1:
         raise ParseError("must be a positive integer", "conductor")
+    if conductor > MAX_REDUCTION_SIZE or reduction_size(conductor) > MAX_REDUCTION_SIZE:
+        raise ParseError(
+            f"{conductor} needs a reduction table of more than {MAX_REDUCTION_SIZE} entries",
+            "conductor",
+        )
     raw_gens = doc.get("generators")
     if not isinstance(raw_gens, list):
         raise ParseError("must be a list of matrices", "generators")

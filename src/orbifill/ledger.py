@@ -90,12 +90,17 @@ def build_ledger(
     for a nontrivial group sits at the singular point with full isotropy)
     and one generator of degree 2*age per nontrivial class. Nonconstant
     generators: one per Morse cell of every family with period below the
-    slope, with action equal to minus the period.
+    slope, with action equal to minus the period. A cell profile keyed by
+    a (class, period) pair that is no such family raises ValueError.
     """
     group.require_isolated()
     slope = Fraction(slope)
     families = families_below(group, slope)
     profiles = cell_profiles or {}
+    known = {(f.class_label, f.period) for f in families}
+    unknown = [f"{label}:{period}" for label, period in profiles if (label, period) not in known]
+    if unknown:
+        raise ValueError(f"no family below slope {slope} for cell profiles {', '.join(unknown)}")
     class_pos = {cls.label: pos for pos, cls in enumerate(group.classes)}
     generators = [
         FloerGenerator(

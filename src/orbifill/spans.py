@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import MiddleMismatch, ParseError
+from .errors import GroupTooLarge, MiddleMismatch, ParseError
 from .record import Record
 
 
@@ -438,18 +438,22 @@ def random_composition_battery(
 # -- span documents ------------------------------------------------------------
 
 
-def group_from_document(doc, loader=None) -> FiniteGroupTable:
+def group_from_document(doc, loader=None, max_order=None) -> FiniteGroupTable:
     """A group in a span document: a table, a cyclic shorthand, or a
-    reference to a unitary group document resolved by the loader."""
+    reference to a unitary group document resolved by the loader. A table
+    or cyclic order above ``max_order`` (when given) raises GroupTooLarge
+    before any table is built; a reference is bounded by its loader."""
     if isinstance(doc, dict) and "table" in doc:
         table = doc["table"]
         if not (isinstance(table, list) and table and all(isinstance(r, list) for r in table)):
             raise ParseError("multiplication table must be a non-empty list of rows")
+        _require_order(len(table), max_order)
         return FiniteGroupTable(doc["table"], name=doc.get("name", ""), validate=True)
     if isinstance(doc, dict) and "cyclic" in doc:
         k = doc["cyclic"]
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise ParseError("cyclic order must be a positive integer")
+        _require_order(k, max_order)
         return cyclic(k)
     if isinstance(doc, dict) and "ref" in doc:
         if loader is None:
@@ -459,14 +463,19 @@ def group_from_document(doc, loader=None) -> FiniteGroupTable:
     raise ParseError("group must provide 'table', 'cyclic', or 'ref'")
 
 
-def span_from_document(doc, loader=None) -> PointOrbifoldSpan:
+def _require_order(order: int, max_order: int | None):
+    if max_order is not None and order > max_order:
+        raise GroupTooLarge(f"group order {order} exceeds the order cap {max_order}")
+
+
+def span_from_document(doc, loader=None, max_order=None) -> PointOrbifoldSpan:
     for key in ("left", "middle", "right", "source", "target"):
         if key not in doc:
             raise ParseError(f"span document is missing '{key}'")
     for key in ("source", "target"):
         if not isinstance(doc[key], list):
             raise ParseError(f"'{key}' must be a list of element indices")
-    left = group_from_document(doc["left"], loader)
-    middle = group_from_document(doc["middle"], loader)
-    right = group_from_document(doc["right"], loader)
+    left = group_from_document(doc["left"], loader, max_order)
+    middle = group_from_document(doc["middle"], loader, max_order)
+    right = group_from_document(doc["right"], loader, max_order)
     return span(left, middle, right, tuple(doc["source"]), tuple(doc["target"]))

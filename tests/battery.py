@@ -1,9 +1,28 @@
 """Shared group documents and builders for the test suite."""
 
 import math
+from functools import lru_cache
 
-from orbifill import enumerate_group, parse_group
+from orbifill import cyclotomic_polynomial, enumerate_group, parse_group
 from orbifill.cyclotomic import parse_literal
+
+
+@lru_cache(maxsize=None)
+def power_mod_phi(n, e):
+    """x^e mod Phi_n for e >= 0 as a dense tuple of phi(n) ints, by long
+    division against cyclotomic_polynomial(n): the exact reference for the
+    reduction table, so it reads neither the table nor x^n = 1."""
+    phi = cyclotomic_polynomial(n).coefficients
+    d = len(phi) - 1
+    terms = [(j, c) for j, c in enumerate(phi[:-1]) if c]
+    rem = [0] * max(e + 1, d)
+    rem[e] = 1
+    for top in range(e, d - 1, -1):
+        c = rem[top]
+        if c:
+            for j, pj in terms:
+                rem[top - d + j] -= c * pj
+    return tuple(rem[:d])
 
 
 def scalar_cyclic(k, n=2):

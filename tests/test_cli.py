@@ -12,6 +12,7 @@ import pytest
 
 from battery import antipodal, binary_dihedral, quaternion, scalar_cyclic, times_scalars, trivial
 from orbifill import cli as cli_module
+from orbifill import spans
 from orbifill import parse_group
 from orbifill.cli import EXIT_INTERNAL, _guarded, main
 from orbifill.cyclotomic import CyclotomicNumber
@@ -227,6 +228,55 @@ class TestSpanInputs:
         assert json.loads(default.stdout)["pushpull"] == "1"
 
 
+class TestSpanCap:
+    """--max-order bounds cyclic and table span groups before any table is
+    built."""
+
+    @pytest.mark.parametrize("group", [{"cyclic": 3000}, {"table": [[0, 1, 2]] * 3}],
+                             ids=["cyclic", "table"])
+    def test_group_above_cap_exits_two(self, runner, workspace, monkeypatch, group):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a span group was built above the cap")
+
+        monkeypatch.setattr(spans, "cyclic", unexpected)
+        monkeypatch.setattr(spans, "FiniteGroupTable", unexpected)
+        # The left group is read first, so no span group is built at all.
+        doc = {"span": {"left": group, "middle": {"cyclic": 1}, "right": {"cyclic": 1},
+                        "source": [0], "target": [0]}}
+        (workspace / "big_span.json").write_text(json.dumps(doc))
+        result = invoke(runner, workspace, "span", "check", str(workspace / "big_span.json"),
+                        "--max-order", "2")
+        assert result.exit_code == 2
+        assert "order cap 2" in result.stderr
+        assert "Traceback" not in result.output
+
+
+class TestGroupDocuments:
+    """Group document fields that would mislead or exhaust the program are
+    input errors: exit 2 with the field named, never a traceback."""
+
+    @pytest.mark.parametrize("conductor", [15015, 10**8])
+    def test_conductor_above_bound_exits_two(self, runner, workspace, conductor):
+        path = workspace / "big_conductor.json"
+        path.write_text(json.dumps({"name": "neg", "dimension": 2, "conductor": conductor,
+                                    "generators": [[["-1", "0"], ["0", "-1"]]]}))
+        result = invoke(runner, workspace, "group", "info", str(path))
+        assert result.exit_code == 2
+        assert "conductor" in result.stderr
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("field", ["dimension", "conductor"])
+    def test_bool_field_exits_two(self, runner, workspace, field):
+        # Read as ints, both are 1 and the document is the group {-1}.
+        doc = {"dimension": 1, "conductor": 1, "generators": [[["-1"]]], field: True}
+        path = workspace / "bool_group.json"
+        path.write_text(json.dumps(doc))
+        result = invoke(runner, workspace, "group", "info", str(path))
+        assert result.exit_code == 2
+        assert field in result.stderr
+        assert "Traceback" not in result.output
+
+
 class TestZeroDenominators:
     """A rational option with denominator 0 is an input error (exit 2), not
     a ZeroDivisionError."""
@@ -391,6 +441,12 @@ class TestCommands:
         payload = json.loads(result.stdout)
         assert len(payload["known_differentials"]) == 1
         assert payload["known_differentials"][0]["coefficient"] == 2
+
+    def test_ledger_profile_of_no_family_exits_two(self, runner, workspace):
+        result = invoke(runner, workspace, "ledger", "build", str(workspace / "antipodal2.json"),
+                        "--slope", "5/4", "--profile", "Zz:9=0", "--profile", "Id:1=0,3")
+        assert result.exit_code == 2
+        assert "Zz:9" in result.stderr and "Id:1" not in result.stderr
 
     def test_table_format_renders(self, runner, workspace):
         result = invoke(runner, workspace, "cr", "sectors", str(workspace / "antipodal2.json"))

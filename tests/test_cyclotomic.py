@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -18,7 +19,8 @@ from orbifill import (
     zero,
     zeta,
 )
-from orbifill.cyclotomic import _reduction_table, _sparse_reduction, divisors
+from battery import power_mod_phi
+from orbifill.cyclotomic import _sparse_reduction, divisors, factorize, reduction_size
 
 
 # -- exact reference: the Fraction-vector kernel ------------------------------
@@ -37,11 +39,10 @@ class FractionCyclotomic:
         if conductor == self.conductor:
             return self
         step = conductor // self.conductor
-        red = _reduction_table(conductor)
         acc = [Fraction(0)] * euler_phi(conductor)
         for j, c in enumerate(self.coefficients):
             if c:
-                for i, r in enumerate(red[j * step]):
+                for i, r in enumerate(power_mod_phi(conductor, j * step)):
                     if r:
                         acc[i] += c * r
         return FractionCyclotomic(conductor, acc)
@@ -61,7 +62,6 @@ class FractionCyclotomic:
     def __mul__(self, other):
         a, b = self._pair(other)
         n, phi = a.conductor, len(a.coefficients)
-        red = _reduction_table(n)
         acc = [Fraction(0)] * phi
         an = [(i, c) for i, c in enumerate(a.coefficients) if c]
         bn = [(j, c) for j, c in enumerate(b.coefficients) if c]
@@ -70,7 +70,7 @@ class FractionCyclotomic:
                 if i + j < phi:
                     acc[i + j] += c * d
                 else:
-                    for t, r in enumerate(red[i + j]):
+                    for t, r in enumerate(power_mod_phi(n, i + j)):
                         if r:
                             acc[t] += c * d * r
         return FractionCyclotomic(n, acc)
@@ -89,11 +89,10 @@ class FractionCyclotomic:
 
     def galois(self, k):
         n = self.conductor
-        red = _reduction_table(n)
         acc = [Fraction(0)] * euler_phi(n)
         for j, c in enumerate(self.coefficients):
             if c:
-                for i, r in enumerate(red[(j * k) % n]):
+                for i, r in enumerate(power_mod_phi(n, (j * k) % n)):
                     if r:
                         acc[i] += c * r
         return FractionCyclotomic(n, acc)
@@ -118,10 +117,9 @@ class FractionCyclotomic:
 
 
 def fraction_make(conductor, terms):
-    red = _reduction_table(conductor)
     acc = [Fraction(0)] * euler_phi(conductor)
     for coeff, exp in terms:
-        for i, r in enumerate(red[exp % conductor]):
+        for i, r in enumerate(power_mod_phi(conductor, exp % conductor)):
             if r:
                 acc[i] += Fraction(coeff) * r
     return FractionCyclotomic(conductor, acc)
@@ -166,6 +164,24 @@ def fraction_sub(a, b):
     return fraction_trim(out)
 
 
+@lru_cache(maxsize=None)
+def iterated_division_phi(n):
+    """Phi_n as a list, the old way: x^n - 1 divided exactly by Phi_d for
+    every divisor d < n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in divisors(n)[:-1]:
+        den = iterated_division_phi(d)
+        dd = len(den) - 1
+        quotient = [0] * (len(poly) - dd)
+        for i in range(len(poly) - 1, dd - 1, -1):
+            c = quotient[i - dd] = poly[i]
+            for j, dj in enumerate(den):
+                poly[i - dd + j] -= c * dj
+        assert not any(poly)
+        poly = quotient
+    return poly
+
+
 def poly_mul_int(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -201,15 +217,54 @@ class TestCyclotomicPolynomial:
         with pytest.raises(ValueError):
             cyclotomic_polynomial(0)
 
+    def test_against_iterated_division(self):
+        for n in range(1, 401):
+            assert list(cyclotomic_polynomial(n).coefficients) == iterated_division_phi(n), n
+
     def test_sparse_reduction_at_a_prime(self):
         # Phi_p = 1 + x + ... + x^(p-1), so x^(p-1) = -(1 + ... + x^(p-2)),
-        # x^p = 1 and x^(2p-1) = x^(p-1).
+        # and the table stops there, since x^p = 1.
         p = 9973
         rows = _sparse_reduction(p)
-        wrapped = dict.fromkeys(range(p - 1), -1)
-        assert dict(rows[p - 1]) == wrapped
-        assert dict(rows[p]) == {0: 1}
-        assert dict(rows[2 * p - 1]) == wrapped
+        assert len(rows) == p
+        assert dict(rows[p - 1]) == dict.fromkeys(range(p - 1), -1)
+        assert dict(rows[0]) == {0: 1}
+
+    @pytest.mark.parametrize("n", [1, 2, 12, 60, 105, 210, 252, 500])
+    def test_sparse_reduction_against_long_division(self, n):
+        rows = _sparse_reduction(n)
+        assert len(rows) == n
+        for e, row in enumerate(rows):
+            dense = power_mod_phi(n, e)
+            assert dict(row) == {i: c for i, c in enumerate(dense) if c}, e
+        assert sum(map(len, rows)) <= reduction_size(n)
+
+
+class TestFactorization:
+    def test_against_brute_force(self):
+        # A factorization into primes with positive exponents is unique.
+        primes = {p for p in range(2, 2001) if all(p % q for q in range(2, p))}
+        for n in range(1, 2001):
+            factors = factorize(n)
+            assert math.prod(p**e for p, e in factors.items()) == n, n
+            assert set(factors) <= primes and min(factors.values(), default=1) >= 1, n
+            assert list(factors) == sorted(factors)
+            assert euler_phi(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1), n
+
+    def test_rejects_non_positive(self):
+        for n in (0, -12):
+            with pytest.raises(ValueError):
+                factorize(n)
+
+    def test_reduction_size_values(self):
+        # phi(N) + (N - phi(N)) * phi(rad N): one-term rows below phi(N),
+        # and rows of at most phi(rad N) terms above it.
+        assert reduction_size(4620) == 960 + 3660 * 480 == 1757760
+        assert reduction_size(6930) == 1440 + 5490 * 480 == 2636640
+        assert reduction_size(20000) == 8000 + 12000 * 4 == 56000
+        assert reduction_size(99991) == 2 * 99990
+        assert reduction_size(15015) == 5760 + 9255 * 5760 == 53314560
+        assert reduction_size(1) == 1 and reduction_size(2) == 2
 
 
 class TestMake:

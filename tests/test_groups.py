@@ -16,6 +16,7 @@ from battery import (
     binary_dihedral,
     binary_tetrahedral,
     build,
+    power_mod_phi,
     quaternion,
     scalar_cyclic,
     times_scalars,
@@ -34,9 +35,10 @@ from orbifill import (
     parse_group,
 )
 from orbifill import groups
-from orbifill.cyclotomic import _reduction_table, euler_phi
+from orbifill.cyclotomic import euler_phi, reduction_size
 from orbifill.groups import (
     DEFAULT_MAX_ORDER,
+    MAX_REDUCTION_SIZE,
     conjugation_orbit,
     mat_conj_transpose,
     mat_identity,
@@ -80,7 +82,6 @@ def character_formula(group, i):
         trace = sum((m[r][r] for r in range(1, len(m))), m[0][0])
         traces.append([(e, c) for e, c in enumerate(trace.lift(lift_to).coefficients) if c])
     phi = euler_phi(lift_to)
-    red = _reduction_table(lift_to)
     step = lift_to // o
     mults = {}
     for m in range(o):
@@ -92,7 +93,7 @@ def character_formula(group, i):
                 if idx < phi:
                     acc[idx] += c
                 else:
-                    for t, r in enumerate(red[idx]):
+                    for t, r in enumerate(power_mod_phi(lift_to, idx)):
                         if r:
                             acc[t] += c * r
         assert not any(acc[1:])
@@ -171,6 +172,17 @@ class TestParsing:
         doc = {"dimension": 1, "conductor": 2, "generators": [[["bogus"]]]}
         with pytest.raises(ParseError, match=r"generators\[0\]\[0\]\[0\]"):
             parse_group(doc)
+
+    def test_conductor_bound(self):
+        # Both parts of the bound are checked before Phi_N or the table is
+        # built: N itself, and the table's entries.
+        assert all(reduction_size(n) <= MAX_REDUCTION_SIZE for n in (4620, 6930, 20000, 99991))
+        assert reduction_size(15015) > MAX_REDUCTION_SIZE
+        for n in (15015, 10**8, MAX_REDUCTION_SIZE + 1):
+            with pytest.raises(ParseError, match="conductor"):
+                parse_group({"dimension": 1, "conductor": n, "generators": [[["-1"]]]})
+        doc = {"dimension": 1, "conductor": 20000, "generators": [[["-1"]]]}
+        assert parse_group(doc).conductor == 20000
 
 
 class TestEnumeration:

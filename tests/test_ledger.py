@@ -91,6 +91,14 @@ class TestBuildLedger:
         ]
         assert sorted(c.morse_index for c in id_cells) == [0, 1, 2, 3]
 
+    def test_profile_of_no_family_is_rejected(self):
+        # Id:1 is a family below 5/4 and Zz:9 is not; only Zz:9 is named.
+        g = build(antipodal(2))
+        profiles = {("Id", Fraction(1)): (0,), ("Zz", Fraction(9)): (0,)}
+        with pytest.raises(ValueError, match="5/4") as info:
+            build_ledger(g, Fraction(5, 4), profiles)
+        assert "Zz:9" in str(info.value) and "Id:1" not in str(info.value)
+
     def test_minimum_cell_degree_against_raw_eigen_data(self):
         # Cross-module check: recompute n - (n - 2*age + 2*sum + 1) for the
         # minimum cell straight from the eigenvalue exponents, without going
