@@ -12,8 +12,6 @@ from .chen_ruan import (
     CRRing,
     CupConvention,
     FillingCRProfile,
-    TwistedSector,
-    age,
     associativity_sweep,
     build_ring,
     choose_ring,
@@ -60,6 +58,7 @@ from .groups import (
     ConjugacyClass,
     EigenData,
     FiniteUnitaryGroup,
+    age,
     canonical_document,
     document_digest,
     enumerate_group,

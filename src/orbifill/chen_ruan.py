@@ -16,26 +16,8 @@ from fractions import Fraction
 
 from .coefficients import CoefficientRing
 from .errors import InternalInconsistency
-from .groups import ConjugacyClass, FiniteUnitaryGroup, _age_from_eigen, conjugation_orbit
+from .groups import ConjugacyClass, FiniteUnitaryGroup, conjugation_orbit
 from .record import Record
-
-
-def age(group: FiniteUnitaryGroup, element_index: int) -> Fraction:
-    """sum of m_i / o over the eigenvalue exponents of the element."""
-    return _age_from_eigen(group.eigen_multiplicities(element_index))
-
-
-class TwistedSector(Record):
-    """One conjugacy class of the inertia groupoid, with its degree shift."""
-
-    def __init__(self, class_ref: ConjugacyClass, age: Fraction, degree: Fraction,
-                 centralizer_order: int):
-        self.__dict__.update(class_ref=class_ref, age=age, degree=degree,
-                             centralizer_order=centralizer_order)
-
-    @property
-    def label(self) -> str:
-        return self.class_ref.label
 
 
 class CupConvention(enum.Enum):
@@ -53,14 +35,11 @@ class CupConvention(enum.Enum):
 DEFAULT_CONVENTION = CupConvention.FULL_PAIR_SUM
 
 
-def twisted_sectors(group: FiniteUnitaryGroup) -> tuple[TwistedSector, ...]:
-    """One sector per conjugacy class, untwisted first then ascending degree."""
+def twisted_sectors(group: FiniteUnitaryGroup) -> tuple[ConjugacyClass, ...]:
+    """The sectors of an isolated C^n/G: its conjugacy classes, untwisted
+    first then ascending degree, each carrying its age."""
     group.require_isolated()
-    sectors = []
-    for cls in group.classes:
-        a = age(group, cls.representative_index)
-        sectors.append(TwistedSector(cls, a, 2 * a, cls.centralizer_order))
-    return tuple(sectors)
+    return group.classes
 
 
 def _zz2_parity(degree: Fraction) -> str:
@@ -74,7 +53,7 @@ def _zz2_parity(degree: Fraction) -> str:
 class CRRing:
     """The Chen-Ruan cohomology ring of C^n/G as structure constants."""
 
-    def __init__(self, group: FiniteUnitaryGroup, sectors: tuple[TwistedSector, ...],
+    def __init__(self, group: FiniteUnitaryGroup, sectors: tuple[ConjugacyClass, ...],
                  convention: CupConvention, structure_constants: dict | None = None):
         self.group = group
         self.sectors = sectors
@@ -105,6 +84,9 @@ def build_ring(group: FiniteUnitaryGroup, convention: CupConvention = DEFAULT_CO
     |Z(rep(C_k))| / |Z(h1) & Z(h2)| is thus the sum of these orbit sizes, and
     by orbit-stabilizer the orbit-representative sum is the class-sum count
     a_ijk = #{(h1, h2) in C_i x C_j : h1*h2 = rep(C_k)}.
+
+    Sectors ascend by age, so a product of twisted sectors has age at least
+    2 * age_1: no row is built for a sector below that.
     """
     sectors = twisted_sectors(group)
     ring = CRRing(group, sectors, convention)
@@ -120,14 +102,16 @@ def build_ring(group: FiniteUnitaryGroup, convention: CupConvention = DEFAULT_CO
         (i, j): {} for i in range(1, count) for j in range(1, count)
     }
     for k in range(1, count):
-        rep = sectors[k].class_ref.representative_index
+        if ages[k] < 2 * ages[1]:
+            continue
+        rep = sectors[k].representative_index
         # r[h1] = rep^-1 * h1, so h1^-1 * rep = inv[r[h1]], in class inv_class[r[h1]].
         r = group.row(inv[rep])
         for i in range(1, count):
             age_j = ages[k] - ages[i]
             if age_j <= 0:
                 continue
-            for h1 in sectors[i].class_ref.member_indices:
+            for h1 in sectors[i].member_indices:
                 j = inv_class[r[h1]]
                 if ages[j] != age_j:
                     continue
@@ -138,21 +122,19 @@ def build_ring(group: FiniteUnitaryGroup, convention: CupConvention = DEFAULT_CO
         for k in terms:
             if ages[k] != ages[i] + ages[j]:
                 raise InternalInconsistency("cup product term violates degree additivity")
-        ring.structure_constants[(i, j)] = tuple(
-            (k, Fraction(c)) for k, c in sorted(terms.items())
-        )
+        ring.structure_constants[(i, j)] = tuple(sorted(terms.items()))
     return ring
 
 
-def cr_cup(ring: CRRing, i: int, j: int) -> list[tuple[int, Fraction]]:
+def cr_cup(ring: CRRing, i: int, j: int) -> list[tuple[int, int]]:
     """Product of sector generators i and j as (sector, coefficient) terms."""
     count = ring.sector_count()
     if not (0 <= i < count and 0 <= j < count):
         raise ValueError("sector index out of range")
     if i == 0:
-        return [(j, Fraction(1))]
+        return [(j, 1)]
     if j == 0:
-        return [(i, Fraction(1))]
+        return [(i, 1)]
     return list(ring.structure_constants[(i, j)])
 
 
@@ -162,9 +144,10 @@ def associativity_sweep(ring: CRRing):
     Returns (passes, counterexample) where the counterexample is the first
     failing triple, in lexicographic order, with both evaluations.
 
-    Every constant is scaled by D, the lcm of their denominators, so both
-    evaluations are integers scaled by D^2 and compare exactly. Triples that
-    contain the unit sector 0 pass by the unit law and are not evaluated.
+    Built constants are int counts, so both evaluations are ints and compare
+    exactly; constants set by hand may be Fractions, and are summed as they
+    are. Triples that contain the unit sector 0 pass by the unit law and are
+    not evaluated.
     For each (a, b), both sides are summed at once over the c with a nonzero
     [t][c] for some t in [a][b] or a nonzero [b][c], keyed by the int
     c * count + u; every other c gives 0 on both sides. When the sums differ
@@ -172,25 +155,21 @@ def associativity_sweep(ring: CRRing):
     """
     count = ring.sector_count()
     constants = ring.structure_constants
-    scale = math.lcm(1, *(c.denominator for terms in constants.values() for _, c in terms))
-    # prod[a][b]: [a][b] scaled by D, the unit sector 0 included.
-    prod = [[[(b, scale)] for b in range(count)]]
+    # prod[a][b]: [a][b], the unit sector 0 included.
+    prod = [[[(b, 1)] for b in range(count)]]
     for a in range(1, count):
-        prod.append([[(a, scale)]] + [
-            [(t, c.numerator * (scale // c.denominator)) for t, c in constants[(a, b)]]
-            for b in range(1, count)
-        ])
+        prod.append([[(a, 1)]] + [constants[(a, b)] for b in range(1, count)])
     # support[t]: the nonzero products [t][c], c >= 1, as (c * count, u, coefficient).
     support = [[(c * count, u, y) for c in range(1, count) for u, y in prod[t][c]]
                for t in range(count)]
     for a in range(1, count):
         row_a = prod[a]
         for b in range(1, count):
-            left: dict[int, int] = {}
+            left = {}
             for t, x in row_a[b]:
                 for base, u, y in support[t]:
                     left[base + u] = left.get(base + u, 0) + x * y
-            right: dict[int, int] = {}
+            right = {}
             for base, t, x in support[b]:
                 for u, y in row_a[t]:
                     right[base + u] = right.get(base + u, 0) + x * y
@@ -200,19 +179,17 @@ def associativity_sweep(ring: CRRing):
             c = min((key // count for key in left.keys() | right.keys()
                      if left.get(key, 0) != right.get(key, 0)), default=None)
             if c is not None:
-                square = scale * scale
                 return False, {
                     "triple": (a, b, c),
-                    "left": _terms_at(left, c, count, square),
-                    "right": _terms_at(right, c, count, square),
+                    "left": _terms_at(left, c, count),
+                    "right": _terms_at(right, c, count),
                 }
     return True, None
 
 
-def _terms_at(terms: dict[int, int], c: int, count: int, square: int) -> dict[int, Fraction]:
+def _terms_at(terms: dict, c: int, count: int) -> dict:
     """The nonzero terms of one c, keyed by u, from terms keyed c * count + u."""
-    return {key % count: Fraction(v, square) for key, v in terms.items()
-            if key // count == c and v}
+    return {key % count: v for key, v in terms.items() if key // count == c and v}
 
 
 def commutativity_check(ring: CRRing):
@@ -259,7 +236,7 @@ def cr_pairing_check(group: FiniteUnitaryGroup) -> dict:
     for pos, sector in enumerate(sectors):
         if pos == 0:
             continue
-        rep = sector.class_ref.representative_index
+        rep = sector.representative_index
         inv_pos = group.class_position(group.inverse_index(rep))
         dual = sectors[inv_pos]
         ok = sector.age + dual.age == n
@@ -310,7 +287,7 @@ def sector_report(ring: CRRing, sweep) -> dict:
             "age": str(s.age),
             "degree": str(s.degree),
             "parity": _zz2_parity(s.degree),
-            "class_size": s.class_ref.size,
+            "class_size": s.size,
             "centralizer_order": s.centralizer_order,
         }
         for s in ring.sectors

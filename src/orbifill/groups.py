@@ -91,17 +91,23 @@ def mat_identity(n: int, conductor: int) -> Matrix:
 
 
 class ConjugacyClass(Record):
-    """A conjugation orbit with its centralizer order, in deterministic order."""
+    """A conjugation orbit with its centralizer order and age, in
+    deterministic order. For an isolated C^n/G it is the twisted sector
+    placed in degree 2 * age."""
 
     def __init__(self, label: str, representative_index: int, member_indices: tuple[int, ...],
-                 centralizer_order: int, order: int):
+                 centralizer_order: int, order: int, age: Fraction):
         self.__dict__.update(label=label, representative_index=representative_index,
                              member_indices=member_indices,
-                             centralizer_order=centralizer_order, order=order)
+                             centralizer_order=centralizer_order, order=order, age=age)
 
     @property
     def size(self) -> int:
         return len(self.member_indices)
+
+    @property
+    def degree(self) -> Fraction:
+        return 2 * self.age
 
 
 class EigenData(Record):
@@ -230,21 +236,20 @@ class FiniteUnitaryGroup:
                     members = tuple(sorted(x for (x,) in conjugation_orbit(conj, (i,))))
                     orbit_of.update(dict.fromkeys(members, members))
             coarse = sorted(
-                ((_age_from_eigen(self.eigen_multiplicities(c[0])), len(c)), c)
-                for c in set(orbit_of.values())
+                ((age(self, c[0]), len(c)), c) for c in set(orbit_of.values())
             )
             raw = []
-            for _, run in groupby(coarse, key=operator.itemgetter(0)):
+            for (a, _), run in groupby(coarse, key=operator.itemgetter(0)):
                 run = [c for _, c in run]
                 if len(run) > 1:
                     run = self._tie_break(run)
-                raw.extend(run)
+                raw.extend((a, c) for c in run)
             classes = []
-            for pos, members in enumerate(raw):
+            for pos, (a, members) in enumerate(raw):
                 rep = members[0]
                 label = "Id" if rep == 0 else f"c{pos}"
                 order = self.element_order(rep)
-                classes.append(ConjugacyClass(label, rep, members, n // len(members), order))
+                classes.append(ConjugacyClass(label, rep, members, n // len(members), order, a))
             self._classes = tuple(classes)
             self._class_of = {
                 m: pos for pos, cls in enumerate(self._classes) for m in cls.member_indices
@@ -314,7 +319,9 @@ class FiniteUnitaryGroup:
             raise NonIsolated(witness)
 
 
-def _age_from_eigen(data: EigenData) -> Fraction:
+def age(group: FiniteUnitaryGroup, element_index: int) -> Fraction:
+    """sum of m_i / o over the eigenvalue exponents of the element."""
+    data = group.eigen_multiplicities(element_index)
     return Fraction(sum(m * mult for m, mult in data.multiplicities.items()), data.order)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chen_ruan import age
 from .coefficients import CoefficientRing
 from .errors import InvariantViolation
 from .groups import FiniteUnitaryGroup
@@ -116,7 +115,7 @@ def build_ledger(
             FloerGenerator(
                 KIND_CONSTANT_TWISTED,
                 cls.label,
-                2 * age(group, cls.representative_index),
+                cls.degree,
                 Fraction(0),
                 cls.centralizer_order,
             )

@@ -1,6 +1,9 @@
 """Ages, twisted sectors, the cup product, pairing, and filling ranks."""
 
+import ast
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,7 @@ from battery import (
     battery_24,
     battery_48,
     binary_dihedral,
+    binary_tetrahedral,
     build,
     quaternion,
     scalar_cyclic,
@@ -32,6 +36,7 @@ from orbifill import (
     cr_pairing_check,
     twisted_sectors,
 )
+from orbifill import ledger, reeb
 
 
 def reference_constants(group, convention):
@@ -52,8 +57,8 @@ def reference_constants(group, convention):
         for j in range(1, len(sectors)):
             contributions = {}
             seen_orbits = set()
-            for h1 in sectors[i].class_ref.member_indices:
-                for h2 in sectors[j].class_ref.member_indices:
+            for h1 in sectors[i].member_indices:
+                for h2 in sectors[j].member_indices:
                     p = table[h1][h2]
                     if p == 0:
                         continue
@@ -72,6 +77,33 @@ def reference_constants(group, convention):
                     coeff = Fraction(sectors[k].centralizer_order, inter)
                     contributions[k] = contributions.get(k, Fraction(0)) + coeff
             constants[(i, j)] = tuple(sorted((k, c) for k, c in contributions.items() if c))
+    return constants
+
+
+def definition_constants(group):
+    """The ring from its definition: products of class sums in the group
+    algebra, where h1 * h2 counts when age(h1) + age(h2) = age(h1 * h2) and
+    is 0 otherwise, written in class sums."""
+    table = group.mult_table
+    ages = [age(group, x) for x in range(group.order)]
+    classes = group.classes
+    constants = {}
+    for i in range(1, len(classes)):
+        for j in range(1, len(classes)):
+            product = Counter(
+                table[h1][h2]
+                for h1 in classes[i].member_indices
+                for h2 in classes[j].member_indices
+                if ages[h1] + ages[h2] == ages[table[h1][h2]]
+            )
+            terms = []
+            for k, cls in enumerate(classes):
+                coefficient = {product[x] for x in cls.member_indices}
+                # A product of class sums is central: constant on each class.
+                assert len(coefficient) == 1, (group.name, i, j, cls.label)
+                if product[cls.representative_index]:
+                    terms.append((k, product[cls.representative_index]))
+            constants[(i, j)] = tuple(terms)
     return constants
 
 
@@ -179,6 +211,22 @@ class TestTwistedSectors:
             twisted_sectors(g)
         assert info.value.witness is not None
 
+    def test_sectors_are_the_classes_with_their_ages(self):
+        for g in battery_48():
+            assert twisted_sectors(g) is g.classes, g.name
+            for cls in g.classes:
+                assert cls.age == age(g, cls.representative_index), (g.name, cls.label)
+                assert cls.degree == 2 * cls.age
+
+    def test_reeb_and_ledger_read_ages_from_groups(self):
+        for module in (reeb, ledger):
+            tree = ast.parse(Path(module.__file__).read_text())
+            imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+            imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                         for alias in node.names]
+            assert not [m for m in imported if m and m.split(".")[-1] == "chen_ruan"], (
+                module.__name__, imported)
+
 
 class TestCupProduct:
     def test_unit_law_both_conventions(self):
@@ -234,6 +282,24 @@ class TestCupProduct:
         assert set(verdicts) == {"full-pairs", "orbit-reps"}
         assert ring.convention is CupConvention.FULL_PAIR_SUM
 
+    def test_rows_only_for_reachable_sectors(self, monkeypatch):
+        # A product of twisted sectors has age at least 2 * age_1, so only
+        # sectors at or above it need a row. Every twisted age of a binary
+        # dihedral group is 1, so none does.
+        for doc in (binary_dihedral(6), times_scalars(quaternion(), 5)):
+            g = build(doc)
+            ages = [s.age for s in twisted_sectors(g)]
+            expected = sum(1 for a in ages[1:] if a >= 2 * ages[1])
+            calls = []
+            row = g.row
+            monkeypatch.setattr(g, "row", lambda i: calls.append(i) or row(i))
+            for convention in CupConvention:
+                calls.clear()
+                ring = build_ring(g, convention)
+                assert len(calls) == expected, (g.name, convention)
+                assert ring.structure_constants == reference_constants(g, convention)
+            assert expected == (0 if doc["name"].startswith("BD") else 23), g.name
+
     def test_sector_index_bounds(self):
         ring = build_ring(build(antipodal(2)))
         with pytest.raises(ValueError):
@@ -247,6 +313,12 @@ class TestAgainstReference:
                 ring = build_ring(g, convention)
                 assert ring.structure_constants == reference_constants(g, convention), (
                     g.name, convention)
+
+    def test_ring_from_its_definition(self, reference_groups):
+        groups = reference_groups + [build(times_scalars(binary_tetrahedral(), 5))]
+        for g in groups:
+            ring = build_ring(g, CupConvention.ORBIT_REPRESENTATIVE_SUM)
+            assert ring.structure_constants == definition_constants(g), g.name
 
     def test_sweep(self, reference_groups):
         failing = set()
@@ -262,9 +334,9 @@ class TestAgainstReference:
         assert failing == {(d["name"], "full-pairs") for d in WOLF_DOCS}
 
     def test_sweep_fractional_constants(self, reference_groups):
-        # Built rings have integer constants; dividing each by k + 1 gives
-        # mixed denominators, so the D^2 scaling and the division of
-        # left/right back into Fractions are compared too.
+        # Built rings have int constants; dividing each by k + 1 gives
+        # mixed denominators, so the sweep's exact sums over Fractions and
+        # the Fraction terms of left/right are compared too.
         for g in reference_groups[-len(WOLF_DOCS):]:
             for convention in CupConvention:
                 ring = build_ring(g, convention)

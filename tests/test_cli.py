@@ -6,11 +6,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from battery import antipodal, binary_dihedral, quaternion, scalar_cyclic, times_scalars, trivial
+from battery import a_type, antipodal, binary_dihedral, quaternion, scalar_cyclic, times_scalars, trivial
 from orbifill import cli as cli_module
 from orbifill import spans
 from orbifill import parse_group
@@ -447,6 +448,19 @@ class TestCommands:
                         "--slope", "5/4", "--profile", "Zz:9=0", "--profile", "Id:1=0,3")
         assert result.exit_code == 2
         assert "Zz:9" in result.stderr and "Id:1" not in result.stderr
+
+    def test_family_cap_exits_two_quickly(self, runner, workspace):
+        # A3 has 6 periods per unit of bound: 200,001 families below 100001/3.
+        path = workspace / "a3.json"
+        path.write_text(json.dumps(a_type(4)))
+        for command, option in (("reeb", "report"), ("ledger", "build")):
+            flag = "--bound" if command == "reeb" else "--slope"
+            start = time.perf_counter()
+            result = invoke(runner, workspace, command, option, str(path), flag, "100001/3")
+            assert time.perf_counter() - start < 1.0, command
+            assert result.exit_code == 2, command
+            assert "200001 orbit families" in result.stderr and "100000" in result.stderr
+            assert "Traceback" not in result.stderr
 
     def test_table_format_renders(self, runner, workspace):
         result = invoke(runner, workspace, "cr", "sectors", str(workspace / "antipodal2.json"))

@@ -13,11 +13,11 @@ from orbifill.reeb import MorseCell, OrbitFamily
 
 
 def test_value_equality_and_hash():
-    a = ConjugacyClass("c1", 3, (3, 5), 4, 2)
+    a = ConjugacyClass("c1", 3, (3, 5), 4, 2, Fraction(1, 2))
     b = ConjugacyClass(label="c1", representative_index=3, member_indices=(3, 5),
-                       centralizer_order=4, order=2)
-    assert a == b and hash(a) == hash(b) == hash(("c1", 3, (3, 5), 4, 2))
-    assert a != ConjugacyClass("c1", 3, (3, 5), 4, 4)
+                       centralizer_order=4, order=2, age=Fraction(1, 2))
+    assert a == b and hash(a) == hash(b) == hash(("c1", 3, (3, 5), 4, 2, Fraction(1, 2)))
+    assert a != ConjugacyClass("c1", 3, (3, 5), 4, 4, Fraction(1, 2))
     assert len({a, b}) == 1
     assert CoefficientRing("Q") != BoundaryDescriptor("subcritical", 1)
 

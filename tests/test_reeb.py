@@ -200,6 +200,19 @@ class TestFamiliesBelow:
             for f in families_below(g, Fraction(292, 97)):
                 assert f == orbit_family(g, f.class_position, f.period), g.name
 
+    def test_family_count_against_the_cap(self, monkeypatch):
+        # The count checked against MAX_FAMILIES is exactly the number of
+        # families built, so a cap of that count passes and one less fails.
+        assert len(families_below(build(a_type(4)), Fraction(10001, 3))) == 20001
+        groups = battery_24()
+        counts = [len(families_below(g, Fraction(292, 97))) for g in groups]
+        for g, built in zip(groups, counts):
+            monkeypatch.setattr(reeb, "MAX_FAMILIES", built)
+            assert len(families_below(g, Fraction(292, 97))) == built
+            monkeypatch.setattr(reeb, "MAX_FAMILIES", built - 1)
+            with pytest.raises(ValueError, match=f"gives {built} orbit families"):
+                families_below(g, Fraction(292, 97))
+
     def test_one_period_walk_per_class(self, monkeypatch):
         calls = []
         walk = reeb._periods_below
