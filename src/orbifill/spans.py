@@ -20,14 +20,14 @@ from .record import Record
 class FiniteGroupTable:
     """A finite group as a multiplication table; index 0 is the identity."""
 
-    __slots__ = ("table", "inverse", "generators", "labels", "name")
+    __slots__ = ("table", "order", "inverse", "generators", "labels", "name")
 
     def __init__(self, table, generators=None, labels=None, name="", validate=False):
-        self.table = tuple(tuple(row) for row in table)
-        n = len(self.table)
+        self.table = tuple(map(tuple, table))
+        n = self.order = len(self.table)
         if validate:
             self._validate(n)
-        inverse = tuple(row.index(0) if 0 in row else -1 for row in self.table)
+        inverse = tuple([row.index(0) if 0 in row else -1 for row in self.table])
         for i, j in enumerate(inverse):
             if j < 0 or self.table[j][i] != 0:
                 raise ParseError(f"element {i} has no two-sided inverse")
@@ -46,25 +46,30 @@ class FiniteGroupTable:
         for i in range(n):
             if self.table[0][i] != i or self.table[i][0] != i:
                 raise ParseError("index 0 is not a two-sided identity")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if (
-                        self.table[self.table[i][j]][k]
-                        != self.table[i][self.table[j][k]]
-                    ):
-                        raise ParseError("multiplication table is not associative")
-
-    @property
-    def order(self) -> int:
-        return len(self.table)
+        # Light's test: the g with (x*g)*y = x*(g*y) for all x, y are closed
+        # under the product, so checking a generating set suffices. It is
+        # chosen greedily: g joins unless some ((s1*s2)*...)*sk of it is g.
+        t, gens, members, reached = self.table, [], [0], [True] + [False] * (n - 1)
+        for g in range(1, n):
+            if reached[g]:
+                continue
+            if any(t[row[g]] != tuple(map(row.__getitem__, t[g])) for row in t):
+                raise ParseError("multiplication table is not associative")
+            gens.append(g)
+            queue = [t[x][g] for x in members]
+            for y in queue:  # queue grows while it is read
+                if not reached[y]:
+                    reached[y] = True
+                    members.append(y)
+                    queue.extend(map(t[y].__getitem__, gens))
 
     def mul(self, i, j):
         return self.table[i][j]
 
 
 def cyclic(k: int) -> FiniteGroupTable:
-    table = [[(i + j) % k for j in range(k)] for i in range(k)]
+    rotations = tuple(range(k)) * 2
+    table = (rotations[i:i + k] for i in range(k))
     return FiniteGroupTable(table, generators=(1 % k,), name=f"Z{k}")
 
 
@@ -126,16 +131,11 @@ def quaternion8() -> FiniteGroupTable:
 
 
 def direct_product(a: FiniteGroupTable, b: FiniteGroupTable) -> FiniteGroupTable:
-    na, nb = a.order, b.order
-    table = [
-        [
-            (a.table[i // nb][j // nb]) * nb + b.table[i % nb][j % nb]
-            for j in range(na * nb)
-        ]
-        for i in range(na * nb)
-    ]
+    nb = b.order
+    scaled = [[x * nb for x in row] for row in a.table]
+    table = [[x + y for x in ra for y in rb] for ra in scaled for rb in b.table]
     gens = tuple(g * nb for g in a.generators) + tuple(b.generators)
-    labels = tuple((a.labels[i // nb], b.labels[i % nb]) for i in range(na * nb))
+    labels = tuple((la, lb) for la in a.labels for lb in b.labels)
     return FiniteGroupTable(table, generators=gens, labels=labels, name=f"{a.name}x{b.name}")
 
 
@@ -148,29 +148,30 @@ def subgroup_of_product(
 ) -> FiniteGroupTable | None:
     """The subgroup of A x B generated by the given pairs, built without
     materializing the full product table; None once the closure holds more
-    than max_order elements, in which case no table is built."""
-    identity = (0, 0)
-    elements = [identity]
-    index = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        fresh = []
-        for x, y in frontier:
-            for gx, gy in pair_gens:
-                q = (a.table[x][gx], b.table[y][gy])
-                if q not in index:
-                    if len(elements) >= max_order:
-                        return None
-                    index[q] = len(elements)
-                    elements.append(q)
-                    fresh.append(q)
-        frontier = fresh
-    table = [
-        [index[(a.table[x1][x2], b.table[y1][y2])] for (x2, y2) in elements]
-        for (x1, y1) in elements
-    ]
-    gens = tuple(index[g] for g in pair_gens)
-    return FiniteGroupTable(table, generators=gens, labels=elements, name=name)
+    than max_order elements, in which case no table is built. A pair (x, y)
+    is coded x * |B| + y; element j is found as p_j * g_j with p_j < j, so
+    column j is col_{g_j} (col_g[i] = i * g) read along column p_j."""
+    ta, tb, nb = a.table, b.table, b.order
+    index = [0] + [-1] * (a.order * nb - 1)
+    codes, parents = [0], [None]
+    for i, code in enumerate(codes):  # codes grows while it is read
+        ra, rb = ta[code // nb], tb[code % nb]
+        for g, (gx, gy) in enumerate(pair_gens):
+            q = ra[gx] * nb + rb[gy]
+            if index[q] < 0:
+                if len(codes) >= max_order:
+                    return None
+                index[q] = len(codes)
+                codes.append(q)
+                parents.append((i, g))
+    labels = [divmod(code, nb) for code in codes]
+    cols = [[index[ta[x][gx] * nb + tb[y][gy]] for x, y in labels] for gx, gy in pair_gens]
+    columns = [range(len(codes))]
+    for p, g in parents[1:]:
+        col = cols[g]
+        columns.append([col[k] for k in columns[p]])
+    gens = tuple(index[gx * nb + gy] for gx, gy in pair_gens)
+    return FiniteGroupTable(zip(*columns), generators=gens, labels=labels, name=name)
 
 
 def from_elements_of_product(
@@ -269,11 +270,10 @@ def _require_composable(span1, span2):
 
 def _orbit_reps(span1, span2):
     h2 = span1.right
-    g1, g2 = span1.middle, span2.middle
     t1, s2 = span1.t.images, span2.s.images
     mul, inv = h2.table, h2.inverse
-    moves = [lambda h, a=t1[g]: mul[h][inv[a]] for g in g1.generators]
-    moves += [lambda h, a=s2[g]: mul[a][h] for g in g2.generators]
+    moves = [[row[inv[t1[g]]] for row in mul] for g in span1.middle.generators]
+    moves += [mul[s2[g]] for g in span2.middle.generators]
     seen = [False] * h2.order
     orbits = []
     for h in range(h2.order):
@@ -284,7 +284,7 @@ def _orbit_reps(span1, span2):
         while stack:
             x = stack.pop()
             for mv in moves:
-                y = mv(x)
+                y = mv[x]
                 if not seen[y]:
                     seen[y] = True
                     orbit.add(y)

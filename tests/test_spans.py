@@ -25,6 +25,7 @@ from orbifill import (
 )
 from orbifill.spans import (
     _group_pool,
+    _orbit_reps,
     _random_span,
     from_permutations,
     group_from_document,
@@ -70,6 +71,12 @@ class TestGroupTables:
         orders_b = sorted(unitary.element_order(i) for i in range(8))
         assert orders_a == orders_b
 
+    def test_cyclic_rows_are_sums_mod_k(self):
+        for k in range(1, 40):
+            assert cyclic(k).table == tuple(
+                tuple((i + j) % k for j in range(k)) for i in range(k)
+            ), k
+
     def test_validation_rejects_non_groups(self):
         with pytest.raises(ParseError):
             FiniteGroupTable([[0, 1], [1, 1]], validate=True)
@@ -104,6 +111,229 @@ def _power(group, i, k):
     for _ in range(k):
         cur = group.table[cur][i]
     return cur
+
+
+def _reference_is_associative(table):
+    """The all-triples check: (x*y)*z = x*(y*z) for every x, y, z."""
+    n = len(table)
+    return all(
+        table[table[x][y]][z] == table[x][table[y][z]]
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+    )
+
+
+def _rejected_as_non_associative(table):
+    try:
+        FiniteGroupTable(table, validate=True)
+    except ParseError as exc:
+        return str(exc) == "multiplication table is not associative"
+    return False
+
+
+def _reduced_latin_squares(n):
+    """Every n x n Latin square whose row 0 and column 0 are 0, 1, ..., n-1:
+    the tables of the loops on n elements with identity 0."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            yield [list(row) for row in rows]
+            return
+        i, j = divmod(cell, n)
+        if i == 0 or j == 0:
+            yield from fill(cell + 1)
+            return
+        used = set(rows[i][:j]) | {rows[k][j] for k in range(i)}
+        for v in range(n):
+            if v not in used:
+                rows[i][j] = v
+                yield from fill(cell + 1)
+        rows[i][j] = None
+
+    return list(fill(0))
+
+
+class TestLightAssociativity:
+    """Table documents are checked for associativity on a generating set only
+    (Light's test); the all-triples check is the reference."""
+
+    def test_loops_of_order_five(self):
+        squares = _reduced_latin_squares(5)
+        assert len(squares) == 56
+        verdicts = [_reference_is_associative(t) for t in squares]
+        assert 0 < sum(verdicts) < len(squares)
+        for table, associative in zip(squares, verdicts):
+            assert _rejected_as_non_associative(table) == (not associative), table
+            if associative:
+                FiniteGroupTable(table, validate=True)
+
+    def test_failures_only_off_the_first_generator(self):
+        # L x Z2 with (l, z) coded 2l + z: element 1 = (e, 1) is central and
+        # associates with everything, so each failing triple of a
+        # non-associative loop L has another middle element. Element 1 is the
+        # first generator the greedy choice takes.
+        loops = [t for t in _reduced_latin_squares(5) if not _reference_is_associative(t)]
+        for loop in loops:
+            table = [
+                [loop[l1][l2] * 2 + (z1 + z2) % 2 for l2 in range(5) for z2 in range(2)]
+                for l1 in range(5) for z1 in range(2)
+            ]
+            n = len(table)
+            middles = {
+                y
+                for x in range(n) for y in range(n) for z in range(n)
+                if table[table[x][y]][z] != table[x][table[y][z]]
+            }
+            assert middles and 1 not in middles
+            with pytest.raises(ParseError, match="^multiplication table is not associative$"):
+                FiniteGroupTable(table, validate=True)
+
+    def test_random_tables_with_identity(self):
+        rng = random.Random(20261018)
+        rejected = 0
+        for _ in range(3000):
+            n = rng.choice((3, 4, 5))
+            table = [list(range(n))] + [
+                [i] + [rng.randrange(n) for _ in range(n - 1)] for i in range(1, n)
+            ]
+            associative = _reference_is_associative(table)
+            assert _rejected_as_non_associative(table) == (not associative), table
+            rejected += not associative
+        assert rejected > 1000
+
+    def test_group_tables_pass(self):
+        for group in _group_pool(24) + [cyclic(60), direct_product(dihedral(5), cyclic(3))]:
+            table = [list(row) for row in group.table]
+            assert FiniteGroupTable(table, validate=True).table == group.table
+
+
+def _reference_subgroup_of_product(a, b, pair_gens, max_order, name=""):
+    """The pair-hash closure: elements keyed by (x, y) tuples in a dict, and
+    every table entry looked up by its pair."""
+    identity = (0, 0)
+    elements = [identity]
+    index = {identity: 0}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for x, y in frontier:
+            for gx, gy in pair_gens:
+                q = (a.table[x][gx], b.table[y][gy])
+                if q not in index:
+                    if len(elements) >= max_order:
+                        return None
+                    index[q] = len(elements)
+                    elements.append(q)
+                    fresh.append(q)
+        frontier = fresh
+    table = [
+        [index[(a.table[x1][x2], b.table[y1][y2])] for (x2, y2) in elements]
+        for (x1, y1) in elements
+    ]
+    gens = tuple(index[g] for g in pair_gens)
+    return FiniteGroupTable(table, generators=gens, labels=elements, name=name)
+
+
+def _reference_direct_product(a, b):
+    """The product table entry by entry, splitting each index with divmod."""
+    na, nb = a.order, b.order
+    table = [
+        [
+            a.table[i // nb][j // nb] * nb + b.table[i % nb][j % nb]
+            for j in range(na * nb)
+        ]
+        for i in range(na * nb)
+    ]
+    gens = tuple(g * nb for g in a.generators) + tuple(b.generators)
+    labels = tuple((a.labels[i // nb], b.labels[i % nb]) for i in range(na * nb))
+    return FiniteGroupTable(table, generators=gens, labels=labels, name=f"{a.name}x{b.name}")
+
+
+def _reference_orbit_reps(span1, span2):
+    """Orbits of the fiber-product action, one move function per generator."""
+    h2 = span1.right
+    t1, s2 = span1.t.images, span2.s.images
+    mul, inv = h2.table, h2.inverse
+    moves = [lambda h, a=t1[g]: mul[h][inv[a]] for g in span1.middle.generators]
+    moves += [lambda h, a=s2[g]: mul[a][h] for g in span2.middle.generators]
+    seen = [False] * h2.order
+    orbits = []
+    for h in range(h2.order):
+        if seen[h]:
+            continue
+        stack, orbit = [h], {h}
+        seen[h] = True
+        while stack:
+            x = stack.pop()
+            for mv in moves:
+                y = mv(x)
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.add(y)
+                    stack.append(y)
+        orbits.append(sorted(orbit))
+    return orbits
+
+
+def _group_data(group):
+    if group is None:
+        return None
+    return (group.name, group.table, group.labels, group.generators, group.inverse)
+
+
+class TestKernelsAgainstReference:
+    """The int-coded closure, the row-pair product and the orbit walk on move
+    columns give exactly what the pair-hash closure, the divmod product and
+    the move functions give."""
+
+    def test_subgroup_of_product(self):
+        rng = random.Random(20261018)
+        pool = _group_pool(48)
+        outcomes = {True: 0, False: 0}
+        for _ in range(4000):
+            a, b = rng.choice(pool), rng.choice(pool)
+            pair_gens = [
+                (rng.randrange(a.order), rng.randrange(b.order))
+                for _ in range(rng.choice((1, 2, 3)))
+            ]
+            cap = rng.randint(4, 48)
+            new = subgroup_of_product(a, b, pair_gens, cap, name="sub")
+            ref = _reference_subgroup_of_product(a, b, pair_gens, cap, name="sub")
+            assert _group_data(new) == _group_data(ref), (a.name, b.name, pair_gens, cap)
+            outcomes[new is None] += 1
+        assert min(outcomes.values()) > 1000
+
+    def test_trivial_and_repeated_generators(self):
+        z4, q8 = cyclic(4), quaternion8()
+        for pair_gens in ([(0, 0)], [(1, 2), (1, 2)], [(0, 0), (3, 5)], [(2, 0), (0, 4), (2, 4)]):
+            for cap in (1, 2, 8, 32):
+                assert _group_data(subgroup_of_product(z4, q8, pair_gens, cap)) == _group_data(
+                    _reference_subgroup_of_product(z4, q8, pair_gens, cap)
+                ), (pair_gens, cap)
+
+    def test_direct_product(self):
+        pool = _group_pool(24)
+        factors = pool + [
+            subgroup_of_product(dihedral(6), cyclic(4), [(1, 1), (6, 2)], 48),
+            subgroup_of_product(quaternion8(), cyclic(6), [(1, 3)], 24),
+        ]
+        for a in factors:
+            for b in factors:
+                if a.order * b.order <= 96:
+                    assert _group_data(direct_product(a, b)) == _group_data(
+                        _reference_direct_product(a, b)
+                    ), (a.name, b.name)
+
+    def test_orbit_reps(self):
+        pool = _group_pool(24)
+        for trial in range(600):
+            rng = random.Random(f"orbits:{trial}")
+            h1, h2, h3 = (rng.choice(pool) for _ in range(3))
+            span1 = _random_span(rng, h1, h2, 24)
+            span2 = _random_span(rng, h2, h3, 24)
+            assert _orbit_reps(span1, span2) == _reference_orbit_reps(span1, span2), trial
 
 
 class TestHomomorphisms:
@@ -310,21 +540,22 @@ class TestCompositionCheck:
 
 def _reference_random_span(rng, left, right, max_middle):
     """The span generator as it was before closures stopped at max_middle:
-    it builds every subgroup's full table and rejects an oversized middle
-    afterwards. No subgroup of A x B has more than |A||B| elements, so that
-    cap never stops the closure."""
+    it builds every subgroup's full table, with the pair-hash closure and the
+    divmod product, and rejects an oversized middle afterwards. No subgroup
+    of A x B has more than |A||B| elements, so that cap never stops the
+    closure."""
     while True:
         k = rng.choice((1, 1, 2, 2, 3))
         pair_gens = [
             (rng.randrange(left.order), rng.randrange(right.order)) for _ in range(k)
         ]
-        sub = subgroup_of_product(left, right, pair_gens, left.order * right.order)
+        sub = _reference_subgroup_of_product(left, right, pair_gens, left.order * right.order)
         middle = sub
         kernel = None
         if sub.order * 2 <= max_middle and rng.random() < 0.5:
             kernel = cyclic(rng.choice((2, 3, 4)))
             if sub.order * kernel.order <= max_middle:
-                middle = direct_product(sub, kernel)
+                middle = _reference_direct_product(sub, kernel)
             else:
                 kernel = None
         if middle.order > max_middle:
@@ -339,7 +570,8 @@ def _reference_random_span(rng, left, right, max_middle):
 
 
 def _span_data(sp):
-    return (sp.left.name, sp.middle.name, sp.right.name, sp.middle.table, sp.s.images, sp.t.images)
+    return (sp.left.name, sp.middle.name, sp.right.name, sp.middle.table, sp.middle.labels,
+            sp.middle.inverse, sp.s.images, sp.t.images)
 
 
 class TestRandomSpanReference:
