@@ -159,8 +159,12 @@ def _at_least(low):
 
 
 def rational(text):
-    """A Fraction from text; ValueError, not ZeroDivisionError, for p/0. As
-    an argparse type it makes a bad value a usage error (exit 2)."""
+    """A Fraction from an int, p/q or decimal text; ValueError, not
+    ZeroDivisionError, for p/0. Exponent notation is refused before Fraction
+    expands 1eK into a K-digit int. As an argparse type it makes a bad value
+    a usage error (exit 2)."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"{text!r} uses exponent notation")
     try:
         return Fraction(text)
     except ZeroDivisionError:

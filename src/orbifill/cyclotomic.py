@@ -192,12 +192,7 @@ class CyclotomicNumber:
                 f"cannot lift conductor {self.conductor} to {conductor}"
             )
         step = conductor // self.conductor
-        red = _sparse_reduction(conductor)
-        acc = [0] * euler_phi(conductor)
-        for j, c in _support(self.nums):
-            for i, r in red[j * step]:
-                acc[i] += c * r
-        return CyclotomicNumber(conductor, acc, self.den)
+        return _substitute(conductor, [(j * step, c) for j, c in _support(self.nums)], self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -257,26 +252,28 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Exact multiplicative inverse via the extended gcd against Phi_N."""
+        """Exact multiplicative inverse: for a = b / den, the product P of the
+        other Galois conjugates of b over the norm b * P, a nonzero integer
+        (Washington, Introduction to Cyclotomic Fields, ch. 2)."""
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
         n = self.conductor
-        g, s = _poly_invert(list(self.nums), cyclotomic_polynomial(n).coefficients)
-        # s * nums = g (mod Phi_N), so (nums / den)^-1 = s * den / g.
-        nums = [c * self.den for c in s] + [0] * (euler_phi(n) - len(s))
-        return CyclotomicNumber(n, nums, g)
+        b = CyclotomicNumber(n, self.nums)
+        p = one(n)
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                p = p * b.galois(k)
+        norm = (b * p).nums
+        if any(norm[1:]) or not norm[0]:
+            raise InternalInconsistency("the norm is not a nonzero rational integer")
+        return CyclotomicNumber(n, [c * self.den for c in p.nums], norm[0])
 
     def galois(self, k: int) -> "CyclotomicNumber":
         """Apply the field automorphism zeta_N -> zeta_N^k, gcd(k, N) = 1."""
         n = self.conductor
         if math.gcd(k, n) != 1:
             raise ValueError("automorphism exponent must be coprime to the conductor")
-        red = _sparse_reduction(n)
-        acc = [0] * euler_phi(n)
-        for j, c in _support(self.nums):
-            for i, r in red[(j * k) % n]:
-                acc[i] += c * r
-        return CyclotomicNumber(n, acc, self.den)
+        return _substitute(n, [(j * k, c) for j, c in _support(self.nums)], self.den)
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation, realized as zeta_N -> zeta_N^(N-1)."""
@@ -330,19 +327,24 @@ def _combine(a: CyclotomicNumber, b: CyclotomicNumber, sign: int) -> CyclotomicN
     )
 
 
+def _substitute(n: int, terms, den: int) -> CyclotomicNumber:
+    # sum(c * zeta_n^e) / den for int (e, c) terms, each power read from the
+    # reduction table at e mod n.
+    red = _sparse_reduction(n)
+    acc = [0] * euler_phi(n)
+    for e, c in terms:
+        for i, r in red[e % n]:
+            acc[i] += c * r
+    return CyclotomicNumber(n, acc, den)
+
+
 def _from_terms(conductor: int, terms) -> CyclotomicNumber:
     # sum(num / den * zeta_conductor^exp) for int (num, den, exp) terms, den > 0.
     if conductor < 1:
         raise ValueError("conductor must be positive")
     terms = [t for t in terms if t[0]]
     den = math.lcm(*(d for _, d, _ in terms))
-    red = _sparse_reduction(conductor)
-    acc = [0] * euler_phi(conductor)
-    for num, d, exp in terms:
-        c = num * (den // d)
-        for i, r in red[exp % conductor]:
-            acc[i] += c * r
-    return CyclotomicNumber(conductor, acc, den)
+    return _substitute(conductor, [(exp, num * (den // d)) for num, d, exp in terms], den)
 
 
 def make(conductor: int, terms) -> CyclotomicNumber:
@@ -365,77 +367,6 @@ def zero(conductor: int = 1) -> CyclotomicNumber:
 
 def one(conductor: int = 1) -> CyclotomicNumber:
     return make(conductor, [(1, 0)])
-
-
-# -- integer polynomial helpers (ascending coefficients) ----------------------
-
-
-def _poly_trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_invert(a, modulus):
-    # Extended Euclid for a modulo Phi_N over Z[x], by pseudo-division. Each
-    # step keeps r = s * a (mod Phi_N) and divides the pair (r, s) by its
-    # content. Phi_N is irreducible over Q, so the last nonzero remainder is
-    # a nonzero integer g, and s * a = g (mod Phi_N).
-    r0, r1 = list(modulus), _poly_trim(list(a))
-    s0, s1 = [0], [1]
-    while r1:
-        scale, q, rem = _poly_divmod(r0, r1)
-        s = _poly_sub([scale * c for c in s0], _poly_mul(q, s1))
-        g = math.gcd(*rem, *s)
-        if g > 1:
-            rem = [c // g for c in rem]
-            s = [c // g for c in s]
-        r0, r1, s0, s1 = r1, rem, s1, s
-    if len(r0) != 1:
-        raise InternalInconsistency("gcd against an irreducible modulus is not constant")
-    return r0[0], s0
-
-
-def _poly_divmod(a, b):
-    # Pseudo-division: (scale, q, r) with scale * a = q * b + r, deg r < deg b.
-    # a is multiplied by lc(b) only when a leading coefficient needs it.
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    q = [0] * max(1, len(a) - db)
-    scale = 1
-    for top in range(len(a) - 1, db - 1, -1):
-        c = a[top]
-        if not c:
-            continue
-        if c % lead:
-            a = [x * lead for x in a]
-            q = [x * lead for x in q]
-            scale *= lead
-        else:
-            c //= lead
-        shift = top - db
-        q[shift] += c
-        for j, bj in enumerate(b):
-            a[shift + j] -= c * bj
-    return scale, _poly_trim(q), _poly_trim(a[:db])
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_sub(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _poly_trim(out)
 
 
 # -- literal grammar ----------------------------------------------------------

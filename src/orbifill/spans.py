@@ -23,15 +23,24 @@ class FiniteGroupTable:
     __slots__ = ("table", "order", "inverse", "generators", "labels", "name")
 
     def __init__(self, table, generators=None, labels=None, name="", validate=False):
-        self.table = tuple(map(tuple, table))
-        n = self.order = len(self.table)
+        t = self.table = tuple(map(tuple, table))
+        n = self.order = len(t)
         if validate:
             self._validate(n)
-        inverse = tuple([row.index(0) if 0 in row else -1 for row in self.table])
-        for i, j in enumerate(inverse):
-            if j < 0 or self.table[j][i] != 0:
+        inverse = []
+        for i, row in enumerate(t):
+            try:
+                j = row.index(0)
+            except ValueError:
+                j = -1
+            if j < 0 or t[j][i] != 0:
                 raise ParseError(f"element {i} has no two-sided inverse")
-        self.inverse = inverse
+            inverse.append(j)
+        self.inverse = tuple(inverse)
+        # Associativity last: a monoid without inverses is rejected above
+        # before Light's test takes every element as a generator.
+        if validate:
+            _check_associative(t)
         self.generators = tuple(generators) if generators is not None else tuple(range(n))
         self.labels = tuple(labels) if labels is not None else tuple(range(n))
         self.name = name
@@ -46,25 +55,30 @@ class FiniteGroupTable:
         for i in range(n):
             if self.table[0][i] != i or self.table[i][0] != i:
                 raise ParseError("index 0 is not a two-sided identity")
-        # Light's test: the g with (x*g)*y = x*(g*y) for all x, y are closed
-        # under the product, so checking a generating set suffices. It is
-        # chosen greedily: g joins unless some ((s1*s2)*...)*sk of it is g.
-        t, gens, members, reached = self.table, [], [0], [True] + [False] * (n - 1)
-        for g in range(1, n):
-            if reached[g]:
-                continue
-            if any(t[row[g]] != tuple(map(row.__getitem__, t[g])) for row in t):
-                raise ParseError("multiplication table is not associative")
-            gens.append(g)
-            queue = [t[x][g] for x in members]
-            for y in queue:  # queue grows while it is read
-                if not reached[y]:
-                    reached[y] = True
-                    members.append(y)
-                    queue.extend(map(t[y].__getitem__, gens))
 
     def mul(self, i, j):
         return self.table[i][j]
+
+
+def _check_associative(t: tuple[tuple[int, ...], ...]) -> None:
+    """Light's test on a table of tuples with identity 0: the g with
+    (x*g)*y = x*(g*y) for all x, y are closed under the product, so checking
+    a generating set suffices. It is chosen greedily: g joins unless some
+    ((s1*s2)*...)*sk of it is g."""
+    n = len(t)
+    gens, members, reached = [], [0], [True] + [False] * (n - 1)
+    for g in range(1, n):
+        if reached[g]:
+            continue
+        if any(t[row[g]] != tuple(map(row.__getitem__, t[g])) for row in t):
+            raise ParseError("multiplication table is not associative")
+        gens.append(g)
+        queue = [t[x][g] for x in members]
+        for y in queue:  # queue grows while it is read
+            if not reached[y]:
+                reached[y] = True
+                members.append(y)
+                queue.extend(map(t[y].__getitem__, gens))
 
 
 def cyclic(k: int) -> FiniteGroupTable:

@@ -134,5 +134,7 @@ def battery_24():
         + [antipodal(n) for n in (2, 3)]
         + [quaternion()]
         + [binary_dihedral(m) for m in (2, 3, 4, 6)]
+        # Q8 x mu3: full-pairs is not associative here, orbit-reps is.
+        + [times_scalars(quaternion(), 3)]
     )
     return [build(d) for d in docs]

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -293,6 +294,39 @@ class TestZeroDenominators:
         assert result.exit_code == 2
         assert "1/0" in result.stderr
         assert "Traceback" not in result.output
+
+
+class TestExponentNotation:
+    """Rational options refuse 1eK text, which Fraction would expand into a
+    K-digit int before any check; ints, p/q and decimals still parse."""
+
+    A3 = str(Path(__file__).resolve().parent.parent / "samples" / "a3.json")
+
+    def test_bound_exits_two(self, runner, workspace):
+        result = invoke(runner, workspace, "reeb", "report", self.A3, "--bound", "304e-2")
+        assert result.exit_code == 2
+        assert "304e-2" in result.stderr
+        assert "Traceback" not in result.output
+
+    def test_profile_period_exits_two(self, runner, workspace):
+        result = invoke(runner, workspace, "ledger", "build", self.A3,
+                        "--slope", "203/101", "--profile", "Id:1e0=0")
+        assert result.exit_code == 2
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "1e0" in errors[0]
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("bound", ["304/101", "2.4"])
+    def test_plain_forms_accepted(self, runner, workspace, bound):
+        assert invoke(runner, workspace, "reeb", "report", self.A3, "--bound", bound).exit_code == 0
+
+    def test_rational_forms(self):
+        assert cli_module.rational("2.5") == Fraction(5, 2)
+        assert cli_module.rational("304/101") == Fraction(304, 101)
+        assert cli_module.rational("-7") == -7
+        for text in ("1e1000000", "2E3", "1e0"):
+            with pytest.raises(ValueError, match="exponent notation"):
+                cli_module.rational(text)
 
 
 class TestMaxOrder:

@@ -10,6 +10,7 @@ import pytest
 from orbifill import (
     CyclotomicNumber,
     IncompatibleConductor,
+    InternalInconsistency,
     ParseError,
     cyclotomic_polynomial,
     euler_phi,
@@ -546,3 +547,63 @@ class TestNormalForm:
         rational_sum = make(5, [(1, 1), (1, 2), (1, 3), (1, 4), (Fraction(1, 2), 0)])
         assert rational_sum == Fraction(-1, 2)
         assert make(3, [(4, 0)]) == 4
+
+
+class TestInverseFromConjugates:
+    """The inverse is the product of the other Galois conjugates over the
+    norm: an empty product at conductors 1 and 2, then a prime, a prime power
+    and twice a prime."""
+
+    same = staticmethod(TestAgainstFractionReference.same)
+    assert_normal = staticmethod(TestNormalForm.assert_normal)
+
+    @staticmethod
+    def spec(rng, n, terms):
+        return [(Fraction(rng.choice([-9, -4, -1, 1, 2, 7]), rng.randint(1, 6)), rng.randrange(2 * n))
+                for _ in range(terms)]
+
+    def test_empty_product(self):
+        rng = random.Random(70301)
+        for n in (1, 2):
+            for terms in (1, 2, 3):
+                spec = self.spec(rng, n, terms)
+                a = make(n, spec)
+                if a.is_zero():
+                    continue
+                x = a.inverse()
+                assert self.same(x, fraction_make(n, spec).inverse())
+                self.assert_normal(x)
+                assert a * x == 1
+        assert make(2, [(3, 1), (Fraction(1, 2), 0)]).inverse() == Fraction(-2, 5)
+
+    def test_against_reference(self):
+        # The Fraction Euclid is affordable on binomials at these conductors
+        # and on trinomials at the prime.
+        rng = random.Random(70302)
+        for n, terms in ((97, 2), (97, 3), (125, 2), (202, 2)):
+            for _ in range(3):
+                spec = self.spec(rng, n, terms)
+                a = make(n, spec)
+                if a.is_zero():
+                    continue
+                x = a.inverse()
+                assert self.same(x, fraction_make(n, spec).inverse())
+                self.assert_normal(x)
+
+    def test_dense_values(self):
+        rng = random.Random(70303)
+        for n in (97, 125, 202):
+            for terms in (4, 8):
+                a = make(n, self.spec(rng, n, terms))
+                if a.is_zero():
+                    continue
+                x = a.inverse()
+                self.assert_normal(x)
+                assert a * x == 1 and x * a == 1
+
+    def test_norm_check(self, monkeypatch):
+        # With every conjugate replaced by the value itself, the product is
+        # (z + 2)^4, which is not rational.
+        monkeypatch.setattr(CyclotomicNumber, "galois", lambda self, k: self)
+        with pytest.raises(InternalInconsistency, match="norm"):
+            (zeta(5) + 2).inverse()

@@ -23,7 +23,9 @@ from orbifill import (
     random_composition_battery,
     span,
 )
+from orbifill import spans
 from orbifill.spans import (
+    _check_associative,
     _group_pool,
     _orbit_reps,
     _random_span,
@@ -125,8 +127,10 @@ def _reference_is_associative(table):
 
 
 def _rejected_as_non_associative(table):
+    # Light's test on its own: a table that also lacks two-sided inverses is
+    # rejected for that first when it comes as a document.
     try:
-        FiniteGroupTable(table, validate=True)
+        _check_associative(tuple(map(tuple, table)))
     except ParseError as exc:
         return str(exc) == "multiplication table is not associative"
     return False
@@ -187,8 +191,7 @@ class TestLightAssociativity:
                 if table[table[x][y]][z] != table[x][table[y][z]]
             }
             assert middles and 1 not in middles
-            with pytest.raises(ParseError, match="^multiplication table is not associative$"):
-                FiniteGroupTable(table, validate=True)
+            assert _rejected_as_non_associative(table)
 
     def test_random_tables_with_identity(self):
         rng = random.Random(20261018)
@@ -202,6 +205,26 @@ class TestLightAssociativity:
             assert _rejected_as_non_associative(table) == (not associative), table
             rejected += not associative
         assert rejected > 1000
+
+    def test_monoid_rejected_before_light(self, monkeypatch):
+        # max(x, y) is associative with identity 0, and no element but 0 has
+        # an inverse: the inverse check rejects it, and Light's test, which
+        # would take every element as a generator, never runs.
+        calls = []
+        monkeypatch.setattr(spans, "_check_associative", lambda t: calls.append(t))
+        table = [[max(x, y) for y in range(200)] for x in range(200)]
+        with pytest.raises(ParseError, match="^element 1 has no two-sided inverse$"):
+            FiniteGroupTable(table, validate=True)
+        assert calls == []
+        FiniteGroupTable(cyclic(5).table, validate=True)
+        assert len(calls) == 1
+
+    def test_both_faults_report_the_inverse(self):
+        # Row 1 has no 0 and (2*1)*2 != 2*(1*2): the inverse message wins.
+        table = [[0, 1, 2], [1, 1, 1], [2, 2, 0]]
+        assert not _reference_is_associative(table)
+        with pytest.raises(ParseError, match="^element 1 has no two-sided inverse$"):
+            FiniteGroupTable(table, validate=True)
 
     def test_group_tables_pass(self):
         for group in _group_pool(24) + [cyclic(60), direct_product(dihedral(5), cyclic(3))]:
