@@ -390,7 +390,7 @@ def reeb_cmd(action, path, bound, fmt, max_order, cache_dir):
             fmt,
         )
         return
-    families = families_below(group, bound)
+    families = families_below(group, bound, option="--bound")
     discrepancy = None
     if group.order != 1:
         disc, verdict = mclean_discrepancy(group)

@@ -31,7 +31,6 @@ the generators do not generate a finite group.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import operator
@@ -700,6 +699,10 @@ def canonical_document(document) -> dict:
 
 
 def document_digest(document) -> str:
+    # Imported here: hashlib loads OpenSSL, which commands that hash no
+    # document (span random, --version) need not pay for at start-up.
+    import hashlib
+
     canon = canonical_document(document)
     payload = json.dumps(canon, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(payload).hexdigest()

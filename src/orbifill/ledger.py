@@ -16,7 +16,7 @@ from .coefficients import CoefficientRing
 from .errors import InvariantViolation
 from .groups import FiniteUnitaryGroup
 from .record import Record
-from .reeb import MorseCell, cz_generator, families_below
+from .reeb import MorseCell, cz_generator, families_below, family_count
 
 KIND_CONSTANT_TWISTED = "constant-twisted"
 KIND_CONSTANT_UNTWISTED = "constant-untwisted"
@@ -24,6 +24,10 @@ KIND_CELL = "cell"
 
 PROVENANCE_PAPER = "established"
 PROVENANCE_USER = "user-supplied"
+
+# The most Morse cells one ledger may hold, counted before any family or
+# generator is built.
+MAX_CELLS = 40_000
 
 
 class FloerGenerator(Record):
@@ -90,12 +94,18 @@ def build_ledger(
     and one generator of degree 2*age per nontrivial class. Nonconstant
     generators: one per Morse cell of every family with period below the
     slope, with action equal to minus the period. A cell profile keyed by
-    a (class, period) pair that is no such family raises ValueError.
+    a (class, period) pair that is no such family raises ValueError, and so
+    does a ledger of more than MAX_CELLS cells.
     """
-    group.require_isolated()
-    slope = Fraction(slope)
-    families = families_below(group, slope)
     profiles = cell_profiles or {}
+    # Two cells per family under the default profile.
+    cells = 2 * family_count(group, slope) + sum(len(p) - 2 for p in profiles.values())
+    slope = Fraction(slope)
+    if cells > MAX_CELLS:
+        raise ValueError(
+            f"slope {slope} gives {cells} Morse cells, more than the cap of {MAX_CELLS}"
+        )
+    families = families_below(group, slope)
     known = {(f.class_label, f.period) for f in families}
     unknown = [f"{label}:{period}" for label, period in profiles if (label, period) not in known]
     if unknown:

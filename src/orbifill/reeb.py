@@ -130,13 +130,15 @@ def orbit_family(group: FiniteUnitaryGroup, class_position: int, period) -> Orbi
     )
 
 
-def families_below(group: FiniteUnitaryGroup, slope) -> list[OrbitFamily]:
-    """Every orbit family with period strictly below the slope; ValueError
-    when there would be more than MAX_FAMILIES of them."""
+def family_count(group: FiniteUnitaryGroup, slope, option: str = "slope") -> int:
+    """The number of orbit families with period strictly below the slope,
+    summed from the period data before any family is built. SlopeOnSpectrum
+    when the slope is a period, ValueError when the count is above
+    MAX_FAMILIES; ``option`` names the slope in these messages."""
     group.require_isolated()
     slope = _validated_period(slope)
     if is_on_spectrum(group, slope):
-        raise SlopeOnSpectrum(f"slope {slope} is an admissible period")
+        raise SlopeOnSpectrum(f"{option} {slope} is an admissible period")
     # The periods base, base + 1, ... below the slope number ceil(slope - base).
     total = sum(
         max(0, math.ceil(slope - (base or 1)))
@@ -145,8 +147,16 @@ def families_below(group: FiniteUnitaryGroup, slope) -> list[OrbitFamily]:
     )
     if total > MAX_FAMILIES:
         raise ValueError(
-            f"slope {slope} gives {total} orbit families, more than the cap of {MAX_FAMILIES}"
+            f"{option} {slope} gives {total} orbit families, more than the cap of {MAX_FAMILIES}"
         )
+    return total
+
+
+def families_below(group: FiniteUnitaryGroup, slope, option: str = "slope") -> list[OrbitFamily]:
+    """Every orbit family with period strictly below the slope; the slope is
+    checked by ``family_count`` first."""
+    family_count(group, slope, option)
+    slope = Fraction(slope)
     out = []
     n = group.dimension
     # One walk per class, in ascending period, with the running index of

@@ -10,6 +10,7 @@ computations is the identity exercised by the randomized battery.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,25 +19,21 @@ from .record import Record
 
 
 class FiniteGroupTable:
-    """A finite group as a multiplication table; index 0 is the identity."""
+    """A finite group on the elements 0, ..., order - 1; index 0 is the identity.
 
-    __slots__ = ("table", "order", "inverse", "generators", "labels", "name")
+    A group is given by its multiplication table, or by the column
+    col_g[x] = x*g of each of its generators g (``from_columns``). A group
+    given by columns builds ``table`` and ``inverse`` only when one is read.
+    """
+
+    __slots__ = ("order", "generators", "labels", "name", "_columns", "_table", "_inverse")
 
     def __init__(self, table, generators=None, labels=None, name="", validate=False):
-        t = self.table = tuple(map(tuple, table))
+        t = self._table = tuple(map(tuple, table))
         n = self.order = len(t)
         if validate:
             self._validate(n)
-        inverse = []
-        for i, row in enumerate(t):
-            try:
-                j = row.index(0)
-            except ValueError:
-                j = -1
-            if j < 0 or t[j][i] != 0:
-                raise ParseError(f"element {i} has no two-sided inverse")
-            inverse.append(j)
-        self.inverse = tuple(inverse)
+        self._inverse = _two_sided_inverses(t)
         # Associativity last: a monoid without inverses is rejected above
         # before Light's test takes every element as a generator.
         if validate:
@@ -44,20 +41,90 @@ class FiniteGroupTable:
         self.generators = tuple(generators) if generators is not None else tuple(range(n))
         self.labels = tuple(labels) if labels is not None else tuple(range(n))
         self.name = name
+        self._columns = None
+
+    @classmethod
+    def from_columns(cls, columns, generators, labels, name=""):
+        """The group whose generator ``generators[k]`` has column
+        ``columns[k]``; each column must be a permutation of the elements."""
+        self = cls.__new__(cls)
+        n = self.order = len(labels)
+        elements = list(range(n))
+        for k, col in enumerate(columns):
+            if sorted(col) != elements:
+                raise ParseError(f"column of generator {generators[k]} is not a permutation")
+        self._columns = tuple(columns)
+        self._table = self._inverse = None
+        self.generators = tuple(generators)
+        self.labels = tuple(labels)
+        self.name = name
+        return self
+
+    @property
+    def table(self):
+        if self._table is None:
+            self._table = _table_from_columns(self._columns, self.order)
+        return self._table
+
+    @property
+    def inverse(self):
+        if self._inverse is None:
+            self._inverse = _two_sided_inverses(self.table)
+        return self._inverse
+
+    def columns(self):
+        """The column x -> x*g of each generator g, in generator order: held
+        by a group built from columns, read off the table otherwise."""
+        if self._columns is not None:
+            return self._columns
+        t = self._table
+        return ([row[g] for row in t] for g in self.generators)
 
     def _validate(self, n):
-        for i, row in enumerate(self.table):
+        for i, row in enumerate(self._table):
             if len(row) != n:
                 raise ParseError("multiplication table is not square")
             for v in row:
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                     raise ParseError("table entries must be element indices")
         for i in range(n):
-            if self.table[0][i] != i or self.table[i][0] != i:
+            if self._table[0][i] != i or self._table[i][0] != i:
                 raise ParseError("index 0 is not a two-sided identity")
 
     def mul(self, i, j):
         return self.table[i][j]
+
+
+def _two_sided_inverses(t: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    inverse = []
+    for i, row in enumerate(t):
+        try:
+            j = row.index(0)
+        except ValueError:
+            j = -1
+        if j < 0 or t[j][i] != 0:
+            raise ParseError(f"element {i} has no two-sided inverse")
+        inverse.append(j)
+    return tuple(inverse)
+
+
+def _table_from_columns(gen_columns, n: int) -> tuple[tuple[int, ...], ...]:
+    """The table whose column j is x -> x*j, composed breadth-first from the
+    identity: for j = p*g, x*j = col_g[x*p], so column j is col_g read along
+    column p."""
+    columns = [None] * n
+    columns[0] = range(n)
+    reached = [0]
+    for p in reached:  # reached grows while it is read
+        column_p = columns[p]
+        for col in gen_columns:
+            j = col[p]
+            if columns[j] is None:
+                columns[j] = [col[x] for x in column_p]
+                reached.append(j)
+    if len(reached) != n:
+        raise ParseError("the generators do not generate the group")
+    return tuple(zip(*columns))
 
 
 def _check_associative(t: tuple[tuple[int, ...], ...]) -> None:
@@ -145,12 +212,15 @@ def quaternion8() -> FiniteGroupTable:
 
 
 def direct_product(a: FiniteGroupTable, b: FiniteGroupTable) -> FiniteGroupTable:
+    """A x B with (x, y) coded x * |B| + y, from its factors' generator
+    columns: (x, y)(g, 0) = (x g, y) and (x, y)(0, h) = (x, y h)."""
     nb = b.order
-    scaled = [[x * nb for x in row] for row in a.table]
-    table = [[x + y for x in ra for y in rb] for ra in scaled for rb in b.table]
+    rb, starts = range(nb), range(0, a.order * nb, nb)
+    cols = [[x + y for x in [c * nb for c in col] for y in rb] for col in a.columns()]
+    cols += [[x + c for x in starts for c in col] for col in b.columns()]
     gens = tuple(g * nb for g in a.generators) + tuple(b.generators)
     labels = tuple((la, lb) for la in a.labels for lb in b.labels)
-    return FiniteGroupTable(table, generators=gens, labels=labels, name=f"{a.name}x{b.name}")
+    return FiniteGroupTable.from_columns(cols, gens, labels, name=f"{a.name}x{b.name}")
 
 
 def subgroup_of_product(
@@ -162,30 +232,28 @@ def subgroup_of_product(
 ) -> FiniteGroupTable | None:
     """The subgroup of A x B generated by the given pairs, built without
     materializing the full product table; None once the closure holds more
-    than max_order elements, in which case no table is built. A pair (x, y)
-    is coded x * |B| + y; element j is found as p_j * g_j with p_j < j, so
-    column j is col_{g_j} (col_g[i] = i * g) read along column p_j."""
+    than max_order elements. A pair (x, y) is coded x * |B| + y. The closure
+    finds col_g[i] = i * g for every element i and generator g on its way,
+    and the subgroup is given by these columns."""
     ta, tb, nb = a.table, b.table, b.order
     index = [0] + [-1] * (a.order * nb - 1)
-    codes, parents = [0], [None]
-    for i, code in enumerate(codes):  # codes grows while it is read
+    codes = [0]
+    cols = [[] for _ in pair_gens]
+    for code in codes:  # codes grows while it is read
         ra, rb = ta[code // nb], tb[code % nb]
-        for g, (gx, gy) in enumerate(pair_gens):
+        for (gx, gy), col in zip(pair_gens, cols):
             q = ra[gx] * nb + rb[gy]
-            if index[q] < 0:
-                if len(codes) >= max_order:
+            j = index[q]
+            if j < 0:
+                j = len(codes)
+                if j >= max_order:
                     return None
-                index[q] = len(codes)
+                index[q] = j
                 codes.append(q)
-                parents.append((i, g))
+            col.append(j)
     labels = [divmod(code, nb) for code in codes]
-    cols = [[index[ta[x][gx] * nb + tb[y][gy]] for x, y in labels] for gx, gy in pair_gens]
-    columns = [range(len(codes))]
-    for p, g in parents[1:]:
-        col = cols[g]
-        columns.append([col[k] for k in columns[p]])
-    gens = tuple(index[gx * nb + gy] for gx, gy in pair_gens)
-    return FiniteGroupTable(zip(*columns), generators=gens, labels=labels, name=name)
+    gens = [index[gx * nb + gy] for gx, gy in pair_gens]
+    return FiniteGroupTable.from_columns(cols, gens, labels, name=name)
 
 
 def from_elements_of_product(
@@ -224,13 +292,14 @@ class Homomorphism(Record):
         # f(x*y) = f(x)*f(y) for all y, by induction on the word length of y,
         # whenever the generators generate the source. Groups built in code
         # carry such a set; table and ref groups from documents carry all
-        # elements, so they get the all-pairs check.
-        src, tgt = source.table, target.table
-        for g in source.generators:
+        # elements, so they get the all-pairs check. col_g[x] = x*g.
+        tgt = target.table
+        for g, col in zip(source.generators, source.columns()):
             fg = f[g]
-            for x in range(len(f)):
-                if f[src[x][g]] != tgt[f[x]][fg]:
-                    raise ParseError(f"map is not a homomorphism at pair ({x}, {g})")
+            right = [row[fg] for row in tgt]
+            if [f[y] for y in col] != [right[v] for v in f]:
+                x = next(x for x, y in enumerate(col) if f[y] != right[f[x]])
+                raise ParseError(f"map is not a homomorphism at pair ({x}, {g})")
 
 
 class PointOrbifoldSpan(Record):
@@ -390,14 +459,39 @@ def _group_pool(max_order: int) -> list[FiniteGroupTable]:
     return [g for g in pool if g.order <= max_order]
 
 
-def _random_span(rng: random.Random, left, right, max_middle: int) -> PointOrbifoldSpan:
+def _element_orders(group: FiniteGroupTable) -> list[int]:
+    t = group.table
+    orders = []
+    for x in range(group.order):
+        k, p = 1, x
+        while p:
+            p = t[p][x]
+            k += 1
+        orders.append(k)
+    return orders
+
+
+def _lagrange_rejects(pair_gens, left_orders, right_orders, max_order: int) -> bool:
+    """Whether the pairs generate a subgroup above max_order for a reason
+    that needs no closure: (x, y) has order lcm(ord x, ord y), and by
+    Lagrange the order of the subgroup is a multiple of the lcm of these."""
+    return math.lcm(*(left_orders[x] for x, _ in pair_gens),
+                    *(right_orders[y] for _, y in pair_gens)) > max_order
+
+
+def _random_span(rng: random.Random, left, right, max_middle: int, orders) -> PointOrbifoldSpan:
+    """A random span */left <- */G -> */right with |G| <= max_middle;
+    ``orders`` maps each group to its list of element orders."""
     # A subgroup with more than max_middle elements is rejected before any
-    # further draw, so stopping its closure early leaves the stream unchanged.
+    # further draw, so rejecting it early leaves the stream unchanged.
+    left_orders, right_orders = orders[left], orders[right]
     while True:
         k = rng.choice((1, 1, 2, 2, 3))
         pair_gens = [
             (rng.randrange(left.order), rng.randrange(right.order)) for _ in range(k)
         ]
+        if _lagrange_rejects(pair_gens, left_orders, right_orders, max_middle):
+            continue
         sub = subgroup_of_product(left, right, pair_gens, max_middle)
         if sub is not None:
             break
@@ -422,13 +516,14 @@ def random_composition_battery(
     trials are reproducible independently of each other.
     """
     pool = _group_pool(max_order)
+    orders = {group: _element_orders(group) for group in pool}
     failures = []
     checked = 0
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")
         h1, h2, h3 = (rng.choice(pool) for _ in range(3))
-        span1 = _random_span(rng, h1, h2, max_order)
-        span2 = _random_span(rng, h2, h3, max_order)
+        span1 = _random_span(rng, h1, h2, max_order, orders)
+        span2 = _random_span(rng, h2, h3, max_order, orders)
         lhs, rhs, equal = composition_check(span1, span2)
         checked += 1
         if not equal:

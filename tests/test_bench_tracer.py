@@ -1,7 +1,7 @@
 """The private names bench/tracer.py wraps (``FiniteUnitaryGroup._classes``,
 ``_mult_table``, ``_eigen``, ``_isolated``, ``cli._load_group`` and
 ``cli._default_cache_dir``): a traced query keeps its exit code and stdout,
-and records the group spans."""
+and records the group spans; a traced ``span random`` records its battery."""
 
 import json
 import os
@@ -45,3 +45,14 @@ def test_traced_query_matches_untraced(tmp_path, ref_span, query, span):
     names = {s[0] for s in json.loads(trace.read_text())["spans"]}
     assert span in names
     assert "cli._load_group" in names
+
+
+def test_traced_span_random_matches_untraced(tmp_path):
+    args = ["span", "random", "--trials", "5", "--seed", "3", "--format", "json"]
+    trace = tmp_path / "trace.json"
+    plain, traced = run(args), run(args, trace)
+    assert plain.returncode == traced.returncode == 0, traced.stderr
+    assert plain.stdout == traced.stdout
+    spans = json.loads(trace.read_text())["spans"]
+    battery = [s for s in spans if s[0] == "spans.random_composition_battery"]
+    assert len(battery) == 1 and battery[0][4] == 5

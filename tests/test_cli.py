@@ -14,6 +14,7 @@ import pytest
 
 from battery import a_type, antipodal, binary_dihedral, quaternion, scalar_cyclic, times_scalars, trivial
 from orbifill import cli as cli_module
+from orbifill import reeb as reeb_module
 from orbifill import spans
 from orbifill import parse_group
 from orbifill.cli import EXIT_INTERNAL, _guarded, main
@@ -495,6 +496,34 @@ class TestCommands:
             assert result.exit_code == 2, command
             assert "200001 orbit families" in result.stderr and "100000" in result.stderr
             assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command, value, message", [
+        ("reeb", "5/2", "--bound 5/2 is an admissible period"),
+        ("ledger", "5/2", "slope 5/2 is an admissible period"),
+        ("reeb", "100001/3",
+         "--bound 100001/3 gives 200001 orbit families, more than the cap of 100000"),
+        ("ledger", "100001/3",
+         "slope 100001/3 gives 200001 orbit families, more than the cap of 100000"),
+    ], ids=["reeb-spectrum", "ledger-spectrum", "reeb-cap", "ledger-cap"])
+    def test_messages_name_the_option(self, runner, workspace, command, value, message):
+        path = workspace / "a3.json"
+        path.write_text(json.dumps(a_type(4)))
+        action, flag = ("report", "--bound") if command == "reeb" else ("build", "--slope")
+        result = invoke(runner, workspace, command, action, str(path), flag, value)
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {message}\n"
+
+    def test_cell_cap_exits_two(self, runner, workspace, monkeypatch):
+        # A3 has 6 periods per unit of slope: 39,998 families, within the
+        # family cap, and 79,996 cells below 19999/3. No family is built.
+        monkeypatch.setattr(reeb_module, "OrbitFamily", None)
+        path = workspace / "a3.json"
+        path.write_text(json.dumps(a_type(4)))
+        result = invoke(runner, workspace, "ledger", "build", str(path), "--slope", "19999/3")
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "error: slope 19999/3 gives 79996 Morse cells, more than the cap of 40000\n"
+        )
 
     def test_table_format_renders(self, runner, workspace):
         result = invoke(runner, workspace, "cr", "sectors", str(workspace / "antipodal2.json"))

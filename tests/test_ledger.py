@@ -17,6 +17,8 @@ from orbifill import (
     known_differentials,
     sh_vanishing,
 )
+from orbifill import ledger as ledger_module
+from orbifill import reeb
 from orbifill.chen_ruan import twisted_sectors
 from orbifill.ledger import (
     KIND_CELL,
@@ -52,6 +54,26 @@ class TestBuildLedger:
         assert len(ledger.generators) == 1
         assert ledger.generators[0].kind == KIND_CONSTANT_UNTWISTED
         assert ledger.generators[0].isotropy_order == 1
+
+    def test_cell_count_against_the_cap(self, monkeypatch):
+        # The count checked against MAX_CELLS is exactly the number of cells
+        # built, profiles included, so a cap of that count passes and one
+        # less fails before any family or generator is built.
+        profiles = {("Id", Fraction(1)): (0, 1, 2, 3), ("c1", Fraction(1, 2)): (0,)}
+        cases = [(build(antipodal(2)), Fraction(5, 4), profiles)]
+        cases += [(g, Fraction(292, 97), {}) for g in battery_24()]
+        counts = [sum(gen.kind == KIND_CELL for gen in build_ledger(*case).generators)
+                  for case in cases]
+        assert counts[0] == 4 + 1
+        for (g, slope, given), built in zip(cases, counts):
+            monkeypatch.setattr(ledger_module, "MAX_CELLS", built)
+            assert len(build_ledger(g, slope, given).generators) >= built
+            monkeypatch.setattr(ledger_module, "MAX_CELLS", built - 1)
+            with monkeypatch.context() as m:
+                m.setattr(reeb, "OrbitFamily", None)
+                m.setattr(ledger_module, "FloerGenerator", None)
+                with pytest.raises(ValueError, match=f"gives {built} Morse cells"):
+                    build_ledger(g, slope, given)
 
     def test_scalar_cyclic_three_small_slope(self):
         ledger = build_ledger(build(scalar_cyclic(3)), Fraction(1, 4))

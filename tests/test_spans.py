@@ -1,8 +1,13 @@
 """The pullback-pushforward calculus and its composition identity."""
 
 import itertools
+import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,10 +28,13 @@ from orbifill import (
     random_composition_battery,
     span,
 )
-from orbifill import spans
+from orbifill import parse_group, spans
+from orbifill.groups import document_digest
 from orbifill.spans import (
     _check_associative,
+    _element_orders,
     _group_pool,
+    _lagrange_rejects,
     _orbit_reps,
     _random_span,
     from_permutations,
@@ -307,9 +315,9 @@ def _group_data(group):
 
 
 class TestKernelsAgainstReference:
-    """The int-coded closure, the row-pair product and the orbit walk on move
-    columns give exactly what the pair-hash closure, the divmod product and
-    the move functions give."""
+    """The int-coded closure, the product from factor columns and the orbit
+    walk on move columns give exactly what the pair-hash closure, the divmod
+    product and the move functions give."""
 
     def test_subgroup_of_product(self):
         rng = random.Random(20261018)
@@ -351,12 +359,144 @@ class TestKernelsAgainstReference:
 
     def test_orbit_reps(self):
         pool = _group_pool(24)
+        orders = {g: _element_orders(g) for g in pool}
         for trial in range(600):
             rng = random.Random(f"orbits:{trial}")
             h1, h2, h3 = (rng.choice(pool) for _ in range(3))
-            span1 = _random_span(rng, h1, h2, 24)
-            span2 = _random_span(rng, h2, h3, 24)
+            span1 = _random_span(rng, h1, h2, 24, orders)
+            span2 = _random_span(rng, h2, h3, 24, orders)
             assert _orbit_reps(span1, span2) == _reference_orbit_reps(span1, span2), trial
+
+
+class TestColumnMiddles:
+    """Battery middles hold generator columns; their tables and inverses are
+    built only when read, and equal the reference's."""
+
+    def _random_subgroups(self, count):
+        rng = random.Random(20261018)
+        pool = _group_pool(24)
+        while count:
+            a, b = rng.choice(pool), rng.choice(pool)
+            pair_gens = [(rng.randrange(a.order), rng.randrange(b.order))
+                         for _ in range(rng.choice((1, 2, 3)))]
+            sub = subgroup_of_product(a, b, pair_gens, 24, name="sub")
+            if sub is not None:
+                count -= 1
+                yield a, b, pair_gens, sub
+
+    def test_tables_built_when_read(self):
+        for a, b, pair_gens, sub in self._random_subgroups(300):
+            kernel = cyclic(len(pair_gens) + 1)
+            product = direct_product(sub, kernel)
+            assert sub._table is None and product._table is None
+            assert sub._inverse is None and product._inverse is None
+            ref = _reference_subgroup_of_product(a, b, pair_gens, 24, name="sub")
+            assert _group_data(product) == _group_data(_reference_direct_product(ref, kernel))
+            assert _group_data(sub) == _group_data(ref)
+
+    def test_battery_builds_no_middle_table(self, monkeypatch):
+        # Only the pool's direct products are given by columns and read as
+        # tables; no middle's table is composed.
+        built = []
+        compose = spans._table_from_columns
+        monkeypatch.setattr(spans, "_table_from_columns",
+                            lambda cols, n: built.append(n) or compose(cols, n))
+        pool = _group_pool(24)
+        assert len(built) == 0
+        random_composition_battery(150, seed=5)
+        assert sorted(built) == sorted(g.order for g in pool if "x" in g.name)
+
+    def test_corrupted_column_raises(self):
+        for _, _, pair_gens, sub in self._random_subgroups(100):
+            for k, col in enumerate(sub.columns()):
+                for x in (0, len(col) - 1):
+                    bad = [list(c) for c in sub.columns()]
+                    bad[k][x] = bad[k][(x + 1) % len(col)] if len(col) > 1 else 1
+                    with pytest.raises(ParseError, match="is not a permutation"):
+                        FiniteGroupTable.from_columns(bad, sub.generators, sub.labels)
+        with pytest.raises(ParseError, match="is not a permutation"):
+            FiniteGroupTable.from_columns([[0, 1, 2]], (1,), range(2))
+
+    def test_columns_that_do_not_generate(self):
+        # The column of 2 in Z4 is a permutation, but 2 does not generate Z4.
+        group = FiniteGroupTable.from_columns([[2, 3, 0, 1]], (2,), range(4))
+        with pytest.raises(ParseError, match="do not generate"):
+            group.table
+
+    def test_inverse_check_on_columns(self):
+        # Two permutation columns that no group has: the composed table's
+        # row 1 is (1, 2, 1), so element 1 has no inverse.
+        group = FiniteGroupTable.from_columns([[1, 2, 0], [2, 1, 0]], (1, 2), range(3))
+        assert group.table == ((0, 1, 2), (1, 2, 1), (2, 0, 0))
+        with pytest.raises(ParseError, match="^element 1 has no two-sided inverse$"):
+            group.inverse
+
+
+class TestLagrangeRejection:
+    """A draw is rejected before its closure only when the closure would
+    return None: the subgroup's order is a multiple of each element order."""
+
+    def test_single_pairs(self):
+        pool = _group_pool(48)
+        orders = {g: _element_orders(g) for g in pool}
+        for g in pool:
+            assert orders[g] == [_element_order(g, x) for x in range(g.order)]
+        rejected = 0
+        for a, b in itertools.product(pool, repeat=2):
+            for pair in itertools.product(range(a.order), range(b.order)):
+                order = subgroup_of_product(a, b, [pair], a.order * b.order).order
+                # One pair generates a cyclic group: the test is exact.
+                assert not _lagrange_rejects([pair], orders[a], orders[b], order)
+                if order > 1:
+                    assert _lagrange_rejects([pair], orders[a], orders[b], order - 1)
+                    assert subgroup_of_product(a, b, [pair], order - 1) is None
+                    rejected += order - 1 >= 2
+        assert rejected > 10000
+
+    def test_random_draws(self):
+        rng = random.Random(20261019)
+        pool = _group_pool(48)
+        orders = {g: _element_orders(g) for g in pool}
+        outcomes = {"rejected": 0, "closed": 0, "too large": 0}
+        for _ in range(4000):
+            a, b = rng.choice(pool), rng.choice(pool)
+            pair_gens = [(rng.randrange(a.order), rng.randrange(b.order))
+                         for _ in range(rng.choice((2, 3)))]
+            cap = rng.randint(2, 48)
+            sub = subgroup_of_product(a, b, pair_gens, cap)
+            if _lagrange_rejects(pair_gens, orders[a], orders[b], cap):
+                assert sub is None, (a.name, b.name, pair_gens, cap)
+                outcomes["rejected"] += 1
+            else:
+                outcomes["closed" if sub is not None else "too large"] += 1
+                assert sub is None or sub.order % math.lcm(
+                    *(orders[a][x] for x, _ in pair_gens), *(orders[b][y] for _, y in pair_gens)
+                ) == 0
+        assert min(outcomes.values()) > 300, outcomes
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# sha256 of each sample group document's canonical form.
+SAMPLE_DIGESTS = {
+    "a3.json": "8456ba40205438503ed50f9caa9702aeece50625a787f22223fee5e8b228d132",
+    "antipodal2.json": "8ca28a828cc4a8fc653b6a329ac947ffd31f1db270f882a9630cb0be14ad518b",
+    "quaternion.json": "00b4938aad9ca2f442a76f177335cb7297b7114aa247eb8356abb08a9c7f1e76",
+}
+
+
+class TestStartup:
+    def test_cli_import_loads_no_hashlib(self):
+        # -S keeps site-packages from importing hashlib on their own.
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        code = "import sys, orbifill.cli; print(sorted(set(sys.modules) & {'hashlib', '_hashlib'}))"
+        out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60, check=True).stdout
+        assert out == "[]\n"
+
+    @pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))
+    def test_sample_digests(self, name):
+        text = (ROOT / "samples" / name).read_text()
+        assert document_digest(parse_group(text)) == SAMPLE_DIGESTS[name]
 
 
 class TestHomomorphisms:
@@ -476,6 +616,30 @@ class TestGeneratorCheck:
                 )
         assert homs >= 50
         assert single_generator_failures >= 50
+
+
+    def test_first_failing_pair_is_named(self):
+        # Pairs are checked generator by generator, x ascending, as the
+        # reference loop over the table's columns does.
+        rng = random.Random(20261020)
+        groups = [dihedral(4), quaternion8(), direct_product(cyclic(2), cyclic(4)),
+                  subgroup_of_product(dihedral(6), cyclic(4), [(1, 1), (6, 2)], 48)]
+        named = 0
+        for source, target in itertools.product(groups, repeat=2):
+            for _ in range(20):
+                images = [0] + [rng.randrange(target.order) for _ in range(source.order - 1)]
+                first = next(
+                    ((x, g) for g in source.generators for x in range(source.order)
+                     if images[source.table[x][g]] != target.table[images[x]][images[g]]),
+                    None,
+                )
+                if first is None:
+                    Homomorphism(source, target, tuple(images))
+                    continue
+                with pytest.raises(ParseError, match=rf"^map is not a homomorphism at pair \({first[0]}, {first[1]}\)$"):
+                    Homomorphism(source, target, tuple(images))
+                named += 1
+        assert named > 200
 
 
 class TestPushpull:
@@ -609,12 +773,13 @@ class TestRandomSpanReference:
     @pytest.mark.parametrize("seed, trials, max_order", CASES)
     def test_identical_spans(self, seed, trials, max_order):
         pool = _group_pool(max_order)
+        orders = {g: _element_orders(g) for g in pool}
         for trial in range(trials):
             new, ref = random.Random(f"{seed}:{trial}"), random.Random(f"{seed}:{trial}")
             h1, h2, h3 = (new.choice(pool) for _ in range(3))
             assert (h1, h2, h3) == tuple(ref.choice(pool) for _ in range(3))
             for left, right in ((h1, h2), (h2, h3)):
-                assert _span_data(_random_span(new, left, right, max_order)) == _span_data(
+                assert _span_data(_random_span(new, left, right, max_order, orders)) == _span_data(
                     _reference_random_span(ref, left, right, max_order)
                 ), (seed, trial)
             assert new.getstate() == ref.getstate()
