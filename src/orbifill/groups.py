@@ -188,6 +188,13 @@ class FiniteUnitaryGroup:
             out.append(gen_cols[gen_idx][out[parent]])
         return out
 
+    def generator_columns(self) -> list[list[int]]:
+        """For each generator s, the column x -> x * s of the enumeration."""
+        self._require_enumerated()
+        return self._gen_cols
+
+    # No src/ path reads mult_table. It and _mult_table stay for
+    # bench/tracer.py, which wraps both, and for the tests' references.
     @property
     def mult_table(self) -> list[list[int]]:
         """|G| x |G| index table, for consumers that need every product."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import GroupTooLarge, MiddleMismatch, ParseError
 from .record import Record
@@ -21,49 +22,52 @@ from .record import Record
 class FiniteGroupTable:
     """A finite group on the elements 0, ..., order - 1; index 0 is the identity.
 
-    A group is given by its multiplication table, or by the column
-    col_g[x] = x*g of each of its generators g (``from_columns``). A group
-    given by columns builds ``table`` and ``inverse`` only when one is read.
+    The group is given by the column col_g[x] = x*g of each of its
+    generators g, and each column must be a permutation of the elements.
+    ``table`` and ``inverse`` are built from the columns when first read.
     """
 
-    __slots__ = ("order", "generators", "labels", "name", "_columns", "_table", "_inverse")
+    __slots__ = ("order", "columns", "generators", "labels", "name", "_table", "_inverse")
 
-    def __init__(self, table, generators=None, labels=None, name="", validate=False):
-        t = self._table = tuple(map(tuple, table))
-        n = self.order = len(t)
-        if validate:
-            self._validate(n)
-        self._inverse = _two_sided_inverses(t)
-        # Associativity last: a monoid without inverses is rejected above
-        # before Light's test takes every element as a generator.
-        if validate:
-            _check_associative(t)
-        self.generators = tuple(generators) if generators is not None else tuple(range(n))
-        self.labels = tuple(labels) if labels is not None else tuple(range(n))
-        self.name = name
-        self._columns = None
-
-    @classmethod
-    def from_columns(cls, columns, generators, labels, name=""):
-        """The group whose generator ``generators[k]`` has column
-        ``columns[k]``; each column must be a permutation of the elements."""
-        self = cls.__new__(cls)
+    def __init__(self, columns, generators, labels, name=""):
         n = self.order = len(labels)
         elements = list(range(n))
-        for k, col in enumerate(columns):
+        for g, col in zip(generators, columns):
             if sorted(col) != elements:
-                raise ParseError(f"column of generator {generators[k]} is not a permutation")
-        self._columns = tuple(columns)
-        self._table = self._inverse = None
+                raise ParseError(f"column of generator {g} is not a permutation")
+        self.columns = tuple(columns)
         self.generators = tuple(generators)
         self.labels = tuple(labels)
         self.name = name
+        self._table = self._inverse = None
+
+    @classmethod
+    def from_table(cls, table, name=""):
+        """The group of a multiplication table, checked for a square shape,
+        index entries, the identity, two-sided inverses and then
+        associativity. Light's test picks the generators; the checked table
+        and inverses are kept."""
+        t = tuple(map(tuple, table))
+        n = len(t)
+        for row in t:
+            if len(row) != n:
+                raise ParseError("multiplication table is not square")
+            if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+                raise ParseError("table entries must be element indices")
+        if t[0] != tuple(range(n)) or any(row[0] != i for i, row in enumerate(t)):
+            raise ParseError("index 0 is not a two-sided identity")
+        inverse = _two_sided_inverses(t)
+        # Associativity last: a monoid without inverses is rejected above
+        # before Light's test takes every element as a generator.
+        gens = _check_associative(t)
+        self = cls([[row[g] for row in t] for g in gens], gens, range(n), name)
+        self._table, self._inverse = t, inverse
         return self
 
     @property
     def table(self):
         if self._table is None:
-            self._table = _table_from_columns(self._columns, self.order)
+            self._table = _table_from_columns(self.columns, self.order)
         return self._table
 
     @property
@@ -71,28 +75,6 @@ class FiniteGroupTable:
         if self._inverse is None:
             self._inverse = _two_sided_inverses(self.table)
         return self._inverse
-
-    def columns(self):
-        """The column x -> x*g of each generator g, in generator order: held
-        by a group built from columns, read off the table otherwise."""
-        if self._columns is not None:
-            return self._columns
-        t = self._table
-        return ([row[g] for row in t] for g in self.generators)
-
-    def _validate(self, n):
-        for i, row in enumerate(self._table):
-            if len(row) != n:
-                raise ParseError("multiplication table is not square")
-            for v in row:
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                    raise ParseError("table entries must be element indices")
-        for i in range(n):
-            if self._table[0][i] != i or self._table[i][0] != i:
-                raise ParseError("index 0 is not a two-sided identity")
-
-    def mul(self, i, j):
-        return self.table[i][j]
 
 
 def _two_sided_inverses(t: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -108,30 +90,40 @@ def _two_sided_inverses(t: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(inverse)
 
 
-def _table_from_columns(gen_columns, n: int) -> tuple[tuple[int, ...], ...]:
-    """The table whose column j is x -> x*j, composed breadth-first from the
-    identity: for j = p*g, x*j = col_g[x*p], so column j is col_g read along
-    column p."""
-    columns = [None] * n
-    columns[0] = range(n)
-    reached = [0]
+def _table_from_columns(columns, n: int) -> tuple[tuple[int, ...], ...]:
+    """The table whose row j is x -> j*x, from the generator columns
+    col_k[x] = x*g_k. A breadth-first walk from the identity finds each
+    element j once, as j = p*g_k with p found earlier. Along that tree each
+    generator's row is g*j = (g*p)*g_k = col_k[g*p], and row j, x -> p*(g_k*x),
+    is row p read along row g_k."""
+    reached, tree = [0], []
+    seen = [True] + [False] * (n - 1)
     for p in reached:  # reached grows while it is read
-        column_p = columns[p]
-        for col in gen_columns:
+        for k, col in enumerate(columns):
             j = col[p]
-            if columns[j] is None:
-                columns[j] = [col[x] for x in column_p]
+            if not seen[j]:
+                seen[j] = True
                 reached.append(j)
+                tree.append((j, p, k))
     if len(reached) != n:
         raise ParseError("the generators do not generate the group")
-    return tuple(zip(*columns))
+    along = []
+    for col in columns:
+        row = [col[0]] * n
+        for j, p, k in tree:
+            row[j] = columns[k][row[p]]
+        along.append(itemgetter(*row))
+    rows = [tuple(range(n))] * n
+    for j, p, k in tree:
+        rows[j] = along[k](rows[p])
+    return tuple(rows)
 
 
-def _check_associative(t: tuple[tuple[int, ...], ...]) -> None:
+def _check_associative(t: tuple[tuple[int, ...], ...]) -> list[int]:
     """Light's test on a table of tuples with identity 0: the g with
     (x*g)*y = x*(g*y) for all x, y are closed under the product, so checking
     a generating set suffices. It is chosen greedily: g joins unless some
-    ((s1*s2)*...)*sk of it is g."""
+    ((s1*s2)*...)*sk of it is g. Returns the generating set."""
     n = len(t)
     gens, members, reached = [], [0], [True] + [False] * (n - 1)
     for g in range(1, n):
@@ -146,38 +138,29 @@ def _check_associative(t: tuple[tuple[int, ...], ...]) -> None:
                 reached[y] = True
                 members.append(y)
                 queue.extend(map(t[y].__getitem__, gens))
+    return gens
 
 
 def cyclic(k: int) -> FiniteGroupTable:
-    rotations = tuple(range(k)) * 2
-    table = (rotations[i:i + k] for i in range(k))
-    return FiniteGroupTable(table, generators=(1 % k,), name=f"Z{k}")
+    return FiniteGroupTable([[*range(1, k), 0]], (1 % k,), range(k), name=f"Z{k}")
 
 
 def from_permutations(gens: list[tuple[int, ...]], name="") -> FiniteGroupTable:
-    """Closure of permutation generators; deterministic BFS order."""
-    degree = len(gens[0])
-    identity = tuple(range(degree))
+    """Closure of permutation generators; deterministic BFS order. The
+    closure records col_g[p] = p*g for every element p and generator g."""
+    identity = tuple(range(len(gens[0])))
     elements = [identity]
     index = {identity: 0}
-    frontier = [identity]
-    while frontier:
-        fresh = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(p[g[i]] for i in range(degree))
-                if q not in index:
-                    index[q] = len(elements)
-                    elements.append(q)
-                    fresh.append(q)
-        frontier = fresh
-    n = len(elements)
-    table = [
-        [index[tuple(a[b[i]] for i in range(degree))] for b in elements]
-        for a in elements
-    ]
-    gen_idx = tuple(index[g] for g in gens)
-    return FiniteGroupTable(table, generators=gen_idx, labels=elements, name=name)
+    cols = [[] for _ in gens]
+    for p in elements:  # elements grows while it is read
+        for g, col in zip(gens, cols):
+            q = tuple(map(p.__getitem__, g))
+            j = index.get(q)
+            if j is None:
+                j = index[q] = len(elements)
+                elements.append(q)
+            col.append(j)
+    return FiniteGroupTable(cols, [index[g] for g in gens], elements, name=name)
 
 
 def dihedral(m: int) -> FiniteGroupTable:
@@ -207,8 +190,7 @@ def quaternion8() -> FiniteGroupTable:
         sign = (sa + sb + prod[0]) % 2
         return sign * 4 + prod[1]
 
-    table = [[mul(a, b) for b in range(8)] for a in range(8)]
-    return FiniteGroupTable(table, generators=(1, 2), name="Q8")
+    return FiniteGroupTable.from_table([[mul(a, b) for b in range(8)] for a in range(8)], "Q8")
 
 
 def direct_product(a: FiniteGroupTable, b: FiniteGroupTable) -> FiniteGroupTable:
@@ -216,11 +198,11 @@ def direct_product(a: FiniteGroupTable, b: FiniteGroupTable) -> FiniteGroupTable
     columns: (x, y)(g, 0) = (x g, y) and (x, y)(0, h) = (x, y h)."""
     nb = b.order
     rb, starts = range(nb), range(0, a.order * nb, nb)
-    cols = [[x + y for x in [c * nb for c in col] for y in rb] for col in a.columns()]
-    cols += [[x + c for x in starts for c in col] for col in b.columns()]
+    cols = [[x + y for x in [c * nb for c in col] for y in rb] for col in a.columns]
+    cols += [[x + c for x in starts for c in col] for col in b.columns]
     gens = tuple(g * nb for g in a.generators) + tuple(b.generators)
     labels = tuple((la, lb) for la in a.labels for lb in b.labels)
-    return FiniteGroupTable.from_columns(cols, gens, labels, name=f"{a.name}x{b.name}")
+    return FiniteGroupTable(cols, gens, labels, name=f"{a.name}x{b.name}")
 
 
 def subgroup_of_product(
@@ -253,24 +235,7 @@ def subgroup_of_product(
             col.append(j)
     labels = [divmod(code, nb) for code in codes]
     gens = [index[gx * nb + gy] for gx, gy in pair_gens]
-    return FiniteGroupTable.from_columns(cols, gens, labels, name=name)
-
-
-def from_elements_of_product(
-    a: FiniteGroupTable, b: FiniteGroupTable, pairs: list[tuple[int, int]], name=""
-) -> FiniteGroupTable:
-    """Table for a set of pairs already closed under multiplication."""
-    pairs = sorted(set(pairs))
-    if (0, 0) not in pairs:
-        raise ParseError("subgroup must contain the identity pair")
-    pairs.remove((0, 0))
-    elements = [(0, 0)] + pairs
-    index = {p: i for i, p in enumerate(elements)}
-    table = [
-        [index[(a.table[x1][x2], b.table[y1][y2])] for (x2, y2) in elements]
-        for (x1, y1) in elements
-    ]
-    return FiniteGroupTable(table, labels=elements, name=name)
+    return FiniteGroupTable(cols, gens, labels, name=name)
 
 
 class Homomorphism(Record):
@@ -281,20 +246,15 @@ class Homomorphism(Record):
         if len(f) != source.order:
             raise ParseError("homomorphism image list has the wrong length")
         n_target = target.order
-        for v in f:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n_target:
-                raise ParseError(
-                    f"homomorphism images must be element indices below {n_target}"
-                )
+        if set(map(type, f)) != {int} or min(f) < 0 or max(f) >= n_target:
+            raise ParseError(f"homomorphism images must be element indices below {n_target}")
         if f[0] != 0:
             raise ParseError("homomorphism must send identity to identity")
         # f(x*g) = f(x)*f(g) for every x and every generator g implies
         # f(x*y) = f(x)*f(y) for all y, by induction on the word length of y,
-        # whenever the generators generate the source. Groups built in code
-        # carry such a set; table and ref groups from documents carry all
-        # elements, so they get the all-pairs check. col_g[x] = x*g.
+        # because the generators generate the source. col_g[x] = x*g.
         tgt = target.table
-        for g, col in zip(source.generators, source.columns()):
+        for g, col in zip(source.generators, source.columns):
             fg = f[g]
             right = [row[fg] for row in tgt]
             if [f[y] for y in col] != [right[v] for v in f]:
@@ -417,7 +377,7 @@ def fiber_product(span1, span2):
             for b in range(g2.order)
             if mul[mul[s2[b]][h]][inv[t1[a]]] == h
         ]
-        stab = from_elements_of_product(g1, g2, stab_pairs, name="stab")
+        stab = subgroup_of_product(g1, g2, stab_pairs, len(stab_pairs), name="stab")
         s3 = tuple(span1.s.images[a] for a, _ in stab.labels)
         t3 = tuple(span2.t.images[b] for _, b in stab.labels)
         composites.append(span(span1.left, stab, span2.right, s3, t3))
@@ -431,7 +391,6 @@ def composition_check(span1, span2):
     Left: |H2||H3| / (|G1||G2|) from the pushpull formula applied twice.
     Right: the sum of |H3| / |stab_i| over the fiber-product orbits.
     """
-    _require_composable(span1, span2)
     lhs = Fraction(
         span1.right.order * span2.right.order,
         span1.middle.order * span2.middle.order,
@@ -557,7 +516,7 @@ def group_from_document(doc, loader=None, max_order=None) -> FiniteGroupTable:
         if not (isinstance(table, list) and table and all(isinstance(r, list) for r in table)):
             raise ParseError("multiplication table must be a non-empty list of rows")
         _require_order(len(table), max_order)
-        return FiniteGroupTable(doc["table"], name=doc.get("name", ""), validate=True)
+        return FiniteGroupTable.from_table(table, name=doc.get("name", ""))
     if isinstance(doc, dict) and "cyclic" in doc:
         k = doc["cyclic"]
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
@@ -568,7 +527,9 @@ def group_from_document(doc, loader=None, max_order=None) -> FiniteGroupTable:
         if loader is None:
             raise ParseError("group references require a document loader")
         unitary = loader(doc["ref"])
-        return FiniteGroupTable(unitary.mult_table, name=unitary.name or doc["ref"])
+        columns = unitary.generator_columns()
+        return FiniteGroupTable(columns, [col[0] for col in columns], range(unitary.order),
+                                name=unitary.name or doc["ref"])
     raise ParseError("group must provide 'table', 'cyclic', or 'ref'")
 
 

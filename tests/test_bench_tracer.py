@@ -34,7 +34,7 @@ def ref_span(tmp_path):
 
 @pytest.mark.parametrize("query, span", [
     (("cr", "ring", str(QUATERNION), "--format", "json"), "groups.classes"),
-    (("span", "check", None, "--format", "json"), "groups.mult_table"),
+    (("span", "check", None, "--format", "json"), "groups.enumerate_group"),
 ], ids=["cr-ring", "span-check-ref"])
 def test_traced_query_matches_untraced(tmp_path, ref_span, query, span):
     args = [str(ref_span) if a is None else a for a in query]

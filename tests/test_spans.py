@@ -1,6 +1,7 @@
 """The pullback-pushforward calculus and its composition identity."""
 
 import itertools
+import json
 import math
 import os
 import random
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from battery import build, quaternion as quaternion_doc
+from battery import binary_dihedral, build, quaternion as quaternion_doc, times_scalars
 from orbifill import (
     FiniteGroupTable,
     Homomorphism,
@@ -89,9 +90,9 @@ class TestGroupTables:
 
     def test_validation_rejects_non_groups(self):
         with pytest.raises(ParseError):
-            FiniteGroupTable([[0, 1], [1, 1]], validate=True)
+            FiniteGroupTable.from_table([[0, 1], [1, 1]])
         with pytest.raises(ParseError):
-            FiniteGroupTable([[1, 0], [0, 1]], validate=True)
+            FiniteGroupTable.from_table([[1, 0], [0, 1]])
 
     def test_direct_product(self):
         v4 = direct_product(cyclic(2), cyclic(2))
@@ -111,9 +112,9 @@ class TestGroupTables:
     def test_one_sided_inverse_rejected(self):
         # Row 1 holds a 0, but column 1 does not: 1 * 2 = 0 while 2 * 1 = 1.
         with pytest.raises(ParseError, match="two-sided inverse"):
-            FiniteGroupTable([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
+            FiniteGroupTable.from_table([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
         with pytest.raises(ParseError, match="two-sided inverse"):
-            FiniteGroupTable([[0, 1], [1, 1]])
+            FiniteGroupTable.from_table([[0, 1], [1, 1]])
 
 
 def _power(group, i, k):
@@ -179,7 +180,7 @@ class TestLightAssociativity:
         for table, associative in zip(squares, verdicts):
             assert _rejected_as_non_associative(table) == (not associative), table
             if associative:
-                FiniteGroupTable(table, validate=True)
+                FiniteGroupTable.from_table(table)
 
     def test_failures_only_off_the_first_generator(self):
         # L x Z2 with (l, z) coded 2l + z: element 1 = (e, 1) is central and
@@ -219,12 +220,13 @@ class TestLightAssociativity:
         # an inverse: the inverse check rejects it, and Light's test, which
         # would take every element as a generator, never runs.
         calls = []
-        monkeypatch.setattr(spans, "_check_associative", lambda t: calls.append(t))
+        check = spans._check_associative
+        monkeypatch.setattr(spans, "_check_associative", lambda t: calls.append(t) or check(t))
         table = [[max(x, y) for y in range(200)] for x in range(200)]
         with pytest.raises(ParseError, match="^element 1 has no two-sided inverse$"):
-            FiniteGroupTable(table, validate=True)
+            FiniteGroupTable.from_table(table)
         assert calls == []
-        FiniteGroupTable(cyclic(5).table, validate=True)
+        FiniteGroupTable.from_table(cyclic(5).table)
         assert len(calls) == 1
 
     def test_both_faults_report_the_inverse(self):
@@ -232,12 +234,24 @@ class TestLightAssociativity:
         table = [[0, 1, 2], [1, 1, 1], [2, 2, 0]]
         assert not _reference_is_associative(table)
         with pytest.raises(ParseError, match="^element 1 has no two-sided inverse$"):
-            FiniteGroupTable(table, validate=True)
+            FiniteGroupTable.from_table(table)
 
     def test_group_tables_pass(self):
         for group in _group_pool(24) + [cyclic(60), direct_product(dihedral(5), cyclic(3))]:
             table = [list(row) for row in group.table]
-            assert FiniteGroupTable(table, validate=True).table == group.table
+            assert FiniteGroupTable.from_table(table).table == group.table
+
+
+class _ReferenceGroup:
+    """What the reference helpers build: their own pair-lookup table, the
+    inverses found by scanning its rows, and columns read off it."""
+
+    def __init__(self, table, generators, labels, name):
+        self.table = tuple(map(tuple, table))
+        self.order = len(self.table)
+        self.generators, self.labels, self.name = tuple(generators), tuple(labels), name
+        self.inverse = tuple(row.index(0) for row in self.table)
+        self.columns = tuple([row[g] for row in self.table] for g in self.generators)
 
 
 def _reference_subgroup_of_product(a, b, pair_gens, max_order, name=""):
@@ -264,7 +278,7 @@ def _reference_subgroup_of_product(a, b, pair_gens, max_order, name=""):
         for (x1, y1) in elements
     ]
     gens = tuple(index[g] for g in pair_gens)
-    return FiniteGroupTable(table, generators=gens, labels=elements, name=name)
+    return _ReferenceGroup(table, gens, elements, name)
 
 
 def _reference_direct_product(a, b):
@@ -279,7 +293,7 @@ def _reference_direct_product(a, b):
     ]
     gens = tuple(g * nb for g in a.generators) + tuple(b.generators)
     labels = tuple((a.labels[i // nb], b.labels[i % nb]) for i in range(na * nb))
-    return FiniteGroupTable(table, generators=gens, labels=labels, name=f"{a.name}x{b.name}")
+    return _ReferenceGroup(table, gens, labels, f"{a.name}x{b.name}")
 
 
 def _reference_orbit_reps(span1, span2):
@@ -395,8 +409,8 @@ class TestColumnMiddles:
             assert _group_data(sub) == _group_data(ref)
 
     def test_battery_builds_no_middle_table(self, monkeypatch):
-        # Only the pool's direct products are given by columns and read as
-        # tables; no middle's table is composed.
+        # Every pool group but Q8, whose checked table from_table keeps, has
+        # its table composed from columns; no middle's table is.
         built = []
         compose = spans._table_from_columns
         monkeypatch.setattr(spans, "_table_from_columns",
@@ -404,29 +418,29 @@ class TestColumnMiddles:
         pool = _group_pool(24)
         assert len(built) == 0
         random_composition_battery(150, seed=5)
-        assert sorted(built) == sorted(g.order for g in pool if "x" in g.name)
+        assert sorted(built) == sorted(g.order for g in pool if g.name != "Q8")
 
     def test_corrupted_column_raises(self):
         for _, _, pair_gens, sub in self._random_subgroups(100):
-            for k, col in enumerate(sub.columns()):
+            for k, col in enumerate(sub.columns):
                 for x in (0, len(col) - 1):
-                    bad = [list(c) for c in sub.columns()]
+                    bad = [list(c) for c in sub.columns]
                     bad[k][x] = bad[k][(x + 1) % len(col)] if len(col) > 1 else 1
                     with pytest.raises(ParseError, match="is not a permutation"):
-                        FiniteGroupTable.from_columns(bad, sub.generators, sub.labels)
+                        FiniteGroupTable(bad, sub.generators, sub.labels)
         with pytest.raises(ParseError, match="is not a permutation"):
-            FiniteGroupTable.from_columns([[0, 1, 2]], (1,), range(2))
+            FiniteGroupTable([[0, 1, 2]], (1,), range(2))
 
     def test_columns_that_do_not_generate(self):
         # The column of 2 in Z4 is a permutation, but 2 does not generate Z4.
-        group = FiniteGroupTable.from_columns([[2, 3, 0, 1]], (2,), range(4))
+        group = FiniteGroupTable([[2, 3, 0, 1]], (2,), range(4))
         with pytest.raises(ParseError, match="do not generate"):
             group.table
 
     def test_inverse_check_on_columns(self):
         # Two permutation columns that no group has: the composed table's
         # row 1 is (1, 2, 1), so element 1 has no inverse.
-        group = FiniteGroupTable.from_columns([[1, 2, 0], [2, 1, 0]], (1, 2), range(3))
+        group = FiniteGroupTable([[1, 2, 0], [2, 1, 0]], (1, 2), range(3))
         assert group.table == ((0, 1, 2), (1, 2, 1), (2, 0, 0))
         with pytest.raises(ParseError, match="^element 1 has no two-sided inverse$"):
             group.inverse
@@ -695,8 +709,9 @@ class TestFiberProduct:
     def test_middle_mismatch(self):
         sp1 = identity_span(cyclic(2))
         sp2 = identity_span(cyclic(3))
-        with pytest.raises(MiddleMismatch):
-            fiber_product(sp1, sp2)
+        for compose in (fiber_product, composition_check):
+            with pytest.raises(MiddleMismatch):
+                compose(sp1, sp2)
 
 
 class TestCompositionCheck:
@@ -809,3 +824,43 @@ class TestDocuments:
     def test_permutation_closure(self):
         s3 = from_permutations([(1, 0, 2), (1, 2, 0)])
         assert s3.order == 6
+
+
+REF_DOCUMENTS = {
+    **{name: json.loads((ROOT / "samples" / name).read_text())
+       for name in ("quaternion.json", "a3.json", "antipodal2.json")},
+    "bd12xmu5": times_scalars(binary_dihedral(3), 5),
+}
+
+
+class TestRefGroups:
+    """A ``ref`` group is given by the columns its enumeration recorded."""
+
+    @pytest.fixture(scope="class", params=sorted(REF_DOCUMENTS))
+    def unitary(self, request):
+        return build(REF_DOCUMENTS[request.param])
+
+    def test_same_group_as_its_table(self, unitary):
+        group = group_from_document({"ref": "g.json"}, lambda ref: unitary)
+        expected = FiniteGroupTable.from_table(unitary.mult_table)
+        assert group.order == unitary.order
+        assert group.table == expected.table
+        assert group.inverse == expected.inverse
+
+    def test_generators_are_the_generator_elements(self, unitary):
+        group = group_from_document({"ref": "g.json"}, lambda ref: unitary)
+        elements = [unitary._exact(i) for i in range(unitary.order)]
+        assert group.generators == tuple(elements.index(g) for g in unitary.generators)
+
+    def test_ref_middle_composes_no_table(self, unitary, monkeypatch):
+        built = []
+        compose = spans._table_from_columns
+        monkeypatch.setattr(spans, "_table_from_columns",
+                            lambda cols, n: built.append(n) or compose(cols, n))
+        n, trivial = unitary.order, {"table": [[0]]}
+        doc = {"left": trivial, "middle": {"ref": "g.json"}, "right": trivial,
+               "source": [0] * n, "target": [0] * n}
+        sp = span_from_document(doc, lambda ref: unitary)
+        assert pushpull(sp) == Fraction(1, n)
+        assert composition_check(sp, identity_span(sp.right)) == (Fraction(1, n),) * 2 + (True,)
+        assert built == [] and sp.middle._table is None
