@@ -58,6 +58,7 @@ from .groups import (
     ConjugacyClass,
     EigenData,
     FiniteUnitaryGroup,
+    GroupDocument,
     age,
     canonical_document,
     document_digest,

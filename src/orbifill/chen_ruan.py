@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 from .coefficients import CoefficientRing
@@ -51,7 +52,9 @@ def _zz2_parity(degree: Fraction) -> str:
 
 
 class CRRing:
-    """The Chen-Ruan cohomology ring of C^n/G as structure constants."""
+    """The Chen-Ruan cohomology ring of C^n/G as structure constants:
+    ``structure_constants[(i, j)]`` holds the (k, coefficient) terms of each
+    nonzero product of twisted sectors i and j, and no other pair."""
 
     def __init__(self, group: FiniteUnitaryGroup, sectors: tuple[ConjugacyClass, ...],
                  convention: CupConvention, structure_constants: dict | None = None):
@@ -86,7 +89,8 @@ def build_ring(group: FiniteUnitaryGroup, convention: CupConvention = DEFAULT_CO
     a_ijk = #{(h1, h2) in C_i x C_j : h1*h2 = rep(C_k)}.
 
     Sectors ascend by age, so a product of twisted sectors has age at least
-    2 * age_1: no row is built for a sector below that.
+    2 * age_1: no row is built for a sector below that. Only the pairs with
+    a nonzero product are stored; a missing pair reads as the empty product.
     """
     sectors = twisted_sectors(group)
     ring = CRRing(group, sectors, convention)
@@ -98,9 +102,7 @@ def build_ring(group: FiniteUnitaryGroup, convention: CupConvention = DEFAULT_CO
     full = convention is CupConvention.FULL_PAIR_SUM
     conj = group.conjugation_maps() if full else None
     count = len(sectors)
-    contributions: dict[tuple[int, int], dict[int, int]] = {
-        (i, j): {} for i in range(1, count) for j in range(1, count)
-    }
+    contributions: dict[tuple[int, int], dict[int, int]] = defaultdict(dict)
     for k in range(1, count):
         if ages[k] < 2 * ages[1]:
             continue
@@ -135,7 +137,7 @@ def cr_cup(ring: CRRing, i: int, j: int) -> list[tuple[int, int]]:
         return [(j, 1)]
     if j == 0:
         return [(i, 1)]
-    return list(ring.structure_constants[(i, j)])
+    return list(ring.structure_constants.get((i, j), ()))
 
 
 def associativity_sweep(ring: CRRing):
@@ -158,7 +160,7 @@ def associativity_sweep(ring: CRRing):
     # prod[a][b]: [a][b], the unit sector 0 included.
     prod = [[[(b, 1)] for b in range(count)]]
     for a in range(1, count):
-        prod.append([[(a, 1)]] + [constants[(a, b)] for b in range(1, count)])
+        prod.append([[(a, 1)]] + [constants.get((a, b), ()) for b in range(1, count)])
     # support[t]: the nonzero products [t][c], c >= 1, as (c * count, u, coefficient).
     support = [[(c * count, u, y) for c in range(1, count) for u, y in prod[t][c]]
                for t in range(count)]
@@ -201,7 +203,7 @@ def commutativity_check(ring: CRRing):
     count = ring.sector_count()
     for i in range(1, count):
         for j in range(i + 1, count):
-            ij, ji = constants[(i, j)], constants[(j, i)]
+            ij, ji = constants.get((i, j), ()), constants.get((j, i), ())
             if ij != ji and dict(ij) != dict(ji):
                 return False, (i, j)
     return True, None

@@ -223,8 +223,8 @@ def _default_cache_dir() -> str:
 
 
 def _load_group(path, max_order, cache_dir):
-    group = parse_group(Path(path).read_text())
-    return enumerate_group(group, max_order), document_digest(group)
+    document = parse_group(Path(path).read_text())
+    return enumerate_group(document, max_order), document_digest(document)
 
 
 # -- group ----------------------------------------------------------------------
@@ -235,11 +235,11 @@ def _load_group(path, max_order, cache_dir):
 def group_cmd(action, path, fmt, max_order, cache_dir):
     """Inspect a group document: enumeration, classes, eigenvalue data."""
     if action == "canonical":
-        group = parse_group(Path(path).read_text())
+        document = parse_group(Path(path).read_text())
         _emit(
             {
-                "metadata": _metadata(document_digest(group)),
-                "canonical": canonical_document(group),
+                "metadata": _metadata(document_digest(document)),
+                "canonical": canonical_document(document),
             },
             fmt,
         )

@@ -53,9 +53,10 @@ def euler_phi(n: int) -> int:
 
 
 def reduction_size(n: int) -> int:
-    """An upper bound on the entries of the reduction table of conductor n:
-    phi(n) one-term rows below phi(n), and above it rows of x^e mod
-    Phi_n(x) = Phi_r(x^(n/r)), r = rad n, with at most phi(r) terms each."""
+    """An upper bound on the terms of x^e mod Phi_n over all 0 <= e < n,
+    and so on the entries of the reduction table: phi(n) one-term powers
+    below phi(n), and above it powers mod Phi_n(x) = Phi_r(x^(n/r)),
+    r = rad n, with at most phi(r) terms each."""
     phi = euler_phi(n)
     return phi + (n - phi) * euler_phi(math.prod(factorize(n)))
 
@@ -109,20 +110,23 @@ def cyclotomic_polynomial(n: int) -> CyclotomicPolynomial:
 
 @lru_cache(maxsize=None)
 def _sparse_reduction(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    # Row e holds the nonzero (index, value) pairs of x^e mod Phi_n, for
-    # 0 <= e < n, since x^n = 1 (mod Phi_n). Row e is x * row(e - 1), with
-    # x^phi folded back through monic Phi_n.
-    phi_coeffs = cyclotomic_polynomial(n).coefficients
+    # Row q holds the nonzero (index, value) pairs of x^(q s) mod Phi_n for
+    # 0 <= q < r = rad n and s = n / r: since Phi_n(x) = Phi_r(x^s), it is
+    # row q of Phi_r's table, y * row(q - 1) folded back through monic
+    # Phi_r, at indices i * s. x^e is row e // s shifted by e % s < s.
+    r = math.prod(factorize(n))
+    s = n // r
+    phi_coeffs = cyclotomic_polynomial(r).coefficients
     d = len(phi_coeffs) - 1
     fold = [(i, c) for i, c in enumerate(phi_coeffs[:-1]) if c]
     rows = []
     row: dict[int, int] = {}
-    for e in range(n):
-        if e < d:
-            row = {e: 1}
+    for q in range(r):
+        if q < d:
+            row = {q: 1}
         else:
             lead = row.get(d - 1, 0)
-            row = {i + 1: r for i, r in row.items() if i + 1 < d}
+            row = {i + 1: v for i, v in row.items() if i + 1 < d}
             if lead:
                 for i, c in fold:
                     v = row.get(i, 0) - lead * c
@@ -130,7 +134,7 @@ def _sparse_reduction(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
                         row[i] = v
                     else:
                         row.pop(i, None)
-        rows.append(tuple(row.items()))
+        rows.append(tuple((i * s, v) for i, v in row.items()))
     return tuple(rows)
 
 
@@ -235,19 +239,22 @@ class CyclotomicNumber:
             return CyclotomicNumber(a.conductor, [0] * phi)
         # Schoolbook product into degree < 2*phi - 1, then fold the high
         # degrees back through the reduction table; 2*phi - 2 >= n when n
-        # is prime, so the row is read at e mod n.
+        # is prime, so the power is read at e mod n.
         acc = [0] * (2 * phi - 1)
         for i, c in an:
             for j, d in bn:
                 acc[i + j] += c * d
-        red = _sparse_reduction(a.conductor)
+        n = a.conductor
+        red = _sparse_reduction(n)
+        s = n // len(red)
         for e in range(phi, 2 * phi - 1):
             c = acc[e]
             if c:
-                for t, r in red[e % a.conductor]:
-                    acc[t] += c * r
+                q, t = divmod(e % n, s)
+                for i, r in red[q]:
+                    acc[i + t] += c * r
         del acc[phi:]
-        return CyclotomicNumber(a.conductor, acc, a.den * b.den)
+        return CyclotomicNumber(n, acc, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -329,12 +336,14 @@ def _combine(a: CyclotomicNumber, b: CyclotomicNumber, sign: int) -> CyclotomicN
 
 def _substitute(n: int, terms, den: int) -> CyclotomicNumber:
     # sum(c * zeta_n^e) / den for int (e, c) terms, each power read from the
-    # reduction table at e mod n.
+    # reduction table at e mod n, as in __mul__.
     red = _sparse_reduction(n)
+    s = n // len(red)
     acc = [0] * euler_phi(n)
     for e, c in terms:
-        for i, r in red[e % n]:
-            acc[i] += c * r
+        q, t = divmod(e % n, s)
+        for i, r in red[q]:
+            acc[i + t] += c * r
     return CyclotomicNumber(n, acc, den)
 
 

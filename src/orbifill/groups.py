@@ -50,10 +50,10 @@ from .errors import (
 from .record import Record
 
 DEFAULT_MAX_ORDER = 20000
-# The most entries a group document's conductor may ask of the reduction
-# table (cyclotomic.reduction_size). The table has at least one entry per
-# row and a row per exponent below the conductor, so a larger conductor is
-# rejected before it is factorized.
+# The most terms a group document's conductor may ask of the powers
+# x^e mod Phi_N, 0 <= e < N (cyclotomic.reduction_size), which bound the
+# reduction table. Each power has at least one term, so a larger conductor
+# is rejected before it is factorized.
 MAX_REDUCTION_SIZE = 4_000_000
 
 Matrix = tuple[tuple[CyclotomicNumber, ...], ...]
@@ -121,41 +121,38 @@ class EigenData(Record):
                              multiplicities=multiplicities)
 
 
+class GroupDocument(Record):
+    """A validated group document: its name, the dimension n, the one
+    conductor N and the generators as exact matrices at N.
+    :func:`enumerate_group` builds the group they generate."""
+
+    def __init__(self, name: str, dimension: int, conductor: int, generators: tuple[Matrix, ...]):
+        self.__dict__.update(name=name, dimension=dimension, conductor=conductor,
+                             generators=generators)
+
+
 class FiniteUnitaryGroup:
-    """A finite subgroup of U(n), staged as parsed-then-enumerated.
+    """A finite subgroup of U(n), built whole by :func:`enumerate_group`.
     ``generators`` are exact matrices at the group's one conductor."""
 
-    def __init__(self, name, dimension, conductor, generators):
-        self.name = name
-        self.dimension = dimension
-        self.conductor = conductor
-        self.generators = generators
-        self._keys: list[Residues] | None = None
-        self._index: dict[Residues, int] | None = None
-        self._key_map: _ResidueMap | None = None
-        self._parents: list[tuple[int, int]] | None = None
-        self._gen_cols: list[list[int]] | None = None
+    def __init__(self, document: GroupDocument, keys: list[Residues], index: dict[Residues, int],
+                 key_map: "_ResidueMap", parents: list[tuple[int, int]], gen_cols: list[list[int]]):
+        self.name = document.name
+        self.dimension = document.dimension
+        self.conductor = document.conductor
+        self.generators = document.generators
+        self.order = len(keys)
+        self._keys = keys
+        self._index = index
+        self._key_map = key_map
+        self._parents = parents
+        self._gen_cols = gen_cols
         self._mult_table = None
         self._inverses = None
         self._eigen: dict[int, EigenData] = {}
         self._classes = None
         self._class_of = None
         self._isolated = None
-
-    # -- enumeration ---------------------------------------------------------
-
-    @property
-    def is_enumerated(self) -> bool:
-        return self._keys is not None
-
-    @property
-    def order(self) -> int:
-        self._require_enumerated()
-        return len(self._keys)
-
-    def _require_enumerated(self):
-        if not self.is_enumerated:
-            raise InternalInconsistency("group is not enumerated yet")
 
     @cached_property
     def _exact_known(self) -> dict[int, Matrix]:
@@ -181,7 +178,6 @@ class FiniteUnitaryGroup:
         so i * x is the generator column (recorded by the enumeration) read
         at i * parent, an entry already filled in.
         """
-        self._require_enumerated()
         gen_cols = self._gen_cols
         out = [i]
         for parent, gen_idx in self._parents[1:]:
@@ -190,7 +186,6 @@ class FiniteUnitaryGroup:
 
     def generator_columns(self) -> list[list[int]]:
         """For each generator s, the column x -> x * s of the enumeration."""
-        self._require_enumerated()
         return self._gen_cols
 
     # No src/ path reads mult_table. It and _mult_table stay for
@@ -204,7 +199,6 @@ class FiniteUnitaryGroup:
 
     def inverse_index(self, i: int) -> int:
         """The element whose key is the inverse of key i mod p0."""
-        self._require_enumerated()
         if self._inverses is None:
             p, index = self._key_map.modulus, self._index
             try:
@@ -232,7 +226,6 @@ class FiniteUnitaryGroup:
 
     @property
     def classes(self) -> tuple[ConjugacyClass, ...]:
-        self._require_enumerated()
         if self._classes is None:
             conj = self.conjugation_maps()
             n = self.order
@@ -288,7 +281,6 @@ class FiniteUnitaryGroup:
         of the characteristic polynomial; see :class:`_ModularReduction`.
         The order o is |G| / gcd(|G|, exponents): the reduced element is
         diagonalizable, so its order is the lcm of its eigenvalues' orders."""
-        self._require_enumerated()
         cached = self._eigen.get(i)
         if cached is not None:
             return cached
@@ -299,23 +291,21 @@ class FiniteUnitaryGroup:
         return data
 
     def fixed_space_dimension(self, i: int) -> int:
-        """dim ker(g - I): the multiplicity of eigenvalue 1, read over F_p."""
-        self._require_enumerated()
-        red = self._reduction
-        return self.dimension - red.rank_shifted(red.matrices[i], 1)
+        """dim ker(g - I): the multiplicity of eigenvalue 1."""
+        return self.eigen_multiplicities(i).multiplicities.get(0, 0)
 
     def is_isolated_singularity(self) -> tuple[bool, int | None]:
-        """True when no nontrivial element has eigenvalue 1.
+        """True when no nontrivial element has eigenvalue 1, read from the
+        eigen data :attr:`classes` computed for the class representatives.
 
-        On failure the second component is the first offending element index.
+        Each representative is the smallest member of its class, so on
+        failure the second component is the first offending element index.
         """
-        self._require_enumerated()
         if self._isolated is None:
-            witness = None
-            for i in range(1, self.order):
-                if self.fixed_space_dimension(i) > 0:
-                    witness = i
-                    break
+            offending = [c.representative_index for c in self.classes
+                         if c.representative_index
+                         and self.fixed_space_dimension(c.representative_index)]
+            witness = min(offending, default=None)
             self._isolated = (witness is None, witness)
         return self._isolated
 
@@ -353,12 +343,12 @@ class _ResidueMap:
             for row in entries
         )
 
-    def replay(self, group: FiniteUnitaryGroup, parents) -> list[Residues]:
+    def replay(self, document: GroupDocument | FiniteUnitaryGroup, parents) -> list[Residues]:
         """The image of every element in index order, each the image of its
         parent times that of its generator."""
         m = self.modulus
-        gens = [_columns(self.reduce(g)) for g in group.generators]
-        out = [_identity_mod(group.dimension)]
+        gens = [_columns(self.reduce(g)) for g in document.generators]
+        out = [_identity_mod(document.dimension)]
         for parent, gi in parents[1:]:
             out.append(_mul_mod(out[parent], gens[gi], m))
         return out
@@ -393,9 +383,9 @@ def _inverse_mod(a: Residues, p: int) -> Residues:
     return tuple(tuple(r[n:]) for r in rows)
 
 
-def _denominator(group: FiniteUnitaryGroup) -> int:
+def _denominator(document: GroupDocument | FiniteUnitaryGroup) -> int:
     """D: the lcm of the generator entries' denominators."""
-    return math.lcm(*(x.den for g in group.generators for row in g for x in row))
+    return math.lcm(*(x.den for g in document.generators for row in g for x in row))
 
 
 class _ModularReduction:
@@ -525,11 +515,9 @@ def _is_prime(q: int) -> bool:
 # -- document handling --------------------------------------------------------
 
 
-def parse_group(document) -> FiniteUnitaryGroup:
-    """Validate a group document (text or mapping) into generators.
-
-    The result is not yet enumerated; pass it to :func:`enumerate_group`.
-    """
+def parse_group(document) -> GroupDocument:
+    """Validate a group document (text or mapping) into exact generators;
+    :func:`enumerate_group` builds the group from the result."""
     if isinstance(document, str):
         try:
             doc = json.loads(document)
@@ -580,7 +568,7 @@ def parse_group(document) -> FiniteUnitaryGroup:
         matrix = tuple(rows)
         _check_unitary(matrix, gi)
         generators.append(matrix)
-    return FiniteUnitaryGroup(name, dimension, conductor, generators)
+    return GroupDocument(name, dimension, conductor, tuple(generators))
 
 
 def _check_unitary(matrix: Matrix, generator_index: int):
@@ -592,19 +580,18 @@ def _check_unitary(matrix: Matrix, generator_index: int):
                 raise NotUnitary(generator_index, (r, c))
 
 
-def enumerate_group(group: FiniteUnitaryGroup, max_order: int = DEFAULT_MAX_ORDER) -> FiniteUnitaryGroup:
-    """Breadth-first closure of the generators under multiplication, over
-    F_p0 (module docstring): elements are keyed by their reduction mod p0,
-    and a closure whose generators have denominators is certified exact."""
-    if group.is_enumerated:
-        return group
+def enumerate_group(document: GroupDocument, max_order: int = DEFAULT_MAX_ORDER) -> FiniteUnitaryGroup:
+    """The group the document's generators generate: their breadth-first
+    closure under multiplication over F_p0 (module docstring). Elements are
+    keyed by their reduction mod p0, and a closure whose generators have
+    denominators is certified exact."""
     if max_order < 1:
         raise GroupTooLarge(f"the order cap {max_order} is below 1, the order of the trivial group")
-    dens = _denominator(group)
-    key_map = _ResidueMap(group.conductor, *_split_prime(group.conductor, dens, 2))
+    dens = _denominator(document)
+    key_map = _ResidueMap(document.conductor, *_split_prime(document.conductor, dens, 2))
     p0 = key_map.modulus
-    gens = [_columns(key_map.reduce(g)) for g in group.generators]
-    identity = _identity_mod(group.dimension)
+    gens = [_columns(key_map.reduce(g)) for g in document.generators]
+    identity = _identity_mod(document.dimension)
     keys = [identity]
     index = {identity: 0}
     parents: list[tuple[int, int]] = [(0, -1)]
@@ -632,13 +619,8 @@ def enumerate_group(group: FiniteUnitaryGroup, max_order: int = DEFAULT_MAX_ORDE
                 gen_cols[gi].append(idx)
         frontier = fresh
     if dens > 1:
-        _certify(group, dens, p0, parents, gen_cols)
-    group._keys = keys
-    group._index = index
-    group._key_map = key_map
-    group._parents = parents
-    group._gen_cols = gen_cols
-    return group
+        _certify(document, dens, p0, parents, gen_cols)
+    return FiniteUnitaryGroup(document, keys, index, key_map, parents, gen_cols)
 
 
 # Certificate primes are drawn from above this floor, so that few of them
@@ -646,14 +628,14 @@ def enumerate_group(group: FiniteUnitaryGroup, max_order: int = DEFAULT_MAX_ORDE
 _CERTIFICATE_PRIME_FLOOR = 1 << 20
 
 
-def _certify(group: FiniteUnitaryGroup, dens: int, p0: int, parents, gen_cols):
+def _certify(document: GroupDocument, dens: int, p0: int, parents, gen_cols):
     """Check every relation x * s = col_s[x] of a closure mod p0 exactly, or
     raise GroupTooLarge: modulo primes q = 1 (mod N) prime to D = ``dens``
     with p0 * prod(q) > (2 D^(d+1))^phi(N), all at once modulo their
     product; d is the largest number of generators with a denominator on one
     parent chain (module docstring)."""
-    conductor = group.conductor
-    fractional = [any(x.den > 1 for row in g for x in row) for g in group.generators]
+    conductor = document.conductor
+    fractional = [any(x.den > 1 for row in g for x in row) for g in document.generators]
     depth = [0]
     for parent, gi in parents[1:]:
         depth.append(depth[parent] + fractional[gi])
@@ -665,8 +647,8 @@ def _certify(group: FiniteUnitaryGroup, dens: int, p0: int, parents, gen_cols):
         root += modulus * ((w - root) * pow(modulus, -1, q) % q)
         modulus *= q
     residues = _ResidueMap(conductor, modulus, root)
-    mats = residues.replay(group, parents)
-    gens = [_columns(residues.reduce(g)) for g in group.generators]
+    mats = residues.replay(document, parents)
+    gens = [_columns(residues.reduce(g)) for g in document.generators]
     for g, col in zip(gens, gen_cols):
         for x, y in enumerate(col):
             if _mul_mod(mats[x], g, modulus) != mats[y]:
@@ -694,14 +676,15 @@ def conjugation_orbit(conj: list[list[int]], point: tuple[int, ...]) -> list[tup
 def canonical_document(document) -> dict:
     """Re-render a group document with canonical entry literals and ordering.
 
-    ``document`` is text, a mapping, or a group :func:`parse_group` returned.
+    ``document`` is text, a mapping, or the :class:`GroupDocument`
+    :func:`parse_group` returned.
     """
-    group = document if isinstance(document, FiniteUnitaryGroup) else parse_group(document)
+    doc = document if isinstance(document, GroupDocument) else parse_group(document)
     return {
-        "name": group.name,
-        "dimension": group.dimension,
-        "conductor": group.conductor,
-        "generators": [[[x.to_literal() for x in row] for row in g] for g in group.generators],
+        "name": doc.name,
+        "dimension": doc.dimension,
+        "conductor": doc.conductor,
+        "generators": [[[x.to_literal() for x in row] for row in g] for g in doc.generators],
     }
 
 

@@ -24,26 +24,33 @@ def run(args, trace=None):
 
 
 @pytest.fixture
-def ref_span(tmp_path):
-    path = tmp_path / "ref_span.json"
-    path.write_text(json.dumps({"span": {
+def documents(tmp_path):
+    """Paths of the documents the queries below name by placeholder."""
+    ref_span = tmp_path / "ref_span.json"
+    ref_span.write_text(json.dumps({"span": {
         "left": {"ref": str(QUATERNION)}, "middle": {"cyclic": 1}, "right": {"cyclic": 1},
         "source": [0], "target": [0]}}))
-    return path
+    # diag(-1, 1) fixes a line, so it reports a witness element.
+    reflection = tmp_path / "reflection.json"
+    reflection.write_text(json.dumps({"dimension": 2, "conductor": 2,
+                                      "generators": [[["-1", "0"], ["0", "1"]]]}))
+    return {"REF_SPAN": str(ref_span), "REFLECTION": str(reflection)}
 
 
-@pytest.mark.parametrize("query, span", [
-    (("cr", "ring", str(QUATERNION), "--format", "json"), "groups.classes"),
-    (("span", "check", None, "--format", "json"), "groups.enumerate_group"),
-], ids=["cr-ring", "span-check-ref"])
-def test_traced_query_matches_untraced(tmp_path, ref_span, query, span):
-    args = [str(ref_span) if a is None else a for a in query]
+@pytest.mark.parametrize("query, spans", [
+    (("cr", "ring", str(QUATERNION), "--format", "json"), {"groups.classes"}),
+    (("span", "check", "REF_SPAN", "--format", "json"), {"groups.enumerate_group"}),
+    (("group", "info", "REFLECTION", "--format", "json"),
+     {"groups.is_isolated_singularity", "groups.classes"}),
+], ids=["cr-ring", "span-check-ref", "group-info-reflection"])
+def test_traced_query_matches_untraced(tmp_path, documents, query, spans):
+    args = [documents.get(a, a) for a in query]
     trace = tmp_path / "trace.json"
     plain, traced = run(args), run(args, trace)
     assert plain.returncode == traced.returncode == 0, traced.stderr
     assert plain.stdout == traced.stdout
     names = {s[0] for s in json.loads(trace.read_text())["spans"]}
-    assert span in names
+    assert spans <= names
     assert "cli._load_group" in names
 
 

@@ -43,7 +43,9 @@ def reference_constants(group, convention):
     """Exact reference for the structure constants: every pair (h1, h2) of
     class members with product in C_k and additive ages contributes
     |Z(h_k)| / |Z(h1) & Z(h2)|; the orbit reading keeps one pair per
-    simultaneous-conjugation orbit, found as the orbit's minimum over G."""
+    simultaneous-conjugation orbit, found as the orbit's minimum over G.
+    Sector pairs whose product is empty are left out, as the ring stores
+    them."""
     sectors = twisted_sectors(group)
     table = group.mult_table
     inv = [group.inverse_index(g) for g in range(group.order)]
@@ -76,14 +78,16 @@ def reference_constants(group, convention):
                     inter = len(centralizer(h1) & centralizer(h2))
                     coeff = Fraction(sectors[k].centralizer_order, inter)
                     contributions[k] = contributions.get(k, Fraction(0)) + coeff
-            constants[(i, j)] = tuple(sorted((k, c) for k, c in contributions.items() if c))
+            terms = tuple(sorted((k, c) for k, c in contributions.items() if c))
+            if terms:
+                constants[(i, j)] = terms
     return constants
 
 
 def definition_constants(group):
     """The ring from its definition: products of class sums in the group
     algebra, where h1 * h2 counts when age(h1) + age(h2) = age(h1 * h2) and
-    is 0 otherwise, written in class sums."""
+    is 0 otherwise, written in class sums. Empty products are left out."""
     table = group.mult_table
     ages = [age(group, x) for x in range(group.order)]
     classes = group.classes
@@ -103,7 +107,8 @@ def definition_constants(group):
                 assert len(coefficient) == 1, (group.name, i, j, cls.label)
                 if product[cls.representative_index]:
                     terms.append((k, product[cls.representative_index]))
-            constants[(i, j)] = tuple(terms)
+            if terms:
+                constants[(i, j)] = tuple(terms)
     return constants
 
 
@@ -300,6 +305,23 @@ class TestCupProduct:
                 assert ring.structure_constants == reference_constants(g, convention)
             assert expected == (0 if doc["name"].startswith("BD") else 23), g.name
 
+    def test_store_holds_nonzero_products_only(self):
+        # A pair (i, j) is stored exactly when some h1 in C_i and h2 in C_j
+        # have additive ages, read from the table; both conventions give
+        # such a pair a positive weight.
+        for g in battery_48():
+            table, classes = g.mult_table, g.classes
+            ages = [age(g, x) for x in range(g.order)]
+            nonempty = {
+                (i, j) for i in range(1, len(classes)) for j in range(1, len(classes))
+                if any(ages[h1] + ages[h2] == ages[table[h1][h2]]
+                       for h1 in classes[i].member_indices for h2 in classes[j].member_indices)
+            }
+            for convention in CupConvention:
+                ring = build_ring(g, convention)
+                assert ring.structure_constants.keys() == nonempty, (g.name, convention)
+                assert all(ring.structure_constants.values()), (g.name, convention)
+
     def test_sector_index_bounds(self):
         ring = build_ring(build(antipodal(2)))
         with pytest.raises(ValueError):
@@ -353,8 +375,8 @@ class TestAgainstReference:
         # and [3][3] are rescaled, so (1, 2, 2) and (1, 2, 3) both fail. The
         # sweep must pass over (1, 1) and report c = 2 for (1, 2).
         ring = build_ring(build(scalar_cyclic(7)), CupConvention.ORBIT_REPRESENTATIVE_SUM)
-        assert all(ring.structure_constants[(a, b)] == (((a + b, 1),) if a + b < 7 else ())
-                   for a in range(1, 7) for b in range(1, 7))
+        assert ring.structure_constants == {
+            (a, b): ((a + b, 1),) for a in range(1, 7) for b in range(1, 7) if a + b < 7}
         ring.structure_constants.update({
             (2, 1): ((3, Fraction(1)), (4, Fraction(0))),
             (3, 2): ((5, Fraction(1, 2)),),
@@ -384,12 +406,12 @@ class TestAgainstReference:
         assert (g.order, len(g.classes)) == (63, 15)
         full, orbit = (build_ring(g, c) for c in CupConvention)
         assert associativity_sweep(full)[0] and associativity_sweep(orbit)[0]
+        assert full.structure_constants.keys() == orbit.structure_constants.keys()
         ratios = {}
         for key, terms in orbit.structure_constants.items():
             full_terms = full.structure_constants[key]
             assert [k for k, _ in full_terms] == [k for k, _ in terms], key
-            if terms:
-                ratios[key] = {f / c for (_, f), (_, c) in zip(full_terms, terms)}
+            ratios[key] = {f / c for (_, f), (_, c) in zip(full_terms, terms)}
         assert len(ratios) == 14
         assert sorted(r for r in ratios.values() if r != {3}) == [{1}]
         assert ratios[(1, 1)] == {1}

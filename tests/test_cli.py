@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from battery import a_type, antipodal, binary_dihedral, quaternion, scalar_cyclic, times_scalars, trivial
+from battery import (a_type, antipodal, binary_dihedral, build, quaternion, scalar_cyclic,
+                     times_scalars, trivial)
 from orbifill import cli as cli_module
 from orbifill import reeb as reeb_module
 from orbifill import spans
@@ -133,12 +134,14 @@ class TestExitCodes:
         assert result.stderr.splitlines() == [
             "error: the generators do not generate a finite group"]
 
-    def test_unenumerated_group_exits_three(self):
-        # Reading an enumerated-only property of a parsed group is a broken
-        # internal state, not an input error.
-        group = parse_group(quaternion())
+    def test_corrupted_reduction_exits_three(self):
+        # A reduced matrix that is not diagonalizable, as in
+        # test_non_group_element_is_internal, is a broken internal state,
+        # not an input error.
+        group = build(quaternion())
+        group._reduction.matrices[3] = ((1, 1), (0, 1))
         with pytest.raises(SystemExit) as info:
-            _guarded(lambda: group.order)()
+            _guarded(lambda: group.eigen_multiplicities(3))()
         assert info.value.code == EXIT_INTERNAL
 
     def test_cr_ring_reports_sweep_on_stderr(self, runner, workspace):

@@ -231,13 +231,19 @@ class TestCyclotomicPolynomial:
         assert dict(rows[p - 1]) == dict.fromkeys(range(p - 1), -1)
         assert dict(rows[0]) == {0: 1}
 
-    @pytest.mark.parametrize("n", [1, 2, 12, 60, 105, 210, 252, 500])
+    # 2000 = 2^4 5^3 and 1024 = 2^10 have radicals 10 and 2, so their rows
+    # are spread by s = 200 and 512.
+    @pytest.mark.parametrize("n", [1, 2, 12, 60, 105, 210, 252, 500, 1024, 2000])
     def test_sparse_reduction_against_long_division(self, n):
+        # The table has a row per exponent below rad n; x^e is row e // s
+        # shifted by e % s, s = n / rad n.
         rows = _sparse_reduction(n)
-        assert len(rows) == n
-        for e, row in enumerate(rows):
+        s = n // len(rows)
+        assert len(rows) == math.prod(factorize(n))
+        for e in range(n):
             dense = power_mod_phi(n, e)
-            assert dict(row) == {i: c for i, c in enumerate(dense) if c}, e
+            q, t = divmod(e, s)
+            assert {i + t: c for i, c in rows[q]} == {i: c for i, c in enumerate(dense) if c}, e
         assert sum(map(len, rows)) <= reduction_size(n)
 
 

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from battery import (
     z7_semidirect_z9,
 )
 from orbifill import (
+    GroupDocument,
     GroupTooLarge,
     InternalInconsistency,
     NotUnitary,
@@ -31,7 +33,6 @@ from orbifill import (
     age,
     canonical_document,
     document_digest,
-    enumerate_group,
     parse_group,
 )
 from orbifill import groups
@@ -145,6 +146,7 @@ def pythagorean_klein():
 class TestParsing:
     def test_antipodal_document(self):
         g = parse_group(antipodal(2))
+        assert isinstance(g, GroupDocument)
         assert len(g.generators) == 1
         assert g.dimension == 2 and g.conductor == 2
 
@@ -250,11 +252,6 @@ class TestEnumeration:
             g.element_order(i)
         with pytest.raises(InternalInconsistency):
             g.eigen_multiplicities(i)
-
-    def test_unenumerated_group_is_internal(self):
-        group = parse_group(quaternion())
-        with pytest.raises(InternalInconsistency, match="not enumerated"):
-            group.order
 
     def test_trivial_group(self):
         g = build(trivial())
@@ -463,7 +460,54 @@ class TestEigenData:
                 assert np.allclose(got, expected, atol=1e-9)
 
 
+def isolation_by_elements(group):
+    """Reference for isolation: the per-element scan, n - rank_p(g - I) over
+    every nontrivial element in index order, the first with a fixed vector
+    as the witness."""
+    red = group._reduction
+    for i in range(1, group.order):
+        if group.dimension - red.rank_shifted(red.matrices[i], 1):
+            return False, i
+    return True, None
+
+
+def random_monomial(rng, n):
+    """One or two random monomial matrices in U(n), with roots of unity of a
+    random conductor N <= 12 as their nonzero entries."""
+    conductor = rng.randint(1, 12)
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        mat = [["0"] * n for _ in range(n)]
+        for r, c in enumerate(rng.sample(range(n), n)):
+            e = rng.randrange(conductor)
+            mat[r][c] = f"1*z^{e}" if e else "1"
+        gens.append(mat)
+    return {"name": f"monomial{n}", "dimension": n, "conductor": conductor, "generators": gens}
+
+
 class TestIsolated:
+    def test_against_element_scan(self):
+        docs = [times_scalars(quaternion(), 3), times_scalars(quaternion(), 5),
+                times_scalars(binary_dihedral(3), 5), times_scalars(binary_tetrahedral(), 5),
+                z7_semidirect_z9()]
+        # Seeded random monomial groups in U(2) and U(3); a draw above order
+        # 200 is replaced, which bounds the scan's cost.
+        rng, monomial = random.Random(18), []
+        while len(monomial) < 240:
+            try:
+                monomial.append(build(random_monomial(rng, rng.choice((2, 3))), max_order=200))
+            except GroupTooLarge:
+                pass
+        witnesses = []
+        for g in battery_48() + [build(d) for d in docs] + monomial:
+            expected = isolation_by_elements(g)
+            assert g.is_isolated_singularity() == expected, g.name
+            witnesses.append(expected[1])
+        # Most random groups are not isolated, and many have their first
+        # fixed vector past element 1, so the witnesses are compared too.
+        assert sum(w is not None for w in witnesses) > 150
+        assert sum(w is not None and w > 1 for w in witnesses) > 80
+
     def test_antipodal_isolated(self):
         for n in (2, 3, 6):
             assert build(antipodal(n)).is_isolated_singularity() == (True, None)
@@ -502,12 +546,6 @@ class TestCanonicalForm:
     def test_canonical_document_shape(self):
         canon = canonical_document(antipodal(2))
         assert set(canon) == {"name", "dimension", "conductor", "generators"}
-
-
-class TestClassesAPI:
-    def test_enumerate_is_idempotent(self):
-        g = build(antipodal(2))
-        assert enumerate_group(g) is g
 
 
 def fraction_key(matrix):
