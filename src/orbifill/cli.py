@@ -42,6 +42,7 @@ from .errors import (
     InvariantViolation,
     NonIsolated,
     NotApplicable,
+    ParseError,
 )
 from .groups import (
     DEFAULT_MAX_ORDER,
@@ -499,6 +500,8 @@ def span_cmd(action, path, trials, seed, max_order, cache_dir, fmt):
     if path is None:
         raise UsageError("span check requires a document path")
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ParseError("span document must be an object")
     if max_order is None:
         max_order = DEFAULT_MAX_ORDER
 

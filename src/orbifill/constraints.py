@@ -20,6 +20,10 @@ BRIESKORN = "brieskorn"
 SUBCRITICAL = "subcritical"
 DILATION = "dilation"
 
+# Python's default limit on the digits of an int converted to text: a
+# divisor past it could be neither printed nor reported.
+MAX_DIVISOR_DIGITS = 4300
+
 
 class BoundaryDescriptor(Record):
     def __init__(self, variant: str, n: int, k: int | None = None):
@@ -104,6 +108,19 @@ def _rp_uniqueness(n: int) -> dict:
     return {"count": 1, "model": f"C^{n}/(Z/2)"}
 
 
+def _require_printable(b: BoundaryDescriptor, divisor: str, log10):
+    """Refuse a divisor whose decimal digits, floor(log10()) + 1, exceed
+    MAX_DIVISOR_DIGITS, before it is built. A k or n past a float's range
+    overflows the estimate, and its divisor is past the limit as well."""
+    try:
+        printable = log10() < MAX_DIVISOR_DIGITS
+    except OverflowError:
+        printable = False
+    if not printable:
+        raise ValueError(f"boundary {b.describe()}: its divisor {divisor} has more than "
+                         f"{MAX_DIVISOR_DIGITS} digits")
+
+
 def constraint_for_boundary(b: BoundaryDescriptor) -> ConstraintSet:
     if b.variant == SUBCRITICAL:
         return ConstraintSet((1,), ("subcritical-smooth",), True)
@@ -114,6 +131,7 @@ def constraint_for_boundary(b: BoundaryDescriptor) -> ConstraintSet:
             return ConstraintSet(
                 (), (), False, reason=f"requires k < n, got k={b.k}, n={b.n}"
             )
+        _require_printable(b, f"{b.k}!", lambda: math.lgamma(b.k + 1) / math.log(10))
         divisors = [math.factorial(b.k)]
         rules = ["brieskorn-factorial"]
         if 2 * b.k < b.n + 1 or (2 * b.k == b.n + 1 and is_squarefree(b.k)):
@@ -121,6 +139,9 @@ def constraint_for_boundary(b: BoundaryDescriptor) -> ConstraintSet:
             rules.append("brieskorn-refined-factorial")
         return ConstraintSet(tuple(divisors), tuple(rules), True)
     # lens space L(k; 1, ..., 1)
+    _require_printable(b, f"{b.k}!", lambda: math.lgamma(b.k + 1) / math.log(10))
+    if b.k < b.n:
+        _require_printable(b, f"{b.k}^{b.n}", lambda: b.n * math.log10(b.k))
     divisors = [math.factorial(b.k)]
     rules = ["lens-factorial"]
     if b.k < b.n:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from operator import itemgetter
 
 from .errors import GroupTooLarge, MiddleMismatch, ParseError
 from .record import Record
@@ -24,10 +23,11 @@ class FiniteGroupTable:
 
     The group is given by the column col_g[x] = x*g of each of its
     generators g, and each column must be a permutation of the elements.
-    ``table`` and ``inverse`` are built from the columns when first read.
+    ``row`` and ``column`` compose any element's row or column from these,
+    along two trees built when either is first read.
     """
 
-    __slots__ = ("order", "columns", "generators", "labels", "name", "_table", "_inverse")
+    __slots__ = ("order", "columns", "generators", "labels", "name", "_trees")
 
     def __init__(self, columns, generators, labels, name=""):
         n = self.order = len(labels)
@@ -39,14 +39,14 @@ class FiniteGroupTable:
         self.generators = tuple(generators)
         self.labels = tuple(labels)
         self.name = name
-        self._table = self._inverse = None
+        self._trees = None
 
     @classmethod
     def from_table(cls, table, name=""):
         """The group of a multiplication table, checked for a square shape,
         index entries, the identity, two-sided inverses and then
-        associativity. Light's test picks the generators; the checked table
-        and inverses are kept."""
+        associativity. Light's test picks the generators, and the group
+        keeps their columns only."""
         t = tuple(map(tuple, table))
         n = len(t)
         for row in t:
@@ -56,67 +56,62 @@ class FiniteGroupTable:
                 raise ParseError("table entries must be element indices")
         if t[0] != tuple(range(n)) or any(row[0] != i for i, row in enumerate(t)):
             raise ParseError("index 0 is not a two-sided identity")
-        inverse = _two_sided_inverses(t)
+        for i, row in enumerate(t):
+            if 0 not in row or t[row.index(0)][i] != 0:
+                raise ParseError(f"element {i} has no two-sided inverse")
         # Associativity last: a monoid without inverses is rejected above
         # before Light's test takes every element as a generator.
         gens = _check_associative(t)
-        self = cls([[row[g] for row in t] for g in gens], gens, range(n), name)
-        self._table, self._inverse = t, inverse
-        return self
+        return cls([[row[g] for row in t] for g in gens], gens, range(n), name)
 
-    @property
-    def table(self):
-        if self._table is None:
-            self._table = _table_from_columns(self.columns, self.order)
-        return self._table
+    def row(self, y: int) -> list[int]:
+        """x -> y*x: along the first tree, j = p*g gives y*j = (y*p)*g."""
+        return _along(self._built_trees()[0], y, self.order)
 
-    @property
-    def inverse(self):
-        if self._inverse is None:
-            self._inverse = _two_sided_inverses(self.table)
-        return self._inverse
+    def column(self, y: int) -> list[int]:
+        """x -> x*y: along the second tree, j = g*p gives j*y = g*(p*y)."""
+        return _along(self._built_trees()[1], y, self.order)
 
-
-def _two_sided_inverses(t: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    inverse = []
-    for i, row in enumerate(t):
-        try:
-            j = row.index(0)
-        except ValueError:
-            j = -1
-        if j < 0 or t[j][i] != 0:
-            raise ParseError(f"element {i} has no two-sided inverse")
-        inverse.append(j)
-    return tuple(inverse)
+    def _built_trees(self):
+        """The tree over the columns (j = p*g) and the tree over the
+        generators' rows (j = g*p), from the identity. The rows are composed
+        along the first tree, and they must commute with the columns: the
+        columns then generate a regular group, whose right multiplications
+        they are, and the rows its left multiplications."""
+        if self._trees is None:
+            n, columns = self.order, self.columns
+            by_columns = _tree(columns, n)
+            rows = [_along(by_columns, col[0], n) for col in columns]
+            if any(list(map(row.__getitem__, col)) != list(map(col.__getitem__, row))
+                   for row in rows for col in columns):
+                raise ParseError("the generator columns are not those of a group")
+            self._trees = by_columns, _tree(rows, n)
+        return self._trees
 
 
-def _table_from_columns(columns, n: int) -> tuple[tuple[int, ...], ...]:
-    """The table whose row j is x -> j*x, from the generator columns
-    col_k[x] = x*g_k. A breadth-first walk from the identity finds each
-    element j once, as j = p*g_k with p found earlier. Along that tree each
-    generator's row is g*j = (g*p)*g_k = col_k[g*p], and row j, x -> p*(g_k*x),
-    is row p read along row g_k."""
+def _tree(moves, n: int) -> list[tuple]:
+    """A breadth-first walk from the identity that finds each element j once,
+    as j = move[p] with p found earlier; the edges (j, p, move)."""
     reached, tree = [0], []
     seen = [True] + [False] * (n - 1)
     for p in reached:  # reached grows while it is read
-        for k, col in enumerate(columns):
-            j = col[p]
+        for move in moves:
+            j = move[p]
             if not seen[j]:
                 seen[j] = True
                 reached.append(j)
-                tree.append((j, p, k))
+                tree.append((j, p, move))
     if len(reached) != n:
         raise ParseError("the generators do not generate the group")
-    along = []
-    for col in columns:
-        row = [col[0]] * n
-        for j, p, k in tree:
-            row[j] = columns[k][row[p]]
-        along.append(itemgetter(*row))
-    rows = [tuple(range(n))] * n
-    for j, p, k in tree:
-        rows[j] = along[k](rows[p])
-    return tuple(rows)
+    return tree
+
+
+def _along(tree, y: int, n: int) -> list[int]:
+    """The map sending the identity to y and j = move[p] to move[image of p]."""
+    out = [y] * n
+    for j, p, move in tree:
+        out[j] = move[out[p]]
+    return out
 
 
 def _check_associative(t: tuple[tuple[int, ...], ...]) -> list[int]:
@@ -217,14 +212,14 @@ def subgroup_of_product(
     than max_order elements. A pair (x, y) is coded x * |B| + y. The closure
     finds col_g[i] = i * g for every element i and generator g on its way,
     and the subgroup is given by these columns."""
-    ta, tb, nb = a.table, b.table, b.order
+    nb = b.order
+    moves = [(a.column(gx), b.column(gy), []) for gx, gy in pair_gens]
     index = [0] + [-1] * (a.order * nb - 1)
     codes = [0]
-    cols = [[] for _ in pair_gens]
     for code in codes:  # codes grows while it is read
-        ra, rb = ta[code // nb], tb[code % nb]
-        for (gx, gy), col in zip(pair_gens, cols):
-            q = ra[gx] * nb + rb[gy]
+        x, y = divmod(code, nb)
+        for col_a, col_b, col in moves:
+            q = col_a[x] * nb + col_b[y]
             j = index[q]
             if j < 0:
                 j = len(codes)
@@ -235,7 +230,7 @@ def subgroup_of_product(
             col.append(j)
     labels = [divmod(code, nb) for code in codes]
     gens = [index[gx * nb + gy] for gx, gy in pair_gens]
-    return FiniteGroupTable(cols, gens, labels, name=name)
+    return FiniteGroupTable([col for _, _, col in moves], gens, labels, name=name)
 
 
 class Homomorphism(Record):
@@ -253,10 +248,8 @@ class Homomorphism(Record):
         # f(x*g) = f(x)*f(g) for every x and every generator g implies
         # f(x*y) = f(x)*f(y) for all y, by induction on the word length of y,
         # because the generators generate the source. col_g[x] = x*g.
-        tgt = target.table
         for g, col in zip(source.generators, source.columns):
-            fg = f[g]
-            right = [row[fg] for row in tgt]
+            right = target.column(f[g])
             if [f[y] for y in col] != [right[v] for v in f]:
                 x = next(x for x, y in enumerate(col) if f[y] != right[f[x]])
                 raise ParseError(f"map is not a homomorphism at pair ({x}, {g})")
@@ -307,16 +300,19 @@ class OrbitDecomposition(Record):
 
 
 def _require_composable(span1, span2):
-    if span1.right.table != span2.left.table:
+    # The elements y with x*y the same in both groups for every x are closed
+    # under the product, so equal generator columns mean equal tables.
+    a, b = span1.right, span2.left
+    if a is not b and (a.order != b.order or any(
+            b.column(g) != list(col) for g, col in zip(a.generators, a.columns))):
         raise MiddleMismatch("the shared group of the two spans differs")
 
 
 def _orbit_reps(span1, span2):
     h2 = span1.right
     t1, s2 = span1.t.images, span2.s.images
-    mul, inv = h2.table, h2.inverse
-    moves = [[row[inv[t1[g]]] for row in mul] for g in span1.middle.generators]
-    moves += [mul[s2[g]] for g in span2.middle.generators]
+    moves = [h2.column(h2.row(t1[g]).index(0)) for g in span1.middle.generators]
+    moves += [h2.row(s2[g]) for g in span2.middle.generators]
     seen = [False] * h2.order
     orbits = []
     for h in range(h2.order):
@@ -339,17 +335,17 @@ def _orbit_reps(span1, span2):
 def _stabilizer_order(span1, span2, h: int) -> int:
     # (g1, g2) stabilizes h iff s2(g2) = h * t1(g1) * h^-1; count via the
     # fiber sizes of s2 rather than scanning all pairs.
-    h2 = span1.right
-    mul, inv = h2.table, h2.inverse
-    t1, s2 = span1.t.images, span2.s.images
-    fiber = [0] * h2.order
-    for img in s2:
+    fiber = [0] * span1.right.order
+    for img in span2.s.images:
         fiber[img] += 1
-    total = 0
-    hinv = inv[h]
-    for g1 in range(span1.middle.order):
-        total += fiber[mul[mul[h][t1[g1]]][hinv]]
-    return total
+    return sum(fiber[x] for x in _conjugates(span1.right, h, span1.t.images))
+
+
+def _conjugates(group: FiniteGroupTable, h: int, images) -> list[int]:
+    """h * a * h^-1 for each a in images."""
+    row = group.row(h)
+    col = group.column(row.index(0))
+    return [col[row[a]] for a in images]
 
 
 def orbit_decomposition(span1, span2) -> OrbitDecomposition:
@@ -363,21 +359,20 @@ def orbit_decomposition(span1, span2) -> OrbitDecomposition:
 def fiber_product(span1, span2):
     """Orbit decomposition plus the composite spans */H1 <- */stab_i -> */H3."""
     _require_composable(span1, span2)
-    g1, g2 = span1.middle, span2.middle
-    h2 = span1.right
-    mul, inv = h2.table, h2.inverse
-    t1, s2 = span1.t.images, span2.s.images
+    s2 = span2.s.images
     decomposition = []
     composites = []
     for orbit in _orbit_reps(span1, span2):
-        h = orbit[0]
+        # s2(b) * h * t1(a)^-1 = h exactly when s2(b) = h * t1(a) * h^-1.
+        conjugates = _conjugates(span1.right, orbit[0], span1.t.images)
         stab_pairs = [
             (a, b)
-            for a in range(g1.order)
-            for b in range(g2.order)
-            if mul[mul[s2[b]][h]][inv[t1[a]]] == h
+            for a, c in enumerate(conjugates)
+            for b, s in enumerate(s2)
+            if s == c
         ]
-        stab = subgroup_of_product(g1, g2, stab_pairs, len(stab_pairs), name="stab")
+        stab = subgroup_of_product(span1.middle, span2.middle, stab_pairs, len(stab_pairs),
+                                   name="stab")
         s3 = tuple(span1.s.images[a] for a, _ in stab.labels)
         t3 = tuple(span2.t.images[b] for _, b in stab.labels)
         composites.append(span(span1.left, stab, span2.right, s3, t3))
@@ -419,12 +414,12 @@ def _group_pool(max_order: int) -> list[FiniteGroupTable]:
 
 
 def _element_orders(group: FiniteGroupTable) -> list[int]:
-    t = group.table
     orders = []
     for x in range(group.order):
+        col = group.column(x)
         k, p = 1, x
         while p:
-            p = t[p][x]
+            p = col[p]
             k += 1
         orders.append(k)
     return orders
@@ -524,12 +519,15 @@ def group_from_document(doc, loader=None, max_order=None) -> FiniteGroupTable:
         _require_order(k, max_order)
         return cyclic(k)
     if isinstance(doc, dict) and "ref" in doc:
+        ref = doc["ref"]
+        if not isinstance(ref, str):
+            raise ParseError("'ref' must be the path of a group document")
         if loader is None:
             raise ParseError("group references require a document loader")
-        unitary = loader(doc["ref"])
+        unitary = loader(ref)
         columns = unitary.generator_columns()
         return FiniteGroupTable(columns, [col[0] for col in columns], range(unitary.order),
-                                name=unitary.name or doc["ref"])
+                                name=unitary.name or ref)
     raise ParseError("group must provide 'table', 'cyclic', or 'ref'")
 
 
@@ -539,6 +537,8 @@ def _require_order(order: int, max_order: int | None):
 
 
 def span_from_document(doc, loader=None, max_order=None) -> PointOrbifoldSpan:
+    if not isinstance(doc, dict):
+        raise ParseError("a span must be an object")
     for key in ("left", "middle", "right", "source", "target"):
         if key not in doc:
             raise ParseError(f"span document is missing '{key}'")

@@ -113,6 +113,12 @@ def build(doc, max_order=20000):
     return enumerate_group(parse_group(doc), max_order)
 
 
+def table_of(group):
+    """The full multiplication table, row i being x -> i*x, read from the
+    group's rows: the tests' reference table for either group class."""
+    return tuple(tuple(group.row(i)) for i in range(group.order))
+
+
 def battery_48():
     """Isolated test groups of order <= 48: cyclic families, quaternion,
     binary dihedral samples."""

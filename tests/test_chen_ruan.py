@@ -17,6 +17,7 @@ from battery import (
     build,
     quaternion,
     scalar_cyclic,
+    table_of,
     times_scalars,
     trivial,
     z7_semidirect_z9,
@@ -47,7 +48,7 @@ def reference_constants(group, convention):
     Sector pairs whose product is empty are left out, as the ring stores
     them."""
     sectors = twisted_sectors(group)
-    table = group.mult_table
+    table = table_of(group)
     inv = [group.inverse_index(g) for g in range(group.order)]
     ages = [s.age for s in sectors]
 
@@ -88,7 +89,7 @@ def definition_constants(group):
     """The ring from its definition: products of class sums in the group
     algebra, where h1 * h2 counts when age(h1) + age(h2) = age(h1 * h2) and
     is 0 otherwise, written in class sums. Empty products are left out."""
-    table = group.mult_table
+    table = table_of(group)
     ages = [age(group, x) for x in range(group.order)]
     classes = group.classes
     constants = {}
@@ -310,7 +311,7 @@ class TestCupProduct:
         # have additive ages, read from the table; both conventions give
         # such a pair a positive weight.
         for g in battery_48():
-            table, classes = g.mult_table, g.classes
+            table, classes = table_of(g), g.classes
             ages = [age(g, x) for x in range(g.order)]
             nonempty = {
                 (i, j) for i in range(1, len(classes)) for j in range(1, len(classes))

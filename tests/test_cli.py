@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -209,6 +210,25 @@ class TestSpanInputs:
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize(
+        "doc",
+        ["span",
+         {"span": "left middle right source target"},
+         {"span1": "left middle right", "span2": "source target"},
+         {"span": {"left": "cyclic", "middle": {"cyclic": 1}, "right": {"cyclic": 1},
+                   "source": [0], "target": [0]}},
+         {"span": {"left": {"ref": 5}, "middle": {"cyclic": 1}, "right": {"cyclic": 1},
+                   "source": [0], "target": [0]}}],
+        ids=["document-string", "span-string", "pair-strings", "group-string", "ref-int"],
+    )
+    def test_non_object_exits_two(self, runner, workspace, doc):
+        # As strings, "in" tests for substrings and indexing takes characters.
+        (workspace / "odd_span.json").write_text(json.dumps(doc))
+        result = invoke(runner, workspace, "span", "check", str(workspace / "odd_span.json"))
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("value", ["0", "1"])
     def test_random_max_order_below_two_exits_two(self, runner, workspace, value):
         result = invoke(runner, workspace, "span", "random", "--trials", "3",
@@ -255,6 +275,58 @@ class TestSpanCap:
         assert result.exit_code == 2
         assert "order cap 2" in result.stderr
         assert "Traceback" not in result.output
+
+    def test_cyclic_groups_at_the_cap(self, runner, workspace):
+        # Z20000 is at the default cap, where a full table would hold 4e8
+        # entries: rows and columns are composed one at a time instead.
+        z, one = {"cyclic": 20000}, {"cyclic": 1}
+        identity = {"left": z, "middle": z, "right": z,
+                    "source": list(range(20000)), "target": list(range(20000))}
+        cases = [
+            ({"span": {"left": z, "middle": one, "right": one, "source": [0], "target": [0]}},
+             {"pushpull": "1"}),
+            ({"span": {"left": one, "middle": one, "right": z, "source": [0], "target": [0]}},
+             {"pushpull": "20000"}),
+            ({"span1": identity, "span2": identity}, {"lhs": "1", "rhs": "1", "equal": True}),
+        ]
+        for doc, expected in cases:
+            (workspace / "cap_span.json").write_text(json.dumps(doc))
+            tracemalloc.start()
+            try:
+                result = invoke(runner, workspace, "span", "check",
+                                str(workspace / "cap_span.json"), "--format", "json")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code == 0, result.stderr
+            payload = json.loads(result.stdout)
+            del payload["metadata"]
+            assert payload == expected
+            assert peak < 40 * 2**20, peak
+
+
+class TestDivisorDigits:
+    """A divisor with more digits than Python converts to text (4300) is
+    refused from k and n alone, before it is built."""
+
+    def test_largest_printable_factorial(self, runner, workspace):
+        result = invoke(runner, workspace, "constraints", "boundary", "lens:1558,2",
+                        "--format", "json")
+        assert result.exit_code == 0
+        divisors = json.loads(result.stdout)["divisors"]
+        assert [len(str(d["divides"])) for d in divisors] == [4300]
+
+    @pytest.mark.parametrize("boundary", ["lens:1559,2", "lens:100000000,2", "lens:2,100000"])
+    @pytest.mark.parametrize("action", ["boundary", "admit"])
+    def test_too_many_digits_exit_two(self, runner, workspace, action, boundary):
+        if action == "boundary":
+            args = ["constraints", "boundary", boundary]
+        else:
+            args = ["constraints", "admit", str(workspace / "trivial.json"), "--boundary", boundary]
+        result = invoke(runner, workspace, *args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: boundary {boundary}: its divisor ")
+        assert result.stderr.endswith("has more than 4300 digits\n")
 
 
 class TestGroupDocuments:

@@ -20,6 +20,7 @@ from battery import (
     power_mod_phi,
     quaternion,
     scalar_cyclic,
+    table_of,
     times_scalars,
     trivial,
     z7_semidirect_z9,
@@ -60,14 +61,14 @@ def approx(x):
 
 
 def table_powers(group, i):
-    """Indices of g^0, g^1, ..., g^(o-1), walked through the table."""
-    table = group.mult_table
+    """Indices of g^0, g^1, ..., g^(o-1), walked along the row of g."""
+    row = group.row(i)
     powers = [0]
     cur = i
     while cur != 0:
         assert len(powers) <= group.order, (group.name, i)
         powers.append(cur)
-        cur = table[cur][i]
+        cur = row[cur]
     return powers
 
 
@@ -209,7 +210,7 @@ class TestEnumeration:
 
     def test_closure_and_inverses(self):
         g = build(quaternion())
-        table = g.mult_table
+        table = table_of(g)
         n = g.order
         for i in range(n):
             assert 0 <= g.inverse_index(i) < n
@@ -221,7 +222,7 @@ class TestEnumeration:
         docs = [times_scalars(quaternion(), 3), times_scalars(binary_dihedral(3), 5)]
         for g in battery_48() + [build(d) for d in docs]:
             elements = [g._exact(i) for i in range(g.order)]
-            for i, row in enumerate(g.mult_table):
+            for i, row in enumerate(table_of(g)):
                 for j, k in enumerate(row):
                     product = mat_mul(elements[i], elements[j])
                     assert key(product) == key(elements[k]), (g.name, i, j)
@@ -279,7 +280,7 @@ class TestConjugacyClasses:
 
     def test_centralizer_is_subgroup(self):
         for g in [build(quaternion()), build(z7_semidirect_z9())]:
-            table = g.mult_table
+            table = table_of(g)
             for c in g.classes:
                 r = c.representative_index
                 cent = {h for h in range(g.order) if table[h][r] == table[r][h]}
@@ -294,7 +295,7 @@ class TestConjugacyClasses:
         docs = [times_scalars(quaternion(), 5), times_scalars(binary_dihedral(3), 5),
                 binary_tetrahedral(), z7_semidirect_z9()]
         for g in battery_48() + [build(d) for d in docs]:
-            table = g.mult_table
+            table = table_of(g)
             inv = [row.index(0) for row in table]
             expected = {
                 tuple(sorted({table[table[x][i]][inv[x]] for x in range(g.order)}))
@@ -602,7 +603,7 @@ class TestIntegerKeys:
 
     def test_inverses_from_table(self, groups):
         for g in groups:
-            table = g.mult_table
+            table = table_of(g)
             for i in range(g.order):
                 j = g.inverse_index(i)
                 assert table[i][j] == table[j][i] == 0, g.name

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from battery import binary_dihedral, build, quaternion as quaternion_doc, times_scalars
+from battery import binary_dihedral, build, quaternion as quaternion_doc, table_of, times_scalars
 from orbifill import (
     FiniteGroupTable,
     Homomorphism,
@@ -55,7 +55,7 @@ class TestGroupTables:
     def test_cyclic(self):
         z6 = cyclic(6)
         assert z6.order == 6
-        assert z6.inverse[1] == 5
+        assert z6.row(1).index(0) == 5
 
     def test_dihedral_orders(self):
         for m in (3, 4, 5, 6):
@@ -64,27 +64,25 @@ class TestGroupTables:
     def test_quaternion_table(self):
         q = quaternion8()
         assert q.order == 8
+        t = table_of(q)
         i, j = 1, 2
-        minus_one = q.table[i][i]
-        assert q.table[j][j] == minus_one and minus_one != 0
-        assert q.table[minus_one][minus_one] == 0
+        minus_one = t[i][i]
+        assert t[j][j] == minus_one and minus_one != 0
+        assert t[minus_one][minus_one] == 0
         # anticommutation: ij = -ji
-        assert q.table[i][j] == q.table[minus_one][q.table[j][i]]
+        assert t[i][j] == t[minus_one][t[j][i]]
 
     def test_quaternion_matches_unitary_model(self):
-        table_model = quaternion8()
+        table = table_of(quaternion8())
         unitary = build(quaternion_doc())
         # same multiset of element orders
-        orders_a = sorted(
-            next(k for k in range(1, 9) if _power(table_model, i, k) == 0)
-            for i in range(8)
-        )
+        orders_a = sorted(_element_order(table, i) for i in range(8))
         orders_b = sorted(unitary.element_order(i) for i in range(8))
         assert orders_a == orders_b
 
     def test_cyclic_rows_are_sums_mod_k(self):
         for k in range(1, 40):
-            assert cyclic(k).table == tuple(
+            assert table_of(cyclic(k)) == tuple(
                 tuple((i + j) % k for j in range(k)) for i in range(k)
             ), k
 
@@ -97,7 +95,8 @@ class TestGroupTables:
     def test_direct_product(self):
         v4 = direct_product(cyclic(2), cyclic(2))
         assert v4.order == 4
-        assert all(v4.table[i][i] == 0 for i in range(4))
+        t = table_of(v4)
+        assert all(t[i][i] == 0 for i in range(4))
 
     def test_subgroup_of_product(self):
         diag = subgroup_of_product(cyclic(4), cyclic(4), [(1, 1)], 4)
@@ -115,13 +114,6 @@ class TestGroupTables:
             FiniteGroupTable.from_table([[0, 1, 2], [1, 2, 0], [2, 1, 0]])
         with pytest.raises(ParseError, match="two-sided inverse"):
             FiniteGroupTable.from_table([[0, 1], [1, 1]])
-
-
-def _power(group, i, k):
-    cur = 0
-    for _ in range(k):
-        cur = group.table[cur][i]
-    return cur
 
 
 def _reference_is_associative(table):
@@ -226,7 +218,7 @@ class TestLightAssociativity:
         with pytest.raises(ParseError, match="^element 1 has no two-sided inverse$"):
             FiniteGroupTable.from_table(table)
         assert calls == []
-        FiniteGroupTable.from_table(cyclic(5).table)
+        FiniteGroupTable.from_table(table_of(cyclic(5)))
         assert len(calls) == 1
 
     def test_both_faults_report_the_inverse(self):
@@ -238,20 +230,26 @@ class TestLightAssociativity:
 
     def test_group_tables_pass(self):
         for group in _group_pool(24) + [cyclic(60), direct_product(dihedral(5), cyclic(3))]:
-            table = [list(row) for row in group.table]
-            assert FiniteGroupTable.from_table(table).table == group.table
+            table = table_of(group)
+            assert table_of(FiniteGroupTable.from_table(table)) == table
 
 
 class _ReferenceGroup:
-    """What the reference helpers build: their own pair-lookup table, the
-    inverses found by scanning its rows, and columns read off it."""
+    """What the reference helpers build and read: a full table, and columns
+    read off it."""
 
     def __init__(self, table, generators, labels, name):
         self.table = tuple(map(tuple, table))
         self.order = len(self.table)
         self.generators, self.labels, self.name = tuple(generators), tuple(labels), name
-        self.inverse = tuple(row.index(0) for row in self.table)
         self.columns = tuple([row[g] for row in self.table] for g in self.generators)
+
+    @classmethod
+    def of(cls, group):
+        return cls(table_of(group), group.generators, group.labels, group.name)
+
+    def row(self, i):
+        return self.table[i]
 
 
 def _reference_subgroup_of_product(a, b, pair_gens, max_order, name=""):
@@ -300,7 +298,8 @@ def _reference_orbit_reps(span1, span2):
     """Orbits of the fiber-product action, one move function per generator."""
     h2 = span1.right
     t1, s2 = span1.t.images, span2.s.images
-    mul, inv = h2.table, h2.inverse
+    mul = table_of(h2)
+    inv = [row.index(0) for row in mul]
     moves = [lambda h, a=t1[g]: mul[h][inv[a]] for g in span1.middle.generators]
     moves += [lambda h, a=s2[g]: mul[a][h] for g in span2.middle.generators]
     seen = [False] * h2.order
@@ -325,7 +324,7 @@ def _reference_orbit_reps(span1, span2):
 def _group_data(group):
     if group is None:
         return None
-    return (group.name, group.table, group.labels, group.generators, group.inverse)
+    return (group.name, table_of(group), group.labels, group.generators)
 
 
 class TestKernelsAgainstReference:
@@ -336,6 +335,7 @@ class TestKernelsAgainstReference:
     def test_subgroup_of_product(self):
         rng = random.Random(20261018)
         pool = _group_pool(48)
+        refs = {g: _ReferenceGroup.of(g) for g in pool}
         outcomes = {True: 0, False: 0}
         for _ in range(4000):
             a, b = rng.choice(pool), rng.choice(pool)
@@ -345,17 +345,18 @@ class TestKernelsAgainstReference:
             ]
             cap = rng.randint(4, 48)
             new = subgroup_of_product(a, b, pair_gens, cap, name="sub")
-            ref = _reference_subgroup_of_product(a, b, pair_gens, cap, name="sub")
+            ref = _reference_subgroup_of_product(refs[a], refs[b], pair_gens, cap, name="sub")
             assert _group_data(new) == _group_data(ref), (a.name, b.name, pair_gens, cap)
             outcomes[new is None] += 1
         assert min(outcomes.values()) > 1000
 
     def test_trivial_and_repeated_generators(self):
         z4, q8 = cyclic(4), quaternion8()
+        refs = _ReferenceGroup.of(z4), _ReferenceGroup.of(q8)
         for pair_gens in ([(0, 0)], [(1, 2), (1, 2)], [(0, 0), (3, 5)], [(2, 0), (0, 4), (2, 4)]):
             for cap in (1, 2, 8, 32):
                 assert _group_data(subgroup_of_product(z4, q8, pair_gens, cap)) == _group_data(
-                    _reference_subgroup_of_product(z4, q8, pair_gens, cap)
+                    _reference_subgroup_of_product(*refs, pair_gens, cap)
                 ), (pair_gens, cap)
 
     def test_direct_product(self):
@@ -364,11 +365,12 @@ class TestKernelsAgainstReference:
             subgroup_of_product(dihedral(6), cyclic(4), [(1, 1), (6, 2)], 48),
             subgroup_of_product(quaternion8(), cyclic(6), [(1, 3)], 24),
         ]
+        refs = {g: _ReferenceGroup.of(g) for g in factors}
         for a in factors:
             for b in factors:
                 if a.order * b.order <= 96:
                     assert _group_data(direct_product(a, b)) == _group_data(
-                        _reference_direct_product(a, b)
+                        _reference_direct_product(refs[a], refs[b])
                     ), (a.name, b.name)
 
     def test_orbit_reps(self):
@@ -382,13 +384,30 @@ class TestKernelsAgainstReference:
             assert _orbit_reps(span1, span2) == _reference_orbit_reps(span1, span2), trial
 
 
+def _recording_tree_builds(monkeypatch):
+    """The (name, order) of each group whose row and column trees are built
+    from here on."""
+    built = []
+    build = FiniteGroupTable._built_trees
+
+    def recording(group):
+        if group._trees is None:
+            built.append((group.name, group.order))
+        return build(group)
+
+    monkeypatch.setattr(FiniteGroupTable, "_built_trees", recording)
+    return built
+
+
 class TestColumnMiddles:
-    """Battery middles hold generator columns; their tables and inverses are
-    built only when read, and equal the reference's."""
+    """Battery middles hold generator columns; the trees that compose their
+    rows and columns are built only when one is read, and the rows equal the
+    reference's."""
 
     def _random_subgroups(self, count):
         rng = random.Random(20261018)
         pool = _group_pool(24)
+        refs = {g: _ReferenceGroup.of(g) for g in pool}
         while count:
             a, b = rng.choice(pool), rng.choice(pool)
             pair_gens = [(rng.randrange(a.order), rng.randrange(b.order))
@@ -396,29 +415,26 @@ class TestColumnMiddles:
             sub = subgroup_of_product(a, b, pair_gens, 24, name="sub")
             if sub is not None:
                 count -= 1
-                yield a, b, pair_gens, sub
+                yield refs[a], refs[b], pair_gens, sub
 
     def test_tables_built_when_read(self):
         for a, b, pair_gens, sub in self._random_subgroups(300):
             kernel = cyclic(len(pair_gens) + 1)
             product = direct_product(sub, kernel)
-            assert sub._table is None and product._table is None
-            assert sub._inverse is None and product._inverse is None
+            assert sub._trees is None and product._trees is None
             ref = _reference_subgroup_of_product(a, b, pair_gens, 24, name="sub")
-            assert _group_data(product) == _group_data(_reference_direct_product(ref, kernel))
+            expected = _reference_direct_product(ref, _ReferenceGroup.of(kernel))
+            assert _group_data(product) == _group_data(expected)
             assert _group_data(sub) == _group_data(ref)
+            assert sub._trees is not None and product._trees is not None
 
     def test_battery_builds_no_middle_table(self, monkeypatch):
-        # Every pool group but Q8, whose checked table from_table keeps, has
-        # its table composed from columns; no middle's table is.
-        built = []
-        compose = spans._table_from_columns
-        monkeypatch.setattr(spans, "_table_from_columns",
-                            lambda cols, n: built.append(n) or compose(cols, n))
+        # Each pool group builds its trees once; no middle builds any.
+        built = _recording_tree_builds(monkeypatch)
         pool = _group_pool(24)
-        assert len(built) == 0
+        assert built == []
         random_composition_battery(150, seed=5)
-        assert sorted(built) == sorted(g.order for g in pool if g.name != "Q8")
+        assert sorted(built) == sorted((g.name, g.order) for g in pool)
 
     def test_corrupted_column_raises(self):
         for _, _, pair_gens, sub in self._random_subgroups(100):
@@ -433,17 +449,50 @@ class TestColumnMiddles:
 
     def test_columns_that_do_not_generate(self):
         # The column of 2 in Z4 is a permutation, but 2 does not generate Z4.
-        group = FiniteGroupTable([[2, 3, 0, 1]], (2,), range(4))
-        with pytest.raises(ParseError, match="do not generate"):
-            group.table
+        for read in (FiniteGroupTable.row, FiniteGroupTable.column):
+            group = FiniteGroupTable([[2, 3, 0, 1]], (2,), range(4))
+            with pytest.raises(ParseError, match="do not generate"):
+                read(group, 0)
 
     def test_inverse_check_on_columns(self):
-        # Two permutation columns that no group has: the composed table's
-        # row 1 is (1, 2, 1), so element 1 has no inverse.
-        group = FiniteGroupTable([[1, 2, 0], [2, 1, 0]], (1, 2), range(3))
-        assert group.table == ((0, 1, 2), (1, 2, 1), (2, 0, 0))
-        with pytest.raises(ParseError, match="^element 1 has no two-sided inverse$"):
-            group.inverse
+        # Two permutation columns that no group has: they generate S3 on
+        # three points, and the row of 1 composed along the columns' tree is
+        # (1, 2, 1), which does not commute with the column of 1.
+        for read in (FiniteGroupTable.row, FiniteGroupTable.column):
+            group = FiniteGroupTable([[1, 2, 0], [2, 1, 0]], (1, 2), range(3))
+            with pytest.raises(ParseError, match="^the generator columns are not those of a group$"):
+                read(group, 0)
+            assert group._trees is None
+
+    def test_columns_accepted_exactly_when_regular(self):
+        # Permutation columns are a group's right multiplications exactly
+        # when the permutations they generate act regularly; x*y is then
+        # the image of x under the one permutation that sends 0 to y.
+        rng = random.Random(20261021)
+        verdicts = {True: 0, False: 0}
+        for _ in range(2000):
+            n = rng.randint(1, 6)
+            columns = [rng.sample(range(n), n) for _ in range(rng.choice((1, 2)))]
+            closure, frontier = {tuple(range(n))}, [tuple(range(n))]
+            while frontier:
+                p = frontier.pop()
+                for col in columns:
+                    q = tuple(col[x] for x in p)
+                    if q not in closure:
+                        closure.add(q)
+                        frontier.append(q)
+            regular = len(closure) == n and {c[0] for c in closure} == set(range(n))
+            group = FiniteGroupTable(columns, [col[0] for col in columns], range(n))
+            try:
+                table = table_of(group)
+            except ParseError:
+                table = None
+            assert (table is not None) == regular, columns
+            if regular:
+                sends_0_to = {c[0]: c for c in closure}
+                assert table == tuple(tuple(sends_0_to[y][x] for y in range(n)) for x in range(n))
+            verdicts[regular] += 1
+        assert min(verdicts.values()) > 300, verdicts
 
 
 class TestLagrangeRejection:
@@ -454,7 +503,8 @@ class TestLagrangeRejection:
         pool = _group_pool(48)
         orders = {g: _element_orders(g) for g in pool}
         for g in pool:
-            assert orders[g] == [_element_order(g, x) for x in range(g.order)]
+            table = table_of(g)
+            assert orders[g] == [_element_order(table, x) for x in range(g.order)]
         rejected = 0
         for a, b in itertools.product(pool, repeat=2):
             for pair in itertools.product(range(a.order), range(b.order)):
@@ -533,10 +583,11 @@ class TestHomomorphisms:
 
 
 def _reference_is_homomorphism(source, target, images):
-    """The all-pairs check: f(x*y) = f(x)*f(y) for every pair (x, y)."""
-    n = source.order
+    """The all-pairs check on the source and target tables: f(x*y) =
+    f(x)*f(y) for every pair (x, y)."""
+    n = len(source)
     return all(
-        images[source.table[x][y]] == target.table[images[x]][images[y]]
+        images[source[x][y]] == target[images[x]][images[y]]
         for x in range(n)
         for y in range(n)
     )
@@ -550,37 +601,42 @@ def _rejected(source, target, images):
     return False
 
 
-def _element_order(group, i):
-    return next(k for k in range(1, group.order + 1) if _power(group, i, k) == 0)
+def _element_order(table, i):
+    """The least k >= 1 with i^k = 1, multiplying by i in the table."""
+    k, cur = 1, i
+    while cur:
+        k, cur = k + 1, table[cur][i]
+    return k
 
 
 def _walk_map(rng, source, target, gens):
     """f(0) = 0 and f(x*g) = f(x)*t_g along a breadth-first walk over gens,
-    with t_g of order dividing that of g; each element the walk from the
-    identity misses starts a new walk from a random image.
+    on the source and target tables, with t_g of order dividing that of g;
+    each element the walk from the identity misses starts a new walk from a
+    random image.
 
     With all generators this is a homomorphism when it is consistent. With one
     generator g it satisfies the check on g and usually fails on the others.
     """
     steps = {
         g: rng.choice(
-            [t for t in range(target.order)
+            [t for t in range(len(target))
              if _element_order(source, g) % _element_order(target, t) == 0]
         )
         for g in gens
     }
-    images = [None] * source.order
-    for start in range(source.order):
+    images = [None] * len(source)
+    for start in range(len(source)):
         if images[start] is not None:
             continue
-        images[start] = 0 if start == 0 else rng.randrange(target.order)
+        images[start] = 0 if start == 0 else rng.randrange(len(target))
         frontier = [start]
         while frontier:
             x = frontier.pop()
             for g in gens:
-                y = source.table[x][g]
+                y = source[x][g]
                 if images[y] is None:
-                    images[y] = target.table[images[x]][steps[g]]
+                    images[y] = target[images[x]][steps[g]]
                     frontier.append(y)
     return tuple(images)
 
@@ -599,33 +655,36 @@ class TestGeneratorCheck:
         ids=["Z4-Z2", "Z6-Z3", "Z2xZ2-Z2"],
     )
     def test_every_map(self, source, target):
+        tables = table_of(source), table_of(target)
         for images in itertools.product(range(target.order), repeat=source.order):
             assert _rejected(source, target, images) == (
-                not _reference_is_homomorphism(source, target, images)
+                not _reference_is_homomorphism(*tables, images)
             ), images
 
     def test_seeded_maps_between_pool_groups(self):
         groups = [dihedral(4), quaternion8(), direct_product(cyclic(2), quaternion8())]
+        tables = {g: table_of(g) for g in groups}
         rng = random.Random(20260811)
         homs = single_generator_failures = 0
         for source, target in itertools.product(groups, repeat=2):
+            ts, tt = tables[source], tables[target]
             candidates = []
             for _ in range(12):
-                candidates.append(_walk_map(rng, source, target, source.generators))
+                candidates.append(_walk_map(rng, ts, tt, source.generators))
                 for g in source.generators:
-                    candidates.append(_walk_map(rng, source, target, (g,)))
+                    candidates.append(_walk_map(rng, ts, tt, (g,)))
             for images in list(candidates):
                 x = rng.randrange(1, source.order)
                 perturbed = list(images)
                 perturbed[x] = rng.randrange(target.order)
                 candidates.append(tuple(perturbed))
             for images in candidates:
-                is_hom = _reference_is_homomorphism(source, target, images)
+                is_hom = _reference_is_homomorphism(ts, tt, images)
                 assert _rejected(source, target, images) == (not is_hom), images
                 homs += is_hom
                 g0 = source.generators[0]
                 single_generator_failures += not is_hom and all(
-                    images[source.table[x][g0]] == target.table[images[x]][images[g0]]
+                    images[ts[x][g0]] == tt[images[x]][images[g0]]
                     for x in range(source.order)
                 )
         assert homs >= 50
@@ -638,13 +697,15 @@ class TestGeneratorCheck:
         rng = random.Random(20261020)
         groups = [dihedral(4), quaternion8(), direct_product(cyclic(2), cyclic(4)),
                   subgroup_of_product(dihedral(6), cyclic(4), [(1, 1), (6, 2)], 48)]
+        tables = {g: table_of(g) for g in groups}
         named = 0
         for source, target in itertools.product(groups, repeat=2):
+            ts, tt = tables[source], tables[target]
             for _ in range(20):
                 images = [0] + [rng.randrange(target.order) for _ in range(source.order - 1)]
                 first = next(
                     ((x, g) for g in source.generators for x in range(source.order)
-                     if images[source.table[x][g]] != target.table[images[x]][images[g]]),
+                     if images[ts[x][g]] != tt[images[x]][images[g]]),
                     None,
                 )
                 if first is None:
@@ -740,24 +801,25 @@ class TestCompositionCheck:
         assert a == b
 
 
-def _reference_random_span(rng, left, right, max_middle):
+def _reference_random_span(rng, left, right, max_middle, refs):
     """The span generator as it was before closures stopped at max_middle:
     it builds every subgroup's full table, with the pair-hash closure and the
-    divmod product, and rejects an oversized middle afterwards. No subgroup
-    of A x B has more than |A||B| elements, so that cap never stops the
-    closure."""
+    divmod product on the reference tables ``refs`` of the pool groups, and
+    rejects an oversized middle afterwards. No subgroup of A x B has more
+    than |A||B| elements, so that cap never stops the closure."""
     while True:
         k = rng.choice((1, 1, 2, 2, 3))
         pair_gens = [
             (rng.randrange(left.order), rng.randrange(right.order)) for _ in range(k)
         ]
-        sub = _reference_subgroup_of_product(left, right, pair_gens, left.order * right.order)
+        sub = _reference_subgroup_of_product(refs[left], refs[right], pair_gens,
+                                             left.order * right.order)
         middle = sub
         kernel = None
         if sub.order * 2 <= max_middle and rng.random() < 0.5:
             kernel = cyclic(rng.choice((2, 3, 4)))
             if sub.order * kernel.order <= max_middle:
-                middle = _reference_direct_product(sub, kernel)
+                middle = _reference_direct_product(sub, _ReferenceGroup.of(kernel))
             else:
                 kernel = None
         if middle.order > max_middle:
@@ -772,8 +834,8 @@ def _reference_random_span(rng, left, right, max_middle):
 
 
 def _span_data(sp):
-    return (sp.left.name, sp.middle.name, sp.right.name, sp.middle.table, sp.middle.labels,
-            sp.middle.inverse, sp.s.images, sp.t.images)
+    return (sp.left.name, sp.middle.name, sp.right.name, table_of(sp.middle), sp.middle.labels,
+            sp.s.images, sp.t.images)
 
 
 class TestRandomSpanReference:
@@ -789,13 +851,14 @@ class TestRandomSpanReference:
     def test_identical_spans(self, seed, trials, max_order):
         pool = _group_pool(max_order)
         orders = {g: _element_orders(g) for g in pool}
+        refs = {g: _ReferenceGroup.of(g) for g in pool}
         for trial in range(trials):
             new, ref = random.Random(f"{seed}:{trial}"), random.Random(f"{seed}:{trial}")
             h1, h2, h3 = (new.choice(pool) for _ in range(3))
             assert (h1, h2, h3) == tuple(ref.choice(pool) for _ in range(3))
             for left, right in ((h1, h2), (h2, h3)):
                 assert _span_data(_random_span(new, left, right, max_order, orders)) == _span_data(
-                    _reference_random_span(ref, left, right, max_order)
+                    _reference_random_span(ref, left, right, max_order, refs)
                 ), (seed, trial)
             assert new.getstate() == ref.getstate()
 
@@ -842,10 +905,10 @@ class TestRefGroups:
 
     def test_same_group_as_its_table(self, unitary):
         group = group_from_document({"ref": "g.json"}, lambda ref: unitary)
-        expected = FiniteGroupTable.from_table(unitary.mult_table)
+        table = table_of(unitary)
+        FiniteGroupTable.from_table(table)
         assert group.order == unitary.order
-        assert group.table == expected.table
-        assert group.inverse == expected.inverse
+        assert table_of(group) == table
 
     def test_generators_are_the_generator_elements(self, unitary):
         group = group_from_document({"ref": "g.json"}, lambda ref: unitary)
@@ -853,14 +916,11 @@ class TestRefGroups:
         assert group.generators == tuple(elements.index(g) for g in unitary.generators)
 
     def test_ref_middle_composes_no_table(self, unitary, monkeypatch):
-        built = []
-        compose = spans._table_from_columns
-        monkeypatch.setattr(spans, "_table_from_columns",
-                            lambda cols, n: built.append(n) or compose(cols, n))
+        built = _recording_tree_builds(monkeypatch)
         n, trivial = unitary.order, {"table": [[0]]}
         doc = {"left": trivial, "middle": {"ref": "g.json"}, "right": trivial,
                "source": [0] * n, "target": [0] * n}
         sp = span_from_document(doc, lambda ref: unitary)
         assert pushpull(sp) == Fraction(1, n)
         assert composition_check(sp, identity_span(sp.right)) == (Fraction(1, n),) * 2 + (True,)
-        assert built == [] and sp.middle._table is None
+        assert built == [("", 1)] * 2 and sp.middle._trees is None
