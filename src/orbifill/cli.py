@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -574,7 +575,15 @@ def constraints_cmd(action, target, boundary_opt, fmt, max_order, cache_dir):
 
 
 def main(argv=None):
-    """Run one command line; ``argv`` defaults to ``sys.argv[1:]``."""
+    """Run one command line; ``argv`` defaults to ``sys.argv[1:]``.
+
+    Freezes the caller's garbage-collected heap first, so for an in-process
+    caller the objects alive at the call are never collected afterwards.
+    """
+    # Everything alive here is the interpreter's start-up heap and orbifill's
+    # modules, which all live until exit: frozen, neither the collections
+    # during the query nor those at interpreter shutdown walk them again.
+    gc.freeze()
     top = argparse.ArgumentParser(
         prog="orbifill",
         description="Exact invariants of isolated quotient singularities C^n/G.",

@@ -332,12 +332,9 @@ def _orbit_reps(span1, span2):
     return orbits
 
 
-def _stabilizer_order(span1, span2, h: int) -> int:
+def _stabilizer_order(span1, fiber: list[int], h: int) -> int:
     # (g1, g2) stabilizes h iff s2(g2) = h * t1(g1) * h^-1; count via the
     # fiber sizes of s2 rather than scanning all pairs.
-    fiber = [0] * span1.right.order
-    for img in span2.s.images:
-        fiber[img] += 1
     return sum(fiber[x] for x in _conjugates(span1.right, h, span1.t.images))
 
 
@@ -350,9 +347,12 @@ def _conjugates(group: FiniteGroupTable, h: int, images) -> list[int]:
 
 def orbit_decomposition(span1, span2) -> OrbitDecomposition:
     _require_composable(span1, span2)
+    fiber = [0] * span1.right.order  # fiber[x] = |s2^-1(x)|
+    for img in span2.s.images:
+        fiber[img] += 1
     out = []
     for orbit in _orbit_reps(span1, span2):
-        out.append((len(orbit), _stabilizer_order(span1, span2, orbit[0])))
+        out.append((len(orbit), _stabilizer_order(span1, fiber, orbit[0])))
     return OrbitDecomposition(tuple(out))
 
 

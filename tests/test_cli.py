@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, determinism, the ignored --cache-dir."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -684,6 +685,30 @@ class TestCommandLine:
         cli_module._emit({"a": 1}, "json")
         cli_module._emit({"a": 1}, "table")
         assert writes == ['{\n  "a": 1\n}\n', "a: 1\n"]
+
+    def test_main_freezes_the_heap(self, runner):
+        # main freezes the heap alive at its call, so that no collection,
+        # during the query or at exit, walks the start-up objects again.
+        expected = {
+            "applicable": True,
+            "boundary": "lens:2,3",
+            "dimension": 5,
+            "divisors": [{"divides": 2, "rule": "lens-factorial"},
+                         {"divides": 8, "rule": "lens-power"}],
+            "effective_bound": 2,
+            "metadata": {"conventions": {"period_unit": "2*pi"}, "tool": "orbifill",
+                         "version": "0.1.0"},
+            "uniqueness": {"count": 1, "model": "C^3/(Z/2)"},
+        }
+        gc.unfreeze()
+        try:
+            assert gc.get_freeze_count() == 0
+            result = runner.invoke(["constraints", "boundary", "lens:2,3", "--format", "json"])
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert result.exit_code == 0
+        assert result.stdout == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     def test_options_may_precede_an_optional_path(self, runner, workspace):
         target = str(workspace / "q8.json")
