@@ -1,9 +1,10 @@
 """Reeb orbit families on (S^(2n-1)/G, xi_std) and their indices.
 
 Periods are exact rationals in units of 2*pi, so the simple orbit on the
-sphere has period 1 and the family for class (g) at eigenvalue exponent m of
-order o has periods m/o, m/o + 1, ... . Slope genericity is decided by exact
-comparison against the full period spectrum instead of a measure argument.
+sphere has period 1, and the family for class (g) at an eigenvalue angle
+theta = m/o in [0, 1), o the order of g, has the periods theta + k > 0 for
+integers k. Slope genericity is decided by exact comparison against the
+full period spectrum instead of a measure argument.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .errors import SlopeOnSpectrum
-from .groups import FiniteUnitaryGroup
+from .groups import EigenData, FiniteUnitaryGroup
 from .record import Record
 
 # The most orbit families one query may build: a report of 200,001 families
@@ -54,39 +55,49 @@ class MorseCell(Record):
             raise ValueError(f"Morse index {morse_index} outside 0..{top} for this family")
 
 
-def _class_period_data(group: FiniteUnitaryGroup, class_position: int):
-    cls = group.classes[class_position]
-    eigen = group.eigen_multiplicities(cls.representative_index)
-    return [(Fraction(m, eigen.order), mult) for m, mult in sorted(eigen.multiplicities.items())]
+def _spectrum(group: FiniteUnitaryGroup, class_position: int) -> EigenData:
+    """The class's angles m/o with their multiplicities, read once per class
+    from its representative's eigen data. A period T is the int P = T*o."""
+    return group.eigen_multiplicities(group.classes[class_position].representative_index)
+
+
+def _fixed_dim(spectrum: EigenData, period: Fraction) -> int | None:
+    """The multiplicity of the angle period mod 1, which is the family's
+    fixed-space dimension, or None when that is no angle of the class."""
+    p = period * spectrum.order
+    return spectrum.multiplicities.get(p.numerator % spectrum.order) if p.denominator == 1 else None
+
+
+def _walk(spectrum: EigenData, bound: Fraction) -> list[tuple[int, int]]:
+    """(P, fixed_dim) for each admissible period P/o below the bound, in
+    ascending order: the angle m/o gives P = m, m + o, ..., from o if m = 0."""
+    o, mult = spectrum.order, spectrum.multiplicities
+    limit = -(-bound.numerator * o // bound.denominator)  # P < bound*o iff P < limit
+    starts = sorted(m or o for m in mult)
+    return [(k + p, mult[p % o]) for k in range(0, limit, o) for p in starts if k + p < limit]
+
+
+def _index(spectrum: EigenData, p: int) -> Fraction:
+    """sum_j rho(T + {-theta_j}) - 2*age at T = p/o (see ``cz_family``). In
+    units of 1/o, T + {-theta_j} is p + (-m_j mod o) and age is sum_j m_j."""
+    o = spectrum.order
+    total = 0
+    for m, mult in spectrum.multiplicities.items():
+        q, r = divmod(p + -m % o, o)
+        total += mult * (o * (2 * q + (r > 0)) - 2 * m)
+    return Fraction(total, o)
 
 
 def _periods_below(group, class_position, bound: Fraction):
     """Admissible (period, fixed_dim) pairs of one class, strictly below bound."""
-    out = []
-    for base, mult in _class_period_data(group, class_position):
-        period = base or Fraction(1)
-        while period < bound:
-            out.append((period, mult))
-            period += 1
-    out.sort()
-    return out
-
-
-def _fixed_dim_at(group, class_position, period: Fraction) -> int | None:
-    """Fixed-space dimension of the class's family at the period, or None
-    when the period is not admissible for the class."""
-    for base, mult in _class_period_data(group, class_position):
-        offset = period - (base or 1)
-        if offset >= 0 and offset.denominator == 1:
-            return mult
-    return None
+    spectrum = _spectrum(group, class_position)
+    return [(Fraction(p, spectrum.order), fixed) for p, fixed in _walk(spectrum, Fraction(bound))]
 
 
 def is_on_spectrum(group: FiniteUnitaryGroup, value: Fraction) -> bool:
     """Whether the value is an admissible period of some orbit family."""
-    return value > 0 and any(
-        _fixed_dim_at(group, pos, value) is not None for pos in range(len(group.classes))
-    )
+    positions = range(len(group.classes))
+    return value > 0 and any(_fixed_dim(_spectrum(group, pos), value) is not None for pos in positions)
 
 
 def admissible_periods(group: FiniteUnitaryGroup, class_position: int, bound) -> list[tuple[Fraction, int]]:
@@ -94,61 +105,52 @@ def admissible_periods(group: FiniteUnitaryGroup, class_position: int, bound) ->
     dimensions; the bound itself must not be a period of this class."""
     group.require_isolated()
     bound = _validated_period(bound)
-    if _fixed_dim_at(group, class_position, bound) is not None:
-        raise SlopeOnSpectrum(
-            f"bound {bound} is an admissible period of class "
-            f"{group.classes[class_position].label}"
-        )
+    if _fixed_dim(_spectrum(group, class_position), bound) is not None:
+        raise SlopeOnSpectrum(f"bound {bound} is an admissible period of class "
+                              f"{group.classes[class_position].label}")
     return _periods_below(group, class_position, bound)
 
 
-def cz_family(group: FiniteUnitaryGroup, class_position: int, period) -> Fraction:
-    """Generalized index of the family: n - 2*age + 2*(prior fixed dims) + fixed_dim."""
+def orbit_family(group: FiniteUnitaryGroup, class_position: int, period) -> OrbitFamily:
+    """The class's family at the period; ValueError when the period is not
+    admissible for the class."""
     group.require_isolated()
     period = _validated_period(period)
-    a = group.classes[class_position].age
-    n = group.dimension
-    prior = sum(d for _, d in _periods_below(group, class_position, period))
-    fixed = _fixed_dim_at(group, class_position, period)
-    if fixed is None:
-        raise ValueError(
-            f"period {period} is not admissible for class "
-            f"{group.classes[class_position].label}"
-        )
-    return n - 2 * a + 2 * prior + fixed
-
-
-def orbit_family(group: FiniteUnitaryGroup, class_position: int, period) -> OrbitFamily:
-    period = _validated_period(period)
     cls = group.classes[class_position]
-    return OrbitFamily(
-        cls.label,
-        class_position,
-        period,
-        _fixed_dim_at(group, class_position, period),
-        cz_family(group, class_position, period),
-    )
+    spectrum = _spectrum(group, class_position)
+    fixed = _fixed_dim(spectrum, period)
+    if fixed is None:
+        raise ValueError(f"period {period} is not admissible for class {cls.label}")
+    return OrbitFamily(cls.label, class_position, period, fixed,
+                       _index(spectrum, int(period * spectrum.order)))
+
+
+def cz_family(group: FiniteUnitaryGroup, class_position: int, period) -> Fraction:
+    """Generalized Conley-Zehnder index of the family at the period T:
+    sum_j rho(T + {-theta_j}) - 2*age over the class's eigenvalue angles
+    theta_j, with rho(a) = 2a on integers and 2*floor(a) + 1 elsewhere
+    (Robbin-Salamon). On each eigenline the return map, rotation by T
+    composed with g^-1 trivialized along the positive rotation from I to
+    g^-1, is a rotation by T + {-theta_j}; -2*age is the grading shift."""
+    return orbit_family(group, class_position, period).cz_index
 
 
 def family_count(group: FiniteUnitaryGroup, slope, option: str = "slope") -> int:
     """The number of orbit families with period strictly below the slope,
-    summed from the period data before any family is built. SlopeOnSpectrum
+    summed from the spectra before any family is built. SlopeOnSpectrum
     when the slope is a period, ValueError when the count is above
     MAX_FAMILIES; ``option`` names the slope in these messages."""
     group.require_isolated()
     slope = _validated_period(slope)
     if is_on_spectrum(group, slope):
         raise SlopeOnSpectrum(f"{option} {slope} is an admissible period")
-    # The periods base, base + 1, ... below the slope number ceil(slope - base).
-    total = sum(
-        max(0, math.ceil(slope - (base or 1)))
-        for pos in range(len(group.classes))
-        for base, _ in _class_period_data(group, pos)
-    )
+    spectra = [_spectrum(group, pos) for pos in range(len(group.classes))]
+    # The angle m/o has ceil(slope - (m or o)/o) periods m/o + k > 0 below the slope.
+    total = sum(max(0, math.ceil(slope - Fraction(m or s.order, s.order)))
+                for s in spectra for m in s.multiplicities)
     if total > MAX_FAMILIES:
-        raise ValueError(
-            f"{option} {slope} gives {total} orbit families, more than the cap of {MAX_FAMILIES}"
-        )
+        raise ValueError(f"{option} {slope} gives {total} orbit families, "
+                         f"more than the cap of {MAX_FAMILIES}")
     return total
 
 
@@ -158,14 +160,10 @@ def families_below(group: FiniteUnitaryGroup, slope, option: str = "slope") -> l
     family_count(group, slope, option)
     slope = Fraction(slope)
     out = []
-    n = group.dimension
-    # One walk per class, in ascending period, with the running index of
-    # cz_family: n - 2*age + 2*(earlier fixed dims) + fixed_dim.
     for pos, cls in enumerate(group.classes):
-        index = n - 2 * cls.age
-        for period, fixed in _periods_below(group, pos, slope):
-            out.append(OrbitFamily(cls.label, pos, period, fixed, index + fixed))
-            index += 2 * fixed
+        spectrum = _spectrum(group, pos)
+        out += (OrbitFamily(cls.label, pos, Fraction(p, spectrum.order), fixed, _index(spectrum, p))
+                for p, fixed in _walk(spectrum, slope))
     return out
 
 

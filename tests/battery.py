@@ -1,5 +1,6 @@
 """Shared group documents and builders for the test suite."""
 
+import cmath
 import math
 from functools import lru_cache
 
@@ -23,6 +24,12 @@ def power_mod_phi(n, e):
             for j, pj in terms:
                 rem[top - d + j] -= c * pj
     return tuple(rem[:d])
+
+
+def approx(x):
+    """A cyclotomic value as a complex float, for the numerical oracles."""
+    z = cmath.exp(2j * cmath.pi / x.conductor)
+    return sum(c * z**e for e, c in enumerate(x.nums)) / x.den
 
 
 def scalar_cyclic(k, n=2):

@@ -1,6 +1,5 @@
 """Group enumeration, conjugacy structure, and exact eigenvalue data."""
 
-import cmath
 import json
 import math
 import random
@@ -13,6 +12,7 @@ import pytest
 from battery import (
     a_type,
     antipodal,
+    approx,
     battery_48,
     binary_dihedral,
     binary_tetrahedral,
@@ -52,12 +52,6 @@ def key(matrix):
     """An exact matrix's canonical key: its entries' (den, nums) normal forms,
     faithful because all entries of a group share one conductor."""
     return tuple((x.den, x.nums) for row in matrix for x in row)
-
-
-def approx(x):
-    """A cyclotomic value as a complex float, for the numerical oracle."""
-    z = cmath.exp(2j * cmath.pi / x.conductor)
-    return sum(c * z**e for e, c in enumerate(x.nums)) / x.den
 
 
 def table_powers(group, i):

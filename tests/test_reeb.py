@@ -1,10 +1,13 @@
 """Reeb orbit families, Conley-Zehnder indices, discrepancy, loop components."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from battery import a_type, antipodal, battery_24, build, quaternion, scalar_cyclic, trivial
+import reeb_oracle
+from battery import (a_type, antipodal, battery_24, battery_48, binary_dihedral, build,
+                     quaternion, scalar_cyclic, times_scalars, trivial, z7_semidirect_z9)
 from orbifill import (
     MorseCell,
     NonIsolated,
@@ -18,7 +21,7 @@ from orbifill import (
     orbit_family,
 )
 from orbifill import reeb
-from orbifill.ledger import build_ledger
+from orbifill.ledger import KIND_CELL, build_ledger
 from orbifill.reeb import is_on_spectrum
 
 
@@ -100,8 +103,23 @@ class TestFamilyIndex:
 
     def test_inadmissible_period_rejected(self):
         g = build(antipodal(2))
-        with pytest.raises(ValueError):
-            cz_family(g, 1, Fraction(1, 3))
+        for period in (Fraction(1, 3), Fraction(1)):
+            with pytest.raises(ValueError, match="not admissible"):
+                cz_family(g, 1, period)
+            with pytest.raises(ValueError, match="not admissible"):
+                orbit_family(g, 1, period)
+
+    def test_large_period(self):
+        # A million periods on, the index has grown by 2n per unit period: a
+        # walk over the earlier periods would take seconds per call here.
+        docs = (antipodal(3), binary_dihedral(3), times_scalars(quaternion(), 3),
+                z7_semidirect_z9())
+        for g in map(build, docs):
+            n = g.dimension
+            for pos in range(len(g.classes)):
+                for period, _ in admissible_periods(g, pos, Fraction(193, 97)):
+                    far = cz_family(g, pos, period + 10**6)
+                    assert far == cz_family(g, pos, period) + 2 * n * 10**6, (g.name, pos)
 
 
 class TestGeneratorIndex:
@@ -214,11 +232,67 @@ class TestFamiliesBelow:
                 families_below(g, Fraction(292, 97))
 
     def test_one_period_walk_per_class(self, monkeypatch):
+        # Each class's spectrum is read once per pass over the classes, never
+        # per family: families_below passes to test the slope, to count and
+        # to walk, and build_ledger twice more for its cell cap.
         calls = []
-        walk = reeb._periods_below
-        monkeypatch.setattr(reeb, "_periods_below", lambda *a: calls.append(a[1]) or walk(*a))
+        read = reeb._spectrum
+        monkeypatch.setattr(reeb, "_spectrum", lambda *a: calls.append(a[1]) or read(*a))
         for g in battery_24():
-            for run in (families_below, build_ledger):
+            for run, passes in ((families_below, 3), (build_ledger, 5)):
                 calls.clear()
                 run(g, Fraction(292, 97))
-                assert calls == list(range(len(g.classes))), (g.name, run.__name__)
+                assert calls == list(range(len(g.classes))) * passes, (g.name, run.__name__)
+
+
+ORACLE_BOUND = Fraction(292, 97)
+
+
+@lru_cache(maxsize=None)
+def oracle_cases():
+    """(group, its families below ORACLE_BOUND from the closed form on
+    numerical angles) for battery_48(), Q8 x mu3 and Z7 x| Z9: abelian,
+    SU(2), Wolf-type and a non-abelian group outside SU(3)."""
+    groups = battery_48() + [build(times_scalars(quaternion(), 3)), build(z7_semidirect_z9())]
+    return [(g, reeb_oracle.families(g, ORACLE_BOUND)) for g in groups]
+
+
+class TestClosedFormOracle:
+    def test_references_agree(self):
+        # The closed form and the running walk, both on the numerical angles.
+        for g, families in oracle_cases():
+            assert families == reeb_oracle.walked(g, ORACLE_BOUND), g.name
+
+    def test_families_and_indices(self):
+        total = 0
+        for g, families in oracle_cases():
+            got = [(f.class_position, f.period, f.fixed_dim, f.cz_index)
+                   for f in families_below(g, ORACLE_BOUND)]
+            assert got == families, g.name
+            for pos, period, fixed, index in families:
+                assert cz_family(g, pos, period) == index, (g.name, pos, period)
+                assert orbit_family(g, pos, period).fixed_dim == fixed, (g.name, pos, period)
+            total += len(families)
+        assert total > 1000
+
+    def test_generator_degrees(self):
+        for g, families in oracle_cases():
+            n = g.dimension
+            for family, (_, _, fixed, index) in zip(families_below(g, ORACLE_BOUND), families):
+                for morse in range(2 * fixed):
+                    _, degree = cz_generator(MorseCell(family, morse), g)
+                    assert degree == reeb_oracle.cell_degree(n, fixed, index, morse), g.name
+
+    def test_ledger_cell_degrees(self):
+        for g, families in oracle_cases():
+            n = g.dimension
+            expected = sorted(
+                (g.classes[pos].label, period, morse,
+                 reeb_oracle.cell_degree(n, fixed, index, morse))
+                for pos, period, fixed, index in families
+                for morse in (0, 2 * fixed - 1)
+            )
+            cells = build_ledger(g, ORACLE_BOUND).generators
+            got = sorted((c.homotopy_class, c.period, c.morse_index, c.degree)
+                         for c in cells if c.kind == KIND_CELL)
+            assert got == expected, g.name
