@@ -86,7 +86,6 @@ from .reeb import (
     orbit_family,
 )
 from .spans import (
-    FiniteGroupTable,
     Homomorphism,
     OrbitDecomposition,
     PointOrbifoldSpan,
@@ -101,3 +100,4 @@ from .spans import (
     random_composition_battery,
     span,
 )
+from .tables import FiniteGroupTable

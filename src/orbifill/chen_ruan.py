@@ -97,10 +97,11 @@ def build_ring(group: FiniteUnitaryGroup, convention: CupConvention = DEFAULT_CO
     # Ages as ints, scaled to the lcm of their denominators.
     scale = math.lcm(*(s.age.denominator for s in sectors))
     ages = [s.age.numerator * (scale // s.age.denominator) for s in sectors]
-    inv = [group.inverse_index(h) for h in range(group.order)]
+    table = group.table
+    inv = table.inverses
     inv_class = [group.class_position(h) for h in inv]
     full = convention is CupConvention.FULL_PAIR_SUM
-    conj = group.conjugation_maps() if full else None
+    conj = table.conjugation_maps() if full else None
     count = len(sectors)
     contributions: dict[tuple[int, int], dict[int, int]] = defaultdict(dict)
     for k in range(1, count):
@@ -108,7 +109,7 @@ def build_ring(group: FiniteUnitaryGroup, convention: CupConvention = DEFAULT_CO
             continue
         rep = sectors[k].representative_index
         # r[h1] = rep^-1 * h1, so h1^-1 * rep = inv[r[h1]], in class inv_class[r[h1]].
-        r = group.row(inv[rep])
+        r = table.row(inv[rep])
         for i in range(1, count):
             age_j = ages[k] - ages[i]
             if age_j <= 0:
@@ -239,7 +240,7 @@ def cr_pairing_check(group: FiniteUnitaryGroup) -> dict:
         if pos == 0:
             continue
         rep = sector.representative_index
-        inv_pos = group.class_position(group.inverse_index(rep))
+        inv_pos = group.class_position(group.table.inverses[rep])
         dual = sectors[inv_pos]
         ok = sector.age + dual.age == n
         all_pass = all_pass and ok

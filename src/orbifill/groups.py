@@ -6,7 +6,9 @@ the cyclotomic grammar. Enumeration is a breadth-first closure over F_p0:
 each element is keyed by its reduction mod one odd prime p0 = 1 (mod N) that
 does not divide D, the lcm of the generator denominators, and the closure
 records each element's parent and, per generator s, the column x -> x * s.
-Classes, inverses and products are read off those columns and keys; element
+The keys are dropped once the closure is done: the group keeps those columns
+as a :class:`~orbifill.tables.FiniteGroupTable`, which composes its rows,
+inverses and conjugation maps, and classes are orbits of those maps. Element
 orders and eigenvalue multiplicities come from a second reduction, mod a
 prime chosen after the closure. Exact matrices are rebuilt along the parent
 chain only when something asks for them.
@@ -48,6 +50,7 @@ from .errors import (
     ParseError,
 )
 from .record import Record
+from .tables import FiniteGroupTable, orbits
 
 DEFAULT_MAX_ORDER = 20000
 # The most terms a group document's conductor may ask of the powers
@@ -133,22 +136,19 @@ class GroupDocument(Record):
 
 class FiniteUnitaryGroup:
     """A finite subgroup of U(n), built whole by :func:`enumerate_group`.
-    ``generators`` are exact matrices at the group's one conductor."""
+    ``generators`` are exact matrices at the group's one conductor, and
+    ``table`` holds the generator columns the enumeration recorded."""
 
-    def __init__(self, document: GroupDocument, keys: list[Residues], index: dict[Residues, int],
-                 key_map: "_ResidueMap", parents: list[tuple[int, int]], gen_cols: list[list[int]]):
+    def __init__(self, document: GroupDocument, parents: list[tuple[int, int]],
+                 table: FiniteGroupTable):
         self.name = document.name
         self.dimension = document.dimension
         self.conductor = document.conductor
         self.generators = document.generators
-        self.order = len(keys)
-        self._keys = keys
-        self._index = index
-        self._key_map = key_map
+        self.order = table.order
+        self.table = table
         self._parents = parents
-        self._gen_cols = gen_cols
         self._mult_table = None
-        self._inverses = None
         self._eigen: dict[int, EigenData] = {}
         self._classes = None
         self._class_of = None
@@ -171,41 +171,18 @@ class FiniteUnitaryGroup:
             m = known[c] = mat_mul(m, self.generators[self._parents[c][1]])
         return m
 
-    def row(self, i: int) -> list[int]:
-        """[i * x for x in G], composed without matrix products.
-
-        Every element x was discovered as parent * generator with parent < x,
-        so i * x is the generator column (recorded by the enumeration) read
-        at i * parent, an entry already filled in.
-        """
-        gen_cols = self._gen_cols
-        out = [i]
-        for parent, gen_idx in self._parents[1:]:
-            out.append(gen_cols[gen_idx][out[parent]])
-        return out
-
-    def generator_columns(self) -> list[list[int]]:
-        """For each generator s, the column x -> x * s of the enumeration."""
-        return self._gen_cols
-
     # No src/ path reads mult_table. It and _mult_table stay for
     # bench/tracer.py, which wraps both, and for the tests' references.
     @property
     def mult_table(self) -> list[list[int]]:
         """|G| x |G| index table, for consumers that need every product."""
         if self._mult_table is None:
-            self._mult_table = [self.row(i) for i in range(self.order)]
+            self._mult_table = [self.table.row(i) for i in range(self.order)]
         return self._mult_table
 
     def inverse_index(self, i: int) -> int:
-        """The element whose key is the inverse of key i mod p0."""
-        if self._inverses is None:
-            p, index = self._key_map.modulus, self._index
-            try:
-                self._inverses = [index[_inverse_mod(k, p)] for k in self._keys]
-            except KeyError:
-                raise InternalInconsistency("an inverse escaped the enumerated closure")
-        return self._inverses[i]
+        """The index of the inverse of element i."""
+        return self.table.inverses[i]
 
     def element_order(self, i: int) -> int:
         """Order of element i, read off its eigen data over F_p. Reduction mod
@@ -215,28 +192,12 @@ class FiniteUnitaryGroup:
 
     # -- conjugacy structure ---------------------------------------------------
 
-    def conjugation_maps(self) -> list[list[int]]:
-        """For each generator s, the map x -> s^-1 * x * s.
-
-        The generator column gives x -> x * s, and s^-1 * x = (x^-1 * s)^-1,
-        so s^-1 * x * s = col_s[inv[col_s[inv[x]]]].
-        """
-        inv = [self.inverse_index(x) for x in range(self.order)]
-        return [[col[inv[col[inv[x]]]] for x in range(len(inv))] for col in self._gen_cols]
-
     @property
     def classes(self) -> tuple[ConjugacyClass, ...]:
         if self._classes is None:
-            conj = self.conjugation_maps()
             n = self.order
-            orbit_of: dict[int, tuple[int, ...]] = {}
-            for i in range(n):
-                if i not in orbit_of:
-                    members = tuple(sorted(x for (x,) in conjugation_orbit(conj, (i,))))
-                    orbit_of.update(dict.fromkeys(members, members))
-            coarse = sorted(
-                ((age(self, c[0]), len(c)), c) for c in set(orbit_of.values())
-            )
+            coarse = sorted(((age(self, c[0]), len(c)), c)
+                            for c in orbits(self.table.conjugation_maps(), n))
             raw = []
             for (a, _), run in groupby(coarse, key=operator.itemgetter(0)):
                 run = [c for _, c in run]
@@ -365,22 +326,6 @@ def _columns(a: Residues) -> Residues:
 def _mul_mod(a: Residues, b_columns: Residues, m: int) -> Residues:
     """a * b over Z/m, with b given by its columns."""
     return tuple(tuple(sum(map(operator.mul, row, col)) % m for col in b_columns) for row in a)
-
-
-def _inverse_mod(a: Residues, p: int) -> Residues:
-    """a^-1 over F_p, by Gauss-Jordan elimination on [a | I]."""
-    n = len(a)
-    rows = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
-    for c in range(n):
-        pivot = next(r for r in range(c, n) if rows[r][c])
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        inv = pow(rows[c][c], -1, p)
-        rows[c] = [x * inv % p for x in rows[c]]
-        for r in range(n):
-            f = rows[r][c]
-            if r != c and f:
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[c])]
-    return tuple(tuple(r[n:]) for r in rows)
 
 
 def _denominator(document: GroupDocument | FiniteUnitaryGroup) -> int:
@@ -583,8 +528,8 @@ def _check_unitary(matrix: Matrix, generator_index: int):
 def enumerate_group(document: GroupDocument, max_order: int = DEFAULT_MAX_ORDER) -> FiniteUnitaryGroup:
     """The group the document's generators generate: their breadth-first
     closure under multiplication over F_p0 (module docstring). Elements are
-    keyed by their reduction mod p0, and a closure whose generators have
-    denominators is certified exact."""
+    keyed by their reduction mod p0 while the closure runs, and a closure
+    whose generators have denominators is certified exact."""
     if max_order < 1:
         raise GroupTooLarge(f"the order cap {max_order} is below 1, the order of the trivial group")
     dens = _denominator(document)
@@ -620,7 +565,9 @@ def enumerate_group(document: GroupDocument, max_order: int = DEFAULT_MAX_ORDER)
         frontier = fresh
     if dens > 1:
         _certify(document, dens, p0, parents, gen_cols)
-    return FiniteUnitaryGroup(document, keys, index, key_map, parents, gen_cols)
+    table = FiniteGroupTable(gen_cols, [col[0] for col in gen_cols], range(len(keys)),
+                             document.name)
+    return FiniteUnitaryGroup(document, parents, table)
 
 
 # Certificate primes are drawn from above this floor, so that few of them
@@ -658,7 +605,7 @@ def _certify(document: GroupDocument, dens: int, p0: int, parents, gen_cols):
 def conjugation_orbit(conj: list[list[int]], point: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Orbit of a tuple of element indices under simultaneous conjugation,
     in breadth-first order over the maps of
-    :meth:`FiniteUnitaryGroup.conjugation_maps`."""
+    :meth:`~orbifill.tables.FiniteGroupTable.conjugation_maps`."""
     orbit = [point]
     seen = {point}
     for pt in orbit:

@@ -16,7 +16,7 @@ from .coefficients import CoefficientRing
 from .errors import InvariantViolation
 from .groups import FiniteUnitaryGroup
 from .record import Record
-from .reeb import MorseCell, cz_generator, families_below, family_count
+from .reeb import MorseCell, cz_generator, family_count, walk_families
 
 KIND_CONSTANT_TWISTED = "constant-twisted"
 KIND_CONSTANT_UNTWISTED = "constant-untwisted"
@@ -105,7 +105,7 @@ def build_ledger(
         raise ValueError(
             f"slope {slope} gives {cells} Morse cells, more than the cap of {MAX_CELLS}"
         )
-    families = families_below(group, slope)
+    families = walk_families(group, slope)
     known = {(f.class_label, f.period) for f in families}
     unknown = [f"{label}:{period}" for label, period in profiles if (label, period) not in known]
     if unknown:

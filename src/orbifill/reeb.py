@@ -158,6 +158,12 @@ def families_below(group: FiniteUnitaryGroup, slope, option: str = "slope") -> l
     """Every orbit family with period strictly below the slope; the slope is
     checked by ``family_count`` first."""
     family_count(group, slope, option)
+    return walk_families(group, slope)
+
+
+def walk_families(group: FiniteUnitaryGroup, slope) -> list[OrbitFamily]:
+    """Every orbit family with period strictly below a slope that
+    ``family_count`` has checked: one period walk per class."""
     slope = Fraction(slope)
     out = []
     for pos, cls in enumerate(group.classes):

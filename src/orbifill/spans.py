@@ -16,124 +16,7 @@ from fractions import Fraction
 
 from .errors import GroupTooLarge, MiddleMismatch, ParseError
 from .record import Record
-
-
-class FiniteGroupTable:
-    """A finite group on the elements 0, ..., order - 1; index 0 is the identity.
-
-    The group is given by the column col_g[x] = x*g of each of its
-    generators g, and each column must be a permutation of the elements.
-    ``row`` and ``column`` compose any element's row or column from these,
-    along two trees built when either is first read.
-    """
-
-    __slots__ = ("order", "columns", "generators", "labels", "name", "_trees")
-
-    def __init__(self, columns, generators, labels, name=""):
-        n = self.order = len(labels)
-        elements = list(range(n))
-        for g, col in zip(generators, columns):
-            if sorted(col) != elements:
-                raise ParseError(f"column of generator {g} is not a permutation")
-        self.columns = tuple(columns)
-        self.generators = tuple(generators)
-        self.labels = tuple(labels)
-        self.name = name
-        self._trees = None
-
-    @classmethod
-    def from_table(cls, table, name=""):
-        """The group of a multiplication table, checked for a square shape,
-        index entries, the identity, two-sided inverses and then
-        associativity. Light's test picks the generators, and the group
-        keeps their columns only."""
-        t = tuple(map(tuple, table))
-        n = len(t)
-        for row in t:
-            if len(row) != n:
-                raise ParseError("multiplication table is not square")
-            if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
-                raise ParseError("table entries must be element indices")
-        if t[0] != tuple(range(n)) or any(row[0] != i for i, row in enumerate(t)):
-            raise ParseError("index 0 is not a two-sided identity")
-        for i, row in enumerate(t):
-            if 0 not in row or t[row.index(0)][i] != 0:
-                raise ParseError(f"element {i} has no two-sided inverse")
-        # Associativity last: a monoid without inverses is rejected above
-        # before Light's test takes every element as a generator.
-        gens = _check_associative(t)
-        return cls([[row[g] for row in t] for g in gens], gens, range(n), name)
-
-    def row(self, y: int) -> list[int]:
-        """x -> y*x: along the first tree, j = p*g gives y*j = (y*p)*g."""
-        return _along(self._built_trees()[0], y, self.order)
-
-    def column(self, y: int) -> list[int]:
-        """x -> x*y: along the second tree, j = g*p gives j*y = g*(p*y)."""
-        return _along(self._built_trees()[1], y, self.order)
-
-    def _built_trees(self):
-        """The tree over the columns (j = p*g) and the tree over the
-        generators' rows (j = g*p), from the identity. The rows are composed
-        along the first tree, and they must commute with the columns: the
-        columns then generate a regular group, whose right multiplications
-        they are, and the rows its left multiplications."""
-        if self._trees is None:
-            n, columns = self.order, self.columns
-            by_columns = _tree(columns, n)
-            rows = [_along(by_columns, col[0], n) for col in columns]
-            if any(list(map(row.__getitem__, col)) != list(map(col.__getitem__, row))
-                   for row in rows for col in columns):
-                raise ParseError("the generator columns are not those of a group")
-            self._trees = by_columns, _tree(rows, n)
-        return self._trees
-
-
-def _tree(moves, n: int) -> list[tuple]:
-    """A breadth-first walk from the identity that finds each element j once,
-    as j = move[p] with p found earlier; the edges (j, p, move)."""
-    reached, tree = [0], []
-    seen = [True] + [False] * (n - 1)
-    for p in reached:  # reached grows while it is read
-        for move in moves:
-            j = move[p]
-            if not seen[j]:
-                seen[j] = True
-                reached.append(j)
-                tree.append((j, p, move))
-    if len(reached) != n:
-        raise ParseError("the generators do not generate the group")
-    return tree
-
-
-def _along(tree, y: int, n: int) -> list[int]:
-    """The map sending the identity to y and j = move[p] to move[image of p]."""
-    out = [y] * n
-    for j, p, move in tree:
-        out[j] = move[out[p]]
-    return out
-
-
-def _check_associative(t: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Light's test on a table of tuples with identity 0: the g with
-    (x*g)*y = x*(g*y) for all x, y are closed under the product, so checking
-    a generating set suffices. It is chosen greedily: g joins unless some
-    ((s1*s2)*...)*sk of it is g. Returns the generating set."""
-    n = len(t)
-    gens, members, reached = [], [0], [True] + [False] * (n - 1)
-    for g in range(1, n):
-        if reached[g]:
-            continue
-        if any(t[row[g]] != tuple(map(row.__getitem__, t[g])) for row in t):
-            raise ParseError("multiplication table is not associative")
-        gens.append(g)
-        queue = [t[x][g] for x in members]
-        for y in queue:  # queue grows while it is read
-            if not reached[y]:
-                reached[y] = True
-                members.append(y)
-                queue.extend(map(t[y].__getitem__, gens))
-    return gens
+from .tables import FiniteGroupTable, orbits
 
 
 def cyclic(k: int) -> FiniteGroupTable:
@@ -310,26 +193,10 @@ def _require_composable(span1, span2):
 
 def _orbit_reps(span1, span2):
     h2 = span1.right
-    t1, s2 = span1.t.images, span2.s.images
-    moves = [h2.column(h2.row(t1[g]).index(0)) for g in span1.middle.generators]
+    t1, s2, inverses = span1.t.images, span2.s.images, h2.inverses
+    moves = [h2.column(inverses[t1[g]]) for g in span1.middle.generators]
     moves += [h2.row(s2[g]) for g in span2.middle.generators]
-    seen = [False] * h2.order
-    orbits = []
-    for h in range(h2.order):
-        if seen[h]:
-            continue
-        stack, orbit = [h], {h}
-        seen[h] = True
-        while stack:
-            x = stack.pop()
-            for mv in moves:
-                y = mv[x]
-                if not seen[y]:
-                    seen[y] = True
-                    orbit.add(y)
-                    stack.append(y)
-        orbits.append(sorted(orbit))
-    return orbits
+    return orbits(moves, h2.order)
 
 
 def _stabilizer_order(span1, fiber: list[int], h: int) -> int:
@@ -340,8 +207,7 @@ def _stabilizer_order(span1, fiber: list[int], h: int) -> int:
 
 def _conjugates(group: FiniteGroupTable, h: int, images) -> list[int]:
     """h * a * h^-1 for each a in images."""
-    row = group.row(h)
-    col = group.column(row.index(0))
+    row, col = group.row(h), group.column(group.inverses[h])
     return [col[row[a]] for a in images]
 
 
@@ -503,7 +369,8 @@ def random_composition_battery(
 
 def group_from_document(doc, loader=None, max_order=None) -> FiniteGroupTable:
     """A group in a span document: a table, a cyclic shorthand, or a
-    reference to a unitary group document resolved by the loader. A table
+    reference to a unitary group document, which is the table of the group
+    the loader enumerates. A table
     or cyclic order above ``max_order`` (when given) raises GroupTooLarge
     before any table is built; a reference is bounded by its loader."""
     if isinstance(doc, dict) and "table" in doc:
@@ -524,10 +391,7 @@ def group_from_document(doc, loader=None, max_order=None) -> FiniteGroupTable:
             raise ParseError("'ref' must be the path of a group document")
         if loader is None:
             raise ParseError("group references require a document loader")
-        unitary = loader(ref)
-        columns = unitary.generator_columns()
-        return FiniteGroupTable(columns, [col[0] for col in columns], range(unitary.order),
-                                name=unitary.name or ref)
+        return loader(ref).table
     raise ParseError("group must provide 'table', 'cyclic', or 'ref'")
 
 

@@ -1,0 +1,175 @@
+"""Finite groups given by generator columns: rows, columns, inverses,
+conjugation and orbits.
+
+A group on the elements 0, ..., order - 1, with 0 the identity, is given by
+the column col_g[x] = x*g of each of its generators g. Unitary groups hold
+the columns their enumeration recorded, and span groups the columns of a
+table, a closure or a product. Everything else is composed from them along
+breadth-first trees from the identity, so no group keeps a |G| x |G| table.
+"""
+
+from __future__ import annotations
+
+from .errors import ParseError
+
+
+class FiniteGroupTable:
+    """A finite group on the elements 0, ..., order - 1; index 0 is the identity.
+
+    The group is given by the column col_g[x] = x*g of each of its
+    generators g, and each column must be a permutation of the elements.
+    ``row``, ``column``, ``inverses`` and ``conjugation_maps`` are composed
+    from these along two trees built when any of them is first read.
+    """
+
+    __slots__ = ("order", "columns", "generators", "labels", "name", "_trees")
+
+    def __init__(self, columns, generators, labels, name=""):
+        n = self.order = len(labels)
+        elements = list(range(n))
+        for g, col in zip(generators, columns):
+            if sorted(col) != elements:
+                raise ParseError(f"column of generator {g} is not a permutation")
+        self.columns = tuple(columns)
+        self.generators = tuple(generators)
+        self.labels = tuple(labels)
+        self.name = name
+        self._trees = None
+
+    @classmethod
+    def from_table(cls, table, name=""):
+        """The group of a multiplication table, checked for a square shape,
+        index entries, the identity, two-sided inverses and then
+        associativity. Light's test picks the generators, and the group
+        keeps their columns only."""
+        t = tuple(map(tuple, table))
+        n = len(t)
+        for row in t:
+            if len(row) != n:
+                raise ParseError("multiplication table is not square")
+            if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+                raise ParseError("table entries must be element indices")
+        if t[0] != tuple(range(n)) or any(row[0] != i for i, row in enumerate(t)):
+            raise ParseError("index 0 is not a two-sided identity")
+        for i, row in enumerate(t):
+            if 0 not in row or t[row.index(0)][i] != 0:
+                raise ParseError(f"element {i} has no two-sided inverse")
+        # Associativity last: a monoid without inverses is rejected above
+        # before Light's test takes every element as a generator.
+        gens = _check_associative(t)
+        return cls([[row[g] for row in t] for g in gens], gens, range(n), name)
+
+    def row(self, y: int) -> list[int]:
+        """x -> y*x: along the first tree, j = p*g gives y*j = (y*p)*g."""
+        return _along(self._built_trees()[0], y, self.order)
+
+    def column(self, y: int) -> list[int]:
+        """x -> x*y: along the second tree, j = g*p gives j*y = g*(p*y)."""
+        return _along(self._built_trees()[1], y, self.order)
+
+    @property
+    def inverses(self) -> list[int]:
+        """x -> x^-1, filled along the first tree: (p*g)^-1 = g^-1 * p^-1."""
+        return self._built_trees()[2]
+
+    def conjugation_maps(self) -> list[list[int]]:
+        """For each generator g, the map x -> g^-1*x*g = col_g[g^-1*x]."""
+        inverted_rows = self._built_trees()[3]
+        return [list(map(col.__getitem__, inverted))
+                for col, inverted in zip(self.columns, inverted_rows)]
+
+    def _built_trees(self):
+        """The tree over the columns (j = p*g), the tree over the
+        generators' rows (j = g*p), the inverses and the rows of the
+        generators' inverses. The rows are composed along the
+        first tree, and they must commute with the columns: the columns then
+        generate a regular group, whose right multiplications they are, and
+        the rows its left multiplications."""
+        if self._trees is None:
+            n, columns = self.order, self.columns
+            by_columns = _tree(columns, n)
+            rows = [_along(by_columns, col[0], n) for col in columns]
+            if any(list(map(row.__getitem__, col)) != list(map(col.__getitem__, row))
+                   for row in rows for col in columns):
+                raise ParseError("the generator columns are not those of a group")
+            # The row of g^-1 is the inverse permutation of the row of g.
+            inverted_rows = []
+            for row in rows:
+                inverted = [0] * n
+                for x, y in enumerate(row):
+                    inverted[y] = x
+                inverted_rows.append(inverted)
+            # The column of g, col_g, maps 0 to g.
+            inverted_row_of = {col[0]: inv for col, inv in zip(columns, inverted_rows)}
+            inverses = [0] * n
+            for j, p, col in by_columns:
+                inverses[j] = inverted_row_of[col[0]][inverses[p]]
+            self._trees = by_columns, _tree(rows, n), inverses, inverted_rows
+        return self._trees
+
+
+def _tree(moves, n: int) -> list[tuple]:
+    """A breadth-first walk from the identity that finds each element j once,
+    as j = move[p] with p found earlier; the edges (j, p, move)."""
+    reached, tree = [0], []
+    seen = [True] + [False] * (n - 1)
+    for p in reached:  # reached grows while it is read
+        for move in moves:
+            j = move[p]
+            if not seen[j]:
+                seen[j] = True
+                reached.append(j)
+                tree.append((j, p, move))
+    if len(reached) != n:
+        raise ParseError("the generators do not generate the group")
+    return tree
+
+
+def _along(tree, y: int, n: int) -> list[int]:
+    """The map sending the identity to y and j = move[p] to move[image of p]."""
+    out = [y] * n
+    for j, p, move in tree:
+        out[j] = move[out[p]]
+    return out
+
+
+def _check_associative(t: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Light's test on a table of tuples with identity 0: the g with
+    (x*g)*y = x*(g*y) for all x, y are closed under the product, so checking
+    a generating set suffices. It is chosen greedily: g joins unless some
+    ((s1*s2)*...)*sk of it is g. Returns the generating set."""
+    n = len(t)
+    gens, members, reached = [], [0], [True] + [False] * (n - 1)
+    for g in range(1, n):
+        if reached[g]:
+            continue
+        if any(t[row[g]] != tuple(map(row.__getitem__, t[g])) for row in t):
+            raise ParseError("multiplication table is not associative")
+        gens.append(g)
+        queue = [t[x][g] for x in members]
+        for y in queue:  # queue grows while it is read
+            if not reached[y]:
+                reached[y] = True
+                members.append(y)
+                queue.extend(map(t[y].__getitem__, gens))
+    return gens
+
+
+def orbits(maps, n: int) -> list[tuple[int, ...]]:
+    """The orbits of 0, ..., n - 1 under the group the maps generate, each
+    sorted, listed by least member."""
+    seen = [False] * n
+    out = []
+    for h in range(n):
+        if seen[h]:
+            continue
+        seen[h] = True
+        orbit = [h]
+        for x in orbit:  # orbit grows while it is read
+            for move in maps:
+                y = move[x]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
+        out.append(tuple(sorted(orbit)))
+    return out

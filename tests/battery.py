@@ -4,8 +4,9 @@ import cmath
 import math
 from functools import lru_cache
 
-from orbifill import cyclotomic_polynomial, enumerate_group, parse_group
+from orbifill import FiniteUnitaryGroup, cyclotomic_polynomial, enumerate_group, parse_group
 from orbifill.cyclotomic import parse_literal
+from orbifill.tables import orbits
 
 
 @lru_cache(maxsize=None)
@@ -122,8 +123,25 @@ def build(doc, max_order=20000):
 
 def table_of(group):
     """The full multiplication table, row i being x -> i*x, read from the
-    group's rows: the tests' reference table for either group class."""
-    return tuple(tuple(group.row(i)) for i in range(group.order))
+    rows of the group's table (a unitary group's ``table``): the tests'
+    reference table for either group class."""
+    rows = group.table if isinstance(group, FiniteUnitaryGroup) else group
+    return tuple(tuple(rows.row(i)) for i in range(group.order))
+
+
+def check_table_structure(group):
+    """A FiniteGroupTable's inverses, conjugation maps x -> g^-1*x*g and
+    conjugation orbits equal those read from its full multiplication table:
+    inverses where a row holds 0, and the orbits {y^-1*x*y : y in G}."""
+    table = table_of(group)
+    n = group.order
+    inv = [row.index(0) for row in table]
+    assert group.inverses == inv, group.name
+    generators = [col[0] for col in group.columns]
+    conj = [[table[table[inv[g]][x]][g] for x in range(n)] for g in generators]
+    assert group.conjugation_maps() == conj, group.name
+    classes = {tuple(sorted({table[table[inv[y]][x]][y] for y in range(n)})) for x in range(n)}
+    assert orbits(conj, n) == sorted(classes), group.name
 
 
 def battery_48():

@@ -17,6 +17,7 @@ from battery import (
     binary_dihedral,
     binary_tetrahedral,
     build,
+    check_table_structure,
     power_mod_phi,
     quaternion,
     scalar_cyclic,
@@ -56,7 +57,7 @@ def key(matrix):
 
 def table_powers(group, i):
     """Indices of g^0, g^1, ..., g^(o-1), walked along the row of g."""
-    row = group.row(i)
+    row = group.table.row(i)
     powers = [0]
     cur = i
     while cur != 0:
@@ -299,6 +300,7 @@ class TestConjugacyClasses:
             for c in g.classes:
                 assert c.representative_index == c.member_indices[0]
                 assert c.order == len(table_powers(g, c.representative_index)), g.name
+            check_table_structure(g.table)
 
     def test_class_ordering_is_by_age(self):
         from orbifill import age
@@ -312,7 +314,7 @@ class TestConjugacyClasses:
 def centralizer_intersection(g, a, b):
     """|Z(a) & Z(b)| as |G| over the orbit of (a, b) under simultaneous
     conjugation, the weight the full-pair ring convention reads."""
-    return g.order // len(conjugation_orbit(g.conjugation_maps(), (a, b)))
+    return g.order // len(conjugation_orbit(g.table.conjugation_maps(), (a, b)))
 
 
 class TestCentralizerIntersection:
@@ -650,7 +652,12 @@ class TestAgainstExactClosure:
         for g, (elements, _, parents, gen_cols) in pairs:
             assert g.order == len(elements), g.name
             assert g._parents == parents, g.name
-            assert g._gen_cols == gen_cols, g.name
+            columns = g.table.columns
+            assert list(columns) == gen_cols, g.name
+            # The table's first tree finds each element as the enumeration did.
+            tree = g.table._built_trees()[0]
+            assert [(j, (p, columns.index(move))) for j, p, move in tree] == \
+                list(enumerate(parents))[1:], g.name
 
     def test_exact_elements_rebuilt_on_demand(self, pairs):
         for g, (elements, *_) in pairs:
@@ -659,10 +666,15 @@ class TestAgainstExactClosure:
             assert [key(g._exact(i)) for i in range(g.order)] == list(map(key, elements)), g.name
 
     def test_inverses(self, pairs):
+        # The inverse of a unitary matrix is its conjugate transpose, and
+        # x -> s^-1 x s is read from exact matrix products.
         for g, (elements, index, *_) in pairs:
-            assert [g.inverse_index(i) for i in range(g.order)] == [
-                index[key(mat_conj_transpose(e))] for e in elements
-            ], g.name
+            inverses = [index[key(mat_conj_transpose(e))] for e in elements]
+            assert g.table.inverses == inverses, g.name
+            assert [g.inverse_index(i) for i in range(g.order)] == inverses, g.name
+            conj = [[index[key(mat_mul(mat_mul(mat_conj_transpose(s), e), s))] for e in elements]
+                    for s in g.generators]
+            assert g.table.conjugation_maps() == conj, g.name
 
     def test_element_orders(self, pairs):
         for g, (elements, _, parents, gen_cols) in pairs:
@@ -701,7 +713,7 @@ class TestCertificate:
         bound = (2 * 2 ** (max(counts) + 1)) ** euler_phi(20)
         (p0, _), *certificate = found
         primes = [q for q, _ in certificate]
-        assert p0 == g._key_map.modulus and p0 % 20 == 1
+        assert p0 % 20 == 1
         assert len(set(primes)) == len(primes) >= 2
         assert all(q % 20 == 1 and q != p0 for q in primes)
         assert p0 * math.prod(primes) > bound >= p0 * math.prod(primes[:-1])

@@ -233,13 +233,13 @@ class TestFamiliesBelow:
 
     def test_one_period_walk_per_class(self, monkeypatch):
         # Each class's spectrum is read once per pass over the classes, never
-        # per family: families_below passes to test the slope, to count and
-        # to walk, and build_ledger twice more for its cell cap.
+        # per family: families_below and build_ledger each pass to test the
+        # slope, to count and to walk.
         calls = []
         read = reeb._spectrum
         monkeypatch.setattr(reeb, "_spectrum", lambda *a: calls.append(a[1]) or read(*a))
         for g in battery_24():
-            for run, passes in ((families_below, 3), (build_ledger, 5)):
+            for run, passes in ((families_below, 3), (build_ledger, 3)):
                 calls.clear()
                 run(g, Fraction(292, 97))
                 assert calls == list(range(len(g.classes))) * passes, (g.name, run.__name__)

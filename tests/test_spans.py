@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from battery import binary_dihedral, build, quaternion as quaternion_doc, table_of, times_scalars
+from battery import (binary_dihedral, build, check_table_structure, quaternion as quaternion_doc,
+                     table_of, times_scalars)
 from orbifill import (
     FiniteGroupTable,
     Homomorphism,
@@ -29,10 +30,9 @@ from orbifill import (
     random_composition_battery,
     span,
 )
-from orbifill import parse_group, spans
+from orbifill import parse_group, tables
 from orbifill.groups import document_digest
 from orbifill.spans import (
-    _check_associative,
     _element_orders,
     _group_pool,
     _lagrange_rejects,
@@ -43,6 +43,7 @@ from orbifill.spans import (
     span_from_document,
     subgroup_of_product,
 )
+from orbifill.tables import _check_associative
 
 TRIV = cyclic(1)
 
@@ -212,8 +213,8 @@ class TestLightAssociativity:
         # an inverse: the inverse check rejects it, and Light's test, which
         # would take every element as a generator, never runs.
         calls = []
-        check = spans._check_associative
-        monkeypatch.setattr(spans, "_check_associative", lambda t: calls.append(t) or check(t))
+        check = tables._check_associative
+        monkeypatch.setattr(tables, "_check_associative", lambda t: calls.append(t) or check(t))
         table = [[max(x, y) for y in range(200)] for x in range(200)]
         with pytest.raises(ParseError, match="^element 1 has no two-sided inverse$"):
             FiniteGroupTable.from_table(table)
@@ -317,7 +318,7 @@ def _reference_orbit_reps(span1, span2):
                     seen[y] = True
                     orbit.add(y)
                     stack.append(y)
-        orbits.append(sorted(orbit))
+        orbits.append(tuple(sorted(orbit)))
     return orbits
 
 
@@ -375,6 +376,8 @@ class TestKernelsAgainstReference:
 
     def test_orbit_reps(self):
         pool = _group_pool(24)
+        for g in pool:
+            check_table_structure(g)
         orders = {g: _element_orders(g) for g in pool}
         for trial in range(600):
             rng = random.Random(f"orbits:{trial}")
@@ -491,6 +494,7 @@ class TestColumnMiddles:
             if regular:
                 sends_0_to = {c[0]: c for c in closure}
                 assert table == tuple(tuple(sends_0_to[y][x] for y in range(n)) for x in range(n))
+                check_table_structure(group)
             verdicts[regular] += 1
         assert min(verdicts.values()) > 300, verdicts
 
@@ -897,18 +901,19 @@ REF_DOCUMENTS = {
 
 
 class TestRefGroups:
-    """A ``ref`` group is given by the columns its enumeration recorded."""
+    """A ``ref`` group is the table its enumeration recorded."""
 
-    @pytest.fixture(scope="class", params=sorted(REF_DOCUMENTS))
+    # Built per test: a test that reads rows builds the table's trees.
+    @pytest.fixture(params=sorted(REF_DOCUMENTS))
     def unitary(self, request):
         return build(REF_DOCUMENTS[request.param])
 
     def test_same_group_as_its_table(self, unitary):
         group = group_from_document({"ref": "g.json"}, lambda ref: unitary)
+        assert group is unitary.table
         table = table_of(unitary)
-        FiniteGroupTable.from_table(table)
-        assert group.order == unitary.order
-        assert table_of(group) == table
+        assert table_of(FiniteGroupTable.from_table(table)) == table
+        check_table_structure(group)
 
     def test_generators_are_the_generator_elements(self, unitary):
         group = group_from_document({"ref": "g.json"}, lambda ref: unitary)
