@@ -150,31 +150,65 @@ def associativity_sweep(ring: CRRing):
     Built constants are int counts, so both evaluations are ints and compare
     exactly; constants set by hand may be Fractions, and are summed as they
     are. Triples that contain the unit sector 0 pass by the unit law and are
-    not evaluated.
+    not evaluated, so a ring whose twisted sectors all multiply to zero
+    passes at once.
+
+    Light's test: the b with (a b) c = a (b c) for all a, c form a Q-subring,
+    so a product x * [k], x != 0, of two of them puts [k] in it. Sectors are
+    kept in turn unless such products of those kept before reach them, and
+    only the kept b are swept; all b are swept once one of them fails, to
+    report the first failing triple."""
+    count = ring.sector_count()
+    constants = ring.structure_constants
+    if not any(constants.values()):
+        return True, None
+    # rows[a]: b -> [a][b] for the stored products and the unit sector 0.
+    rows = [{b: ((b, 1),) for b in range(count)}] + [{0: ((a, 1),)} for a in range(1, count)]
+    for (a, b), terms in constants.items():
+        rows[a][b] = terms
+    # support[t]: the nonzero products [t][c], c >= 1, as (c * count, u, coefficient).
+    support = [[(c * count, u, y) for c, terms in row.items() if c for u, y in terms]
+               for row in rows]
+    # by_factor[i]: (j, k) for each product [i][j] or [j][i] that is x * [k], x != 0.
+    by_factor = defaultdict(list)
+    for (i, j), terms in constants.items():
+        if len(terms) == 1 and terms[0][1]:
+            by_factor[i].append((j, terms[0][0]))
+            by_factor[j].append((i, terms[0][0]))
+    reached, middles = [False] * count, []
+    for b in range(1, count):
+        if not reached[b]:
+            middles.append(b)
+            reached[b], stack = True, [b]
+            while stack:
+                for y, k in by_factor[stack.pop()]:
+                    if reached[y] and not reached[k]:
+                        reached[k] = True
+                        stack.append(k)
+    if _first_failure(rows, support, middles) is None:
+        return True, None
+    return False, _first_failure(rows, support, range(1, count))
+
+
+def _first_failure(rows, support, middles):
+    """The first failing (a, b, c) with b in ``middles``, and both sides; or None.
+
     For each (a, b), both sides are summed at once over the c with a nonzero
     [t][c] for some t in [a][b] or a nonzero [b][c], keyed by the int
     c * count + u; every other c gives 0 on both sides. When the sums differ
     by a nonzero term, the smallest such c gives the failing triple.
     """
-    count = ring.sector_count()
-    constants = ring.structure_constants
-    # prod[a][b]: [a][b], the unit sector 0 included.
-    prod = [[[(b, 1)] for b in range(count)]]
+    count = len(rows)
     for a in range(1, count):
-        prod.append([[(a, 1)]] + [constants.get((a, b), ()) for b in range(1, count)])
-    # support[t]: the nonzero products [t][c], c >= 1, as (c * count, u, coefficient).
-    support = [[(c * count, u, y) for c in range(1, count) for u, y in prod[t][c]]
-               for t in range(count)]
-    for a in range(1, count):
-        row_a = prod[a]
-        for b in range(1, count):
+        row_a = rows[a]
+        for b in middles:
             left = {}
-            for t, x in row_a[b]:
+            for t, x in row_a.get(b, ()):
                 for base, u, y in support[t]:
                     left[base + u] = left.get(base + u, 0) + x * y
             right = {}
             for base, t, x in support[b]:
-                for u, y in row_a[t]:
+                for u, y in row_a.get(t, ()):
                     right[base + u] = right.get(base + u, 0) + x * y
             if left == right:
                 continue
@@ -182,12 +216,11 @@ def associativity_sweep(ring: CRRing):
             c = min((key // count for key in left.keys() | right.keys()
                      if left.get(key, 0) != right.get(key, 0)), default=None)
             if c is not None:
-                return False, {
+                return {
                     "triple": (a, b, c),
                     "left": _terms_at(left, c, count),
                     "right": _terms_at(right, c, count),
                 }
-    return True, None
 
 
 def _terms_at(terms: dict, c: int, count: int) -> dict:
@@ -283,7 +316,10 @@ def cr_of_filling(profile: FillingCRProfile) -> dict[Fraction, int]:
 
 def sector_report(ring: CRRing, sweep) -> dict:
     """JSON-ready description of sectors, products, and ring diagnostics;
-    ``sweep`` is the ring's (passes, counterexample) from the sweep."""
+    ``sweep`` is the ring's (passes, counterexample) from the sweep. The
+    products are an iterator, built as they are read."""
+    labels = [s.label for s in ring.sectors]
+    count = len(labels)
     sectors = [
         {
             "label": s.label,
@@ -295,26 +331,20 @@ def sector_report(ring: CRRing, sweep) -> dict:
         }
         for s in ring.sectors
     ]
-    products = []
-    for i in range(1, ring.sector_count()):
-        for j in range(i, ring.sector_count()):
-            terms = cr_cup(ring, i, j)
-            products.append(
-                {
-                    "left": ring.sectors[i].label,
-                    "right": ring.sectors[j].label,
-                    "terms": [
-                        {"sector": ring.sectors[k].label, "coefficient": str(c)}
-                        for k, c in terms
-                    ],
-                }
-            )
     assoc_ok, counterexample = sweep
     comm_ok, comm_pair = commutativity_check(ring)
     return {
         "convention": ring.convention.value,
         "sectors": sectors,
-        "products": products,
+        "products": (
+            {
+                "left": labels[i],
+                "right": labels[j],
+                "terms": [{"sector": labels[k], "coefficient": str(c)}
+                          for k, c in ring.structure_constants.get((i, j), ())],
+            }
+            for i in range(1, count) for j in range(i, count)
+        ),
         "associative": assoc_ok,
         "associativity_counterexample": counterexample and {
             "triple": [ring.sectors[p].label for p in counterexample["triple"]]

@@ -17,7 +17,9 @@ import gc
 import json
 import os
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import __version__
@@ -89,22 +91,65 @@ def _echo(text: str, err: bool = False):
 
 def _emit(report: dict, fmt: str):
     if fmt == "json":
-        _echo(json.dumps(report, sort_keys=True, indent=2))
+        _write_json(report, sys.stdout)
     else:
         for line in _tableize(report):
             _echo(line)
+
+
+_CHUNK = 4096  # pieces of JSON text joined into one write
+
+
+def _write_json(value, stream):
+    """Write json.dumps(value, sort_keys=True, indent=2) and a newline to
+    ``stream`` in writes of about _CHUNK pieces, an iterator as a list read
+    an item at a time. Values other than dicts, lists, tuples, iterators,
+    str, int, bool and None, and keys other than str, raise TypeError."""
+    parts = []
+    append = parts.append
+
+    def write(value, indent):
+        if isinstance(value, str):
+            append(_quote(value))
+        elif value is None:
+            append("null")
+        elif isinstance(value, int):
+            append("true" if value is True else "false" if value is False else int.__repr__(value))
+        elif isinstance(value, dict):
+            inner, sep = indent + "  ", "{"
+            for key in sorted(value):  # _quote raises TypeError on a non-str key
+                append(f"{sep}{inner}{_quote(key)}: ")
+                write(value[key], inner)
+                sep = ","
+            append(indent + "}" if sep == "," else "{}")
+        elif isinstance(value, (list, tuple, Iterator)):
+            inner, sep = indent + "  ", "["
+            for item in value:
+                append(sep + inner)
+                write(item, inner)
+                sep = ","
+                if len(parts) >= _CHUNK:
+                    stream.write("".join(parts))
+                    parts.clear()
+            append(indent + "]" if sep == "," else "[]")
+        else:
+            raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+    write(value, "\n")
+    stream.write("".join(parts) + "\n")
+    stream.flush()
 
 
 def _tableize(value, prefix=""):
     if isinstance(value, dict):
         for key in value:
             sub = value[key]
-            if isinstance(sub, (dict, list)):
+            if isinstance(sub, (dict, list, Iterator)):
                 yield f"{prefix}{key}:"
                 yield from _tableize(sub, prefix + "  ")
             else:
                 yield f"{prefix}{key}: {sub}"
-    elif isinstance(value, list):
+    elif isinstance(value, (list, Iterator)):
         for item in value:
             if isinstance(item, (dict, list)):
                 yield f"{prefix}-"
@@ -401,7 +446,7 @@ def reeb_cmd(action, path, bound, fmt, max_order, cache_dir):
         {
             "metadata": _metadata(digest),
             "bound": str(bound),
-            "families": [
+            "families": (
                 {
                     "class": f.class_label,
                     "period": str(f.period),
@@ -410,7 +455,7 @@ def reeb_cmd(action, path, bound, fmt, max_order, cache_dir):
                     "homotopy_class": f.homotopy_class,
                 }
                 for f in families
-            ],
+            ),
             "discrepancy": discrepancy,
             "components": loop_components(group),
         },
@@ -456,7 +501,7 @@ def ledger_cmd(action, path, slope, profiles, coefficient, fmt, max_order, cache
         {
             "metadata": _metadata(digest),
             "slope": str(ledger.slope),
-            "generators": [g.describe() for g in ledger.generators],
+            "generators": (g.describe() for g in ledger.generators),
             "known_differentials": [
                 {
                     "source": e.source.describe(),

@@ -636,10 +636,15 @@ def canonical_document(document) -> dict:
 
 
 def document_digest(document) -> str:
-    # Imported here: hashlib loads OpenSSL, which commands that hash no
-    # document (span random, --version) need not pay for at start-up.
-    import hashlib
-
+    # The built-in sha256, as random.py takes sha512 (hashlib loads OpenSSL),
+    # imported here so that commands that hash no document load neither.
+    try:
+        from _sha256 import sha256  # up to Python 3.11
+    except ImportError:
+        try:
+            from _sha2 import sha256  # Python 3.12 and later
+        except ImportError:
+            from hashlib import sha256
     canon = canonical_document(document)
     payload = json.dumps(canon, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(payload).hexdigest()
+    return sha256(payload).hexdigest()

@@ -38,7 +38,7 @@ from orbifill import (
     cr_pairing_check,
     twisted_sectors,
 )
-from orbifill import ledger, reeb
+from orbifill import chen_ruan, ledger, reeb
 
 
 def reference_constants(group, convention):
@@ -399,6 +399,64 @@ class TestAgainstReference:
         assert result[1]["triple"] == (1, 2, 2)
         # [1][2] = c3 and [2][1] = c3 + 0 * c4 differ as coefficient maps.
         assert commutativity_check(ring) == (False, (1, 2))
+
+    def test_sweep_fails_outside_the_first_closure(self, monkeypatch):
+        # Hand-made constants on five sectors: [1][1] = c2, [3][3] = c4 and
+        # [4][3] = c2, while [3][4] = 0. Sector 1 reaches only c2, so c3 is
+        # a second generating middle, and (3 3) 3 = c2 but 3 (3 3) = 0: only
+        # b = 3 fails. The failure found among the middles [1, 3] sends the
+        # sweep over every b, which reports the reference's triple.
+        ring = build_ring(build(scalar_cyclic(5)), CupConvention.ORBIT_REPRESENTATIVE_SUM)
+        ring.structure_constants = {(1, 1): ((2, 1),), (3, 3): ((4, 1),), (4, 3): ((2, 1),)}
+
+        def fails(a, b, c):
+            left, right = ({k: v for k, v in side.items() if v}
+                           for side in reference_sides(ring, a, b, c))
+            return left != right
+
+        assert {b for a in range(5) for b in range(5) for c in range(5) if fails(a, b, c)} == {3}
+        passes = []
+        first_failure = chen_ruan._first_failure
+        monkeypatch.setattr(chen_ruan, "_first_failure",
+                            lambda *args: passes.append(list(args[2])) or first_failure(*args))
+        result = associativity_sweep(ring)
+        assert passes == [[1, 3], [1, 2, 3, 4]]
+        assert result == reference_sweep(ring)
+        assert result[1]["triple"] == (3, 3, 3)
+
+    def test_ring_without_products_builds_no_sweep(self, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("a ring without products was swept")
+
+        monkeypatch.setattr(chen_ruan, "_first_failure", unexpected)
+        for doc in (binary_dihedral(6), quaternion()):
+            for convention in CupConvention:
+                ring = build_ring(build(doc), convention)
+                assert ring.structure_constants == {}
+                assert associativity_sweep(ring) == reference_sweep(ring) == (True, None)
+
+    def test_sweep_on_mu60_visits_one_middle(self, monkeypatch):
+        # mu60 is generated by c1: the (a, b) loop runs over b = 1 alone,
+        # so it evaluates 59 pairs, not 59 * 59.
+        pairs = []
+        first_failure = chen_ruan._first_failure
+
+        def counted(prod, support, middles):
+            class Middles(list):
+                def __iter__(self):
+                    for b in list.__iter__(self):
+                        pairs.append(b)
+                        yield b
+
+            return first_failure(prod, support, Middles(middles))
+
+        monkeypatch.setattr(chen_ruan, "_first_failure", counted)
+        for convention in CupConvention:
+            pairs.clear()
+            ring = build_ring(build(scalar_cyclic(60)), convention)
+            assert ring.sector_count() == 60
+            assert associativity_sweep(ring) == (True, None)
+            assert pairs == [1] * 59, convention
 
     def test_conventions_differ_on_z7_semidirect_z9(self):
         # Both rings pass the sweep, but 13 of the 14 nonzero ordered

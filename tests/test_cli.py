@@ -727,3 +727,101 @@ def test_import_loads_neither_click_nor_dataclasses():
                           timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+class Recorder:
+    """A stdout that keeps each write and discards nothing."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+    def flush(self):
+        pass
+
+
+def written(value):
+    """The writes ``cli._write_json`` makes for ``value``."""
+    sink = Recorder()
+    cli_module._write_json(value, sink)
+    return sink.writes
+
+
+class TestJsonWriter:
+    """The --format json writer prints exactly json.dumps(sort_keys=True,
+    indent=2) and a newline, and takes iterators as lists."""
+
+    SAMPLES = [
+        {"b": {"d": [1, (2, 3), {"e": ["f"]}], "c": ()}, "a": [[[]], {}]},
+        {}, [], {"x": {}}, {"x": []}, [{}], [[]], [[], {}, [{}], {"y": [[{}]]}],
+        {"t": True, "f": False, "n": None, "l": [True, False, None]},
+        [0, -1, -(2**70), 2**64, 2**64 + 1, 10**40],
+        ["", "é 中 \U0001f600", 'quote " and \\ backslash', "\x00\x01\n\t\r\x1f\x7f", "/"],
+        {"z": 1, "a": 2, "m": 3, "B": 4, "é": 5, '"': 6, "\\": 7, "\n": 8, "": 9},
+        "top-level string", 7, None,
+    ]
+
+    @pytest.mark.parametrize("value", SAMPLES, ids=range(len(SAMPLES)))
+    def test_matches_json_dumps(self, value):
+        assert "".join(written(value)) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    def test_iterators_are_lists(self):
+        def items(n):
+            for i in range(n):
+                yield {"i": i, "empty": iter(()), "pair": (x for x in "ab")}
+
+        value = {"many": items(5), "none": items(0), "map": map(str, range(3))}
+        expected = {"many": [{"i": i, "empty": [], "pair": ["a", "b"]} for i in range(5)],
+                    "none": [], "map": ["0", "1", "2"]}
+        assert "".join(written(value)) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [
+        1.5, {"x": float("nan")}, {1, 2}, b"bytes", object(), [Fraction(1, 2)],
+        {1: "int key"}, {None: 1}, {("a",): 1}, {"a": 1, 2: "mixed keys"},
+    ], ids=["float", "nan", "set", "bytes", "object", "fraction", "int-key", "none-key",
+            "tuple-key", "mixed-keys"])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            written(value)
+
+    def test_large_report_arrives_in_chunks(self):
+        report = {"rows": [{"label": f"c{i}", "size": i} for i in range(5000)]}
+        writes = written(report)
+        assert len(writes) > 1
+        assert "".join(writes) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        assert all(not w.endswith("\n") for w in writes[:-1]) and writes[-1].endswith("}\n")
+
+    def test_table_takes_iterators(self, monkeypatch):
+        lines = []
+        monkeypatch.setattr(cli_module, "_echo", lines.append)
+        report = {"a": [1, {"b": [2, 3]}], "c": "d"}
+        cli_module._emit(report, "table")
+        as_lists = list(lines)
+        lines.clear()
+        cli_module._emit({"a": iter([1, {"b": iter([2, 3])}]), "c": "d"}, "table")
+        assert lines == as_lists
+
+    def test_long_generator_memory_is_bounded(self):
+        # 200,000 items print 10.4 MB of JSON; written a chunk at a time,
+        # they hold a small fraction of that.
+        class Counter:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+            def flush(self):
+                pass
+
+        report = {"items": (f"item {i:06}" * 4 for i in range(200_000))}
+        sink = Counter()
+        tracemalloc.start()
+        try:
+            cli_module._write_json(report, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size > 10**7
+        assert peak < 2**20, peak

@@ -1,5 +1,7 @@
 """The pullback-pushforward calculus and its composition identity."""
 
+import hashlib
+import importlib.util
 import itertools
 import json
 import math
@@ -31,7 +33,7 @@ from orbifill import (
     span,
 )
 from orbifill import parse_group, tables
-from orbifill.groups import document_digest
+from orbifill.groups import canonical_document, document_digest
 from orbifill.spans import (
     _element_orders,
     _group_pool,
@@ -565,6 +567,34 @@ class TestStartup:
     def test_sample_digests(self, name):
         text = (ROOT / "samples" / name).read_text()
         assert document_digest(parse_group(text)) == SAMPLE_DIGESTS[name]
+
+    def test_digest_is_hashlib_sha256(self):
+        # Every sample and benchmark corpus document.
+        spec = importlib.util.spec_from_file_location("corpus_for_digests",
+                                                      ROOT / "bench" / "corpus.py")
+        corpus = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = corpus
+        spec.loader.exec_module(corpus)
+        documents = [(ROOT / "samples" / name).read_text() for name in SAMPLE_DIGESTS]
+        documents += [s.document() for s in corpus.all_specs()]
+        assert len(documents) > 40
+        for doc in documents:
+            payload = json.dumps(canonical_document(doc), sort_keys=True, separators=(",", ":"))
+            assert document_digest(doc) == hashlib.sha256(payload.encode()).hexdigest()
+
+    @pytest.mark.skipif(importlib.util.find_spec("_sha2") is None
+                        and importlib.util.find_spec("_sha256") is None,
+                        reason="this interpreter has no built-in sha256 module")
+    def test_digest_loads_no_openssl(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        code = ("import sys\nfrom orbifill.cli import main\n"
+                "try:\n    main(['group', 'info', sys.argv[1], '--format', 'json'])\n"
+                "finally:\n    print('_hashlib' in sys.modules, file=sys.stderr)")
+        done = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "samples" / "a3.json")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert SAMPLE_DIGESTS["a3.json"] in done.stdout
+        assert done.stderr == "False\n"
 
 
 class TestHomomorphisms:
