@@ -64,7 +64,6 @@ from .spans import (
     span_from_document,
 )
 
-EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
@@ -256,10 +255,23 @@ COMMANDS = {}
 
 def _command(name, *arguments):
     """Register ``fn`` as command ``name``; ``arguments`` are its ``_arg`` calls,
-    and the first line of its docstring is its summary in ``orbifill --help``."""
+    and the first line of its docstring is its summary in ``orbifill --help``.
+
+    ``fn`` takes the parsed arguments except ``fmt`` and returns its report and
+    verdict. The registered command renders the report in ``fmt`` and exits
+    EXIT_NEGATIVE when the verdict is false, all inside ``_guarded``, so an
+    error raised while a generator in the report is rendered, or a closed
+    stdout, exits as it would from the command itself."""
 
     def register(fn):
-        COMMANDS[name] = (_guarded(fn), arguments)
+        @functools.wraps(fn)
+        def run(fmt, **kwargs):
+            report, verdict = fn(**kwargs)
+            _emit(report, fmt)
+            if not verdict:
+                sys.exit(EXIT_NEGATIVE)
+
+        COMMANDS[name] = (_guarded(run), arguments)
         return fn
 
     return register
@@ -279,18 +291,14 @@ def _load_group(path, max_order, cache_dir):
 
 @_command("group", _arg("action", choices=["info", "canonical"]),
           _arg("path", type=_document), FORMAT, *GROUP_OPTIONS)
-def group_cmd(action, path, fmt, max_order, cache_dir):
+def group_cmd(action, path, max_order, cache_dir):
     """Inspect a group document: enumeration, classes, eigenvalue data."""
     if action == "canonical":
         document = parse_group(Path(path).read_text())
-        _emit(
-            {
-                "metadata": _metadata(document_digest(document)),
-                "canonical": canonical_document(document),
-            },
-            fmt,
-        )
-        return
+        return {
+            "metadata": _metadata(document_digest(document)),
+            "canonical": canonical_document(document),
+        }, True
     group, digest = _load_group(path, max_order, cache_dir)
     isolated, witness = group.is_isolated_singularity()
     classes = []
@@ -318,7 +326,7 @@ def group_cmd(action, path, fmt, max_order, cache_dir):
     }
     if not isolated:
         report["witness_element"] = witness
-    _emit(report, fmt)
+    return report, True
 
 
 # -- chen-ruan -------------------------------------------------------------------
@@ -337,7 +345,7 @@ def group_cmd(action, path, fmt, max_order, cache_dir):
     FORMAT,
     *GROUP_OPTIONS,
 )
-def cr_cmd(action, path, convention, betti, singularities, coefficient, fmt, max_order, cache_dir):
+def cr_cmd(action, path, convention, betti, singularities, coefficient, max_order, cache_dir):
     """Chen-Ruan data: sectors, ring structure, pairing, filling ranks."""
     if action == "filling":
         ring_desc = CoefficientRing.parse(coefficient)
@@ -351,42 +359,33 @@ def cr_cmd(action, path, convention, betti, singularities, coefficient, fmt, max
             tuple(int(b) for b in betti.split(",")), tuple(groups), ring_desc
         )
         ranks = cr_of_filling(profile)
-        _emit(
-            {
-                "metadata": _metadata(",".join(digests) or None),
-                "coefficient": ring_desc.describe(),
-                "ranks_by_degree": {str(d): r for d, r in ranks.items()},
-                "total_rank": sum(ranks.values()),
-            },
-            fmt,
-        )
-        return
+        return {
+            "metadata": _metadata(",".join(digests) or None),
+            "coefficient": ring_desc.describe(),
+            "ranks_by_degree": {str(d): r for d, r in ranks.items()},
+            "total_rank": sum(ranks.values()),
+        }, True
     if path is None:
         raise UsageError("a group document is required")
     group, digest = _load_group(path, max_order, cache_dir)
     if action == "sectors":
         sectors = twisted_sectors(group)
-        _emit(
-            {
-                "metadata": _metadata(digest),
-                "sectors": [
-                    {
-                        "label": s.label,
-                        "age": str(s.age),
-                        "degree": str(s.degree),
-                        "centralizer_order": s.centralizer_order,
-                    }
-                    for s in sectors
-                ],
-                "total_rank": len(sectors),
-            },
-            fmt,
-        )
-        return
+        return {
+            "metadata": _metadata(digest),
+            "sectors": [
+                {
+                    "label": s.label,
+                    "age": str(s.age),
+                    "degree": str(s.degree),
+                    "centralizer_order": s.centralizer_order,
+                }
+                for s in sectors
+            ],
+            "total_rank": len(sectors),
+        }, True
     if action == "pairing":
         report = cr_pairing_check(group)
-        _emit({"metadata": _metadata(digest), **report}, fmt)
-        sys.exit(EXIT_OK if report["all_pass"] else EXIT_NEGATIVE)
+        return {"metadata": _metadata(digest), **report}, report["all_pass"]
     wanted = CupConvention(convention) if convention else None
     ring, sweeps = choose_ring(group, wanted)
     report = sector_report(ring, sweeps[ring.convention.value])
@@ -401,13 +400,10 @@ def cr_cmd(action, path, convention, betti, singularities, coefficient, fmt, max
     how = "requested" if wanted else "chosen by sweep"
     _echo(f"associativity sweep: {'; '.join(verdicts)}; using {ring.convention.value} ({how})",
           err=True)
-    _emit(
-        {
-            "metadata": _metadata(digest, conventions={"cup_product": ring.convention.value}),
-            **report,
-        },
-        fmt,
-    )
+    return {
+        "metadata": _metadata(digest, conventions={"cup_product": ring.convention.value}),
+        **report,
+    }, True
 
 
 # -- reeb ------------------------------------------------------------------------
@@ -415,52 +411,46 @@ def cr_cmd(action, path, convention, betti, singularities, coefficient, fmt, max
 
 @_command("reeb", _arg("action", choices=["report", "discrepancy", "components"]),
           _arg("path", type=_document),
-          _arg("--bound", type=rational, default="3", help="period bound (rational, units of 2*pi)"),
+          _arg("--bound", type=rational,
+               help="period bound for 'report' (rational, units of 2*pi, off the spectrum)"),
           FORMAT, *GROUP_OPTIONS)
-def reeb_cmd(action, path, bound, fmt, max_order, cache_dir):
+def reeb_cmd(action, path, bound, max_order, cache_dir):
     """Reeb orbit families, indices, discrepancy, loop components."""
+    # No bound can be the default: the untwisted class has every positive
+    # integer as a period, and any bound may be on another class's spectrum.
+    if action == "report" and bound is None:
+        raise UsageError("'report' requires --bound")
     group, digest = _load_group(path, max_order, cache_dir)
     if action == "components":
-        _emit(
-            {"metadata": _metadata(digest), "components": loop_components(group)},
-            fmt,
-        )
-        return
+        return {"metadata": _metadata(digest), "components": loop_components(group)}, True
     if action == "discrepancy":
         disc, verdict = mclean_discrepancy(group)
-        _emit(
-            {
-                "metadata": _metadata(digest),
-                "minimal_discrepancy": str(disc),
-                "verdict": verdict,
-            },
-            fmt,
-        )
-        return
+        return {
+            "metadata": _metadata(digest),
+            "minimal_discrepancy": str(disc),
+            "verdict": verdict,
+        }, True
     families = families_below(group, bound, option="--bound")
     discrepancy = None
     if group.order != 1:
         disc, verdict = mclean_discrepancy(group)
         discrepancy = {"minimal_discrepancy": str(disc), "verdict": verdict}
-    _emit(
-        {
-            "metadata": _metadata(digest),
-            "bound": str(bound),
-            "families": (
-                {
-                    "class": f.class_label,
-                    "period": str(f.period),
-                    "fixed_dim": f.fixed_dim,
-                    "cz_index": str(f.cz_index),
-                    "homotopy_class": f.homotopy_class,
-                }
-                for f in families
-            ),
-            "discrepancy": discrepancy,
-            "components": loop_components(group),
-        },
-        fmt,
-    )
+    return {
+        "metadata": _metadata(digest),
+        "bound": str(bound),
+        "families": (
+            {
+                "class": f.class_label,
+                "period": str(f.period),
+                "fixed_dim": f.fixed_dim,
+                "cz_index": str(f.cz_index),
+                "homotopy_class": f.homotopy_class,
+            }
+            for f in families
+        ),
+        "discrepancy": discrepancy,
+        "components": loop_components(group),
+    }, True
 
 
 # -- ledger ----------------------------------------------------------------------
@@ -490,33 +480,30 @@ def _parse_profiles(specs):
     FORMAT,
     *GROUP_OPTIONS,
 )
-def ledger_cmd(action, path, slope, profiles, coefficient, fmt, max_order, cache_dir):
+def ledger_cmd(action, path, slope, profiles, coefficient, max_order, cache_dir):
     """Assemble the generator ledger at a slope, with forced differentials."""
     group, digest = _load_group(path, max_order, cache_dir)
     ring = CoefficientRing.parse(coefficient)
     ledger = build_ledger(group, slope, _parse_profiles(profiles))
     entries = known_differentials(ledger)
     report = check_ledger(ledger, entries)
-    _emit(
-        {
-            "metadata": _metadata(digest),
-            "slope": str(ledger.slope),
-            "generators": (g.describe() for g in ledger.generators),
-            "known_differentials": [
-                {
-                    "source": e.source.describe(),
-                    "target": e.target.describe(),
-                    "coefficient": e.coefficient,
-                    "provenance": e.provenance,
-                }
-                for e in entries
-            ],
-            "validation": report,
-            "coefficient": ring.describe(),
-            "vanishes": sh_vanishing(group, ring),
-        },
-        fmt,
-    )
+    return {
+        "metadata": _metadata(digest),
+        "slope": str(ledger.slope),
+        "generators": (g.describe() for g in ledger.generators),
+        "known_differentials": [
+            {
+                "source": e.source.describe(),
+                "target": e.target.describe(),
+                "coefficient": e.coefficient,
+                "provenance": e.provenance,
+            }
+            for e in entries
+        ],
+        "validation": report,
+        "coefficient": ring.describe(),
+        "vanishes": sh_vanishing(group, ring),
+    }, True
 
 
 # -- span ------------------------------------------------------------------------
@@ -535,14 +522,13 @@ def ledger_cmd(action, path, slope, profiles, coefficient, fmt, max_order, cache
     CACHE_DIR,
     FORMAT,
 )
-def span_cmd(action, path, trials, seed, max_order, cache_dir, fmt):
+def span_cmd(action, path, trials, seed, max_order, cache_dir):
     """Pullback-pushforward counts and the composition identity."""
     if action == "random":
         if max_order is None:
             max_order = BATTERY_MAX_ORDER
         report = random_composition_battery(trials, seed, max_order)
-        _emit({"metadata": _metadata(seed=seed), **report}, fmt)
-        sys.exit(EXIT_OK if report["all_equal"] else EXIT_NEGATIVE)
+        return {"metadata": _metadata(seed=seed), **report}, report["all_equal"]
     if path is None:
         raise UsageError("span check requires a document path")
     doc = json.loads(Path(path).read_text())
@@ -559,20 +545,10 @@ def span_cmd(action, path, trials, seed, max_order, cache_dir, fmt):
         span1 = span_from_document(doc["span1"], loader, max_order)
         span2 = span_from_document(doc["span2"], loader, max_order)
         lhs, rhs, equal = composition_check(span1, span2)
-        _emit(
-            {
-                "metadata": _metadata(),
-                "lhs": str(lhs),
-                "rhs": str(rhs),
-                "equal": equal,
-            },
-            fmt,
-        )
-        sys.exit(EXIT_OK if equal else EXIT_NEGATIVE)
+        return {"metadata": _metadata(), "lhs": str(lhs), "rhs": str(rhs), "equal": equal}, equal
     if "span" in doc:
         sp = span_from_document(doc["span"], loader, max_order)
-        _emit({"metadata": _metadata(), "pushpull": str(pushpull(sp))}, fmt)
-        return
+        return {"metadata": _metadata(), "pushpull": str(pushpull(sp))}, True
     raise UsageError("span document must contain 'span' or 'span1' and 'span2'")
 
 
@@ -583,40 +559,31 @@ def span_cmd(action, path, trials, seed, max_order, cache_dir, fmt):
           _arg("target"),
           _arg("--boundary", dest="boundary_opt", help="boundary descriptor for 'admit'"),
           FORMAT, *GROUP_OPTIONS)
-def constraints_cmd(action, target, boundary_opt, fmt, max_order, cache_dir):
+def constraints_cmd(action, target, boundary_opt, max_order, cache_dir):
     """Filling constraints: divisor tables, admissibility, uniqueness."""
     if action == "boundary":
         b = BoundaryDescriptor.parse(target)
         cs = constraint_for_boundary(b)
-        _emit(
-            {
-                "metadata": _metadata(),
-                "boundary": b.describe(),
-                "dimension": b.dimension,
-                **cs.describe(),
-            },
-            fmt,
-        )
-        return
+        return {
+            "metadata": _metadata(),
+            "boundary": b.describe(),
+            "dimension": b.dimension,
+            **cs.describe(),
+        }, True
     if action == "rp":
-        _emit({"metadata": _metadata(), **rp_report(int(target))}, fmt)
-        return
+        return {"metadata": _metadata(), **rp_report(int(target))}, True
     if boundary_opt is None:
         raise UsageError("'admit' requires --boundary")
     b = BoundaryDescriptor.parse(boundary_opt)
     group, digest = _load_group(target, max_order, cache_dir)
     ok, explanation = admissible(group, b)
-    _emit(
-        {
-            "metadata": _metadata(digest),
-            "boundary": b.describe(),
-            "group_order": group.order,
-            "admissible": ok,
-            "explanation": explanation,
-        },
-        fmt,
-    )
-    sys.exit(EXIT_OK if ok else EXIT_NEGATIVE)
+    return {
+        "metadata": _metadata(digest),
+        "boundary": b.describe(),
+        "group_order": group.order,
+        "admissible": ok,
+        "explanation": explanation,
+    }, ok
 
 
 def main(argv=None):

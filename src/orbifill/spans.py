@@ -225,18 +225,15 @@ def orbit_decomposition(span1, span2) -> OrbitDecomposition:
 def fiber_product(span1, span2):
     """Orbit decomposition plus the composite spans */H1 <- */stab_i -> */H3."""
     _require_composable(span1, span2)
-    s2 = span2.s.images
+    preimages = [[] for _ in range(span1.right.order)]  # s2^-1(x), ascending
+    for b, x in enumerate(span2.s.images):
+        preimages[x].append(b)
     decomposition = []
     composites = []
     for orbit in _orbit_reps(span1, span2):
         # s2(b) * h * t1(a)^-1 = h exactly when s2(b) = h * t1(a) * h^-1.
         conjugates = _conjugates(span1.right, orbit[0], span1.t.images)
-        stab_pairs = [
-            (a, b)
-            for a, c in enumerate(conjugates)
-            for b, s in enumerate(s2)
-            if s == c
-        ]
+        stab_pairs = [(a, b) for a, c in enumerate(conjugates) for b in preimages[c]]
         stab = subgroup_of_product(span1.middle, span2.middle, stab_pairs, len(stab_pairs),
                                    name="stab")
         s3 = tuple(span1.s.images[a] for a, _ in stab.labels)

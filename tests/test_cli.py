@@ -22,6 +22,9 @@ from orbifill import spans
 from orbifill import parse_group
 from orbifill.cli import EXIT_INTERNAL, _guarded, main
 from orbifill.cyclotomic import CyclotomicNumber
+from orbifill.errors import ParseError
+
+SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
 
 class Result:
@@ -716,6 +719,88 @@ class TestCommandLine:
         after = invoke(runner, workspace, "cr", "sectors", target, "--format", "json")
         assert before.exit_code == after.exit_code == 0
         assert before.stdout == after.stdout
+
+    @pytest.mark.parametrize("args", [
+        ("cr", "pairing", "antipodal2.json"),
+        ("span", "check", "span_pair.json"),
+        ("constraints", "admit", "antipodal2.json", "--boundary", "lens:2,2"),
+    ], ids=lambda a: f"{a[0]}-{a[1]}")
+    def test_success_returns_from_main(self, workspace, args):
+        # A positive verdict returns from main, as every other success does;
+        # only a negative one exits.
+        command, action, doc, *rest = args
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, action, str(workspace / doc), *rest]) is None
+
+    def test_rendering_errors_keep_their_exit_code(self, runner, monkeypatch):
+        # Reports are rendered inside _guarded: an input error raised by a
+        # report's generator as it is written, and a closed stdout, exit 2
+        # with a message, as they would from the command itself.
+        def families(*args, **kwargs):
+            raise ParseError("raised while rendering")
+            yield
+
+        monkeypatch.setattr(cli_module, "families_below", families)
+        result = runner.invoke(["reeb", "report", str(SAMPLES / "a3.json"), "--bound", "7/3",
+                                "--format", "json"])
+        assert result.exit_code == 2
+        assert result.stderr == "error: raised while rendering\n"
+
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        err = io.StringIO()
+        with contextlib.redirect_stdout(Closed()), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as info:
+                main(["constraints", "boundary", "lens:2,3"])
+        assert info.value.code == 2
+        assert err.getvalue() == "error: [Errno 32] Broken pipe\n"
+
+
+class TestDefaults:
+    """Each command and action runs on samples/ with only the arguments it
+    requires, and leaving out an option an action requires is a usage error
+    that names it."""
+
+    # The positional arguments of each action, if not a sample group document.
+    POSITIONAL = {
+        ("cr", "filling"): [],
+        ("span", "check"): [str(SAMPLES / "span_pair.json")],
+        ("span", "random"): [],
+        ("constraints", "boundary"): ["lens:2,3"],
+        ("constraints", "rp"): ["3"],
+    }
+    REQUIRED = {
+        ("reeb", "report"): ["--bound", "7/3"],
+        ("ledger", "build"): ["--slope", "7/3"],
+        ("constraints", "admit"): ["--boundary", "lens:2,3"],
+    }
+    ACTIONS = [
+        (command, action)
+        for command, (_, arguments) in cli_module.COMMANDS.items()
+        for names, kwargs in arguments if names == ("action",)
+        for action in kwargs["choices"]
+    ]
+
+    @pytest.mark.parametrize("command, action", ACTIONS, ids=lambda x: x)
+    def test_runs_with_required_arguments_only(self, runner, command, action):
+        positional = self.POSITIONAL.get((command, action), [str(SAMPLES / "a3.json")])
+        result = runner.invoke([command, action, *positional,
+                                *self.REQUIRED.get((command, action), [])])
+        assert result.exit_code in (0, 1), result.stderr
+
+    @pytest.mark.parametrize("command, action", sorted(REQUIRED), ids=lambda x: x)
+    def test_missing_option_is_a_usage_error(self, runner, command, action):
+        option = self.REQUIRED[command, action][0]
+        result = runner.invoke([command, action, str(SAMPLES / "a3.json")])
+        assert result.exit_code == 2
+        error = result.stderr.splitlines()[-1]
+        assert error.startswith(f"orbifill {command}: error: ") and option in error
+        assert "required" in error or "requires" in error
 
 
 def test_import_loads_neither_click_nor_dataclasses():

@@ -1,0 +1,110 @@
+"""What the goldens leave out, pinned: the ``--format table`` output of a
+query per command and action, the usage errors and the domain-negative exits.
+
+Each query runs in process, in a directory holding a copy of ``samples/`` and
+the two documents below, and its stdout sha256, stderr sha256 and exit code
+must equal those in ``tests/cli_pins.json``. After an intended change of
+output, re-record the file with
+
+    PYTHONPATH=src python3 tests/test_cli_pins.py
+
+and list the changed keys in CHANGES.md. Usage errors carry argparse's usage
+text, wrapped at $COLUMNS, which both set to 80; its wording may differ on
+another Python release.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import tempfile
+from pathlib import Path
+
+from orbifill.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+PINS = Path(__file__).with_name("cli_pins.json")
+
+DOCUMENTS = {
+    # diag(-1, 1) fixes a line: not an isolated singularity.
+    "reflection.json": {"dimension": 2, "conductor": 2,
+                        "generators": [[["-1", "0"], ["0", "1"]]]},
+    "one_span.json": {"span": {"left": {"cyclic": 1}, "middle": {"cyclic": 4},
+                               "right": {"cyclic": 2}, "source": [0, 0, 0, 0],
+                               "target": [0, 1, 0, 1]}},
+}
+
+QUERIES = {
+    "group-info": "group info samples/quaternion.json",
+    "group-info-witness": "group info reflection.json",
+    "group-canonical": "group canonical samples/antipodal2.json",
+    "cr-ring": "cr ring samples/quaternion.json",
+    "cr-sectors": "cr sectors samples/a3.json",
+    "cr-pairing": "cr pairing samples/quaternion.json",
+    "cr-filling": "cr filling --betti 1,0,1 --singularity samples/antipodal2.json "
+                  "--singularity samples/quaternion.json --coefficient Z/2",
+    "reeb-report": "reeb report samples/a3.json --bound 7/3",
+    "reeb-discrepancy": "reeb discrepancy samples/quaternion.json",
+    "reeb-components": "reeb components samples/a3.json",
+    "ledger-build": "ledger build samples/antipodal2.json --slope 5/4 --coefficient Z/2",
+    "span-check-pair": "span check samples/span_pair.json",
+    "span-check-single": "span check one_span.json",
+    "span-random": "span random --trials 20 --seed 7",
+    "constraints-boundary": "constraints boundary lens:2,3",
+    "constraints-admit": "constraints admit samples/quaternion.json --boundary brieskorn:2,3",
+    "constraints-rp": "constraints rp 3",
+    # Usage errors: exit 2, usage text on stderr.
+    "usage-cr-ring-no-path": "cr ring",
+    "usage-span-check-no-path": "span check",
+    "usage-admit-no-boundary": "constraints admit samples/quaternion.json",
+    "usage-unknown-action": "group describe samples/quaternion.json",
+    "usage-max-order-0": "group info samples/quaternion.json --max-order 0",
+    # Domain-negative results (exit 1) and input errors (exit 2).
+    "negative-admit": "constraints admit samples/quaternion.json --boundary lens:2,3",
+    "negative-cr-ring-non-isolated": "cr ring reflection.json",
+    "negative-filling-non-isolated": "cr filling --singularity reflection.json",
+    "input-bound-on-spectrum": "reeb report samples/a3.json --bound 5/2",
+    "input-no-span": "span check samples/a3.json",
+}
+
+
+def run(argv):
+    """stdout and stderr sha256 and the exit code of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(argv)
+        except SystemExit as e:
+            code = 0 if e.code is None else e.code
+    return {"stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
+            "exit": code}
+
+
+def prepare(directory: Path):
+    shutil.copytree(ROOT / "samples", directory / "samples")
+    for name, doc in DOCUMENTS.items():
+        (directory / name).write_text(json.dumps(doc))
+
+
+def test_pinned_outputs(tmp_path, monkeypatch):
+    prepare(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    pins = json.loads(PINS.read_text())
+    assert sorted(pins) == sorted(QUERIES)
+    differing = {key: run(args.split()) for key, args in QUERIES.items()}
+    differing = {key: found for key, found in differing.items() if found != pins[key]}
+    assert not differing, f"{len(differing)} of {len(QUERIES)} queries differ: {differing}"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as work:
+        prepare(Path(work))
+        os.chdir(work)
+        os.environ["COLUMNS"] = "80"
+        pins = {key: run(args.split()) for key, args in QUERIES.items()}
+    PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")

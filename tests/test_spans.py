@@ -766,7 +766,47 @@ class TestPushpull:
         assert pushpull(sp) == Fraction(1, 2)
 
 
+def _reference_stab_pairs(span1, span2, mul, h):
+    """The pairs (a, b) of G1 x G2 with s2(b) * h * t1(a)^-1 = h, found by
+    scanning all of them on the table ``mul`` of the shared group."""
+    inv = [row.index(0) for row in mul]
+    t1, s2 = span1.t.images, span2.s.images
+    return [(a, b) for a in range(span1.middle.order) for b in range(span2.middle.order)
+            if mul[mul[s2[b]][h]][inv[t1[a]]] == h]
+
+
+def _columns_data(group):
+    """A group table's data, its generator columns standing for its table."""
+    return (group.name, group.labels, group.generators, [list(c) for c in group.columns])
+
+
 class TestFiberProduct:
+    def test_against_the_all_pairs_scan(self):
+        # Pairs read from the preimage lists of s2 come in the scan's order,
+        # so the stabilizers and composite spans are built identically.
+        pool = _group_pool(24)
+        orders = {g: _element_orders(g) for g in pool}
+        for trial in range(200):
+            rng = random.Random(f"fiber:{trial}")
+            h1, h2, h3 = (rng.choice(pool) for _ in range(3))
+            span1 = _random_span(rng, h1, h2, 24, orders)
+            span2 = _random_span(rng, h2, h3, 24, orders)
+            mul = table_of(h2)
+            orbits, expected = [], []
+            for orbit in _orbit_reps(span1, span2):
+                pairs = _reference_stab_pairs(span1, span2, mul, orbit[0])
+                stab = subgroup_of_product(span1.middle, span2.middle, pairs, len(pairs),
+                                           name="stab")
+                orbits.append((len(orbit), len(pairs)))
+                expected.append((_columns_data(stab),
+                                 tuple(span1.s.images[a] for a, _ in stab.labels),
+                                 tuple(span2.t.images[b] for _, b in stab.labels)))
+            decomposition, composites = fiber_product(span1, span2)
+            assert decomposition.orbits == tuple(orbits), trial
+            assert [(_columns_data(c.middle), c.s.images, c.t.images)
+                    for c in composites] == expected, trial
+            assert all(c.left is h1 and c.right is h3 for c in composites)
+
     def test_identity_spans(self):
         z2 = cyclic(2)
         dec, comps = fiber_product(identity_span(z2), identity_span(z2))
