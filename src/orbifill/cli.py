@@ -6,7 +6,7 @@ nothing is cached between runs.
 JSON output is the machine contract and is byte-deterministic for fixed
 inputs, flags, and seed; table output is for humans and carries no stability
 guarantee. Exit codes: 0 success, 1 domain-negative result, 2 input error,
-3 internal invariant violation.
+3 internal invariant violation or any other exception.
 """
 
 from __future__ import annotations
@@ -160,7 +160,10 @@ def _tableize(value, prefix=""):
 
 
 def _guarded(fn):
-    """Map domain and input errors onto the exit-code contract."""
+    """Map domain and input errors onto the exit-code contract. Any other
+    exception, such as a MemoryError, exits EXIT_INTERNAL rather than the 1
+    Python exits with, which would read as a domain-negative answer;
+    KeyboardInterrupt and SystemExit are not Exceptions and pass through."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -180,6 +183,11 @@ def _guarded(fn):
             sys.exit(EXIT_NEGATIVE)
         except InternalInconsistency as e:
             _echo(f"internal invariant violation: {e}", err=True)
+            sys.exit(EXIT_INTERNAL)
+        except UsageError:
+            raise  # main() reports it as argparse does (exit 2)
+        except Exception as e:
+            _echo(f"internal error: {type(e).__name__}: {e}", err=True)
             sys.exit(EXIT_INTERNAL)
 
     return wrapper

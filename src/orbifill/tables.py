@@ -24,14 +24,15 @@ class FiniteGroupTable:
 
     __slots__ = ("order", "columns", "generators", "labels", "name", "_trees")
 
-    def __init__(self, columns, generators, labels, name=""):
+    def __init__(self, columns, labels, name=""):
         n = self.order = len(labels)
         elements = list(range(n))
-        for g, col in zip(generators, columns):
+        for k, col in enumerate(columns):
             if sorted(col) != elements:
-                raise ParseError(f"column of generator {g} is not a permutation")
+                raise ParseError(f"generator column {k} is not a permutation")
         self.columns = tuple(columns)
-        self.generators = tuple(generators)
+        # col_g[0] = 0*g = g names the generator of each column.
+        self.generators = tuple(col[0] for col in self.columns)
         self.labels = tuple(labels)
         self.name = name
         self._trees = None
@@ -57,7 +58,7 @@ class FiniteGroupTable:
         # Associativity last: a monoid without inverses is rejected above
         # before Light's test takes every element as a generator.
         gens = _check_associative(t)
-        return cls([[row[g] for row in t] for g in gens], gens, range(n), name)
+        return cls([[row[g] for row in t] for g in gens], range(n), name)
 
     def row(self, y: int) -> list[int]:
         """x -> y*x: along the first tree, j = p*g gives y*j = (y*p)*g."""
@@ -108,9 +109,34 @@ class FiniteGroupTable:
         return self._trees
 
 
+def closure(identity, moves, max_order):
+    """The breadth-first closure of ``identity`` under ``moves``, which send a
+    hashable element x to x*s for each generator s (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005, 4.1): the elements in the
+    order found, the column col_s[i] = j of each s, where element j is
+    element i times s, and the parent (i, s) of each element j found so, with
+    (0, -1) for the identity. None once more than ``max_order`` >= 1 are
+    found."""
+    elements, index, parents = [identity], {identity: 0}, [(0, -1)]
+    columns = [[] for _ in moves]
+    for i, x in enumerate(elements):  # elements grows while it is read
+        for s, move in enumerate(moves):
+            y = move(x)
+            j = index.get(y)
+            if j is None:
+                j = index[y] = len(elements)
+                if j >= max_order:
+                    return None
+                elements.append(y)
+                parents.append((i, s))
+            columns[s].append(j)
+    return elements, columns, parents
+
+
 def _tree(moves, n: int) -> list[tuple]:
     """A breadth-first walk from the identity that finds each element j once,
-    as j = move[p] with p found earlier; the edges (j, p, move)."""
+    as j = move[p] with p found earlier; the edges (j, p, move). Its elements
+    are ints, so a list marks them seen where :func:`closure` keeps a dict."""
     reached, tree = [0], []
     seen = [True] + [False] * (n - 1)
     for p in reached:  # reached grows while it is read

@@ -92,7 +92,7 @@ def test_criterion_02_age_duality_across_battery():
             n = g.dimension
             for cls in g.classes[1:]:
                 rep = cls.representative_index
-                assert age(g, rep) + age(g, g.inverse_index(rep)) == n, (g.name, cls.label)
+                assert age(g, rep) + age(g, g.table.inverses[rep]) == n, (g.name, cls.label)
 
 
 def test_criterion_03_cz_periodicity():

@@ -50,7 +50,7 @@ def reference_constants(group, convention):
     them."""
     sectors = twisted_sectors(group)
     table = table_of(group)
-    inv = [group.inverse_index(g) for g in range(group.order)]
+    inv = [group.table.inverses[g] for g in range(group.order)]
     ages = [s.age for s in sectors]
 
     def centralizer(h):

@@ -208,8 +208,8 @@ class TestEnumeration:
         table = table_of(g)
         n = g.order
         for i in range(n):
-            assert 0 <= g.inverse_index(i) < n
-            assert table[i][g.inverse_index(i)] == 0
+            assert 0 <= g.table.inverses[i] < n
+            assert table[i][g.table.inverses[i]] == 0
             for j in range(n):
                 assert 0 <= table[i][j] < n
 
@@ -601,7 +601,7 @@ class TestIntegerKeys:
         for g in groups:
             table = table_of(g)
             for i in range(g.order):
-                j = g.inverse_index(i)
+                j = g.table.inverses[i]
                 assert table[i][j] == table[j][i] == 0, g.name
                 assert key(g._exact(j)) == key(mat_conj_transpose(g._exact(i))), g.name
 
@@ -671,7 +671,6 @@ class TestAgainstExactClosure:
         for g, (elements, index, *_) in pairs:
             inverses = [index[key(mat_conj_transpose(e))] for e in elements]
             assert g.table.inverses == inverses, g.name
-            assert [g.inverse_index(i) for i in range(g.order)] == inverses, g.name
             conj = [[index[key(mat_mul(mat_mul(mat_conj_transpose(s), e), s))] for e in elements]
                     for s in g.generators]
             assert g.table.conjugation_maps() == conj, g.name
@@ -723,3 +722,33 @@ class TestCertificate:
         assert build(doc).order == DEFAULT_MAX_ORDER
         with pytest.raises(GroupTooLarge, match="order cap"):
             build(doc, max_order=DEFAULT_MAX_ORDER - 1)
+
+
+class TestCertificateColumns:
+    """The certificate is the closure at the certificate modulus, which must
+    find the enumeration's columns: a generator reduced wrongly there only
+    is a failed relation."""
+
+    @pytest.mark.parametrize("wrong", [
+        lambda a, m: tuple(tuple(-x % m for x in row) for row in a),  # -s: same group
+        lambda a, m: ((1, 0), (0, 1)),  # I: a smaller group
+        lambda a, m: ((2, 0), (0, 1)),  # order far above |G|
+    ], ids=["negated", "identity", "unbounded"])
+    def test_other_columns_raise(self, monkeypatch, wrong):
+        doc = parse_group(times_scalars(binary_tetrahedral(), 5))
+        fractional = next(g for g in doc.generators if any(x.den > 1 for row in g for x in row))
+        reduce = groups._ResidueMap.reduce
+        moduli = []
+
+        def reduce_wrongly(residues, entries):
+            moduli.append(residues.modulus)
+            out = reduce(residues, entries)
+            if entries is fractional and residues.modulus > groups._CERTIFICATE_PRIME_FLOOR:
+                return wrong(out, residues.modulus)
+            return out
+
+        assert groups.enumerate_group(doc).order == 120
+        monkeypatch.setattr(groups._ResidueMap, "reduce", reduce_wrongly)
+        with pytest.raises(GroupTooLarge, match="do not generate a finite group"):
+            groups.enumerate_group(doc)
+        assert max(moduli) > groups._CERTIFICATE_PRIME_FLOOR

@@ -50,6 +50,27 @@ from orbifill.tables import _check_associative
 TRIV = cyclic(1)
 
 
+def _quaternion_mul(a, b):
+    """The reference product on 1, i, j, k, -1, -i, -j, -k, coded
+    sign * 4 + axis."""
+    sa, ua = divmod(a, 4)
+    sb, ub = divmod(b, 4)
+    prod = {
+        (0, 0): (0, 0),
+        (0, 1): (0, 1), (1, 0): (0, 1),
+        (0, 2): (0, 2), (2, 0): (0, 2),
+        (0, 3): (0, 3), (3, 0): (0, 3),
+        (1, 1): (1, 0), (2, 2): (1, 0), (3, 3): (1, 0),
+        (1, 2): (0, 3), (2, 3): (0, 1), (3, 1): (0, 2),
+        (2, 1): (1, 3), (3, 2): (1, 1), (1, 3): (1, 2),
+    }[(ua, ub)]
+    sign = (sa + sb + prod[0]) % 2
+    return sign * 4 + prod[1]
+
+
+_QUATERNION_TABLE = [[_quaternion_mul(a, b) for b in range(8)] for a in range(8)]
+
+
 def trivial_hom_images(group):
     return tuple(0 for _ in range(group.order))
 
@@ -74,6 +95,20 @@ class TestGroupTables:
         assert t[minus_one][minus_one] == 0
         # anticommutation: ij = -ji
         assert t[i][j] == t[minus_one][t[j][i]]
+
+    def test_quaternion_is_the_sign_axis_group(self):
+        # Element x is labelled by right multiplication by q(x) = label[0] on
+        # 1, i, j, k, -1, -i, -j, -k, and p*g = p o g multiplies by q(g) and
+        # then by q(p): x -> q(x)^-1 is an isomorphism onto the reference.
+        group = quaternion8()
+        inverse = [row.index(0) for row in _QUATERNION_TABLE]
+        image = [inverse[label[0]] for label in group.labels]
+        assert sorted(image) == list(range(8))
+        for label in group.labels:
+            assert label == tuple(_QUATERNION_TABLE[y][label[0]] for y in range(8))
+        t = table_of(group)
+        assert all(image[t[x][y]] == _QUATERNION_TABLE[image[x]][image[y]]
+                   for x in range(8) for y in range(8))
 
     def test_quaternion_matches_unitary_model(self):
         table = table_of(quaternion8())
@@ -448,14 +483,14 @@ class TestColumnMiddles:
                     bad = [list(c) for c in sub.columns]
                     bad[k][x] = bad[k][(x + 1) % len(col)] if len(col) > 1 else 1
                     with pytest.raises(ParseError, match="is not a permutation"):
-                        FiniteGroupTable(bad, sub.generators, sub.labels)
+                        FiniteGroupTable(bad, sub.labels)
         with pytest.raises(ParseError, match="is not a permutation"):
-            FiniteGroupTable([[0, 1, 2]], (1,), range(2))
+            FiniteGroupTable([[0, 1, 2]], range(2))
 
     def test_columns_that_do_not_generate(self):
         # The column of 2 in Z4 is a permutation, but 2 does not generate Z4.
         for read in (FiniteGroupTable.row, FiniteGroupTable.column):
-            group = FiniteGroupTable([[2, 3, 0, 1]], (2,), range(4))
+            group = FiniteGroupTable([[2, 3, 0, 1]], range(4))
             with pytest.raises(ParseError, match="do not generate"):
                 read(group, 0)
 
@@ -464,7 +499,7 @@ class TestColumnMiddles:
         # three points, and the row of 1 composed along the columns' tree is
         # (1, 2, 1), which does not commute with the column of 1.
         for read in (FiniteGroupTable.row, FiniteGroupTable.column):
-            group = FiniteGroupTable([[1, 2, 0], [2, 1, 0]], (1, 2), range(3))
+            group = FiniteGroupTable([[1, 2, 0], [2, 1, 0]], range(3))
             with pytest.raises(ParseError, match="^the generator columns are not those of a group$"):
                 read(group, 0)
             assert group._trees is None
@@ -487,7 +522,7 @@ class TestColumnMiddles:
                         closure.add(q)
                         frontier.append(q)
             regular = len(closure) == n and {c[0] for c in closure} == set(range(n))
-            group = FiniteGroupTable(columns, [col[0] for col in columns], range(n))
+            group = FiniteGroupTable(columns, range(n))
             try:
                 table = table_of(group)
             except ParseError:
