@@ -5,14 +5,17 @@ cyclotomic conductor N, and generator matrices whose entries are literals in
 the cyclotomic grammar. Enumeration is the breadth-first closure
 :func:`~orbifill.tables.closure` over F_p0: each element is keyed by its
 reduction mod one odd prime p0 = 1 (mod N) that does not divide D, the lcm
-of the generator denominators, and the closure records each element's
-parent and, per generator s, the column x -> x * s.
+of the generator denominators, and the closure records, per generator s,
+the column x -> x * s.
 The keys are dropped once the closure is done: the group keeps those columns
 as a :class:`~orbifill.tables.FiniteGroupTable`, which composes its rows,
-inverses and conjugation maps, and classes are orbits of those maps. Element
-orders and eigenvalue multiplicities come from a second reduction, mod a
-prime chosen after the closure. Exact matrices are rebuilt along the parent
-chain only when something asks for them.
+inverses and conjugation maps, and classes are orbits of those maps. The
+table's first tree, the same breadth-first search over the columns, finds
+each element as its parent times a generator, and is the one record of how
+it was found. Element orders and eigenvalue multiplicities come from a
+second reduction, mod a prime chosen after the closure, replayed along that
+tree. Exact matrices are rebuilt along it only when something asks for
+them, and only while something still needs them.
 
 Why the keys are exact. If D = 1, every entry lies in Z[zeta_N], so G is a
 discrete subset of the Minkowski embedding; every Galois conjugate of a
@@ -21,12 +24,12 @@ Gal(Q(zeta_N)/Q), so G is also bounded, hence finite. Reduction at a
 degree-1 prime above an odd p0 has a torsion-free kernel (e = 1 < p0 - 1),
 so it is injective on G and the closure mod p0 is G. If D > 1, G can be
 infinite while its image mod p0 is finite, so the closure is certified.
-Each element is the product of the generators on its parent chain; let d be
-the largest number of generators with a denominator on one chain (at most
-the depth of the closure). Every relation x * s = col_s[x] is checked
-modulo further primes q = 1 (mod N) prime to D until
-p0 * prod(q) > (2 D^(d+1))^phi(N), by the closure modulo prod(q), which must
-find the same columns. Each entry of D^(d+1) (x s - y) is an
+Each element is the product of the generators on its path from the identity
+in the first tree; let d be the largest number of generators with a
+denominator on one path (at most the depth of the closure). Every relation
+x * s = col_s[x] is checked modulo further primes q = 1 (mod N) prime to D
+until p0 * prod(q) > (2 D^(d+1))^phi(N), by the closure modulo prod(q),
+which must find the same columns. Each entry of D^(d+1) (x s - y) is an
 algebraic integer of absolute value at most 2 D^(d+1) under every
 embedding; if all those primes divide it, so does its norm, which is then
 0. The relations hold exactly and the closure is G. A failed relation means
@@ -38,9 +41,9 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections import Counter
 from functools import cached_property
 from fractions import Fraction
-from itertools import groupby
 
 from .cyclotomic import (CyclotomicNumber, euler_phi, factorize, make, parse_literal,
                          reduction_size, zero)
@@ -141,37 +144,45 @@ class FiniteUnitaryGroup:
     ``generators`` are exact matrices at the group's one conductor, and
     ``table`` holds the generator columns the enumeration recorded."""
 
-    def __init__(self, document: GroupDocument, parents: list[tuple[int, int]],
-                 table: FiniteGroupTable):
+    def __init__(self, document: GroupDocument, table: FiniteGroupTable):
         self.name = document.name
         self.dimension = document.dimension
         self.conductor = document.conductor
         self.generators = document.generators
         self.order = table.order
         self.table = table
-        self._parents = parents
         self._mult_table = None
         self._eigen: dict[int, EigenData] = {}
         self._classes = None
         self._class_of = None
         self._isolated = None
 
-    @cached_property
-    def _exact_known(self) -> dict[int, Matrix]:
-        return {0: mat_identity(self.dimension, self.conductor)}
-
-    def _exact(self, i: int) -> Matrix:
-        """Element i as an exact matrix, its parent's times its generator.
-        Every matrix built on the way is kept, so no element is built twice."""
-        known = self._exact_known
-        chain = []
-        while i not in known:
-            chain.append(i)
-            i = self._parents[i][0]
-        m = known[i]
-        for c in reversed(chain):
-            m = known[c] = mat_mul(m, self.generators[self._parents[c][1]])
-        return m
+    def exact(self, targets):
+        """(i, element i as an exact matrix) for each target i, in ascending
+        i. One walk down ``table.tree`` builds each needed element, a target
+        or an ancestor of one, as its parent's times its generator, and
+        drops a matrix once its last needed child is built."""
+        tree, wanted = self.table.tree, set(targets)
+        needed, children = set(), [0] * self.order
+        for j in wanted:
+            while j not in needed:
+                needed.add(j)
+                if j:
+                    j = tree[j - 1][1]
+                    children[j] += 1
+        # col_g[0] = g: equal elements are equal matrices.
+        generator = {col[0]: g for col, g in zip(self.table.columns, self.generators)}
+        m = mat_identity(self.dimension, self.conductor)
+        built = {0: m}
+        for j in sorted(needed):  # 0 comes first, and m is its matrix
+            if j:
+                _, p, col = tree[j - 1]
+                children[p] -= 1
+                m = mat_mul(built[p] if children[p] else built.pop(p), generator[col[0]])
+                if children[j]:
+                    built[j] = m
+            if j in wanted:
+                yield j, m
 
     # No src/ path reads mult_table. It and _mult_table stay for
     # bench/tracer.py, which wraps both, and for the tests' references.
@@ -196,14 +207,15 @@ class FiniteUnitaryGroup:
             n = self.order
             coarse = sorted(((age(self, c[0]), len(c)), c)
                             for c in orbits(self.table.conjugation_maps(), n))
-            raw = []
-            for (a, _), run in groupby(coarse, key=operator.itemgetter(0)):
-                run = [c for _, c in run]
-                if len(run) > 1:
-                    run = self._tie_break(run)
-                raw.extend((a, c) for c in run)
+            # Classes that tie on (age, size) are ordered by their
+            # representatives' power-basis coefficients as Fractions, entry
+            # by entry; only those representatives are rebuilt, in one walk.
+            ties = Counter(k for k, _ in coarse)
+            tied = (c[0] for k, c in coarse if ties[k] > 1)
+            keys = {i: _sparse_key(m) for i, m in self.exact(tied)}
             classes = []
-            for pos, (a, members) in enumerate(raw):
+            for pos, ((a, _), members) in enumerate(
+                    sorted(coarse, key=lambda kc: (kc[0], keys.get(kc[1][0], ())))):
                 rep = members[0]
                 label = "Id" if rep == 0 else f"c{pos}"
                 order = self.element_order(rep)
@@ -213,17 +225,6 @@ class FiniteUnitaryGroup:
                 m: pos for pos, cls in enumerate(self._classes) for m in cls.member_indices
             }
         return self._classes
-
-    def _tie_break(self, run: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        """Classes that tie on (age, size), in the order labels have always
-        had: by their representatives' power-basis coefficients as Fractions,
-        entry by entry. Scaled to the lcm of the run's denominators those are
-        ints in the same order, so no Fraction is built."""
-        entries = [[x for row in self._exact(c[0]) for x in row] for c in run]
-        scale = math.lcm(*(x.den for rep in entries for x in rep))
-        keys = [tuple(tuple(v * (scale // x.den) for v in x.nums) for x in rep)
-                for rep in entries]
-        return [c for _, c in sorted(zip(keys, run))]
 
     def class_position(self, element_index: int) -> int:
         self.classes
@@ -272,6 +273,17 @@ class FiniteUnitaryGroup:
         ok, witness = self.is_isolated_singularity()
         if not ok:
             raise NonIsolated(witness)
+
+
+def _sparse_key(matrix: Matrix) -> tuple:
+    """Orders matrices as the tuples of their entries' power-basis
+    coefficients do, from the nonzero ones alone: a nonzero c at position e
+    is (c > 0, -e if c > 0 else e, c), and (False, inf) ends each entry, so
+    where two entries first differ, a 0 sorts after a negative coefficient
+    and before a positive one, as in the dense order."""
+    return tuple(tuple((c > 0, -e if c > 0 else e, Fraction(c, x.den))
+                       for e, c in enumerate(x.nums) if c) + ((False, math.inf),)
+                 for row in matrix for x in row)
 
 
 def age(group: FiniteUnitaryGroup, element_index: int) -> Fraction:
@@ -342,12 +354,14 @@ class _ModularReduction:
         p, root = _split_prime(L, _denominator(group), group.dimension)
         self.prime = p
         residues = _ResidueMap(group.conductor, p, pow(root, L // group.conductor, p))
-        gens = [_columns(residues.reduce(g)) for g in group.generators]
+        gens = {col[0]: _columns(residues.reduce(g))
+                for col, g in zip(group.table.columns, group.generators)}
         # One product per element, where a closure mod p makes one per element
         # and generator: 9 to 16 ms against 29 on nine groups (2-vCPU machine).
+        # Edge j - 1 of the tree finds element j.
         matrices = self.matrices = [_identity_mod(group.dimension)]
-        for parent, gi in group._parents[1:]:
-            matrices.append(_mul_mod(matrices[parent], gens[gi], p))
+        for _, parent, col in group.table.tree:
+            matrices.append(_mul_mod(matrices[parent], gens[col[0]], p))
         w = pow(root, L // group.order, p)
         powers = [1]
         for _ in range(group.order - 1):
@@ -530,11 +544,11 @@ def enumerate_group(document: GroupDocument, max_order: int = DEFAULT_MAX_ORDER)
     found = closure(_identity_mod(document.dimension), _moves(document, key_map), max_order)
     if found is None:
         raise GroupTooLarge(f"closure exceeded the order cap {max_order}")
-    keys, columns, parents = found
-    if dens > 1:
-        _certify(document, dens, key_map.modulus, parents, columns)
+    keys, columns = found
     table = FiniteGroupTable(columns, range(len(keys)), document.name)
-    return FiniteUnitaryGroup(document, parents, table)
+    if dens > 1:
+        _certify(document, dens, key_map.modulus, table)
+    return FiniteUnitaryGroup(document, table)
 
 
 def _moves(document: GroupDocument, residues: _ResidueMap) -> list:
@@ -549,21 +563,22 @@ def _moves(document: GroupDocument, residues: _ResidueMap) -> list:
 _CERTIFICATE_PRIME_FLOOR = 1 << 20
 
 
-def _certify(document: GroupDocument, dens: int, p0: int, parents, columns):
+def _certify(document: GroupDocument, dens: int, p0: int, table: FiniteGroupTable):
     """Check every relation x * s = col_s[x] of a closure mod p0 exactly, or
     raise GroupTooLarge: modulo primes q = 1 (mod N) prime to D = ``dens``
     with p0 * prod(q) > (2 D^(d+1))^phi(N), all at once modulo their
     product; d is the largest number of generators with a denominator on one
-    parent chain (module docstring). The relations hold modulo that product
-    exactly when the closure there, capped at |G|, finds the same columns:
+    path from the identity in ``table.tree`` (module docstring). The
+    relations hold modulo that product exactly when the closure there, capped at |G|, finds the same columns:
     its elements are then the images of those mod p0, which are distinct,
     as reduction is injective on the finite group the relations then give.
     """
     conductor = document.conductor
-    fractional = [any(x.den > 1 for row in g for x in row) for g in document.generators]
+    fractional = {col[0]: any(x.den > 1 for row in g for x in row)
+                  for col, g in zip(table.columns, document.generators)}
     depth = [0]
-    for parent, gi in parents[1:]:
-        depth.append(depth[parent] + fractional[gi])
+    for _, parent, col in table.tree:
+        depth.append(depth[parent] + fractional[col[0]])
     bound = (2 * dens ** (max(depth) + 1)) ** euler_phi(conductor)
     modulus, root, q = 1, 0, max(p0, _CERTIFICATE_PRIME_FLOOR)
     while p0 * modulus <= bound:
@@ -572,8 +587,8 @@ def _certify(document: GroupDocument, dens: int, p0: int, parents, columns):
         root += modulus * ((w - root) * pow(modulus, -1, q) % q)
         modulus *= q
     residues = _ResidueMap(conductor, modulus, root)
-    found = closure(_identity_mod(document.dimension), _moves(document, residues), len(parents))
-    if found is None or found[1] != columns:
+    found = closure(_identity_mod(document.dimension), _moves(document, residues), table.order)
+    if found is None or tuple(found[1]) != table.columns:
         raise GroupTooLarge("the generators do not generate a finite group")
 
 

@@ -28,7 +28,7 @@ def from_permutations(gens: list[tuple[int, ...]], name="") -> FiniteGroupTable:
     Its elements are the permutations in the breadth-first order of
     :func:`~orbifill.tables.closure`."""
     moves = [lambda p, g=g: tuple(map(p.__getitem__, g)) for g in gens]
-    elements, columns, _ = closure(tuple(range(len(gens[0]))), moves, math.inf)
+    elements, columns = closure(tuple(range(len(gens[0]))), moves, math.inf)
     return FiniteGroupTable(columns, elements, name=name)
 
 

@@ -22,7 +22,7 @@ class FiniteGroupTable:
     from these along two trees built when any of them is first read.
     """
 
-    __slots__ = ("order", "columns", "generators", "labels", "name", "_trees")
+    __slots__ = ("order", "columns", "generators", "labels", "name", "_by_columns", "_trees")
 
     def __init__(self, columns, labels, name=""):
         n = self.order = len(labels)
@@ -35,7 +35,7 @@ class FiniteGroupTable:
         self.generators = tuple(col[0] for col in self.columns)
         self.labels = tuple(labels)
         self.name = name
-        self._trees = None
+        self._by_columns = self._trees = None
 
     @classmethod
     def from_table(cls, table, name=""):
@@ -79,6 +79,16 @@ class FiniteGroupTable:
         return [list(map(col.__getitem__, inverted))
                 for col, inverted in zip(self.columns, inverted_rows)]
 
+    @property
+    def tree(self) -> list[tuple]:
+        """The first tree: the edges (j, p, col_g) of a breadth-first walk
+        over the columns that finds each element j once, as j = p*g with p
+        found earlier (Holt, Eick and O'Brien, Handbook of Computational
+        Group Theory, 2005, 4.1). Reading it builds no row."""
+        if self._by_columns is None:
+            self._by_columns = _tree(self.columns, self.order)
+        return self._by_columns
+
     def _built_trees(self):
         """The tree over the columns (j = p*g), the tree over the
         generators' rows (j = g*p), the inverses and the rows of the
@@ -88,7 +98,7 @@ class FiniteGroupTable:
         the rows its left multiplications."""
         if self._trees is None:
             n, columns = self.order, self.columns
-            by_columns = _tree(columns, n)
+            by_columns = self.tree
             rows = [_along(by_columns, col[0], n) for col in columns]
             if any(list(map(row.__getitem__, col)) != list(map(col.__getitem__, row))
                    for row in rows for col in columns):
@@ -114,10 +124,10 @@ def closure(identity, moves, max_order):
     hashable element x to x*s for each generator s (Holt, Eick and O'Brien,
     Handbook of Computational Group Theory, 2005, 4.1): the elements in the
     order found, the column col_s[i] = j of each s, where element j is
-    element i times s, and the parent (i, s) of each element j found so, with
-    (0, -1) for the identity. None once more than ``max_order`` >= 1 are
-    found."""
-    elements, index, parents = [identity], {identity: 0}, [(0, -1)]
+    element i times s. None once more than ``max_order`` >= 1 are found.
+    The first tree of a table on these columns is the same search, so its
+    edge j - 1 finds element j as the closure did."""
+    elements, index = [identity], {identity: 0}
     columns = [[] for _ in moves]
     for i, x in enumerate(elements):  # elements grows while it is read
         for s, move in enumerate(moves):
@@ -128,9 +138,8 @@ def closure(identity, moves, max_order):
                 if j >= max_order:
                     return None
                 elements.append(y)
-                parents.append((i, s))
             columns[s].append(j)
-    return elements, columns, parents
+    return elements, columns
 
 
 def _tree(moves, n: int) -> list[tuple]:

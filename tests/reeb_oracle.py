@@ -25,19 +25,22 @@ import numpy as np
 from battery import approx
 
 
-def class_angles(group, class_position):
-    """The representative's eigenvalue angles in [0, 1), sorted, with
-    repetition."""
-    rep = group.classes[class_position].representative_index
-    mat = np.array([[approx(c) for c in row] for row in group._exact(rep)])
+def class_angles(group):
+    """Each class representative's eigenvalue angles in [0, 1), sorted, with
+    repetition, in class order."""
+    reps = dict(group.exact(c.representative_index for c in group.classes))
     order = group.order
-    angles = []
-    for value in np.linalg.eigvals(mat):
-        scaled = cmath.phase(value) / (2 * cmath.pi) * order
-        k = round(scaled)
-        assert abs(scaled - k) < 1e-6 and abs(abs(value) - 1) < 1e-6, (group.name, value)
-        angles.append(Fraction(k % order, order))
-    return sorted(angles)
+    out = []
+    for cls in group.classes:
+        mat = np.array([[approx(c) for c in row] for row in reps[cls.representative_index]])
+        angles = []
+        for value in np.linalg.eigvals(mat):
+            scaled = cmath.phase(value) / (2 * cmath.pi) * order
+            k = round(scaled)
+            assert abs(scaled - k) < 1e-6 and abs(abs(value) - 1) < 1e-6, (group.name, value)
+            angles.append(Fraction(k % order, order))
+        out.append(sorted(angles))
+    return out
 
 
 def rho(a: Fraction) -> int:
@@ -59,8 +62,7 @@ def families(group, bound: Fraction):
     """(class position, period, fixed_dim, closed-form index) of every family
     below the bound, by class and then period."""
     out = []
-    for pos in range(len(group.classes)):
-        angles = class_angles(group, pos)
+    for pos, angles in enumerate(class_angles(group)):
         out += [(pos, t, angles.count(t % 1), closed_form(angles, t))
                 for t in periods_below(angles, bound)]
     return out
@@ -69,8 +71,7 @@ def families(group, bound: Fraction):
 def walked(group, bound: Fraction):
     """The same families, each index from the running walk."""
     out = []
-    for pos in range(len(group.classes)):
-        angles = class_angles(group, pos)
+    for pos, angles in enumerate(class_angles(group)):
         index = group.dimension - 2 * sum(angles)
         for t in periods_below(angles, bound):
             fixed = angles.count(t % 1)

@@ -1,9 +1,12 @@
 """Group enumeration, conjugacy structure, and exact eigenvalue data."""
 
+import collections
+import itertools
 import json
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +41,7 @@ from orbifill import (
     parse_group,
 )
 from orbifill import groups
-from orbifill.cyclotomic import euler_phi, reduction_size
+from orbifill.cyclotomic import CyclotomicNumber, euler_phi, reduction_size
 from orbifill.groups import (
     DEFAULT_MAX_ORDER,
     MAX_REDUCTION_SIZE,
@@ -47,6 +50,7 @@ from orbifill.groups import (
     mat_identity,
     mat_mul,
 )
+from orbifill.tables import orbits
 
 
 def key(matrix):
@@ -73,9 +77,9 @@ def character_formula(group, i):
     powers = table_powers(group, i)
     o = len(powers)
     lift_to = math.lcm(group.conductor, o)
-    traces = []
+    traces, elements = [], dict(group.exact(powers))
     for p in powers:
-        m = group._exact(p)
+        m = elements[p]
         trace = sum((m[r][r] for r in range(1, len(m))), m[0][0])
         traces.append([(e, c) for e, c in enumerate(trace.lift(lift_to).coefficients) if c])
     phi = euler_phi(lift_to)
@@ -200,8 +204,9 @@ class TestEnumeration:
 
     def test_identity_is_index_zero(self):
         g = build(quaternion())
-        assert all(c == (1 if i == j else 0) for i, row in enumerate(g._exact(0))
-                   for j, c in enumerate(row))
+        [(k, identity)] = g.exact([0])
+        assert k == 0 and all(c == (1 if i == j else 0) for i, row in enumerate(identity)
+                              for j, c in enumerate(row))
 
     def test_closure_and_inverses(self):
         g = build(quaternion())
@@ -216,7 +221,7 @@ class TestEnumeration:
     def test_table_matches_matrix_products(self):
         docs = [times_scalars(quaternion(), 3), times_scalars(binary_dihedral(3), 5)]
         for g in battery_48() + [build(d) for d in docs]:
-            elements = [g._exact(i) for i in range(g.order)]
+            elements = dict(g.exact(range(g.order)))
             for i, row in enumerate(table_of(g)):
                 for j, k in enumerate(row):
                     product = mat_mul(elements[i], elements[j])
@@ -443,10 +448,11 @@ class TestEigenData:
         for g in battery_48():
             if g.order > 16:
                 continue
+            elements = dict(g.exact(c.representative_index for c in g.classes))
             for cls in g.classes:
                 idx = cls.representative_index
                 data = g.eigen_multiplicities(idx)
-                mat = np.array([[approx(c) for c in row] for row in g._exact(idx)])
+                mat = np.array([[approx(c) for c in row] for row in elements[idx]])
                 angles = np.angle(np.linalg.eigvals(mat)) / (2 * np.pi) % 1.0
                 got = sorted(angles)
                 expected = sorted(
@@ -582,28 +588,136 @@ class TestIntegerKeys:
 
     def test_keys_hold_only_ints(self, groups):
         for g in groups:
-            for i in range(g.order):
-                assert all(type(v) is int for v in leaves(key(g._exact(i)))), g.name
+            for _, m in g.exact(range(g.order)):
+                assert all(type(v) is int for v in leaves(key(m))), g.name
 
     def test_class_order_keeps_fraction_tie_break(self, groups):
         for g in groups:
             classes = g.classes
+            elements = dict(g.exact(c.representative_index for c in classes))
             expected = sorted(classes, key=lambda c: (
                 age(g, c.representative_index), c.size,
-                fraction_key(g._exact(c.representative_index))))
+                fraction_key(elements[c.representative_index])))
             assert [c.representative_index for c in classes] == [
                 c.representative_index for c in expected], g.name
             assert [c.label for c in classes] == [
                 "Id" if c.representative_index == 0 else f"c{pos}"
                 for pos, c in enumerate(expected)], g.name
 
+    def test_class_order_matches_dense_reference(self, groups):
+        docs = [binary_dihedral(500), times_scalars(quaternion(), 63),
+                times_scalars(binary_tetrahedral(), 5)]
+        for g in groups + [build(d) for d in docs]:
+            assert [c.member_indices for c in g.classes] == dense_class_order(g), g.name
+
     def test_inverses_from_table(self, groups):
         for g in groups:
             table = table_of(g)
+            elements = dict(g.exact(range(g.order)))
             for i in range(g.order):
                 j = g.table.inverses[i]
                 assert table[i][j] == table[j][i] == 0, g.name
-                assert key(g._exact(j)) == key(mat_conj_transpose(g._exact(i))), g.name
+                assert key(elements[j]) == key(mat_conj_transpose(elements[i])), g.name
+
+
+def dense_class_order(group):
+    """Reference for class order: the tie-break as it ran while every exact
+    matrix it rebuilt was kept. Each run of classes that tie on (age, size)
+    is sorted by its representatives' dense coefficient vectors, scaled to
+    the lcm of the run's denominators."""
+    tree = group.table.tree
+    generator = {col[0]: s for col, s in zip(group.table.columns, group.generators)}
+    known = {0: mat_identity(group.dimension, group.conductor)}
+
+    def exact(i):
+        chain = []
+        while i not in known:
+            chain.append(i)
+            i = tree[i - 1][1]
+        m = known[i]
+        for c in reversed(chain):
+            m = known[c] = mat_mul(m, generator[tree[c - 1][2][0]])
+        return m
+
+    coarse = sorted(((age(group, c[0]), len(c)), c)
+                    for c in orbits(group.table.conjugation_maps(), group.order))
+    out = []
+    for _, run in itertools.groupby(coarse, key=lambda kc: kc[0]):
+        run = [c for _, c in run]
+        if len(run) > 1:
+            entries = [[x for row in exact(c[0]) for x in row] for c in run]
+            scale = math.lcm(*(x.den for rep in entries for x in rep))
+            keys = [tuple(tuple(v * (scale // x.den) for v in x.nums) for x in rep)
+                    for rep in entries]
+            run = [c for _, c in sorted(zip(keys, run))]
+        out.extend(run)
+    return out
+
+
+class TestSparseKey:
+    """The tie-break keys a matrix by its entries' nonzero coefficients; they
+    must order matrices as the dense tuples of Fractions do."""
+
+    def check(self, a, b):
+        sparse, dense = groups._sparse_key, fraction_key
+        assert (sparse(a) < sparse(b)) == (dense(a) < dense(b)), (a, b)
+        assert (sparse(a) == sparse(b)) == (dense(a) == dense(b)), (a, b)
+
+    def test_zero_before_positive_after_negative(self):
+        # Sparsely, (1, 0, 0, 0) is a prefix of (1, 0, -5, 0) and of (1, 0, 5, 0).
+        prefix, negative, positive = [((CyclotomicNumber(5, nums),),) for nums in (
+            (1, 0, 0, 0), (1, 0, -5, 0), (1, 0, 5, 0))]
+        for a, b in itertools.permutations([prefix, negative, positive], 2):
+            self.check(a, b)
+        assert sorted([prefix, negative, positive], key=groups._sparse_key) == [
+            negative, prefix, positive]
+
+    def test_random_vectors(self):
+        rng = random.Random(20261019)
+
+        def matrix():
+            # Small values and many zeros, so supports differ and entries tie.
+            return tuple(tuple(
+                CyclotomicNumber(5, [rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(4)],
+                                 rng.choice((1, 1, 2, 3, 6)))
+                for _ in range(2)) for _ in range(2))
+
+        for _ in range(1500):
+            a = matrix()
+            self.check(a, a)
+            self.check(a, matrix())
+
+
+class TestTieBreakWalk:
+    """The tie-break rebuilds its representatives in one walk down the
+    table's first tree, and drops each matrix once its children are built."""
+
+    def test_one_product_per_needed_element(self, monkeypatch):
+        g = build(binary_dihedral(500))
+        calls = []
+        monkeypatch.setattr(groups, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
+        ties = collections.Counter((c.age, c.size) for c in g.classes)
+        needed = set()
+        for j in [c.representative_index for c in g.classes if ties[c.age, c.size] > 1]:
+            while j and j not in needed:
+                needed.add(j)
+                j = g.table.tree[j - 1][1]
+        assert len(calls) == len(needed) > 0
+
+    def test_classes_peak_memory(self):
+        # Keeping every rebuilt matrix, the classes of BD2000 peaked at
+        # 14 MB under tracemalloc, and at under 1 MB dropping them. The
+        # orbits and their eigen data are read first, outside the trace.
+        g = build(binary_dihedral(500))
+        for c in orbits(g.table.conjugation_maps(), g.order):
+            age(g, c[0])
+        tracemalloc.start()
+        try:
+            g.classes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 def exact_closure(group):
@@ -651,19 +765,21 @@ class TestAgainstExactClosure:
     def test_order_parents_and_columns(self, pairs):
         for g, (elements, _, parents, gen_cols) in pairs:
             assert g.order == len(elements), g.name
-            assert g._parents == parents, g.name
             columns = g.table.columns
             assert list(columns) == gen_cols, g.name
-            # The table's first tree finds each element as the enumeration did.
-            tree = g.table._built_trees()[0]
-            assert [(j, (p, columns.index(move))) for j, p, move in tree] == \
+            # The table's first tree finds each element as the enumeration
+            # did: edge j - 1 finds element j, as the walk and the F_p
+            # replay read it.
+            assert [(j, (p, columns.index(move))) for j, p, move in g.table.tree] == \
                 list(enumerate(parents))[1:], g.name
 
     def test_exact_elements_rebuilt_on_demand(self, pairs):
         for g, (elements, *_) in pairs:
             last = g.order - 1
-            assert key(g._exact(last)) == key(elements[last]), g.name
-            assert [key(g._exact(i)) for i in range(g.order)] == list(map(key, elements)), g.name
+            assert [(i, key(m)) for i, m in g.exact([last, 0, last])] == \
+                [(0, key(elements[0])), (last, key(elements[last]))], g.name
+            assert [(i, key(m)) for i, m in g.exact(range(g.order))] == \
+                list(enumerate(map(key, elements))), g.name
 
     def test_inverses(self, pairs):
         # The inverse of a unitary matrix is its conjugate transpose, and
@@ -707,8 +823,8 @@ class TestCertificate:
         g = build(times_scalars(binary_tetrahedral(), 5))
         fractional = [any(x.den > 1 for row in s for x in row) for s in g.generators]
         counts = [0]
-        for parent, gi in g._parents[1:]:
-            counts.append(counts[parent] + fractional[gi])
+        for _, parent, col in g.table.tree:
+            counts.append(counts[parent] + fractional[g.table.columns.index(col)])
         bound = (2 * 2 ** (max(counts) + 1)) ** euler_phi(20)
         (p0, _), *certificate = found
         primes = [q for q, _ in certificate]
