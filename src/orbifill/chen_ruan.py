@@ -34,6 +34,7 @@ class CupConvention(enum.Enum):
 
 
 DEFAULT_CONVENTION = CupConvention.FULL_PAIR_SUM
+MAX_RING_PAIRS = 200_000
 
 
 def twisted_sectors(group: FiniteUnitaryGroup) -> tuple[ConjugacyClass, ...]:
@@ -249,8 +250,15 @@ def choose_ring(group: FiniteUnitaryGroup, convention: CupConvention | None = No
     The default is the literal pair-sum reading; if that fails the
     associativity sweep for this group while the orbit reading passes, the
     orbit reading is selected. Returns the chosen ring and, by convention
-    value, each ring's (passes, counterexample) sweep result.
+    value, each ring's (passes, counterexample) sweep result. More than
+    MAX_RING_PAIRS twisted sector pairs i <= j raise ValueError before
+    either ring is built.
     """
+    sectors = len(twisted_sectors(group))
+    pairs = (sectors - 1) * sectors // 2
+    if pairs > MAX_RING_PAIRS:
+        raise ValueError(f"{sectors} sectors give {pairs} twisted sector pairs, "
+                         f"more than the cap of {MAX_RING_PAIRS}")
     rings = {c: build_ring(group, c) for c in CupConvention}
     sweeps = {c.value: associativity_sweep(ring) for c, ring in rings.items()}
     if convention is None:

@@ -5,7 +5,9 @@ Composing two spans is governed by the fiber product, which is the action
 groupoid of G1 x G2 acting on the shared group H2 by
 (g1, g2) . h = s2(g2) * h * t1(g1)^-1; decomposing into orbits with their
 stabilizers recovers the composite weight, and the equality of the two
-computations is the identity exercised by the randomized battery.
+computations is the identity exercised by the randomized battery. Each
+orbit is read once, at its least member h, from one row of H2: (a, b)
+stabilizes h exactly when s2(b) = h * t1(a) * h^-1.
 """
 
 from __future__ import annotations
@@ -160,60 +162,52 @@ class OrbitDecomposition(Record):
         return sum(size for size, _ in self.orbits)
 
 
-def _require_composable(span1, span2):
+def _orbit_conjugates(span1, span2):
+    """Checks that the spans compose, then yields each orbit by least
+    member h, with h * t1(a) * h^-1 for every a in G1 read off the row of h
+    as (h * (h * t1(a))^-1)^-1."""
+    h2, b = span1.right, span2.left
     # The elements y with x*y the same in both groups for every x are closed
     # under the product, so equal generator columns mean equal tables.
-    a, b = span1.right, span2.left
-    if a is not b and (a.order != b.order or any(
-            b.column(g) != list(col) for g, col in zip(a.generators, a.columns))):
+    if h2 is not b and (h2.order != b.order or any(
+            b.column(g) != list(col) for g, col in zip(h2.generators, h2.columns))):
         raise MiddleMismatch("the shared group of the two spans differs")
-
-
-def _orbit_reps(span1, span2):
-    h2 = span1.right
-    t1, s2, inverses = span1.t.images, span2.s.images, h2.inverses
-    moves = [h2.column(inverses[t1[g]]) for g in span1.middle.generators]
+    t1, s2, inv = span1.t.images, span2.s.images, h2.inverses
+    moves = [h2.column(inv[t1[g]]) for g in span1.middle.generators]
     moves += [h2.row(s2[g]) for g in span2.middle.generators]
-    return orbits(moves, h2.order)
-
-
-def _stabilizer_order(span1, fiber: list[int], h: int) -> int:
-    # (g1, g2) stabilizes h iff s2(g2) = h * t1(g1) * h^-1; count via the
-    # fiber sizes of s2 rather than scanning all pairs.
-    return sum(fiber[x] for x in _conjugates(span1.right, h, span1.t.images))
-
-
-def _conjugates(group: FiniteGroupTable, h: int, images) -> list[int]:
-    """h * a * h^-1 for each a in images."""
-    row, col = group.row(h), group.column(group.inverses[h])
-    return [col[row[a]] for a in images]
+    for orbit in orbits(moves, h2.order):
+        row = h2.row(orbit[0])
+        yield orbit, [inv[row[inv[row[t]]]] for t in t1]
 
 
 def orbit_decomposition(span1, span2) -> OrbitDecomposition:
-    _require_composable(span1, span2)
-    fiber = [0] * span1.right.order  # fiber[x] = |s2^-1(x)|
+    fiber = [0] * span2.left.order  # fiber[x] = |s2^-1(x)|
     for img in span2.s.images:
         fiber[img] += 1
-    out = []
-    for orbit in _orbit_reps(span1, span2):
-        out.append((len(orbit), _stabilizer_order(span1, fiber, orbit[0])))
-    return OrbitDecomposition(tuple(out))
+    return OrbitDecomposition(tuple((len(orbit), sum(map(fiber.__getitem__, conjugates)))
+                                    for orbit, conjugates in _orbit_conjugates(span1, span2)))
 
 
 def fiber_product(span1, span2):
-    """Orbit decomposition plus the composite spans */H1 <- */stab_i -> */H3."""
-    _require_composable(span1, span2)
-    preimages = [[] for _ in range(span1.right.order)]  # s2^-1(x), ascending
+    """Orbit decomposition plus the composite spans */H1 <- */stab_i -> */H3.
+    A stabilizer's pair (a, b) joins its middle's generators only when the
+    group of the earlier pairs does not hold it, as a table's generators are
+    chosen, so a middle has at most log2 |stab_i| generators."""
+    preimages = [[] for _ in range(span2.left.order)]  # s2^-1(x), ascending
     for b, x in enumerate(span2.s.images):
         preimages[x].append(b)
+    g1, g2 = span1.middle, span2.middle
     decomposition = []
     composites = []
-    for orbit in _orbit_reps(span1, span2):
-        # s2(b) * h * t1(a)^-1 = h exactly when s2(b) = h * t1(a) * h^-1.
-        conjugates = _conjugates(span1.right, orbit[0], span1.t.images)
-        stab_pairs = [(a, b) for a, c in enumerate(conjugates) for b in preimages[c]]
-        stab = subgroup_of_product(span1.middle, span2.middle, stab_pairs, len(stab_pairs),
-                                   name="stab")
+    for orbit, conjugates in _orbit_conjugates(span1, span2):
+        pairs = [(a, b) for a, c in enumerate(conjugates) for b in preimages[c]]
+        gens, stab = [], FiniteGroupTable([], [(0, 0)], name="stab")
+        held = set(stab.labels)
+        for pair in pairs:
+            if pair not in held:
+                gens.append(pair)
+                stab = subgroup_of_product(g1, g2, gens, len(pairs), name="stab")
+                held = set(stab.labels)
         s3 = tuple(span1.s.images[a] for a, _ in stab.labels)
         t3 = tuple(span2.t.images[b] for _, b in stab.labels)
         composites.append(span(span1.left, stab, span2.right, s3, t3))

@@ -17,13 +17,14 @@ import pytest
 
 from battery import (a_type, antipodal, binary_dihedral, build, quaternion, scalar_cyclic,
                      times_scalars, trivial)
+from orbifill import chen_ruan as chen_ruan_module
 from orbifill import cli as cli_module
 from orbifill import reeb as reeb_module
 from orbifill import spans
 from orbifill import parse_group
 from orbifill.cli import EXIT_INTERNAL, _guarded, main
 from orbifill.cyclotomic import CyclotomicNumber
-from orbifill.errors import ParseError
+from orbifill.errors import InvariantViolation, ParseError
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
@@ -190,6 +191,104 @@ class TestExitCodes:
                         "--slope", "5/4", "--coefficient", "Z/2", "--format", "json")
         assert result.exit_code == 0
         assert json.loads(result.stdout)["vanishes"] is False
+
+
+GROUP_DOCUMENT = {"name": "g", "dimension": 2, "conductor": 4}
+REJECTED_DOCUMENTS = {
+    "array.json": [1, 2],
+    "int_name.json": {**GROUP_DOCUMENT, "name": 5, "generators": []},
+    "object_generators.json": {**GROUP_DOCUMENT, "generators": {}},
+    "short_row.json": {**GROUP_DOCUMENT, "generators": [[["1", "0"], ["0"]]]},
+    "int_entry.json": {**GROUP_DOCUMENT, "generators": [[["1", 0], ["0", "1"]]]},
+    "plus_literal.json": {**GROUP_DOCUMENT, "generators": [[["+1", "0"], ["0", "1"]]]},
+    "ragged_table.json": {"span": {"left": {"cyclic": 1}, "middle": {"table": [[0, 1], [1]]},
+                                   "right": {"cyclic": 1}, "source": [0, 0], "target": [0, 0]}},
+    "short_images.json": {"span": {"left": {"cyclic": 1}, "middle": {"cyclic": 2},
+                                   "right": {"cyclic": 1}, "source": [0], "target": [0, 0]}},
+    "a_file": "",
+}
+
+
+class TestRejections:
+    """Each rejection and exit that no other test reaches: the exit code
+    and the start of the last line on stderr, which for a usage error is
+    argparse's message after its usage lines. A run that exits 0 writes
+    nothing to stderr."""
+
+    @pytest.mark.parametrize("args, code, message", [
+        (["constraints", "admit", "{samples}/quaternion.json", "--boundary", "brieskorn:5,3"],
+         1, "constraints not applicable: requires k < n, got k=5, n=3"),
+        (["group", "info", "{docs}/array.json"], 2, "error: group document must be a JSON object"),
+        (["group", "info", "{docs}/int_name.json"], 2, "error: name: must be a string"),
+        (["group", "info", "{docs}/object_generators.json"],
+         2, "error: generators: must be a list of matrices"),
+        (["group", "info", "{docs}/short_row.json"],
+         2, "error: generators[0][1]: must have 2 entries"),
+        (["group", "info", "{docs}/int_entry.json"],
+         2, "error: generators[0][0][1]: entry must be a cyclotomic literal string"),
+        (["group", "info", "{docs}/plus_literal.json"],
+         2, "error: generators[0][0][0]: unexpected leading '+' at offset 0 in '+1'"),
+        (["span", "random", "--trials", "x"],
+         2, "orbifill span: error: argument --trials: 'x' is not a valid integer"),
+        (["group", "info", "{docs}"], 2, "orbifill group: error: argument path: file '"),
+        (["group", "info", "{samples}/a3.json", "--cache-dir", "{docs}/a_file"],
+         2, "orbifill group: error: argument --cache-dir: directory '"),
+        (["ledger", "build", "{samples}/antipodal2.json", "--slope", "5/4", "--profile", "bad"],
+         2, "error: profile 'bad' must look like CLASS:PERIOD=idx,idx,..."),
+        (["ledger", "build", "{samples}/antipodal2.json", "--slope", "5/4",
+          "--coefficient", "Z"], 0, ""),
+        (["cr", "filling", "--betti", "1", "--singularity", "{samples}/antipodal2.json",
+          "--coefficient", "Z"], 0, ""),
+        (["ledger", "build", "{samples}/antipodal2.json", "--slope", "5/4",
+          "--coefficient", "Z/1"], 2, "error: modulus must be at least 2"),
+        (["ledger", "build", "{samples}/antipodal2.json", "--slope", "5/4",
+          "--coefficient", "R"], 2, "error: unknown coefficient ring 'R'"),
+        (["constraints", "boundary", "subcritical:0"],
+         2, "error: bad boundary descriptor 'subcritical:0': n must be positive"),
+        (["constraints", "rp", "1"], 2, "error: n must be at least 2"),
+        (["reeb", "report", "{samples}/a3.json", "--bound", "0"],
+         2, "error: periods are positive rationals in units of 2*pi"),
+        (["constraints", "boundary", f"lens:{'9' * 400},3"],
+         2, f"error: boundary lens:{'9' * 400},3: its divisor {'9' * 400}! has more than 4300"),
+        (["span", "check", "{docs}/ragged_table.json"],
+         2, "error: multiplication table is not square"),
+        (["span", "check", "{docs}/short_images.json"],
+         2, "error: homomorphism image list has the wrong length"),
+    ], ids=["not-applicable", "array-document", "int-name", "object-generators", "short-row",
+            "int-entry", "plus-literal", "trials-x", "directory-document", "cache-dir-file",
+            "malformed-profile", "integers", "filling-integers", "z-mod-1", "unknown-ring",
+            "subcritical-0", "rp-1", "bound-0", "lens-400-digits", "ragged-table",
+            "short-images"])
+    def test_exit_and_message(self, runner, tmp_path, args, code, message):
+        for name, doc in REJECTED_DOCUMENTS.items():
+            (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        result = runner.invoke([a.format(docs=tmp_path, samples=SAMPLES) for a in args])
+        assert result.exit_code == code
+        if code:
+            assert result.stderr.splitlines()[-1].startswith(message)
+        else:
+            assert result.stderr == ""
+
+    def test_invariant_violation_exits_one(self, capsys):
+        # No command line reaches this arm: `ledger build` checks only the
+        # entry that known_differentials forces, which always holds.
+        def violated():
+            raise InvariantViolation(3, "homotopy classes differ")
+
+        with pytest.raises(SystemExit) as info:
+            _guarded(violated)()
+        assert info.value.code == 1
+        assert capsys.readouterr().err == "check failed: entry 3: homotopy classes differ\n"
+
+    def test_indeterminate_parity(self, runner, tmp_path):
+        # C/mu4 in U(1) has the degrees 0, 1/2, 1 and 3/2.
+        path = tmp_path / "mu4.json"
+        path.write_text(json.dumps(scalar_cyclic(4, n=1)))
+        result = runner.invoke(["cr", "ring", str(path), "--format", "json"])
+        assert result.exit_code == 0
+        sectors = json.loads(result.stdout)["sectors"]
+        assert [(s["degree"], s["parity"]) for s in sectors] == [
+            ("0", "even"), ("1/2", "indeterminate"), ("1", "odd"), ("3/2", "indeterminate")]
 
 
 class TestSpanInputs:
@@ -643,6 +742,30 @@ class TestCommands:
         assert result.stderr == (
             "error: slope 19999/3 gives 79996 Morse cells, more than the cap of 40000\n"
         )
+
+    def test_ring_pair_cap_exits_two_before_building(self, runner, workspace, monkeypatch):
+        # mu4 has 4 sectors: 6 twisted sector pairs i <= j, above a cap of 5.
+        def unexpected(*args):
+            raise AssertionError("a ring was built above the cap")
+
+        monkeypatch.setattr(chen_ruan_module, "MAX_RING_PAIRS", 5)
+        monkeypatch.setattr(chen_ruan_module, "build_ring", unexpected)
+        path = workspace / "mu4.json"
+        path.write_text(json.dumps(scalar_cyclic(4)))
+        result = invoke(runner, workspace, "cr", "ring", str(path), "--format", "json")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: 4 sectors give 6 twisted sector pairs, more than the cap of 5\n"
+        )
+
+    def test_ring_at_the_pair_cap_builds(self, runner, workspace, monkeypatch):
+        monkeypatch.setattr(chen_ruan_module, "MAX_RING_PAIRS", 6)
+        path = workspace / "mu4.json"
+        path.write_text(json.dumps(scalar_cyclic(4)))
+        result = invoke(runner, workspace, "cr", "ring", str(path), "--format", "json")
+        assert result.exit_code == 0
+        assert len(json.loads(result.stdout)["products"]) == 6
 
     def test_table_format_renders(self, runner, workspace):
         result = invoke(runner, workspace, "cr", "sectors", str(workspace / "antipodal2.json"))

@@ -38,10 +38,11 @@ from orbifill.spans import (
     _element_orders,
     _group_pool,
     _lagrange_rejects,
-    _orbit_reps,
+    _orbit_conjugates,
     _random_span,
     from_permutations,
     group_from_document,
+    orbit_decomposition,
     span_from_document,
     subgroup_of_product,
 )
@@ -412,6 +413,7 @@ class TestKernelsAgainstReference:
                     ), (a.name, b.name)
 
     def test_orbit_reps(self):
+        # Each orbit comes with h * t1(a) * h^-1 for its least member h.
         pool = _group_pool(24)
         for g in pool:
             check_table_structure(g)
@@ -421,7 +423,13 @@ class TestKernelsAgainstReference:
             h1, h2, h3 = (rng.choice(pool) for _ in range(3))
             span1 = _random_span(rng, h1, h2, 24, orders)
             span2 = _random_span(rng, h2, h3, 24, orders)
-            assert _orbit_reps(span1, span2) == _reference_orbit_reps(span1, span2), trial
+            mul = table_of(h2)
+            inv = [row.index(0) for row in mul]
+            read = list(_orbit_conjugates(span1, span2))
+            assert [orbit for orbit, _ in read] == _reference_orbit_reps(span1, span2), trial
+            for orbit, conjugates in read:
+                h = orbit[0]
+                assert conjugates == [mul[mul[h][t]][inv[h]] for t in span1.t.images], trial
 
 
 def _recording_tree_builds(monkeypatch):
@@ -810,15 +818,45 @@ def _reference_stab_pairs(span1, span2, mul, h):
             if mul[mul[s2[b]][h]][inv[t1[a]]] == h]
 
 
-def _columns_data(group):
-    """A group table's data, its generator columns standing for its table."""
-    return (group.name, group.labels, group.generators, [list(c) for c in group.columns])
+def _middle_data(middle, s_images, t_images):
+    """A composite's middle as a subgroup of G1 x G2 with its image maps:
+    its name, its order and each label's images under s and t."""
+    return middle.name, middle.order, dict(zip(middle.labels, zip(s_images, t_images)))
+
+
+def _row_and_column_decomposition(span1, span2):
+    """The orbit decomposition read with one row and one column of H2 per
+    orbit: h * a * h^-1 = col_(h^-1)[row_h[a]], and the fiber sizes of s2
+    at these conjugates sum to the stabilizer's order."""
+    h2 = span1.right
+    t1, s2, inv = span1.t.images, span2.s.images, h2.inverses
+    moves = [h2.column(inv[t1[g]]) for g in span1.middle.generators]
+    moves += [h2.row(s2[g]) for g in span2.middle.generators]
+    fiber = [0] * h2.order
+    for x in s2:
+        fiber[x] += 1
+    out = []
+    for orbit in tables.orbits(moves, h2.order):
+        row, col = h2.row(orbit[0]), h2.column(inv[orbit[0]])
+        out.append((len(orbit), sum(fiber[col[row[a]]] for a in t1)))
+    return tuple(out)
+
+
+def _thousand_orbit_spans():
+    """Z1 <- Z20 -> Z20000 <- Z40 -> Z1 with t1(a) = 1000a and
+    s2(b) = 1000b mod 20000: the cosets of the order-20 subgroup of
+    Z20000 are 1,000 orbits."""
+    z20000 = cyclic(20000)
+    span1 = span(TRIV, cyclic(20), z20000, (0,) * 20, [1000 * a for a in range(20)])
+    span2 = span(z20000, cyclic(40), TRIV, [1000 * b % 20000 for b in range(40)], (0,) * 40)
+    return span1, span2
 
 
 class TestFiberProduct:
     def test_against_the_all_pairs_scan(self):
-        # Pairs read from the preimage lists of s2 come in the scan's order,
-        # so the stabilizers and composite spans are built identically.
+        # Each middle is the subgroup of G1 x G2 that the all-pairs scan
+        # finds, with the same image maps, from at most log2 |stab| of its
+        # pairs; its element numbering follows those generators.
         pool = _group_pool(24)
         orders = {g: _element_orders(g) for g in pool}
         for trial in range(200):
@@ -828,19 +866,30 @@ class TestFiberProduct:
             span2 = _random_span(rng, h2, h3, 24, orders)
             mul = table_of(h2)
             orbits, expected = [], []
-            for orbit in _orbit_reps(span1, span2):
+            for orbit in _reference_orbit_reps(span1, span2):
                 pairs = _reference_stab_pairs(span1, span2, mul, orbit[0])
                 stab = subgroup_of_product(span1.middle, span2.middle, pairs, len(pairs),
                                            name="stab")
                 orbits.append((len(orbit), len(pairs)))
-                expected.append((_columns_data(stab),
-                                 tuple(span1.s.images[a] for a, _ in stab.labels),
-                                 tuple(span2.t.images[b] for _, b in stab.labels)))
+                expected.append(_middle_data(stab,
+                                             [span1.s.images[a] for a, _ in stab.labels],
+                                             [span2.t.images[b] for _, b in stab.labels]))
             decomposition, composites = fiber_product(span1, span2)
             assert decomposition.orbits == tuple(orbits), trial
-            assert [(_columns_data(c.middle), c.s.images, c.t.images)
+            assert [_middle_data(c.middle, c.s.images, c.t.images)
                     for c in composites] == expected, trial
-            assert all(c.left is h1 and c.right is h3 for c in composites)
+            for c in composites:
+                assert c.left is h1 and c.right is h3
+                assert len(c.middle.generators) <= math.log2(c.middle.order), trial
+                check_table_structure(c.middle)
+
+    def test_identity_spans_through_z2000(self):
+        # Every pair (a, a) stabilizes; (1, 1) alone generates them.
+        z2000 = cyclic(2000)
+        dec, comps = fiber_product(identity_span(z2000), identity_span(z2000))
+        assert dec.orbits == ((2000, 2000),)
+        assert len(comps) == 1 and comps[0].middle.order == 2000
+        assert comps[0].middle.generators == (1,) and comps[0].middle.labels[1] == (1, 1)
 
     def test_identity_spans(self):
         z2 = cyclic(2)
@@ -908,6 +957,66 @@ class TestCompositionCheck:
         a = random_composition_battery(50, seed=9)
         b = random_composition_battery(50, seed=9)
         assert a == b
+
+
+def _counting_along(monkeypatch):
+    """A one-item list counting the passes of tables._along from here on:
+    each composes one row or column."""
+    calls = [0]
+    along = tables._along
+
+    def counting(*args):
+        calls[0] += 1
+        return along(*args)
+
+    monkeypatch.setattr(tables, "_along", counting)
+    return calls
+
+
+class TestOneRowPerOrbit:
+    """Composition composes one row of the shared group per orbit, and the
+    decomposition is the one that a row and a column per orbit give."""
+
+    def test_battery_pairs(self):
+        pool = _group_pool(24)
+        orders = {g: _element_orders(g) for g in pool}
+        for trial in range(2000):
+            rng = random.Random(f"decomposition:{trial}")
+            h1, h2, h3 = (rng.choice(pool) for _ in range(3))
+            span1 = _random_span(rng, h1, h2, 24, orders)
+            span2 = _random_span(rng, h2, h3, 24, orders)
+            assert orbit_decomposition(span1, span2).orbits == _row_and_column_decomposition(
+                span1, span2), trial
+
+    def test_through_ref_bd2000(self):
+        # j has order 4; Z4 -> BD2000 sends k to j^k on either side.
+        bd = group_from_document({"ref": "bd2000.json"},
+                                 lambda ref: build(binary_dihedral(500)))
+        j = bd.generators[1]
+        powers = [0]
+        for _ in range(3):
+            powers.append(bd.column(j)[powers[-1]])
+        z4 = cyclic(4)
+        span1 = span(TRIV, z4, bd, (0,) * 4, powers)
+        span2 = span(bd, z4, TRIV, powers, (0,) * 4)
+        dec = orbit_decomposition(span1, span2)
+        assert dec.orbits == _row_and_column_decomposition(span1, span2)
+        assert dec.total == 2000 and len(dec.orbits) > 200
+
+    @pytest.mark.parametrize("case", ["1000 orbits", "identity Z20000"])
+    def test_composed_rows(self, monkeypatch, case):
+        # At most one pass per orbit, plus one per orbit move: never a
+        # column of h^-1 beside each row, nor a map per image of t1 or s2,
+        # which would be 40,000 passes on the identity spans.
+        if case == "1000 orbits":
+            (span1, span2), orbits = _thousand_orbit_spans(), ((20, 40),) * 1000
+        else:
+            span1 = span2 = identity_span(cyclic(20000))
+            orbits = ((20000, 20000),)
+        calls = _counting_along(monkeypatch)
+        assert composition_check(span1, span2)[2]
+        assert len(orbits) <= calls[0] <= len(orbits) + 2
+        assert orbit_decomposition(span1, span2).orbits == orbits
 
 
 def _reference_random_span(rng, left, right, max_middle, refs):
