@@ -17,8 +17,9 @@ from fractions import Fraction
 
 from .coefficients import CoefficientRing
 from .errors import InternalInconsistency
-from .groups import ConjugacyClass, FiniteUnitaryGroup, conjugation_orbit
+from .groups import ConjugacyClass, FiniteUnitaryGroup
 from .record import Record
+from .tables import closure
 
 
 class CupConvention(enum.Enum):
@@ -89,6 +90,11 @@ def build_ring(group: FiniteUnitaryGroup, convention: CupConvention = DEFAULT_CO
     by orbit-stabilizer the orbit-representative sum is the class-sum count
     a_ijk = #{(h1, h2) in C_i x C_j : h1*h2 = rep(C_k)}.
 
+    Under full-pairs each weight is the size of the tables.closure of
+    (h1, rep) under simultaneous conjugation. That orbit holds (x, rep) for
+    every x in the Z(rep)-orbit of h1, and all of these take its size, so
+    each Z(rep)-orbit is searched once per sector k.
+
     Sectors ascend by age, so a product of twisted sectors has age at least
     2 * age_1: no row is built for a sector below that. Only the pairs with
     a nonzero product are stored; a missing pair reads as the empty product.
@@ -102,7 +108,7 @@ def build_ring(group: FiniteUnitaryGroup, convention: CupConvention = DEFAULT_CO
     inv = table.inverses
     inv_class = [group.class_position(h) for h in inv]
     full = convention is CupConvention.FULL_PAIR_SUM
-    conj = table.conjugation_maps() if full else None
+    moves = [lambda p, c=c: (c[p[0]], c[p[1]]) for c in table.conjugation_maps()] if full else None
     count = len(sectors)
     contributions: dict[tuple[int, int], dict[int, int]] = defaultdict(dict)
     for k in range(1, count):
@@ -111,6 +117,7 @@ def build_ring(group: FiniteUnitaryGroup, convention: CupConvention = DEFAULT_CO
         rep = sectors[k].representative_index
         # r[h1] = rep^-1 * h1, so h1^-1 * rep = inv[r[h1]], in class inv_class[r[h1]].
         r = table.row(inv[rep])
+        orbit_size = {}  # x -> the size of the orbit of (x, rep), once searched
         for i in range(1, count):
             age_j = ages[k] - ages[i]
             if age_j <= 0:
@@ -119,7 +126,12 @@ def build_ring(group: FiniteUnitaryGroup, convention: CupConvention = DEFAULT_CO
                 j = inv_class[r[h1]]
                 if ages[j] != age_j:
                     continue
-                weight = len(conjugation_orbit(conj, (h1, rep))) if full else 1
+                if not full:
+                    weight = 1
+                elif (weight := orbit_size.get(h1)) is None:
+                    orbit = closure((h1, rep), moves, math.inf)[0]
+                    weight = len(orbit)
+                    orbit_size.update((x, weight) for x, y in orbit if y == rep)
                 terms = contributions[(i, j)]
                 terms[k] = terms.get(k, 0) + weight
     for (i, j), terms in contributions.items():

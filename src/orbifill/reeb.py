@@ -9,7 +9,6 @@ full period spectrum instead of a measure argument.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import SlopeOnSpectrum
@@ -68,11 +67,16 @@ def _fixed_dim(spectrum: EigenData, period: Fraction) -> int | None:
     return spectrum.multiplicities.get(p.numerator % spectrum.order) if p.denominator == 1 else None
 
 
+def _limit(spectrum: EigenData, bound: Fraction) -> int:
+    """The int with P < bound*o exactly when P < it, o the class's order."""
+    return -(-bound.numerator * spectrum.order // bound.denominator)
+
+
 def _walk(spectrum: EigenData, bound: Fraction) -> list[tuple[int, int]]:
     """(P, fixed_dim) for each admissible period P/o below the bound, in
     ascending order: the angle m/o gives P = m, m + o, ..., from o if m = 0."""
     o, mult = spectrum.order, spectrum.multiplicities
-    limit = -(-bound.numerator * o // bound.denominator)  # P < bound*o iff P < limit
+    limit = _limit(spectrum, bound)
     starts = sorted(m or o for m in mult)
     return [(k + p, mult[p % o]) for k in range(0, limit, o) for p in starts if k + p < limit]
 
@@ -145,8 +149,8 @@ def family_count(group: FiniteUnitaryGroup, slope, option: str = "slope") -> int
     if is_on_spectrum(group, slope):
         raise SlopeOnSpectrum(f"{option} {slope} is an admissible period")
     spectra = [_spectrum(group, pos) for pos in range(len(group.classes))]
-    # The angle m/o has ceil(slope - (m or o)/o) periods m/o + k > 0 below the slope.
-    total = sum(max(0, math.ceil(slope - Fraction(m or s.order, s.order)))
+    # The angle m/o has the periods P = (m or o) + k*o below _limit, as _walk reads them.
+    total = sum(max(0, -(-(_limit(s, slope) - (m or s.order)) // s.order))
                 for s in spectra for m in s.multiplicities)
     if total > MAX_FAMILIES:
         raise ValueError(f"{option} {slope} gives {total} orbit families, "

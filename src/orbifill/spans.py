@@ -67,33 +67,16 @@ def subgroup_of_product(
     max_order: int,
     name="",
 ) -> FiniteGroupTable | None:
-    """The subgroup of A x B generated by the given pairs, built without
-    materializing the full product table; None once the closure holds more
-    than max_order elements. A pair (x, y) is coded x * |B| + y. The closure
-    finds col_g[i] = i * g for every element i and generator g on its way,
-    and the subgroup is given by these columns.
-
-    The closure over int codes marks them in a list, not the dict of
-    :func:`~orbifill.tables.closure`: through that, the in-process battery
-    took 15 to 20% longer."""
+    """The subgroup of A x B generated by the given pairs, with a pair (x, y)
+    coded x * |B| + y: the :func:`~orbifill.tables.closure` of the code 0,
+    with one move per pair, q -> (x * gx) * |B| + (y * gy). None once it
+    holds more than max_order elements, so its memory is bounded by
+    max_order and not by |A| * |B|."""
     nb = b.order
-    moves = [(a.column(gx), b.column(gy), []) for gx, gy in pair_gens]
-    index = [0] + [-1] * (a.order * nb - 1)
-    codes = [0]
-    for code in codes:  # codes grows while it is read
-        x, y = divmod(code, nb)
-        for col_a, col_b, col in moves:
-            q = col_a[x] * nb + col_b[y]
-            j = index[q]
-            if j < 0:
-                j = len(codes)
-                if j >= max_order:
-                    return None
-                index[q] = j
-                codes.append(q)
-            col.append(j)
-    labels = [divmod(code, nb) for code in codes]
-    return FiniteGroupTable([col for _, _, col in moves], labels, name=name)
+    moves = [lambda q, ca=a.column(gx), cb=b.column(gy): ca[q // nb] * nb + cb[q % nb]
+             for gx, gy in pair_gens]
+    found = closure(0, moves, max_order)
+    return found and FiniteGroupTable(found[1], [divmod(q, nb) for q in found[0]], name=name)
 
 
 class Homomorphism(Record):
@@ -249,15 +232,9 @@ def _group_pool(max_order: int) -> list[FiniteGroupTable]:
 
 
 def _element_orders(group: FiniteGroupTable) -> list[int]:
-    orders = []
-    for x in range(group.order):
-        col = group.column(x)
-        k, p = 1, x
-        while p:
-            p = col[p]
-            k += 1
-        orders.append(k)
-    return orders
+    """The order of x is the size of the closure of the identity under x."""
+    return [len(closure(0, [group.column(x).__getitem__], math.inf)[0])
+            for x in range(group.order)]
 
 
 def _lagrange_rejects(pair_gens, left_orders, right_orders, max_order: int) -> bool:

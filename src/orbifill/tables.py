@@ -126,7 +126,9 @@ def closure(identity, moves, max_order):
     order found, the column col_s[i] = j of each s, where element j is
     element i times s. None once more than ``max_order`` >= 1 are found.
     The first tree of a table on these columns is the same search, so its
-    edge j - 1 finds element j as the closure did."""
+    edge j - 1 finds element j as the closure did. The one closure over keyed
+    elements: the enumeration and its certificate, ``from_permutations``,
+    ``subgroup_of_product``, element orders and full-pairs ring weights."""
     elements, index = [identity], {identity: 0}
     columns = [[] for _ in moves]
     for i, x in enumerate(elements):  # elements grows while it is read

@@ -307,6 +307,27 @@ class TestCupProduct:
                 assert ring.structure_constants == reference_constants(g, convention)
             assert expected == (0 if doc["name"].startswith("BD") else 23), g.name
 
+    def test_one_search_per_orbit(self, monkeypatch):
+        # Full-pairs reads a weight as the size of the closure of (h1, rep) and
+        # gives that size to every (x, rep) in it, so the orbits searched at
+        # one rep are pairwise disjoint: no orbit is searched twice.
+        searched, closure = {}, chen_ruan.closure
+
+        def recorded(start, moves, max_order):
+            found = closure(start, moves, max_order)
+            searched.setdefault(start[1], []).append(set(found[0]))
+            return found
+
+        monkeypatch.setattr(chen_ruan, "closure", recorded)
+        for doc in (z7_semidirect_z9(), times_scalars(quaternion(), 5),
+                    times_scalars(binary_tetrahedral(), 5)):
+            g = build(doc)
+            searched.clear()
+            build_ring(g, CupConvention.FULL_PAIR_SUM)
+            assert searched, g.name
+            for rep, orbits in searched.items():
+                assert sum(map(len, orbits)) == len(set().union(*orbits)), (g.name, rep)
+
     def test_store_holds_nonzero_products_only(self):
         # A pair (i, j) is stored exactly when some h1 in C_i and h2 in C_j
         # have additive ages, read from the table; both conventions give

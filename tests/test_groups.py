@@ -45,12 +45,11 @@ from orbifill.cyclotomic import CyclotomicNumber, euler_phi, reduction_size
 from orbifill.groups import (
     DEFAULT_MAX_ORDER,
     MAX_REDUCTION_SIZE,
-    conjugation_orbit,
     mat_conj_transpose,
     mat_identity,
     mat_mul,
 )
-from orbifill.tables import orbits
+from orbifill.tables import closure, orbits
 
 
 def key(matrix):
@@ -318,8 +317,10 @@ class TestConjugacyClasses:
 
 def centralizer_intersection(g, a, b):
     """|Z(a) & Z(b)| as |G| over the orbit of (a, b) under simultaneous
-    conjugation, the weight the full-pair ring convention reads."""
-    return g.order // len(conjugation_orbit(g.table.conjugation_maps(), (a, b)))
+    conjugation, the weight the full-pair ring convention reads, through the
+    same tables.closure that build_ring runs."""
+    moves = [lambda p, c=c: (c[p[0]], c[p[1]]) for c in g.table.conjugation_maps()]
+    return g.order // len(closure((a, b), moves, math.inf)[0])
 
 
 class TestCentralizerIntersection:

@@ -1,5 +1,6 @@
 """Reeb orbit families, Conley-Zehnder indices, discrepancy, loop components."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -22,7 +23,7 @@ from orbifill import (
 )
 from orbifill import reeb
 from orbifill.ledger import KIND_CELL, build_ledger
-from orbifill.reeb import is_on_spectrum
+from orbifill.reeb import is_on_spectrum, walk_families
 
 
 class TestAdmissiblePeriods:
@@ -230,6 +231,17 @@ class TestFamiliesBelow:
             monkeypatch.setattr(reeb, "MAX_FAMILIES", built - 1)
             with pytest.raises(ValueError, match=f"gives {built} orbit families"):
                 families_below(g, Fraction(292, 97))
+
+    @pytest.mark.parametrize("k", [1, 37, 100, 203, 304, 999])
+    def test_family_count_is_the_walk(self, k):
+        # The count from the walk's int limit is the count from the rational
+        # slope, and the number of families the walk builds.
+        slope = Fraction(k, 101)
+        for g in battery_48() + [build(z7_semidirect_z9())]:
+            spectra = [reeb._spectrum(g, pos) for pos in range(len(g.classes))]
+            by_slope = sum(max(0, math.ceil(slope - Fraction(m or s.order, s.order)))
+                           for s in spectra for m in s.multiplicities)
+            assert reeb.family_count(g, slope) == by_slope == len(walk_families(g, slope)), g.name
 
     def test_one_period_walk_per_class(self, monkeypatch):
         # Each class's spectrum is read once per pass over the classes, never

@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -890,6 +891,23 @@ class TestFiberProduct:
         assert dec.orbits == ((2000, 2000),)
         assert len(comps) == 1 and comps[0].middle.order == 2000
         assert comps[0].middle.generators == (1,) and comps[0].middle.labels[1] == (1, 1)
+
+    @pytest.mark.parametrize("call", ["subgroup_of_product", "fiber_product"])
+    def test_memory_bounded_by_the_subgroup(self, call):
+        # The closure holds the 3,000 elements of the diagonal of Z3000 x Z3000,
+        # never a list of all 9,000,000 codes of the product.
+        z3000 = cyclic(3000)
+        tracemalloc.start()
+        try:
+            if call == "subgroup_of_product":
+                assert subgroup_of_product(z3000, z3000, [(1, 1)], 3000).order == 3000
+            else:
+                sp = identity_span(z3000)
+                assert fiber_product(sp, sp)[0].orbits == ((3000, 3000),)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
 
     def test_identity_spans(self):
         z2 = cyclic(2)
