@@ -9,6 +9,7 @@ Everything is exact; no floating point enters this module.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -381,89 +382,43 @@ def one(conductor: int = 1) -> CyclotomicNumber:
 # -- literal grammar ----------------------------------------------------------
 
 
+# A term with the whitespace around it; every part is optional, so it always matches.
+_TERM = re.compile(r"""\s* ([+-]?) \s*
+    (?: (\d+) (?: \s* / \s* (\d+) )? (?: \s* \* \s* (z) )? | (z) )?
+    (?: (?<=z) \s* \^ \s* ([+-]?\d+) )? \s*""", re.VERBOSE)
+
+
 def parse_literal(text: str, conductor: int, locus: str | None = None) -> CyclotomicNumber:
     """Parse an entry of the document grammar at the given conductor.
 
-    expression ::= term (('+'|'-') term)*
-    term       ::= rational | rational '*' 'z' ['^' integer]
-                 | 'z' ['^' integer]
-    rational   ::= integer | integer '/' positive-integer
+    expression ::= ['-'] term (('+'|'-') term)*
+    term       ::= rational ['*' 'z' ['^' integer]] | 'z' ['^' integer]
+    rational   ::= digits ['/' digits]        (a nonzero denominator)
+    integer    ::= ['+'|'-'] digits
 
-    A leading sign on the first term is accepted; whitespace is insignificant.
+    Digits are decimal as int() reads them, whitespace may surround every
+    token, and a rejection is a ParseError naming its offset in the literal.
     """
-    s = text
-    pos = 0
+    def err(message, offset):
+        raise ParseError(f"{message} at offset {offset} in {text!r}", locus)
 
-    def err(msg):
-        raise ParseError(f"{msg} at offset {pos} in {text!r}", locus)
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
-
-    def read_int(signed=True):
-        nonlocal pos
-        skip_ws()
-        start = pos
-        if signed and pos < len(s) and s[pos] in "+-":
-            pos += 1
-        if pos >= len(s) or not s[pos].isdigit():
-            err("expected an integer")
-        while pos < len(s) and s[pos].isdigit():
-            pos += 1
-        return int(s[start:pos])
-
-    def read_exponent():
-        nonlocal pos
-        skip_ws()
-        if pos < len(s) and s[pos] == "^":
-            pos += 1
-            return read_int()
-        return 1
-
-    terms = []
-    skip_ws()
-    if not s[pos:]:
-        err("empty literal")
-    first = True
-    while True:
-        skip_ws()
-        sign = 1
-        if pos < len(s) and s[pos] in "+-":
-            if first and s[pos] == "+":
-                err("unexpected leading '+'")
-            sign = -1 if s[pos] == "-" else 1
-            pos += 1
-        elif not first:
-            break
-        skip_ws()
-        if pos < len(s) and s[pos] == "z":
-            pos += 1
-            terms.append((sign, 1, read_exponent()))
-        else:
-            num = read_int(signed=False)
-            den = 1
-            skip_ws()
-            if pos < len(s) and s[pos] == "/":
-                pos += 1
-                den = read_int(signed=False)
-                if den == 0:
-                    err("zero denominator")
-            skip_ws()
-            if pos < len(s) and s[pos] == "*":
-                pos += 1
-                skip_ws()
-                if pos >= len(s) or s[pos] != "z":
-                    err("expected 'z' after '*'")
-                pos += 1
-                terms.append((sign * num, den, read_exponent()))
-            else:
-                terms.append((sign * num, den, 0))
-        first = False
-        skip_ws()
-        if pos >= len(s):
-            break
-        if s[pos] not in "+-":
-            err(f"unexpected character {s[pos]!r}")
+    if not text.strip():
+        err("empty literal", len(text))
+    terms, pos = [], 0
+    while pos < len(text):
+        m = _TERM.match(text, pos)
+        sign, num, den, star_z, z, exp = m.groups()
+        if not terms and sign == "+":
+            err("unexpected leading '+'", m.start(1))
+        if not (num or z) or (terms and not sign):
+            at = pos if num or z else m.end()
+            err(f"unexpected character {text[at]!r}" if at < len(text) else "expected a term", at)
+        try:
+            term = int(sign + (num or "1")), int(den or 1), (int(exp or 1) if star_z or z else 0)
+        except ValueError:  # more digits than int() converts
+            err("integer too long", m.start(1))
+        if not term[1]:
+            err("zero denominator", m.end(3))
+        terms.append(term)
+        pos = m.end()
     return _from_terms(conductor, terms)

@@ -420,6 +420,11 @@ class TestAgainstReference:
         assert result[1]["triple"] == (1, 2, 2)
         # [1][2] = c3 and [2][1] = c3 + 0 * c4 differ as coefficient maps.
         assert commutativity_check(ring) == (False, (1, 2))
+        report = chen_ruan.sector_report(ring, result)
+        labels = [s.label for s in ring.sectors]
+        assert report["associativity_counterexample"] == {
+            "triple": [labels[1], labels[2], labels[2]]}
+        assert report["commutativity_counterexample"] == [labels[1], labels[2]]
 
     def test_sweep_fails_outside_the_first_closure(self, monkeypatch):
         # Hand-made constants on five sectors: [1][1] = c2, [3][3] = c4 and

@@ -173,6 +173,26 @@ class TestExitCodes:
         with pytest.raises(KeyboardInterrupt):
             runner.invoke(["group", "info", str(SAMPLES / "a3.json")])
 
+    def test_unequal_battery_trial_exits_one(self, runner, monkeypatch):
+        # The identity holds on every trial, so one trial is made to fail.
+        real, seen = spans.composition_check, []
+
+        def unequal_second_trial(span1, span2):
+            lhs, rhs, equal = real(span1, span2)
+            seen.append(([span1.left.name, span1.right.name, span2.right.name], lhs, rhs + 1))
+            return (lhs, rhs + 1, False) if len(seen) == 2 else (lhs, rhs, equal)
+
+        monkeypatch.setattr(spans, "composition_check", unequal_second_trial)
+        result = runner.invoke(["span", "random", "--trials", "3", "--seed", "5",
+                                "--format", "json"])
+        assert result.exit_code == 1
+        payload = json.loads(result.stdout)
+        groups, lhs, rhs = seen[1]
+        assert payload["failures"] == [
+            {"trial": 1, "groups": groups, "lhs": str(lhs), "rhs": str(rhs)}]
+        assert payload["trials"] == 3
+        assert payload["all_equal"] is False
+
     def test_cr_ring_reports_sweep_on_stderr(self, runner, workspace):
         result = invoke(runner, workspace, "cr", "ring", str(workspace / "bd12xmu5.json"),
                         "--format", "json")
@@ -201,6 +221,8 @@ REJECTED_DOCUMENTS = {
     "short_row.json": {**GROUP_DOCUMENT, "generators": [[["1", "0"], ["0"]]]},
     "int_entry.json": {**GROUP_DOCUMENT, "generators": [[["1", 0], ["0", "1"]]]},
     "plus_literal.json": {**GROUP_DOCUMENT, "generators": [[["+1", "0"], ["0", "1"]]]},
+    "superscript_literal.json": {**GROUP_DOCUMENT, "generators": [[["\u00b2", "0"], ["0", "1"]]]},
+    "long_literal.json": {**GROUP_DOCUMENT, "generators": [[["7" * 5000, "0"], ["0", "1"]]]},
     "ragged_table.json": {"span": {"left": {"cyclic": 1}, "middle": {"table": [[0, 1], [1]]},
                                    "right": {"cyclic": 1}, "source": [0, 0], "target": [0, 0]}},
     "short_images.json": {"span": {"left": {"cyclic": 1}, "middle": {"cyclic": 2},
@@ -228,6 +250,10 @@ class TestRejections:
          2, "error: generators[0][0][1]: entry must be a cyclotomic literal string"),
         (["group", "info", "{docs}/plus_literal.json"],
          2, "error: generators[0][0][0]: unexpected leading '+' at offset 0 in '+1'"),
+        (["group", "info", "{docs}/superscript_literal.json"],
+         2, "error: generators[0][0][0]: unexpected character '\u00b2' at offset 0 in '\u00b2'"),
+        (["group", "info", "{docs}/long_literal.json"],
+         2, "error: generators[0][0][0]: integer too long at offset 0 in '7777"),
         (["span", "random", "--trials", "x"],
          2, "orbifill span: error: argument --trials: 'x' is not a valid integer"),
         (["group", "info", "{docs}"], 2, "orbifill group: error: argument path: file '"),
@@ -255,10 +281,10 @@ class TestRejections:
         (["span", "check", "{docs}/short_images.json"],
          2, "error: homomorphism image list has the wrong length"),
     ], ids=["not-applicable", "array-document", "int-name", "object-generators", "short-row",
-            "int-entry", "plus-literal", "trials-x", "directory-document", "cache-dir-file",
-            "malformed-profile", "integers", "filling-integers", "z-mod-1", "unknown-ring",
-            "subcritical-0", "rp-1", "bound-0", "lens-400-digits", "ragged-table",
-            "short-images"])
+            "int-entry", "plus-literal", "superscript-literal", "long-literal", "trials-x",
+            "directory-document", "cache-dir-file", "malformed-profile", "integers",
+            "filling-integers", "z-mod-1", "unknown-ring", "subcritical-0", "rp-1", "bound-0",
+            "lens-400-digits", "ragged-table", "short-images"])
     def test_exit_and_message(self, runner, tmp_path, args, code, message):
         for name, doc in REJECTED_DOCUMENTS.items():
             (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -665,6 +691,15 @@ class TestCommands:
         payload = json.loads(result.stdout)
         assert payload["effective_bound"] == 2
         assert payload["uniqueness"]["count"] == 1
+
+    def test_constraints_boundary_inapplicable(self, runner, workspace):
+        result = invoke(runner, workspace, "constraints", "boundary", "brieskorn:5,3",
+                        "--format", "json")
+        assert result.exit_code == 0
+        payload = json.loads(result.stdout)
+        assert payload["applicable"] is False
+        assert payload["reason"] == "requires k < n, got k=5, n=3"
+        assert "effective_bound" not in payload
 
     def test_constraints_rp(self, runner, workspace):
         result = invoke(runner, workspace, "constraints", "rp", "4", "--format", "json")

@@ -425,10 +425,29 @@ class TestLiteralGrammar:
         assert parse_literal("1 - z^2", 4) == 2
         assert parse_literal("z^-1", 5) == zeta(5, 4)
 
+    # Each rejection's message and offset. A superscript digit is a digit to
+    # str.isdigit() but not to int(), and a 5,000-digit integer exceeds
+    # int()'s 4,300-digit limit: both are ParseErrors like the rest.
+    REJECTIONS = [
+        ("", "empty literal", 0),
+        ("  ", "empty literal", 2),
+        ("+1", "unexpected leading '+'", 0),
+        ("1/0", "zero denominator", 3),
+        ("1 +", "expected a term", 3),
+        ("2**z", "unexpected character '*'", 1),
+        ("z^", "unexpected character '^'", 1),
+        ("x", "unexpected character 'x'", 0),
+        ("1 2", "unexpected character '2'", 2),
+        ("1..2", "unexpected character '.'", 1),
+        ("\u00b2", "unexpected character '\u00b2'", 0),
+        ("7" * 5000, "integer too long", 0),
+    ]
+
     def test_rejects_garbage(self):
-        for bad in ("", "1 +", "z^", "2**z", "1/0", "x", "1..2"):
-            with pytest.raises(ParseError):
-                parse_literal(bad, 4)
+        for bad, message, offset in self.REJECTIONS:
+            with pytest.raises(ParseError) as info:
+                parse_literal(bad, 4, "entry")
+            assert str(info.value) == f"entry: {message} at offset {offset} in {bad!r}"
 
     def test_roundtrip_canonical_rendering(self):
         rng = random.Random(60604)

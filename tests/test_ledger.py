@@ -206,14 +206,17 @@ class TestCheckLedger:
             check_ledger(ledger, [bad])
 
     def test_action_must_increase(self):
-        ledger = self._ledger()
+        # In U(1) a family's cells have Morse indices 0 and 1, so its top cell
+        # sits one degree below its minimum cell at the same action.
+        ledger = build_ledger(build(scalar_cyclic(2, n=1)), Fraction(5, 4))
         gamma0 = ledger.minimum_cell("Id", Fraction(1))
         top = next(
             g for g in ledger.generators
-            if g.kind == "cell" and g.homotopy_class == "Id" and g.morse_index == 3
+            if g.kind == "cell" and g.homotopy_class == "Id" and g.morse_index == 1
         )
-        bad = DifferentialEntry(gamma0, top, 1, PROVENANCE_USER)
-        with pytest.raises(InvariantViolation, match="action|degree"):
+        assert gamma0.degree == top.degree + 1 and gamma0.action == top.action
+        bad = DifferentialEntry(top, gamma0, 1, PROVENANCE_USER)
+        with pytest.raises(InvariantViolation, match="^entry 0: action does not increase$"):
             check_ledger(ledger, [bad])
 
     def test_degree_step_must_be_one(self):
