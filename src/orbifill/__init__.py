@@ -32,7 +32,6 @@ from .constraints import (
 )
 from .cyclotomic import (
     CyclotomicNumber,
-    CyclotomicPolynomial,
     cyclotomic_polynomial,
     euler_phi,
     make,

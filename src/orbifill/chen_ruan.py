@@ -15,8 +15,6 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 
-from .coefficients import CoefficientRing
-from .errors import InternalInconsistency
 from .groups import ConjugacyClass, FiniteUnitaryGroup
 from .record import Record
 from .tables import closure
@@ -100,7 +98,6 @@ def build_ring(group: FiniteUnitaryGroup, convention: CupConvention = DEFAULT_CO
     a nonzero product are stored; a missing pair reads as the empty product.
     """
     sectors = twisted_sectors(group)
-    ring = CRRing(group, sectors, convention)
     # Ages as ints, scaled to the lcm of their denominators.
     scale = math.lcm(*(s.age.denominator for s in sectors))
     ages = [s.age.numerator * (scale // s.age.denominator) for s in sectors]
@@ -134,12 +131,8 @@ def build_ring(group: FiniteUnitaryGroup, convention: CupConvention = DEFAULT_CO
                     orbit_size.update((x, weight) for x, y in orbit if y == rep)
                 terms = contributions[(i, j)]
                 terms[k] = terms.get(k, 0) + weight
-    for (i, j), terms in contributions.items():
-        for k in terms:
-            if ages[k] != ages[i] + ages[j]:
-                raise InternalInconsistency("cup product term violates degree additivity")
-        ring.structure_constants[(i, j)] = tuple(sorted(terms.items()))
-    return ring
+    return CRRing(group, sectors, convention,
+                  {pair: tuple(sorted(terms.items())) for pair, terms in contributions.items()})
 
 
 def cr_cup(ring: CRRing, i: int, j: int) -> list[tuple[int, int]]:
@@ -313,9 +306,8 @@ def cr_pairing_check(group: FiniteUnitaryGroup) -> dict:
 class FillingCRProfile(Record):
     """Additive input for the Chen-Ruan groups of an exact orbifold filling."""
 
-    def __init__(self, betti: tuple[int, ...], singularities: tuple[FiniteUnitaryGroup, ...],
-                 coefficient: CoefficientRing):
-        self.__dict__.update(betti=betti, singularities=singularities, coefficient=coefficient)
+    def __init__(self, betti: tuple[int, ...], singularities: tuple[FiniteUnitaryGroup, ...]):
+        self.__dict__.update(betti=betti, singularities=singularities)
         if any(b < 0 for b in betti):
             raise ValueError("Betti numbers must be non-negative")
 

@@ -155,38 +155,37 @@ def _tableize(value, prefix=""):
                 yield from _tableize(item, prefix + "  ")
             else:
                 yield f"{prefix}- {item}"
-    else:
-        yield f"{prefix}{value}"
+
+
+# (exception types, stderr prefix, exit code), matched in order by _guarded.
+_OUTCOMES = (
+    ((InputError, ValueError, OSError), "error", EXIT_INPUT),
+    (NonIsolated, "not an isolated singularity", EXIT_NEGATIVE),
+    (NotApplicable, "constraints not applicable", EXIT_NEGATIVE),
+    (InvariantViolation, "check failed", EXIT_NEGATIVE),
+    (InternalInconsistency, "internal invariant violation", EXIT_INTERNAL),
+)
 
 
 def _guarded(fn):
-    """Map domain and input errors onto the exit-code contract. Any other
-    exception, such as a MemoryError, exits EXIT_INTERNAL rather than the 1
-    Python exits with, which would read as a domain-negative answer;
-    KeyboardInterrupt and SystemExit are not Exceptions and pass through."""
+    """Map domain and input errors onto the exit-code contract through
+    _OUTCOMES. A UsageError passes to main(), which reports it as argparse
+    does (exit 2). Any other exception, such as a MemoryError, exits
+    EXIT_INTERNAL rather than the 1 Python exits with, which would read as
+    a domain-negative answer; KeyboardInterrupt and SystemExit are not
+    Exceptions and pass through."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (InputError, ValueError, OSError) as e:
-            _echo(f"error: {e}", err=True)
-            sys.exit(EXIT_INPUT)
-        except NonIsolated as e:
-            _echo(f"not an isolated singularity: {e}", err=True)
-            sys.exit(EXIT_NEGATIVE)
-        except NotApplicable as e:
-            _echo(f"constraints not applicable: {e}", err=True)
-            sys.exit(EXIT_NEGATIVE)
-        except InvariantViolation as e:
-            _echo(f"check failed: {e}", err=True)
-            sys.exit(EXIT_NEGATIVE)
-        except InternalInconsistency as e:
-            _echo(f"internal invariant violation: {e}", err=True)
-            sys.exit(EXIT_INTERNAL)
         except UsageError:
-            raise  # main() reports it as argparse does (exit 2)
+            raise
         except Exception as e:
+            for types, prefix, code in _OUTCOMES:
+                if isinstance(e, types):
+                    _echo(f"{prefix}: {e}", err=True)
+                    sys.exit(code)
             _echo(f"internal error: {type(e).__name__}: {e}", err=True)
             sys.exit(EXIT_INTERNAL)
 
@@ -363,9 +362,7 @@ def cr_cmd(action, path, convention, betti, singularities, coefficient, max_orde
             g, digest = _load_group(spath, max_order, cache_dir)
             groups.append(g)
             digests.append(digest)
-        profile = FillingCRProfile(
-            tuple(int(b) for b in betti.split(",")), tuple(groups), ring_desc
-        )
+        profile = FillingCRProfile(tuple(int(b) for b in betti.split(",")), tuple(groups))
         ranks = cr_of_filling(profile)
         return {
             "metadata": _metadata(",".join(digests) or None),

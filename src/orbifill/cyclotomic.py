@@ -62,28 +62,11 @@ def reduction_size(n: int) -> int:
     return phi + (n - phi) * euler_phi(math.prod(factorize(n)))
 
 
-class CyclotomicPolynomial:
-    """Phi_N with integer coefficients, ascending order."""
-
-    __slots__ = ("conductor", "coefficients")
-
-    def __init__(self, conductor: int, coefficients: tuple[int, ...]):
-        self.conductor = conductor
-        self.coefficients = coefficients
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __repr__(self):
-        return f"CyclotomicPolynomial({self.conductor}, {self.coefficients})"
-
-
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> CyclotomicPolynomial:
-    """Phi_n(x) = Phi_r(x^(n/r)) for the radical r of n, where
-    Phi_r = prod over d | r of (x^d - 1)^mu(r/d) (Washington, Introduction
-    to Cyclotomic Fields, ch. 2)."""
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """The integer coefficients of Phi_n, ascending. Phi_n(x) = Phi_r(x^(n/r))
+    for the radical r of n, where Phi_r = prod over d | r of (x^d - 1)^mu(r/d)
+    (Washington, Introduction to Cyclotomic Fields, ch. 2)."""
     if n < 1:
         raise ValueError("conductor must be positive")
     primes = list(factorize(n))
@@ -106,7 +89,7 @@ def cyclotomic_polynomial(n: int) -> CyclotomicPolynomial:
         del poly[:d]
     spread = [0] * (n // r * (len(poly) - 1) + 1)
     spread[:: n // r] = poly
-    return CyclotomicPolynomial(n, tuple(spread))
+    return tuple(spread)
 
 
 @lru_cache(maxsize=None)
@@ -117,7 +100,7 @@ def _sparse_reduction(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     # Phi_r, at indices i * s. x^e is row e // s shifted by e % s < s.
     r = math.prod(factorize(n))
     s = n // r
-    phi_coeffs = cyclotomic_polynomial(r).coefficients
+    phi_coeffs = cyclotomic_polynomial(r)
     d = len(phi_coeffs) - 1
     fold = [(i, c) for i, c in enumerate(phi_coeffs[:-1]) if c]
     rows = []
@@ -398,9 +381,16 @@ def parse_literal(text: str, conductor: int, locus: str | None = None) -> Cyclot
 
     Digits are decimal as int() reads them, whitespace may surround every
     token, and a rejection is a ParseError naming its offset in the literal.
+    It quotes a literal of up to 60 characters whole, and a longer one as
+    the 60 around the offset, '...' at each cut end, then its length.
     """
     def err(message, offset):
-        raise ParseError(f"{message} at offset {offset} in {text!r}", locus)
+        quoted = repr(text)
+        if len(text) > 60:
+            lo = max(0, min(offset - 30, len(text) - 60))
+            quoted = (f"{'...' if lo else ''}{text[lo:lo + 60]!r}"
+                      f"{'...' if lo + 60 < len(text) else ''} ({len(text)} characters)")
+        raise ParseError(f"{message} at offset {offset} in {quoted}", locus)
 
     if not text.strip():
         err("empty literal", len(text))

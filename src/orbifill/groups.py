@@ -124,9 +124,8 @@ class EigenData(Record):
     the eigenvalue zeta_o^m; exponents with multiplicity zero are omitted.
     """
 
-    def __init__(self, element_index: int, order: int, multiplicities: dict[int, int]):
-        self.__dict__.update(element_index=element_index, order=order,
-                             multiplicities=multiplicities)
+    def __init__(self, order: int, multiplicities: dict[int, int]):
+        self.__dict__.update(order=order, multiplicities=multiplicities)
 
 
 class GroupDocument(Record):
@@ -184,8 +183,8 @@ class FiniteUnitaryGroup:
             if j in wanted:
                 yield j, m
 
-    # No src/ path reads mult_table. It and _mult_table stay for
-    # bench/tracer.py, which wraps both, and for the tests' references.
+    # No src/ path or test reads mult_table. It and _mult_table stay only
+    # because bench/tracer.py wraps both.
     @property
     def mult_table(self) -> list[list[int]]:
         """|G| x |G| index table, for consumers that need every product."""
@@ -246,7 +245,7 @@ class FiniteUnitaryGroup:
             return cached
         exponents = self._reduction.eigen_exponents(self._reduction.matrices[i])
         step = math.gcd(self.order, *exponents)
-        data = EigenData(i, self.order // step, {j // step: m for j, m in exponents.items()})
+        data = EigenData(self.order // step, {j // step: m for j, m in exponents.items()})
         self._eigen[i] = data
         return data
 

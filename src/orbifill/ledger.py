@@ -77,11 +77,6 @@ class GeneratorLedger(Record):
         return None
 
 
-def default_cell_profile(fixed_dim: int) -> tuple[int, ...]:
-    """Two-cell profile: the minimum and the top cell of the family."""
-    return (0, 2 * fixed_dim - 1)
-
-
 def build_ledger(
     group: FiniteUnitaryGroup,
     slope,
@@ -131,9 +126,8 @@ def build_ledger(
             )
         )
     for family in families:
-        profile = profiles.get(
-            (family.class_label, family.period), default_cell_profile(family.fixed_dim)
-        )
+        # The default profile: the family's minimum and top cell.
+        profile = profiles.get((family.class_label, family.period), (0, family.manifold_dimension))
         isotropy = group.classes[family.class_position].centralizer_order
         for index in profile:
             cell = MorseCell(family, index)

@@ -14,7 +14,7 @@ def power_mod_phi(n, e):
     """x^e mod Phi_n for e >= 0 as a dense tuple of phi(n) ints, by long
     division against cyclotomic_polynomial(n): the exact reference for the
     reduction table, so it reads neither the table nor x^n = 1."""
-    phi = cyclotomic_polynomial(n).coefficients
+    phi = cyclotomic_polynomial(n)
     d = len(phi) - 1
     terms = [(j, c) for j, c in enumerate(phi[:-1]) if c]
     rem = [0] * max(e + 1, d)

@@ -23,7 +23,6 @@ from battery import (
     z7_semidirect_z9,
 )
 from orbifill import (
-    CoefficientRing,
     CupConvention,
     FillingCRProfile,
     FiniteGroupTable,
@@ -259,15 +258,16 @@ class TestCupProduct:
 
     def test_degree_additivity(self):
         for g in battery_24():
-            ring = build_ring(g)
-            for i in range(1, ring.sector_count()):
-                for j in range(1, ring.sector_count()):
-                    for k, coeff in cr_cup(ring, i, j):
-                        assert coeff > 0
-                        assert (
-                            ring.sectors[k].degree
-                            == ring.sectors[i].degree + ring.sectors[j].degree
-                        )
+            for convention in CupConvention:
+                ring = build_ring(g, convention)
+                for i in range(1, ring.sector_count()):
+                    for j in range(1, ring.sector_count()):
+                        for k, coeff in cr_cup(ring, i, j):
+                            assert coeff > 0
+                            assert (
+                                ring.sectors[k].degree
+                                == ring.sectors[i].degree + ring.sectors[j].degree
+                            )
 
     def test_commutativity(self):
         for g in battery_24():
@@ -532,43 +532,39 @@ class TestPairing:
 class TestFilling:
     def test_single_antipodal_singularity(self):
         for n in range(2, 7):
-            profile = FillingCRProfile(
-                (1,), (build(antipodal(n)),), CoefficientRing.rationals()
-            )
+            profile = FillingCRProfile((1,), (build(antipodal(n)),))
             ranks = cr_of_filling(profile)
             assert ranks == {Fraction(0): 1, Fraction(n): 1}
             assert sum(ranks.values()) == 2
 
     def test_no_singularities_passthrough(self):
-        profile = FillingCRProfile((1, 0, 2), (), CoefficientRing.integers())
+        profile = FillingCRProfile((1, 0, 2), ())
         assert cr_of_filling(profile) == {Fraction(0): 1, Fraction(2): 2}
 
     def test_two_singularities_rank_three(self):
         # The configuration excluded by the uniqueness statement: two
         # antipodal singularities over a contractible space give rank 3.
         g1, g2 = build(antipodal(3)), build(antipodal(3))
-        profile = FillingCRProfile((1,), (g1, g2), CoefficientRing.rationals())
+        profile = FillingCRProfile((1,), (g1, g2))
         ranks = cr_of_filling(profile)
         assert sum(ranks.values()) == 3
         assert ranks[Fraction(3)] == 2
 
     def test_mod_m_ranks_pass_through(self):
-        profile = FillingCRProfile(
-            (1, 1), (build(antipodal(2)),), CoefficientRing.integers_mod(4)
-        )
+        profile = FillingCRProfile((1, 1), (build(antipodal(2)),))
         ranks = cr_of_filling(profile)
         assert ranks == {Fraction(0): 1, Fraction(1): 1, Fraction(2): 1}
 
     def test_negative_betti_rejected(self):
         with pytest.raises(ValueError):
-            FillingCRProfile((-1,), (), CoefficientRing.rationals())
+            FillingCRProfile((-1,), ())
 
     def test_non_isolated_propagates(self):
         doc = {"dimension": 2, "conductor": 2, "generators": [[["-1", "0"], ["0", "1"]]]}
-        profile = FillingCRProfile((1,), (build(doc),), CoefficientRing.rationals())
+        profile = FillingCRProfile((1,), (build(doc),))
         with pytest.raises(NonIsolated):
             cr_of_filling(profile)
 
     def test_trivial_group_not_a_singularity_but_harmless(self):
-        profile = FillingCRProfile((1,), (build(trivial()),), CoefficientRing.rationals())
+        profile = FillingCRProfile((1,), (build(trivial()),))
         assert cr_of_filling(profile) == {Fraction(0): 1}

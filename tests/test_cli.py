@@ -295,6 +295,15 @@ class TestRejections:
         else:
             assert result.stderr == ""
 
+    def test_long_literal_is_quoted_as_an_excerpt(self, runner, tmp_path):
+        path = tmp_path / "long_literal.json"
+        path.write_text(json.dumps(REJECTED_DOCUMENTS["long_literal.json"]))
+        result = runner.invoke(["group", "info", str(path)])
+        assert result.exit_code == 2
+        assert result.stderr == ("error: generators[0][0][0]: integer too long at offset 0 in '"
+                                 + "7" * 60 + "'... (5000 characters)\n")
+        assert len(result.stderr.encode()) < 200
+
     def test_invariant_violation_exits_one(self, capsys):
         # No command line reaches this arm: `ledger build` checks only the
         # entry that known_differentials forces, which always holds.

@@ -78,7 +78,7 @@ class FractionCyclotomic:
 
     def inverse(self):
         n = self.conductor
-        r0 = [Fraction(c) for c in cyclotomic_polynomial(n).coefficients]
+        r0 = [Fraction(c) for c in cyclotomic_polynomial(n)]
         r1 = fraction_trim(list(self.coefficients))
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while r1:
@@ -193,26 +193,26 @@ def poly_mul_int(a, b):
 
 class TestCyclotomicPolynomial:
     def test_base_case(self):
-        assert cyclotomic_polynomial(1).coefficients == (-1, 1)
+        assert cyclotomic_polynomial(1) == (-1, 1)
 
     def test_phi4(self):
-        assert cyclotomic_polynomial(4).coefficients == (1, 0, 1)
+        assert cyclotomic_polynomial(4) == (1, 0, 1)
 
     def test_phi12(self):
         # Oracle: multiply x^12 - 1 back together from all divisors.
-        assert cyclotomic_polynomial(12).coefficients == (1, 0, -1, 0, 1)
+        assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
     @pytest.mark.parametrize("n", list(range(1, 61)))
     def test_product_identity(self, n):
         prod = [1]
         for d in divisors(n):
-            prod = poly_mul_int(prod, list(cyclotomic_polynomial(d).coefficients))
+            prod = poly_mul_int(prod, list(cyclotomic_polynomial(d)))
         expected = [-1] + [0] * (n - 1) + [1]
         assert prod == expected
 
     def test_degree_is_phi(self):
         for n in range(1, 61):
-            assert cyclotomic_polynomial(n).degree == euler_phi(n)
+            assert len(cyclotomic_polynomial(n)) - 1 == euler_phi(n)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -220,7 +220,7 @@ class TestCyclotomicPolynomial:
 
     def test_against_iterated_division(self):
         for n in range(1, 401):
-            assert list(cyclotomic_polynomial(n).coefficients) == iterated_division_phi(n), n
+            assert list(cyclotomic_polynomial(n)) == iterated_division_phi(n), n
 
     def test_sparse_reduction_at_a_prime(self):
         # Phi_p = 1 + x + ... + x^(p-1), so x^(p-1) = -(1 + ... + x^(p-2)),
@@ -296,6 +296,12 @@ class TestMake:
     def test_negative_exponents_reduce(self):
         assert make(5, [(1, -1)]) == zeta(5, 4)
 
+    def test_rejects_non_positive_conductor(self):
+        for reject in (lambda: euler_phi(0), lambda: make(0, [])):
+            with pytest.raises(ValueError) as info:
+                reject()
+            assert str(info.value) == "conductor must be positive"
+
 
 class TestArithmetic:
     def test_mul_examples(self):
@@ -356,6 +362,23 @@ class TestArithmetic:
         assert zeta(12, 4) == zeta(3)
         with pytest.raises(TypeError):
             hash(make(4, [(1, 1)]))
+
+    def test_galois_exponent_must_be_coprime(self):
+        with pytest.raises(ValueError) as info:
+            zeta(6).galois(2)
+        assert str(info.value) == "automorphism exponent must be coprime to the conductor"
+
+    def test_non_numbers_are_not_operands(self):
+        # Arithmetic with a non-number raises TypeError; equality is False.
+        z = zeta(4)
+        with pytest.raises(TypeError) as info:
+            z + "1"
+        assert str(info.value) == "unsupported operand type(s) for +: 'CyclotomicNumber' and 'str'"
+        with pytest.raises(TypeError) as info:
+            z * None
+        assert str(info.value) == (
+            "unsupported operand type(s) for *: 'CyclotomicNumber' and 'NoneType'")
+        assert (z == "z") is False and (z != "z") is True
 
 
 class TestRandomizedProperties:
@@ -425,9 +448,9 @@ class TestLiteralGrammar:
         assert parse_literal("1 - z^2", 4) == 2
         assert parse_literal("z^-1", 5) == zeta(5, 4)
 
-    # Each rejection's message and offset. A superscript digit is a digit to
-    # str.isdigit() but not to int(), and a 5,000-digit integer exceeds
-    # int()'s 4,300-digit limit: both are ParseErrors like the rest.
+    # Each rejection's message and offset, with the literal quoted whole up
+    # to 60 characters. A superscript digit is a digit to str.isdigit() but
+    # not to int(), and is a ParseError like the rest.
     REJECTIONS = [
         ("", "empty literal", 0),
         ("  ", "empty literal", 2),
@@ -440,7 +463,18 @@ class TestLiteralGrammar:
         ("1 2", "unexpected character '2'", 2),
         ("1..2", "unexpected character '.'", 1),
         ("\u00b2", "unexpected character '\u00b2'", 0),
-        ("7" * 5000, "integer too long", 0),
+        ("z" * 59 + "x", "unexpected character 'z'", 1),
+    ]
+
+    # A literal of more than 60 characters is quoted as the 60 around the
+    # offset, '...' at each cut end, then its length. A 5,000-digit integer
+    # exceeds int()'s 4,300-digit limit.
+    MIDDLE = "z + " * 20 + "x" + " + z" * 20  # 161 characters, 'x' at offset 80
+    TAIL = "1 + " * 20 + "1 +"  # 83 characters, a dangling sign at the end
+    LONG_REJECTIONS = [
+        ("7" * 5000, f"integer too long at offset 0 in {'7' * 60!r}... (5000 characters)"),
+        (MIDDLE, f"unexpected character 'x' at offset 80 in ...{MIDDLE[50:110]!r}... (161 characters)"),
+        (TAIL, f"expected a term at offset 83 in ...{TAIL[23:]!r} (83 characters)"),
     ]
 
     def test_rejects_garbage(self):
@@ -448,6 +482,10 @@ class TestLiteralGrammar:
             with pytest.raises(ParseError) as info:
                 parse_literal(bad, 4, "entry")
             assert str(info.value) == f"entry: {message} at offset {offset} in {bad!r}"
+        for bad, message in self.LONG_REJECTIONS:
+            with pytest.raises(ParseError) as info:
+                parse_literal(bad, 4, "entry")
+            assert str(info.value) == f"entry: {message}"
 
     def test_roundtrip_canonical_rendering(self):
         rng = random.Random(60604)

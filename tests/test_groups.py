@@ -5,9 +5,11 @@ import itertools
 import json
 import math
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -539,6 +541,15 @@ class TestCanonicalForm:
 
     def test_digest_changes_with_content(self):
         assert document_digest(antipodal(2)) != document_digest(antipodal(3))
+
+    def test_digest_fallback_imports_agree(self, monkeypatch):
+        # Without _sha256 (renamed _sha2 in Python 3.12), and then without
+        # either, the digest comes from the next module and is the same.
+        text = (Path(__file__).resolve().parents[1] / "samples" / "a3.json").read_text()
+        default = document_digest(text)
+        for module in ("_sha256", "_sha2"):
+            monkeypatch.setitem(sys.modules, module, None)
+            assert document_digest(text) == default
 
     def test_digest_of_parsed_group_equals_digest_of_document(self):
         for doc in (antipodal(2), quaternion(), times_scalars(binary_dihedral(3), 5)):

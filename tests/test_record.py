@@ -26,7 +26,7 @@ def test_defaults_and_unhashable_fields():
     assert CoefficientRing("Z").modulus is None
     assert ConstraintSet((1,), ("r",), True) == ConstraintSet((1,), ("r",), True, None, None)
     with pytest.raises(TypeError):
-        hash(EigenData(0, 1, {0: 2}))
+        hash(EigenData(1, {0: 2}))
 
 
 def test_frozen():
@@ -46,7 +46,7 @@ def test_constructor_checks():
     with pytest.raises(ValueError, match="k must be at least 2"):
         BoundaryDescriptor("lens", 2, 1)
     with pytest.raises(ValueError, match="non-negative"):
-        FillingCRProfile((1, -1), (), CoefficientRing("Q"))
+        FillingCRProfile((1, -1), ())
     family = OrbitFamily("Id", 0, Fraction(1), 2, Fraction(2))
     with pytest.raises(ValueError, match="outside 0..3"):
         MorseCell(family, 4)

@@ -22,6 +22,7 @@ from orbifill import (
     Homomorphism,
     MiddleMismatch,
     ParseError,
+    PointOrbifoldSpan,
     composition_check,
     cyclic,
     dihedral,
@@ -86,6 +87,9 @@ class TestGroupTables:
     def test_dihedral_orders(self):
         for m in (3, 4, 5, 6):
             assert dihedral(m).order == 2 * m
+        with pytest.raises(ValueError) as info:
+            dihedral(2)
+        assert str(info.value) == "dihedral groups need m >= 3"
 
     def test_quaternion_table(self):
         q = quaternion8()
@@ -1119,6 +1123,23 @@ class TestDocuments:
     def test_missing_field(self):
         with pytest.raises(ParseError):
             span_from_document({"left": {"cyclic": 2}})
+
+    def test_ref_without_loader(self):
+        with pytest.raises(ParseError) as info:
+            group_from_document({"ref": "a.json"})
+        assert str(info.value) == "group references require a document loader"
+
+    def test_maps_must_meet_the_span_groups(self):
+        # The groups are compared by identity: an equal table is another group.
+        middle, left, right = cyclic(2), cyclic(1), cyclic(1)
+        s, t = Homomorphism(middle, left, (0, 0)), Homomorphism(middle, right, (0, 0))
+        assert PointOrbifoldSpan(left, middle, right, s, t).s is s
+        with pytest.raises(ParseError) as info:
+            PointOrbifoldSpan(cyclic(1), middle, right, s, t)
+        assert str(info.value) == "source map must go from the middle to the left group"
+        with pytest.raises(ParseError) as info:
+            PointOrbifoldSpan(left, middle, cyclic(1), s, t)
+        assert str(info.value) == "target map must go from the middle to the right group"
 
     def test_permutation_closure(self):
         s3 = from_permutations([(1, 0, 2), (1, 2, 0)])
