@@ -12,10 +12,12 @@ as a :class:`~orbifill.tables.FiniteGroupTable`, which composes its rows,
 inverses and conjugation maps, and classes are orbits of those maps. The
 table's first tree, the same breadth-first search over the columns, finds
 each element as its parent times a generator, and is the one record of how
-it was found. Element orders and eigenvalue multiplicities come from a
-second reduction, mod a prime chosen after the closure, replayed along that
-tree. Exact matrices are rebuilt along it only when something asks for
-them, and only while something still needs them.
+it was found. Element orders come from power walks along the table's rows,
+and eigenvalue multiplicities from a second reduction, mod a prime chosen
+after the closure and replayed along that tree, at one rank per candidate
+eigenvalue. Both are read once per cyclic subgroup and spread to every
+class its powers meet. Exact matrices are rebuilt along the tree only when
+something asks for them, and only while something still needs them.
 
 Why the keys are exact. If D = 1, every entry lies in Z[zeta_N], so G is a
 discrete subset of the Minkowski embedding; every Galois conjugate of a
@@ -193,9 +195,9 @@ class FiniteUnitaryGroup:
         return self._mult_table
 
     def element_order(self, i: int) -> int:
-        """Order of element i, read off its eigen data over F_p. Reduction mod
-        p sends to I only elements of p-power order, and p = 1 (mod |G|) does
-        not divide |G|, so it is injective on G and keeps orders."""
+        """Order of element i, from the eigen data of its class: the power
+        walk g, g^2, ... along the row of g returns to the identity after o
+        steps, and g^k has order o / gcd(o, k)."""
         return self.eigen_multiplicities(i).order
 
     # -- conjugacy structure ---------------------------------------------------
@@ -204,8 +206,9 @@ class FiniteUnitaryGroup:
     def classes(self) -> tuple[ConjugacyClass, ...]:
         if self._classes is None:
             n = self.order
-            coarse = sorted(((age(self, c[0]), len(c)), c)
-                            for c in orbits(self.table.conjugation_maps(), n))
+            found = orbits(self.table.conjugation_maps(), n)
+            self._spread(found)
+            coarse = sorted(((age(self, c[0]), len(c)), c) for c in found)
             # Classes that tie on (age, size) are ordered by their
             # representatives' power-basis coefficients as Fractions, entry
             # by entry; only those representatives are rebuilt, in one walk.
@@ -225,6 +228,37 @@ class FiniteUnitaryGroup:
             }
         return self._classes
 
+    def _spread(self, found: list[tuple[int, ...]]):
+        """Eigen data for the least member of each orbit in ``found``, in
+        ``_eigen``, one read per cyclic subgroup (Isaacs, Character Theory of
+        Finite Groups, 1976, ch. 2). The least member g of each orbit no
+        earlier read reached is walked along its row until g^o = 1 and read
+        once. If g has the eigenvalues zeta_o^m, g^k has zeta_o^(mk), so the
+        orbit of each g^k gets the order o / gcd(o, k) and the exponents
+        (mk mod o) / gcd(o, k), with equal exponents' multiplicities summed."""
+        rep_of = [0] * self.order
+        for c in found:
+            for x in c:
+                rep_of[x] = c[0]
+        reduction = self._reduction
+        for c in found:
+            g = c[0]
+            if g in self._eigen:
+                continue
+            row, walk, x = self.table.row(g), [0], g
+            while x:
+                walk.append(x)
+                x = row[x]
+            o = len(walk)
+            exponents = reduction.eigen_exponents(reduction.matrices[g], o)
+            for k, x in enumerate(walk):
+                if rep_of[x] not in self._eigen:
+                    d = math.gcd(o, k)
+                    mults = Counter()
+                    for m, mult in exponents.items():
+                        mults[m * k % o // d] += mult
+                    self._eigen[rep_of[x]] = EigenData(o // d, dict(sorted(mults.items())))
+
     def class_position(self, element_index: int) -> int:
         self.classes
         return self._class_of[element_index]
@@ -236,17 +270,13 @@ class FiniteUnitaryGroup:
         return _ModularReduction(self)
 
     def eigen_multiplicities(self, i: int) -> EigenData:
-        """Multiplicity of each eigenvalue zeta_o^m, read over F_p as a root
-        of the characteristic polynomial; see :class:`_ModularReduction`.
-        The order o is |G| / gcd(|G|, exponents): the reduced element is
-        diagonalizable, so its order is the lcm of its eigenvalues' orders."""
-        cached = self._eigen.get(i)
-        if cached is not None:
-            return cached
-        exponents = self._reduction.eigen_exponents(self._reduction.matrices[i])
-        step = math.gcd(self.order, *exponents)
-        data = EigenData(self.order // step, {j // step: m for j, m in exponents.items()})
-        self._eigen[i] = data
+        """Multiplicity of each eigenvalue zeta_o^m of element i: the data
+        :attr:`classes` spread to i's class, since conjugate elements share
+        their spectra; see :meth:`_spread` and :class:`_ModularReduction`."""
+        data = self._eigen.get(i)
+        if data is None:
+            rep = self.classes[self.class_position(i)].representative_index
+            data = self._eigen[i] = self._eigen[rep]
         return data
 
     def fixed_space_dimension(self, i: int) -> int:
@@ -335,23 +365,22 @@ def _denominator(document: GroupDocument | FiniteUnitaryGroup) -> int:
 class _ModularReduction:
     """The ring map Z[1/D][zeta_L] -> F_p, zeta_L -> w_L, for one group.
 
-    L = lcm(N, |G|); p is the smallest prime = 1 (mod L) above n that divides
-    no generator denominator, and w_L is a primitive L-th root of unity mod
-    p. ``matrices[i]`` is element i mod p, replayed along the parent chain
-    from the reduced generators. Every eigenvalue of an element is a |G|-th
-    root of unity (g^|G| = I), so ``powers[j]`` = w^j for the primitive
-    |G|-th root w = w_L^(L/|G|) lists them all; the eigenvalue zeta_o^m goes
-    to w^(m |G|/o). Since p = 1 (mod |G|), x^|G| - 1 is separable mod p, so
-    reduced elements are diagonalizable over F_p, and the reduction keeps
-    eigenvalue multiplicities (README, Conventions).
+    L = lcm(N, |G|); p is the smallest odd prime = 1 (mod L) that divides no
+    generator denominator, and w_L is a primitive L-th root of unity mod p.
+    ``matrices[i]`` is element i mod p, replayed along the table's first
+    tree from the reduced generators. The eigenvalues of an element of order
+    o are o-th roots of unity, and zeta_o^m goes to w_o^m with w_o =
+    w_L^(L/o). Since p = 1 (mod o), x^o - 1 is separable mod p, so reduced
+    elements are diagonalizable over F_p, and the reduction keeps eigenvalue
+    multiplicities (README, Conventions).
     """
 
-    __slots__ = ("prime", "matrices", "powers")
+    __slots__ = ("prime", "lcm", "root", "matrices")
 
     def __init__(self, group: FiniteUnitaryGroup):
-        L = math.lcm(group.conductor, group.order)
-        p, root = _split_prime(L, _denominator(group), group.dimension)
-        self.prime = p
+        L = self.lcm = math.lcm(group.conductor, group.order)
+        p, root = _split_prime(L, _denominator(group), 2)
+        self.prime, self.root = p, root
         residues = _ResidueMap(group.conductor, p, pow(root, L // group.conductor, p))
         gens = {col[0]: _columns(residues.reduce(g))
                 for col, g in zip(group.table.columns, group.generators)}
@@ -361,51 +390,29 @@ class _ModularReduction:
         matrices = self.matrices = [_identity_mod(group.dimension)]
         for _, parent, col in group.table.tree:
             matrices.append(_mul_mod(matrices[parent], gens[col[0]], p))
-        w = pow(root, L // group.order, p)
-        powers = [1]
-        for _ in range(group.order - 1):
-            powers.append(powers[-1] * w % p)
-        self.powers = powers
 
-    def eigen_exponents(self, g: Residues) -> dict[int, int]:
-        """{j: multiplicity} of the eigenvalues w^j of g, in ascending j.
-
-        The roots of the characteristic polynomial are looked for among the
-        powers of w in ascending order, and the polynomial is deflated at
-        each root until its degree is 0. A repeated root is confirmed by one
-        rank, n - rank(g - w^j I) = multiplicity; a simple root's eigenspace
-        is a line. InternalInconsistency is raised unless g is
-        diagonalizable with |G|-th roots of unity as eigenvalues, as every
-        reduced element is.
+    def eigen_exponents(self, g: Residues, o: int) -> dict[int, int]:
+        """{m: multiplicity} of the eigenvalues w_o^m of g, an element of
+        order o, in ascending m: mult(m) = n - rank(g - w_o^m I) for m = 0,
+        1, ..., until the multiplicities sum to n. InternalInconsistency is
+        raised if they never do, that is unless g is diagonalizable with o-th
+        roots of unity as eigenvalues, as every reduced element of order o is.
         """
-        p = self.prime
-        poly = _charpoly(g, p)
-        found: dict[int, int] = {}
-        for j, lam in enumerate(self.powers):
-            if len(poly) == 1:
-                break
-            value = 0
-            for c in poly:
-                value = (value * lam + c) % p
-            if value:
-                continue
-            mult = 0
-            quotient, value = _divide(poly, lam, p)
-            while not value:
-                poly, mult = quotient, mult + 1
-                quotient, value = _divide(poly, lam, p)
-            if mult > 1 and len(g) - self.rank_shifted(g, lam) != mult:
-                raise InternalInconsistency(
-                    f"a reduced element is not diagonalizable mod {p}: the eigenvalue "
-                    f"w^{j} has multiplicity {mult} but a smaller eigenspace"
-                )
-            found[j] = mult
-        if len(poly) > 1:
-            raise InternalInconsistency(
-                f"a reduced element has eigenvalues mod {p} that are not "
-                f"{len(self.powers)}-th roots of unity"
-            )
-        return found
+        p, n = self.prime, len(g)
+        w, lam = pow(self.root, self.lcm // o, p), 1
+        found, total = {}, 0
+        for m in range(o):
+            mult = n - self.rank_shifted(g, lam)
+            if mult:
+                found[m] = mult
+                total += mult
+                if total == n:
+                    return found
+            lam = lam * w % p
+        raise InternalInconsistency(
+            f"a reduced element is not diagonalizable mod {p} with {o}-th roots of "
+            f"unity as eigenvalues: its eigenspaces span {total} of {n} dimensions"
+        )
 
     def rank_shifted(self, g: Residues, lam: int) -> int:
         """rank over F_p of g - lam * I."""
@@ -422,30 +429,6 @@ class _ModularReduction:
             inv = pow(pivot_row[col], -1, p)
             rows = [[(x - r[col] * inv * y) % p for x, y in zip(r, pivot_row)] for r in rows]
         return rank
-
-
-def _charpoly(g: Residues, p: int) -> list[int]:
-    """det(xI - g) over F_p as [1, c_(n-1), ..., c_0], by Faddeev-LeVerrier:
-    M_1 = I, c_(n-k) = -tr(g M_k) / k and M_(k+1) = g M_k + c_(n-k) I. The
-    divisions by k <= n need p > n."""
-    n = len(g)
-    poly, m = [1], _identity_mod(n)
-    for k in range(1, n + 1):
-        gm = _mul_mod(g, _columns(m), p)
-        c = -sum(gm[r][r] for r in range(n)) * pow(k, -1, p) % p
-        poly.append(c)
-        m = tuple(tuple((x + c) % p if r == s else x for s, x in enumerate(row))
-                  for r, row in enumerate(gm))
-    return poly
-
-
-def _divide(poly: list[int], root: int, p: int) -> tuple[list[int], int]:
-    """poly = (x - root) * quotient + poly(root) over F_p: (quotient,
-    poly(root)), by synthetic division."""
-    out = [poly[0]]
-    for c in poly[1:]:
-        out.append((out[-1] * root + c) % p)
-    return out[:-1], out[-1]
 
 
 def _split_prime(order: int, avoid: int, floor: int) -> tuple[int, int]:

@@ -145,10 +145,11 @@ class TestExitCodes:
         # A reduced matrix that is not diagonalizable, as in
         # test_non_group_element_is_internal, is a broken internal state,
         # not an input error.
+        # Element 1, the first generator, is always read.
         group = build(quaternion())
-        group._reduction.matrices[3] = ((1, 1), (0, 1))
+        group._reduction.matrices[1] = ((1, 1), (0, 1))
         with pytest.raises(SystemExit) as info:
-            _guarded(lambda: group.eigen_multiplicities(3))()
+            _guarded(lambda: group.eigen_multiplicities(1))()
         assert info.value.code == EXIT_INTERNAL
 
     @pytest.mark.parametrize("error", [MemoryError("out of memory"), RuntimeError("broken")],

@@ -107,10 +107,12 @@ def character_formula(group, i):
 
 
 def rank_reading(group, i):
-    """Reference for eigen data, read as before the characteristic
-    polynomial: the order o by powering the reduced matrix until it is I,
-    then one rank per candidate exponent, mult(m) = n - rank(g - w_o^m I)
-    for m = 0, 1, ..., until the multiplicities sum to n."""
+    """Reference for eigen data, read from element i's own reduced matrix,
+    with nothing spread from another element: the order o by powering the
+    matrix until it is I, then one rank per candidate exponent, mult(m) =
+    n - rank(g - w_o^m I) for m = 0, 1, ..., until the multiplicities sum
+    to n. w_o comes from the reduction's own prime, so that the exponents
+    are labelled as the reduction labels them."""
     red, n = group._reduction, group.dimension
     p, g = red.prime, red.matrices[i]
     identity = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
@@ -121,7 +123,7 @@ def rank_reading(group, i):
         o += 1
         assert o <= group.order, (group.name, i)
     lcm = math.lcm(group.conductor, group.order)
-    _, root = groups._split_prime(lcm, groups._denominator(group), n)
+    _, root = groups._split_prime(lcm, groups._denominator(group), 2)
     w, lam = pow(root, lcm // o, p), 1
     mults, total = {}, 0
     for m in range(o):
@@ -134,6 +136,15 @@ def rank_reading(group, i):
         lam = lam * w % p
     assert total == n, (group.name, i)
     return o, mults
+
+
+def diagonal_signs(n):
+    """The diagonal sign matrices in U(n), (Z/2)^n: every element is its own
+    cyclic subgroup and its own class, and every nontrivial one but -I has
+    the eigenvalue 1."""
+    gens = [[[("-1" if i == j == k else "1" if i == j else "0") for j in range(n)]
+             for i in range(n)] for k in range(n)]
+    return {"name": f"signs{n}", "dimension": n, "conductor": 2, "generators": gens}
 
 
 def pythagorean_klein():
@@ -245,10 +256,12 @@ class TestEnumeration:
     def test_non_group_element_is_internal(self, doc, entries):
         # Neither matrix is diagonalizable with |G|-th roots of unity as
         # eigenvalues mod the eigen prime (2 has order 9 mod 73, and 2T has
-        # order 24), so no order exists.
-        # The eigen code reads element i as its replayed matrix mod p.
+        # order 24), so it has no eigen data at the order its power walk
+        # gives. The eigen code reads element i as its replayed matrix mod
+        # p. Element 1, the first generator, is the least member of its
+        # class and no power of the identity, so it is always read.
         g = build(doc)
-        i = 3
+        i = 1
         g._reduction.matrices[i] = entries
         with pytest.raises(InternalInconsistency):
             g.element_order(i)
@@ -406,7 +419,8 @@ class TestEigenData:
     def test_against_rank_reading(self):
         docs = [z7_semidirect_z9(), times_scalars(quaternion(), 3),
                 times_scalars(quaternion(), 5), times_scalars(binary_dihedral(3), 5),
-                times_scalars(binary_tetrahedral(), 5), scalar_cyclic(500)]
+                times_scalars(binary_tetrahedral(), 5), scalar_cyclic(500),
+                times_scalars(quaternion(), 63), diagonal_signs(3)]
         for g in battery_48() + [build(d) for d in docs]:
             for i in range(g.order):
                 data = g.eigen_multiplicities(i)
@@ -416,30 +430,49 @@ class TestEigenData:
 
     def test_reduced_matrix_not_diagonalizable(self):
         red = build(quaternion())._reduction
-        with pytest.raises(InternalInconsistency, match="not diagonalizable"):
-            red.eigen_exponents(((1, 1), (0, 1)))
+        with pytest.raises(InternalInconsistency, match="not diagonalizable mod 17"):
+            red.eigen_exponents(((1, 1), (0, 1)), 8)
 
     def test_reduced_eigenvalue_not_a_root_of_unity(self):
         # Q8: the eigenvalues of its elements are 8th roots of unity mod 17.
         red = build(quaternion())._reduction
-        stray = next(x for x in range(2, red.prime) if x not in red.powers)
-        with pytest.raises(InternalInconsistency, match="not 8-th roots of unity"):
-            red.eigen_exponents(((stray, 0), (0, 1)))
-        with pytest.raises(InternalInconsistency, match="not 8-th roots of unity"):
-            red.eigen_exponents(((1, 0), (0, stray)))
+        assert red.prime == 17
+        stray = next(x for x in range(2, red.prime) if pow(x, 8, red.prime) != 1)
+        with pytest.raises(InternalInconsistency, match="with 8-th roots of unity"):
+            red.eigen_exponents(((stray, 0), (0, 1)), 8)
+        with pytest.raises(InternalInconsistency, match="with 8-th roots of unity"):
+            red.eigen_exponents(((1, 0), (0, stray)), 8)
+        # An 8th root that is not a 4th root is not an eigenvalue of order 4.
+        w8 = next(x for x in range(2, red.prime) if pow(x, 4, red.prime) != 1
+                  and pow(x, 8, red.prime) == 1)
+        with pytest.raises(InternalInconsistency, match="with 4-th roots of unity"):
+            red.eigen_exponents(((w8, 0), (0, 1)), 4)
 
-    def test_at_most_dimension_ranks_per_element(self, monkeypatch):
-        # The exponent scan this replaced made up to o ranks per element,
-        # 1.1M for the classes of mu2000.
-        g = build(scalar_cyclic(500))
-        calls = []
-        rank = groups._ModularReduction.rank_shifted
-        monkeypatch.setattr(groups._ModularReduction, "rank_shifted",
-                            lambda red, m, lam: calls.append(lam) or rank(red, m, lam))
+    @pytest.mark.parametrize(
+        "doc, reads, ranks",
+        [(scalar_cyclic(500), 2, 3),
+         (binary_dihedral(500), 4, 1009),
+         (times_scalars(quaternion(), 63), 8, 597),
+         (z7_semidirect_z9(), 4, 34),
+         # Dimension costs ranks only: {I, -I} in U(64), the trivial group
+         # in U(200).
+         (antipodal(64), 2, 3),
+         (trivial(200), 1, 1)],
+        ids=lambda v: v["name"] if isinstance(v, dict) else None,
+    )
+    def test_one_read_per_cyclic_subgroup(self, monkeypatch, doc, reads, ranks):
+        # One read per orbit that no earlier read's powers reach (mu500 has
+        # 500 classes and 2 reads), one rank per candidate eigenvalue of a
+        # read element.
+        g = build(doc)
+        calls = collections.Counter()
+        red = groups._ModularReduction
+        for name in ("eigen_exponents", "rank_shifted"):
+            monkeypatch.setattr(red, name, lambda *a, f=getattr(red, name), name=name:
+                                calls.update([name]) or f(*a))
         for cls in g.classes:
             g.eigen_multiplicities(cls.representative_index)
-        assert len(g.classes) == 500
-        assert 0 < len(calls) <= g.dimension * len(g.classes)
+        assert (calls["eigen_exponents"], calls["rank_shifted"]) == (reads, ranks)
 
     def test_reduction_prime_skips_denominators(self):
         g = build(pythagorean_klein())
@@ -721,8 +754,7 @@ class TestTieBreakWalk:
         # 14 MB under tracemalloc, and at under 1 MB dropping them. The
         # orbits and their eigen data are read first, outside the trace.
         g = build(binary_dihedral(500))
-        for c in orbits(g.table.conjugation_maps(), g.order):
-            age(g, c[0])
+        g._spread(orbits(g.table.conjugation_maps(), g.order))
         tracemalloc.start()
         try:
             g.classes
