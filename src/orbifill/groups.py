@@ -14,10 +14,12 @@ table's first tree, the same breadth-first search over the columns, finds
 each element as its parent times a generator, and is the one record of how
 it was found. Element orders come from power walks along the table's rows,
 and eigenvalue multiplicities from a second reduction, mod a prime chosen
-after the closure and replayed along that tree, at one rank per candidate
-eigenvalue. Both are read once per cyclic subgroup and spread to every
-class its powers meet. Exact matrices are rebuilt along the tree only when
-something asks for them, and only while something still needs them.
+after the closure, at one rank per candidate eigenvalue. Both are read once
+per cyclic subgroup and spread to every class its powers meet. Elements are
+built along that tree only where they are read, mod that prime for the
+eigen data and as exact matrices for the class order's tie-break, by one
+walk (:meth:`~orbifill.tables.FiniteGroupTable.elements`) that keeps a
+matrix only while something still needs it.
 
 Why the keys are exact. If D = 1, every entry lies in Z[zeta_N], so G is a
 discrete subset of the Minkowski embedding; every Galois conjugate of a
@@ -160,30 +162,10 @@ class FiniteUnitaryGroup:
 
     def exact(self, targets):
         """(i, element i as an exact matrix) for each target i, in ascending
-        i. One walk down ``table.tree`` builds each needed element, a target
-        or an ancestor of one, as its parent's times its generator, and
-        drops a matrix once its last needed child is built."""
-        tree, wanted = self.table.tree, set(targets)
-        needed, children = set(), [0] * self.order
-        for j in wanted:
-            while j not in needed:
-                needed.add(j)
-                if j:
-                    j = tree[j - 1][1]
-                    children[j] += 1
-        # col_g[0] = g: equal elements are equal matrices.
-        generator = {col[0]: g for col, g in zip(self.table.columns, self.generators)}
-        m = mat_identity(self.dimension, self.conductor)
-        built = {0: m}
-        for j in sorted(needed):  # 0 comes first, and m is its matrix
-            if j:
-                _, p, col = tree[j - 1]
-                children[p] -= 1
-                m = mat_mul(built[p] if children[p] else built.pop(p), generator[col[0]])
-                if children[j]:
-                    built[j] = m
-            if j in wanted:
-                yield j, m
+        i, built along ``table.tree`` (:meth:`FiniteGroupTable.elements`)."""
+        generator = dict(zip(self.table.generators, self.generators))
+        return self.table.elements(targets, mat_identity(self.dimension, self.conductor),
+                                   lambda m, g: mat_mul(m, generator[g]))
 
     # No src/ path or test reads mult_table. It and _mult_table stay only
     # because bench/tracer.py wraps both.
@@ -240,18 +222,22 @@ class FiniteUnitaryGroup:
         for c in found:
             for x in c:
                 rep_of[x] = c[0]
-        reduction = self._reduction
+        # The walks first, as they fix which elements are read; then one
+        # walk down the tree builds those elements mod p.
+        walks, reached = {}, set(self._eigen)
         for c in found:
-            g = c[0]
-            if g in self._eigen:
-                continue
-            row, walk, x = self.table.row(g), [0], g
-            while x:
-                walk.append(x)
-                x = row[x]
-            o = len(walk)
-            exponents = reduction.eigen_exponents(reduction.matrices[g], o)
-            for k, x in enumerate(walk):
+            if c[0] not in reached:
+                row, walk, x = self.table.row(c[0]), [0], c[0]
+                while x:
+                    walk.append(x)
+                    x = row[x]
+                walks[c[0]] = walk
+                reached.update(rep_of[x] for x in walk)
+        red = self._reduction
+        for g, element in self.table.elements(walks, _identity_mod(self.dimension), red.times):
+            o = len(walks[g])
+            exponents = red.eigen_exponents(element, o)
+            for k, x in enumerate(walks[g]):
                 if rep_of[x] not in self._eigen:
                     d = math.gcd(o, k)
                     mults = Counter()
@@ -367,29 +353,28 @@ class _ModularReduction:
 
     L = lcm(N, |G|); p is the smallest odd prime = 1 (mod L) that divides no
     generator denominator, and w_L is a primitive L-th root of unity mod p.
-    ``matrices[i]`` is element i mod p, replayed along the table's first
-    tree from the reduced generators. The eigenvalues of an element of order
+    ``generators`` maps each generator g, by its element index, to its
+    columns mod p, and :meth:`times` is the step of
+    :meth:`FiniteGroupTable.elements`, which builds the elements read mod p
+    along the table's first tree. The eigenvalues of an element of order
     o are o-th roots of unity, and zeta_o^m goes to w_o^m with w_o =
     w_L^(L/o). Since p = 1 (mod o), x^o - 1 is separable mod p, so reduced
     elements are diagonalizable over F_p, and the reduction keeps eigenvalue
     multiplicities (README, Conventions).
     """
 
-    __slots__ = ("prime", "lcm", "root", "matrices")
+    __slots__ = ("prime", "lcm", "root", "generators")
 
     def __init__(self, group: FiniteUnitaryGroup):
         L = self.lcm = math.lcm(group.conductor, group.order)
-        p, root = _split_prime(L, _denominator(group), 2)
-        self.prime, self.root = p, root
+        self.prime, self.root = p, root = _split_prime(L, _denominator(group), 2)
         residues = _ResidueMap(group.conductor, p, pow(root, L // group.conductor, p))
-        gens = {col[0]: _columns(residues.reduce(g))
-                for col, g in zip(group.table.columns, group.generators)}
-        # One product per element, where a closure mod p makes one per element
-        # and generator: 9 to 16 ms against 29 on nine groups (2-vCPU machine).
-        # Edge j - 1 of the tree finds element j.
-        matrices = self.matrices = [_identity_mod(group.dimension)]
-        for _, parent, col in group.table.tree:
-            matrices.append(_mul_mod(matrices[parent], gens[col[0]], p))
+        self.generators = {g: _columns(residues.reduce(m))
+                           for g, m in zip(group.table.generators, group.generators)}
+
+    def times(self, x: Residues, g: int) -> Residues:
+        """x * g mod p for the generator g."""
+        return _mul_mod(x, self.generators[g], self.prime)
 
     def eigen_exponents(self, g: Residues, o: int) -> dict[int, int]:
         """{m: multiplicity} of the eigenvalues w_o^m of g, an element of

@@ -208,10 +208,11 @@ def composition_check(span1, span2):
         span1.right.order * span2.right.order,
         span1.middle.order * span2.middle.order,
     )
-    rhs = sum(
-        (Fraction(span2.right.order, stab) for _, stab in orbit_decomposition(span1, span2).orbits),
-        Fraction(0),
-    )
+    # One Fraction: the terms are summed as ints over the lcm of the
+    # stabilizer orders.
+    stabs = [stab for _, stab in orbit_decomposition(span1, span2).orbits]
+    lcm = math.lcm(*stabs)
+    rhs = Fraction(span2.right.order * sum(lcm // stab for stab in stabs), lcm)
     return lhs, rhs, lhs == rhs
 
 

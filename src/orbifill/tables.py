@@ -89,6 +89,31 @@ class FiniteGroupTable:
             self._by_columns = _tree(self.columns, self.order)
         return self._by_columns
 
+    def elements(self, targets, identity, step):
+        """(j, element j) for each target j, in ascending j, with element 0
+        ``identity`` and element j = p*g, the edge of j in :attr:`tree`,
+        step(element p, g). One walk down the tree builds each needed
+        element, a target or an ancestor of one, and drops an element once
+        its last needed child is built."""
+        tree, wanted = self.tree, set(targets)
+        needed, children = {0}, [0] * self.order
+        for j in wanted:
+            while j not in needed:
+                needed.add(j)
+                j = tree[j - 1][1]
+                children[j] += 1
+        x, built = identity, {0: identity}
+        for j in sorted(needed):  # 0 comes first, and x is its element
+            if j:
+                _, p, col = tree[j - 1]
+                children[p] -= 1
+                # col_g[0] = g names the generator of the edge.
+                x = step(built[p] if children[p] else built.pop(p), col[0])
+                if children[j]:
+                    built[j] = x
+            if j in wanted:
+                yield j, x
+
     def _built_trees(self):
         """The tree over the columns (j = p*g), the tree over the
         generators' rows (j = g*p), the inverses and the rows of the

@@ -145,9 +145,11 @@ class TestExitCodes:
         # A reduced matrix that is not diagonalizable, as in
         # test_non_group_element_is_internal, is a broken internal state,
         # not an input error.
-        # Element 1, the first generator, is always read.
+        # Element 1, the first generator, is always read, and it is built
+        # as the identity times its reduced generator, which is held by its
+        # columns: these are those of ((1, 1), (0, 1)).
         group = build(quaternion())
-        group._reduction.matrices[1] = ((1, 1), (0, 1))
+        group._reduction.generators[1] = ((1, 0), (1, 1))
         with pytest.raises(SystemExit) as info:
             _guarded(lambda: group.eigen_multiplicities(1))()
         assert info.value.code == EXIT_INTERNAL

@@ -51,7 +51,7 @@ from orbifill.groups import (
     mat_identity,
     mat_mul,
 )
-from orbifill.tables import closure, orbits
+from orbifill.tables import FiniteGroupTable, closure, orbits
 
 
 def key(matrix):
@@ -106,15 +106,22 @@ def character_formula(group, i):
     return o, mults
 
 
-def rank_reading(group, i):
-    """Reference for eigen data, read from element i's own reduced matrix,
+def reduced_elements(group, targets):
+    """(i, element i mod the eigen prime) for each target i, in ascending i,
+    built along the table's tree from the reduced generators."""
+    identity = groups._identity_mod(group.dimension)
+    return group.table.elements(targets, identity, group._reduction.times)
+
+
+def rank_reading(group, i, g):
+    """Reference for eigen data, read from element i's own reduced matrix g,
     with nothing spread from another element: the order o by powering the
     matrix until it is I, then one rank per candidate exponent, mult(m) =
     n - rank(g - w_o^m I) for m = 0, 1, ..., until the multiplicities sum
     to n. w_o comes from the reduction's own prime, so that the exponents
     are labelled as the reduction labels them."""
     red, n = group._reduction, group.dimension
-    p, g = red.prime, red.matrices[i]
+    p = red.prime
     identity = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
     power, o = g, 1
     while power != identity:
@@ -257,12 +264,13 @@ class TestEnumeration:
         # Neither matrix is diagonalizable with |G|-th roots of unity as
         # eigenvalues mod the eigen prime (2 has order 9 mod 73, and 2T has
         # order 24), so it has no eigen data at the order its power walk
-        # gives. The eigen code reads element i as its replayed matrix mod
-        # p. Element 1, the first generator, is the least member of its
-        # class and no power of the identity, so it is always read.
+        # gives. The eigen code builds the elements it reads mod p from the
+        # reduced generators. Element 1, the first generator, is the least
+        # member of its class and no power of the identity, so it is always
+        # read, and it is the identity times its reduced generator.
         g = build(doc)
         i = 1
-        g._reduction.matrices[i] = entries
+        g._reduction.generators[i] = groups._columns(entries)
         with pytest.raises(InternalInconsistency):
             g.element_order(i)
         with pytest.raises(InternalInconsistency):
@@ -422,9 +430,9 @@ class TestEigenData:
                 times_scalars(binary_tetrahedral(), 5), scalar_cyclic(500),
                 times_scalars(quaternion(), 63), diagonal_signs(3)]
         for g in battery_48() + [build(d) for d in docs]:
-            for i in range(g.order):
+            for i, reduced in reduced_elements(g, range(g.order)):
                 data = g.eigen_multiplicities(i)
-                o, mults = rank_reading(g, i)
+                o, mults = rank_reading(g, i, reduced)
                 assert (data.order, list(data.multiplicities.items())) == (
                     o, list(mults.items())), (g.name, i)
 
@@ -474,6 +482,42 @@ class TestEigenData:
             g.eigen_multiplicities(cls.representative_index)
         assert (calls["eigen_exponents"], calls["rank_shifted"]) == (reads, ranks)
 
+    @pytest.mark.parametrize(
+        "doc, products",
+        [(scalar_cyclic(500), 1),
+         (binary_dihedral(500), 3),
+         (times_scalars(quaternion(), 63), 7),
+         (scalar_cyclic(10000), 1)],
+        ids=lambda v: v["name"] if isinstance(v, dict) else None,
+    )
+    def test_reduced_products_only_for_read_elements(self, monkeypatch, doc, products):
+        # The classes build mod p only the elements read and their
+        # ancestors in the tree, one product each: on mu500 and mu10000 the
+        # generator alone, and none of the other |G| - 2 elements.
+        g = build(doc)
+        calls, read = [], []
+        monkeypatch.setattr(groups, "_mul_mod", lambda *a, f=groups._mul_mod:
+                            calls.append(1) or f(*a))
+        # The elements read mod p: the targets of the walk whose step is the
+        # reduction's (the exact tie-break walks too).
+        elements = FiniteGroupTable.elements
+
+        def recording(table, targets, identity, step):
+            targets = list(targets)
+            if step == g._reduction.times:
+                read.extend(targets)
+            return elements(table, targets, identity, step)
+
+        monkeypatch.setattr(FiniteGroupTable, "elements", recording)
+        g.classes
+        needed = set()
+        for j in read:
+            while j and j not in needed:
+                needed.add(j)
+                j = g.table.tree[j - 1][1]
+        assert len(calls) == products
+        assert len(needed) == products
+
     def test_reduction_prime_skips_denominators(self):
         g = build(pythagorean_klein())
         assert g.order == 4
@@ -504,8 +548,8 @@ def isolation_by_elements(group):
     every nontrivial element in index order, the first with a fixed vector
     as the witness."""
     red = group._reduction
-    for i in range(1, group.order):
-        if group.dimension - red.rank_shifted(red.matrices[i], 1):
+    for i, reduced in reduced_elements(group, range(1, group.order)):
+        if group.dimension - red.rank_shifted(reduced, 1):
             return False, i
     return True, None
 
