@@ -1,9 +1,11 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 Values are stored in the power basis 1, z, ..., z^(phi(N)-1) reduced modulo
-the N-th cyclotomic polynomial Phi_N, as int numerators over one positive int
-denominator with no common factor, so arithmetic and comparison run on ints.
-Everything is exact; no floating point enters this module.
+the N-th cyclotomic polynomial Phi_N, as their nonzero int coefficients over
+one positive int denominator with no common factor. Arithmetic runs on ints
+and costs the terms a value has, not phi(N): a product of t- and u-term values
+makes t*u int products, plus one reduction-table row per power >= phi(N) that
+they reach. Everything is exact; no floating point enters this module.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from operator import itemgetter
 
 from .errors import IncompatibleConductor, InternalInconsistency, ParseError
 
@@ -122,35 +124,41 @@ def _sparse_reduction(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rows)
 
 
-class CyclotomicNumber:
-    """An element of Q(zeta_N) in reduced power-basis form.
+_exponent, _coefficient = itemgetter(0), itemgetter(1)
 
-    The value is sum(nums[e] * zeta_N^e) / den over int numerators ``nums``
-    and an int ``den > 0`` with gcd(den, *nums) == 1; zero is (0, ..., 0)/1.
-    This normal form is unique at each conductor. Instances are immutable.
-    Equality compares underlying field elements: representations at
-    different conductors are lifted to the lcm first. Values are not
+
+class CyclotomicNumber:
+    """An element of Q(zeta_N) in sparse reduced power-basis form.
+
+    The value is sum(c * zeta_N^e for e, c in terms) / den. ``terms`` holds
+    the nonzero int coefficients as (e, c) pairs, ascending in e < phi(N),
+    and the int ``den > 0`` has no factor in common with them all; zero is
+    the empty form over 1. This normal form is unique at each conductor, and
+    every operation costs the terms it reads, not phi(N). Instances are
+    immutable. Equality compares underlying field elements: representations
+    at different conductors are lifted to the lcm first. Values are not
     hashable, since equal values at different conductors have different
     normal forms.
     """
 
-    __slots__ = ("conductor", "nums", "den")
+    __slots__ = ("conductor", "terms", "den")
 
-    def __init__(self, conductor: int, nums, den: int = 1):
-        nums = tuple(nums)
-        if len(nums) != euler_phi(conductor):
-            raise InternalInconsistency("coefficient vector has wrong length")
+    def __init__(self, conductor: int, terms, den: int = 1):
+        # terms: (e, c) int pairs with distinct e in [0, phi(N)), any order.
+        terms = sorted(filter(_coefficient, terms), key=_exponent)
+        if terms and not 0 <= terms[0][0] <= terms[-1][0] < euler_phi(conductor):
+            raise InternalInconsistency("power-basis exponent out of range")
         if den != 1:
             if den == 0:
                 raise ZeroDivisionError("cyclotomic value with denominator zero")
-            g = math.gcd(den, *nums)
+            g = math.gcd(den, *map(_coefficient, terms))
             if den < 0:
                 g = -g
             if g != 1:
                 den //= g
-                nums = tuple(c // g for c in nums)
+                terms = [(e, c // g) for e, c in terms]
         self.conductor = conductor
-        self.nums = nums
+        self.terms = tuple(terms)
         self.den = den
 
     def __repr__(self):
@@ -160,14 +168,15 @@ class CyclotomicNumber:
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        """Read-only view of the power-basis coefficients as Fractions."""
-        return tuple(Fraction(c, self.den) for c in self.nums)
+        """The dense power-basis coefficients as Fractions."""
+        dense = dict(self.terms)
+        return tuple(Fraction(dense.get(e, 0), self.den) for e in range(euler_phi(self.conductor)))
 
     def is_zero(self) -> bool:
-        return not any(self.nums)
+        return not self.terms
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.terms)
 
     # -- conductor handling --------------------------------------------------
 
@@ -180,7 +189,7 @@ class CyclotomicNumber:
                 f"cannot lift conductor {self.conductor} to {conductor}"
             )
         step = conductor // self.conductor
-        return _substitute(conductor, [(j * step, c) for j, c in _support(self.nums)], self.den)
+        return _reduce(conductor, {j * step: c for j, c in self.terms}, self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -205,7 +214,7 @@ class CyclotomicNumber:
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.conductor, [-c for c in self.nums], self.den)
+        return CyclotomicNumber(self.conductor, [(e, -c) for e, c in self.terms], self.den)
 
     def __sub__(self, other):
         a, b = self._pair(other)
@@ -217,28 +226,15 @@ class CyclotomicNumber:
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        phi = len(a.nums)
-        an, bn = _support(a.nums), _support(b.nums)
-        if not an or not bn:
-            return CyclotomicNumber(a.conductor, [0] * phi)
-        # Schoolbook product into degree < 2*phi - 1, then fold the high
-        # degrees back through the reduction table; 2*phi - 2 >= n when n
-        # is prime, so the power is read at e mod n.
-        acc = [0] * (2 * phi - 1)
-        for i, c in an:
-            for j, d in bn:
-                acc[i + j] += c * d
-        n = a.conductor
-        red = _sparse_reduction(n)
-        s = n // len(red)
-        for e in range(phi, 2 * phi - 1):
-            c = acc[e]
-            if c:
-                q, t = divmod(e % n, s)
-                for i, r in red[q]:
-                    acc[i + t] += c * r
-        del acc[phi:]
-        return CyclotomicNumber(n, acc, a.den * b.den)
+        # Schoolbook product of the stored terms; _reduce folds back only the
+        # powers e >= phi it produced, at e mod n (2*phi - 2 >= n for prime n).
+        acc = {}
+        get = acc.get
+        for i, c in a.terms:
+            for j, d in b.terms:
+                k = i + j
+                acc[k] = get(k, 0) + c * d
+        return _reduce(a.conductor, acc, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -249,22 +245,22 @@ class CyclotomicNumber:
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
         n = self.conductor
-        b = CyclotomicNumber(n, self.nums)
+        b = CyclotomicNumber(n, self.terms)
         p = one(n)
         for k in range(2, n):
             if math.gcd(k, n) == 1:
                 p = p * b.galois(k)
-        norm = (b * p).nums
-        if any(norm[1:]) or not norm[0]:
+        norm = (b * p).terms
+        if len(norm) != 1 or norm[0][0]:
             raise InternalInconsistency("the norm is not a nonzero rational integer")
-        return CyclotomicNumber(n, [c * self.den for c in p.nums], norm[0])
+        return CyclotomicNumber(n, [(e, c * self.den) for e, c in p.terms], norm[0][1])
 
     def galois(self, k: int) -> "CyclotomicNumber":
         """Apply the field automorphism zeta_N -> zeta_N^k, gcd(k, N) = 1."""
         n = self.conductor
         if math.gcd(k, n) != 1:
             raise ValueError("automorphism exponent must be coprime to the conductor")
-        return _substitute(n, [(j * k, c) for j, c in _support(self.nums)], self.den)
+        return _reduce(n, {j * k % n: c for j, c in self.terms}, self.den)
 
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugation, realized as zeta_N -> zeta_N^(N-1)."""
@@ -277,12 +273,12 @@ class CyclotomicNumber:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             # Both sides are in lowest terms, so they compare term by term.
-            return (not any(self.nums[1:]) and self.nums[0] == other.numerator
+            return (self.terms == (((0, other.numerator),) if other else ())
                     and self.den == other.denominator)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         a, b = self._pair(other)
-        return a.den == b.den and a.nums == b.nums
+        return a.den == b.den and a.terms == b.terms
 
     # -- rendering -----------------------------------------------------------
 
@@ -290,7 +286,7 @@ class CyclotomicNumber:
         """Canonical literal in the document grammar (z means zeta_conductor)."""
         parts = []
         den = self.den
-        for e, c in _support(self.nums):
+        for e, c in self.terms:
             g = math.gcd(c, den)
             mag = str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
             body = mag if e == 0 else f"{mag}*z^{e}"
@@ -301,43 +297,42 @@ class CyclotomicNumber:
         return "".join(parts) if parts else "0"
 
 
-def _support(nums) -> list[tuple[int, int]]:
-    # The (index, value) pairs of the nonzero entries, found in C.
-    return [(i, nums[i]) for i in compress(range(len(nums)), nums)]
-
-
 def _combine(a: CyclotomicNumber, b: CyclotomicNumber, sign: int) -> CyclotomicNumber:
     # a + sign * b for a and b at one conductor, over the lcm of the
     # denominators.
-    if a.den == b.den:
-        return CyclotomicNumber(a.conductor, [x + sign * y for x, y in zip(a.nums, b.nums)], a.den)
     g = math.gcd(a.den, b.den)
     sa, sb = b.den // g, sign * (a.den // g)
-    return CyclotomicNumber(
-        a.conductor, [x * sa + y * sb for x, y in zip(a.nums, b.nums)], a.den * sa
-    )
+    acc = {e: c * sa for e, c in a.terms}
+    for e, c in b.terms:
+        acc[e] = acc.get(e, 0) + c * sb
+    return CyclotomicNumber(a.conductor, acc.items(), a.den * sa)
 
 
-def _substitute(n: int, terms, den: int) -> CyclotomicNumber:
-    # sum(c * zeta_n^e) / den for int (e, c) terms, each power read from the
-    # reduction table at e mod n, as in __mul__.
+def _reduce(n: int, acc: dict, den: int) -> CyclotomicNumber:
+    # sum(c * zeta_n^e for e, c in acc.items()) / den for int e and c. Each
+    # power outside 0 <= e < phi is popped and read from the reduction table
+    # at e mod n; the others are already in the power basis. Consumes acc.
+    phi = euler_phi(n)
     red = _sparse_reduction(n)
     s = n // len(red)
-    acc = [0] * euler_phi(n)
-    for e, c in terms:
+    get = acc.get
+    for e in [e for e in acc if e >= phi or e < 0]:
+        c = acc.pop(e)
         q, t = divmod(e % n, s)
         for i, r in red[q]:
-            acc[i + t] += c * r
-    return CyclotomicNumber(n, acc, den)
+            acc[i + t] = get(i + t, 0) + c * r
+    return CyclotomicNumber(n, acc.items(), den)
 
 
 def _from_terms(conductor: int, terms) -> CyclotomicNumber:
     # sum(num / den * zeta_conductor^exp) for int (num, den, exp) terms, den > 0.
     if conductor < 1:
         raise ValueError("conductor must be positive")
-    terms = [t for t in terms if t[0]]
     den = math.lcm(*(d for _, d, _ in terms))
-    return _substitute(conductor, [(exp, num * (den // d)) for num, d, exp in terms], den)
+    acc = {}
+    for num, d, exp in terms:
+        acc[exp] = acc.get(exp, 0) + num * (den // d)
+    return _reduce(conductor, acc, den)
 
 
 def make(conductor: int, terms) -> CyclotomicNumber:

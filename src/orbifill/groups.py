@@ -292,12 +292,12 @@ class FiniteUnitaryGroup:
 
 def _sparse_key(matrix: Matrix) -> tuple:
     """Orders matrices as the tuples of their entries' power-basis
-    coefficients do, from the nonzero ones alone: a nonzero c at position e
+    coefficients do, from the stored terms alone: a nonzero c at position e
     is (c > 0, -e if c > 0 else e, c), and (False, inf) ends each entry, so
     where two entries first differ, a 0 sorts after a negative coefficient
     and before a positive one, as in the dense order."""
     return tuple(tuple((c > 0, -e if c > 0 else e, Fraction(c, x.den))
-                       for e, c in enumerate(x.nums) if c) + ((False, math.inf),)
+                       for e, c in x.terms) + ((False, math.inf),)
                  for row in matrix for x in row)
 
 
@@ -324,7 +324,7 @@ class _ResidueMap:
         """The matrix's image; ValueError if a denominator is not prime to m."""
         m, zp = self.modulus, self.zeta_powers
         return tuple(
-            tuple(sum(c * z for c, z in zip(x.nums, zp) if c) * pow(x.den, -1, m) % m
+            tuple(sum(c * zp[e] for e, c in x.terms) * pow(x.den, -1, m) % m
                   for x in row)
             for row in entries
         )

@@ -30,7 +30,7 @@ def power_mod_phi(n, e):
 def approx(x):
     """A cyclotomic value as a complex float, for the numerical oracles."""
     z = cmath.exp(2j * cmath.pi / x.conductor)
-    return sum(c * z**e for e, c in enumerate(x.nums)) / x.den
+    return sum(c * z**e for e, c in x.terms) / x.den
 
 
 def scalar_cyclic(k, n=2):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -559,20 +560,50 @@ class TestAgainstFractionReference:
             text = ra.to_literal()
             assert a.to_literal() == text
             assert self.same(parse_literal(text, n), ra)
-            assert parse_literal(a.to_literal(), n).nums == a.nums
+            x = parse_literal(a.to_literal(), n)
+            assert (x.terms, x.den) == (a.terms, a.den)
+
+    def test_high_conductors(self):
+        # Sparse operands at conductor 10,000 (phi = 4,000), where products
+        # fold powers e >= phi, and at the prime 9,973, where 2*phi - 2 >= N,
+        # so products also reach powers e >= N, which the fold reads at e mod N.
+        rng = random.Random(70107)
+        for n, high in ((10000, 4000), (9973, 9973)):
+            reached = 0
+            for _ in range(6):
+                a, ra = self.random_pair(rng, n)
+                b, rb = self.random_pair(rng, n)
+                reached += sum(i + j >= high for i, _ in a.terms for j, _ in b.terms)
+                assert self.same(a + b, ra + rb)
+                assert self.same(a - b, ra - rb)
+                assert self.same(a * b, ra * rb)
+                assert self.same(a.conjugate(), ra.conjugate())
+                assert (a == b) == (ra == rb)
+            assert reached > 0, n
 
 
 class TestNormalForm:
-    """den > 0, gcd(den, *nums) == 1, zero is (0, ..., 0)/1, and rationals
-    compare equal at every conductor."""
+    """terms holds the nonzero (e, c) pairs ascending in e < phi(N), den > 0,
+    gcd(den, *coefficients) == 1, zero is the empty form over 1, and
+    rationals compare equal at every conductor."""
 
     @staticmethod
     def assert_normal(x):
+        exponents = [e for e, _ in x.terms]
+        coefficients = [c for _, c in x.terms]
+        assert type(x.terms) is tuple and all(type(t) is tuple and len(t) == 2 for t in x.terms)
+        assert exponents == sorted(set(exponents))
+        assert all(0 <= e < euler_phi(x.conductor) for e in exponents)
+        assert all(coefficients)
         assert x.den > 0
-        assert math.gcd(x.den, *x.nums) == 1
-        assert all(type(c) is int for c in x.nums) and type(x.den) is int
+        assert math.gcd(x.den, *coefficients) == 1
+        assert all(type(v) is int for v in exponents + coefficients) and type(x.den) is int
+        assert x.is_zero() == (not x.terms)
         if x.is_zero():
             assert x.den == 1
+        # The dense view agrees with the stored terms.
+        assert x.coefficients == tuple(Fraction(dict(x.terms).get(e, 0), x.den)
+                                       for e in range(euler_phi(x.conductor)))
 
     def test_results_are_normal(self):
         rng = random.Random(70201)
@@ -588,19 +619,27 @@ class TestNormalForm:
                 self.assert_normal(a.inverse())
 
     def test_constructor_normalises(self):
-        x = CyclotomicNumber(4, (2, 4), -6)
-        assert (x.nums, x.den) == ((-1, -2), 3)
-        z = CyclotomicNumber(5, (0, 0, 0, 0), 7)
-        assert (z.nums, z.den) == ((0, 0, 0, 0), 1)
+        # Terms in any order, zero coefficients among them, are stored
+        # ascending without the zeros, over a positive lowest denominator.
+        x = CyclotomicNumber(4, ((1, 4), (0, 2)), -6)
+        assert (x.terms, x.den) == (((0, -1), (1, -2)), 3)
+        z = CyclotomicNumber(5, ((3, 0), (0, 0)), 7)
+        assert (z.terms, z.den) == ((), 1)
+        y = CyclotomicNumber(12, ((3, 0), (2, 6), (0, -9)), 15)
+        assert (y.terms, y.den) == (((0, -3), (2, 2)), 5)
         assert x == make(4, [(Fraction(-1, 3), 0), (Fraction(-2, 3), 1)])
         with pytest.raises(ZeroDivisionError):
-            CyclotomicNumber(1, (1,), 0)
+            CyclotomicNumber(1, ((0, 1),), 0)
+        for bad in (((2, 1),), ((-1, 1),), ((0, 1), (4, 1))):
+            with pytest.raises(InternalInconsistency, match="exponent"):
+                CyclotomicNumber(4, bad)
 
     def test_zero_is_canonical(self):
         for n in (1, 2, 12, 60):
-            assert zero(n).nums == (0,) * euler_phi(n) and zero(n).den == 1
+            assert zero(n).terms == () and zero(n).den == 1
+            assert zero(n).coefficients == (0,) * euler_phi(n)
             a = make(n, [(Fraction(3, 7), 1)])
-            assert ((a - a).nums, (a - a).den) == (zero(n).nums, 1)
+            assert ((a - a).terms, (a - a).den) == ((), 1)
 
     def test_rationals_at_any_conductor(self):
         for r in (Fraction(0), Fraction(5), Fraction(-7, 3), Fraction(1, 2)):
@@ -610,6 +649,36 @@ class TestNormalForm:
         rational_sum = make(5, [(1, 1), (1, 2), (1, 3), (1, 4), (Fraction(1, 2), 0)])
         assert rational_sum == Fraction(-1, 2)
         assert make(3, [(4, 0)]) == 4
+
+
+class TestSparseCost:
+    """A value costs its terms, not phi(N): at conductor 20,000 (phi = 8,000)
+    a product and a sum of one-term values each store one term and build no
+    phi-sized buffer."""
+
+    def test_one_term_operands(self):
+        n = 20000
+        a = make(n, [(Fraction(3, 7), 7000)])
+        # 7,000 + 7,500 >= phi: zeta^14500 = y^7 zeta^500 = -y^2 zeta^500 for
+        # y = zeta^2000, a primitive 10th root of unity, so the fold reads one
+        # row of one term.
+        b = make(n, [(-2, 7500)])
+        c = make(n, [(Fraction(5, 2), 7000)])
+        assert [len(x.terms) for x in (a, b, c)] == [1, 1, 1]
+        a * b  # the reduction table, built once per conductor
+        tracemalloc.start()
+        try:
+            product = a * b
+            product_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            total = a + c
+            total_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (product.terms, product.den) == (((4500, 6),), 7)
+        assert (total.terms, total.den) == (((7000, 41),), 14)
+        # A dense phi-slot form peaked at about 320 KB on each.
+        assert product_peak < 4096 and total_peak < 4096
 
 
 class TestInverseFromConjugates:

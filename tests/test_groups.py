@@ -55,9 +55,9 @@ from orbifill.tables import FiniteGroupTable, closure, orbits
 
 
 def key(matrix):
-    """An exact matrix's canonical key: its entries' (den, nums) normal forms,
+    """An exact matrix's canonical key: its entries' (den, terms) normal forms,
     faithful because all entries of a group share one conductor."""
-    return tuple((x.den, x.nums) for row in matrix for x in row)
+    return tuple((x.den, x.terms) for row in matrix for x in row)
 
 
 def table_powers(group, i):
@@ -658,7 +658,7 @@ def commuting_reflections():
     """diag(R, 1) and diag(1, 1, -1) with R = [[3/5, 4/5], [4/5, -3/5]]: two
     classes of age 1/2 and size 1 whose representatives tie until the key.
     Their first entries 3/5 < 1 order them one way as Fractions and the
-    other way as (den, nums) pairs, since 5 > 1."""
+    other way as (den, terms) pairs, since 5 > 1."""
     return {"name": "refl3", "dimension": 3, "conductor": 2, "generators": [
         [["3/5", "4/5", "0"], ["4/5", "-3/5", "0"], ["0", "0", "1"]],
         [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]]}
@@ -736,7 +736,7 @@ def dense_class_order(group):
         if len(run) > 1:
             entries = [[x for row in exact(c[0]) for x in row] for c in run]
             scale = math.lcm(*(x.den for rep in entries for x in rep))
-            keys = [tuple(tuple(v * (scale // x.den) for v in x.nums) for x in rep)
+            keys = [tuple(tuple(v * scale for v in x.coefficients) for x in rep)
                     for rep in entries]
             run = [c for _, c in sorted(zip(keys, run))]
         out.extend(run)
@@ -754,7 +754,7 @@ class TestSparseKey:
 
     def test_zero_before_positive_after_negative(self):
         # Sparsely, (1, 0, 0, 0) is a prefix of (1, 0, -5, 0) and of (1, 0, 5, 0).
-        prefix, negative, positive = [((CyclotomicNumber(5, nums),),) for nums in (
+        prefix, negative, positive = [((CyclotomicNumber(5, enumerate(nums)),),) for nums in (
             (1, 0, 0, 0), (1, 0, -5, 0), (1, 0, 5, 0))]
         for a, b in itertools.permutations([prefix, negative, positive], 2):
             self.check(a, b)
@@ -767,7 +767,7 @@ class TestSparseKey:
         def matrix():
             # Small values and many zeros, so supports differ and entries tie.
             return tuple(tuple(
-                CyclotomicNumber(5, [rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(4)],
+                CyclotomicNumber(5, enumerate(rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(4)),
                                  rng.choice((1, 1, 2, 3, 6)))
                 for _ in range(2)) for _ in range(2))
 
@@ -810,7 +810,7 @@ class TestTieBreakWalk:
 
 def exact_closure(group):
     """Reference: the breadth-first closure over exact matrices keyed by the
-    entries' (den, nums) normal forms, as enumeration ran before its keys
+    entries' (den, terms) normal forms, as enumeration ran before its keys
     moved to F_p0. Returns the elements, their index by key, the parents and
     the generator columns."""
     identity = mat_identity(group.dimension, group.conductor)
