@@ -79,24 +79,19 @@ def _metadata(digest=None, seed=None, conventions=None):
     return meta
 
 
-def _echo(text: str, err: bool = False):
-    """Write one line with its newline in a single write, then flush. print()
-    writes the newline separately, and on an unbuffered stream a reader that
-    closes the pipe after the line would make that second write fail."""
-    stream = sys.stderr if err else sys.stdout
-    stream.write(text + "\n")
-    stream.flush()
+def _echo(text: str):
+    """Write one stderr line, an error or the sweep verdict, and its newline in one
+    write, then flush. print() writes the newline apart, and on an unbuffered stream
+    that second write fails if the reader closed the pipe after the line."""
+    sys.stderr.write(text + "\n")
+    sys.stderr.flush()
 
 
 def _emit(report: dict, fmt: str):
-    if fmt == "json":
-        _write_json(report, sys.stdout)
-    else:
-        for line in _tableize(report):
-            _echo(line)
+    (_write_json if fmt == "json" else _write_table)(report, sys.stdout)
 
 
-_CHUNK = 4096  # pieces of JSON text joined into one write
+_CHUNK = 4096  # pieces of JSON text, or table lines, joined into one write
 
 
 def _write_json(value, stream):
@@ -139,22 +134,35 @@ def _write_json(value, stream):
     stream.flush()
 
 
-def _tableize(value, prefix=""):
-    if isinstance(value, dict):
-        for key in value:
-            sub = value[key]
-            if isinstance(sub, (dict, list, Iterator)):
-                yield f"{prefix}{key}:"
-                yield from _tableize(sub, prefix + "  ")
-            else:
-                yield f"{prefix}{key}: {sub}"
-    elif isinstance(value, (list, Iterator)):
+def _write_table(value, stream):
+    """Write the dict ``value`` to ``stream`` as ``key: value`` and ``- item`` lines
+    in writes of about _CHUNK lines. A dict value nests two spaces deeper if a dict,
+    list or iterator (read an item at a time), a list item if a dict or list."""
+    lines = []
+    append = lines.append
+
+    def write(value, prefix):
+        if isinstance(value, dict):
+            for key, sub in value.items():
+                if isinstance(sub, (dict, list, Iterator)):
+                    append(f"{prefix}{key}:\n")
+                    write(sub, prefix + "  ")
+                else:
+                    append(f"{prefix}{key}: {sub}\n")
+            return
         for item in value:
             if isinstance(item, (dict, list)):
-                yield f"{prefix}-"
-                yield from _tableize(item, prefix + "  ")
+                append(f"{prefix}-\n")
+                write(item, prefix + "  ")
             else:
-                yield f"{prefix}- {item}"
+                append(f"{prefix}- {item}\n")
+            if len(lines) >= _CHUNK:
+                stream.write("".join(lines))
+                lines.clear()
+
+    write(value, "")
+    stream.write("".join(lines))
+    stream.flush()
 
 
 # (exception types, stderr prefix, exit code), matched in order by _guarded.
@@ -184,9 +192,9 @@ def _guarded(fn):
         except Exception as e:
             for types, prefix, code in _OUTCOMES:
                 if isinstance(e, types):
-                    _echo(f"{prefix}: {e}", err=True)
+                    _echo(f"{prefix}: {e}")
                     sys.exit(code)
-            _echo(f"internal error: {type(e).__name__}: {e}", err=True)
+            _echo(f"internal error: {type(e).__name__}: {e}")
             sys.exit(EXIT_INTERNAL)
 
     return wrapper
@@ -356,16 +364,12 @@ def cr_cmd(action, path, convention, betti, singularities, coefficient, max_orde
     """Chen-Ruan data: sectors, ring structure, pairing, filling ranks."""
     if action == "filling":
         ring_desc = CoefficientRing.parse(coefficient)
-        groups = []
-        digests = []
-        for spath in singularities:
-            g, digest = _load_group(spath, max_order, cache_dir)
-            groups.append(g)
-            digests.append(digest)
-        profile = FillingCRProfile(tuple(int(b) for b in betti.split(",")), tuple(groups))
+        loaded = [_load_group(spath, max_order, cache_dir) for spath in singularities]
+        profile = FillingCRProfile(tuple(int(b) for b in betti.split(",")),
+                                   tuple(group for group, _ in loaded))
         ranks = cr_of_filling(profile)
         return {
-            "metadata": _metadata(",".join(digests) or None),
+            "metadata": _metadata(",".join(digest for _, digest in loaded) or None),
             "coefficient": ring_desc.describe(),
             "ranks_by_degree": {str(d): r for d, r in ranks.items()},
             "total_rank": sum(ranks.values()),
@@ -403,8 +407,7 @@ def cr_cmd(action, path, convention, betti, singularities, coefficient, max_orde
             triple = ", ".join(ring.sectors[p].label for p in counterexample["triple"])
             verdicts.append(f"{name} fails at ({triple})")
     how = "requested" if wanted else "chosen by sweep"
-    _echo(f"associativity sweep: {'; '.join(verdicts)}; using {ring.convention.value} ({how})",
-          err=True)
+    _echo(f"associativity sweep: {'; '.join(verdicts)}; using {ring.convention.value} ({how})")
     return {
         "metadata": _metadata(digest, conventions={"cup_product": ring.convention.value}),
         **report,

@@ -400,7 +400,7 @@ class _ModularReduction:
         )
 
     def rank_shifted(self, g: Residues, lam: int) -> int:
-        """rank over F_p of g - lam * I."""
+        """rank over F_p of g - lam * I; rows 0 in a pivot's column are left as they are."""
         p = self.prime
         rows = [[(x - lam) % p if r == c else x for c, x in enumerate(row)]
                 for r, row in enumerate(g)]
@@ -412,7 +412,8 @@ class _ModularReduction:
                 continue
             rank += 1
             inv = pow(pivot_row[col], -1, p)
-            rows = [[(x - r[col] * inv * y) % p for x, y in zip(r, pivot_row)] for r in rows]
+            rows = [[(x - f * y) % p for x, y in zip(r, pivot_row)] if (f := r[col] * inv) else r
+                    for r in rows]
         return rank
 
 

@@ -140,10 +140,6 @@ class OrbitDecomposition(Record):
         # each orbit is (orbit size, stabilizer order)
         self.__dict__.update(orbits=orbits)
 
-    @property
-    def total(self) -> int:
-        return sum(size for size, _ in self.orbits)
-
 
 def _orbit_conjugates(span1, span2):
     """Checks that the spans compose, then yields each orbit by least

@@ -1037,10 +1037,10 @@ class Recorder:
         pass
 
 
-def written(value):
-    """The writes ``cli._write_json`` makes for ``value``."""
+def written(value, writer=cli_module._write_json):
+    """The writes ``writer`` makes for ``value``."""
     sink = Recorder()
-    cli_module._write_json(value, sink)
+    writer(value, sink)
     return sink.writes
 
 
@@ -1088,15 +1088,26 @@ class TestJsonWriter:
         assert "".join(writes) == json.dumps(report, sort_keys=True, indent=2) + "\n"
         assert all(not w.endswith("\n") for w in writes[:-1]) and writes[-1].endswith("}\n")
 
-    def test_table_takes_iterators(self, monkeypatch):
-        lines = []
-        monkeypatch.setattr(cli_module, "_echo", lines.append)
-        report = {"a": [1, {"b": [2, 3]}], "c": "d"}
-        cli_module._emit(report, "table")
-        as_lists = list(lines)
-        lines.clear()
-        cli_module._emit({"a": iter([1, {"b": iter([2, 3])}]), "c": "d"}, "table")
-        assert lines == as_lists
+    def test_table_takes_iterators(self):
+        texts = []
+        for report in ({"a": [1, {"b": [2, 3]}], "c": "d"},
+                       {"a": iter([1, {"b": iter([2, 3])}]), "c": "d"}):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                cli_module._emit(report, "table")
+            texts.append(out.getvalue())
+        assert texts[0] == texts[1] == "a:\n  - 1\n  -\n    b:\n      - 2\n      - 3\nc: d\n"
+
+    def test_large_table_arrives_in_chunks(self):
+        report = {"rows": [{"label": f"c{i}", "size": i} for i in range(5000)]}
+        expected = "rows:\n" + "".join(f"  -\n    label: c{i}\n    size: {i}\n"
+                                        for i in range(5000))
+        lines = expected.count("\n")
+        writes = written(report, cli_module._write_table)
+        # Each write but the last holds at least _CHUNK lines, and ends a line.
+        assert lines > cli_module._CHUNK and 1 < len(writes) <= 1 + lines // cli_module._CHUNK
+        assert "".join(writes) == expected
+        assert all(w.endswith("\n") for w in writes)
 
     def test_long_generator_memory_is_bounded(self):
         # 200,000 items print 10.4 MB of JSON; written a chunk at a time,

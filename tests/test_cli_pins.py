@@ -34,6 +34,9 @@ DOCUMENTS = {
     "one_span.json": {"span": {"left": {"cyclic": 1}, "middle": {"cyclic": 4},
                                "right": {"cyclic": 2}, "source": [0, 0, 0, 0],
                                "target": [0, 1, 0, 1]}},
+    # Scalar mu60 in U(2): its table report of 10,127 lines spans several writes.
+    "mu60.json": {"dimension": 2, "conductor": 60,
+                  "generators": [[["z", "0"], ["0", "z"]]]},
 }
 
 QUERIES = {
@@ -41,6 +44,7 @@ QUERIES = {
     "group-info-witness": "group info reflection.json",
     "group-canonical": "group canonical samples/antipodal2.json",
     "cr-ring": "cr ring samples/quaternion.json",
+    "cr-ring-mu60": "cr ring mu60.json",
     "cr-sectors": "cr sectors samples/a3.json",
     "cr-pairing": "cr pairing samples/quaternion.json",
     "cr-filling": "cr filling --betti 1,0,1 --singularity samples/antipodal2.json "

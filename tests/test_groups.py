@@ -518,6 +518,37 @@ class TestEigenData:
         assert len(calls) == products
         assert len(needed) == products
 
+    def test_rank_against_elimination_by_columns(self):
+        # Dense and sparse matrices mod p, of full and of low rank, against a
+        # plain elimination that picks each pivot by column.
+        def reference(rows, p):
+            rows, rank = [list(r) for r in rows], 0
+            for c in range(len(rows[0])):
+                i = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+                if i is None:
+                    continue
+                rows[rank], rows[i] = rows[i], rows[rank]
+                inv = pow(rows[rank][c], -1, p)
+                for k in range(rank + 1, len(rows)):
+                    f = rows[k][c] * inv
+                    rows[k] = [(x - f * y) % p for x, y in zip(rows[k], rows[rank])]
+                rank += 1
+            return rank
+
+        red = build(quaternion())._reduction
+        p, rng = red.prime, random.Random(5)
+        for trial in range(200):
+            n, r, density = rng.randint(1, 7), rng.randint(0, 7), rng.choice([0.2, 0.5, 1])
+            entry = lambda: rng.randrange(p) if rng.random() < density else 0
+            a = [[entry() for _ in range(r)] for _ in range(n)]
+            b = [[entry() for _ in range(n)] for _ in range(r)]
+            g = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] if r else [0] * n
+                 for row in a]
+            lam = rng.choice([0, 1, rng.randrange(p)])
+            shifted = [[(x - lam) % p if i == j else x for j, x in enumerate(row)]
+                       for i, row in enumerate(g)]
+            assert red.rank_shifted(g, lam) == reference(shifted, p), trial
+
     def test_reduction_prime_skips_denominators(self):
         g = build(pythagorean_klein())
         assert g.order == 4
