@@ -6,20 +6,21 @@ the cyclotomic grammar. Enumeration is the breadth-first closure
 :func:`~orbifill.tables.closure` over F_p0: each element is keyed by its
 reduction mod one odd prime p0 = 1 (mod N) that does not divide D, the lcm
 of the generator denominators, and the closure records, per generator s,
-the column x -> x * s.
-The keys are dropped once the closure is done: the group keeps those columns
-as a :class:`~orbifill.tables.FiniteGroupTable`, which composes its rows,
-inverses and conjugation maps, and classes are orbits of those maps. The
-table's first tree, the same breadth-first search over the columns, finds
-each element as its parent times a generator, and is the one record of how
-it was found. Element orders come from power walks along the table's rows,
-and eigenvalue multiplicities from a second reduction, mod a prime chosen
-after the closure, at one rank per candidate eigenvalue. Both are read once
-per cyclic subgroup and spread to every class its powers meet. Elements are
-built along that tree only where they are read, mod that prime for the
-eigen data and as exact matrices for the class order's tie-break, by one
-walk (:meth:`~orbifill.tables.FiniteGroupTable.elements`) that keeps a
-matrix only while something still needs it.
+the column x -> x * s. The keys are dropped once the closure is done: the
+group keeps those columns as a :class:`~orbifill.tables.FiniteGroupTable`,
+which composes its rows, inverses and conjugation maps, and classes are
+orbits of those maps. The table's first tree, the same breadth-first search
+over the columns, finds each element as its parent times a generator, and
+is the one record of how it was found. Element orders come from power walks
+along the table's rows, and eigenvalue multiplicities from a reduction mod
+a prime p chosen after the closure, at one rank per candidate eigenvalue.
+Both are read once per cyclic subgroup and spread to every class its powers
+meet. One :class:`_Reduction` sends the generators to Z/m for each of p0,
+the certificate's modulus and p. Elements are built along the tree only
+where they are read, mod p for the eigen data and as exact matrices for the
+class order's tie-break, by one walk
+(:meth:`~orbifill.tables.FiniteGroupTable.elements`) that keeps a matrix
+only while something still needs it.
 
 Why the keys are exact. If D = 1, every entry lies in Z[zeta_N], so G is a
 discrete subset of the Minkowski embedding; every Galois conjugate of a
@@ -46,10 +47,9 @@ import json
 import math
 import operator
 from collections import Counter
-from functools import cached_property
 from fractions import Fraction
 
-from .cyclotomic import (CyclotomicNumber, euler_phi, factorize, make, parse_literal,
+from .cyclotomic import (CyclotomicNumber, euler_phi, factorize, one, parse_literal,
                          reduction_size, zero)
 from .errors import (
     GroupTooLarge,
@@ -74,19 +74,18 @@ Residues = tuple[tuple[int, ...], ...]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    nil = zero(math.lcm(a[0][0].conductor, b[0][0].conductor))
+    """a * b, reading a row of b only where the row of a is nonzero; the
+    operands share one conductor, at which the zero is taken."""
+    nil = zero(a[0][0].conductor)
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = nil
-            for k in range(n):
-                x, y = a[i][k], b[k][j]
-                if x and y:
-                    acc = x * y if acc is nil else acc + x * y
-            row.append(acc)
-        out.append(tuple(row))
+    for a_row in a:
+        acc = [nil] * len(b[0])
+        for x, b_row in zip(a_row, b):
+            if x:
+                for j, y in enumerate(b_row):
+                    if y:
+                        acc[j] = x * y if acc[j] is nil else acc[j] + x * y
+        out.append(tuple(acc))
     return tuple(out)
 
 
@@ -96,9 +95,8 @@ def mat_conj_transpose(a: Matrix) -> Matrix:
 
 
 def mat_identity(n: int, conductor: int) -> Matrix:
-    one = make(conductor, [(1, 0)])
-    nil = make(conductor, [])
-    return tuple(tuple(one if i == j else nil for j in range(n)) for i in range(n))
+    unit, nil = one(conductor), zero(conductor)
+    return tuple(tuple(unit if i == j else nil for j in range(n)) for i in range(n))
 
 
 class ConjugacyClass(Record):
@@ -163,9 +161,8 @@ class FiniteUnitaryGroup:
     def exact(self, targets):
         """(i, element i as an exact matrix) for each target i, in ascending
         i, built along ``table.tree`` (:meth:`FiniteGroupTable.elements`)."""
-        generator = dict(zip(self.table.generators, self.generators))
         return self.table.elements(targets, mat_identity(self.dimension, self.conductor),
-                                   lambda m, g: mat_mul(m, generator[g]))
+                                   lambda m, s: mat_mul(m, self.generators[s]))
 
     # No src/ path or test reads mult_table. It and _mult_table stay only
     # because bench/tracer.py wraps both.
@@ -227,16 +224,13 @@ class FiniteUnitaryGroup:
         walks, reached = {}, set(self._eigen)
         for c in found:
             if c[0] not in reached:
-                row, walk, x = self.table.row(c[0]), [0], c[0]
-                while x:
-                    walk.append(x)
-                    x = row[x]
-                walks[c[0]] = walk
+                walk = walks[c[0]] = self.table.powers(c[0])
                 reached.update(rep_of[x] for x in walk)
-        red = self._reduction
+        red, lcm, root = _eigen_reduction(self)
+        p = red.modulus
         for g, element in self.table.elements(walks, _identity_mod(self.dimension), red.times):
             o = len(walks[g])
-            exponents = red.eigen_exponents(element, o)
+            exponents = eigen_exponents(element, o, p, pow(root, lcm // o, p))
             for k, x in enumerate(walks[g]):
                 if rep_of[x] not in self._eigen:
                     d = math.gcd(o, k)
@@ -251,14 +245,10 @@ class FiniteUnitaryGroup:
 
     # -- eigenvalue data -------------------------------------------------------
 
-    @cached_property
-    def _reduction(self) -> "_ModularReduction":
-        return _ModularReduction(self)
-
     def eigen_multiplicities(self, i: int) -> EigenData:
         """Multiplicity of each eigenvalue zeta_o^m of element i: the data
         :attr:`classes` spread to i's class, since conjugate elements share
-        their spectra; see :meth:`_spread` and :class:`_ModularReduction`."""
+        their spectra; see :meth:`_spread` and :func:`eigen_exponents`."""
         data = self._eigen.get(i)
         if data is None:
             rep = self.classes[self.class_position(i)].representative_index
@@ -307,40 +297,39 @@ def age(group: FiniteUnitaryGroup, element_index: int) -> Fraction:
     return Fraction(sum(m * mult for m, mult in data.multiplicities.items()), data.order)
 
 
-class _ResidueMap:
-    """The ring map Z[1/D][zeta_N] -> Z/m, zeta_N -> ``root``, on matrices.
-
-    ``root`` is a primitive N-th root of unity mod m and m is prime to D, the
-    lcm of the generator denominators, so every group element has an image.
+class _Reduction:
+    """The ring map Z[1/D][zeta_N] -> Z/m, zeta_N -> ``root``, on the
+    generators of a document: ``root`` is a primitive N-th root of unity mod
+    m and m is prime to D, the lcm of the generator denominators, so every
+    group element has an image. Each generator is reduced once and held by
+    its columns, in document order. :meth:`times` is the closure's move mod
+    p0 and mod the certificate modulus, and the eigen walk's step mod p.
     """
 
-    __slots__ = ("modulus", "zeta_powers")
+    __slots__ = ("modulus", "columns")
 
-    def __init__(self, conductor: int, modulus: int, root: int):
-        self.modulus = modulus
-        self.zeta_powers = [pow(root, e, modulus) for e in range(euler_phi(conductor))]
+    def __init__(self, document: GroupDocument | FiniteUnitaryGroup, modulus: int, root: int):
+        self.modulus = m = modulus
+        zp = [pow(root, e, m) for e in range(euler_phi(document.conductor))]
+        self.columns = tuple(
+            tuple(tuple(sum(c * zp[e] for e, c in x.terms) * pow(x.den, -1, m) % m for x in col)
+                  for col in zip(*g))
+            for g in document.generators)
 
-    def reduce(self, entries: Matrix) -> Residues:
-        """The matrix's image; ValueError if a denominator is not prime to m."""
-        m, zp = self.modulus, self.zeta_powers
-        return tuple(
-            tuple(sum(c * zp[e] for e, c in x.terms) * pow(x.den, -1, m) % m
-                  for x in row)
-            for row in entries
-        )
+    def times(self, x: Residues, s: int) -> Residues:
+        """x times generator s over Z/m."""
+        m = self.modulus
+        return tuple(tuple(sum(map(operator.mul, row, col)) % m for col in self.columns[s])
+                     for row in x)
+
+    @property
+    def moves(self) -> list:
+        """x -> x times s for each generator s, for :func:`closure`."""
+        return [lambda x, s=s, times=self.times: times(x, s) for s in range(len(self.columns))]
 
 
 def _identity_mod(n: int) -> Residues:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _columns(a: Residues) -> Residues:
-    return tuple(zip(*a))
-
-
-def _mul_mod(a: Residues, b_columns: Residues, m: int) -> Residues:
-    """a * b over Z/m, with b given by its columns."""
-    return tuple(tuple(sum(map(operator.mul, row, col)) % m for col in b_columns) for row in a)
 
 
 def _denominator(document: GroupDocument | FiniteUnitaryGroup) -> int:
@@ -348,73 +337,57 @@ def _denominator(document: GroupDocument | FiniteUnitaryGroup) -> int:
     return math.lcm(*(x.den for g in document.generators for row in g for x in row))
 
 
-class _ModularReduction:
-    """The ring map Z[1/D][zeta_L] -> F_p, zeta_L -> w_L, for one group.
+def _eigen_reduction(group: FiniteUnitaryGroup) -> tuple[_Reduction, int, int]:
+    """The generators mod p, L = lcm(N, |G|) and w_L, with p the smallest
+    odd prime = 1 (mod L) that divides no generator denominator, w_L a
+    primitive L-th root of unity mod p and zeta_N sent to w_L^(L/N). An
+    element of order o has o-th roots of unity as eigenvalues, and zeta_o^m
+    goes to w_o^m, w_o = w_L^(L/o). As x^o - 1 is separable mod p, reduced
+    elements are diagonalizable over F_p with the same eigenvalue
+    multiplicities (README, Conventions)."""
+    lcm = math.lcm(group.conductor, group.order)
+    p, root = _split_prime(lcm, _denominator(group), 2)
+    return _Reduction(group, p, pow(root, lcm // group.conductor, p)), lcm, root
 
-    L = lcm(N, |G|); p is the smallest odd prime = 1 (mod L) that divides no
-    generator denominator, and w_L is a primitive L-th root of unity mod p.
-    ``generators`` maps each generator g, by its element index, to its
-    columns mod p, and :meth:`times` is the step of
-    :meth:`FiniteGroupTable.elements`, which builds the elements read mod p
-    along the table's first tree. The eigenvalues of an element of order
-    o are o-th roots of unity, and zeta_o^m goes to w_o^m with w_o =
-    w_L^(L/o). Since p = 1 (mod o), x^o - 1 is separable mod p, so reduced
-    elements are diagonalizable over F_p, and the reduction keeps eigenvalue
-    multiplicities (README, Conventions).
+
+def eigen_exponents(g: Residues, o: int, p: int, w: int) -> dict[int, int]:
+    """{m: multiplicity} of the eigenvalues w^m of g mod p, an element of
+    order o with w = w_o, in ascending m: mult(m) = n - rank(g - w^m I) for
+    m = 0, 1, ..., until the multiplicities sum to n. InternalInconsistency
+    is raised if they never do, that is unless g is diagonalizable with o-th
+    roots of unity as eigenvalues, as every reduced element of order o is.
     """
+    n, lam = len(g), 1
+    found, total = {}, 0
+    for m in range(o):
+        mult = n - rank_shifted(g, lam, p)
+        if mult:
+            found[m] = mult
+            total += mult
+            if total == n:
+                return found
+        lam = lam * w % p
+    raise InternalInconsistency(
+        f"a reduced element is not diagonalizable mod {p} with {o}-th roots of "
+        f"unity as eigenvalues: its eigenspaces span {total} of {n} dimensions"
+    )
 
-    __slots__ = ("prime", "lcm", "root", "generators")
 
-    def __init__(self, group: FiniteUnitaryGroup):
-        L = self.lcm = math.lcm(group.conductor, group.order)
-        self.prime, self.root = p, root = _split_prime(L, _denominator(group), 2)
-        residues = _ResidueMap(group.conductor, p, pow(root, L // group.conductor, p))
-        self.generators = {g: _columns(residues.reduce(m))
-                           for g, m in zip(group.table.generators, group.generators)}
-
-    def times(self, x: Residues, g: int) -> Residues:
-        """x * g mod p for the generator g."""
-        return _mul_mod(x, self.generators[g], self.prime)
-
-    def eigen_exponents(self, g: Residues, o: int) -> dict[int, int]:
-        """{m: multiplicity} of the eigenvalues w_o^m of g, an element of
-        order o, in ascending m: mult(m) = n - rank(g - w_o^m I) for m = 0,
-        1, ..., until the multiplicities sum to n. InternalInconsistency is
-        raised if they never do, that is unless g is diagonalizable with o-th
-        roots of unity as eigenvalues, as every reduced element of order o is.
-        """
-        p, n = self.prime, len(g)
-        w, lam = pow(self.root, self.lcm // o, p), 1
-        found, total = {}, 0
-        for m in range(o):
-            mult = n - self.rank_shifted(g, lam)
-            if mult:
-                found[m] = mult
-                total += mult
-                if total == n:
-                    return found
-            lam = lam * w % p
-        raise InternalInconsistency(
-            f"a reduced element is not diagonalizable mod {p} with {o}-th roots of "
-            f"unity as eigenvalues: its eigenspaces span {total} of {n} dimensions"
-        )
-
-    def rank_shifted(self, g: Residues, lam: int) -> int:
-        """rank over F_p of g - lam * I; rows 0 in a pivot's column are left as they are."""
-        p = self.prime
-        rows = [[(x - lam) % p if r == c else x for c, x in enumerate(row)]
-                for r, row in enumerate(g)]
-        rank = 0
-        while rows:
-            pivot_row = rows.pop()
-            col = next((c for c, x in enumerate(pivot_row) if x), None)
-            if col is None:
-                continue
-            rank += 1
-            inv = pow(pivot_row[col], -1, p)
-            rows = [[(x - f * y) % p for x, y in zip(r, pivot_row)] if (f := r[col] * inv) else r
-                    for r in rows]
-        return rank
+def rank_shifted(g: Residues, lam: int, p: int) -> int:
+    """rank over F_p of g - lam * I; rows 0 in a pivot's column are left as they are."""
+    rows = [[(x - lam) % p if r == c else x for c, x in enumerate(row)]
+            for r, row in enumerate(g)]
+    rank = 0
+    while rows:
+        pivot_row = rows.pop()
+        col = next((c for c, x in enumerate(pivot_row) if x), None)
+        if col is None:
+            continue
+        rank += 1
+        inv = pow(pivot_row[col], -1, p)
+        rows = [[(x - f * y) % p for x, y in zip(r, pivot_row)] if (f := r[col] * inv) else r
+                for r in rows]
+    return rank
 
 
 def _split_prime(order: int, avoid: int, floor: int) -> tuple[int, int]:
@@ -508,22 +481,15 @@ def enumerate_group(document: GroupDocument, max_order: int = DEFAULT_MAX_ORDER)
     if max_order < 1:
         raise GroupTooLarge(f"the order cap {max_order} is below 1, the order of the trivial group")
     dens = _denominator(document)
-    key_map = _ResidueMap(document.conductor, *_split_prime(document.conductor, dens, 2))
-    found = closure(_identity_mod(document.dimension), _moves(document, key_map), max_order)
+    red = _Reduction(document, *_split_prime(document.conductor, dens, 2))
+    found = closure(_identity_mod(document.dimension), red.moves, max_order)
     if found is None:
         raise GroupTooLarge(f"closure exceeded the order cap {max_order}")
     keys, columns = found
     table = FiniteGroupTable(columns, range(len(keys)), document.name)
     if dens > 1:
-        _certify(document, dens, key_map.modulus, table)
+        _certify(document, dens, red.modulus, table)
     return FiniteUnitaryGroup(document, table)
-
-
-def _moves(document: GroupDocument, residues: _ResidueMap) -> list:
-    """x -> x * s over Z/m for each generator s, for :func:`closure`."""
-    m = residues.modulus
-    return [lambda x, s=_columns(residues.reduce(g)): _mul_mod(x, s, m)
-            for g in document.generators]
 
 
 # Certificate primes are drawn from above this floor, so that few of them
@@ -554,8 +520,8 @@ def _certify(document: GroupDocument, dens: int, p0: int, table: FiniteGroupTabl
         # Chinese remainders: root stays root mod modulus and becomes w mod q.
         root += modulus * ((w - root) * pow(modulus, -1, q) % q)
         modulus *= q
-    residues = _ResidueMap(conductor, modulus, root)
-    found = closure(_identity_mod(document.dimension), _moves(document, residues), table.order)
+    moves = _Reduction(document, modulus, root).moves
+    found = closure(_identity_mod(document.dimension), moves, table.order)
     if found is None or tuple(found[1]) != table.columns:
         raise GroupTooLarge("the generators do not generate a finite group")
 

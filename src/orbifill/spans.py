@@ -229,9 +229,8 @@ def _group_pool(max_order: int) -> list[FiniteGroupTable]:
 
 
 def _element_orders(group: FiniteGroupTable) -> list[int]:
-    """The order of x is the size of the closure of the identity under x."""
-    return [len(closure(0, [group.column(x).__getitem__], math.inf)[0])
-            for x in range(group.order)]
+    """The order of x is the length of its power walk."""
+    return [len(group.powers(x)) for x in range(group.order)]
 
 
 def _lagrange_rejects(pair_gens, left_orders, right_orders, max_order: int) -> bool:

@@ -89,13 +89,23 @@ class FiniteGroupTable:
             self._by_columns = _tree(self.columns, self.order)
         return self._by_columns
 
+    def powers(self, g: int) -> list[int]:
+        """[g^0, g^1, ..., g^(o-1)] for g of order o: the walk along the row
+        of g, x -> g*x, from the identity until it returns there."""
+        row, walk = self.row(g), [0]
+        while row[walk[-1]]:
+            walk.append(row[walk[-1]])
+        return walk
+
     def elements(self, targets, identity, step):
         """(j, element j) for each target j, in ascending j, with element 0
         ``identity`` and element j = p*g, the edge of j in :attr:`tree`,
-        step(element p, g). One walk down the tree builds each needed
-        element, a target or an ancestor of one, and drops an element once
-        its last needed child is built."""
+        step(element p, position of g in ``columns``). One walk down the
+        tree builds each needed element, a target or an ancestor of one, and
+        drops an element once its last needed child is built."""
         tree, wanted = self.tree, set(targets)
+        # col_g[0] = g names an edge's generator; a repeated g keeps one position.
+        position = {col[0]: s for s, col in enumerate(self.columns)}
         needed, children = {0}, [0] * self.order
         for j in wanted:
             while j not in needed:
@@ -107,8 +117,7 @@ class FiniteGroupTable:
             if j:
                 _, p, col = tree[j - 1]
                 children[p] -= 1
-                # col_g[0] = g names the generator of the edge.
-                x = step(built[p] if children[p] else built.pop(p), col[0])
+                x = step(built[p] if children[p] else built.pop(p), position[col[0]])
                 if children[j]:
                     built[j] = x
             if j in wanted:
@@ -153,7 +162,7 @@ def closure(identity, moves, max_order):
     The first tree of a table on these columns is the same search, so its
     edge j - 1 finds element j as the closure did. The one closure over keyed
     elements: the enumeration and its certificate, ``from_permutations``,
-    ``subgroup_of_product``, element orders and full-pairs ring weights."""
+    ``subgroup_of_product`` and full-pairs ring weights."""
     elements, index = [identity], {identity: 0}
     columns = [[] for _ in moves]
     for i, x in enumerate(elements):  # elements grows while it is read

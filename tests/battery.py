@@ -4,7 +4,7 @@ import cmath
 import math
 from functools import lru_cache
 
-from orbifill import FiniteUnitaryGroup, cyclotomic_polynomial, enumerate_group, parse_group
+from orbifill import FiniteUnitaryGroup, cyclotomic_polynomial, enumerate_group, groups, parse_group
 from orbifill.cyclotomic import parse_literal
 from orbifill.tables import orbits
 
@@ -119,6 +119,19 @@ def trivial(n=2):
 
 def build(doc, max_order=20000):
     return enumerate_group(parse_group(doc), max_order)
+
+
+def corrupt_first_generator(monkeypatch, columns):
+    """Make every eigen reduction hold ``columns`` as the reduced columns of
+    the first generator, the one at position 0."""
+    eigen_reduction = groups._eigen_reduction
+
+    def corrupted(group):
+        red, lcm, root = eigen_reduction(group)
+        red.columns = (columns,) + red.columns[1:]
+        return red, lcm, root
+
+    monkeypatch.setattr(groups, "_eigen_reduction", corrupted)
 
 
 def table_of(group):

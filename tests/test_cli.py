@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from battery import (a_type, antipodal, binary_dihedral, build, quaternion, scalar_cyclic,
-                     times_scalars, trivial)
+from battery import (a_type, antipodal, binary_dihedral, build, corrupt_first_generator,
+                     quaternion, scalar_cyclic, times_scalars, trivial)
 from orbifill import chen_ruan as chen_ruan_module
 from orbifill import cli as cli_module
 from orbifill import reeb as reeb_module
@@ -141,7 +141,7 @@ class TestExitCodes:
         assert result.stderr.splitlines() == [
             "error: the generators do not generate a finite group"]
 
-    def test_corrupted_reduction_exits_three(self):
+    def test_corrupted_reduction_exits_three(self, monkeypatch):
         # A reduced matrix that is not diagonalizable, as in
         # test_non_group_element_is_internal, is a broken internal state,
         # not an input error.
@@ -149,7 +149,7 @@ class TestExitCodes:
         # as the identity times its reduced generator, which is held by its
         # columns: these are those of ((1, 1), (0, 1)).
         group = build(quaternion())
-        group._reduction.generators[1] = ((1, 0), (1, 1))
+        corrupt_first_generator(monkeypatch, ((1, 0), (1, 1)))
         with pytest.raises(SystemExit) as info:
             _guarded(lambda: group.eigen_multiplicities(1))()
         assert info.value.code == EXIT_INTERNAL
@@ -517,6 +517,28 @@ class TestGroupDocuments:
         assert result.exit_code == 2
         assert field in result.stderr
         assert "Traceback" not in result.output
+
+
+    @pytest.mark.parametrize("positions", [[0, 1, 0], [None, 0, 1]],
+                             ids=["repeated", "identity-first"])
+    def test_generator_positions(self, runner, workspace, positions):
+        # A repeated generator, or the identity among the generators, gives
+        # Q8 itself: the elements are built from each generator's position.
+        q8 = quaternion()
+        identity = [["1", "0"], ["0", "1"]]
+        doc = dict(q8, generators=[identity if k is None else q8["generators"][k]
+                                   for k in positions])
+        path = workspace / "q8_positions.json"
+        path.write_text(json.dumps(doc))
+        for command in (["group", "info"], ["cr", "ring"]):
+            payloads = []
+            for target in (workspace / "q8.json", path):
+                result = invoke(runner, workspace, *command, str(target), "--format", "json")
+                assert result.exit_code == 0
+                payload = json.loads(result.stdout)
+                del payload["metadata"]["input_digest"]
+                payloads.append(payload)
+            assert payloads[0] == payloads[1], command
 
 
 class TestZeroDenominators:

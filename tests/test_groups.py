@@ -23,6 +23,7 @@ from battery import (
     binary_tetrahedral,
     build,
     check_table_structure,
+    corrupt_first_generator,
     power_mod_phi,
     quaternion,
     scalar_cyclic,
@@ -110,7 +111,7 @@ def reduced_elements(group, targets):
     """(i, element i mod the eigen prime) for each target i, in ascending i,
     built along the table's tree from the reduced generators."""
     identity = groups._identity_mod(group.dimension)
-    return group.table.elements(targets, identity, group._reduction.times)
+    return group.table.elements(targets, identity, groups._eigen_reduction(group)[0].times)
 
 
 def rank_reading(group, i, g):
@@ -120,8 +121,8 @@ def rank_reading(group, i, g):
     n - rank(g - w_o^m I) for m = 0, 1, ..., until the multiplicities sum
     to n. w_o comes from the reduction's own prime, so that the exponents
     are labelled as the reduction labels them."""
-    red, n = group._reduction, group.dimension
-    p = red.prime
+    n = group.dimension
+    p = groups._eigen_reduction(group)[0].modulus
     identity = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
     power, o = g, 1
     while power != identity:
@@ -134,7 +135,7 @@ def rank_reading(group, i, g):
     w, lam = pow(root, lcm // o, p), 1
     mults, total = {}, 0
     for m in range(o):
-        mult = n - red.rank_shifted(g, lam)
+        mult = n - groups.rank_shifted(g, lam, p)
         if mult:
             mults[m] = mult
             total += mult
@@ -180,6 +181,22 @@ class TestParsing:
             parse_group(doc)
         assert info.value.generator == 0
         assert info.value.entry == (0, 0)
+
+    def test_unitarity_check_reads_each_nonzero_row_once(self, monkeypatch):
+        # A monomial generator in U(64): the conjugate transpose tests each
+        # of the n^2 entries, and the product each entry of a row of a and,
+        # for each of the n nonzero ones, one row of b: 3 n^2 tests in all,
+        # where testing every (i, j, k) triple would make n^3 more.
+        n = 64
+        matrix = [["0"] * n for _ in range(n)]
+        for r in range(n):
+            matrix[r][(5 * r + 3) % n] = f"1*z^{r % 7}" if r % 7 else "-1"
+        doc = parse_group({"dimension": n, "conductor": 7, "generators": [matrix]})
+        calls = []
+        monkeypatch.setattr(CyclotomicNumber, "__bool__",
+                            lambda x, f=CyclotomicNumber.__bool__: calls.append(1) or f(x))
+        groups._check_unitary(doc.generators[0], 0)
+        assert len(calls) <= 3 * n * n
 
     def test_schema_violations_have_loci(self):
         with pytest.raises(ParseError, match="dimension"):
@@ -260,7 +277,7 @@ class TestEnumeration:
          (quaternion(), ((1, 1), (0, 1)))],
         ids=["diag(2,1)", "unipotent"],
     )
-    def test_non_group_element_is_internal(self, doc, entries):
+    def test_non_group_element_is_internal(self, monkeypatch, doc, entries):
         # Neither matrix is diagonalizable with |G|-th roots of unity as
         # eigenvalues mod the eigen prime (2 has order 9 mod 73, and 2T has
         # order 24), so it has no eigen data at the order its power walk
@@ -270,7 +287,7 @@ class TestEnumeration:
         # read, and it is the identity times its reduced generator.
         g = build(doc)
         i = 1
-        g._reduction.generators[i] = groups._columns(entries)
+        corrupt_first_generator(monkeypatch, tuple(zip(*entries)))
         with pytest.raises(InternalInconsistency):
             g.element_order(i)
         with pytest.raises(InternalInconsistency):
@@ -437,24 +454,26 @@ class TestEigenData:
                     o, list(mults.items())), (g.name, i)
 
     def test_reduced_matrix_not_diagonalizable(self):
-        red = build(quaternion())._reduction
+        red, lcm, root = groups._eigen_reduction(build(quaternion()))
+        p = red.modulus
         with pytest.raises(InternalInconsistency, match="not diagonalizable mod 17"):
-            red.eigen_exponents(((1, 1), (0, 1)), 8)
+            groups.eigen_exponents(((1, 1), (0, 1)), 8, p, pow(root, lcm // 8, p))
 
     def test_reduced_eigenvalue_not_a_root_of_unity(self):
         # Q8: the eigenvalues of its elements are 8th roots of unity mod 17.
-        red = build(quaternion())._reduction
-        assert red.prime == 17
-        stray = next(x for x in range(2, red.prime) if pow(x, 8, red.prime) != 1)
+        red, lcm, root = groups._eigen_reduction(build(quaternion()))
+        p = red.modulus
+        assert p == 17
+        w_8, w_4 = pow(root, lcm // 8, p), pow(root, lcm // 4, p)
+        stray = next(x for x in range(2, p) if pow(x, 8, p) != 1)
         with pytest.raises(InternalInconsistency, match="with 8-th roots of unity"):
-            red.eigen_exponents(((stray, 0), (0, 1)), 8)
+            groups.eigen_exponents(((stray, 0), (0, 1)), 8, p, w_8)
         with pytest.raises(InternalInconsistency, match="with 8-th roots of unity"):
-            red.eigen_exponents(((1, 0), (0, stray)), 8)
+            groups.eigen_exponents(((1, 0), (0, stray)), 8, p, w_8)
         # An 8th root that is not a 4th root is not an eigenvalue of order 4.
-        w8 = next(x for x in range(2, red.prime) if pow(x, 4, red.prime) != 1
-                  and pow(x, 8, red.prime) == 1)
+        w8 = next(x for x in range(2, p) if pow(x, 4, p) != 1 and pow(x, 8, p) == 1)
         with pytest.raises(InternalInconsistency, match="with 4-th roots of unity"):
-            red.eigen_exponents(((w8, 0), (0, 1)), 4)
+            groups.eigen_exponents(((w8, 0), (0, 1)), 4, p, w_4)
 
     @pytest.mark.parametrize(
         "doc, reads, ranks",
@@ -474,9 +493,8 @@ class TestEigenData:
         # read element.
         g = build(doc)
         calls = collections.Counter()
-        red = groups._ModularReduction
         for name in ("eigen_exponents", "rank_shifted"):
-            monkeypatch.setattr(red, name, lambda *a, f=getattr(red, name), name=name:
+            monkeypatch.setattr(groups, name, lambda *a, f=getattr(groups, name), name=name:
                                 calls.update([name]) or f(*a))
         for cls in g.classes:
             g.eigen_multiplicities(cls.representative_index)
@@ -496,15 +514,15 @@ class TestEigenData:
         # generator alone, and none of the other |G| - 2 elements.
         g = build(doc)
         calls, read = [], []
-        monkeypatch.setattr(groups, "_mul_mod", lambda *a, f=groups._mul_mod:
+        monkeypatch.setattr(groups._Reduction, "times", lambda *a, f=groups._Reduction.times:
                             calls.append(1) or f(*a))
-        # The elements read mod p: the targets of the walk whose step is the
+        # The elements read mod p: the targets of the walk whose step is a
         # reduction's (the exact tie-break walks too).
         elements = FiniteGroupTable.elements
 
         def recording(table, targets, identity, step):
             targets = list(targets)
-            if step == g._reduction.times:
+            if isinstance(getattr(step, "__self__", None), groups._Reduction):
                 read.extend(targets)
             return elements(table, targets, identity, step)
 
@@ -535,8 +553,7 @@ class TestEigenData:
                 rank += 1
             return rank
 
-        red = build(quaternion())._reduction
-        p, rng = red.prime, random.Random(5)
+        p, rng = groups._eigen_reduction(build(quaternion()))[0].modulus, random.Random(5)
         for trial in range(200):
             n, r, density = rng.randint(1, 7), rng.randint(0, 7), rng.choice([0.2, 0.5, 1])
             entry = lambda: rng.randrange(p) if rng.random() < density else 0
@@ -547,12 +564,12 @@ class TestEigenData:
             lam = rng.choice([0, 1, rng.randrange(p)])
             shifted = [[(x - lam) % p if i == j else x for j, x in enumerate(row)]
                        for i, row in enumerate(g)]
-            assert red.rank_shifted(g, lam) == reference(shifted, p), trial
+            assert groups.rank_shifted(g, lam, p) == reference(shifted, p), trial
 
     def test_reduction_prime_skips_denominators(self):
         g = build(pythagorean_klein())
         assert g.order == 4
-        assert g._reduction.prime == 13
+        assert groups._eigen_reduction(g)[0].modulus == 13
 
     def test_against_float_eigendecomposition(self):
         # Independent oracle: numerical eigenvalues of the complex matrix.
@@ -578,9 +595,9 @@ def isolation_by_elements(group):
     """Reference for isolation: the per-element scan, n - rank_p(g - I) over
     every nontrivial element in index order, the first with a fixed vector
     as the witness."""
-    red = group._reduction
+    p = groups._eigen_reduction(group)[0].modulus
     for i, reduced in reduced_elements(group, range(1, group.order)):
-        if group.dimension - red.rank_shifted(reduced, 1):
+        if group.dimension - groups.rank_shifted(reduced, 1, p):
             return False, i
     return True, None
 
@@ -971,19 +988,21 @@ class TestCertificateColumns:
     ], ids=["negated", "identity", "unbounded"])
     def test_other_columns_raise(self, monkeypatch, wrong):
         doc = parse_group(times_scalars(binary_tetrahedral(), 5))
-        fractional = next(g for g in doc.generators if any(x.den > 1 for row in g for x in row))
-        reduce = groups._ResidueMap.reduce
+        fractional = next(s for s, g in enumerate(doc.generators)
+                          if any(x.den > 1 for row in g for x in row))
+        reduce = groups._Reduction.__init__
         moduli = []
 
-        def reduce_wrongly(residues, entries):
-            moduli.append(residues.modulus)
-            out = reduce(residues, entries)
-            if entries is fractional and residues.modulus > groups._CERTIFICATE_PRIME_FLOOR:
-                return wrong(out, residues.modulus)
-            return out
+        def reduce_wrongly(red, document, m, root):
+            moduli.append(m)
+            reduce(red, document, m, root)
+            if m > groups._CERTIFICATE_PRIME_FLOOR:
+                columns = list(red.columns)
+                columns[fractional] = tuple(zip(*wrong(tuple(zip(*columns[fractional])), m)))
+                red.columns = tuple(columns)
 
         assert groups.enumerate_group(doc).order == 120
-        monkeypatch.setattr(groups._ResidueMap, "reduce", reduce_wrongly)
+        monkeypatch.setattr(groups._Reduction, "__init__", reduce_wrongly)
         with pytest.raises(GroupTooLarge, match="do not generate a finite group"):
             groups.enumerate_group(doc)
         assert max(moduli) > groups._CERTIFICATE_PRIME_FLOOR

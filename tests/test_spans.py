@@ -37,6 +37,7 @@ from orbifill import (
 from orbifill import parse_group, tables
 from orbifill.groups import canonical_document, document_digest
 from orbifill.spans import (
+    BATTERY_MAX_ORDER,
     _element_orders,
     _group_pool,
     _lagrange_rejects,
@@ -393,6 +394,17 @@ class TestKernelsAgainstReference:
             assert _group_data(new) == _group_data(ref), (a.name, b.name, pair_gens, cap)
             outcomes[new is None] += 1
         assert min(outcomes.values()) > 1000
+
+    def test_element_orders_against_powers(self):
+        # The power walks against repeated products in the full table.
+        for group in _group_pool(BATTERY_MAX_ORDER):
+            t, orders = table_of(group), []
+            for x in range(group.order):
+                y, o = x, 1
+                while y:
+                    y, o = t[y][x], o + 1
+                orders.append(o)
+            assert _element_orders(group) == orders, group.name
 
     def test_trivial_and_repeated_generators(self):
         z4, q8 = cyclic(4), quaternion8()
