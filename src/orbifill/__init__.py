@@ -16,7 +16,6 @@ from .chen_ruan import (
     build_ring,
     choose_ring,
     commutativity_check,
-    cr_cup,
     cr_of_filling,
     cr_pairing_check,
     twisted_sectors,
@@ -76,7 +75,6 @@ from .ledger import (
 from .reeb import (
     MorseCell,
     OrbitFamily,
-    admissible_periods,
     cz_family,
     cz_generator,
     families_below,
@@ -86,14 +84,11 @@ from .reeb import (
 )
 from .spans import (
     Homomorphism,
-    OrbitDecomposition,
     PointOrbifoldSpan,
     composition_check,
     cyclic,
     dihedral,
     direct_product,
-    fiber_product,
-    identity_span,
     pushpull,
     quaternion8,
     random_composition_battery,

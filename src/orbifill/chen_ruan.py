@@ -135,18 +135,6 @@ def build_ring(group: FiniteUnitaryGroup, convention: CupConvention = DEFAULT_CO
                   {pair: tuple(sorted(terms.items())) for pair, terms in contributions.items()})
 
 
-def cr_cup(ring: CRRing, i: int, j: int) -> list[tuple[int, int]]:
-    """Product of sector generators i and j as (sector, coefficient) terms."""
-    count = ring.sector_count()
-    if not (0 <= i < count and 0 <= j < count):
-        raise ValueError("sector index out of range")
-    if i == 0:
-        return [(j, 1)]
-    if j == 0:
-        return [(i, 1)]
-    return list(ring.structure_constants.get((i, j), ()))
-
-
 def associativity_sweep(ring: CRRing):
     """Check ([a][b])[c] = [a]([b][c]) over all sector triples.
 

@@ -46,6 +46,7 @@ from .errors import (
     NonIsolated,
     NotApplicable,
     ParseError,
+    excerpt,
 )
 from .groups import (
     DEFAULT_MAX_ORDER,
@@ -219,17 +220,23 @@ def _at_least(low):
     return integer
 
 
+class BadRational(ValueError, argparse.ArgumentTypeError):
+    """A rejected rational, which argparse reports by its message alone."""
+
+
 def rational(text):
-    """A Fraction from an int, p/q or decimal text; ValueError, not
-    ZeroDivisionError, for p/0. Exponent notation is refused before Fraction
-    expands 1eK into a K-digit int. As an argparse type it makes a bad value
-    a usage error (exit 2)."""
+    """A Fraction from an int, p/q or decimal text, else BadRational, which
+    quotes the text as an excerpt. Exponent notation is refused before
+    Fraction expands 1eK into a K-digit int. As an argparse type it makes a
+    bad value a usage error (exit 2)."""
     if "e" in text or "E" in text:
-        raise ValueError(f"{text!r} uses exponent notation")
+        raise BadRational(f"{excerpt(text)} uses exponent notation")
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"{text!r} has a zero denominator") from None
+        raise BadRational(f"{excerpt(text)} has a zero denominator") from None
+    except ValueError:
+        raise BadRational(f"invalid rational value: {excerpt(text)}") from None
 
 
 def _document(text):
@@ -471,7 +478,7 @@ def _parse_profiles(specs):
         label, _, period = head.partition(":")
         if not tail or not period:
             raise ValueError(
-                f"profile {spec!r} must look like CLASS:PERIOD=idx,idx,..."
+                f"profile {excerpt(spec)} must look like CLASS:PERIOD=idx,idx,..."
             )
         profiles[(label, rational(period))] = tuple(int(i) for i in tail.split(","))
     return profiles

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
-from .errors import IncompatibleConductor, InternalInconsistency, ParseError
+from .errors import IncompatibleConductor, InternalInconsistency, ParseError, excerpt
 
 
 def divisors(n: int) -> list[int]:
@@ -380,12 +380,7 @@ def parse_literal(text: str, conductor: int, locus: str | None = None) -> Cyclot
     the 60 around the offset, '...' at each cut end, then its length.
     """
     def err(message, offset):
-        quoted = repr(text)
-        if len(text) > 60:
-            lo = max(0, min(offset - 30, len(text) - 60))
-            quoted = (f"{'...' if lo else ''}{text[lo:lo + 60]!r}"
-                      f"{'...' if lo + 60 < len(text) else ''} ({len(text)} characters)")
-        raise ParseError(f"{message} at offset {offset} in {quoted}", locus)
+        raise ParseError(f"{message} at offset {offset} in {excerpt(text, offset)}", locus)
 
     if not text.strip():
         err("empty literal", len(text))

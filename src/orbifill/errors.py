@@ -1,8 +1,26 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the excerpt of a long value.
 
 The CLI maps these onto its exit-code contract: input problems exit 2,
 domain-negative outcomes exit 1, broken internal invariants exit 3.
 """
+
+
+def excerpt(value, offset: int = 0) -> str:
+    """A str, int or Fraction in at most about 60 characters of a message. A
+    str is its repr, or past 60 characters the 60 around ``offset``, '...' at
+    each cut end, then its length. Each part of a number prints whole up to 28
+    digits, else as its first 12, '...' and its digit count, read without str()."""
+    if isinstance(value, str):
+        lo = max(0, min(offset - 30, len(value) - 60))
+        return repr(value) if len(value) <= 60 else (
+            f"{'...' if lo else ''}{value[lo:lo + 60]!r}"
+            f"{'...' if lo + 60 < len(value) else ''} ({len(value)} characters)")
+    parts, den = [], value.denominator
+    for part in (abs(value.numerator), den)[:1 + (den > 1)]:
+        d = int(part.bit_length() * 0.30102999566398120)  # its digits, or one short
+        d += part >= 10 ** d
+        parts.append(f"{part // 10 ** (d - 12)}... ({d} digits)" if d > 28 else str(part))
+    return "-" * (value < 0) + "/".join(parts)
 
 
 class InputError(Exception):

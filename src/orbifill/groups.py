@@ -57,6 +57,7 @@ from .errors import (
     NonIsolated,
     NotUnitary,
     ParseError,
+    excerpt,
 )
 from .record import Record
 from .tables import FiniteGroupTable, closure, orbits
@@ -67,6 +68,7 @@ DEFAULT_MAX_ORDER = 20000
 # reduction table. Each power has at least one term, so a larger conductor
 # is rejected before it is factorized.
 MAX_REDUCTION_SIZE = 4_000_000
+MAX_DIMENSION = 500  # group info on {I, -I} in U(500) took 5.3 s and 41 MB
 
 Matrix = tuple[tuple[CyclotomicNumber, ...], ...]
 # A matrix over Z/m: a tuple of row tuples of ints in 0..m-1.
@@ -426,6 +428,8 @@ def parse_group(document) -> GroupDocument:
     dimension = doc.get("dimension")
     if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
         raise ParseError("must be a positive integer", "dimension")
+    if dimension > MAX_DIMENSION:
+        raise ParseError(f"{excerpt(dimension)} is above the cap of {MAX_DIMENSION}", "dimension")
     conductor = doc.get("conductor")
     if not isinstance(conductor, int) or isinstance(conductor, bool) or conductor < 1:
         raise ParseError("must be a positive integer", "conductor")

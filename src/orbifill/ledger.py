@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coefficients import CoefficientRing
-from .errors import InvariantViolation
+from .errors import InvariantViolation, excerpt
 from .groups import FiniteUnitaryGroup
 from .record import Record
 from .reeb import MorseCell, cz_generator, family_count, walk_families
@@ -96,15 +96,14 @@ def build_ledger(
     # Two cells per family under the default profile.
     cells = 2 * family_count(group, slope) + sum(len(p) - 2 for p in profiles.values())
     slope = Fraction(slope)
+    at = f"slope {excerpt(slope)}"
     if cells > MAX_CELLS:
-        raise ValueError(
-            f"slope {slope} gives {cells} Morse cells, more than the cap of {MAX_CELLS}"
-        )
+        raise ValueError(f"{at} gives {cells} Morse cells, more than the cap of {MAX_CELLS}")
     families = walk_families(group, slope)
     known = {(f.class_label, f.period) for f in families}
-    unknown = [f"{label}:{period}" for label, period in profiles if (label, period) not in known]
+    unknown = [f"{label}:{excerpt(p)}" for label, p in profiles if (label, p) not in known]
     if unknown:
-        raise ValueError(f"no family below slope {slope} for cell profiles {', '.join(unknown)}")
+        raise ValueError(f"no family below {at} for cell profiles {', '.join(unknown)}")
     class_pos = {cls.label: pos for pos, cls in enumerate(group.classes)}
     generators = [
         FloerGenerator(

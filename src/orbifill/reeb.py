@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import SlopeOnSpectrum
+from .errors import SlopeOnSpectrum, excerpt
 from .groups import EigenData, FiniteUnitaryGroup
 from .record import Record
 
@@ -104,17 +104,6 @@ def is_on_spectrum(group: FiniteUnitaryGroup, value: Fraction) -> bool:
     return value > 0 and any(_fixed_dim(_spectrum(group, pos), value) is not None for pos in positions)
 
 
-def admissible_periods(group: FiniteUnitaryGroup, class_position: int, bound) -> list[tuple[Fraction, int]]:
-    """All admissible periods of the class below the bound, with fixed-space
-    dimensions; the bound itself must not be a period of this class."""
-    group.require_isolated()
-    bound = _validated_period(bound)
-    if _fixed_dim(_spectrum(group, class_position), bound) is not None:
-        raise SlopeOnSpectrum(f"bound {bound} is an admissible period of class "
-                              f"{group.classes[class_position].label}")
-    return _periods_below(group, class_position, bound)
-
-
 def orbit_family(group: FiniteUnitaryGroup, class_position: int, period) -> OrbitFamily:
     """The class's family at the period; ValueError when the period is not
     admissible for the class."""
@@ -147,13 +136,13 @@ def family_count(group: FiniteUnitaryGroup, slope, option: str = "slope") -> int
     group.require_isolated()
     slope = _validated_period(slope)
     if is_on_spectrum(group, slope):
-        raise SlopeOnSpectrum(f"{option} {slope} is an admissible period")
+        raise SlopeOnSpectrum(f"{option} {excerpt(slope)} is an admissible period")
     spectra = [_spectrum(group, pos) for pos in range(len(group.classes))]
     # The angle m/o has the periods P = (m or o) + k*o below _limit, as _walk reads them.
     total = sum(max(0, -(-(_limit(s, slope) - (m or s.order)) // s.order))
                 for s in spectra for m in s.multiplicities)
     if total > MAX_FAMILIES:
-        raise ValueError(f"{option} {slope} gives {total} orbit families, "
+        raise ValueError(f"{option} {excerpt(slope)} gives {excerpt(total)} orbit families, "
                          f"more than the cap of {MAX_FAMILIES}")
     return total
 

@@ -123,22 +123,9 @@ def span(left, middle, right, s_images, t_images) -> PointOrbifoldSpan:
     )
 
 
-def identity_span(group: FiniteGroupTable) -> PointOrbifoldSpan:
-    ident = tuple(range(group.order))
-    return span(group, group, group, ident, ident)
-
-
 def pushpull(sp: PointOrbifoldSpan) -> Fraction:
     """t_* s^* applied to the unit: the weight |H2| / |G|."""
     return Fraction(sp.right.order, sp.middle.order)
-
-
-class OrbitDecomposition(Record):
-    """Orbit sizes and stabilizer orders of the fiber-product action."""
-
-    def __init__(self, orbits: tuple[tuple[int, int], ...]):
-        # each orbit is (orbit size, stabilizer order)
-        self.__dict__.update(orbits=orbits)
 
 
 def _orbit_conjugates(span1, span2):
@@ -159,39 +146,13 @@ def _orbit_conjugates(span1, span2):
         yield orbit, [inv[row[inv[row[t]]]] for t in t1]
 
 
-def orbit_decomposition(span1, span2) -> OrbitDecomposition:
+def orbit_decomposition(span1, span2) -> tuple[tuple[int, int], ...]:
+    """(orbit size, stabilizer order) per orbit of the fiber-product action."""
     fiber = [0] * span2.left.order  # fiber[x] = |s2^-1(x)|
     for img in span2.s.images:
         fiber[img] += 1
-    return OrbitDecomposition(tuple((len(orbit), sum(map(fiber.__getitem__, conjugates)))
-                                    for orbit, conjugates in _orbit_conjugates(span1, span2)))
-
-
-def fiber_product(span1, span2):
-    """Orbit decomposition plus the composite spans */H1 <- */stab_i -> */H3.
-    A stabilizer's pair (a, b) joins its middle's generators only when the
-    group of the earlier pairs does not hold it, as a table's generators are
-    chosen, so a middle has at most log2 |stab_i| generators."""
-    preimages = [[] for _ in range(span2.left.order)]  # s2^-1(x), ascending
-    for b, x in enumerate(span2.s.images):
-        preimages[x].append(b)
-    g1, g2 = span1.middle, span2.middle
-    decomposition = []
-    composites = []
-    for orbit, conjugates in _orbit_conjugates(span1, span2):
-        pairs = [(a, b) for a, c in enumerate(conjugates) for b in preimages[c]]
-        gens, stab = [], FiniteGroupTable([], [(0, 0)], name="stab")
-        held = set(stab.labels)
-        for pair in pairs:
-            if pair not in held:
-                gens.append(pair)
-                stab = subgroup_of_product(g1, g2, gens, len(pairs), name="stab")
-                held = set(stab.labels)
-        s3 = tuple(span1.s.images[a] for a, _ in stab.labels)
-        t3 = tuple(span2.t.images[b] for _, b in stab.labels)
-        composites.append(span(span1.left, stab, span2.right, s3, t3))
-        decomposition.append((len(orbit), stab.order))
-    return OrbitDecomposition(tuple(decomposition)), composites
+    return tuple((len(orbit), sum(map(fiber.__getitem__, conjugates)))
+                 for orbit, conjugates in _orbit_conjugates(span1, span2))
 
 
 def composition_check(span1, span2):
@@ -206,7 +167,7 @@ def composition_check(span1, span2):
     )
     # One Fraction: the terms are summed as ints over the lcm of the
     # stabilizer orders.
-    stabs = [stab for _, stab in orbit_decomposition(span1, span2).orbits]
+    stabs = [stab for _, stab in orbit_decomposition(span1, span2)]
     lcm = math.lcm(*stabs)
     rhs = Fraction(span2.right.order * sum(lcm // stab for stab in stabs), lcm)
     return lhs, rhs, lhs == rhs

@@ -25,6 +25,7 @@ from orbifill import parse_group
 from orbifill.cli import EXIT_INTERNAL, _guarded, main
 from orbifill.cyclotomic import CyclotomicNumber
 from orbifill.errors import InvariantViolation, ParseError
+from orbifill.groups import MAX_DIMENSION
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
@@ -507,6 +508,13 @@ class TestGroupDocuments:
         assert "conductor" in result.stderr
         assert "Traceback" not in result.output
 
+    def test_dimension_at_the_cap(self, runner, workspace):
+        # One above the cap exits 2, naming the dimension (TestLongValues).
+        path = workspace / "cap_dimension.json"
+        path.write_text(json.dumps(trivial(MAX_DIMENSION)))
+        result = invoke(runner, workspace, "group", "info", str(path))
+        assert result.exit_code == 0 and not result.stderr
+
     @pytest.mark.parametrize("field", ["dimension", "conductor"])
     def test_bool_field_exits_two(self, runner, workspace, field):
         # Read as ints, both are 1 and the document is the group {-1}.
@@ -589,6 +597,39 @@ class TestExponentNotation:
         for text in ("1e1000000", "2E3", "1e0"):
             with pytest.raises(ValueError, match="exponent notation"):
                 cli_module.rational(text)
+
+
+class TestLongValues:
+    """However long the refused value, a rejection is one error line of at
+    most 300 bytes that names the option or cap refusing it: a long number
+    is quoted as its leading digits and its digit count."""
+
+    A3 = TestExponentNotation.A3
+    LONG = "1" + "0" * 4000 + "/3"  # 10^4000/3 written out
+    # About 10^4299/11 * 1008 families on Q8 x mu63: more digits than int()
+    # converts to text, which the family cap's message once tried.
+    PAST_THE_DIGIT_LIMIT = "9" * 4299 + "/11"
+
+    @pytest.mark.parametrize("args, named", [
+        (["reeb", "report", "{q8xmu63}", "--bound", LONG], "--bound"),
+        (["ledger", "build", A3, "--slope", LONG], "cap"),
+        (["reeb", "report", "{q8xmu63}", "--bound", "1" * 5000], "--bound"),
+        (["reeb", "report", "{q8xmu63}", "--bound", PAST_THE_DIGIT_LIMIT], "cap"),
+        (["ledger", "build", "{q8xmu63}", "--slope", PAST_THE_DIGIT_LIMIT], "cap"),
+        (["group", "info", "{big}"], "dimension"),
+    ], ids=["bound-on-the-spectrum", "slope-over-the-family-cap", "bound-of-5000-digits",
+            "bound-with-a-family-count-past-the-digit-limit",
+            "slope-with-a-family-count-past-the-digit-limit", "dimension-over-the-cap"])
+    def test_one_short_error_line(self, runner, workspace, args, named):
+        docs = {"q8xmu63": workspace / "q8xmu63.json", "big": workspace / "big.json"}
+        docs["q8xmu63"].write_text(json.dumps(times_scalars(quaternion(), 63)))
+        docs["big"].write_text(json.dumps(trivial(MAX_DIMENSION + 1)))
+        result = invoke(runner, workspace, *(a.format(**docs) for a in args))
+        assert result.exit_code == 2
+        errors = [line for line in result.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1 and len(errors[0].encode()) <= 300, errors
+        assert named in errors[0]
+        assert "Traceback" not in result.output
 
 
 class TestMaxOrder:

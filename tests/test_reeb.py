@@ -13,7 +13,6 @@ from orbifill import (
     MorseCell,
     NonIsolated,
     SlopeOnSpectrum,
-    admissible_periods,
     cz_family,
     cz_generator,
     families_below,
@@ -23,34 +22,22 @@ from orbifill import (
 )
 from orbifill import reeb
 from orbifill.ledger import KIND_CELL, build_ledger
-from orbifill.reeb import is_on_spectrum, walk_families
+from orbifill.reeb import _periods_below, is_on_spectrum, walk_families
 
 
 class TestAdmissiblePeriods:
     def test_antipodal_minus_identity(self):
         g = build(antipodal(4))
-        periods = admissible_periods(g, 1, 2)
+        periods = _periods_below(g, 1, 2)
         assert periods == [(Fraction(1, 2), 4), (Fraction(3, 2), 4)]
 
     def test_identity_class(self):
         g = build(trivial(3))
-        assert admissible_periods(g, 0, Fraction(5, 2)) == [(Fraction(1), 3), (Fraction(2), 3)]
+        assert _periods_below(g, 0, Fraction(5, 2)) == [(Fraction(1), 3), (Fraction(2), 3)]
 
     def test_scalar_cyclic_three(self):
         g = build(scalar_cyclic(3))
-        assert admissible_periods(g, 1, 1) == [(Fraction(1, 3), 2)]
-
-    def test_bound_on_own_class_spectrum_rejected(self):
-        g = build(antipodal(2))
-        with pytest.raises(SlopeOnSpectrum):
-            admissible_periods(g, 1, Fraction(5, 2))
-        with pytest.raises(SlopeOnSpectrum):
-            admissible_periods(g, 0, 3)
-
-    def test_bound_off_class_spectrum_allowed(self):
-        # 2 is a period of the identity class but not of the twisted class.
-        g = build(antipodal(2))
-        assert admissible_periods(g, 1, 2)
+        assert _periods_below(g, 1, 1) == [(Fraction(1, 3), 2)]
 
     def test_spectrum_membership(self):
         g = build(antipodal(2))
@@ -74,8 +61,6 @@ class TestAdmissiblePeriods:
 
 
 def _periods_in_window(group, pos, lo, hi):
-    from orbifill.reeb import _periods_below
-
     below_hi = dict(_periods_below(group, pos, hi))
     below_lo = dict(_periods_below(group, pos, lo))
     return [(p, d) for p, d in below_hi.items() if p not in below_lo]
@@ -118,7 +103,7 @@ class TestFamilyIndex:
         for g in map(build, docs):
             n = g.dimension
             for pos in range(len(g.classes)):
-                for period, _ in admissible_periods(g, pos, Fraction(193, 97)):
+                for period, _ in _periods_below(g, pos, Fraction(193, 97)):
                     far = cz_family(g, pos, period + 10**6)
                     assert far == cz_family(g, pos, period) + 2 * n * 10**6, (g.name, pos)
 
