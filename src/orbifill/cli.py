@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import json
 import os
 import sys
 from collections.abc import Iterator
@@ -47,6 +46,7 @@ from .errors import (
     NotApplicable,
     ParseError,
     excerpt,
+    integer,
 )
 from .groups import (
     DEFAULT_MAX_ORDER,
@@ -54,6 +54,7 @@ from .groups import (
     document_digest,
     enumerate_group,
     parse_group,
+    read_json,
 )
 from .ledger import build_ledger, check_ledger, known_differentials, sh_vanishing
 from .reeb import families_below, loop_components, mclean_discrepancy
@@ -168,7 +169,7 @@ def _write_table(value, stream):
 
 # (exception types, stderr prefix, exit code), matched in order by _guarded.
 _OUTCOMES = (
-    ((InputError, ValueError, OSError), "error", EXIT_INPUT),
+    ((ValueError, OSError), "error", EXIT_INPUT),  # InputError is a ValueError
     (NonIsolated, "not an isolated singularity", EXIT_NEGATIVE),
     (NotApplicable, "constraints not applicable", EXIT_NEGATIVE),
     (InvariantViolation, "check failed", EXIT_NEGATIVE),
@@ -205,52 +206,46 @@ class UsageError(Exception):
     """A command line that parses but asks for something its command cannot do."""
 
 
-def _at_least(low):
-    """An argparse type: an int no smaller than ``low``."""
-
-    def integer(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not a valid integer") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
-        return value
-
-    return integer
-
-
-class BadRational(ValueError, argparse.ArgumentTypeError):
-    """A rejected rational, which argparse reports by its message alone."""
-
-
 def rational(text):
-    """A Fraction from an int, p/q or decimal text, else BadRational, which
+    """A Fraction from an int, p/q or decimal text, else InputError, which
     quotes the text as an excerpt. Exponent notation is refused before
     Fraction expands 1eK into a K-digit int. As an argparse type it makes a
     bad value a usage error (exit 2)."""
     if "e" in text or "E" in text:
-        raise BadRational(f"{excerpt(text)} uses exponent notation")
+        raise InputError(f"{excerpt(text)} uses exponent notation")
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise BadRational(f"{excerpt(text)} has a zero denominator") from None
+        raise InputError(f"{excerpt(text)} has a zero denominator") from None
     except ValueError:
-        raise BadRational(f"invalid rational value: {excerpt(text)}") from None
+        raise InputError(f"invalid rational value: {excerpt(text)}") from None
+
+
+def _quoted_path(path: str) -> str:
+    """``path`` in a message: its repr up to 200 characters, else an excerpt of its end."""
+    return repr(path) if len(path) <= 200 else excerpt(path, len(path))
 
 
 def _document(text):
     if not os.path.exists(text):
-        raise argparse.ArgumentTypeError(f"file {text!r} does not exist")
+        raise InputError(f"file {_quoted_path(text)} does not exist")
     if os.path.isdir(text):
-        raise argparse.ArgumentTypeError(f"file {text!r} is a directory")
+        raise InputError(f"file {_quoted_path(text)} is a directory")
     return text
 
 
 def _directory(text):
     if os.path.isfile(text):
-        raise argparse.ArgumentTypeError(f"directory {text!r} is a file")
+        raise InputError(f"directory {_quoted_path(text)} is a file")
     return text
+
+
+def _read(path) -> str:
+    """The text of the file at ``path``, else an OSError that quotes it by _quoted_path."""
+    try:
+        return Path(path).read_text()
+    except OSError as e:
+        raise OSError(e.errno, f"{e.strerror}: {_quoted_path(str(path))}") from None
 
 
 def _arg(*names, **kwargs):
@@ -266,7 +261,7 @@ FORMAT = _arg("--format", dest="fmt", choices=["table", "json"], default="table"
 # until the benchmark retires its cache metrics.
 CACHE_DIR = _arg("--cache-dir", type=_directory, help=argparse.SUPPRESS)
 GROUP_OPTIONS = (
-    _arg("--max-order", type=_at_least(1), default=DEFAULT_MAX_ORDER,
+    _arg("--max-order", type=functools.partial(integer, low=1), default=DEFAULT_MAX_ORDER,
          help="abort enumeration beyond this order (default: %(default)s)"),
     CACHE_DIR,
 )
@@ -304,7 +299,7 @@ def _default_cache_dir() -> str:
 
 
 def _load_group(path, max_order, cache_dir):
-    document = parse_group(Path(path).read_text())
+    document = parse_group(_read(path))
     return enumerate_group(document, max_order), document_digest(document)
 
 
@@ -316,7 +311,7 @@ def _load_group(path, max_order, cache_dir):
 def group_cmd(action, path, max_order, cache_dir):
     """Inspect a group document: enumeration, classes, eigenvalue data."""
     if action == "canonical":
-        document = parse_group(Path(path).read_text())
+        document = parse_group(_read(path))
         return {
             "metadata": _metadata(document_digest(document)),
             "canonical": canonical_document(document),
@@ -372,8 +367,8 @@ def cr_cmd(action, path, convention, betti, singularities, coefficient, max_orde
     if action == "filling":
         ring_desc = CoefficientRing.parse(coefficient)
         loaded = [_load_group(spath, max_order, cache_dir) for spath in singularities]
-        profile = FillingCRProfile(tuple(int(b) for b in betti.split(",")),
-                                   tuple(group for group, _ in loaded))
+        betti = tuple(integer(b, name="argument --betti") for b in betti.split(","))
+        profile = FillingCRProfile(betti, tuple(group for group, _ in loaded))
         ranks = cr_of_filling(profile)
         return {
             "metadata": _metadata(",".join(digest for _, digest in loaded) or None),
@@ -480,7 +475,8 @@ def _parse_profiles(specs):
             raise ValueError(
                 f"profile {excerpt(spec)} must look like CLASS:PERIOD=idx,idx,..."
             )
-        profiles[(label, rational(period))] = tuple(int(i) for i in tail.split(","))
+        profiles[(label, rational(period))] = tuple(
+            integer(i, name="argument --profile") for i in tail.split(","))
     return profiles
 
 
@@ -528,9 +524,10 @@ def ledger_cmd(action, path, slope, profiles, coefficient, max_order, cache_dir)
     "span",
     _arg("action", choices=["check", "random"]),
     _arg("path", nargs="?", type=_document),
-    _arg("--trials", type=_at_least(0), default=1000, help="(default: %(default)s)"),
-    _arg("--seed", type=int, default=0, help="(default: %(default)s)"),
-    _arg("--max-order", type=_at_least(2),
+    _arg("--trials", type=functools.partial(integer, low=0), default=1000,
+         help="(default: %(default)s)"),
+    _arg("--seed", type=integer, default=0, help="(default: %(default)s)"),
+    _arg("--max-order", type=functools.partial(integer, low=2),
          help="largest group order: of the randomized battery's groups and middles "
          f"(random, default {BATTERY_MAX_ORDER}), or of every group of the document "
          f"(check, default {DEFAULT_MAX_ORDER})"),
@@ -546,7 +543,7 @@ def span_cmd(action, path, trials, seed, max_order, cache_dir):
         return {"metadata": _metadata(seed=seed), **report}, report["all_equal"]
     if path is None:
         raise UsageError("span check requires a document path")
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(_read(path))
     if not isinstance(doc, dict):
         raise ParseError("span document must be an object")
     if max_order is None:
@@ -586,7 +583,7 @@ def constraints_cmd(action, target, boundary_opt, max_order, cache_dir):
             **cs.describe(),
         }, True
     if action == "rp":
-        return {"metadata": _metadata(), **rp_report(int(target))}, True
+        return {"metadata": _metadata(), **rp_report(integer(target, name="argument target"))}, True
     if boundary_opt is None:
         raise UsageError("'admit' requires --boundary")
     b = BoundaryDescriptor.parse(boundary_opt)

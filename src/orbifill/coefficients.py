@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+from .errors import excerpt, integer
 from .record import Record
 
 
@@ -45,5 +46,5 @@ class CoefficientRing(Record):
         if t in ("z", "integers"):
             return CoefficientRing.integers()
         if t.startswith("z/"):
-            return CoefficientRing.integers_mod(int(t[2:]))
-        raise ValueError(f"unknown coefficient ring {text!r}")
+            return CoefficientRing.integers_mod(integer(t[2:], name="coefficient ring Z/m"))
+        raise ValueError(f"unknown coefficient ring {excerpt(text)}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .cyclotomic import factorize
-from .errors import NotApplicable
+from .errors import NotApplicable, excerpt, integer
 from .groups import FiniteUnitaryGroup
 from .record import Record
 
@@ -55,14 +55,14 @@ class BoundaryDescriptor(Record):
         parts = [p.strip() for p in rest.split(",") if p.strip()]
         try:
             if head in (LENS, BRIESKORN):
-                k, n = (int(p) for p in parts)
+                k, n = (integer(p) for p in parts)
                 return BoundaryDescriptor(head, n, k)
             if head in (SUBCRITICAL, DILATION):
-                (n,) = (int(p) for p in parts)
+                (n,) = (integer(p) for p in parts)
                 return BoundaryDescriptor(head, n)
         except (TypeError, ValueError) as e:
-            raise ValueError(f"bad boundary descriptor {text!r}: {e}")
-        raise ValueError(f"unknown boundary kind {head!r}")
+            raise ValueError(f"bad boundary descriptor {excerpt(text)}: {e}")
+        raise ValueError(f"unknown boundary kind {excerpt(head)}")
 
 
 class ConstraintSet(Record):

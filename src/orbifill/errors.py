@@ -1,8 +1,10 @@
-"""Exception types shared across the toolkit, and the excerpt of a long value.
+"""Exception types shared across the toolkit, and the quoting and reading of outside values.
 
 The CLI maps these onto its exit-code contract: input problems exit 2,
 domain-negative outcomes exit 1, broken internal invariants exit 3.
 """
+
+from argparse import ArgumentTypeError
 
 
 def excerpt(value, offset: int = 0) -> str:
@@ -23,8 +25,21 @@ def excerpt(value, offset: int = 0) -> str:
     return "-" * (value < 0) + "/".join(parts)
 
 
-class InputError(Exception):
-    """A malformed document, literal, or option value."""
+def integer(text: str, low: int | None = None, name: str | None = None) -> int:
+    """The int ``text`` writes, at least ``low`` if given, else InputError naming ``name``."""
+    try:
+        value = int(text)
+        if low is None or value >= low:
+            return value
+        problem = f"{excerpt(value)} is not in the range x>={low}"
+    except ValueError:
+        problem = f"{excerpt(text)} is not a valid integer"
+    raise InputError(f"{name}: {problem}" if name else problem)
+
+
+class InputError(ValueError, ArgumentTypeError):
+    """A malformed document, literal, or option value. Raised by an argparse
+    type, it is a usage error that argparse reports by its message alone."""
 
 
 class ParseError(InputError):

@@ -410,16 +410,20 @@ def _is_prime(q: int) -> bool:
 # -- document handling --------------------------------------------------------
 
 
+def read_json(text: str):
+    """The value that a group or span document's JSON text writes, else ParseError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e.msg}", f"line {e.lineno}, column {e.colno}")
+    except (ValueError, RecursionError):  # int()'s digit limit, or the decoder's depth
+        raise ParseError("invalid JSON: an integer past the digit limit or too deep") from None
+
+
 def parse_group(document) -> GroupDocument:
     """Validate a group document (text or mapping) into exact generators;
     :func:`enumerate_group` builds the group from the result."""
-    if isinstance(document, str):
-        try:
-            doc = json.loads(document)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e.msg}", f"line {e.lineno}, column {e.colno}")
-    else:
-        doc = document
+    doc = read_json(document) if isinstance(document, str) else document
     if not isinstance(doc, dict):
         raise ParseError("group document must be a JSON object")
     name = doc.get("name", "")

@@ -101,7 +101,8 @@ def build_ledger(
         raise ValueError(f"{at} gives {cells} Morse cells, more than the cap of {MAX_CELLS}")
     families = walk_families(group, slope)
     known = {(f.class_label, f.period) for f in families}
-    unknown = [f"{label}:{excerpt(p)}" for label, p in profiles if (label, p) not in known]
+    unknown = [f"{excerpt(label) if len(label) > 60 else label}:{excerpt(p)}"
+               for label, p in profiles if (label, p) not in known]
     if unknown:
         raise ValueError(f"no family below {at} for cell profiles {', '.join(unknown)}")
     class_pos = {cls.label: pos for pos, cls in enumerate(group.classes)}

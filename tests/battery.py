@@ -4,8 +4,9 @@ import cmath
 import math
 from functools import lru_cache
 
-from orbifill import FiniteUnitaryGroup, cyclotomic_polynomial, enumerate_group, groups, parse_group
-from orbifill.cyclotomic import parse_literal
+from orbifill import groups
+from orbifill.cyclotomic import cyclotomic_polynomial, parse_literal
+from orbifill.groups import FiniteUnitaryGroup, enumerate_group, parse_group
 from orbifill.tables import orbits
 
 

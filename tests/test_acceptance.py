@@ -19,33 +19,28 @@ from battery import (
     scalar_cyclic,
     trivial,
 )
-from orbifill import (
-    CoefficientRing,
+from orbifill.chen_ruan import (
     CupConvention,
-    MorseCell,
-    age,
+    FillingCRProfile,
     associativity_sweep,
-    build_ledger,
     build_ring,
-    check_ledger,
-    constraint_for_boundary,
     cr_of_filling,
-    cyclotomic_polynomial,
+    twisted_sectors,
+)
+from orbifill.coefficients import CoefficientRing
+from orbifill.constraints import BoundaryDescriptor, constraint_for_boundary
+from orbifill.cyclotomic import cyclotomic_polynomial, divisors, make, zeta
+from orbifill.groups import age
+from orbifill.ledger import build_ledger, check_ledger, known_differentials, sh_vanishing
+from orbifill.reeb import (
+    MorseCell,
+    _periods_below,
     cz_family,
     cz_generator,
-    known_differentials,
-    make,
     mclean_discrepancy,
     orbit_family,
-    random_composition_battery,
-    sh_vanishing,
-    twisted_sectors,
-    zeta,
 )
-from orbifill.chen_ruan import FillingCRProfile
-from orbifill.cyclotomic import divisors
-from orbifill.constraints import BoundaryDescriptor
-from orbifill.reeb import _periods_below
+from orbifill.spans import random_composition_battery
 
 
 class _Timer:

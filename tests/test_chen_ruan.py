@@ -22,12 +22,10 @@ from battery import (
     trivial,
     z7_semidirect_z9,
 )
-from orbifill import (
+from orbifill import chen_ruan, ledger, reeb
+from orbifill.chen_ruan import (
     CupConvention,
     FillingCRProfile,
-    FiniteGroupTable,
-    NonIsolated,
-    age,
     associativity_sweep,
     build_ring,
     choose_ring,
@@ -36,7 +34,9 @@ from orbifill import (
     cr_pairing_check,
     twisted_sectors,
 )
-from orbifill import chen_ruan, ledger, reeb
+from orbifill.errors import NonIsolated
+from orbifill.groups import age
+from orbifill.tables import FiniteGroupTable
 
 
 def reference_constants(group, convention):

@@ -21,11 +21,10 @@ from orbifill import chen_ruan as chen_ruan_module
 from orbifill import cli as cli_module
 from orbifill import reeb as reeb_module
 from orbifill import spans
-from orbifill import parse_group
 from orbifill.cli import EXIT_INTERNAL, _guarded, main
 from orbifill.cyclotomic import CyclotomicNumber
 from orbifill.errors import InvariantViolation, ParseError
-from orbifill.groups import MAX_DIMENSION
+from orbifill.groups import MAX_DIMENSION, parse_group
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
@@ -610,6 +609,10 @@ class TestLongValues:
     # converts to text, which the family cap's message once tried.
     PAST_THE_DIGIT_LIMIT = "9" * 4299 + "/11"
 
+    JUNK = "x" * 5000
+    DIGITS = "9" * 5000  # past the 4300 digits int() reads
+    LEDGER = ["ledger", "build", "{dir}/antipodal2.json", "--slope", "5/4"]
+
     @pytest.mark.parametrize("args, named", [
         (["reeb", "report", "{q8xmu63}", "--bound", LONG], "--bound"),
         (["ledger", "build", A3, "--slope", LONG], "cap"),
@@ -617,14 +620,54 @@ class TestLongValues:
         (["reeb", "report", "{q8xmu63}", "--bound", PAST_THE_DIGIT_LIMIT], "cap"),
         (["ledger", "build", "{q8xmu63}", "--slope", PAST_THE_DIGIT_LIMIT], "cap"),
         (["group", "info", "{big}"], "dimension"),
+        (["group", "info", A3, "--max-order", JUNK], "--max-order"),
+        (["span", "random", "--trials", JUNK], "--trials"),
+        (["span", "random", "--seed", JUNK], "--seed"),
+        (["cr", "filling", "--coefficient", JUNK], "coefficient ring"),
+        (["cr", "filling", "--coefficient", "Z/x"], "coefficient ring"),
+        (["cr", "filling", "--coefficient", "Z/" + DIGITS], "coefficient ring"),
+        (["cr", "filling", "--betti", "1,x"], "--betti"),
+        (["cr", "filling", "--betti", DIGITS], "--betti"),
+        (["cr", "filling", "--singularity", "{dir}/" + JUNK], "--singularity"),
+        (["constraints", "boundary", f"lens:{DIGITS},3"], "boundary"),
+        (["constraints", "boundary", JUNK + ":1"], "boundary"),
+        (["constraints", "admit", A3, "--boundary", JUNK + ":1"], "boundary"),
+        (["constraints", "admit", "{dir}/" + JUNK, "--boundary", "lens:2,2"], "too long"),
+        (["constraints", "rp", "x"], "target"),
+        (["constraints", "rp", DIGITS], "target"),
+        ([*LEDGER, "--profile", "X" * 5000 + ":1=0,1"], "cell profiles"),
+        ([*LEDGER, "--profile", "Id:1=0,x"], "--profile"),
+        ([*LEDGER, "--profile", "Id:1=0," + DIGITS], "--profile"),
+        (["span", "check", "{far_ref}"], "too long"),
+        (["group", "info", "{digits}"], "JSON"),
+        (["span", "check", "{cyclic_digits}"], "JSON"),
+        (["span", "check", "{bad_json}"], "invalid JSON"),
+        (["span", "check", "{deep}"], "invalid JSON"),
     ], ids=["bound-on-the-spectrum", "slope-over-the-family-cap", "bound-of-5000-digits",
             "bound-with-a-family-count-past-the-digit-limit",
-            "slope-with-a-family-count-past-the-digit-limit", "dimension-over-the-cap"])
+            "slope-with-a-family-count-past-the-digit-limit", "dimension-over-the-cap",
+            "max-order", "trials", "seed", "coefficient-ring", "coefficient-modulus-x",
+            "coefficient-modulus-of-5000-digits", "betti-x", "betti-of-5000-digits",
+            "singularity-path", "lens-of-5000-digits", "boundary-kind", "admit-boundary-kind",
+            "admit-path", "rp-x", "rp-of-5000-digits", "profile-label", "profile-index-x",
+            "profile-index-of-5000-digits", "span-ref-path", "json-dimension-of-5000-digits",
+            "json-cyclic-order-of-5000-digits", "span-json-missing-comma", "span-json-too-deep"])
     def test_one_short_error_line(self, runner, workspace, args, named):
-        docs = {"q8xmu63": workspace / "q8xmu63.json", "big": workspace / "big.json"}
+        docs = {"q8xmu63": workspace / "q8xmu63.json", "big": workspace / "big.json",
+                "far_ref": workspace / "far_ref.json", "digits": workspace / "digits.json",
+                "cyclic_digits": workspace / "cyclic_digits.json",
+                "bad_json": workspace / "bad_json.json", "deep": workspace / "deep.json"}
         docs["q8xmu63"].write_text(json.dumps(times_scalars(quaternion(), 63)))
         docs["big"].write_text(json.dumps(trivial(MAX_DIMENSION + 1)))
-        result = invoke(runner, workspace, *(a.format(**docs) for a in args))
+        one = {"middle": {"cyclic": 1}, "right": {"cyclic": 1}, "source": [0], "target": [0]}
+        docs["far_ref"].write_text(json.dumps({"span": {"left": {"ref": self.JUNK}, **one}}))
+        docs["digits"].write_text(f'{{"dimension": {self.DIGITS}, "conductor": 1, '
+                                  '"generators": []}')
+        docs["cyclic_digits"].write_text(
+            json.dumps({"span": {"left": {"cyclic": 0}, **one}}).replace("0", self.DIGITS, 1))
+        docs["bad_json"].write_text('{"span": {"left": {"cyclic": 1} "middle": 1}}')
+        docs["deep"].write_text("[" * 100000)
+        result = invoke(runner, workspace, *(a.format(dir=workspace, **docs) for a in args))
         assert result.exit_code == 2
         errors = [line for line in result.stderr.splitlines() if "error:" in line]
         assert len(errors) == 1 and len(errors[0].encode()) <= 300, errors
@@ -1085,6 +1128,36 @@ def test_import_loads_neither_click_nor_dataclasses():
                           timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+class TestImportGraph:
+    """The package imports nothing itself: a module loads only the orbifill
+    modules it needs, and each imports on its own, without an import cycle."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+    MODULES = sorted(f"orbifill.{p.stem}" for p in (SRC / "orbifill").glob("*.py")
+                     if p.stem != "__init__")
+
+    def loaded(self, module):
+        """The orbifill modules that ``import module`` loads in a fresh interpreter."""
+        env = dict(os.environ, PYTHONPATH=str(self.SRC))
+        probe = (f"import sys, {module}; "
+                 "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'orbifill'))")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return set(done.stdout.split())
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_imports_alone(self, module):
+        assert {"orbifill", module} <= self.loaded(module)
+
+    def test_spans_loads_no_unitary_group_code(self):
+        assert self.loaded("orbifill.spans") == {"orbifill", "orbifill.errors", "orbifill.record",
+                                                 "orbifill.spans", "orbifill.tables"}
+
+    def test_cli_loads_every_module(self):
+        assert self.loaded("orbifill.cli") == {"orbifill", *self.MODULES}
 
 
 class Recorder:

@@ -6,14 +6,14 @@ import random
 import pytest
 
 from battery import antipodal, build, quaternion, scalar_cyclic, trivial
-from orbifill import (
+from orbifill.constraints import (
     BoundaryDescriptor,
-    NotApplicable,
     admissible,
     constraint_for_boundary,
     is_squarefree,
     rp_report,
 )
+from orbifill.errors import NotApplicable
 
 
 def brute_force_squarefree(k):

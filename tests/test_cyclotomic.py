@@ -8,21 +8,22 @@ from functools import lru_cache
 
 import pytest
 
-from orbifill import (
+from battery import power_mod_phi
+from orbifill.cyclotomic import (
     CyclotomicNumber,
-    IncompatibleConductor,
-    InternalInconsistency,
-    ParseError,
+    _sparse_reduction,
     cyclotomic_polynomial,
+    divisors,
     euler_phi,
+    factorize,
     make,
     one,
     parse_literal,
+    reduction_size,
     zero,
     zeta,
 )
-from battery import power_mod_phi
-from orbifill.cyclotomic import _sparse_reduction, divisors, factorize, reduction_size
+from orbifill.errors import IncompatibleConductor, InternalInconsistency, ParseError
 
 
 # -- exact reference: the Fraction-vector kernel ------------------------------

@@ -32,25 +32,20 @@ from battery import (
     trivial,
     z7_semidirect_z9,
 )
-from orbifill import (
+from orbifill import groups
+from orbifill.cyclotomic import CyclotomicNumber, euler_phi, reduction_size
+from orbifill.errors import GroupTooLarge, InternalInconsistency, NotUnitary, ParseError
+from orbifill.groups import (
+    DEFAULT_MAX_ORDER,
     GroupDocument,
-    GroupTooLarge,
-    InternalInconsistency,
-    NotUnitary,
-    ParseError,
+    MAX_REDUCTION_SIZE,
     age,
     canonical_document,
     document_digest,
-    parse_group,
-)
-from orbifill import groups
-from orbifill.cyclotomic import CyclotomicNumber, euler_phi, reduction_size
-from orbifill.groups import (
-    DEFAULT_MAX_ORDER,
-    MAX_REDUCTION_SIZE,
     mat_conj_transpose,
     mat_identity,
     mat_mul,
+    parse_group,
 )
 from orbifill.tables import FiniteGroupTable, closure, orbits
 
@@ -347,8 +342,6 @@ class TestConjugacyClasses:
             check_table_structure(g.table)
 
     def test_class_ordering_is_by_age(self):
-        from orbifill import age
-
         for g in battery_48():
             ages = [age(g, c.representative_index) for c in g.classes]
             assert ages == sorted(ages)

@@ -6,25 +6,21 @@ from fractions import Fraction
 import pytest
 
 from battery import antipodal, battery_24, build, quaternion, scalar_cyclic, trivial
-from orbifill import (
-    CoefficientRing,
-    DifferentialEntry,
-    InvariantViolation,
-    NonIsolated,
-    SlopeOnSpectrum,
-    build_ledger,
-    check_ledger,
-    known_differentials,
-    sh_vanishing,
-)
 from orbifill import ledger as ledger_module
 from orbifill import reeb
 from orbifill.chen_ruan import twisted_sectors
+from orbifill.coefficients import CoefficientRing
+from orbifill.errors import InvariantViolation, NonIsolated, SlopeOnSpectrum
 from orbifill.ledger import (
+    DifferentialEntry,
     KIND_CELL,
     KIND_CONSTANT_TWISTED,
     KIND_CONSTANT_UNTWISTED,
     PROVENANCE_USER,
+    build_ledger,
+    check_ledger,
+    known_differentials,
+    sh_vanishing,
 )
 
 

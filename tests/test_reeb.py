@@ -9,20 +9,21 @@ import pytest
 import reeb_oracle
 from battery import (a_type, antipodal, battery_24, battery_48, binary_dihedral, build,
                      quaternion, scalar_cyclic, times_scalars, trivial, z7_semidirect_z9)
-from orbifill import (
+from orbifill import reeb
+from orbifill.errors import NonIsolated, SlopeOnSpectrum
+from orbifill.ledger import KIND_CELL, build_ledger
+from orbifill.reeb import (
     MorseCell,
-    NonIsolated,
-    SlopeOnSpectrum,
+    _periods_below,
     cz_family,
     cz_generator,
     families_below,
+    is_on_spectrum,
     loop_components,
     mclean_discrepancy,
     orbit_family,
+    walk_families,
 )
-from orbifill import reeb
-from orbifill.ledger import KIND_CELL, build_ledger
-from orbifill.reeb import _periods_below, is_on_spectrum, walk_families
 
 
 class TestAdmissiblePeriods:

@@ -17,37 +17,33 @@ import pytest
 
 from battery import (binary_dihedral, build, check_table_structure, quaternion as quaternion_doc,
                      table_of, times_scalars)
-from orbifill import (
-    FiniteGroupTable,
-    Homomorphism,
-    MiddleMismatch,
-    ParseError,
-    PointOrbifoldSpan,
-    composition_check,
-    cyclic,
-    dihedral,
-    direct_product,
-    pushpull,
-    quaternion8,
-    random_composition_battery,
-    span,
-)
-from orbifill import parse_group, tables
-from orbifill.groups import canonical_document, document_digest
+from orbifill import tables
+from orbifill.errors import MiddleMismatch, ParseError
+from orbifill.groups import canonical_document, document_digest, parse_group
 from orbifill.spans import (
     BATTERY_MAX_ORDER,
+    Homomorphism,
+    PointOrbifoldSpan,
     _element_orders,
     _group_pool,
     _lagrange_rejects,
     _orbit_conjugates,
     _random_span,
+    composition_check,
+    cyclic,
+    dihedral,
+    direct_product,
     from_permutations,
     group_from_document,
     orbit_decomposition,
+    pushpull,
+    quaternion8,
+    random_composition_battery,
+    span,
     span_from_document,
     subgroup_of_product,
 )
-from orbifill.tables import _check_associative
+from orbifill.tables import FiniteGroupTable, _check_associative
 
 TRIV = cyclic(1)
 
