@@ -41,7 +41,6 @@ from .constraints import (
 from .errors import (
     InputError,
     InternalInconsistency,
-    InvariantViolation,
     NonIsolated,
     NotApplicable,
     ParseError,
@@ -167,39 +166,13 @@ def _write_table(value, stream):
     stream.flush()
 
 
-# (exception types, stderr prefix, exit code), matched in order by _guarded.
+# (exception types, stderr prefix, exit code), matched in order by main.
 _OUTCOMES = (
     ((ValueError, OSError), "error", EXIT_INPUT),  # InputError is a ValueError
     (NonIsolated, "not an isolated singularity", EXIT_NEGATIVE),
     (NotApplicable, "constraints not applicable", EXIT_NEGATIVE),
-    (InvariantViolation, "check failed", EXIT_NEGATIVE),
     (InternalInconsistency, "internal invariant violation", EXIT_INTERNAL),
 )
-
-
-def _guarded(fn):
-    """Map domain and input errors onto the exit-code contract through
-    _OUTCOMES. A UsageError passes to main(), which reports it as argparse
-    does (exit 2). Any other exception, such as a MemoryError, exits
-    EXIT_INTERNAL rather than the 1 Python exits with, which would read as
-    a domain-negative answer; KeyboardInterrupt and SystemExit are not
-    Exceptions and pass through."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except UsageError:
-            raise
-        except Exception as e:
-            for types, prefix, code in _OUTCOMES:
-                if isinstance(e, types):
-                    _echo(f"{prefix}: {e}")
-                    sys.exit(code)
-            _echo(f"internal error: {type(e).__name__}: {e}")
-            sys.exit(EXIT_INTERNAL)
-
-    return wrapper
 
 
 class UsageError(Exception):
@@ -248,8 +221,23 @@ def _read(path) -> str:
         raise OSError(e.errno, f"{e.strerror}: {_quoted_path(str(path))}") from None
 
 
+def _one_of(choices):
+    """An argparse type that refuses a value outside ``choices`` with argparse's
+    own message, but quoting the value by excerpt: argparse echoes it whole."""
+
+    def choice(text):
+        if text not in choices:
+            raise InputError(f"invalid choice: {excerpt(text)} "
+                             f"(choose from {', '.join(map(repr, choices))})")
+        return text
+
+    return choice
+
+
 def _arg(*names, **kwargs):
-    """The arguments of one ``add_argument`` call."""
+    """The arguments of one ``add_argument`` call; ``choices`` also sets the type."""
+    if "choices" in kwargs:
+        kwargs["type"] = _one_of(kwargs["choices"])
     return names, kwargs
 
 
@@ -273,22 +261,11 @@ COMMANDS = {}
 def _command(name, *arguments):
     """Register ``fn`` as command ``name``; ``arguments`` are its ``_arg`` calls,
     and the first line of its docstring is its summary in ``orbifill --help``.
-
     ``fn`` takes the parsed arguments except ``fmt`` and returns its report and
-    verdict. The registered command renders the report in ``fmt`` and exits
-    EXIT_NEGATIVE when the verdict is false, all inside ``_guarded``, so an
-    error raised while a generator in the report is rendered, or a closed
-    stdout, exits as it would from the command itself."""
+    verdict, which ``main`` renders and maps onto the exit codes."""
 
     def register(fn):
-        @functools.wraps(fn)
-        def run(fmt, **kwargs):
-            report, verdict = fn(**kwargs)
-            _emit(report, fmt)
-            if not verdict:
-                sys.exit(EXIT_NEGATIVE)
-
-        COMMANDS[name] = (_guarded(run), arguments)
+        COMMANDS[name] = (fn, arguments)
         return fn
 
     return register
@@ -599,7 +576,9 @@ def constraints_cmd(action, target, boundary_opt, max_order, cache_dir):
 
 
 def main(argv=None):
-    """Run one command line; ``argv`` defaults to ``sys.argv[1:]``.
+    """Run one command line; ``argv`` defaults to ``sys.argv[1:]``. It returns on
+    success, exits EXIT_NEGATIVE on a false verdict, and maps an exception onto
+    its exit code and stderr line through _OUTCOMES.
 
     Freezes the caller's garbage-collected heap first, so for an in-process
     caller the objects alive at the call are never collected afterwards.
@@ -617,7 +596,7 @@ def main(argv=None):
         allow_abbrev=False,
     )
     top.add_argument("--version", action="version", version=f"orbifill, version {__version__}")
-    top.add_argument("command", choices=COMMANDS, metavar="COMMAND",
+    top.add_argument("command", choices=COMMANDS, type=_one_of(COMMANDS), metavar="COMMAND",
                      help="one of the commands listed below")
     top.add_argument("args", nargs=argparse.REMAINDER, metavar="ARGS",
                      help="the command's arguments; see 'orbifill COMMAND --help'")
@@ -629,11 +608,25 @@ def main(argv=None):
         parser.add_argument(*names, **kwargs)
     # Intermixed, so that options may also come between the action and an
     # optional path, as in 'cr ring --format json PATH'.
-    args = parser.parse_intermixed_args(ns.args)
+    options = vars(parser.parse_intermixed_args(ns.args))
+    fmt = options.pop("fmt")
+    # The report is rendered inside the try: an error raised by a generator in
+    # it, or a closed stdout, exits as it would from the command. Any other
+    # Exception, such as a MemoryError, exits EXIT_INTERNAL, not the 1 Python
+    # exits with, which reads as domain-negative; KeyboardInterrupt passes.
     try:
-        fn(**vars(args))
+        report, verdict = fn(**options)
+        _emit(report, fmt)
     except UsageError as e:
         parser.error(str(e))
+    except Exception as e:
+        prefix, code = next(((prefix, code) for types, prefix, code in _OUTCOMES
+                             if isinstance(e, types)),
+                            (f"internal error: {type(e).__name__}", EXIT_INTERNAL))
+        _echo(f"{prefix}: {e}")
+        sys.exit(code)
+    if not verdict:
+        sys.exit(EXIT_NEGATIVE)
 
 
 if __name__ == "__main__":

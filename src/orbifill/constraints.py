@@ -117,8 +117,8 @@ def _require_printable(b: BoundaryDescriptor, divisor: str, log10):
     except OverflowError:
         printable = False
     if not printable:
-        raise ValueError(f"boundary {b.describe()}: its divisor {divisor} has more than "
-                         f"{MAX_DIVISOR_DIGITS} digits")
+        raise ValueError(f"boundary {b.variant}:{excerpt(b.k)},{excerpt(b.n)}: its divisor "
+                         f"{divisor} has more than {MAX_DIVISOR_DIGITS} digits")
 
 
 def constraint_for_boundary(b: BoundaryDescriptor) -> ConstraintSet:
@@ -129,9 +129,9 @@ def constraint_for_boundary(b: BoundaryDescriptor) -> ConstraintSet:
     if b.variant == BRIESKORN:
         if b.k >= b.n:
             return ConstraintSet(
-                (), (), False, reason=f"requires k < n, got k={b.k}, n={b.n}"
+                (), (), False, reason=f"requires k < n, got k={excerpt(b.k)}, n={excerpt(b.n)}"
             )
-        _require_printable(b, f"{b.k}!", lambda: math.lgamma(b.k + 1) / math.log(10))
+        _require_printable(b, f"{excerpt(b.k)}!", lambda: math.lgamma(b.k + 1) / math.log(10))
         divisors = [math.factorial(b.k)]
         rules = ["brieskorn-factorial"]
         if 2 * b.k < b.n + 1 or (2 * b.k == b.n + 1 and is_squarefree(b.k)):
@@ -139,9 +139,9 @@ def constraint_for_boundary(b: BoundaryDescriptor) -> ConstraintSet:
             rules.append("brieskorn-refined-factorial")
         return ConstraintSet(tuple(divisors), tuple(rules), True)
     # lens space L(k; 1, ..., 1)
-    _require_printable(b, f"{b.k}!", lambda: math.lgamma(b.k + 1) / math.log(10))
+    _require_printable(b, f"{excerpt(b.k)}!", lambda: math.lgamma(b.k + 1) / math.log(10))
     if b.k < b.n:
-        _require_printable(b, f"{b.k}^{b.n}", lambda: b.n * math.log10(b.k))
+        _require_printable(b, f"{excerpt(b.k)}^{excerpt(b.n)}", lambda: b.n * math.log10(b.k))
     divisors = [math.factorial(b.k)]
     rules = ["lens-factorial"]
     if b.k < b.n:

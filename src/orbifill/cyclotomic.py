@@ -135,10 +135,12 @@ class CyclotomicNumber:
     and the int ``den > 0`` has no factor in common with them all; zero is
     the empty form over 1. This normal form is unique at each conductor, and
     every operation costs the terms it reads, not phi(N). Instances are
-    immutable. Equality compares underlying field elements: representations
-    at different conductors are lifted to the lcm first. Values are not
-    hashable, since equal values at different conductors have different
-    normal forms.
+    immutable. ``+`` and ``*`` take two values at one conductor: another
+    type is no operand (TypeError), and another conductor raises
+    InternalInconsistency. Equality compares underlying field elements, an
+    int or a Fraction too: representations at different conductors are
+    lifted to the lcm first. Values are not hashable, since equal values at
+    different conductors have different normal forms.
     """
 
     __slots__ = ("conductor", "terms", "den")
@@ -193,50 +195,29 @@ class CyclotomicNumber:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _pair(self, other):
-        if isinstance(other, CyclotomicNumber):
-            if other.conductor == self.conductor:
-                return self, other
-            b = other
-        elif isinstance(other, (int, Fraction)):
-            b = make(1, [(other, 0)])
-        else:
-            return None, None
-        lcm = math.lcm(self.conductor, b.conductor)
-        return self.lift(lcm), b.lift(lcm)
-
     def __add__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        if not _operand(self, other):
             return NotImplemented
-        return _combine(a, b, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CyclotomicNumber(self.conductor, [(e, -c) for e, c in self.terms], self.den)
-
-    def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return _combine(a, b, -1)
+        # Over the lcm of the denominators.
+        g = math.gcd(self.den, other.den)
+        sa, sb = other.den // g, self.den // g
+        acc = {e: c * sa for e, c in self.terms}
+        for e, c in other.terms:
+            acc[e] = acc.get(e, 0) + c * sb
+        return CyclotomicNumber(self.conductor, acc.items(), self.den * sa)
 
     def __mul__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        if not _operand(self, other):
             return NotImplemented
         # Schoolbook product of the stored terms; _reduce folds back only the
         # powers e >= phi it produced, at e mod n (2*phi - 2 >= n for prime n).
         acc = {}
         get = acc.get
-        for i, c in a.terms:
-            for j, d in b.terms:
+        for i, c in self.terms:
+            for j, d in other.terms:
                 k = i + j
                 acc[k] = get(k, 0) + c * d
-        return _reduce(a.conductor, acc, a.den * b.den)
-
-    __rmul__ = __mul__
+        return _reduce(self.conductor, acc, self.den * other.den)
 
     def inverse(self) -> "CyclotomicNumber":
         """Exact multiplicative inverse: for a = b / den, the product P of the
@@ -277,8 +258,10 @@ class CyclotomicNumber:
                     and self.den == other.denominator)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
-        a, b = self._pair(other)
-        return a.den == b.den and a.terms == b.terms
+        if other.conductor != self.conductor:
+            n = math.lcm(self.conductor, other.conductor)
+            return self.lift(n) == other.lift(n)
+        return self.den == other.den and self.terms == other.terms
 
     # -- rendering -----------------------------------------------------------
 
@@ -297,15 +280,15 @@ class CyclotomicNumber:
         return "".join(parts) if parts else "0"
 
 
-def _combine(a: CyclotomicNumber, b: CyclotomicNumber, sign: int) -> CyclotomicNumber:
-    # a + sign * b for a and b at one conductor, over the lcm of the
-    # denominators.
-    g = math.gcd(a.den, b.den)
-    sa, sb = b.den // g, sign * (a.den // g)
-    acc = {e: c * sa for e, c in a.terms}
-    for e, c in b.terms:
-        acc[e] = acc.get(e, 0) + c * sb
-    return CyclotomicNumber(a.conductor, acc.items(), a.den * sa)
+def _operand(a: CyclotomicNumber, b) -> bool:
+    # Whether b is an operand of a + b and a * b: a CyclotomicNumber at a's
+    # conductor. A document builds every value at its one conductor.
+    if not isinstance(b, CyclotomicNumber):
+        return False
+    if b.conductor != a.conductor:
+        raise InternalInconsistency(
+            f"operands at conductors {a.conductor} and {b.conductor}")
+    return True
 
 
 def _reduce(n: int, acc: dict, den: int) -> CyclotomicNumber:
@@ -336,11 +319,12 @@ def _from_terms(conductor: int, terms) -> CyclotomicNumber:
 
 
 def make(conductor: int, terms) -> CyclotomicNumber:
-    """Canonical representative of sum(c * zeta_conductor^e) for (c, e) terms."""
+    """Canonical representative of sum(c * zeta_conductor^e) for (c, e) terms,
+    each c an int or a Fraction, else TypeError."""
     out = []
     for coeff, exp in terms:
         if not isinstance(coeff, (int, Fraction)):
-            coeff = Fraction(coeff)
+            raise TypeError(f"coefficient {coeff!r} is not an int or a Fraction")
         out.append((coeff.numerator, coeff.denominator, exp))
     return _from_terms(conductor, out)
 
@@ -349,11 +333,11 @@ def zeta(conductor: int, exponent: int = 1) -> CyclotomicNumber:
     return make(conductor, [(1, exponent)])
 
 
-def zero(conductor: int = 1) -> CyclotomicNumber:
+def zero(conductor: int) -> CyclotomicNumber:
     return make(conductor, [])
 
 
-def one(conductor: int = 1) -> CyclotomicNumber:
+def one(conductor: int) -> CyclotomicNumber:
     return make(conductor, [(1, 0)])
 
 

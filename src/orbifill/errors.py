@@ -93,14 +93,5 @@ class NotApplicable(Exception):
     """A constraint set whose theorem hypotheses fail cannot admit anything."""
 
 
-class InvariantViolation(Exception):
-    """A user-supplied differential entry breaks a necessary condition."""
-
-    def __init__(self, entry_index, rule):
-        self.entry_index = entry_index
-        self.rule = rule
-        super().__init__(f"entry {entry_index}: {rule}")
-
-
 class InternalInconsistency(Exception):
     """An internal invariant failed; this signals a bug, not a user error."""

@@ -4,8 +4,7 @@ Everything recorded here is determined by group theory: generator degrees,
 actions, homotopy classes, and the one differential entry that is forced,
 namely that the minimum cell of the simple contractible family kills |G|
 times the untwisted unit. All other differential entries are unknown rather
-than zero and enter only through user-supplied data validated against the
-necessary conditions (same class, degree +1, strictly increasing action).
+than zero.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coefficients import CoefficientRing
-from .errors import InvariantViolation, excerpt
+from .errors import InternalInconsistency, excerpt
 from .groups import FiniteUnitaryGroup
 from .record import Record
 from .reeb import MorseCell, cz_generator, family_count, walk_families
@@ -23,7 +22,6 @@ KIND_CONSTANT_UNTWISTED = "constant-untwisted"
 KIND_CELL = "cell"
 
 PROVENANCE_PAPER = "established"
-PROVENANCE_USER = "user-supplied"
 
 # The most Morse cells one ledger may hold, counted before any family or
 # generator is built.
@@ -161,19 +159,21 @@ def known_differentials(ledger: GeneratorLedger) -> list[DifferentialEntry]:
 def check_ledger(ledger: GeneratorLedger, entries) -> dict:
     """Assert the necessary conditions on every entry and report ranks.
 
-    Raises InvariantViolation naming the first failing entry and rule.
+    The entries are the forced ones, which meet the conditions by the index
+    formula, so a failure is a bug: InternalInconsistency names the first
+    failing entry and rule.
     """
     entries = list(entries)
     members = set(ledger.generators)
     for i, entry in enumerate(entries):
         if entry.source not in members or entry.target not in members:
-            raise InvariantViolation(i, "references a generator outside the ledger")
+            raise InternalInconsistency(f"ledger entry {i}: references a generator outside the ledger")
         if entry.source.homotopy_class != entry.target.homotopy_class:
-            raise InvariantViolation(i, "homotopy classes differ")
+            raise InternalInconsistency(f"ledger entry {i}: homotopy classes differ")
         if entry.target.degree != entry.source.degree + 1:
-            raise InvariantViolation(i, "target degree is not source degree + 1")
+            raise InternalInconsistency(f"ledger entry {i}: target degree is not source degree + 1")
         if not entry.target.action > entry.source.action:
-            raise InvariantViolation(i, "action does not increase")
+            raise InternalInconsistency(f"ledger entry {i}: action does not increase")
     by_class: dict[str, dict[str, int]] = {}
     for g in ledger.generators:
         degrees = by_class.setdefault(g.homotopy_class, {})

@@ -15,15 +15,15 @@ from pathlib import Path
 
 import pytest
 
-from battery import (a_type, antipodal, binary_dihedral, build, corrupt_first_generator,
+from battery import (a_type, antipodal, binary_dihedral, corrupt_first_generator,
                      quaternion, scalar_cyclic, times_scalars, trivial)
 from orbifill import chen_ruan as chen_ruan_module
 from orbifill import cli as cli_module
 from orbifill import reeb as reeb_module
 from orbifill import spans
-from orbifill.cli import EXIT_INTERNAL, _guarded, main
+from orbifill.cli import EXIT_INTERNAL, main
 from orbifill.cyclotomic import CyclotomicNumber
-from orbifill.errors import InvariantViolation, ParseError
+from orbifill.errors import ParseError
 from orbifill.groups import MAX_DIMENSION, parse_group
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
@@ -141,18 +141,19 @@ class TestExitCodes:
         assert result.stderr.splitlines() == [
             "error: the generators do not generate a finite group"]
 
-    def test_corrupted_reduction_exits_three(self, monkeypatch):
+    def test_corrupted_reduction_exits_three(self, runner, monkeypatch):
         # A reduced matrix that is not diagonalizable, as in
         # test_non_group_element_is_internal, is a broken internal state,
         # not an input error.
-        # Element 1, the first generator, is always read, and it is built
-        # as the identity times its reduced generator, which is held by its
-        # columns: these are those of ((1, 1), (0, 1)).
-        group = build(quaternion())
+        # Element 1, the first generator, represents its class, and it is
+        # built as the identity times its reduced generator, which is held by
+        # its columns: these are those of ((1, 1), (0, 1)).
         corrupt_first_generator(monkeypatch, ((1, 0), (1, 1)))
-        with pytest.raises(SystemExit) as info:
-            _guarded(lambda: group.eigen_multiplicities(1))()
-        assert info.value.code == EXIT_INTERNAL
+        result = runner.invoke(["group", "info", str(SAMPLES / "quaternion.json")])
+        assert result.exit_code == EXIT_INTERNAL
+        assert result.stdout == ""
+        assert result.stderr.startswith("internal invariant violation: ")
+        assert "not diagonalizable" in result.stderr
 
     @pytest.mark.parametrize("error", [MemoryError("out of memory"), RuntimeError("broken")],
                              ids=lambda e: type(e).__name__)
@@ -278,7 +279,8 @@ class TestRejections:
         (["reeb", "report", "{samples}/a3.json", "--bound", "0"],
          2, "error: periods are positive rationals in units of 2*pi"),
         (["constraints", "boundary", f"lens:{'9' * 400},3"],
-         2, f"error: boundary lens:{'9' * 400},3: its divisor {'9' * 400}! has more than 4300"),
+         2, f"error: boundary lens:{'9' * 12}... (400 digits),3: its divisor {'9' * 12}... "
+            "(400 digits)! has more than 4300"),
         (["span", "check", "{docs}/ragged_table.json"],
          2, "error: multiplication table is not square"),
         (["span", "check", "{docs}/short_images.json"],
@@ -306,17 +308,6 @@ class TestRejections:
         assert result.stderr == ("error: generators[0][0][0]: integer too long at offset 0 in '"
                                  + "7" * 60 + "'... (5000 characters)\n")
         assert len(result.stderr.encode()) < 200
-
-    def test_invariant_violation_exits_one(self, capsys):
-        # No command line reaches this arm: `ledger build` checks only the
-        # entry that known_differentials forces, which always holds.
-        def violated():
-            raise InvariantViolation(3, "homotopy classes differ")
-
-        with pytest.raises(SystemExit) as info:
-            _guarded(violated)()
-        assert info.value.code == 1
-        assert capsys.readouterr().err == "check failed: entry 3: homotopy classes differ\n"
 
     def test_indeterminate_parity(self, runner, tmp_path):
         # C/mu4 in U(1) has the degrees 0, 1/2, 1 and 3/2.
@@ -611,6 +602,7 @@ class TestLongValues:
 
     JUNK = "x" * 5000
     DIGITS = "9" * 5000  # past the 4300 digits int() reads
+    NINES = "9" * 4000  # an int, whose factorial has more than 4300 digits
     LEDGER = ["ledger", "build", "{dir}/antipodal2.json", "--slope", "5/4"]
 
     @pytest.mark.parametrize("args, named", [
@@ -643,6 +635,11 @@ class TestLongValues:
         (["span", "check", "{cyclic_digits}"], "JSON"),
         (["span", "check", "{bad_json}"], "invalid JSON"),
         (["span", "check", "{deep}"], "invalid JSON"),
+        ([JUNK], "COMMAND"),
+        (["group", JUNK, A3], "action"),
+        (["group", "info", A3, "--format", JUNK], "--format"),
+        (["cr", "ring", A3, "--convention", JUNK], "--convention"),
+        (["constraints", "boundary", f"lens:{NINES},3"], "divisor"),
     ], ids=["bound-on-the-spectrum", "slope-over-the-family-cap", "bound-of-5000-digits",
             "bound-with-a-family-count-past-the-digit-limit",
             "slope-with-a-family-count-past-the-digit-limit", "dimension-over-the-cap",
@@ -651,7 +648,8 @@ class TestLongValues:
             "singularity-path", "lens-of-5000-digits", "boundary-kind", "admit-boundary-kind",
             "admit-path", "rp-x", "rp-of-5000-digits", "profile-label", "profile-index-x",
             "profile-index-of-5000-digits", "span-ref-path", "json-dimension-of-5000-digits",
-            "json-cyclic-order-of-5000-digits", "span-json-missing-comma", "span-json-too-deep"])
+            "json-cyclic-order-of-5000-digits", "span-json-missing-comma", "span-json-too-deep",
+            "command", "action", "format", "convention", "lens-of-4000-digits"])
     def test_one_short_error_line(self, runner, workspace, args, named):
         docs = {"q8xmu63": workspace / "q8xmu63.json", "big": workspace / "big.json",
                 "far_ref": workspace / "far_ref.json", "digits": workspace / "digits.json",
@@ -673,6 +671,14 @@ class TestLongValues:
         assert len(errors) == 1 and len(errors[0].encode()) <= 300, errors
         assert named in errors[0]
         assert "Traceback" not in result.output
+
+    def test_one_short_inapplicable_line(self, runner):
+        # The domain-negative exit quotes the boundary's numbers the same way.
+        result = runner.invoke(["constraints", "admit", self.A3,
+                                "--boundary", f"brieskorn:{self.NINES},3"])
+        assert result.exit_code == 1
+        assert result.stderr == ("constraints not applicable: requires k < n, "
+                                 f"got k={'9' * 12}... (4000 digits), n=3\n")
 
 
 class TestMaxOrder:
@@ -941,7 +947,6 @@ class TestCommands:
         def parse_then_count(text):
             group = parse_group(text)
             monkeypatch.setattr(CyclotomicNumber, "__mul__", counted)
-            monkeypatch.setattr(CyclotomicNumber, "__rmul__", counted)
             return group
 
         monkeypatch.setattr(cli_module, "parse_group", parse_then_count)
@@ -1049,9 +1054,10 @@ class TestCommandLine:
             assert main([command, action, str(workspace / doc), *rest]) is None
 
     def test_rendering_errors_keep_their_exit_code(self, runner, monkeypatch):
-        # Reports are rendered inside _guarded: an input error raised by a
-        # report's generator as it is written, and a closed stdout, exit 2
-        # with a message, as they would from the command itself.
+        # main renders a report inside the try that maps exceptions onto exit
+        # codes: an input error raised by a report's generator as it is
+        # written, and a closed stdout, exit 2 with a message, as they would
+        # from the command itself.
         def families(*args, **kwargs):
             raise ParseError("raised while rendering")
             yield

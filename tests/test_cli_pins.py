@@ -37,6 +37,20 @@ DOCUMENTS = {
     # Scalar mu60 in U(2): its table report of 10,127 lines spans several writes.
     "mu60.json": {"dimension": 2, "conductor": 60,
                   "generators": [[["z", "0"], ["0", "z"]]]},
+    # Q8 x mu3 in U(2): full-pairs fails its associativity sweep at (c1, c1, c3).
+    "q8xmu3.json": {"name": "Q8xmu3", "dimension": 2, "conductor": 12,
+                    "generators": [[["z^3", "0"], ["0", "-z^3"]], [["0", "1"], ["-1", "0"]],
+                                   [["z^4", "0"], ["0", "z^4"]]]},
+    # Groups given by multiplication tables: the Klein four-group onto Z/2.
+    "table_span.json": {"span": {"left": {"table": [[0, 1], [1, 0]]},
+                                 "middle": {"table": [[0, 1, 2, 3], [1, 0, 3, 2],
+                                                      [2, 3, 0, 1], [3, 2, 1, 0]]},
+                                 "right": {"cyclic": 1}, "source": [0, 1, 0, 1],
+                                 "target": [0, 0, 0, 0]}},
+    # Z/4 -> Z/2 sending 1 and 2 to the generator is no homomorphism.
+    "not_a_homomorphism.json": {"span": {"left": {"cyclic": 1}, "middle": {"cyclic": 4},
+                                         "right": {"cyclic": 2}, "source": [0, 0, 0, 0],
+                                         "target": [0, 1, 1, 0]}},
 }
 
 QUERIES = {
@@ -45,6 +59,7 @@ QUERIES = {
     "group-canonical": "group canonical samples/antipodal2.json",
     "cr-ring": "cr ring samples/quaternion.json",
     "cr-ring-mu60": "cr ring mu60.json",
+    "cr-ring-full-pairs": "cr ring q8xmu3.json --convention full-pairs",
     "cr-sectors": "cr sectors samples/a3.json",
     "cr-pairing": "cr pairing samples/quaternion.json",
     "cr-filling": "cr filling --betti 1,0,1 --singularity samples/antipodal2.json "
@@ -53,10 +68,14 @@ QUERIES = {
     "reeb-discrepancy": "reeb discrepancy samples/quaternion.json",
     "reeb-components": "reeb components samples/a3.json",
     "ledger-build": "ledger build samples/antipodal2.json --slope 5/4 --coefficient Z/2",
+    # No family lies below the slope: no forced entry, and none checked.
+    "ledger-build-no-forced-entry": "ledger build samples/a3.json --slope 1/8",
     "span-check-pair": "span check samples/span_pair.json",
     "span-check-single": "span check one_span.json",
+    "span-check-table": "span check table_span.json",
     "span-random": "span random --trials 20 --seed 7",
     "constraints-boundary": "constraints boundary lens:2,3",
+    "constraints-boundary-dilation": "constraints boundary dilation:3",
     "constraints-admit": "constraints admit samples/quaternion.json --boundary brieskorn:2,3",
     "constraints-rp": "constraints rp 3",
     # Usage errors: exit 2, usage text on stderr.
@@ -71,6 +90,7 @@ QUERIES = {
     "negative-filling-non-isolated": "cr filling --singularity reflection.json",
     "input-bound-on-spectrum": "reeb report samples/a3.json --bound 5/2",
     "input-no-span": "span check samples/a3.json",
+    "input-not-a-homomorphism": "span check not_a_homomorphism.json",
 }
 
 

@@ -10,13 +10,13 @@ from orbifill import ledger as ledger_module
 from orbifill import reeb
 from orbifill.chen_ruan import twisted_sectors
 from orbifill.coefficients import CoefficientRing
-from orbifill.errors import InvariantViolation, NonIsolated, SlopeOnSpectrum
+from orbifill.errors import InternalInconsistency, NonIsolated, SlopeOnSpectrum
 from orbifill.ledger import (
     DifferentialEntry,
     KIND_CELL,
     KIND_CONSTANT_TWISTED,
     KIND_CONSTANT_UNTWISTED,
-    PROVENANCE_USER,
+    PROVENANCE_PAPER,
     build_ledger,
     check_ledger,
     known_differentials,
@@ -184,6 +184,9 @@ class TestKnownDifferentials:
 
 
 class TestCheckLedger:
+    """check_ledger is handed only the forced entry, which meets every
+    condition; a corrupted entry is a bug, InternalInconsistency."""
+
     def _ledger(self):
         return build_ledger(build(antipodal(2)), Fraction(5, 4))
 
@@ -197,8 +200,8 @@ class TestCheckLedger:
         ledger = self._ledger()
         twisted = next(g for g in ledger.generators if g.kind == "constant-twisted")
         untwisted = next(g for g in ledger.generators if g.kind == "constant-untwisted")
-        bad = DifferentialEntry(twisted, untwisted, 1, PROVENANCE_USER)
-        with pytest.raises(InvariantViolation, match="homotopy classes differ"):
+        bad = DifferentialEntry(twisted, untwisted, 1, PROVENANCE_PAPER)
+        with pytest.raises(InternalInconsistency, match="homotopy classes differ"):
             check_ledger(ledger, [bad])
 
     def test_action_must_increase(self):
@@ -211,8 +214,8 @@ class TestCheckLedger:
             if g.kind == "cell" and g.homotopy_class == "Id" and g.morse_index == 1
         )
         assert gamma0.degree == top.degree + 1 and gamma0.action == top.action
-        bad = DifferentialEntry(top, gamma0, 1, PROVENANCE_USER)
-        with pytest.raises(InvariantViolation, match="^entry 0: action does not increase$"):
+        bad = DifferentialEntry(top, gamma0, 1, PROVENANCE_PAPER)
+        with pytest.raises(InternalInconsistency, match="^ledger entry 0: action does not increase$"):
             check_ledger(ledger, [bad])
 
     def test_degree_step_must_be_one(self):
@@ -221,8 +224,8 @@ class TestCheckLedger:
         twisted = next(g for g in ledger.generators if g.kind == "constant-twisted")
         # same class is violated first for this pair; build a same-class pair
         untwisted = next(g for g in ledger.generators if g.kind == "constant-untwisted")
-        bad = DifferentialEntry(untwisted, gamma0, 1, PROVENANCE_USER)
-        with pytest.raises(InvariantViolation):
+        bad = DifferentialEntry(untwisted, gamma0, 1, PROVENANCE_PAPER)
+        with pytest.raises(InternalInconsistency):
             check_ledger(ledger, [bad])
         assert twisted.degree == 2
 
@@ -231,8 +234,8 @@ class TestCheckLedger:
         other = build_ledger(build(scalar_cyclic(3)), Fraction(1, 4))
         foreign = other.generators[0]
         gamma0 = ledger.minimum_cell("Id", Fraction(1))
-        bad = DifferentialEntry(gamma0, foreign, 1, PROVENANCE_USER)
-        with pytest.raises(InvariantViolation, match="outside the ledger"):
+        bad = DifferentialEntry(gamma0, foreign, 1, PROVENANCE_PAPER)
+        with pytest.raises(InternalInconsistency, match="outside the ledger"):
             check_ledger(ledger, [bad])
 
     def test_fuzzed_cross_class_entries_never_pass(self):
@@ -246,8 +249,8 @@ class TestCheckLedger:
             a, b = rng.choice(gens), rng.choice(gens)
             if a.homotopy_class == b.homotopy_class:
                 continue
-            with pytest.raises(InvariantViolation):
-                check_ledger(ledger, [DifferentialEntry(a, b, 1, PROVENANCE_USER)])
+            with pytest.raises(InternalInconsistency):
+                check_ledger(ledger, [DifferentialEntry(a, b, 1, PROVENANCE_PAPER)])
 
 
 class TestVanishing:
