@@ -312,9 +312,9 @@ class _Reduction:
 
     def __init__(self, document: GroupDocument | FiniteUnitaryGroup, modulus: int, root: int):
         self.modulus = m = modulus
-        zp = [pow(root, e, m) for e in range(euler_phi(document.conductor))]
         self.columns = tuple(
-            tuple(tuple(sum(c * zp[e] for e, c in x.terms) * pow(x.den, -1, m) % m for x in col)
+            tuple(tuple(sum(c * pow(root, e, m) for e, c in x.terms) * pow(x.den, -1, m) % m
+                        for x in col)
                   for col in zip(*g))
             for g in document.generators)
 

@@ -1,13 +1,42 @@
-"""Shared group documents and builders for the test suite."""
+"""Shared test groups, references and the in-process CLI runner.
+
+Every monomial test group is a ``GroupSpec`` built by ``bench/corpus.py``,
+which defines each monomial family once, with its closed-form order and
+class count, and an independent monomial model that shares no code with
+orbifill. ``corpus`` below is that module, loaded once. A new monomial
+family goes into ``bench/corpus.py``, together with a benchmark change.
+Only the non-monomial 2T, whose entries have denominator 2, is written
+here, until the binary polyhedral groups get an exact model of their own.
+"""
 
 import cmath
+import contextlib
+import importlib.util
+import io
 import math
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 from orbifill import groups
-from orbifill.cyclotomic import cyclotomic_polynomial, parse_literal
+from orbifill.cli import main
+from orbifill.cyclotomic import cyclotomic_polynomial
 from orbifill.groups import FiniteUnitaryGroup, enumerate_group, parse_group
 from orbifill.tables import orbits
+
+
+def _load_corpus():
+    """bench/corpus.py, loaded by path: bench/ is not a package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up in sys.modules.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+corpus = _load_corpus()
 
 
 @lru_cache(maxsize=None)
@@ -34,92 +63,67 @@ def approx(x):
     return sum(c * z**e for e, c in x.terms) / x.den
 
 
-def scalar_cyclic(k, n=2):
-    """mu_k acting by the scalar zeta_k on C^n; isolated for every k."""
-    gen = [[("z" if i == j else "0") for j in range(n)] for i in range(n)]
-    return {"name": f"mu{k}", "dimension": n, "conductor": k, "generators": [gen]}
-
-
-def a_type(k):
-    """The A_(k-1) surface singularity group diag(zeta_k, zeta_k^(k-1))."""
-    second = f"1*z^{k - 1}" if k > 1 else "1"
-    return {
-        "name": f"A{k - 1}",
-        "dimension": 2,
-        "conductor": k,
-        "generators": [[["z", "0"], ["0", second]]],
-    }
-
-
-def antipodal(n):
-    gen = [[("-1" if i == j else "0") for j in range(n)] for i in range(n)]
-    return {"name": f"antipodal{n}", "dimension": n, "conductor": 2, "generators": [gen]}
-
-
-def quaternion():
-    return {
-        "name": "Q8",
-        "dimension": 2,
-        "conductor": 4,
-        "generators": [[["z", "0"], ["0", "-1*z^1"]], [["0", "1"], ["-1", "0"]]],
-    }
-
-
-def binary_dihedral(m):
-    """Order 4m subgroup of SU(2) generated by diag(z, z^-1) and the j-twist."""
-    return {
-        "name": f"BD{4 * m}",
-        "dimension": 2,
-        "conductor": 2 * m,
-        "generators": [[["z", "0"], ["0", f"1*z^{2 * m - 1}"]], [["0", "1"], ["-1", "0"]]],
-    }
-
-
-def binary_tetrahedral():
-    """2T, order 24 in SU(2): Q8 and -(1 + i + j + k)/2, whose entries have
-    denominator 2; its elements of order 3 and 6 have eigenvalues outside
-    Q(zeta_4)."""
-    q8 = quaternion()["generators"]
-    omega = [["-1/2 - 1/2*z", "-1/2 - 1/2*z"], ["1/2 - 1/2*z", "-1/2 + 1/2*z"]]
-    return {"name": "2T", "dimension": 2, "conductor": 4, "generators": q8 + [omega]}
-
-
-def times_scalars(doc, k):
-    """Wolf-type free action G x mu_k: the generators of doc lifted to the
-    conductor lcm(N, k), plus the scalar zeta_k."""
-    base = doc["conductor"]
-    conductor = math.lcm(base, k)
-    n = doc["dimension"]
-    gens = [
-        [[parse_literal(e, base).lift(conductor).to_literal() for e in row] for row in g]
-        for g in doc["generators"]
+def binary_tetrahedral(k=1, conductor=4):
+    """2T x mu_k in U(2), written at the conductor lcm(conductor, k). 2T,
+    of order 24 in SU(2), is generated by Q8 and -(1 + i + j + ij)/2 with
+    i = zeta_4, whose entries have denominator 2; its elements of order 3
+    and 6 have eigenvalues outside Q(zeta_4). For k > 1 the scalar zeta_k
+    is added, a Wolf-type free action when k is prime to 6."""
+    n = math.lcm(conductor, k)
+    i = f"z^{n // 4}"
+    generators = [
+        [[i, "0"], ["0", f"-{i}"]],
+        [["0", "1"], ["-1", "0"]],
+        [[f"-1/2 - 1/2*{i}", f"-1/2 - 1/2*{i}"], [f"1/2 - 1/2*{i}", f"-1/2 + 1/2*{i}"]],
     ]
-    scalar = [[f"1*z^{conductor // k}" if i == j else "0" for j in range(n)] for i in range(n)]
-    return {
-        "name": f"{doc['name']}xmu{k}",
-        "dimension": n,
-        "conductor": conductor,
-        "generators": gens + [scalar],
-    }
+    if k > 1:
+        generators.append([[f"z^{n // k}", "0"], ["0", f"z^{n // k}"]])
+    return {"name": "2T" if k == 1 else f"2Txmu{k}", "dimension": 2, "conductor": n,
+            "generators": generators}
 
 
-def z7_semidirect_z9():
-    """Z7 x| Z9 in U(3), order 63 with 15 classes and isolated: A =
-    diag(z^9, z^18, z^36) has order 7, and B, the cyclic shift with corner
-    z^21, has B^3 = zeta_3 I and B A B^-1 = A^2. Non-abelian, outside
-    SU(3), with twisted sectors that multiply; both cup conventions are
-    associative on it, yet their constants differ."""
-    shift = [["0", "1", "0"], ["0", "0", "1"], ["1*z^21", "0", "0"]]
-    diagonal = [["1*z^9", "0", "0"], ["0", "1*z^18", "0"], ["0", "0", "1*z^36"]]
-    return {"name": "Z7xZ9", "dimension": 3, "conductor": 63, "generators": [diagonal, shift]}
+# Z7 x| Z9 in U(3), order 63 with 15 classes and isolated: A = diag(z^9,
+# z^18, z^36) has order 7, and B, the cyclic shift with corner z^21, has
+# B^3 = zeta_3 I and B A B^-1 = A^2. Non-abelian, outside SU(3), with
+# twisted sectors that multiply; both cup conventions are associative on
+# it, yet their constants differ.
+Z7_SEMIDIRECT_Z9 = corpus.GroupSpec(
+    "Z7xZ9", 3, 63,
+    (((0, 1, 2), ((1, 9), (1, 18), (1, 36))), ((1, 2, 0), ((1, 0), (1, 0), (1, 21)))),
+    63, 15)
 
 
 def trivial(n=2):
-    return {"name": "trivial", "dimension": n, "conductor": 1, "generators": []}
+    return corpus.GroupSpec("trivial", n, 1, (), 1, 1)
 
 
-def build(doc, max_order=20000):
-    return enumerate_group(parse_group(doc), max_order)
+# Wolf-type free actions G x mu_k in U(2) (J. A. Wolf, Spaces of Constant
+# Curvature, ch. 5-7), whose twisted sectors multiply.
+Q8_MU3 = corpus.times_scalars(corpus.quaternion(), 3)
+Q8_MU5 = corpus.times_scalars(corpus.quaternion(), 5)
+BD12_MU5 = corpus.times_scalars(corpus.binary_dihedral(3), 5)
+
+
+def document(group):
+    """The document of a corpus GroupSpec; a document is returned as it is."""
+    return group.document() if isinstance(group, corpus.GroupSpec) else group
+
+
+def build(group, max_order=20000):
+    return enumerate_group(parse_group(document(group)), max_order)
+
+
+def run_cli(argv):
+    """Exit code, stdout and stderr of ``main(argv)`` run in process; the
+    code is 0 when it returns."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(argv))
+        except SystemExit as e:
+            code = 0 if e.code is None else e.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def corrupt_first_generator(monkeypatch, columns):
@@ -158,28 +162,23 @@ def check_table_structure(group):
     assert orbits(conj, n) == sorted(classes), group.name
 
 
-def battery_48():
-    """Isolated test groups of order <= 48: cyclic families, quaternion,
-    binary dihedral samples."""
-    docs = (
-        [scalar_cyclic(k) for k in (2, 3, 4, 5, 7, 8, 12, 48)]
-        + [a_type(k) for k in (2, 3, 4, 5, 6, 7, 8, 24)]
-        + [antipodal(n) for n in (2, 3, 4)]
-        + [quaternion()]
-        + [binary_dihedral(m) for m in (2, 3, 4, 6, 12)]
-    )
-    return [build(d) for d in docs]
+# Isolated test groups of order <= 24; on Q8 x mu3 full-pairs is not
+# associative, orbit-reps is.
+BATTERY_24 = corpus.small_groups() + [Q8_MU3]
+# Isolated test groups of order <= 48: cyclic families, quaternion, binary
+# dihedral samples.
+BATTERY_48 = (
+    [corpus.scalar_cyclic(k) for k in (2, 3, 4, 5, 7, 8, 12, 48)]
+    + [corpus.a_type(k) for k in (2, 3, 4, 5, 6, 7, 8, 24)]
+    + [corpus.antipodal(n) for n in (2, 3, 4)]
+    + [corpus.quaternion()]
+    + [corpus.binary_dihedral(m) for m in (2, 3, 4, 6, 12)]
+)
 
 
 def battery_24():
-    """Isolated test groups of order <= 24."""
-    docs = (
-        [scalar_cyclic(k) for k in range(2, 13)]
-        + [a_type(k) for k in (2, 3, 4, 5, 6, 7, 8)]
-        + [antipodal(n) for n in (2, 3)]
-        + [quaternion()]
-        + [binary_dihedral(m) for m in (2, 3, 4, 6)]
-        # Q8 x mu3: full-pairs is not associative here, orbit-reps is.
-        + [times_scalars(quaternion(), 3)]
-    )
-    return [build(d) for d in docs]
+    return [build(s) for s in BATTERY_24]
+
+
+def battery_48():
+    return [build(s) for s in BATTERY_48]

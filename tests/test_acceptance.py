@@ -9,16 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from battery import (
-    a_type,
-    antipodal,
-    battery_24,
-    battery_48,
-    build,
-    quaternion,
-    scalar_cyclic,
-    trivial,
-)
+from battery import battery_24, battery_48, build, corpus
 from orbifill.chen_ruan import (
     CupConvention,
     FillingCRProfile,
@@ -70,10 +61,10 @@ class _Timer:
 def test_criterion_01_chen_ruan_rank_of_antipodal_quotients():
     with _Timer(1, 1.0, "Chen-Ruan rank of C^n/(Z/2) is 2 in degrees {0, n}"):
         for n in range(2, 7):
-            sectors = twisted_sectors(build(antipodal(n)))
+            sectors = twisted_sectors(build(corpus.antipodal(n)))
             assert len(sectors) == 2
             assert [s.degree for s in sectors] == [0, n]
-            profile = FillingCRProfile((1,), (build(antipodal(n)),))
+            profile = FillingCRProfile((1,), (build(corpus.antipodal(n)),))
             ranks = cr_of_filling(profile)
             assert sum(ranks.values()) == 2
             assert set(ranks) == {Fraction(0), Fraction(n)}
@@ -124,12 +115,12 @@ def test_criterion_05_composition_identity_battery():
 def test_criterion_06_vanishing_predicate_exhaustive():
     with _Timer(6, 1.0, "vanishing iff gcd(|G|, m) = 1 for |G| <= 48, m <= 30"):
         for k in range(1, 49):
-            g = build(scalar_cyclic(k))
+            g = build(corpus.scalar_cyclic(k))
             assert sh_vanishing(g, CoefficientRing.rationals()) is True
             for m in range(2, 31):
                 expected = math.gcd(k, m) == 1
                 assert sh_vanishing(g, CoefficientRing.integers_mod(m)) is expected
-        two = build(antipodal(2))
+        two = build(corpus.antipodal(2))
         assert sh_vanishing(two, CoefficientRing.rationals()) is True
         assert sh_vanishing(two, CoefficientRing.integers_mod(2)) is False
 
@@ -147,10 +138,10 @@ def test_criterion_07_constraint_table():
 
 def test_criterion_08_mclean_criterion():
     with _Timer(8, 1.0, "discrepancy: C^2/(Z/2) -> 0, C^3/(Z/2) -> 1, A-type -> 0"):
-        assert mclean_discrepancy(build(antipodal(2))) == (0, "canonical-not-terminal")
-        assert mclean_discrepancy(build(antipodal(3))) == (1, "terminal")
+        assert mclean_discrepancy(build(corpus.antipodal(2))) == (0, "canonical-not-terminal")
+        assert mclean_discrepancy(build(corpus.antipodal(3))) == (1, "terminal")
         for k in range(2, 9):
-            assert mclean_discrepancy(build(a_type(k))) == (0, "canonical-not-terminal")
+            assert mclean_discrepancy(build(corpus.a_type(k))) == (0, "canonical-not-terminal")
 
 
 def test_criterion_09_associativity_sweep():

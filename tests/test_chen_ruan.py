@@ -7,21 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from battery import (
-    a_type,
-    antipodal,
-    battery_24,
-    battery_48,
-    binary_dihedral,
-    binary_tetrahedral,
-    build,
-    quaternion,
-    scalar_cyclic,
-    table_of,
-    times_scalars,
-    trivial,
-    z7_semidirect_z9,
-)
+from battery import (BD12_MU5, Q8_MU3, Q8_MU5, Z7_SEMIDIRECT_Z9, battery_24, battery_48,
+                     binary_tetrahedral, build, corpus, table_of, trivial)
 from orbifill import chen_ruan, ledger, reeb
 from orbifill.chen_ruan import (
     CupConvention,
@@ -145,33 +132,29 @@ def reference_sweep(ring):
     return True, None
 
 
-WOLF_DOCS = [
-    times_scalars(quaternion(), 3),
-    times_scalars(quaternion(), 5),
-    times_scalars(binary_dihedral(3), 5),
-]
+WOLF_DOCS = [Q8_MU3, Q8_MU5, BD12_MU5]
 
 
 @pytest.fixture(scope="module")
 def reference_groups():
     # Z7 x| Z9 goes before the Wolf-type groups, which the tests below read
     # from the end of the list.
-    return battery_48() + [build(z7_semidirect_z9())] + [build(d) for d in WOLF_DOCS]
+    return battery_48() + [build(Z7_SEMIDIRECT_Z9)] + [build(d) for d in WOLF_DOCS]
 
 
 class TestAge:
     def test_identity_age_zero(self):
-        g = build(quaternion())
+        g = build(corpus.quaternion())
         assert age(g, 0) == 0
 
     def test_minus_identity(self):
         for n in (2, 3, 6):
-            g = build(antipodal(n))
+            g = build(corpus.antipodal(n))
             assert age(g, 1) == Fraction(n, 2)
 
     def test_a_type_generator_age_one(self):
         for k in range(2, 9):
-            g = build(a_type(k))
+            g = build(corpus.a_type(k))
             gen_index = next(
                 i for i in range(1, g.order) if g.element_order(i) == k
             )
@@ -194,16 +177,16 @@ class TestAge:
 class TestTwistedSectors:
     def test_antipodal_degrees(self):
         for n in range(2, 7):
-            sectors = twisted_sectors(build(antipodal(n)))
+            sectors = twisted_sectors(build(corpus.antipodal(n)))
             assert [s.degree for s in sectors] == [0, n]
             assert len(sectors) == 2
 
     def test_scalar_cyclic_three(self):
-        sectors = twisted_sectors(build(scalar_cyclic(3)))
+        sectors = twisted_sectors(build(corpus.scalar_cyclic(3)))
         assert [str(s.degree) for s in sectors] == ["0", "4/3", "8/3"]
 
     def test_quaternion_degrees(self):
-        sectors = twisted_sectors(build(quaternion()))
+        sectors = twisted_sectors(build(corpus.quaternion()))
         assert [s.degree for s in sectors] == [0, 2, 2, 2, 2]
 
     def test_sorted_untwisted_first(self):
@@ -240,7 +223,7 @@ class TestTwistedSectors:
 class TestCupProduct:
     def test_scalar_cyclic_three_products(self):
         for convention in CupConvention:
-            ring = build_ring(build(scalar_cyclic(3)), convention)
+            ring = build_ring(build(corpus.scalar_cyclic(3)), convention)
             constants = ring.structure_constants
             assert constants[(1, 1)] == ((2, 1),)
             assert (1, 2) not in constants
@@ -248,7 +231,7 @@ class TestCupProduct:
 
     def test_quaternion_products_vanish(self):
         # All nontrivial ages are 1, so additivity can never match a target.
-        ring = build_ring(build(quaternion()))
+        ring = build_ring(build(corpus.quaternion()))
         for i in range(1, 5):
             for j in range(1, 5):
                 assert (i, j) not in ring.structure_constants
@@ -282,7 +265,7 @@ class TestCupProduct:
             assert any(verdicts.values()), (g.name, verdicts)
 
     def test_choose_ring_reports_verdicts(self):
-        ring, verdicts = choose_ring(build(scalar_cyclic(4)))
+        ring, verdicts = choose_ring(build(corpus.scalar_cyclic(4)))
         assert set(verdicts) == {"full-pairs", "orbit-reps"}
         assert ring.convention is CupConvention.FULL_PAIR_SUM
 
@@ -293,7 +276,7 @@ class TestCupProduct:
         calls, row = [], FiniteGroupTable.row
         monkeypatch.setattr(FiniteGroupTable, "row",
                             lambda t, i: (t is g.table and calls.append(i)) or row(t, i))
-        for doc in (binary_dihedral(6), times_scalars(quaternion(), 5)):
+        for doc in (corpus.binary_dihedral(6), Q8_MU5):
             g = build(doc)
             ages = [s.age for s in twisted_sectors(g)]
             expected = sum(1 for a in ages[1:] if a >= 2 * ages[1])
@@ -302,7 +285,7 @@ class TestCupProduct:
                 ring = build_ring(g, convention)
                 assert len(calls) == expected, (g.name, convention)
                 assert ring.structure_constants == reference_constants(g, convention)
-            assert expected == (0 if doc["name"].startswith("BD") else 23), g.name
+            assert expected == (0 if g.name.startswith("BD") else 23), g.name
 
     def test_one_search_per_orbit(self, monkeypatch):
         # Full-pairs reads a weight as the size of the closure of (h1, rep) and
@@ -316,8 +299,7 @@ class TestCupProduct:
             return found
 
         monkeypatch.setattr(chen_ruan, "closure", recorded)
-        for doc in (z7_semidirect_z9(), times_scalars(quaternion(), 5),
-                    times_scalars(binary_tetrahedral(), 5)):
+        for doc in (Z7_SEMIDIRECT_Z9, Q8_MU5, binary_tetrahedral(5)):
             g = build(doc)
             searched.clear()
             build_ring(g, CupConvention.FULL_PAIR_SUM)
@@ -352,7 +334,7 @@ class TestAgainstReference:
                     g.name, convention)
 
     def test_ring_from_its_definition(self, reference_groups):
-        groups = reference_groups + [build(times_scalars(binary_tetrahedral(), 5))]
+        groups = reference_groups + [build(binary_tetrahedral(5))]
         for g in groups:
             ring = build_ring(g, CupConvention.ORBIT_REPRESENTATIVE_SUM)
             assert ring.structure_constants == definition_constants(g), g.name
@@ -368,7 +350,7 @@ class TestAgainstReference:
                     failing.add((g.name, convention.value))
         # Full-pairs is not associative on the Wolf-type free actions, so the
         # counterexample path, left and right included, is compared there.
-        assert failing == {(d["name"], "full-pairs") for d in WOLF_DOCS}
+        assert failing == {(d.name, "full-pairs") for d in WOLF_DOCS}
 
     def test_sweep_fractional_constants(self, reference_groups):
         # Built rings have int constants; dividing each by k + 1 gives
@@ -389,7 +371,7 @@ class TestAgainstReference:
         # (1, 1, 1) and (1, 2, 1) differ only by zero-valued terms, and [3][2]
         # and [3][3] are rescaled, so (1, 2, 2) and (1, 2, 3) both fail. The
         # sweep must pass over (1, 1) and report c = 2 for (1, 2).
-        ring = build_ring(build(scalar_cyclic(7)), CupConvention.ORBIT_REPRESENTATIVE_SUM)
+        ring = build_ring(build(corpus.scalar_cyclic(7)), CupConvention.ORBIT_REPRESENTATIVE_SUM)
         assert ring.structure_constants == {
             (a, b): ((a + b, 1),) for a in range(1, 7) for b in range(1, 7) if a + b < 7}
         ring.structure_constants.update({
@@ -424,7 +406,7 @@ class TestAgainstReference:
         # a second generating middle, and (3 3) 3 = c2 but 3 (3 3) = 0: only
         # b = 3 fails. The failure found among the middles [1, 3] sends the
         # sweep over every b, which reports the reference's triple.
-        ring = build_ring(build(scalar_cyclic(5)), CupConvention.ORBIT_REPRESENTATIVE_SUM)
+        ring = build_ring(build(corpus.scalar_cyclic(5)), CupConvention.ORBIT_REPRESENTATIVE_SUM)
         ring.structure_constants = {(1, 1): ((2, 1),), (3, 3): ((4, 1),), (4, 3): ((2, 1),)}
 
         def fails(a, b, c):
@@ -447,7 +429,7 @@ class TestAgainstReference:
             raise AssertionError("a ring without products was swept")
 
         monkeypatch.setattr(chen_ruan, "_first_failure", unexpected)
-        for doc in (binary_dihedral(6), quaternion()):
+        for doc in (corpus.binary_dihedral(6), corpus.quaternion()):
             for convention in CupConvention:
                 ring = build_ring(build(doc), convention)
                 assert ring.structure_constants == {}
@@ -471,7 +453,7 @@ class TestAgainstReference:
         monkeypatch.setattr(chen_ruan, "_first_failure", counted)
         for convention in CupConvention:
             pairs.clear()
-            ring = build_ring(build(scalar_cyclic(60)), convention)
+            ring = build_ring(build(corpus.scalar_cyclic(60)), convention)
             assert ring.sector_count() == 60
             assert associativity_sweep(ring) == (True, None)
             assert pairs == [1] * 59, convention
@@ -480,7 +462,7 @@ class TestAgainstReference:
         # Both rings pass the sweep, but 13 of the 14 nonzero ordered
         # products differ by exactly a factor of 3 (full-pairs over
         # orbit-reps); c1 * c1 -> c11 is the same in both.
-        g = build(z7_semidirect_z9())
+        g = build(Z7_SEMIDIRECT_Z9)
         assert (g.order, len(g.classes)) == (63, 15)
         full, orbit = (build_ring(g, c) for c in CupConvention)
         assert associativity_sweep(full)[0] and associativity_sweep(orbit)[0]
@@ -503,12 +485,12 @@ class TestAgainstReference:
 
 class TestPairing:
     def test_antipodal(self):
-        report = cr_pairing_check(build(antipodal(3)))
+        report = cr_pairing_check(build(corpus.antipodal(3)))
         assert report["all_pass"]
         assert report["pairs"][0]["sector"] == report["pairs"][0]["dual"]
 
     def test_scalar_cyclic_three(self):
-        g = build(scalar_cyclic(3))
+        g = build(corpus.scalar_cyclic(3))
         report = cr_pairing_check(g)
         assert report["all_pass"]
         degrees = {(p["degree"], p["dual_degree"]) for p in report["pairs"]}
@@ -524,7 +506,7 @@ class TestPairing:
 class TestFilling:
     def test_single_antipodal_singularity(self):
         for n in range(2, 7):
-            profile = FillingCRProfile((1,), (build(antipodal(n)),))
+            profile = FillingCRProfile((1,), (build(corpus.antipodal(n)),))
             ranks = cr_of_filling(profile)
             assert ranks == {Fraction(0): 1, Fraction(n): 1}
             assert sum(ranks.values()) == 2
@@ -536,14 +518,14 @@ class TestFilling:
     def test_two_singularities_rank_three(self):
         # The configuration excluded by the uniqueness statement: two
         # antipodal singularities over a contractible space give rank 3.
-        g1, g2 = build(antipodal(3)), build(antipodal(3))
+        g1, g2 = build(corpus.antipodal(3)), build(corpus.antipodal(3))
         profile = FillingCRProfile((1,), (g1, g2))
         ranks = cr_of_filling(profile)
         assert sum(ranks.values()) == 3
         assert ranks[Fraction(3)] == 2
 
     def test_mod_m_ranks_pass_through(self):
-        profile = FillingCRProfile((1, 1), (build(antipodal(2)),))
+        profile = FillingCRProfile((1, 1), (build(corpus.antipodal(2)),))
         ranks = cr_of_filling(profile)
         assert ranks == {Fraction(0): 1, Fraction(1): 1, Fraction(2): 1}
 

@@ -15,8 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from battery import (a_type, antipodal, binary_dihedral, corrupt_first_generator,
-                     quaternion, scalar_cyclic, times_scalars, trivial)
+from battery import BD12_MU5, corpus, corrupt_first_generator, run_cli, trivial
 from orbifill import chen_ruan as chen_ruan_module
 from orbifill import cli as cli_module
 from orbifill import reeb as reeb_module
@@ -30,40 +29,20 @@ SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
 
 class Result:
-    def __init__(self, exit_code, stdout, stderr):
-        self.exit_code = exit_code
-        self.stdout = stdout
-        self.stderr = stderr
-        self.output = stdout + stderr
+    """The exit code, stdout and stderr of ``main(args)`` run in process."""
 
-
-class Runner:
-    """Runs ``main(argv)`` in process, capturing stdout, stderr and the code
-    it exits with (0 when it returns)."""
-
-    def invoke(self, args):
-        out, err = io.StringIO(), io.StringIO()
-        code = 0
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                main(list(args))
-            except SystemExit as e:
-                code = 0 if e.code is None else e.code
-        return Result(code, out.getvalue(), err.getvalue())
-
-
-@pytest.fixture
-def runner():
-    return Runner()
+    def __init__(self, args):
+        self.exit_code, self.stdout, self.stderr = run_cli(args)
+        self.output = self.stdout + self.stderr
 
 
 @pytest.fixture
 def workspace(tmp_path):
-    (tmp_path / "antipodal2.json").write_text(json.dumps(antipodal(2)))
-    (tmp_path / "q8.json").write_text(json.dumps(quaternion()))
-    (tmp_path / "z3.json").write_text(json.dumps(scalar_cyclic(3, n=3)))
-    (tmp_path / "trivial.json").write_text(json.dumps(trivial()))
-    (tmp_path / "bd12xmu5.json").write_text(json.dumps(times_scalars(binary_dihedral(3), 5)))
+    (tmp_path / "antipodal2.json").write_text(json.dumps(corpus.antipodal(2).document()))
+    (tmp_path / "q8.json").write_text(json.dumps(corpus.quaternion().document()))
+    (tmp_path / "z3.json").write_text(json.dumps(corpus.scalar_cyclic(3, n=3).document()))
+    (tmp_path / "trivial.json").write_text(json.dumps(trivial().document()))
+    (tmp_path / "bd12xmu5.json").write_text(json.dumps(BD12_MU5.document()))
     (tmp_path / "broken.json").write_text(
         json.dumps({"dimension": 2, "conductor": 2, "generators": [[["1/2", "0"], ["0", "1"]]]})
     )
@@ -104,44 +83,44 @@ def workspace(tmp_path):
     return tmp_path
 
 
-def invoke(runner, workspace, *args):
-    return runner.invoke([*args, "--cache-dir", str(workspace / "cache")])
+def invoke(workspace, *args):
+    return Result([*args, "--cache-dir", str(workspace / "cache")])
 
 
 class TestExitCodes:
-    def test_cr_ring_success(self, runner, workspace):
-        result = invoke(runner, workspace, "cr", "ring", str(workspace / "antipodal2.json"),
+    def test_cr_ring_success(self, workspace):
+        result = invoke(workspace, "cr", "ring", str(workspace / "antipodal2.json"),
                         "--format", "json")
         assert result.exit_code == 0
         payload = json.loads(result.stdout)
         assert [s["degree"] for s in payload["sectors"]] == ["0", "2"]
 
-    def test_inadmissible_exits_one(self, runner, workspace):
-        result = invoke(runner, workspace, "constraints", "admit", str(workspace / "z3.json"),
+    def test_inadmissible_exits_one(self, workspace):
+        result = invoke(workspace, "constraints", "admit", str(workspace / "z3.json"),
                         "--boundary", "lens:2,3")
         assert result.exit_code == 1
 
-    def test_admissible_exits_zero(self, runner, workspace):
-        result = invoke(runner, workspace, "constraints", "admit",
+    def test_admissible_exits_zero(self, workspace):
+        result = invoke(workspace, "constraints", "admit",
                         str(workspace / "antipodal2.json"), "--boundary", "lens:2,2")
         assert result.exit_code == 0
 
-    def test_parse_diagnostics_exit_two(self, runner, workspace):
-        result = runner.invoke(["group", "info", str(workspace / "broken.json")])
+    def test_parse_diagnostics_exit_two(self, workspace):
+        result = Result(["group", "info", str(workspace / "broken.json")])
         assert result.exit_code == 2
         assert "not unitary" in result.stderr
 
-    def test_infinite_group_exits_two(self, runner, workspace):
+    def test_infinite_group_exits_two(self, workspace):
         # A unitary rotation of infinite order: 3/5 + 4/5 i is no root of unity.
         path = workspace / "rotation.json"
         path.write_text(json.dumps({"name": "rot", "dimension": 2, "conductor": 4,
                                     "generators": [[["3/5", "-4/5"], ["4/5", "3/5"]]]}))
-        result = invoke(runner, workspace, "group", "info", str(path))
+        result = invoke(workspace, "group", "info", str(path))
         assert result.exit_code == 2
         assert result.stderr.splitlines() == [
             "error: the generators do not generate a finite group"]
 
-    def test_corrupted_reduction_exits_three(self, runner, monkeypatch):
+    def test_corrupted_reduction_exits_three(self, monkeypatch):
         # A reduced matrix that is not diagonalizable, as in
         # test_non_group_element_is_internal, is a broken internal state,
         # not an input error.
@@ -149,7 +128,7 @@ class TestExitCodes:
         # built as the identity times its reduced generator, which is held by
         # its columns: these are those of ((1, 1), (0, 1)).
         corrupt_first_generator(monkeypatch, ((1, 0), (1, 1)))
-        result = runner.invoke(["group", "info", str(SAMPLES / "quaternion.json")])
+        result = Result(["group", "info", str(SAMPLES / "quaternion.json")])
         assert result.exit_code == EXIT_INTERNAL
         assert result.stdout == ""
         assert result.stderr.startswith("internal invariant violation: ")
@@ -157,27 +136,27 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("error", [MemoryError("out of memory"), RuntimeError("broken")],
                              ids=lambda e: type(e).__name__)
-    def test_unexpected_exception_exits_three(self, runner, monkeypatch, error):
+    def test_unexpected_exception_exits_three(self, monkeypatch, error):
         # Python itself would exit 1, which reads as "not admissible".
         def fail(*args):
             raise error
 
         monkeypatch.setattr(cli_module, "enumerate_group", fail)
-        result = runner.invoke(["constraints", "admit", str(SAMPLES / "a3.json"),
-                                "--boundary", "lens:2,3"])
+        result = Result(["constraints", "admit", str(SAMPLES / "a3.json"),
+                         "--boundary", "lens:2,3"])
         assert result.exit_code == EXIT_INTERNAL
         assert result.stdout == ""
         assert result.stderr.splitlines() == [f"internal error: {type(error).__name__}: {error}"]
 
-    def test_keyboard_interrupt_propagates(self, runner, monkeypatch):
+    def test_keyboard_interrupt_propagates(self, monkeypatch):
         def interrupt(*args):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli_module, "enumerate_group", interrupt)
         with pytest.raises(KeyboardInterrupt):
-            runner.invoke(["group", "info", str(SAMPLES / "a3.json")])
+            Result(["group", "info", str(SAMPLES / "a3.json")])
 
-    def test_unequal_battery_trial_exits_one(self, runner, monkeypatch):
+    def test_unequal_battery_trial_exits_one(self, monkeypatch):
         # The identity holds on every trial, so one trial is made to fail.
         real, seen = spans.composition_check, []
 
@@ -187,8 +166,8 @@ class TestExitCodes:
             return (lhs, rhs + 1, False) if len(seen) == 2 else (lhs, rhs, equal)
 
         monkeypatch.setattr(spans, "composition_check", unequal_second_trial)
-        result = runner.invoke(["span", "random", "--trials", "3", "--seed", "5",
-                                "--format", "json"])
+        result = Result(["span", "random", "--trials", "3", "--seed", "5",
+                         "--format", "json"])
         assert result.exit_code == 1
         payload = json.loads(result.stdout)
         groups, lhs, rhs = seen[1]
@@ -197,8 +176,8 @@ class TestExitCodes:
         assert payload["trials"] == 3
         assert payload["all_equal"] is False
 
-    def test_cr_ring_reports_sweep_on_stderr(self, runner, workspace):
-        result = invoke(runner, workspace, "cr", "ring", str(workspace / "bd12xmu5.json"),
+    def test_cr_ring_reports_sweep_on_stderr(self, workspace):
+        result = invoke(workspace, "cr", "ring", str(workspace / "bd12xmu5.json"),
                         "--format", "json")
         assert result.exit_code == 0
         payload = json.loads(result.stdout)
@@ -210,8 +189,8 @@ class TestExitCodes:
             "using orbit-reps (chosen by sweep)"
         )
 
-    def test_non_vanishing_report(self, runner, workspace):
-        result = invoke(runner, workspace, "ledger", "build", str(workspace / "antipodal2.json"),
+    def test_non_vanishing_report(self, workspace):
+        result = invoke(workspace, "ledger", "build", str(workspace / "antipodal2.json"),
                         "--slope", "5/4", "--coefficient", "Z/2", "--format", "json")
         assert result.exit_code == 0
         assert json.loads(result.stdout)["vanishes"] is False
@@ -290,30 +269,30 @@ class TestRejections:
             "directory-document", "cache-dir-file", "malformed-profile", "integers",
             "filling-integers", "z-mod-1", "unknown-ring", "subcritical-0", "rp-1", "bound-0",
             "lens-400-digits", "ragged-table", "short-images"])
-    def test_exit_and_message(self, runner, tmp_path, args, code, message):
+    def test_exit_and_message(self, tmp_path, args, code, message):
         for name, doc in REJECTED_DOCUMENTS.items():
             (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
-        result = runner.invoke([a.format(docs=tmp_path, samples=SAMPLES) for a in args])
+        result = Result([a.format(docs=tmp_path, samples=SAMPLES) for a in args])
         assert result.exit_code == code
         if code:
             assert result.stderr.splitlines()[-1].startswith(message)
         else:
             assert result.stderr == ""
 
-    def test_long_literal_is_quoted_as_an_excerpt(self, runner, tmp_path):
+    def test_long_literal_is_quoted_as_an_excerpt(self, tmp_path):
         path = tmp_path / "long_literal.json"
         path.write_text(json.dumps(REJECTED_DOCUMENTS["long_literal.json"]))
-        result = runner.invoke(["group", "info", str(path)])
+        result = Result(["group", "info", str(path)])
         assert result.exit_code == 2
         assert result.stderr == ("error: generators[0][0][0]: integer too long at offset 0 in '"
                                  + "7" * 60 + "'... (5000 characters)\n")
         assert len(result.stderr.encode()) < 200
 
-    def test_indeterminate_parity(self, runner, tmp_path):
+    def test_indeterminate_parity(self, tmp_path):
         # C/mu4 in U(1) has the degrees 0, 1/2, 1 and 3/2.
         path = tmp_path / "mu4.json"
-        path.write_text(json.dumps(scalar_cyclic(4, n=1)))
-        result = runner.invoke(["cr", "ring", str(path), "--format", "json"])
+        path.write_text(json.dumps(corpus.scalar_cyclic(4, n=1).document()))
+        result = Result(["cr", "ring", str(path), "--format", "json"])
         assert result.exit_code == 0
         sectors = json.loads(result.stdout)["sectors"]
         assert [(s["degree"], s["parity"]) for s in sectors] == [
@@ -325,11 +304,11 @@ class TestSpanInputs:
     errors: exit 2 with a message, never a traceback."""
 
     @pytest.mark.parametrize("source", [[0, 5], [0, True], 1], ids=["index-5", "bool", "not-list"])
-    def test_bad_image_list_exits_two(self, runner, workspace, source):
+    def test_bad_image_list_exits_two(self, workspace, source):
         doc = json.loads((workspace / "span_pair.json").read_text())
         doc["span1"]["source"] = source
         (workspace / "bad_span.json").write_text(json.dumps(doc))
-        result = invoke(runner, workspace, "span", "check", str(workspace / "bad_span.json"))
+        result = invoke(workspace, "span", "check", str(workspace / "bad_span.json"))
         assert result.exit_code == 2
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.output
@@ -341,26 +320,26 @@ class TestSpanInputs:
          {"left": {"cyclic": True}, "middle": {"table": [[False, True], [True, False]]}}],
         ids=["cyclic-bool", "table-bools", "both"],
     )
-    def test_bool_group_exits_two(self, runner, workspace, groups):
+    def test_bool_group_exits_two(self, workspace, groups):
         # Read as ints, these are Z1 and Z2 and the span would pass with
         # pushpull 1/2.
         doc = {"span": {"left": {"cyclic": 1}, "middle": {"cyclic": 2},
                         "right": {"cyclic": 1}, "source": [0, 0], "target": [0, 0],
                         **groups}}
         (workspace / "bool_span.json").write_text(json.dumps(doc))
-        result = invoke(runner, workspace, "span", "check", str(workspace / "bool_span.json"))
+        result = invoke(workspace, "span", "check", str(workspace / "bool_span.json"))
         assert result.exit_code == 2
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("table", [5, [1, 2], None, []],
                              ids=["int", "flat-list", "null", "empty"])
-    def test_malformed_table_exits_two(self, runner, workspace, table):
+    def test_malformed_table_exits_two(self, workspace, table):
         # Empty image lists match the empty table, which has no identity.
         doc = {"span": {"left": {"cyclic": 1}, "middle": {"table": table},
                         "right": {"cyclic": 1}, "source": [], "target": []}}
         (workspace / "table_span.json").write_text(json.dumps(doc))
-        result = invoke(runner, workspace, "span", "check", str(workspace / "table_span.json"))
+        result = invoke(workspace, "span", "check", str(workspace / "table_span.json"))
         assert result.exit_code == 2
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.output
@@ -376,33 +355,33 @@ class TestSpanInputs:
                    "source": [0], "target": [0]}}],
         ids=["document-string", "span-string", "pair-strings", "group-string", "ref-int"],
     )
-    def test_non_object_exits_two(self, runner, workspace, doc):
+    def test_non_object_exits_two(self, workspace, doc):
         # As strings, "in" tests for substrings and indexing takes characters.
         (workspace / "odd_span.json").write_text(json.dumps(doc))
-        result = invoke(runner, workspace, "span", "check", str(workspace / "odd_span.json"))
+        result = invoke(workspace, "span", "check", str(workspace / "odd_span.json"))
         assert result.exit_code == 2
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("value", ["0", "1"])
-    def test_random_max_order_below_two_exits_two(self, runner, workspace, value):
-        result = invoke(runner, workspace, "span", "random", "--trials", "3",
+    def test_random_max_order_below_two_exits_two(self, workspace, value):
+        result = invoke(workspace, "span", "random", "--trials", "3",
                         "--max-order", value)
         assert result.exit_code == 2
         assert "x>=2" in result.stderr
 
-    def test_random_negative_trials_exits_two(self, runner, workspace):
-        result = invoke(runner, workspace, "span", "random", "--trials", "-1")
+    def test_random_negative_trials_exits_two(self, workspace):
+        result = invoke(workspace, "span", "random", "--trials", "-1")
         assert result.exit_code == 2
         assert "x>=0" in result.stderr
 
-    def test_check_honours_max_order(self, runner, workspace):
+    def test_check_honours_max_order(self, workspace):
         target = str(workspace / "ref_span.json")
-        capped = invoke(runner, workspace, "span", "check", target, "--max-order", "4")
+        capped = invoke(workspace, "span", "check", target, "--max-order", "4")
         assert capped.exit_code == 2
         assert "order cap 4" in capped.stderr
-        default = invoke(runner, workspace, "span", "check", target, "--format", "json")
-        exact = invoke(runner, workspace, "span", "check", target, "--max-order", "8",
+        default = invoke(workspace, "span", "check", target, "--format", "json")
+        exact = invoke(workspace, "span", "check", target, "--max-order", "8",
                        "--format", "json")
         assert default.exit_code == exact.exit_code == 0
         assert default.stdout == exact.stdout
@@ -415,7 +394,7 @@ class TestSpanCap:
 
     @pytest.mark.parametrize("group", [{"cyclic": 3000}, {"table": [[0, 1, 2]] * 3}],
                              ids=["cyclic", "table"])
-    def test_group_above_cap_exits_two(self, runner, workspace, monkeypatch, group):
+    def test_group_above_cap_exits_two(self, workspace, monkeypatch, group):
         def unexpected(*args, **kwargs):
             raise AssertionError("a span group was built above the cap")
 
@@ -425,13 +404,13 @@ class TestSpanCap:
         doc = {"span": {"left": group, "middle": {"cyclic": 1}, "right": {"cyclic": 1},
                         "source": [0], "target": [0]}}
         (workspace / "big_span.json").write_text(json.dumps(doc))
-        result = invoke(runner, workspace, "span", "check", str(workspace / "big_span.json"),
+        result = invoke(workspace, "span", "check", str(workspace / "big_span.json"),
                         "--max-order", "2")
         assert result.exit_code == 2
         assert "order cap 2" in result.stderr
         assert "Traceback" not in result.output
 
-    def test_cyclic_groups_at_the_cap(self, runner, workspace):
+    def test_cyclic_groups_at_the_cap(self, workspace):
         # Z20000 is at the default cap, where a full table would hold 4e8
         # entries: rows and columns are composed one at a time instead.
         z, one = {"cyclic": 20000}, {"cyclic": 1}
@@ -448,7 +427,7 @@ class TestSpanCap:
             (workspace / "cap_span.json").write_text(json.dumps(doc))
             tracemalloc.start()
             try:
-                result = invoke(runner, workspace, "span", "check",
+                result = invoke(workspace, "span", "check",
                                 str(workspace / "cap_span.json"), "--format", "json")
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -464,8 +443,8 @@ class TestDivisorDigits:
     """A divisor with more digits than Python converts to text (4300) is
     refused from k and n alone, before it is built."""
 
-    def test_largest_printable_factorial(self, runner, workspace):
-        result = invoke(runner, workspace, "constraints", "boundary", "lens:1558,2",
+    def test_largest_printable_factorial(self, workspace):
+        result = invoke(workspace, "constraints", "boundary", "lens:1558,2",
                         "--format", "json")
         assert result.exit_code == 0
         divisors = json.loads(result.stdout)["divisors"]
@@ -473,12 +452,12 @@ class TestDivisorDigits:
 
     @pytest.mark.parametrize("boundary", ["lens:1559,2", "lens:100000000,2", "lens:2,100000"])
     @pytest.mark.parametrize("action", ["boundary", "admit"])
-    def test_too_many_digits_exit_two(self, runner, workspace, action, boundary):
+    def test_too_many_digits_exit_two(self, workspace, action, boundary):
         if action == "boundary":
             args = ["constraints", "boundary", boundary]
         else:
             args = ["constraints", "admit", str(workspace / "trivial.json"), "--boundary", boundary]
-        result = invoke(runner, workspace, *args)
+        result = invoke(workspace, *args)
         assert result.exit_code == 2
         assert result.stderr.startswith(f"error: boundary {boundary}: its divisor ")
         assert result.stderr.endswith("has more than 4300 digits\n")
@@ -489,29 +468,29 @@ class TestGroupDocuments:
     input errors: exit 2 with the field named, never a traceback."""
 
     @pytest.mark.parametrize("conductor", [15015, 10**8])
-    def test_conductor_above_bound_exits_two(self, runner, workspace, conductor):
+    def test_conductor_above_bound_exits_two(self, workspace, conductor):
         path = workspace / "big_conductor.json"
         path.write_text(json.dumps({"name": "neg", "dimension": 2, "conductor": conductor,
                                     "generators": [[["-1", "0"], ["0", "-1"]]]}))
-        result = invoke(runner, workspace, "group", "info", str(path))
+        result = invoke(workspace, "group", "info", str(path))
         assert result.exit_code == 2
         assert "conductor" in result.stderr
         assert "Traceback" not in result.output
 
-    def test_dimension_at_the_cap(self, runner, workspace):
+    def test_dimension_at_the_cap(self, workspace):
         # One above the cap exits 2, naming the dimension (TestLongValues).
         path = workspace / "cap_dimension.json"
-        path.write_text(json.dumps(trivial(MAX_DIMENSION)))
-        result = invoke(runner, workspace, "group", "info", str(path))
+        path.write_text(json.dumps(trivial(MAX_DIMENSION).document()))
+        result = invoke(workspace, "group", "info", str(path))
         assert result.exit_code == 0 and not result.stderr
 
     @pytest.mark.parametrize("field", ["dimension", "conductor"])
-    def test_bool_field_exits_two(self, runner, workspace, field):
+    def test_bool_field_exits_two(self, workspace, field):
         # Read as ints, both are 1 and the document is the group {-1}.
         doc = {"dimension": 1, "conductor": 1, "generators": [[["-1"]]], field: True}
         path = workspace / "bool_group.json"
         path.write_text(json.dumps(doc))
-        result = invoke(runner, workspace, "group", "info", str(path))
+        result = invoke(workspace, "group", "info", str(path))
         assert result.exit_code == 2
         assert field in result.stderr
         assert "Traceback" not in result.output
@@ -519,10 +498,10 @@ class TestGroupDocuments:
 
     @pytest.mark.parametrize("positions", [[0, 1, 0], [None, 0, 1]],
                              ids=["repeated", "identity-first"])
-    def test_generator_positions(self, runner, workspace, positions):
+    def test_generator_positions(self, workspace, positions):
         # A repeated generator, or the identity among the generators, gives
         # Q8 itself: the elements are built from each generator's position.
-        q8 = quaternion()
+        q8 = corpus.quaternion().document()
         identity = [["1", "0"], ["0", "1"]]
         doc = dict(q8, generators=[identity if k is None else q8["generators"][k]
                                    for k in positions])
@@ -531,7 +510,7 @@ class TestGroupDocuments:
         for command in (["group", "info"], ["cr", "ring"]):
             payloads = []
             for target in (workspace / "q8.json", path):
-                result = invoke(runner, workspace, *command, str(target), "--format", "json")
+                result = invoke(workspace, *command, str(target), "--format", "json")
                 assert result.exit_code == 0
                 payload = json.loads(result.stdout)
                 del payload["metadata"]["input_digest"]
@@ -548,9 +527,9 @@ class TestZeroDenominators:
         ("ledger", "build", "antipodal2.json", "--slope", "1/0"),
         ("ledger", "build", "antipodal2.json", "--slope", "5/4", "--profile", "Id:1/0=0"),
     ], ids=["bound", "slope", "profile"])
-    def test_exits_two(self, runner, workspace, args):
+    def test_exits_two(self, workspace, args):
         command, action, doc, *rest = args
-        result = invoke(runner, workspace, command, action, str(workspace / doc), *rest)
+        result = invoke(workspace, command, action, str(workspace / doc), *rest)
         assert result.exit_code == 2
         assert "1/0" in result.stderr
         assert "Traceback" not in result.output
@@ -562,14 +541,14 @@ class TestExponentNotation:
 
     A3 = str(Path(__file__).resolve().parent.parent / "samples" / "a3.json")
 
-    def test_bound_exits_two(self, runner, workspace):
-        result = invoke(runner, workspace, "reeb", "report", self.A3, "--bound", "304e-2")
+    def test_bound_exits_two(self, workspace):
+        result = invoke(workspace, "reeb", "report", self.A3, "--bound", "304e-2")
         assert result.exit_code == 2
         assert "304e-2" in result.stderr
         assert "Traceback" not in result.output
 
-    def test_profile_period_exits_two(self, runner, workspace):
-        result = invoke(runner, workspace, "ledger", "build", self.A3,
+    def test_profile_period_exits_two(self, workspace):
+        result = invoke(workspace, "ledger", "build", self.A3,
                         "--slope", "203/101", "--profile", "Id:1e0=0")
         assert result.exit_code == 2
         errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
@@ -577,8 +556,8 @@ class TestExponentNotation:
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("bound", ["304/101", "2.4"])
-    def test_plain_forms_accepted(self, runner, workspace, bound):
-        assert invoke(runner, workspace, "reeb", "report", self.A3, "--bound", bound).exit_code == 0
+    def test_plain_forms_accepted(self, workspace, bound):
+        assert invoke(workspace, "reeb", "report", self.A3, "--bound", bound).exit_code == 0
 
     def test_rational_forms(self):
         assert cli_module.rational("2.5") == Fraction(5, 2)
@@ -650,13 +629,14 @@ class TestLongValues:
             "profile-index-of-5000-digits", "span-ref-path", "json-dimension-of-5000-digits",
             "json-cyclic-order-of-5000-digits", "span-json-missing-comma", "span-json-too-deep",
             "command", "action", "format", "convention", "lens-of-4000-digits"])
-    def test_one_short_error_line(self, runner, workspace, args, named):
+    def test_one_short_error_line(self, workspace, args, named):
         docs = {"q8xmu63": workspace / "q8xmu63.json", "big": workspace / "big.json",
                 "far_ref": workspace / "far_ref.json", "digits": workspace / "digits.json",
                 "cyclic_digits": workspace / "cyclic_digits.json",
                 "bad_json": workspace / "bad_json.json", "deep": workspace / "deep.json"}
-        docs["q8xmu63"].write_text(json.dumps(times_scalars(quaternion(), 63)))
-        docs["big"].write_text(json.dumps(trivial(MAX_DIMENSION + 1)))
+        q8xmu63 = corpus.times_scalars(corpus.quaternion(), 63)
+        docs["q8xmu63"].write_text(json.dumps(q8xmu63.document()))
+        docs["big"].write_text(json.dumps(trivial(MAX_DIMENSION + 1).document()))
         one = {"middle": {"cyclic": 1}, "right": {"cyclic": 1}, "source": [0], "target": [0]}
         docs["far_ref"].write_text(json.dumps({"span": {"left": {"ref": self.JUNK}, **one}}))
         docs["digits"].write_text(f'{{"dimension": {self.DIGITS}, "conductor": 1, '
@@ -665,17 +645,17 @@ class TestLongValues:
             json.dumps({"span": {"left": {"cyclic": 0}, **one}}).replace("0", self.DIGITS, 1))
         docs["bad_json"].write_text('{"span": {"left": {"cyclic": 1} "middle": 1}}')
         docs["deep"].write_text("[" * 100000)
-        result = invoke(runner, workspace, *(a.format(dir=workspace, **docs) for a in args))
+        result = invoke(workspace, *(a.format(dir=workspace, **docs) for a in args))
         assert result.exit_code == 2
         errors = [line for line in result.stderr.splitlines() if "error:" in line]
         assert len(errors) == 1 and len(errors[0].encode()) <= 300, errors
         assert named in errors[0]
         assert "Traceback" not in result.output
 
-    def test_one_short_inapplicable_line(self, runner):
+    def test_one_short_inapplicable_line(self):
         # The domain-negative exit quotes the boundary's numbers the same way.
-        result = runner.invoke(["constraints", "admit", self.A3,
-                                "--boundary", f"brieskorn:{self.NINES},3"])
+        result = Result(["constraints", "admit", self.A3,
+                         "--boundary", f"brieskorn:{self.NINES},3"])
         assert result.exit_code == 1
         assert result.stderr == ("constraints not applicable: requires k < n, "
                                  f"got k={'9' * 12}... (4000 digits), n=3\n")
@@ -691,39 +671,39 @@ class TestMaxOrder:
     ]
 
     @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_cap_below_one_exits_two(self, runner, workspace, value):
+    def test_cap_below_one_exits_two(self, workspace, value):
         for command, action, doc, *rest in self.QUERIES:
-            result = invoke(runner, workspace, command, action, str(workspace / doc), *rest,
+            result = invoke(workspace, command, action, str(workspace / doc), *rest,
                             "--max-order", value)
             assert result.exit_code == 2, command
             assert "x>=1" in result.stderr, command
 
-    def test_cap_of_one_admits_trivial_group(self, runner, workspace):
-        result = invoke(runner, workspace, "group", "info", str(workspace / "trivial.json"),
+    def test_cap_of_one_admits_trivial_group(self, workspace):
+        result = invoke(workspace, "group", "info", str(workspace / "trivial.json"),
                         "--max-order", "1", "--format", "json")
         assert result.exit_code == 0
         assert json.loads(result.stdout)["order"] == 1
 
 
 class TestDeterminism:
-    def test_byte_identical_reports(self, runner, workspace):
+    def test_byte_identical_reports(self, workspace):
         args = ("cr", "ring", str(workspace / "q8.json"), "--format", "json")
-        first = invoke(runner, workspace, *args)
-        second = invoke(runner, workspace, *args)
+        first = invoke(workspace, *args)
+        second = invoke(workspace, *args)
         assert first.stdout == second.stdout
         assert first.exit_code == second.exit_code == 0
 
-    def test_group_info_byte_identical(self, runner, workspace):
+    def test_group_info_byte_identical(self, workspace):
         args = ("group", "info", str(workspace / "q8.json"), "--format", "json")
-        first = invoke(runner, workspace, *args)
-        second = invoke(runner, workspace, *args)
+        first = invoke(workspace, *args)
+        second = invoke(workspace, *args)
         assert first.exit_code == second.exit_code == 0
         assert first.stdout == second.stdout
 
-    def test_span_battery_seeded(self, runner, workspace):
+    def test_span_battery_seeded(self, workspace):
         args = ("span", "random", "--trials", "25", "--seed", "11", "--format", "json")
-        first = invoke(runner, workspace, *args)
-        second = invoke(runner, workspace, *args)
+        first = invoke(workspace, *args)
+        second = invoke(workspace, *args)
         assert first.exit_code == 0
         assert first.stdout == second.stdout
         assert json.loads(first.stdout)["all_equal"] is True
@@ -736,11 +716,11 @@ class TestDeterminism:
     }
 
     @pytest.mark.parametrize("fmt", sorted(SPAN_RANDOM_DIGESTS))
-    def test_span_random_stdout_pinned(self, runner, fmt):
+    def test_span_random_stdout_pinned(self, fmt):
         digest = hashlib.sha256()
         for seed in range(30):
-            result = runner.invoke(["span", "random", "--trials", "150", "--seed", str(seed),
-                                    "--format", fmt])
+            result = Result(["span", "random", "--trials", "150", "--seed", str(seed),
+                             "--format", fmt])
             assert result.exit_code == 0, seed
             digest.update(result.stdout.encode())
         assert digest.hexdigest() == self.SPAN_RANDOM_DIGESTS[fmt]
@@ -760,64 +740,64 @@ class TestIgnoredCacheDir:
     ]
 
     @pytest.mark.parametrize("query", QUERIES, ids=lambda q: f"{q[0]}-{q[1]}")
-    def test_cache_dir_accepted_and_unused(self, runner, workspace, monkeypatch, query):
+    def test_cache_dir_accepted_and_unused(self, workspace, monkeypatch, query):
         home, env_dir = workspace / "home", workspace / "env-cache"
         home.mkdir()
         monkeypatch.setenv("HOME", str(home))
         monkeypatch.setenv("ORBIFILL_CACHE_DIR", str(env_dir))
         command, action, doc, *rest = query
         args = [command, action, str(workspace / doc), *rest, "--format", "json"]
-        plain = runner.invoke(args)
-        with_dir = invoke(runner, workspace, *args)
+        plain = Result(args)
+        with_dir = invoke(workspace, *args)
         assert plain.exit_code == with_dir.exit_code
         assert plain.stdout == with_dir.stdout
         assert not (workspace / "cache").exists()
         assert not env_dir.exists()
         assert list(home.iterdir()) == []
 
-    def test_cache_dir_hidden_from_help(self, runner):
+    def test_cache_dir_hidden_from_help(self):
         for command in ("group", "span"):
-            result = runner.invoke([command, "--help"])
+            result = Result([command, "--help"])
             assert result.exit_code == 0
             assert "--cache-dir" not in result.stdout
 
-    def test_stale_cache_file_is_ignored(self, runner, workspace):
+    def test_stale_cache_file_is_ignored(self, workspace):
         target = str(workspace / "q8.json")
-        first = invoke(runner, workspace, "group", "info", target, "--format", "json")
+        first = invoke(workspace, "group", "info", target, "--format", "json")
         digest = json.loads(first.stdout)["metadata"]["input_digest"]
         (workspace / "cache").mkdir()
         (workspace / "cache" / f"{digest}.json").write_text("{definitely corrupt")
-        second = invoke(runner, workspace, "group", "info", target, "--format", "json")
+        second = invoke(workspace, "group", "info", target, "--format", "json")
         assert first.exit_code == second.exit_code == 0
         assert first.stdout == second.stdout
 
 
 class TestCommands:
-    def test_group_info_payload(self, runner, workspace):
-        result = invoke(runner, workspace, "group", "info", str(workspace / "q8.json"),
+    def test_group_info_payload(self, workspace):
+        result = invoke(workspace, "group", "info", str(workspace / "q8.json"),
                         "--format", "json")
         payload = json.loads(result.stdout)
         assert payload["order"] == 8
         assert payload["isolated_singularity"] is True
         assert len(payload["classes"]) == 5
 
-    def test_reeb_report(self, runner, workspace):
-        result = invoke(runner, workspace, "reeb", "report", str(workspace / "antipodal2.json"),
+    def test_reeb_report(self, workspace):
+        result = invoke(workspace, "reeb", "report", str(workspace / "antipodal2.json"),
                         "--bound", "9/4", "--format", "json")
         payload = json.loads(result.stdout)
         assert payload["discrepancy"]["verdict"] == "canonical-not-terminal"
         periods = {(f["class"], f["period"]) for f in payload["families"]}
         assert ("c1", "1/2") in periods and ("Id", "1") in periods
 
-    def test_constraints_boundary_table(self, runner, workspace):
-        result = invoke(runner, workspace, "constraints", "boundary", "lens:2,3",
+    def test_constraints_boundary_table(self, workspace):
+        result = invoke(workspace, "constraints", "boundary", "lens:2,3",
                         "--format", "json")
         payload = json.loads(result.stdout)
         assert payload["effective_bound"] == 2
         assert payload["uniqueness"]["count"] == 1
 
-    def test_constraints_boundary_inapplicable(self, runner, workspace):
-        result = invoke(runner, workspace, "constraints", "boundary", "brieskorn:5,3",
+    def test_constraints_boundary_inapplicable(self, workspace):
+        result = invoke(workspace, "constraints", "boundary", "brieskorn:5,3",
                         "--format", "json")
         assert result.exit_code == 0
         payload = json.loads(result.stdout)
@@ -825,50 +805,50 @@ class TestCommands:
         assert payload["reason"] == "requires k < n, got k=5, n=3"
         assert "effective_bound" not in payload
 
-    def test_constraints_rp(self, runner, workspace):
-        result = invoke(runner, workspace, "constraints", "rp", "4", "--format", "json")
+    def test_constraints_rp(self, workspace):
+        result = invoke(workspace, "constraints", "rp", "4", "--format", "json")
         assert json.loads(result.stdout)["conclusion"] is None
 
-    def test_span_check_pair(self, runner, workspace):
-        result = invoke(runner, workspace, "span", "check", str(workspace / "span_pair.json"),
+    def test_span_check_pair(self, workspace):
+        result = invoke(workspace, "span", "check", str(workspace / "span_pair.json"),
                         "--format", "json")
         assert result.exit_code == 0
         assert json.loads(result.stdout)["equal"] is True
 
-    def test_span_check_single(self, runner, workspace):
-        result = invoke(runner, workspace, "span", "check", str(workspace / "one_span.json"),
+    def test_span_check_single(self, workspace):
+        result = invoke(workspace, "span", "check", str(workspace / "one_span.json"),
                         "--format", "json")
         assert json.loads(result.stdout)["pushpull"] == "1/2"
 
-    def test_cr_filling(self, runner, workspace):
-        result = invoke(runner, workspace, "cr", "filling", "--betti", "1",
+    def test_cr_filling(self, workspace):
+        result = invoke(workspace, "cr", "filling", "--betti", "1",
                         "--singularity", str(workspace / "antipodal2.json"),
                         "--coefficient", "Q", "--format", "json")
         payload = json.loads(result.stdout)
         assert payload["total_rank"] == 2
         assert payload["ranks_by_degree"] == {"0": 1, "2": 1}
 
-    def test_ledger_build(self, runner, workspace):
-        result = invoke(runner, workspace, "ledger", "build", str(workspace / "antipodal2.json"),
+    def test_ledger_build(self, workspace):
+        result = invoke(workspace, "ledger", "build", str(workspace / "antipodal2.json"),
                         "--slope", "5/4", "--format", "json")
         payload = json.loads(result.stdout)
         assert len(payload["known_differentials"]) == 1
         assert payload["known_differentials"][0]["coefficient"] == 2
 
-    def test_ledger_profile_of_no_family_exits_two(self, runner, workspace):
-        result = invoke(runner, workspace, "ledger", "build", str(workspace / "antipodal2.json"),
+    def test_ledger_profile_of_no_family_exits_two(self, workspace):
+        result = invoke(workspace, "ledger", "build", str(workspace / "antipodal2.json"),
                         "--slope", "5/4", "--profile", "Zz:9=0", "--profile", "Id:1=0,3")
         assert result.exit_code == 2
         assert "Zz:9" in result.stderr and "Id:1" not in result.stderr
 
-    def test_family_cap_exits_two_quickly(self, runner, workspace):
+    def test_family_cap_exits_two_quickly(self, workspace):
         # A3 has 6 periods per unit of bound: 200,001 families below 100001/3.
         path = workspace / "a3.json"
-        path.write_text(json.dumps(a_type(4)))
+        path.write_text(json.dumps(corpus.a_type(4).document()))
         for command, option in (("reeb", "report"), ("ledger", "build")):
             flag = "--bound" if command == "reeb" else "--slope"
             start = time.perf_counter()
-            result = invoke(runner, workspace, command, option, str(path), flag, "100001/3")
+            result = invoke(workspace, command, option, str(path), flag, "100001/3")
             assert time.perf_counter() - start < 1.0, command
             assert result.exit_code == 2, command
             assert "200001 orbit families" in result.stderr and "100000" in result.stderr
@@ -882,27 +862,27 @@ class TestCommands:
         ("ledger", "100001/3",
          "slope 100001/3 gives 200001 orbit families, more than the cap of 100000"),
     ], ids=["reeb-spectrum", "ledger-spectrum", "reeb-cap", "ledger-cap"])
-    def test_messages_name_the_option(self, runner, workspace, command, value, message):
+    def test_messages_name_the_option(self, workspace, command, value, message):
         path = workspace / "a3.json"
-        path.write_text(json.dumps(a_type(4)))
+        path.write_text(json.dumps(corpus.a_type(4).document()))
         action, flag = ("report", "--bound") if command == "reeb" else ("build", "--slope")
-        result = invoke(runner, workspace, command, action, str(path), flag, value)
+        result = invoke(workspace, command, action, str(path), flag, value)
         assert result.exit_code == 2
         assert result.stderr == f"error: {message}\n"
 
-    def test_cell_cap_exits_two(self, runner, workspace, monkeypatch):
+    def test_cell_cap_exits_two(self, workspace, monkeypatch):
         # A3 has 6 periods per unit of slope: 39,998 families, within the
         # family cap, and 79,996 cells below 19999/3. No family is built.
         monkeypatch.setattr(reeb_module, "OrbitFamily", None)
         path = workspace / "a3.json"
-        path.write_text(json.dumps(a_type(4)))
-        result = invoke(runner, workspace, "ledger", "build", str(path), "--slope", "19999/3")
+        path.write_text(json.dumps(corpus.a_type(4).document()))
+        result = invoke(workspace, "ledger", "build", str(path), "--slope", "19999/3")
         assert result.exit_code == 2
         assert result.stderr == (
             "error: slope 19999/3 gives 79996 Morse cells, more than the cap of 40000\n"
         )
 
-    def test_ring_pair_cap_exits_two_before_building(self, runner, workspace, monkeypatch):
+    def test_ring_pair_cap_exits_two_before_building(self, workspace, monkeypatch):
         # mu4 has 4 sectors: 6 twisted sector pairs i <= j, above a cap of 5.
         def unexpected(*args):
             raise AssertionError("a ring was built above the cap")
@@ -910,33 +890,33 @@ class TestCommands:
         monkeypatch.setattr(chen_ruan_module, "MAX_RING_PAIRS", 5)
         monkeypatch.setattr(chen_ruan_module, "build_ring", unexpected)
         path = workspace / "mu4.json"
-        path.write_text(json.dumps(scalar_cyclic(4)))
-        result = invoke(runner, workspace, "cr", "ring", str(path), "--format", "json")
+        path.write_text(json.dumps(corpus.scalar_cyclic(4).document()))
+        result = invoke(workspace, "cr", "ring", str(path), "--format", "json")
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == (
             "error: 4 sectors give 6 twisted sector pairs, more than the cap of 5\n"
         )
 
-    def test_ring_at_the_pair_cap_builds(self, runner, workspace, monkeypatch):
+    def test_ring_at_the_pair_cap_builds(self, workspace, monkeypatch):
         monkeypatch.setattr(chen_ruan_module, "MAX_RING_PAIRS", 6)
         path = workspace / "mu4.json"
-        path.write_text(json.dumps(scalar_cyclic(4)))
-        result = invoke(runner, workspace, "cr", "ring", str(path), "--format", "json")
+        path.write_text(json.dumps(corpus.scalar_cyclic(4).document()))
+        result = invoke(workspace, "cr", "ring", str(path), "--format", "json")
         assert result.exit_code == 0
         assert len(json.loads(result.stdout)["products"]) == 6
 
-    def test_table_format_renders(self, runner, workspace):
-        result = invoke(runner, workspace, "cr", "sectors", str(workspace / "antipodal2.json"))
+    def test_table_format_renders(self, workspace):
+        result = invoke(workspace, "cr", "sectors", str(workspace / "antipodal2.json"))
         assert result.exit_code == 0
         assert "degree" in result.stdout
 
-    def test_admit_multiplies_no_cyclotomics_after_parsing(self, runner, workspace,
+    def test_admit_multiplies_no_cyclotomics_after_parsing(self, workspace,
                                                            monkeypatch):
         # Admissibility reads only |G|, which the closure mod p0 gives
         # without an exact matrix product.
         path = workspace / "mu500.json"
-        path.write_text(json.dumps(scalar_cyclic(500)))
+        path.write_text(json.dumps(corpus.scalar_cyclic(500).document()))
         products = []
         multiply = CyclotomicNumber.__mul__
 
@@ -950,14 +930,14 @@ class TestCommands:
             return group
 
         monkeypatch.setattr(cli_module, "parse_group", parse_then_count)
-        result = invoke(runner, workspace, "constraints", "admit", str(path),
+        result = invoke(workspace, "constraints", "admit", str(path),
                         "--boundary", "lens:2,2", "--format", "json")
         assert json.loads(result.stdout)["group_order"] == 500
         assert CyclotomicNumber.__mul__ is counted
         assert products == []
 
-    def test_version(self, runner):
-        result = runner.invoke(["--version"])
+    def test_version(self):
+        result = Result(["--version"])
         assert result.exit_code == 0 and "orbifill" in result.output
 
 
@@ -965,31 +945,31 @@ class TestCommandLine:
     """The parts of the command-line contract that do not depend on a command's
     output: version text, usage errors exit 2, help exits 0."""
 
-    def test_version_text(self, runner):
-        result = runner.invoke(["--version"])
+    def test_version_text(self):
+        result = Result(["--version"])
         assert result.exit_code == 0
         assert result.stdout == "orbifill, version 0.1.0\n"
 
-    def test_no_command_exits_two(self, runner):
-        result = runner.invoke([])
+    def test_no_command_exits_two(self):
+        result = Result([])
         assert result.exit_code == 2
         assert result.stdout == "" and "usage: orbifill" in result.stderr
 
-    def test_unknown_action_exits_two(self, runner, workspace):
-        result = invoke(runner, workspace, "group", "describe", str(workspace / "q8.json"))
+    def test_unknown_action_exits_two(self, workspace):
+        result = invoke(workspace, "group", "describe", str(workspace / "q8.json"))
         assert result.exit_code == 2
         assert "invalid choice: 'describe'" in result.stderr
 
-    def test_missing_document_exits_two(self, runner, workspace):
-        result = invoke(runner, workspace, "group", "info", str(workspace / "absent.json"))
+    def test_missing_document_exits_two(self, workspace):
+        result = invoke(workspace, "group", "info", str(workspace / "absent.json"))
         assert result.exit_code == 2
         assert "absent.json' does not exist" in result.stderr
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("command", [[], ["group"], ["cr"], ["reeb"], ["ledger"], ["span"],
                                          ["constraints"]], ids=lambda c: c[0] if c else "top")
-    def test_help_exits_zero(self, runner, command):
-        result = runner.invoke([*command, "--help"])
+    def test_help_exits_zero(self, command):
+        result = Result([*command, "--help"])
         assert result.exit_code == 0
         assert result.stdout.startswith(" ".join(["usage: orbifill", *command]))
 
@@ -1010,7 +990,7 @@ class TestCommandLine:
         cli_module._emit({"a": 1}, "table")
         assert writes == ['{\n  "a": 1\n}\n', "a: 1\n"]
 
-    def test_main_freezes_the_heap(self, runner):
+    def test_main_freezes_the_heap(self):
         # main freezes the heap alive at its call, so that no collection,
         # during the query or at exit, walks the start-up objects again.
         expected = {
@@ -1027,17 +1007,17 @@ class TestCommandLine:
         gc.unfreeze()
         try:
             assert gc.get_freeze_count() == 0
-            result = runner.invoke(["constraints", "boundary", "lens:2,3", "--format", "json"])
+            result = Result(["constraints", "boundary", "lens:2,3", "--format", "json"])
             assert gc.get_freeze_count() > 0
         finally:
             gc.unfreeze()
         assert result.exit_code == 0
         assert result.stdout == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
-    def test_options_may_precede_an_optional_path(self, runner, workspace):
+    def test_options_may_precede_an_optional_path(self, workspace):
         target = str(workspace / "q8.json")
-        before = invoke(runner, workspace, "cr", "sectors", "--format", "json", target)
-        after = invoke(runner, workspace, "cr", "sectors", target, "--format", "json")
+        before = invoke(workspace, "cr", "sectors", "--format", "json", target)
+        after = invoke(workspace, "cr", "sectors", target, "--format", "json")
         assert before.exit_code == after.exit_code == 0
         assert before.stdout == after.stdout
 
@@ -1053,7 +1033,7 @@ class TestCommandLine:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main([command, action, str(workspace / doc), *rest]) is None
 
-    def test_rendering_errors_keep_their_exit_code(self, runner, monkeypatch):
+    def test_rendering_errors_keep_their_exit_code(self, monkeypatch):
         # main renders a report inside the try that maps exceptions onto exit
         # codes: an input error raised by a report's generator as it is
         # written, and a closed stdout, exit 2 with a message, as they would
@@ -1063,8 +1043,8 @@ class TestCommandLine:
             yield
 
         monkeypatch.setattr(cli_module, "families_below", families)
-        result = runner.invoke(["reeb", "report", str(SAMPLES / "a3.json"), "--bound", "7/3",
-                                "--format", "json"])
+        result = Result(["reeb", "report", str(SAMPLES / "a3.json"), "--bound", "7/3",
+                         "--format", "json"])
         assert result.exit_code == 2
         assert result.stderr == "error: raised while rendering\n"
 
@@ -1109,16 +1089,16 @@ class TestDefaults:
     ]
 
     @pytest.mark.parametrize("command, action", ACTIONS, ids=lambda x: x)
-    def test_runs_with_required_arguments_only(self, runner, command, action):
+    def test_runs_with_required_arguments_only(self, command, action):
         positional = self.POSITIONAL.get((command, action), [str(SAMPLES / "a3.json")])
-        result = runner.invoke([command, action, *positional,
-                                *self.REQUIRED.get((command, action), [])])
+        result = Result([command, action, *positional,
+                         *self.REQUIRED.get((command, action), [])])
         assert result.exit_code in (0, 1), result.stderr
 
     @pytest.mark.parametrize("command, action", sorted(REQUIRED), ids=lambda x: x)
-    def test_missing_option_is_a_usage_error(self, runner, command, action):
+    def test_missing_option_is_a_usage_error(self, command, action):
         option = self.REQUIRED[command, action][0]
-        result = runner.invoke([command, action, str(SAMPLES / "a3.json")])
+        result = Result([command, action, str(SAMPLES / "a3.json")])
         assert result.exit_code == 2
         error = result.stderr.splitlines()[-1]
         assert error.startswith(f"orbifill {command}: error: ") and option in error

@@ -13,16 +13,14 @@ text, wrapped at $COLUMNS, which both set to 80; its wording may differ on
 another Python release.
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import os
 import shutil
 import tempfile
 from pathlib import Path
 
-from orbifill.cli import main
+from battery import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PINS = Path(__file__).with_name("cli_pins.json")
@@ -96,15 +94,9 @@ QUERIES = {
 
 def run(argv):
     """stdout and stderr sha256 and the exit code of ``main(argv)``."""
-    out, err = io.StringIO(), io.StringIO()
-    code = 0
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            main(argv)
-        except SystemExit as e:
-            code = 0 if e.code is None else e.code
-    return {"stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-            "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
+    code, out, err = run_cli(argv)
+    return {"stdout": hashlib.sha256(out.encode()).hexdigest(),
+            "stderr": hashlib.sha256(err.encode()).hexdigest(),
             "exit": code}
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from battery import antipodal, build, quaternion, scalar_cyclic, trivial
+from battery import build, corpus, trivial
 from orbifill.constraints import (
     BoundaryDescriptor,
     admissible,
@@ -99,24 +99,24 @@ class TestConstraintTables:
 
 class TestAdmissible:
     def test_order_two_lens(self):
-        ok, why = admissible(build(antipodal(3)), BoundaryDescriptor.parse("lens:2,3"))
+        ok, why = admissible(build(corpus.antipodal(3)), BoundaryDescriptor.parse("lens:2,3"))
         assert ok
 
     def test_order_three_lens(self):
         ok, why = admissible(
-            build(scalar_cyclic(3, n=3)), BoundaryDescriptor.parse("lens:2,3")
+            build(corpus.scalar_cyclic(3, n=3)), BoundaryDescriptor.parse("lens:2,3")
         )
         assert not ok
         assert "does not divide 2" in why
 
     def test_order_four_brieskorn(self):
         ok, _ = admissible(
-            build(scalar_cyclic(4)), BoundaryDescriptor.parse("brieskorn:2,3")
+            build(corpus.scalar_cyclic(4)), BoundaryDescriptor.parse("brieskorn:2,3")
         )
         assert not ok
 
     def test_quaternion_various(self):
-        q = build(quaternion())
+        q = build(corpus.quaternion())
         ok, _ = admissible(q, BoundaryDescriptor.parse("lens:8,2"))
         assert ok  # 8 divides 8!
         ok, _ = admissible(q, BoundaryDescriptor.parse("subcritical:2"))

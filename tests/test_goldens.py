@@ -2,45 +2,18 @@
 benchmark corpus, prints the stdout and exits with the code recorded in
 ``bench/goldens.json``."""
 
-import contextlib
 import hashlib
-import importlib.util
-import io
 import json
 import shutil
-import sys
 from pathlib import Path
 
-from orbifill.cli import main
+from battery import corpus, run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
 
 
-def load_corpus():
-    """bench/corpus.py, loaded by path: bench/ is not a package."""
-    spec = importlib.util.spec_from_file_location("bench_corpus", BENCH / "corpus.py")
-    module = importlib.util.module_from_spec(spec)
-    # Its dataclasses look their module up in sys.modules.
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-def run(argv):
-    """stdout bytes and exit code of ``main(argv)``, 0 when it returns."""
-    out, err = io.StringIO(), io.StringIO()
-    code = 0
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            main(argv)
-        except SystemExit as e:
-            code = 0 if e.code is None else e.code
-    return out.getvalue().encode(), code
-
-
 def test_goldens_byte_identical(tmp_path, monkeypatch):
-    corpus = load_corpus()
     shutil.copytree(ROOT / "samples", tmp_path / "samples")
     paths = corpus.write_corpus(tmp_path, tmp_path / "corpus")
     (tmp_path / "cache").mkdir()
@@ -52,9 +25,10 @@ def test_goldens_byte_identical(tmp_path, monkeypatch):
     for key, query in queries.items():
         argv = [paths[a[1:]] if a.startswith("@") else a for a in query.args]
         argv += ["--format", "json"] + (["--cache-dir", "cache"] if query.groups else [])
-        stdout, code = run(argv)
+        code, stdout, _ = run_cli(argv)
+        digest = hashlib.sha256(stdout.encode()).hexdigest()
         golden = goldens[key]
-        if (hashlib.sha256(stdout).hexdigest(), code) != (golden["sha256"], golden["exit"]):
+        if (digest, code) != (golden["sha256"], golden["exit"]):
             differing.append(key)
     assert not differing, (
         f"{len(differing)} of {len(queries)} queries differ from bench/goldens.json: "

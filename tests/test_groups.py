@@ -14,24 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from battery import (
-    a_type,
-    antipodal,
-    approx,
-    battery_48,
-    binary_dihedral,
-    binary_tetrahedral,
-    build,
-    check_table_structure,
-    corrupt_first_generator,
-    power_mod_phi,
-    quaternion,
-    scalar_cyclic,
-    table_of,
-    times_scalars,
-    trivial,
-    z7_semidirect_z9,
-)
+from battery import (BATTERY_24, BATTERY_48, BD12_MU5, Q8_MU3, Q8_MU5, Z7_SEMIDIRECT_Z9, approx,
+                     battery_48, binary_tetrahedral, build, check_table_structure, corpus,
+                     corrupt_first_generator, document, power_mod_phi, table_of, trivial)
 from orbifill import groups
 from orbifill.cyclotomic import CyclotomicNumber, euler_phi, reduction_size
 from orbifill.errors import GroupTooLarge, InternalInconsistency, NotUnitary, ParseError
@@ -145,9 +130,9 @@ def diagonal_signs(n):
     """The diagonal sign matrices in U(n), (Z/2)^n: every element is its own
     cyclic subgroup and its own class, and every nontrivial one but -I has
     the eigenvalue 1."""
-    gens = [[[("-1" if i == j == k else "1" if i == j else "0") for j in range(n)]
-             for i in range(n)] for k in range(n)]
-    return {"name": f"signs{n}", "dimension": n, "conductor": 2, "generators": gens}
+    gens = tuple((tuple(range(n)), tuple((-1 if i == k else 1, 0) for i in range(n)))
+                 for k in range(n))
+    return corpus.GroupSpec(f"signs{n}", n, 2, gens, 2**n, 2**n)
 
 
 def pythagorean_klein():
@@ -160,14 +145,14 @@ def pythagorean_klein():
 
 class TestParsing:
     def test_antipodal_document(self):
-        g = parse_group(antipodal(2))
+        g = parse_group(corpus.antipodal(2).document())
         assert isinstance(g, GroupDocument)
         assert len(g.generators) == 1
         assert g.dimension == 2 and g.conductor == 2
 
     def test_a_type_document(self):
         for k in range(2, 9):
-            g = parse_group(a_type(k))
+            g = parse_group(corpus.a_type(k).document())
             assert len(g.generators) == 1
 
     def test_not_unitary_names_entry(self):
@@ -220,7 +205,7 @@ class TestParsing:
 
 class TestEnumeration:
     def test_antipodal_order_two(self):
-        assert build(antipodal(2)).order == 2
+        assert build(corpus.antipodal(2)).order == 2
 
     def test_cyclic_eighth_roots(self):
         doc = {
@@ -231,16 +216,16 @@ class TestEnumeration:
         assert build(doc).order == 8
 
     def test_quaternion_order_eight(self):
-        assert build(quaternion()).order == 8
+        assert build(corpus.quaternion()).order == 8
 
     def test_identity_is_index_zero(self):
-        g = build(quaternion())
+        g = build(corpus.quaternion())
         [(k, identity)] = g.exact([0])
         assert k == 0 and all(c == (1 if i == j else 0) for i, row in enumerate(identity)
                               for j, c in enumerate(row))
 
     def test_closure_and_inverses(self):
-        g = build(quaternion())
+        g = build(corpus.quaternion())
         table = table_of(g)
         n = g.order
         for i in range(n):
@@ -250,7 +235,7 @@ class TestEnumeration:
                 assert 0 <= table[i][j] < n
 
     def test_table_matches_matrix_products(self):
-        docs = [times_scalars(quaternion(), 3), times_scalars(binary_dihedral(3), 5)]
+        docs = [Q8_MU3, BD12_MU5]
         for g in battery_48() + [build(d) for d in docs]:
             elements = dict(g.exact(range(g.order)))
             for i, row in enumerate(table_of(g)):
@@ -260,7 +245,7 @@ class TestEnumeration:
 
     def test_order_cap(self):
         with pytest.raises(GroupTooLarge):
-            build(scalar_cyclic(30), max_order=10)
+            build(corpus.scalar_cyclic(30), max_order=10)
 
     def test_order_cap_below_one(self):
         with pytest.raises(GroupTooLarge, match="below 1"):
@@ -269,7 +254,7 @@ class TestEnumeration:
     @pytest.mark.parametrize(
         "doc, entries",
         [(binary_tetrahedral(), ((2, 0), (0, 1))),
-         (quaternion(), ((1, 1), (0, 1)))],
+         (corpus.quaternion(), ((1, 1), (0, 1)))],
         ids=["diag(2,1)", "unipotent"],
     )
     def test_non_group_element_is_internal(self, monkeypatch, doc, entries):
@@ -292,18 +277,27 @@ class TestEnumeration:
         g = build(trivial())
         assert g.order == 1 and g.classes[0].label == "Id"
 
+    def test_order_and_classes_against_the_monomial_model(self):
+        # orbifill, the closed forms and bench/corpus.py's monomial model,
+        # which shares no code with orbifill, on every monomial battery group.
+        specs = BATTERY_24 + BATTERY_48 + [Z7_SEMIDIRECT_Z9, Q8_MU5, BD12_MU5, trivial()]
+        for spec in {s.name: s for s in specs}.values():
+            g = build(spec)
+            assert ((g.order, len(g.classes)) == (spec.order, spec.classes)
+                    == corpus.order_and_class_count(spec.document())), spec.name
+
 
 class TestConjugacyClasses:
     def test_abelian_groups_have_singleton_classes(self):
-        g = build(antipodal(3))
+        g = build(corpus.antipodal(3))
         assert [c.size for c in g.classes] == [1, 1]
         assert all(c.centralizer_order == 2 for c in g.classes)
-        z3 = build(scalar_cyclic(3))
+        z3 = build(corpus.scalar_cyclic(3))
         assert len(z3.classes) == 3
         assert all(c.size == 1 for c in z3.classes)
 
     def test_quaternion_class_sizes(self):
-        g = build(quaternion())
+        g = build(corpus.quaternion())
         assert sorted(c.size for c in g.classes) == [1, 1, 2, 2, 2]
 
     def test_orbit_stabilizer(self):
@@ -313,7 +307,7 @@ class TestConjugacyClasses:
             assert sum(c.size for c in g.classes) == g.order
 
     def test_centralizer_is_subgroup(self):
-        for g in [build(quaternion()), build(z7_semidirect_z9())]:
+        for g in [build(corpus.quaternion()), build(Z7_SEMIDIRECT_Z9)]:
             table = table_of(g)
             for c in g.classes:
                 r = c.representative_index
@@ -326,8 +320,7 @@ class TestConjugacyClasses:
 
     def test_classes_match_table_orbits(self):
         # Reference: the orbit {g x g^-1 : g in G} read from the full table.
-        docs = [times_scalars(quaternion(), 5), times_scalars(binary_dihedral(3), 5),
-                binary_tetrahedral(), z7_semidirect_z9()]
+        docs = [Q8_MU5, BD12_MU5, binary_tetrahedral(), Z7_SEMIDIRECT_Z9]
         for g in battery_48() + [build(d) for d in docs]:
             table = table_of(g)
             inv = [row.index(0) for row in table]
@@ -358,15 +351,15 @@ def centralizer_intersection(g, a, b):
 
 class TestCentralizerIntersection:
     def test_identity_pair(self):
-        g = build(quaternion())
+        g = build(corpus.quaternion())
         assert centralizer_intersection(g, 0, 0) == g.order
 
     def test_abelian(self):
-        g = build(scalar_cyclic(5))
+        g = build(corpus.scalar_cyclic(5))
         assert centralizer_intersection(g, 1, 3) == 5
 
     def test_quaternion_center(self):
-        g = build(quaternion())
+        g = build(corpus.quaternion())
         size2 = [c for c in g.classes if c.size == 2]
         i_rep, j_rep = size2[0].representative_index, size2[1].representative_index
         assert centralizer_intersection(g, i_rep, j_rep) == 2
@@ -375,18 +368,18 @@ class TestCentralizerIntersection:
 class TestEigenData:
     def test_minus_identity(self):
         for n in (2, 3, 5):
-            g = build(antipodal(n))
+            g = build(corpus.antipodal(n))
             data = g.eigen_multiplicities(1)
             assert data.order == 2 and data.multiplicities == {1: n}
 
     def test_scalar_cyclic(self):
-        g = build(scalar_cyclic(3))
+        g = build(corpus.scalar_cyclic(3))
         rep = g.classes[1].representative_index
         data = g.eigen_multiplicities(rep)
         assert data.order == 3 and data.multiplicities == {1: 2}
 
     def test_identity(self):
-        g = build(quaternion())
+        g = build(corpus.quaternion())
         data = g.eigen_multiplicities(0)
         assert data.multiplicities == {0: 2}
 
@@ -409,15 +402,15 @@ class TestEigenData:
     @pytest.mark.parametrize(
         "doc",
         [
-            times_scalars(quaternion(), 3),
-            times_scalars(quaternion(), 5),
-            times_scalars(binary_dihedral(3), 5),
-            scalar_cyclic(30, n=3),
+            Q8_MU3,
+            Q8_MU5,
+            BD12_MU5,
+            corpus.scalar_cyclic(30, n=3),
             binary_tetrahedral(),
             pythagorean_klein(),
-            z7_semidirect_z9(),
+            Z7_SEMIDIRECT_Z9,
         ],
-        ids=lambda d: d["name"],
+        ids=lambda d: document(d)["name"],
     )
     def test_against_character_formula(self, doc):
         self._check_against_character_formula(build(doc))
@@ -435,10 +428,9 @@ class TestEigenData:
             assert g.fixed_space_dimension(i) == mults.get(0, 0), (g.name, i)
 
     def test_against_rank_reading(self):
-        docs = [z7_semidirect_z9(), times_scalars(quaternion(), 3),
-                times_scalars(quaternion(), 5), times_scalars(binary_dihedral(3), 5),
-                times_scalars(binary_tetrahedral(), 5), scalar_cyclic(500),
-                times_scalars(quaternion(), 63), diagonal_signs(3)]
+        docs = [Z7_SEMIDIRECT_Z9, Q8_MU3, Q8_MU5, BD12_MU5, binary_tetrahedral(5),
+                corpus.scalar_cyclic(500), corpus.times_scalars(corpus.quaternion(), 63),
+                diagonal_signs(3)]
         for g in battery_48() + [build(d) for d in docs]:
             for i, reduced in reduced_elements(g, range(g.order)):
                 data = g.eigen_multiplicities(i)
@@ -447,14 +439,14 @@ class TestEigenData:
                     o, list(mults.items())), (g.name, i)
 
     def test_reduced_matrix_not_diagonalizable(self):
-        red, lcm, root = groups._eigen_reduction(build(quaternion()))
+        red, lcm, root = groups._eigen_reduction(build(corpus.quaternion()))
         p = red.modulus
         with pytest.raises(InternalInconsistency, match="not diagonalizable mod 17"):
             groups.eigen_exponents(((1, 1), (0, 1)), 8, p, pow(root, lcm // 8, p))
 
     def test_reduced_eigenvalue_not_a_root_of_unity(self):
         # Q8: the eigenvalues of its elements are 8th roots of unity mod 17.
-        red, lcm, root = groups._eigen_reduction(build(quaternion()))
+        red, lcm, root = groups._eigen_reduction(build(corpus.quaternion()))
         p = red.modulus
         assert p == 17
         w_8, w_4 = pow(root, lcm // 8, p), pow(root, lcm // 4, p)
@@ -470,15 +462,15 @@ class TestEigenData:
 
     @pytest.mark.parametrize(
         "doc, reads, ranks",
-        [(scalar_cyclic(500), 2, 3),
-         (binary_dihedral(500), 4, 1009),
-         (times_scalars(quaternion(), 63), 8, 597),
-         (z7_semidirect_z9(), 4, 34),
+        [(corpus.scalar_cyclic(500), 2, 3),
+         (corpus.binary_dihedral(500), 4, 1009),
+         (corpus.times_scalars(corpus.quaternion(), 63), 8, 597),
+         (Z7_SEMIDIRECT_Z9, 4, 34),
          # Dimension costs ranks only: {I, -I} in U(64), the trivial group
          # in U(200).
-         (antipodal(64), 2, 3),
+         (corpus.antipodal(64), 2, 3),
          (trivial(200), 1, 1)],
-        ids=lambda v: v["name"] if isinstance(v, dict) else None,
+        ids=lambda v: v.name if isinstance(v, corpus.GroupSpec) else None,
     )
     def test_one_read_per_cyclic_subgroup(self, monkeypatch, doc, reads, ranks):
         # One read per orbit that no earlier read's powers reach (mu500 has
@@ -495,11 +487,11 @@ class TestEigenData:
 
     @pytest.mark.parametrize(
         "doc, products",
-        [(scalar_cyclic(500), 1),
-         (binary_dihedral(500), 3),
-         (times_scalars(quaternion(), 63), 7),
-         (scalar_cyclic(10000), 1)],
-        ids=lambda v: v["name"] if isinstance(v, dict) else None,
+        [(corpus.scalar_cyclic(500), 1),
+         (corpus.binary_dihedral(500), 3),
+         (corpus.times_scalars(corpus.quaternion(), 63), 7),
+         (corpus.scalar_cyclic(10000), 1)],
+        ids=lambda v: v.name if isinstance(v, corpus.GroupSpec) else None,
     )
     def test_reduced_products_only_for_read_elements(self, monkeypatch, doc, products):
         # The classes build mod p only the elements read and their
@@ -546,7 +538,7 @@ class TestEigenData:
                 rank += 1
             return rank
 
-        p, rng = groups._eigen_reduction(build(quaternion()))[0].modulus, random.Random(5)
+        p, rng = groups._eigen_reduction(build(corpus.quaternion()))[0].modulus, random.Random(5)
         for trial in range(200):
             n, r, density = rng.randint(1, 7), rng.randint(0, 7), rng.choice([0.2, 0.5, 1])
             entry = lambda: rng.randrange(p) if rng.random() < density else 0
@@ -611,9 +603,7 @@ def random_monomial(rng, n):
 
 class TestIsolated:
     def test_against_element_scan(self):
-        docs = [times_scalars(quaternion(), 3), times_scalars(quaternion(), 5),
-                times_scalars(binary_dihedral(3), 5), times_scalars(binary_tetrahedral(), 5),
-                z7_semidirect_z9()]
+        docs = [Q8_MU3, Q8_MU5, BD12_MU5, binary_tetrahedral(5), Z7_SEMIDIRECT_Z9]
         # Seeded random monomial groups in U(2) and U(3); a draw above order
         # 200 is replaced, which bounds the scan's cost.
         rng, monomial = random.Random(18), []
@@ -634,10 +624,10 @@ class TestIsolated:
 
     def test_antipodal_isolated(self):
         for n in (2, 3, 6):
-            assert build(antipodal(n)).is_isolated_singularity() == (True, None)
+            assert build(corpus.antipodal(n)).is_isolated_singularity() == (True, None)
 
     def test_quaternion_isolated(self):
-        assert build(quaternion()).is_isolated_singularity()[0]
+        assert build(corpus.quaternion()).is_isolated_singularity()[0]
 
     def test_reflection_not_isolated_with_witness(self):
         doc = {"dimension": 2, "conductor": 2, "generators": [[["-1", "0"], ["0", "1"]]]}
@@ -658,7 +648,8 @@ class TestCanonicalForm:
         assert document_digest(doc_a) == document_digest(doc_b) == document_digest(doc_c)
 
     def test_digest_changes_with_content(self):
-        assert document_digest(antipodal(2)) != document_digest(antipodal(3))
+        assert (document_digest(corpus.antipodal(2).document())
+                != document_digest(corpus.antipodal(3).document()))
 
     def test_digest_fallback_imports_agree(self, monkeypatch):
         # Without _sha256 (renamed _sha2 in Python 3.12), and then without
@@ -670,14 +661,14 @@ class TestCanonicalForm:
             assert document_digest(text) == default
 
     def test_digest_of_parsed_group_equals_digest_of_document(self):
-        for doc in (antipodal(2), quaternion(), times_scalars(binary_dihedral(3), 5)):
+        for doc in (s.document() for s in (corpus.antipodal(2), corpus.quaternion(), BD12_MU5)):
             text = json.dumps(doc)
             group = parse_group(text)
             assert document_digest(group) == document_digest(text) == document_digest(doc)
             assert canonical_document(group) == canonical_document(doc)
 
     def test_canonical_document_shape(self):
-        canon = canonical_document(antipodal(2))
+        canon = canonical_document(corpus.antipodal(2).document())
         assert set(canon) == {"name", "dimension", "conductor", "generators"}
 
 
@@ -710,9 +701,8 @@ class TestIntegerKeys:
     def groups(self):
         # BD200 and the Wolf-type products have long runs of classes that tie
         # on (age, size), which the Fraction tie-break orders.
-        docs = [times_scalars(quaternion(), 3), times_scalars(quaternion(), 5),
-                times_scalars(quaternion(), 7), times_scalars(binary_dihedral(3), 5),
-                times_scalars(binary_dihedral(5), 7), binary_dihedral(50),
+        docs = [Q8_MU3, Q8_MU5, corpus.times_scalars(corpus.quaternion(), 7), BD12_MU5,
+                corpus.times_scalars(corpus.binary_dihedral(5), 7), corpus.binary_dihedral(50),
                 binary_tetrahedral(), commuting_reflections()]
         return battery_48() + [build(d) for d in docs]
 
@@ -735,8 +725,8 @@ class TestIntegerKeys:
                 for pos, c in enumerate(expected)], g.name
 
     def test_class_order_matches_dense_reference(self, groups):
-        docs = [binary_dihedral(500), times_scalars(quaternion(), 63),
-                times_scalars(binary_tetrahedral(), 5)]
+        docs = [corpus.binary_dihedral(500), corpus.times_scalars(corpus.quaternion(), 63),
+                binary_tetrahedral(5)]
         for g in groups + [build(d) for d in docs]:
             assert [c.member_indices for c in g.classes] == dense_class_order(g), g.name
 
@@ -823,7 +813,7 @@ class TestTieBreakWalk:
     table's first tree, and drops each matrix once its children are built."""
 
     def test_one_product_per_needed_element(self, monkeypatch):
-        g = build(binary_dihedral(500))
+        g = build(corpus.binary_dihedral(500))
         calls = []
         monkeypatch.setattr(groups, "mat_mul", lambda a, b: calls.append(1) or mat_mul(a, b))
         ties = collections.Counter((c.age, c.size) for c in g.classes)
@@ -838,7 +828,7 @@ class TestTieBreakWalk:
         # Keeping every rebuilt matrix, the classes of BD2000 peaked at
         # 14 MB under tracemalloc, and at under 1 MB dropping them. The
         # orbits and their eigen data are read first, outside the trace.
-        g = build(binary_dihedral(500))
+        g = build(corpus.binary_dihedral(500))
         g._spread(orbits(g.table.conjugation_maps(), g.order))
         tracemalloc.start()
         try:
@@ -885,10 +875,8 @@ def rotation():
 class TestAgainstExactClosure:
     @pytest.fixture(scope="class")
     def pairs(self):
-        docs = [times_scalars(quaternion(), 3), times_scalars(quaternion(), 5),
-                times_scalars(binary_dihedral(3), 5), binary_tetrahedral(),
-                times_scalars(binary_tetrahedral(), 5), z7_semidirect_z9(),
-                commuting_reflections(), scalar_cyclic(500)]
+        docs = [Q8_MU3, Q8_MU5, BD12_MU5, binary_tetrahedral(), binary_tetrahedral(5),
+                Z7_SEMIDIRECT_Z9, commuting_reflections(), corpus.scalar_cyclic(500)]
         return [(g, exact_closure(g)) for g in battery_48() + [build(d) for d in docs]]
 
     def test_order_parents_and_columns(self, pairs):
@@ -949,7 +937,7 @@ class TestCertificate:
         found = []
         split = groups._split_prime
         monkeypatch.setattr(groups, "_split_prime", lambda *a: found.append(split(*a)) or found[-1])
-        g = build(times_scalars(binary_tetrahedral(), 5))
+        g = build(binary_tetrahedral(5))
         fractional = [any(x.den > 1 for row in s for x in row) for s in g.generators]
         counts = [0]
         for _, parent, col in g.table.tree:
@@ -962,8 +950,19 @@ class TestCertificate:
         assert all(q % 20 == 1 and q != p0 for q in primes)
         assert p0 * math.prod(primes) > bound >= p0 * math.prod(primes[:-1])
 
+    def test_conductor_lifted_to_powers_of_two(self):
+        # The reduction raises the root only to the exponents the generators
+        # use, so 2T declared at conductor 2^13 closes as it does at 4.
+        def ages(g):
+            return sorted((age(g, c.representative_index), c.size) for c in g.classes)
+
+        expected = ages(build(binary_tetrahedral()))
+        for conductor in (2**12, 2**13):
+            g = build(binary_tetrahedral(conductor=conductor))
+            assert (g.order, len(g.classes), ages(g)) == (24, 7, expected), conductor
+
     def test_cap_is_met_at_the_default(self):
-        doc = binary_dihedral(DEFAULT_MAX_ORDER // 4)
+        doc = corpus.binary_dihedral(DEFAULT_MAX_ORDER // 4)
         assert build(doc).order == DEFAULT_MAX_ORDER
         with pytest.raises(GroupTooLarge, match="order cap"):
             build(doc, max_order=DEFAULT_MAX_ORDER - 1)
@@ -980,7 +979,7 @@ class TestCertificateColumns:
         lambda a, m: ((2, 0), (0, 1)),  # order far above |G|
     ], ids=["negated", "identity", "unbounded"])
     def test_other_columns_raise(self, monkeypatch, wrong):
-        doc = parse_group(times_scalars(binary_tetrahedral(), 5))
+        doc = parse_group(binary_tetrahedral(5))
         fractional = next(s for s, g in enumerate(doc.generators)
                           if any(x.den > 1 for row in g for x in row))
         reduce = groups._Reduction.__init__

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from battery import antipodal, battery_24, build, quaternion, scalar_cyclic, trivial
+from battery import battery_24, build, corpus, trivial
 from orbifill import ledger as ledger_module
 from orbifill import reeb
 from orbifill.chen_ruan import twisted_sectors
@@ -26,7 +26,7 @@ from orbifill.ledger import (
 
 class TestBuildLedger:
     def test_surface_antipodal_slope_five_fourths(self):
-        g = build(antipodal(2))
+        g = build(corpus.antipodal(2))
         n = g.dimension
         ledger = build_ledger(g, Fraction(5, 4))
         by_kind = {}
@@ -56,7 +56,7 @@ class TestBuildLedger:
         # built, profiles included, so a cap of that count passes and one
         # less fails before any family or generator is built.
         profiles = {("Id", Fraction(1)): (0, 1, 2, 3), ("c1", Fraction(1, 2)): (0,)}
-        cases = [(build(antipodal(2)), Fraction(5, 4), profiles)]
+        cases = [(build(corpus.antipodal(2)), Fraction(5, 4), profiles)]
         cases += [(g, Fraction(292, 97), {}) for g in battery_24()]
         counts = [sum(gen.kind == KIND_CELL for gen in build_ledger(*case).generators)
                   for case in cases]
@@ -72,7 +72,7 @@ class TestBuildLedger:
                     build_ledger(g, slope, given)
 
     def test_scalar_cyclic_three_small_slope(self):
-        ledger = build_ledger(build(scalar_cyclic(3)), Fraction(1, 4))
+        ledger = build_ledger(build(corpus.scalar_cyclic(3)), Fraction(1, 4))
         degrees = sorted(str(g.degree) for g in ledger.generators)
         assert degrees == ["0", "4/3", "8/3"]
         assert all(g.kind != KIND_CELL for g in ledger.generators)
@@ -91,7 +91,7 @@ class TestBuildLedger:
             assert len(zero_untwisted) == 1
 
     def test_actions(self):
-        ledger = build_ledger(build(antipodal(2)), Fraction(5, 4))
+        ledger = build_ledger(build(corpus.antipodal(2)), Fraction(5, 4))
         for gen in ledger.generators:
             if gen.kind == KIND_CELL:
                 assert gen.action == -gen.period < 0
@@ -99,7 +99,7 @@ class TestBuildLedger:
                 assert gen.action == 0
 
     def test_custom_profile(self):
-        g = build(antipodal(2))
+        g = build(corpus.antipodal(2))
         ledger = build_ledger(
             g, Fraction(5, 4), {("Id", Fraction(1)): (0, 1, 2, 3)}
         )
@@ -111,7 +111,7 @@ class TestBuildLedger:
 
     def test_profile_of_no_family_is_rejected(self):
         # Id:1 is a family below 5/4 and Zz:9 is not; only Zz:9 is named.
-        g = build(antipodal(2))
+        g = build(corpus.antipodal(2))
         profiles = {("Id", Fraction(1)): (0,), ("Zz", Fraction(9)): (0,)}
         with pytest.raises(ValueError, match="5/4") as info:
             build_ledger(g, Fraction(5, 4), profiles)
@@ -147,7 +147,7 @@ class TestBuildLedger:
 
     def test_slope_on_spectrum_rejected(self):
         with pytest.raises(SlopeOnSpectrum):
-            build_ledger(build(antipodal(2)), Fraction(1, 2))
+            build_ledger(build(corpus.antipodal(2)), Fraction(1, 2))
 
     def test_non_isolated_rejected(self):
         doc = {"dimension": 2, "conductor": 2, "generators": [[["-1", "0"], ["0", "1"]]]}
@@ -157,7 +157,7 @@ class TestBuildLedger:
 
 class TestKnownDifferentials:
     def test_antipodal(self):
-        g = build(antipodal(2))
+        g = build(corpus.antipodal(2))
         ledger = build_ledger(g, Fraction(5, 4))
         entries = known_differentials(ledger)
         assert len(entries) == 1
@@ -168,7 +168,7 @@ class TestKnownDifferentials:
         assert entry.provenance == "established"
 
     def test_absent_below_slope_one(self):
-        ledger = build_ledger(build(antipodal(2)), Fraction(1, 4))
+        ledger = build_ledger(build(corpus.antipodal(2)), Fraction(1, 4))
         assert known_differentials(ledger) == []
 
     def test_trivial_group_unit_coefficient(self):
@@ -188,7 +188,7 @@ class TestCheckLedger:
     condition; a corrupted entry is a bug, InternalInconsistency."""
 
     def _ledger(self):
-        return build_ledger(build(antipodal(2)), Fraction(5, 4))
+        return build_ledger(build(corpus.antipodal(2)), Fraction(5, 4))
 
     def test_known_entries_pass(self):
         ledger = self._ledger()
@@ -207,7 +207,7 @@ class TestCheckLedger:
     def test_action_must_increase(self):
         # In U(1) a family's cells have Morse indices 0 and 1, so its top cell
         # sits one degree below its minimum cell at the same action.
-        ledger = build_ledger(build(scalar_cyclic(2, n=1)), Fraction(5, 4))
+        ledger = build_ledger(build(corpus.scalar_cyclic(2, n=1)), Fraction(5, 4))
         gamma0 = ledger.minimum_cell("Id", Fraction(1))
         top = next(
             g for g in ledger.generators
@@ -231,7 +231,7 @@ class TestCheckLedger:
 
     def test_foreign_generator_rejected(self):
         ledger = self._ledger()
-        other = build_ledger(build(scalar_cyclic(3)), Fraction(1, 4))
+        other = build_ledger(build(corpus.scalar_cyclic(3)), Fraction(1, 4))
         foreign = other.generators[0]
         gamma0 = ledger.minimum_cell("Id", Fraction(1))
         bad = DifferentialEntry(gamma0, foreign, 1, PROVENANCE_PAPER)
@@ -242,7 +242,7 @@ class TestCheckLedger:
         import random
 
         rng = random.Random(4242)
-        g = build(quaternion())
+        g = build(corpus.quaternion())
         ledger = build_ledger(g, Fraction(101, 97))
         gens = ledger.generators
         for _ in range(300):
@@ -255,18 +255,18 @@ class TestCheckLedger:
 
 class TestVanishing:
     def test_examples(self):
-        g = build(antipodal(2))
+        g = build(corpus.antipodal(2))
         assert sh_vanishing(g, CoefficientRing.rationals()) is True
         assert sh_vanishing(g, CoefficientRing.integers_mod(2)) is False
         assert sh_vanishing(g, CoefficientRing.integers_mod(3)) is True
 
     def test_integers(self):
         assert sh_vanishing(build(trivial()), CoefficientRing.integers()) is True
-        assert sh_vanishing(build(antipodal(2)), CoefficientRing.integers()) is False
+        assert sh_vanishing(build(corpus.antipodal(2)), CoefficientRing.integers()) is False
 
     def test_exhaustive_gcd_agreement(self):
         for k in range(1, 49):
-            g = build(scalar_cyclic(k))
+            g = build(corpus.scalar_cyclic(k))
             for m in range(2, 31):
                 expected = math.gcd(k, m) == 1
                 assert sh_vanishing(g, CoefficientRing.integers_mod(m)) == expected

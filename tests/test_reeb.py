@@ -7,8 +7,7 @@ from functools import lru_cache
 import pytest
 
 import reeb_oracle
-from battery import (a_type, antipodal, battery_24, battery_48, binary_dihedral, build,
-                     quaternion, scalar_cyclic, times_scalars, trivial, z7_semidirect_z9)
+from battery import Q8_MU3, Z7_SEMIDIRECT_Z9, battery_24, battery_48, build, corpus, trivial
 from orbifill import reeb
 from orbifill.errors import NonIsolated, SlopeOnSpectrum
 from orbifill.ledger import KIND_CELL, build_ledger
@@ -28,7 +27,7 @@ from orbifill.reeb import (
 
 class TestAdmissiblePeriods:
     def test_antipodal_minus_identity(self):
-        g = build(antipodal(4))
+        g = build(corpus.antipodal(4))
         periods = _periods_below(g, 1, 2)
         assert periods == [(Fraction(1, 2), 4), (Fraction(3, 2), 4)]
 
@@ -37,11 +36,11 @@ class TestAdmissiblePeriods:
         assert _periods_below(g, 0, Fraction(5, 2)) == [(Fraction(1), 3), (Fraction(2), 3)]
 
     def test_scalar_cyclic_three(self):
-        g = build(scalar_cyclic(3))
+        g = build(corpus.scalar_cyclic(3))
         assert _periods_below(g, 1, 1) == [(Fraction(1, 3), 2)]
 
     def test_spectrum_membership(self):
-        g = build(antipodal(2))
+        g = build(corpus.antipodal(2))
         assert is_on_spectrum(g, Fraction(1, 2))
         assert is_on_spectrum(g, Fraction(5, 2))
         assert is_on_spectrum(g, 2)
@@ -69,13 +68,13 @@ def _periods_in_window(group, pos, lo, hi):
 
 class TestFamilyIndex:
     def test_simple_contractible_family(self):
-        for doc in (antipodal(2), antipodal(3), quaternion()):
+        for doc in (corpus.antipodal(2), corpus.antipodal(3), corpus.quaternion()):
             g = build(doc)
             assert cz_family(g, 0, 1) == 2 * g.dimension
 
     def test_projective_space_families(self):
         for n in (2, 3, 5):
-            g = build(antipodal(n))
+            g = build(corpus.antipodal(n))
             assert cz_family(g, 1, Fraction(1, 2)) == n
             assert cz_family(g, 1, Fraction(3, 2)) == 3 * n
 
@@ -89,7 +88,7 @@ class TestFamilyIndex:
                     )
 
     def test_inadmissible_period_rejected(self):
-        g = build(antipodal(2))
+        g = build(corpus.antipodal(2))
         for period in (Fraction(1, 3), Fraction(1)):
             with pytest.raises(ValueError, match="not admissible"):
                 cz_family(g, 1, period)
@@ -99,8 +98,7 @@ class TestFamilyIndex:
     def test_large_period(self):
         # A million periods on, the index has grown by 2n per unit period: a
         # walk over the earlier periods would take seconds per call here.
-        docs = (antipodal(3), binary_dihedral(3), times_scalars(quaternion(), 3),
-                z7_semidirect_z9())
+        docs = (corpus.antipodal(3), corpus.binary_dihedral(3), Q8_MU3, Z7_SEMIDIRECT_Z9)
         for g in map(build, docs):
             n = g.dimension
             for pos in range(len(g.classes)):
@@ -111,7 +109,7 @@ class TestFamilyIndex:
 
 class TestGeneratorIndex:
     def test_gamma0(self):
-        for doc in (antipodal(2), antipodal(4), quaternion(), trivial()):
+        for doc in (corpus.antipodal(2), corpus.antipodal(4), corpus.quaternion(), trivial()):
             g = build(doc)
             family = orbit_family(g, 0, 1)
             mu, degree = cz_generator(MorseCell(family, 0), g)
@@ -120,20 +118,20 @@ class TestGeneratorIndex:
 
     def test_minimum_cell_projective(self):
         for n in (2, 3, 4):
-            g = build(antipodal(n))
+            g = build(corpus.antipodal(n))
             family = orbit_family(g, 1, Fraction(1, 2))
             mu, degree = cz_generator(MorseCell(family, 0), g)
             assert mu == 1 and degree == n - 1
 
     def test_top_cell_contractible(self):
-        g = build(antipodal(3))
+        g = build(corpus.antipodal(3))
         n = g.dimension
         family = orbit_family(g, 0, 1)
         mu, degree = cz_generator(MorseCell(family, 2 * n - 1), g)
         assert mu == 3 * n and degree == -2 * n
 
     def test_morse_index_bounds(self):
-        g = build(antipodal(2))
+        g = build(corpus.antipodal(2))
         family = orbit_family(g, 1, Fraction(1, 2))
         with pytest.raises(ValueError):
             MorseCell(family, 2 * family.fixed_dim)
@@ -155,14 +153,14 @@ class TestGeneratorIndex:
 
 class TestDiscrepancy:
     def test_surface_antipodal(self):
-        assert mclean_discrepancy(build(antipodal(2))) == (0, "canonical-not-terminal")
+        assert mclean_discrepancy(build(corpus.antipodal(2))) == (0, "canonical-not-terminal")
 
     def test_threefold_antipodal(self):
-        assert mclean_discrepancy(build(antipodal(3))) == (1, "terminal")
+        assert mclean_discrepancy(build(corpus.antipodal(3))) == (1, "terminal")
 
     def test_a_type_groups(self):
         for k in range(2, 9):
-            assert mclean_discrepancy(build(a_type(k))) == (0, "canonical-not-terminal")
+            assert mclean_discrepancy(build(corpus.a_type(k))) == (0, "canonical-not-terminal")
 
     def test_non_isolated_rejected(self):
         doc = {"dimension": 2, "conductor": 2, "generators": [[["-1", "0"], ["0", "1"]]]}
@@ -176,24 +174,24 @@ class TestDiscrepancy:
 
 class TestLoopComponents:
     def test_counts(self):
-        assert len(loop_components(build(antipodal(2)))) == 2
-        assert len(loop_components(build(quaternion()))) == 5
+        assert len(loop_components(build(corpus.antipodal(2)))) == 2
+        assert len(loop_components(build(corpus.quaternion()))) == 5
         assert len(loop_components(build(trivial()))) == 1
 
     def test_identity_component_contractible(self):
-        comps = loop_components(build(quaternion()))
+        comps = loop_components(build(corpus.quaternion()))
         assert comps[0] == {"class": "Id", "contractible": True}
         assert all(not c["contractible"] for c in comps[1:])
 
 
 class TestFamiliesBelow:
     def test_slope_on_spectrum_rejected(self):
-        g = build(antipodal(2))
+        g = build(corpus.antipodal(2))
         with pytest.raises(SlopeOnSpectrum):
             families_below(g, Fraction(3, 2))
 
     def test_assembly(self):
-        g = build(antipodal(2))
+        g = build(corpus.antipodal(2))
         fams = families_below(g, Fraction(5, 4))
         assert [(f.class_label, str(f.period), f.fixed_dim) for f in fams] == [
             ("Id", "1", 2),
@@ -208,7 +206,7 @@ class TestFamiliesBelow:
     def test_family_count_against_the_cap(self, monkeypatch):
         # The count checked against MAX_FAMILIES is exactly the number of
         # families built, so a cap of that count passes and one less fails.
-        assert len(families_below(build(a_type(4)), Fraction(10001, 3))) == 20001
+        assert len(families_below(build(corpus.a_type(4)), Fraction(10001, 3))) == 20001
         groups = battery_24()
         counts = [len(families_below(g, Fraction(292, 97))) for g in groups]
         for g, built in zip(groups, counts):
@@ -223,7 +221,7 @@ class TestFamiliesBelow:
         # The count from the walk's int limit is the count from the rational
         # slope, and the number of families the walk builds.
         slope = Fraction(k, 101)
-        for g in battery_48() + [build(z7_semidirect_z9())]:
+        for g in battery_48() + [build(Z7_SEMIDIRECT_Z9)]:
             spectra = [reeb._spectrum(g, pos) for pos in range(len(g.classes))]
             by_slope = sum(max(0, math.ceil(slope - Fraction(m or s.order, s.order)))
                            for s in spectra for m in s.multiplicities)
@@ -251,7 +249,7 @@ def oracle_cases():
     """(group, its families below ORACLE_BOUND from the closed form on
     numerical angles) for battery_48(), Q8 x mu3 and Z7 x| Z9: abelian,
     SU(2), Wolf-type and a non-abelian group outside SU(3)."""
-    groups = battery_48() + [build(times_scalars(quaternion(), 3)), build(z7_semidirect_z9())]
+    groups = battery_48() + [build(Q8_MU3), build(Z7_SEMIDIRECT_Z9)]
     return [(g, reeb_oracle.families(g, ORACLE_BOUND)) for g in groups]
 
 

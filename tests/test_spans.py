@@ -15,8 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from battery import (binary_dihedral, build, check_table_structure, quaternion as quaternion_doc,
-                     table_of, times_scalars)
+from battery import BD12_MU5, build, check_table_structure, corpus, table_of
 from orbifill import tables
 from orbifill.errors import MiddleMismatch, ParseError
 from orbifill.groups import canonical_document, document_digest, parse_group
@@ -118,7 +117,7 @@ class TestGroupTables:
 
     def test_quaternion_matches_unitary_model(self):
         table = table_of(quaternion8())
-        unitary = build(quaternion_doc())
+        unitary = build(corpus.quaternion())
         # same multiset of element orders
         orders_a = sorted(_element_order(table, i) for i in range(8))
         orders_b = sorted(unitary.element_order(i) for i in range(8))
@@ -629,11 +628,6 @@ class TestStartup:
 
     def test_digest_is_hashlib_sha256(self):
         # Every sample and benchmark corpus document.
-        spec = importlib.util.spec_from_file_location("corpus_for_digests",
-                                                      ROOT / "bench" / "corpus.py")
-        corpus = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = corpus
-        spec.loader.exec_module(corpus)
         documents = [(ROOT / "samples" / name).read_text() for name in SAMPLE_DIGESTS]
         documents += [s.document() for s in corpus.all_specs()]
         assert len(documents) > 40
@@ -993,7 +987,7 @@ class TestOneRowPerOrbit:
     def test_through_ref_bd2000(self):
         # j has order 4; Z4 -> BD2000 sends k to j^k on either side.
         bd = group_from_document({"ref": "bd2000.json"},
-                                 lambda ref: build(binary_dihedral(500)))
+                                 lambda ref: build(corpus.binary_dihedral(500)))
         j = bd.generators[1]
         powers = [0]
         for _ in range(3):
@@ -1129,7 +1123,7 @@ class TestDocuments:
 REF_DOCUMENTS = {
     **{name: json.loads((ROOT / "samples" / name).read_text())
        for name in ("quaternion.json", "a3.json", "antipodal2.json")},
-    "bd12xmu5": times_scalars(binary_dihedral(3), 5),
+    "bd12xmu5": BD12_MU5,
 }
 
 
