@@ -16,11 +16,13 @@ along the table's rows, and eigenvalue multiplicities from a reduction mod
 a prime p chosen after the closure, at one rank per candidate eigenvalue.
 Both are read once per cyclic subgroup and spread to every class its powers
 meet. One :class:`_Reduction` sends the generators to Z/m for each of p0,
-the certificate's modulus and p. Elements are built along the tree only
-where they are read, mod p for the eigen data and as exact matrices for the
-class order's tie-break, by one walk
-(:meth:`~orbifill.tables.FiniteGroupTable.elements`) that keeps a matrix
-only while something still needs it.
+the certificate's modulus and p, and holds each reduced generator by its
+columns, each column by its nonzero (row, value) pairs, so x times s costs n
+products per nonzero entry of s: n^2 on a monomial generator, not n^3.
+Elements are built along the tree only where they are read, mod p for the
+eigen data and as exact matrices for the class order's tie-break, by one
+walk (:meth:`~orbifill.tables.FiniteGroupTable.elements`) that keeps a
+matrix only while something still needs it.
 
 Why the keys are exact. If D = 1, every entry lies in Z[zeta_N], so G is a
 discrete subset of the Minkowski embedding; every Galois conjugate of a
@@ -38,7 +40,10 @@ which must find the same columns. Each entry of D^(d+1) (x s - y) is an
 algebraic integer of absolute value at most 2 D^(d+1) under every
 embedding; if all those primes divide it, so does its norm, which is then
 0. The relations hold exactly and the closure is G. A failed relation means
-the generators do not generate a finite group.
+the generators do not generate a finite group. The certificate's closure
+makes |G| * |S| moves modulo a product of about log2 (2 D^(d+1))^phi(N)
+bits, which is known before the first prime is drawn; one whose |G| * |S| *
+bits^2 is above MAX_CERTIFICATE_SIZE is refused.
 """
 
 from __future__ import annotations
@@ -304,8 +309,10 @@ class _Reduction:
     generators of a document: ``root`` is a primitive N-th root of unity mod
     m and m is prime to D, the lcm of the generator denominators, so every
     group element has an image. Each generator is reduced once and held by
-    its columns, in document order. :meth:`times` is the closure's move mod
-    p0 and mod the certificate modulus, and the eigen walk's step mod p.
+    its columns, in document order, each column as the (row, value) pairs of
+    its nonzero entries in ascending row. :meth:`times` sums over those
+    pairs; it is the closure's move mod p0 and mod the certificate modulus,
+    and the eigen walk's step mod p.
     """
 
     __slots__ = ("modulus", "columns")
@@ -313,15 +320,16 @@ class _Reduction:
     def __init__(self, document: GroupDocument | FiniteUnitaryGroup, modulus: int, root: int):
         self.modulus = m = modulus
         self.columns = tuple(
-            tuple(tuple(sum(c * pow(root, e, m) for e, c in x.terms) * pow(x.den, -1, m) % m
-                        for x in col)
+            tuple(tuple((r, v) for r, x in enumerate(col)
+                        if (v := sum(c * pow(root, e, m) for e, c in x.terms)
+                            * pow(x.den, -1, m) % m))
                   for col in zip(*g))
             for g in document.generators)
 
     def times(self, x: Residues, s: int) -> Residues:
         """x times generator s over Z/m."""
         m = self.modulus
-        return tuple(tuple(sum(map(operator.mul, row, col)) % m for col in self.columns[s])
+        return tuple(tuple(sum(row[r] * v for r, v in col) % m for col in self.columns[s])
                      for row in x)
 
     @property
@@ -403,8 +411,31 @@ def _split_prime(order: int, avoid: int, floor: int) -> tuple[int, int]:
     return p, next(w for w in powers if all(pow(w, order // q, p) != 1 for q in factors))
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (J. Sorenson and J. Webster, Strong pseudoprimes to twelve prime bases,
+# Math. Comp. 86 (2017)).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(q: int) -> bool:
-    return q > 1 and all(q % d for d in range(2, math.isqrt(q) + 1))
+    """Deterministic Miller-Rabin, which raises at or above its bound."""
+    if q >= _PRIME_TEST_BOUND:
+        raise InternalInconsistency(f"no exact primality test for {q}")
+    if q < 2 or any(q % b == 0 for b in _PRIME_BASES):
+        return q in _PRIME_BASES
+    twos = ((q - 1) & (1 - q)).bit_length() - 1
+    for b in _PRIME_BASES:
+        x = pow(b, (q - 1) >> twos, q)
+        if x == 1:
+            continue
+        for _ in range(twos - 1):
+            if x == q - 1:
+                break
+            x = x * x % q
+        if x != q - 1:
+            return False
+    return True
 
 
 # -- document handling --------------------------------------------------------
@@ -501,8 +532,14 @@ def enumerate_group(document: GroupDocument, max_order: int = DEFAULT_MAX_ORDER)
 
 
 # Certificate primes are drawn from above this floor, so that few of them
-# cover the bound and trial division stays cheap.
+# cover the bound.
 _CERTIFICATE_PRIME_FLOOR = 1 << 20
+# The most work a certificate may take, counted as |G| * |S| * bits^2: its
+# closure makes |G| * |S| moves, each a few products of bits-bit residues
+# reduced mod M, at about bits^2 apiece. A unit took 0.8-1.2e-11 s on a
+# 2-vCPU x86-64 VM, so an admitted certificate takes at most about 6 s there
+# (README, caps).
+MAX_CERTIFICATE_SIZE = 5 * 10**11
 
 
 def _certify(document: GroupDocument, dens: int, p0: int, table: FiniteGroupTable):
@@ -514,6 +551,8 @@ def _certify(document: GroupDocument, dens: int, p0: int, table: FiniteGroupTabl
     relations hold modulo that product exactly when the closure there, capped at |G|, finds the same columns:
     its elements are then the images of those mod p0, which are distinct,
     as reduction is injective on the finite group the relations then give.
+    A certificate above MAX_CERTIFICATE_SIZE, with bits the log2 of the
+    bound, is refused before the first prime is drawn.
     """
     conductor = document.conductor
     fractional = {col[0]: any(x.den > 1 for row in g for x in row)
@@ -521,7 +560,15 @@ def _certify(document: GroupDocument, dens: int, p0: int, table: FiniteGroupTabl
     depth = [0]
     for _, parent, col in table.tree:
         depth.append(depth[parent] + fractional[col[0]])
-    bound = (2 * dens ** (max(depth) + 1)) ** euler_phi(conductor)
+    phi, power = euler_phi(conductor), max(depth) + 1
+    bits = math.ceil(phi * (1 + power * math.log2(dens)))
+    size = table.order * len(table.columns) * bits**2
+    if size > MAX_CERTIFICATE_SIZE:
+        raise GroupTooLarge(
+            f"the certificate of order {table.order} at conductor {conductor} needs a "
+            f"{bits}-bit modulus: order x generators x bits^2 is {size:.2g}, above the cap "
+            f"of {MAX_CERTIFICATE_SIZE:.0g}")
+    bound = (2 * dens**power) ** phi
     modulus, root, q = 1, 0, max(p0, _CERTIFICATE_PRIME_FLOOR)
     while p0 * modulus <= bound:
         q, w = _split_prime(conductor, dens, q)

@@ -1,4 +1,5 @@
-"""Shared test groups, references and the in-process CLI runner.
+"""Shared test groups, references, the in-process CLI runner, and the
+seams through which tests reach the group core's reduction.
 
 Every monomial test group is a ``GroupSpec`` built by ``bench/corpus.py``,
 which defines each monomial family once, with its closed-form order and
@@ -20,9 +21,9 @@ from pathlib import Path
 
 from orbifill import groups
 from orbifill.cli import main
-from orbifill.cyclotomic import cyclotomic_polynomial
-from orbifill.groups import FiniteUnitaryGroup, enumerate_group, parse_group
-from orbifill.tables import orbits
+from orbifill.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
+from orbifill.groups import FiniteUnitaryGroup, GroupDocument, enumerate_group, parse_group
+from orbifill.tables import FiniteGroupTable, orbits
 
 
 def _load_corpus():
@@ -126,17 +127,98 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def corrupt_first_generator(monkeypatch, columns):
-    """Make every eigen reduction hold ``columns`` as the reduced columns of
-    the first generator, the one at position 0."""
-    eigen_reduction = groups._eigen_reduction
+# The group core's reduction, reached only through the seams below, so that
+# its reduced layout is written in groups.py alone. test_groups.py fails if
+# another test module names one of these.
+REDUCTION_NAMES = ("_Reduction", "_eigen_reduction", "_split_prime",
+                   "_CERTIFICATE_PRIME_FLOOR", "_identity_mod", "_denominator")
 
-    def corrupted(group):
-        red, lcm, root = eigen_reduction(group)
-        red.columns = (columns,) + red.columns[1:]
-        return red, lcm, root
 
-    monkeypatch.setattr(groups, "_eigen_reduction", corrupted)
+def eigen_prime(group):
+    """The eigen prime p: a group's eigen data are read from its elements mod p."""
+    return groups._eigen_reduction(group)[0].modulus
+
+
+def eigen_root(group, o):
+    """w_o, the primitive o-th root of unity mod the eigen prime as which the
+    eigen data label zeta_o, for o dividing lcm(N, |G|)."""
+    red, lcm, root = groups._eigen_reduction(group)
+    return pow(root, lcm // o, red.modulus)
+
+
+def reduced_elements(group, targets):
+    """(i, element i mod the eigen prime) for each target i, in ascending i,
+    built along the table's tree from the reduced generators."""
+    identity = groups._identity_mod(group.dimension)
+    return group.table.elements(targets, identity, groups._eigen_reduction(group)[0].times)
+
+
+def corrupt_generator(monkeypatch, wrong, at="eigen", generator=0):
+    """Reduce one generator wrongly, at the eigen prime (``at="eigen"``) or
+    at the certificate modulus (``at="certificate"``), and return the list
+    of moduli at which it was, in order. ``wrong`` is the int matrix, as
+    rows, that the generator reduces to there, or a function of its right
+    reduction and the modulus that gives it. The wrong columns are those of
+    a one-generator document reduced by the group core itself."""
+    assert at in ("eigen", "certificate"), at
+    reduction, corrupted = groups._Reduction, []
+
+    def corrupt(red, dimension):
+        m = red.modulus
+        matrix = wrong(red.times(groups._identity_mod(dimension), generator), m) \
+            if callable(wrong) else wrong
+        exact = tuple(tuple(CyclotomicNumber(1, ((0, x),)) for x in row) for row in matrix)
+        columns = list(red.columns)
+        columns[generator] = reduction(GroupDocument("", dimension, 1, (exact,)), m, 1).columns[0]
+        red.columns = tuple(columns)
+        corrupted.append(m)
+
+    if at == "eigen":
+        eigen_reduction = groups._eigen_reduction
+
+        def corrupted_eigen(group):
+            red, lcm, root = eigen_reduction(group)
+            corrupt(red, group.dimension)
+            return red, lcm, root
+
+        monkeypatch.setattr(groups, "_eigen_reduction", corrupted_eigen)
+    else:
+        class Corrupted(reduction):
+            __slots__ = ()
+
+            def __init__(self, document, m, root):
+                super().__init__(document, m, root)
+                if m > groups._CERTIFICATE_PRIME_FLOOR:
+                    corrupt(self, document.dimension)
+
+        monkeypatch.setattr(groups, "_Reduction", Corrupted)
+    return corrupted
+
+
+def record_prime_searches(monkeypatch):
+    """The list of (prime, root) pairs that the group core's prime search
+    returns, filled in call order."""
+    found, split = [], groups._split_prime
+    monkeypatch.setattr(groups, "_split_prime", lambda *a: found.append(split(*a)) or found[-1])
+    return found
+
+
+def record_reduced_products(monkeypatch):
+    """Two lists, filled as the group core runs: one entry per product of a
+    reduced element by a reduced generator, and the targets of each walk
+    whose step is such a product, the elements built mod a prime."""
+    products, read = [], []
+    times, elements = groups._Reduction.times, FiniteGroupTable.elements
+
+    def recording(table, targets, identity, step):
+        targets = list(targets)
+        if isinstance(getattr(step, "__self__", None), groups._Reduction):
+            read.extend(targets)
+        return elements(table, targets, identity, step)
+
+    monkeypatch.setattr(groups._Reduction, "times", lambda *a: products.append(1) or times(*a))
+    monkeypatch.setattr(FiniteGroupTable, "elements", recording)
+    return products, read
 
 
 def table_of(group):

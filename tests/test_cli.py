@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from battery import BD12_MU5, corpus, corrupt_first_generator, run_cli, trivial
+from battery import BD12_MU5, binary_tetrahedral, corpus, corrupt_generator, run_cli, trivial
 from orbifill import chen_ruan as chen_ruan_module
 from orbifill import cli as cli_module
 from orbifill import reeb as reeb_module
@@ -125,9 +125,9 @@ class TestExitCodes:
         # test_non_group_element_is_internal, is a broken internal state,
         # not an input error.
         # Element 1, the first generator, represents its class, and it is
-        # built as the identity times its reduced generator, which is held by
-        # its columns: these are those of ((1, 1), (0, 1)).
-        corrupt_first_generator(monkeypatch, ((1, 0), (1, 1)))
+        # built as the identity times its reduced generator, here ((1, 1),
+        # (0, 1)).
+        corrupt_generator(monkeypatch, ((1, 1), (0, 1)))
         result = Result(["group", "info", str(SAMPLES / "quaternion.json")])
         assert result.exit_code == EXIT_INTERNAL
         assert result.stdout == ""
@@ -211,6 +211,7 @@ REJECTED_DOCUMENTS = {
     "short_images.json": {"span": {"left": {"cyclic": 1}, "middle": {"cyclic": 2},
                                    "right": {"cyclic": 1}, "source": [0], "target": [0, 0]}},
     "a_file": "",
+    "tetrahedral_2_16.json": binary_tetrahedral(conductor=2**16),
 }
 
 
@@ -260,6 +261,9 @@ class TestRejections:
         (["constraints", "boundary", f"lens:{'9' * 400},3"],
          2, f"error: boundary lens:{'9' * 12}... (400 digits),3: its divisor {'9' * 12}... "
             "(400 digits)! has more than 4300"),
+        (["group", "info", "{docs}/tetrahedral_2_16.json"],
+         2, "error: the certificate of order 24 at conductor 65536 needs a 131072-bit modulus: "
+            "order x generators x bits^2 is 1.2e+12, above the cap of 5e+11"),
         (["span", "check", "{docs}/ragged_table.json"],
          2, "error: multiplication table is not square"),
         (["span", "check", "{docs}/short_images.json"],
@@ -268,7 +272,7 @@ class TestRejections:
             "int-entry", "plus-literal", "superscript-literal", "long-literal", "trials-x",
             "directory-document", "cache-dir-file", "malformed-profile", "integers",
             "filling-integers", "z-mod-1", "unknown-ring", "subcritical-0", "rp-1", "bound-0",
-            "lens-400-digits", "ragged-table", "short-images"])
+            "lens-400-digits", "certificate-cap", "ragged-table", "short-images"])
     def test_exit_and_message(self, tmp_path, args, code, message):
         for name, doc in REJECTED_DOCUMENTS.items():
             (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))

@@ -14,15 +14,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from battery import (BATTERY_24, BATTERY_48, BD12_MU5, Q8_MU3, Q8_MU5, Z7_SEMIDIRECT_Z9, approx,
-                     battery_48, binary_tetrahedral, build, check_table_structure, corpus,
-                     corrupt_first_generator, document, power_mod_phi, table_of, trivial)
+from battery import (BATTERY_24, BATTERY_48, BD12_MU5, Q8_MU3, Q8_MU5, REDUCTION_NAMES,
+                     Z7_SEMIDIRECT_Z9, approx, battery_48, binary_tetrahedral, build,
+                     check_table_structure, corpus, corrupt_generator, document, eigen_prime,
+                     eigen_root, power_mod_phi, record_reduced_products, record_prime_searches,
+                     reduced_elements, table_of, trivial)
 from orbifill import groups
 from orbifill.cyclotomic import CyclotomicNumber, euler_phi, reduction_size
 from orbifill.errors import GroupTooLarge, InternalInconsistency, NotUnitary, ParseError
 from orbifill.groups import (
     DEFAULT_MAX_ORDER,
     GroupDocument,
+    MAX_CERTIFICATE_SIZE,
     MAX_REDUCTION_SIZE,
     age,
     canonical_document,
@@ -32,7 +35,7 @@ from orbifill.groups import (
     mat_mul,
     parse_group,
 )
-from orbifill.tables import FiniteGroupTable, closure, orbits
+from orbifill.tables import closure, orbits
 
 
 def key(matrix):
@@ -87,13 +90,6 @@ def character_formula(group, i):
     return o, mults
 
 
-def reduced_elements(group, targets):
-    """(i, element i mod the eigen prime) for each target i, in ascending i,
-    built along the table's tree from the reduced generators."""
-    identity = groups._identity_mod(group.dimension)
-    return group.table.elements(targets, identity, groups._eigen_reduction(group)[0].times)
-
-
 def rank_reading(group, i, g):
     """Reference for eigen data, read from element i's own reduced matrix g,
     with nothing spread from another element: the order o by powering the
@@ -102,7 +98,7 @@ def rank_reading(group, i, g):
     to n. w_o comes from the reduction's own prime, so that the exponents
     are labelled as the reduction labels them."""
     n = group.dimension
-    p = groups._eigen_reduction(group)[0].modulus
+    p = eigen_prime(group)
     identity = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
     power, o = g, 1
     while power != identity:
@@ -110,9 +106,7 @@ def rank_reading(group, i, g):
                       for row in power)
         o += 1
         assert o <= group.order, (group.name, i)
-    lcm = math.lcm(group.conductor, group.order)
-    _, root = groups._split_prime(lcm, groups._denominator(group), 2)
-    w, lam = pow(root, lcm // o, p), 1
+    w, lam = eigen_root(group, o), 1
     mults, total = {}, 0
     for m in range(o):
         mult = n - groups.rank_shifted(g, lam, p)
@@ -267,7 +261,7 @@ class TestEnumeration:
         # read, and it is the identity times its reduced generator.
         g = build(doc)
         i = 1
-        corrupt_first_generator(monkeypatch, tuple(zip(*entries)))
+        corrupt_generator(monkeypatch, entries)
         with pytest.raises(InternalInconsistency):
             g.element_order(i)
         with pytest.raises(InternalInconsistency):
@@ -439,17 +433,17 @@ class TestEigenData:
                     o, list(mults.items())), (g.name, i)
 
     def test_reduced_matrix_not_diagonalizable(self):
-        red, lcm, root = groups._eigen_reduction(build(corpus.quaternion()))
-        p = red.modulus
+        g = build(corpus.quaternion())
+        p = eigen_prime(g)
         with pytest.raises(InternalInconsistency, match="not diagonalizable mod 17"):
-            groups.eigen_exponents(((1, 1), (0, 1)), 8, p, pow(root, lcm // 8, p))
+            groups.eigen_exponents(((1, 1), (0, 1)), 8, p, eigen_root(g, 8))
 
     def test_reduced_eigenvalue_not_a_root_of_unity(self):
         # Q8: the eigenvalues of its elements are 8th roots of unity mod 17.
-        red, lcm, root = groups._eigen_reduction(build(corpus.quaternion()))
-        p = red.modulus
+        g = build(corpus.quaternion())
+        p = eigen_prime(g)
         assert p == 17
-        w_8, w_4 = pow(root, lcm // 8, p), pow(root, lcm // 4, p)
+        w_8, w_4 = eigen_root(g, 8), eigen_root(g, 4)
         stray = next(x for x in range(2, p) if pow(x, 8, p) != 1)
         with pytest.raises(InternalInconsistency, match="with 8-th roots of unity"):
             groups.eigen_exponents(((stray, 0), (0, 1)), 8, p, w_8)
@@ -498,20 +492,9 @@ class TestEigenData:
         # ancestors in the tree, one product each: on mu500 and mu10000 the
         # generator alone, and none of the other |G| - 2 elements.
         g = build(doc)
-        calls, read = [], []
-        monkeypatch.setattr(groups._Reduction, "times", lambda *a, f=groups._Reduction.times:
-                            calls.append(1) or f(*a))
-        # The elements read mod p: the targets of the walk whose step is a
-        # reduction's (the exact tie-break walks too).
-        elements = FiniteGroupTable.elements
-
-        def recording(table, targets, identity, step):
-            targets = list(targets)
-            if isinstance(getattr(step, "__self__", None), groups._Reduction):
-                read.extend(targets)
-            return elements(table, targets, identity, step)
-
-        monkeypatch.setattr(FiniteGroupTable, "elements", recording)
+        # The elements read mod p are the targets of the walk whose step is
+        # a reduction's (the exact tie-break walks too).
+        calls, read = record_reduced_products(monkeypatch)
         g.classes
         needed = set()
         for j in read:
@@ -538,7 +521,7 @@ class TestEigenData:
                 rank += 1
             return rank
 
-        p, rng = groups._eigen_reduction(build(corpus.quaternion()))[0].modulus, random.Random(5)
+        p, rng = eigen_prime(build(corpus.quaternion())), random.Random(5)
         for trial in range(200):
             n, r, density = rng.randint(1, 7), rng.randint(0, 7), rng.choice([0.2, 0.5, 1])
             entry = lambda: rng.randrange(p) if rng.random() < density else 0
@@ -551,10 +534,10 @@ class TestEigenData:
                        for i, row in enumerate(g)]
             assert groups.rank_shifted(g, lam, p) == reference(shifted, p), trial
 
-    def test_reduction_prime_skips_denominators(self):
+    def test_eigen_prime_skips_primes_dividing_D(self):
         g = build(pythagorean_klein())
         assert g.order == 4
-        assert groups._eigen_reduction(g)[0].modulus == 13
+        assert eigen_prime(g) == 13
 
     def test_against_float_eigendecomposition(self):
         # Independent oracle: numerical eigenvalues of the complex matrix.
@@ -580,7 +563,7 @@ def isolation_by_elements(group):
     """Reference for isolation: the per-element scan, n - rank_p(g - I) over
     every nontrivial element in index order, the first with a fixed vector
     as the witness."""
-    p = groups._eigen_reduction(group)[0].modulus
+    p = eigen_prime(group)
     for i, reduced in reduced_elements(group, range(1, group.order)):
         if group.dimension - groups.rank_shifted(reduced, 1, p):
             return False, i
@@ -934,9 +917,7 @@ class TestCertificate:
 
     def test_primes_cover_the_bound(self, monkeypatch):
         # 2T x mu5: D = 2 from the generator -(1 + i + j + k)/2, N = 20.
-        found = []
-        split = groups._split_prime
-        monkeypatch.setattr(groups, "_split_prime", lambda *a: found.append(split(*a)) or found[-1])
+        found = record_prime_searches(monkeypatch)
         g = build(binary_tetrahedral(5))
         fractional = [any(x.den > 1 for row in s for x in row) for s in g.generators]
         counts = [0]
@@ -952,14 +933,42 @@ class TestCertificate:
 
     def test_conductor_lifted_to_powers_of_two(self):
         # The reduction raises the root only to the exponents the generators
-        # use, so 2T declared at conductor 2^13 closes as it does at 4.
+        # use, so 2T declared at conductor 2^k closes as it does at 4. Its
+        # certificate bound (2 D^(d+1))^phi(N), with D = 2 and d = 2, has
+        # 4 phi(2^k) = 2^(k+1) bits: up to 2^15 the certificate is under the
+        # cap and runs, and above it 2T is refused before any prime is drawn.
         def ages(g):
             return sorted((age(g, c.representative_index), c.size) for c in g.classes)
 
         expected = ages(build(binary_tetrahedral()))
-        for conductor in (2**12, 2**13):
-            g = build(binary_tetrahedral(conductor=conductor))
-            assert (g.order, len(g.classes), ages(g)) == (24, 7, expected), conductor
+        for k in range(12, 22):
+            doc = binary_tetrahedral(conductor=2**k)
+            if k <= 15:
+                g = build(doc)
+                assert (g.order, len(g.classes), ages(g)) == (24, 7, expected), k
+            else:
+                bits = 2 ** (k + 1)
+                with pytest.raises(GroupTooLarge) as refused:
+                    build(doc)
+                assert str(refused.value) == (
+                    f"the certificate of order 24 at conductor {2**k} needs a {bits}-bit "
+                    f"modulus: order x generators x bits^2 is {24 * 3 * bits**2:.2g}, above "
+                    f"the cap of {MAX_CERTIFICATE_SIZE:.0g}"), k
+
+    def test_primality_is_exact(self):
+        # Miller-Rabin with the first 13 primes as bases, against trial
+        # division and on the least strong pseudoprimes to the first 1, 4, 9
+        # and 12 prime bases; at the least one to all 13 it raises.
+        def trial_division(q):
+            return q > 1 and all(q % d for d in range(2, math.isqrt(q) + 1))
+
+        is_prime = groups._is_prime
+        assert [q for q in range(20000) if is_prime(q) != trial_division(q)] == []
+        for q in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not is_prime(q), q
+        assert is_prime(2**61 - 1)
+        with pytest.raises(InternalInconsistency, match="no exact primality test"):
+            is_prime(3317044064679887385961981)
 
     def test_cap_is_met_at_the_default(self):
         doc = corpus.binary_dihedral(DEFAULT_MAX_ORDER // 4)
@@ -982,19 +991,18 @@ class TestCertificateColumns:
         doc = parse_group(binary_tetrahedral(5))
         fractional = next(s for s, g in enumerate(doc.generators)
                           if any(x.den > 1 for row in g for x in row))
-        reduce = groups._Reduction.__init__
-        moduli = []
-
-        def reduce_wrongly(red, document, m, root):
-            moduli.append(m)
-            reduce(red, document, m, root)
-            if m > groups._CERTIFICATE_PRIME_FLOOR:
-                columns = list(red.columns)
-                columns[fractional] = tuple(zip(*wrong(tuple(zip(*columns[fractional])), m)))
-                red.columns = tuple(columns)
-
         assert groups.enumerate_group(doc).order == 120
-        monkeypatch.setattr(groups._Reduction, "__init__", reduce_wrongly)
+        corrupted = corrupt_generator(monkeypatch, wrong, at="certificate", generator=fractional)
         with pytest.raises(GroupTooLarge, match="do not generate a finite group"):
             groups.enumerate_group(doc)
-        assert max(moduli) > groups._CERTIFICATE_PRIME_FLOOR
+        assert corrupted
+
+
+def test_only_the_battery_names_the_reduction():
+    # The reduced layout is the group core's alone: tests reach it through
+    # battery.py's seams, which never write it, so a change to it edits
+    # groups.py alone.
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        if path.name != "battery.py":
+            text = path.read_text()
+            assert [name for name in REDUCTION_NAMES if name in text] == [], path.name
