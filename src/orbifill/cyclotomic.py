@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
-from .errors import IncompatibleConductor, InternalInconsistency, ParseError, excerpt
+from .errors import InternalInconsistency, ParseError, excerpt
 
 
 def divisors(n: int) -> list[int]:
@@ -135,12 +135,10 @@ class CyclotomicNumber:
     and the int ``den > 0`` has no factor in common with them all; zero is
     the empty form over 1. This normal form is unique at each conductor, and
     every operation costs the terms it reads, not phi(N). Instances are
-    immutable. ``+`` and ``*`` take two values at one conductor: another
-    type is no operand (TypeError), and another conductor raises
-    InternalInconsistency. Equality compares underlying field elements, an
-    int or a Fraction too: representations at different conductors are
-    lifted to the lcm first. Values are not hashable, since equal values at
-    different conductors have different normal forms.
+    immutable. ``+``, ``*`` and ``==`` take two values at one conductor:
+    another type is no operand (TypeError for ``+`` and ``*``), and another
+    conductor raises InternalInconsistency. ``==`` also compares a value
+    with an int or a Fraction. Values are not hashable.
     """
 
     __slots__ = ("conductor", "terms", "den")
@@ -168,30 +166,11 @@ class CyclotomicNumber:
 
     # -- basic queries -----------------------------------------------------
 
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        """The dense power-basis coefficients as Fractions."""
-        dense = dict(self.terms)
-        return tuple(Fraction(dense.get(e, 0), self.den) for e in range(euler_phi(self.conductor)))
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
-
-    # -- conductor handling --------------------------------------------------
-
-    def lift(self, conductor: int) -> "CyclotomicNumber":
-        """The same field element represented at a multiple conductor."""
-        if conductor == self.conductor:
-            return self
-        if conductor % self.conductor:
-            raise IncompatibleConductor(
-                f"cannot lift conductor {self.conductor} to {conductor}"
-            )
-        step = conductor // self.conductor
-        return _reduce(conductor, {j * step: c for j, c in self.terms}, self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -256,11 +235,8 @@ class CyclotomicNumber:
             # Both sides are in lowest terms, so they compare term by term.
             return (self.terms == (((0, other.numerator),) if other else ())
                     and self.den == other.denominator)
-        if not isinstance(other, CyclotomicNumber):
+        if not _operand(self, other):
             return NotImplemented
-        if other.conductor != self.conductor:
-            n = math.lcm(self.conductor, other.conductor)
-            return self.lift(n) == other.lift(n)
         return self.den == other.den and self.terms == other.terms
 
     # -- rendering -----------------------------------------------------------
@@ -281,8 +257,8 @@ class CyclotomicNumber:
 
 
 def _operand(a: CyclotomicNumber, b) -> bool:
-    # Whether b is an operand of a + b and a * b: a CyclotomicNumber at a's
-    # conductor. A document builds every value at its one conductor.
+    # Whether b is an operand of a + b, a * b and a == b: a CyclotomicNumber
+    # at a's conductor. A document builds every value at its one conductor.
     if not isinstance(b, CyclotomicNumber):
         return False
     if b.conductor != a.conductor:
@@ -307,26 +283,20 @@ def _reduce(n: int, acc: dict, den: int) -> CyclotomicNumber:
     return CyclotomicNumber(n, acc.items(), den)
 
 
-def _from_terms(conductor: int, terms) -> CyclotomicNumber:
-    # sum(num / den * zeta_conductor^exp) for int (num, den, exp) terms, den > 0.
-    if conductor < 1:
-        raise ValueError("conductor must be positive")
-    den = math.lcm(*(d for _, d, _ in terms))
-    acc = {}
-    for num, d, exp in terms:
-        acc[exp] = acc.get(exp, 0) + num * (den // d)
-    return _reduce(conductor, acc, den)
-
-
 def make(conductor: int, terms) -> CyclotomicNumber:
     """Canonical representative of sum(c * zeta_conductor^e) for (c, e) terms,
     each c an int or a Fraction, else TypeError."""
-    out = []
-    for coeff, exp in terms:
+    if conductor < 1:
+        raise ValueError("conductor must be positive")
+    terms = list(terms)
+    for coeff, _ in terms:
         if not isinstance(coeff, (int, Fraction)):
             raise TypeError(f"coefficient {coeff!r} is not an int or a Fraction")
-        out.append((coeff.numerator, coeff.denominator, exp))
-    return _from_terms(conductor, out)
+    den = math.lcm(*(c.denominator for c, _ in terms))
+    acc = {}
+    for c, e in terms:
+        acc[e] = acc.get(e, 0) + c.numerator * (den // c.denominator)
+    return _reduce(conductor, acc, den)
 
 
 def zeta(conductor: int, exponent: int = 1) -> CyclotomicNumber:
@@ -334,11 +304,11 @@ def zeta(conductor: int, exponent: int = 1) -> CyclotomicNumber:
 
 
 def zero(conductor: int) -> CyclotomicNumber:
-    return make(conductor, [])
+    return CyclotomicNumber(conductor, ())
 
 
 def one(conductor: int) -> CyclotomicNumber:
-    return make(conductor, [(1, 0)])
+    return CyclotomicNumber(conductor, ((0, 1),))
 
 
 # -- literal grammar ----------------------------------------------------------
@@ -378,11 +348,11 @@ def parse_literal(text: str, conductor: int, locus: str | None = None) -> Cyclot
             at = pos if num or z else m.end()
             err(f"unexpected character {text[at]!r}" if at < len(text) else "expected a term", at)
         try:
-            term = int(sign + (num or "1")), int(den or 1), (int(exp or 1) if star_z or z else 0)
+            c, d, e = int(sign + (num or "1")), int(den or 1), (int(exp or 1) if star_z or z else 0)
         except ValueError:  # more digits than int() converts
             err("integer too long", m.start(1))
-        if not term[1]:
+        if not d:
             err("zero denominator", m.end(3))
-        terms.append(term)
+        terms.append((Fraction(c, d) if d > 1 else c, e))
         pos = m.end()
-    return _from_terms(conductor, terms)
+    return make(conductor, terms)

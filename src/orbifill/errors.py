@@ -66,10 +66,6 @@ class GroupTooLarge(InputError):
     """Closure enumeration exceeded the configured order cap."""
 
 
-class IncompatibleConductor(InputError):
-    """Attempted to lift a value to a conductor its own does not divide."""
-
-
 class NonIsolated(Exception):
     """The group has a nontrivial element with eigenvalue 1.
 

@@ -319,10 +319,14 @@ class _Reduction:
 
     def __init__(self, document: GroupDocument | FiniteUnitaryGroup, modulus: int, root: int):
         self.modulus = m = modulus
+        # One power per exponent and one inverse per denominator that occur:
+        # at the certificate's modulus of thousands of bits, these dominate.
+        entries = [x for g in document.generators for row in g for x in row]
+        power = {e: pow(root, e, m) for e in {e for x in entries for e, _ in x.terms}}
+        inverse = {d: pow(d, -1, m) for d in {x.den for x in entries}}
         self.columns = tuple(
             tuple(tuple((r, v) for r, x in enumerate(col)
-                        if (v := sum(c * pow(root, e, m) for e, c in x.terms)
-                            * pow(x.den, -1, m) % m))
+                        if (v := sum(c * power[e] for e, c in x.terms) * inverse[x.den] % m))
                   for col in zip(*g))
             for g in document.generators)
 

@@ -16,12 +16,13 @@ import importlib.util
 import io
 import math
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
 from orbifill import groups
 from orbifill.cli import main
-from orbifill.cyclotomic import CyclotomicNumber, cyclotomic_polynomial
+from orbifill.cyclotomic import CyclotomicNumber, cyclotomic_polynomial, euler_phi, make
 from orbifill.groups import FiniteUnitaryGroup, GroupDocument, enumerate_group, parse_group
 from orbifill.tables import FiniteGroupTable, orbits
 
@@ -56,6 +57,17 @@ def power_mod_phi(n, e):
             for j, pj in terms:
                 rem[top - d + j] -= c * pj
     return tuple(rem[:d])
+
+
+def lift(x, conductor):
+    """x at a multiple of its conductor: zeta_N^e is zeta_M^(e M/N)."""
+    step = conductor // x.conductor
+    return make(conductor, [(Fraction(c, x.den), e * step) for e, c in x.terms])
+
+
+def dense(x):
+    """x's phi(N) power-basis coefficients as Fractions."""
+    return tuple(Fraction(dict(x.terms).get(e, 0), x.den) for e in range(euler_phi(x.conductor)))
 
 
 def approx(x):

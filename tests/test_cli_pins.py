@@ -20,7 +20,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from battery import run_cli
+from battery import binary_tetrahedral, run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PINS = Path(__file__).with_name("cli_pins.json")
@@ -49,11 +49,19 @@ DOCUMENTS = {
     "not_a_homomorphism.json": {"span": {"left": {"cyclic": 1}, "middle": {"cyclic": 4},
                                          "right": {"cyclic": 2}, "source": [0, 0, 0, 0],
                                          "target": [0, 1, 1, 0]}},
+    # 2T, whose entries have denominator 2: its closure is certified.
+    "2t.json": binary_tetrahedral(),
+    # A middle group given by reference to a group document: Z/1 <- Q8 -> Z/1.
+    "ref_span.json": {"span": {"left": {"cyclic": 1}, "middle": {"ref": "samples/quaternion.json"},
+                               "right": {"cyclic": 1}, "source": [0] * 8, "target": [0] * 8}},
+    "bad_literal.json": {"dimension": 1, "conductor": 4, "generators": [[["1 +* z"]]]},
+    "not_unitary.json": {"dimension": 1, "conductor": 1, "generators": [[["2"]]]},
 }
 
 QUERIES = {
     "group-info": "group info samples/quaternion.json",
     "group-info-witness": "group info reflection.json",
+    "group-info-certified": "group info 2t.json",
     "group-canonical": "group canonical samples/antipodal2.json",
     "cr-ring": "cr ring samples/quaternion.json",
     "cr-ring-mu60": "cr ring mu60.json",
@@ -66,11 +74,13 @@ QUERIES = {
     "reeb-discrepancy": "reeb discrepancy samples/quaternion.json",
     "reeb-components": "reeb components samples/a3.json",
     "ledger-build": "ledger build samples/antipodal2.json --slope 5/4 --coefficient Z/2",
+    "ledger-build-integers": "ledger build samples/antipodal2.json --slope 5/4 --coefficient Z",
     # No family lies below the slope: no forced entry, and none checked.
     "ledger-build-no-forced-entry": "ledger build samples/a3.json --slope 1/8",
     "span-check-pair": "span check samples/span_pair.json",
     "span-check-single": "span check one_span.json",
     "span-check-table": "span check table_span.json",
+    "span-check-ref": "span check ref_span.json",
     "span-random": "span random --trials 20 --seed 7",
     "constraints-boundary": "constraints boundary lens:2,3",
     "constraints-boundary-dilation": "constraints boundary dilation:3",
@@ -89,6 +99,9 @@ QUERIES = {
     "input-bound-on-spectrum": "reeb report samples/a3.json --bound 5/2",
     "input-no-span": "span check samples/a3.json",
     "input-not-a-homomorphism": "span check not_a_homomorphism.json",
+    "input-missing-document": "group info missing.json",
+    "input-malformed-literal": "group info bad_literal.json",
+    "input-not-unitary": "group info not_unitary.json",
 }
 
 

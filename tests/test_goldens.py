@@ -13,18 +13,30 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
 
 
+def prepare(directory: Path) -> dict[str, list[str]]:
+    """Write a copy of ``samples/``, the benchmark corpus and an empty cache
+    directory into ``directory``, and return each non-seeded query's argv by
+    its key, to be run from there."""
+    shutil.copytree(ROOT / "samples", directory / "samples")
+    paths = corpus.write_corpus(directory, directory / "corpus")
+    (directory / "cache").mkdir()
+    queries = {}
+    for build in corpus.WORKLOADS.values():
+        for query in build(0):
+            if not query.seeded:
+                argv = [paths[a[1:]] if a.startswith("@") else a for a in query.args]
+                argv += ["--format", "json"] + (["--cache-dir", "cache"] if query.groups else [])
+                queries[query.key] = argv
+    return queries
+
+
 def test_goldens_byte_identical(tmp_path, monkeypatch):
-    shutil.copytree(ROOT / "samples", tmp_path / "samples")
-    paths = corpus.write_corpus(tmp_path, tmp_path / "corpus")
-    (tmp_path / "cache").mkdir()
+    queries = prepare(tmp_path)
     monkeypatch.chdir(tmp_path)
     goldens = json.loads((BENCH / "goldens.json").read_text())
-    queries = {q.key: q for build in corpus.WORKLOADS.values() for q in build(0) if not q.seeded}
     assert sorted(queries) == sorted(goldens)
     differing = []
-    for key, query in queries.items():
-        argv = [paths[a[1:]] if a.startswith("@") else a for a in query.args]
-        argv += ["--format", "json"] + (["--cache-dir", "cache"] if query.groups else [])
+    for key, argv in queries.items():
         code, stdout, _ = run_cli(argv)
         digest = hashlib.sha256(stdout.encode()).hexdigest()
         golden = goldens[key]

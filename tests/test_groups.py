@@ -16,9 +16,9 @@ import pytest
 
 from battery import (BATTERY_24, BATTERY_48, BD12_MU5, Q8_MU3, Q8_MU5, REDUCTION_NAMES,
                      Z7_SEMIDIRECT_Z9, approx, battery_48, binary_tetrahedral, build,
-                     check_table_structure, corpus, corrupt_generator, document, eigen_prime,
-                     eigen_root, power_mod_phi, record_reduced_products, record_prime_searches,
-                     reduced_elements, table_of, trivial)
+                     check_table_structure, corpus, corrupt_generator, dense, document,
+                     eigen_prime, eigen_root, lift, power_mod_phi, record_reduced_products,
+                     record_prime_searches, reduced_elements, table_of, trivial)
 from orbifill import groups
 from orbifill.cyclotomic import CyclotomicNumber, euler_phi, reduction_size
 from orbifill.errors import GroupTooLarge, InternalInconsistency, NotUnitary, ParseError
@@ -66,7 +66,7 @@ def character_formula(group, i):
     for p in powers:
         m = elements[p]
         trace = sum((m[r][r] for r in range(1, len(m))), m[0][0])
-        traces.append([(e, c) for e, c in enumerate(trace.lift(lift_to).coefficients) if c])
+        traces.append([(e, c) for e, c in enumerate(dense(lift(trace, lift_to))) if c])
     phi = euler_phi(lift_to)
     step = lift_to // o
     mults = {}
@@ -658,7 +658,7 @@ class TestCanonicalForm:
 def fraction_key(matrix):
     """The element key as it was before keys were ints: the entries'
     Fraction coefficients, which class order breaks its ties on."""
-    return tuple(x.coefficients for row in matrix for x in row)
+    return tuple(dense(x) for row in matrix for x in row)
 
 
 def leaves(value):
@@ -750,7 +750,7 @@ def dense_class_order(group):
         if len(run) > 1:
             entries = [[x for row in exact(c[0]) for x in row] for c in run]
             scale = math.lcm(*(x.den for rep in entries for x in rep))
-            keys = [tuple(tuple(v * scale for v in x.coefficients) for x in rep)
+            keys = [tuple(tuple(v * scale for v in dense(x)) for x in rep)
                     for rep in entries]
             run = [c for _, c in sorted(zip(keys, run))]
         out.extend(run)
