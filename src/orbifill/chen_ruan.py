@@ -32,7 +32,6 @@ class CupConvention(enum.Enum):
     ORBIT_REPRESENTATIVE_SUM = "orbit-reps"
 
 
-DEFAULT_CONVENTION = CupConvention.FULL_PAIR_SUM
 MAX_RING_PAIRS = 200_000
 
 
@@ -75,7 +74,7 @@ class CRRing:
         return len(self.sectors)
 
 
-def build_ring(group: FiniteUnitaryGroup, convention: CupConvention = DEFAULT_CONVENTION) -> CRRing:
+def build_ring(group: FiniteUnitaryGroup, convention: CupConvention) -> CRRing:
     """Structure constants of the product of sectors i, j >= 1 in sector k.
 
     Conjugation carries the pairs (h1, h2) in C_i x C_j with h1*h2 = x onto

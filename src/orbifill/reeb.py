@@ -82,7 +82,12 @@ def _walk(spectrum: EigenData, bound: Fraction) -> list[tuple[int, int]]:
 
 
 def _index(spectrum: EigenData, p: int) -> Fraction:
-    """sum_j rho(T + {-theta_j}) - 2*age at T = p/o (see ``cz_family``). In
+    """Generalized Conley-Zehnder index of the family at the period T = p/o:
+    sum_j rho(T + {-theta_j}) - 2*age over the class's eigenvalue angles
+    theta_j, with rho(a) = 2a on integers and 2*floor(a) + 1 elsewhere
+    (Robbin-Salamon). On each eigenline the return map, rotation by T
+    composed with g^-1 trivialized along the positive rotation from I to
+    g^-1, is a rotation by T + {-theta_j}; -2*age is the grading shift. In
     units of 1/o, T + {-theta_j} is p + (-m_j mod o) and age is sum_j m_j."""
     o = spectrum.order
     total = 0
@@ -92,40 +97,10 @@ def _index(spectrum: EigenData, p: int) -> Fraction:
     return Fraction(total, o)
 
 
-def _periods_below(group, class_position, bound: Fraction):
-    """Admissible (period, fixed_dim) pairs of one class, strictly below bound."""
-    spectrum = _spectrum(group, class_position)
-    return [(Fraction(p, spectrum.order), fixed) for p, fixed in _walk(spectrum, Fraction(bound))]
-
-
 def is_on_spectrum(group: FiniteUnitaryGroup, value: Fraction) -> bool:
     """Whether the value is an admissible period of some orbit family."""
     positions = range(len(group.classes))
     return value > 0 and any(_fixed_dim(_spectrum(group, pos), value) is not None for pos in positions)
-
-
-def orbit_family(group: FiniteUnitaryGroup, class_position: int, period) -> OrbitFamily:
-    """The class's family at the period; ValueError when the period is not
-    admissible for the class."""
-    group.require_isolated()
-    period = _validated_period(period)
-    cls = group.classes[class_position]
-    spectrum = _spectrum(group, class_position)
-    fixed = _fixed_dim(spectrum, period)
-    if fixed is None:
-        raise ValueError(f"period {period} is not admissible for class {cls.label}")
-    return OrbitFamily(cls.label, class_position, period, fixed,
-                       _index(spectrum, int(period * spectrum.order)))
-
-
-def cz_family(group: FiniteUnitaryGroup, class_position: int, period) -> Fraction:
-    """Generalized Conley-Zehnder index of the family at the period T:
-    sum_j rho(T + {-theta_j}) - 2*age over the class's eigenvalue angles
-    theta_j, with rho(a) = 2a on integers and 2*floor(a) + 1 elsewhere
-    (Robbin-Salamon). On each eigenline the return map, rotation by T
-    composed with g^-1 trivialized along the positive rotation from I to
-    g^-1, is a rotation by T + {-theta_j}; -2*age is the grading shift."""
-    return orbit_family(group, class_position, period).cz_index
 
 
 def family_count(group: FiniteUnitaryGroup, slope, option: str = "slope") -> int:

@@ -230,9 +230,7 @@ def _random_span(rng: random.Random, left, right, max_middle: int, orders) -> Po
     return span(left, middle, right, s_images, t_images)
 
 
-def random_composition_battery(
-    trials: int, seed: int, max_order: int = BATTERY_MAX_ORDER
-) -> dict:
+def random_composition_battery(trials: int, seed: int, max_order: int) -> dict:
     """Seeded random composable span pairs, checking the composition identity.
 
     Per-trial randomness derives deterministically from the master seed, so
@@ -268,12 +266,12 @@ def random_composition_battery(
 # -- span documents ------------------------------------------------------------
 
 
-def group_from_document(doc, loader=None, max_order=None) -> FiniteGroupTable:
+def group_from_document(doc, loader, max_order: int) -> FiniteGroupTable:
     """A group in a span document: a table, a cyclic shorthand, or a
     reference to a unitary group document, which is the table of the group
-    the loader enumerates. A table
-    or cyclic order above ``max_order`` (when given) raises GroupTooLarge
-    before any table is built; a reference is bounded by its loader."""
+    the loader enumerates. A table or cyclic order above ``max_order``
+    raises GroupTooLarge before any table is built; a reference is bounded
+    by its loader."""
     if isinstance(doc, dict) and "table" in doc:
         table = doc["table"]
         if not (isinstance(table, list) and table and all(isinstance(r, list) for r in table)):
@@ -290,18 +288,16 @@ def group_from_document(doc, loader=None, max_order=None) -> FiniteGroupTable:
         ref = doc["ref"]
         if not isinstance(ref, str):
             raise ParseError("'ref' must be the path of a group document")
-        if loader is None:
-            raise ParseError("group references require a document loader")
         return loader(ref).table
     raise ParseError("group must provide 'table', 'cyclic', or 'ref'")
 
 
-def _require_order(order: int, max_order: int | None):
-    if max_order is not None and order > max_order:
+def _require_order(order: int, max_order: int):
+    if order > max_order:
         raise GroupTooLarge(f"group order {order} exceeds the order cap {max_order}")
 
 
-def span_from_document(doc, loader=None, max_order=None) -> PointOrbifoldSpan:
+def span_from_document(doc, loader, max_order: int) -> PointOrbifoldSpan:
     if not isinstance(doc, dict):
         raise ParseError("a span must be an object")
     for key in ("left", "middle", "right", "source", "target"):

@@ -23,14 +23,7 @@ from orbifill.constraints import BoundaryDescriptor, constraint_for_boundary
 from orbifill.cyclotomic import cyclotomic_polynomial, divisors, make, zeta
 from orbifill.groups import age
 from orbifill.ledger import build_ledger, check_ledger, known_differentials, sh_vanishing
-from orbifill.reeb import (
-    MorseCell,
-    _periods_below,
-    cz_family,
-    cz_generator,
-    mclean_discrepancy,
-    orbit_family,
-)
+from orbifill.reeb import MorseCell, cz_generator, families_below, mclean_discrepancy
 from orbifill.spans import random_composition_battery
 
 
@@ -85,15 +78,19 @@ def test_criterion_03_cz_periodicity():
     with _Timer(3, 5.0, "CZ index of each family grows by 2n per unit of period"):
         for g in battery_24():
             n = g.dimension
-            for pos in range(len(g.classes)):
-                for period, _ in _periods_below(g, pos, Fraction(3)):
-                    assert cz_family(g, pos, period + 1) - cz_family(g, pos, period) == 2 * n
+            # Each family below period 3 against its class's family one unit on.
+            index = {(f.class_position, f.period): f.cz_index
+                     for f in families_below(g, Fraction(401, 97))}
+            for (pos, period), cz in index.items():
+                if period < 3:
+                    assert index[pos, period + 1] - cz == 2 * n
 
 
 def test_criterion_04_gamma0_grading_and_forced_differential():
     with _Timer(4, 1.0 * len(battery_24()), "minimum contractible cell has degree -1 and kills |G| units"):
         for g in battery_24():
-            family = orbit_family(g, 0, 1)
+            (family,) = [f for f in families_below(g, Fraction(101, 97))
+                         if (f.class_position, f.period) == (0, 1)]
             mu, degree = cz_generator(MorseCell(family, 0), g)
             assert degree == -1, g.name
             ledger = build_ledger(g, Fraction(101, 97))

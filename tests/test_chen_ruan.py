@@ -231,7 +231,7 @@ class TestCupProduct:
 
     def test_quaternion_products_vanish(self):
         # All nontrivial ages are 1, so additivity can never match a target.
-        ring = build_ring(build(corpus.quaternion()))
+        ring = build_ring(build(corpus.quaternion()), CupConvention.FULL_PAIR_SUM)
         for i in range(1, 5):
             for j in range(1, 5):
                 assert (i, j) not in ring.structure_constants

@@ -13,31 +13,40 @@ from orbifill.errors import NonIsolated, SlopeOnSpectrum
 from orbifill.ledger import KIND_CELL, build_ledger
 from orbifill.reeb import (
     MorseCell,
-    _periods_below,
-    cz_family,
     cz_generator,
     families_below,
     is_on_spectrum,
     loop_components,
     mclean_discrepancy,
-    orbit_family,
     walk_families,
 )
+
+
+def _periods(group, pos, bound):
+    """(period, fixed_dim) of the class's families strictly below the bound."""
+    return [(f.period, f.fixed_dim) for f in walk_families(group, bound) if f.class_position == pos]
+
+
+def _family(group, pos, period):
+    """The class's family at the period."""
+    (family,) = [f for f in walk_families(group, period + 1)
+                 if (f.class_position, f.period) == (pos, period)]
+    return family
 
 
 class TestAdmissiblePeriods:
     def test_antipodal_minus_identity(self):
         g = build(corpus.antipodal(4))
-        periods = _periods_below(g, 1, 2)
+        periods = _periods(g, 1, 2)
         assert periods == [(Fraction(1, 2), 4), (Fraction(3, 2), 4)]
 
     def test_identity_class(self):
         g = build(trivial(3))
-        assert _periods_below(g, 0, Fraction(5, 2)) == [(Fraction(1), 3), (Fraction(2), 3)]
+        assert _periods(g, 0, Fraction(5, 2)) == [(Fraction(1), 3), (Fraction(2), 3)]
 
     def test_scalar_cyclic_three(self):
         g = build(corpus.scalar_cyclic(3))
-        assert _periods_below(g, 1, 1) == [(Fraction(1, 3), 2)]
+        assert _periods(g, 1, 1) == [(Fraction(1, 3), 2)]
 
     def test_spectrum_membership(self):
         g = build(corpus.antipodal(2))
@@ -61,8 +70,8 @@ class TestAdmissiblePeriods:
 
 
 def _periods_in_window(group, pos, lo, hi):
-    below_hi = dict(_periods_below(group, pos, hi))
-    below_lo = dict(_periods_below(group, pos, lo))
+    below_hi = dict(_periods(group, pos, hi))
+    below_lo = dict(_periods(group, pos, lo))
     return [(p, d) for p, d in below_hi.items() if p not in below_lo]
 
 
@@ -70,30 +79,21 @@ class TestFamilyIndex:
     def test_simple_contractible_family(self):
         for doc in (corpus.antipodal(2), corpus.antipodal(3), corpus.quaternion()):
             g = build(doc)
-            assert cz_family(g, 0, 1) == 2 * g.dimension
+            assert _family(g, 0, 1).cz_index == 2 * g.dimension
 
     def test_projective_space_families(self):
         for n in (2, 3, 5):
             g = build(corpus.antipodal(n))
-            assert cz_family(g, 1, Fraction(1, 2)) == n
-            assert cz_family(g, 1, Fraction(3, 2)) == 3 * n
+            assert _family(g, 1, Fraction(1, 2)).cz_index == n
+            assert _family(g, 1, Fraction(3, 2)).cz_index == 3 * n
 
     def test_periodicity(self):
         for g in battery_24():
             n = g.dimension
-            for pos in range(len(g.classes)):
-                for period, _ in _periods_in_window(g, pos, Fraction(0), Fraction(3)):
-                    assert (
-                        cz_family(g, pos, period + 1) - cz_family(g, pos, period) == 2 * n
-                    )
-
-    def test_inadmissible_period_rejected(self):
-        g = build(corpus.antipodal(2))
-        for period in (Fraction(1, 3), Fraction(1)):
-            with pytest.raises(ValueError, match="not admissible"):
-                cz_family(g, 1, period)
-            with pytest.raises(ValueError, match="not admissible"):
-                orbit_family(g, 1, period)
+            index = {(f.class_position, f.period): f.cz_index for f in walk_families(g, 4)}
+            for (pos, period), cz in index.items():
+                if period < 3:
+                    assert index[pos, period + 1] - cz == 2 * n
 
     def test_large_period(self):
         # A million periods on, the index has grown by 2n per unit period: a
@@ -101,17 +101,17 @@ class TestFamilyIndex:
         docs = (corpus.antipodal(3), corpus.binary_dihedral(3), Q8_MU3, Z7_SEMIDIRECT_Z9)
         for g in map(build, docs):
             n = g.dimension
-            for pos in range(len(g.classes)):
-                for period, _ in _periods_below(g, pos, Fraction(193, 97)):
-                    far = cz_family(g, pos, period + 10**6)
-                    assert far == cz_family(g, pos, period) + 2 * n * 10**6, (g.name, pos)
+            for f in walk_families(g, Fraction(193, 97)):
+                spectrum = reeb._spectrum(g, f.class_position)
+                far = reeb._index(spectrum, int((f.period + 10**6) * spectrum.order))
+                assert far == f.cz_index + 2 * n * 10**6, (g.name, f.class_position)
 
 
 class TestGeneratorIndex:
     def test_gamma0(self):
         for doc in (corpus.antipodal(2), corpus.antipodal(4), corpus.quaternion(), trivial()):
             g = build(doc)
-            family = orbit_family(g, 0, 1)
+            family = _family(g, 0, 1)
             mu, degree = cz_generator(MorseCell(family, 0), g)
             assert mu == g.dimension + 1
             assert degree == -1
@@ -119,20 +119,20 @@ class TestGeneratorIndex:
     def test_minimum_cell_projective(self):
         for n in (2, 3, 4):
             g = build(corpus.antipodal(n))
-            family = orbit_family(g, 1, Fraction(1, 2))
+            family = _family(g, 1, Fraction(1, 2))
             mu, degree = cz_generator(MorseCell(family, 0), g)
             assert mu == 1 and degree == n - 1
 
     def test_top_cell_contractible(self):
         g = build(corpus.antipodal(3))
         n = g.dimension
-        family = orbit_family(g, 0, 1)
+        family = _family(g, 0, 1)
         mu, degree = cz_generator(MorseCell(family, 2 * n - 1), g)
         assert mu == 3 * n and degree == -2 * n
 
     def test_morse_index_bounds(self):
         g = build(corpus.antipodal(2))
-        family = orbit_family(g, 1, Fraction(1, 2))
+        family = _family(g, 1, Fraction(1, 2))
         with pytest.raises(ValueError):
             MorseCell(family, 2 * family.fixed_dim)
         with pytest.raises(ValueError):
@@ -198,11 +198,6 @@ class TestFamiliesBelow:
             ("c1", "1/2", 2),
         ]
 
-    def test_families_match_orbit_family(self):
-        for g in battery_24():
-            for f in families_below(g, Fraction(292, 97)):
-                assert f == orbit_family(g, f.class_position, f.period), g.name
-
     def test_family_count_against_the_cap(self, monkeypatch):
         # The count checked against MAX_FAMILIES is exactly the number of
         # families built, so a cap of that count passes and one less fails.
@@ -265,9 +260,6 @@ class TestClosedFormOracle:
             got = [(f.class_position, f.period, f.fixed_dim, f.cz_index)
                    for f in families_below(g, ORACLE_BOUND)]
             assert got == families, g.name
-            for pos, period, fixed, index in families:
-                assert cz_family(g, pos, period) == index, (g.name, pos, period)
-                assert orbit_family(g, pos, period).fixed_dim == fixed, (g.name, pos, period)
             total += len(families)
         assert total > 1000
 

@@ -18,7 +18,7 @@ import pytest
 from battery import BD12_MU5, build, check_table_structure, corpus, table_of
 from orbifill import tables
 from orbifill.errors import MiddleMismatch, ParseError
-from orbifill.groups import canonical_document, document_digest, parse_group
+from orbifill.groups import DEFAULT_MAX_ORDER, canonical_document, document_digest, parse_group
 from orbifill.spans import (
     BATTERY_MAX_ORDER,
     Homomorphism,
@@ -496,7 +496,7 @@ class TestColumnMiddles:
         built = _recording_tree_builds(monkeypatch)
         pool = _group_pool(24)
         assert built == []
-        random_composition_battery(150, seed=5)
+        random_composition_battery(150, seed=5, max_order=BATTERY_MAX_ORDER)
         assert sorted(built) == sorted((g.name, g.order) for g in pool)
 
     def test_corrupted_column_raises(self):
@@ -944,14 +944,14 @@ class TestCompositionCheck:
         assert (lhs, rhs, equal) == (1, 1, True)
 
     def test_randomized_battery(self):
-        report = random_composition_battery(250, seed=1234)
+        report = random_composition_battery(250, seed=1234, max_order=BATTERY_MAX_ORDER)
         assert report["all_equal"]
         assert report["trials"] == 250
         assert report["failures"] == []
 
     def test_battery_is_deterministic(self):
-        a = random_composition_battery(50, seed=9)
-        b = random_composition_battery(50, seed=9)
+        a = random_composition_battery(50, seed=9, max_order=BATTERY_MAX_ORDER)
+        b = random_composition_battery(50, seed=9, max_order=BATTERY_MAX_ORDER)
         assert a == b
 
 
@@ -987,7 +987,7 @@ class TestOneRowPerOrbit:
     def test_through_ref_bd2000(self):
         # j has order 4; Z4 -> BD2000 sends k to j^k on either side.
         bd = group_from_document({"ref": "bd2000.json"},
-                                 lambda ref: build(corpus.binary_dihedral(500)))
+                                 lambda ref: build(corpus.binary_dihedral(500)), DEFAULT_MAX_ORDER)
         j = bd.generators[1]
         powers = [0]
         for _ in range(3):
@@ -1077,11 +1077,15 @@ class TestRandomSpanReference:
             assert new.getstate() == ref.getstate()
 
 
+def _no_ref(ref):
+    raise AssertionError(f"a document without references loaded {ref}")
+
+
 class TestDocuments:
     def test_table_and_cyclic_groups(self):
-        g = group_from_document({"table": [[0, 1], [1, 0]]})
+        g = group_from_document({"table": [[0, 1], [1, 0]]}, _no_ref, DEFAULT_MAX_ORDER)
         assert g.order == 2
-        assert group_from_document({"cyclic": 6}).order == 6
+        assert group_from_document({"cyclic": 6}, _no_ref, DEFAULT_MAX_ORDER).order == 6
 
     def test_span_document(self):
         doc = {
@@ -1091,17 +1095,12 @@ class TestDocuments:
             "source": [0, 1, 0, 1],
             "target": [0, 0, 0, 0],
         }
-        sp = span_from_document(doc)
+        sp = span_from_document(doc, _no_ref, DEFAULT_MAX_ORDER)
         assert pushpull(sp) == Fraction(1, 2)
 
     def test_missing_field(self):
         with pytest.raises(ParseError):
-            span_from_document({"left": {"cyclic": 2}})
-
-    def test_ref_without_loader(self):
-        with pytest.raises(ParseError) as info:
-            group_from_document({"ref": "a.json"})
-        assert str(info.value) == "group references require a document loader"
+            span_from_document({"left": {"cyclic": 2}}, _no_ref, DEFAULT_MAX_ORDER)
 
     def test_maps_must_meet_the_span_groups(self):
         # The groups are compared by identity: an equal table is another group.
@@ -1136,14 +1135,14 @@ class TestRefGroups:
         return build(REF_DOCUMENTS[request.param])
 
     def test_same_group_as_its_table(self, unitary):
-        group = group_from_document({"ref": "g.json"}, lambda ref: unitary)
+        group = group_from_document({"ref": "g.json"}, lambda ref: unitary, DEFAULT_MAX_ORDER)
         assert group is unitary.table
         table = table_of(unitary)
         assert table_of(FiniteGroupTable.from_table(table)) == table
         check_table_structure(group)
 
     def test_generators_are_the_generator_elements(self, unitary):
-        group = group_from_document({"ref": "g.json"}, lambda ref: unitary)
+        group = group_from_document({"ref": "g.json"}, lambda ref: unitary, DEFAULT_MAX_ORDER)
         elements = [m for _, m in unitary.exact(range(unitary.order))]
         assert group.generators == tuple(elements.index(g) for g in unitary.generators)
 
@@ -1152,7 +1151,7 @@ class TestRefGroups:
         n, trivial = unitary.order, {"table": [[0]]}
         doc = {"left": trivial, "middle": {"ref": "g.json"}, "right": trivial,
                "source": [0] * n, "target": [0] * n}
-        sp = span_from_document(doc, lambda ref: unitary)
+        sp = span_from_document(doc, lambda ref: unitary, DEFAULT_MAX_ORDER)
         assert pushpull(sp) == Fraction(1, n)
         assert composition_check(sp, identity_span(sp.right)) == (Fraction(1, n),) * 2 + (True,)
         assert built == [("", 1)] * 2 and sp.middle._trees is None
