@@ -77,6 +77,9 @@ QUERIES = {
     "ledger-build-integers": "ledger build samples/antipodal2.json --slope 5/4 --coefficient Z",
     # No family lies below the slope: no forced entry, and none checked.
     "ledger-build-no-forced-entry": "ledger build samples/a3.json --slope 1/8",
+    # Cell profiles for two families, one of them the contractible family's.
+    "ledger-build-profile": "ledger build samples/a3.json --slope 9/7 "
+                            "--profile Id:1=0,1,2,3 --profile c1:1/2=0 --format table",
     "span-check-pair": "span check samples/span_pair.json",
     "span-check-single": "span check one_span.json",
     "span-check-table": "span check table_span.json",
