@@ -50,25 +50,15 @@ def _zz2_parity(degree: Fraction) -> str:
     return "indeterminate"
 
 
-class CRRing:
+class CRRing(Record):
     """The Chen-Ruan cohomology ring of C^n/G as structure constants:
     ``structure_constants[(i, j)]`` holds the (k, coefficient) terms of each
     nonzero product of twisted sectors i and j, and no other pair."""
 
     def __init__(self, group: FiniteUnitaryGroup, sectors: tuple[ConjugacyClass, ...],
-                 convention: CupConvention, structure_constants: dict | None = None):
-        self.group = group
-        self.sectors = sectors
-        self.convention = convention
-        self.structure_constants = {} if structure_constants is None else structure_constants
-
-    # Mutable, so equal by value like a record but unhashable.
-    __eq__ = Record.__eq__
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"CRRing(group={self.group!r}, sectors={self.sectors!r}, "
-                f"convention={self.convention!r})")
+                 convention: CupConvention, structure_constants: dict):
+        self.__dict__.update(group=group, sectors=sectors, convention=convention,
+                             structure_constants=structure_constants)
 
     def sector_count(self) -> int:
         return len(self.sectors)
@@ -290,24 +280,18 @@ def cr_pairing_check(group: FiniteUnitaryGroup) -> dict:
     return {"dimension": n, "all_pass": all_pass, "pairs": pairs}
 
 
-class FillingCRProfile(Record):
-    """Additive input for the Chen-Ruan groups of an exact orbifold filling."""
-
-    def __init__(self, betti: tuple[int, ...], singularities: tuple[FiniteUnitaryGroup, ...]):
-        self.__dict__.update(betti=betti, singularities=singularities)
-        if any(b < 0 for b in betti):
-            raise ValueError("Betti numbers must be non-negative")
-
-
-def cr_of_filling(profile: FillingCRProfile) -> dict[Fraction, int]:
+def cr_of_filling(betti: tuple[int, ...],
+                  singularities: tuple[FiniteUnitaryGroup, ...]) -> dict[Fraction, int]:
     """Graded ranks: the user's Betti data plus one rank per nontrivial class
     per singularity in degree 2*age. Torsion of the underlying space is the
     caller's responsibility and passes through untouched."""
+    if any(b < 0 for b in betti):
+        raise ValueError("Betti numbers must be non-negative")
     ranks: dict[Fraction, int] = {}
-    for degree, rank in enumerate(profile.betti):
+    for degree, rank in enumerate(betti):
         if rank:
             ranks[Fraction(degree)] = ranks.get(Fraction(degree), 0) + rank
-    for group in profile.singularities:
+    for group in singularities:
         for sector in twisted_sectors(group)[1:]:
             ranks[sector.degree] = ranks.get(sector.degree, 0) + 1
     return dict(sorted(ranks.items()))

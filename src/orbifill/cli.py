@@ -24,7 +24,6 @@ from pathlib import Path
 from . import __version__
 from .chen_ruan import (
     CupConvention,
-    FillingCRProfile,
     choose_ring,
     cr_of_filling,
     cr_pairing_check,
@@ -55,7 +54,7 @@ from .groups import (
     parse_group,
     read_json,
 )
-from .ledger import build_ledger, check_ledger, known_differentials, sh_vanishing
+from .ledger import build_ledger, check_ledger, family_name, known_differentials, sh_vanishing
 from .reeb import families_below, loop_components, mclean_discrepancy
 from .spans import (
     BATTERY_MAX_ORDER,
@@ -345,8 +344,7 @@ def cr_cmd(action, path, convention, betti, singularities, coefficient, max_orde
         ring_desc = CoefficientRing.parse(coefficient)
         loaded = [_load_group(spath, max_order, cache_dir) for spath in singularities]
         betti = tuple(integer(b, name="argument --betti") for b in betti.split(","))
-        profile = FillingCRProfile(betti, tuple(group for group, _ in loaded))
-        ranks = cr_of_filling(profile)
+        ranks = cr_of_filling(betti, tuple(group for group, _ in loaded))
         return {
             "metadata": _metadata(",".join(digest for _, digest in loaded) or None),
             "coefficient": ring_desc.describe(),
@@ -452,8 +450,10 @@ def _parse_profiles(specs):
             raise ValueError(
                 f"profile {excerpt(spec)} must look like CLASS:PERIOD=idx,idx,..."
             )
-        profiles[(label, rational(period))] = tuple(
-            integer(i, name="argument --profile") for i in tail.split(","))
+        key = (label, rational(period))
+        if key in profiles:
+            raise ValueError(f"two cell profiles for the family {family_name(*key)}")
+        profiles[key] = tuple(integer(i, name="argument --profile") for i in tail.split(","))
     return profiles
 
 

@@ -12,20 +12,8 @@ class CoefficientRing(Record):
     def __init__(self, kind: str, modulus: int | None = None):
         # kind is "Q", "Z", or "Z/m"
         self.__dict__.update(kind=kind, modulus=modulus)
-
-    @staticmethod
-    def rationals() -> "CoefficientRing":
-        return CoefficientRing("Q")
-
-    @staticmethod
-    def integers() -> "CoefficientRing":
-        return CoefficientRing("Z")
-
-    @staticmethod
-    def integers_mod(m: int) -> "CoefficientRing":
-        if m < 2:
+        if kind == "Z/m" and modulus < 2:
             raise ValueError("modulus must be at least 2")
-        return CoefficientRing("Z/m", m)
 
     def is_invertible(self, k: int) -> bool:
         """Whether the integer k is a unit in this ring."""
@@ -42,9 +30,9 @@ class CoefficientRing(Record):
     def parse(text: str) -> "CoefficientRing":
         t = text.strip().lower()
         if t in ("q", "rationals"):
-            return CoefficientRing.rationals()
+            return CoefficientRing("Q")
         if t in ("z", "integers"):
-            return CoefficientRing.integers()
+            return CoefficientRing("Z")
         if t.startswith("z/"):
-            return CoefficientRing.integers_mod(integer(t[2:], name="coefficient ring Z/m"))
+            return CoefficientRing("Z/m", integer(t[2:], name="coefficient ring Z/m"))
         raise ValueError(f"unknown coefficient ring {excerpt(text)}")

@@ -20,6 +20,9 @@ BRIESKORN = "brieskorn"
 SUBCRITICAL = "subcritical"
 DILATION = "dilation"
 
+# The parameters each boundary kind is written with, after its colon.
+FORMS = {LENS: "k,n", BRIESKORN: "k,n", SUBCRITICAL: "n", DILATION: "n"}
+
 # Python's default limit on the digits of an int converted to text: a
 # divisor past it could be neither printed nor reported.
 MAX_DIVISOR_DIGITS = 4300
@@ -53,16 +56,15 @@ class BoundaryDescriptor(Record):
         head, _, rest = text.partition(":")
         head = head.strip().lower()
         parts = [p.strip() for p in rest.split(",") if p.strip()]
+        if head not in FORMS:
+            raise ValueError(f"unknown boundary kind {excerpt(head)}")
         try:
-            if head in (LENS, BRIESKORN):
-                k, n = (integer(p) for p in parts)
-                return BoundaryDescriptor(head, n, k)
-            if head in (SUBCRITICAL, DILATION):
-                (n,) = (integer(p) for p in parts)
-                return BoundaryDescriptor(head, n)
+            if len(parts) != len(FORMS[head].split(",")):
+                raise ValueError(f"expected the form {head}:{FORMS[head]}")
+            *k, n = (integer(p) for p in parts)
+            return BoundaryDescriptor(head, n, *k)
         except (TypeError, ValueError) as e:
             raise ValueError(f"bad boundary descriptor {excerpt(text)}: {e}")
-        raise ValueError(f"unknown boundary kind {excerpt(head)}")
 
 
 class ConstraintSet(Record):

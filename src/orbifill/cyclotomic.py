@@ -19,19 +19,6 @@ from operator import itemgetter
 from .errors import InternalInconsistency, ParseError, excerpt
 
 
-def divisors(n: int) -> list[int]:
-    """Positive divisors of n in ascending order."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def factorize(n: int) -> dict[int, int]:
     """The prime factorization of n >= 1 as {prime: exponent}, primes
     ascending, by trial division."""

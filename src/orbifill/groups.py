@@ -180,12 +180,6 @@ class FiniteUnitaryGroup:
             self._mult_table = [self.table.row(i) for i in range(self.order)]
         return self._mult_table
 
-    def element_order(self, i: int) -> int:
-        """Order of element i, from the eigen data of its class: the power
-        walk g, g^2, ... along the row of g returns to the identity after o
-        steps, and g^k has order o / gcd(o, k)."""
-        return self.eigen_multiplicities(i).order
-
     # -- conjugacy structure ---------------------------------------------------
 
     @property
@@ -206,8 +200,8 @@ class FiniteUnitaryGroup:
                     sorted(coarse, key=lambda kc: (kc[0], keys.get(kc[1][0], ())))):
                 rep = members[0]
                 label = "Id" if rep == 0 else f"c{pos}"
-                order = self.element_order(rep)
-                classes.append(ConjugacyClass(label, rep, members, n // len(members), order, a))
+                classes.append(ConjugacyClass(label, rep, members, n // len(members),
+                                              self._eigen[rep].order, a))
             self._classes = tuple(classes)
             self._class_of = {
                 m: pos for pos, cls in enumerate(self._classes) for m in cls.member_indices

@@ -63,16 +63,10 @@ class GeneratorLedger(Record):
                  generators: tuple[FloerGenerator, ...]):
         self.__dict__.update(group=group, slope=slope, generators=generators)
 
-    def minimum_cell(self, class_label: str, period: Fraction) -> FloerGenerator | None:
-        for g in self.generators:
-            if (
-                g.kind == KIND_CELL
-                and g.homotopy_class == class_label
-                and g.period == period
-                and g.morse_index == 0
-            ):
-                return g
-        return None
+
+def family_name(label: str, period: Fraction) -> str:
+    """CLASS:PERIOD in a message: a label past 60 characters and the period as excerpts."""
+    return f"{excerpt(label) if len(label) > 60 else label}:{excerpt(period)}"
 
 
 def build_ledger(
@@ -88,9 +82,13 @@ def build_ledger(
     generators: one per Morse cell of every family with period below the
     slope, with action equal to minus the period. A cell profile keyed by
     a (class, period) pair that is no such family raises ValueError, and so
-    does a ledger of more than MAX_CELLS cells.
+    do a profile that lists a Morse index twice and a ledger of more than
+    MAX_CELLS cells.
     """
     profiles = cell_profiles or {}
+    for (label, period), indices in profiles.items():
+        if len(set(indices)) < len(indices):
+            raise ValueError(f"cell profile {family_name(label, period)} lists a Morse index twice")
     # Two cells per family under the default profile.
     cells = 2 * family_count(group, slope) + sum(len(p) - 2 for p in profiles.values())
     slope = Fraction(slope)
@@ -99,8 +97,7 @@ def build_ledger(
         raise ValueError(f"{at} gives {cells} Morse cells, more than the cap of {MAX_CELLS}")
     families = walk_families(group, slope)
     known = {(f.class_label, f.period) for f in families}
-    unknown = [f"{excerpt(label) if len(label) > 60 else label}:{excerpt(p)}"
-               for label, p in profiles if (label, p) not in known]
+    unknown = [family_name(label, p) for label, p in profiles if (label, p) not in known]
     if unknown:
         raise ValueError(f"no family below {at} for cell profiles {', '.join(unknown)}")
     class_pos = {cls.label: pos for pos, cls in enumerate(group.classes)}
@@ -149,7 +146,9 @@ def known_differentials(ledger: GeneratorLedger) -> list[DifferentialEntry]:
     """The single forced entry: the minimum cell of the simple contractible
     family maps to |G| times the untwisted constant. Every other entry is
     unknown, not zero."""
-    gamma0 = ledger.minimum_cell(ledger.group.classes[0].label, Fraction(1))
+    label = ledger.group.classes[0].label
+    gamma0 = next((g for g in ledger.generators if g.kind == KIND_CELL and g.morse_index == 0
+                   and g.homotopy_class == label and g.period == 1), None)
     if gamma0 is None:
         return []
     unit = next(g for g in ledger.generators if g.kind == KIND_CONSTANT_UNTWISTED)

@@ -20,13 +20,6 @@ from .record import Record
 MAX_FAMILIES = 100_000
 
 
-def _validated_period(value) -> Fraction:
-    period = Fraction(value)
-    if period <= 0:
-        raise ValueError("periods are positive rationals in units of 2*pi")
-    return period
-
-
 class OrbitFamily(Record):
     """A family of parameterized Reeb orbits with one class and period."""
 
@@ -51,7 +44,7 @@ class MorseCell(Record):
         self.__dict__.update(family=family, morse_index=morse_index)
         top = family.manifold_dimension
         if not 0 <= morse_index <= top:
-            raise ValueError(f"Morse index {morse_index} outside 0..{top} for this family")
+            raise ValueError(f"Morse index {excerpt(morse_index)} outside 0..{top} for this family")
 
 
 def _spectrum(group: FiniteUnitaryGroup, class_position: int) -> EigenData:
@@ -109,7 +102,9 @@ def family_count(group: FiniteUnitaryGroup, slope, option: str = "slope") -> int
     when the slope is a period, ValueError when the count is above
     MAX_FAMILIES; ``option`` names the slope in these messages."""
     group.require_isolated()
-    slope = _validated_period(slope)
+    slope = Fraction(slope)
+    if slope <= 0:
+        raise ValueError("periods are positive rationals in units of 2*pi")
     if is_on_spectrum(group, slope):
         raise SlopeOnSpectrum(f"{option} {excerpt(slope)} is an admissible period")
     spectra = [_spectrum(group, pos) for pos in range(len(group.classes))]

@@ -268,11 +268,26 @@ class TestRejections:
          2, "error: multiplication table is not square"),
         (["span", "check", "{docs}/short_images.json"],
          2, "error: homomorphism image list has the wrong length"),
+        (["ledger", "build", "{samples}/a3.json", "--slope", "9/7", "--profile", "Id:1=0",
+          "--profile", "Id:2/2=3"], 2, "error: two cell profiles for the family Id:1"),
+        (["ledger", "build", "{samples}/a3.json", "--slope", "9/7", "--profile", "Id:1=0,0"],
+         2, "error: cell profile Id:1 lists a Morse index twice"),
+        (["constraints", "boundary", "lens:2"],
+         2, "error: bad boundary descriptor 'lens:2': expected the form lens:k,n"),
+        (["constraints", "admit", "{samples}/quaternion.json", "--boundary", "brieskorn:3"],
+         2, "error: bad boundary descriptor 'brieskorn:3': expected the form brieskorn:k,n"),
+        (["constraints", "boundary", "lens:2,3,4"],
+         2, "error: bad boundary descriptor 'lens:2,3,4': expected the form lens:k,n"),
+        (["constraints", "admit", "{samples}/quaternion.json", "--boundary", "subcritical:1,2"],
+         2, "error: bad boundary descriptor 'subcritical:1,2': expected the form subcritical:n"),
     ], ids=["not-applicable", "array-document", "int-name", "object-generators", "short-row",
             "int-entry", "plus-literal", "superscript-literal", "long-literal", "trials-x",
             "directory-document", "cache-dir-file", "malformed-profile", "integers",
             "filling-integers", "z-mod-1", "unknown-ring", "subcritical-0", "rp-1", "bound-0",
-            "lens-400-digits", "certificate-cap", "ragged-table", "short-images"])
+            "lens-400-digits", "certificate-cap", "ragged-table", "short-images",
+            "profile-twice", "profile-index-twice", "lens-one-parameter",
+            "admit-brieskorn-one-parameter", "lens-three-parameters",
+            "admit-subcritical-two-parameters"])
     def test_exit_and_message(self, tmp_path, args, code, message):
         for name, doc in REJECTED_DOCUMENTS.items():
             (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -613,6 +628,10 @@ class TestLongValues:
         ([*LEDGER, "--profile", "X" * 5000 + ":1=0,1"], "cell profiles"),
         ([*LEDGER, "--profile", "Id:1=0,x"], "--profile"),
         ([*LEDGER, "--profile", "Id:1=0," + DIGITS], "--profile"),
+        ([*LEDGER, "--profile", "Id:1=0," + "9" * 4000], "Morse index"),
+        ([*LEDGER, "--profile", "X" * 5000 + ":1=0", "--profile", "X" * 5000 + ":1=1"],
+         "two cell profiles"),
+        ([*LEDGER, "--profile", "X" * 5000 + ":1=1,1"], "Morse index twice"),
         (["span", "check", "{far_ref}"], "too long"),
         (["group", "info", "{digits}"], "JSON"),
         (["span", "check", "{cyclic_digits}"], "JSON"),
@@ -630,7 +649,8 @@ class TestLongValues:
             "coefficient-modulus-of-5000-digits", "betti-x", "betti-of-5000-digits",
             "singularity-path", "lens-of-5000-digits", "boundary-kind", "admit-boundary-kind",
             "admit-path", "rp-x", "rp-of-5000-digits", "profile-label", "profile-index-x",
-            "profile-index-of-5000-digits", "span-ref-path", "json-dimension-of-5000-digits",
+            "profile-index-of-5000-digits", "profile-index-of-4000-digits", "profile-label-twice",
+            "profile-label-index-twice", "span-ref-path", "json-dimension-of-5000-digits",
             "json-cyclic-order-of-5000-digits", "span-json-missing-comma", "span-json-too-deep",
             "command", "action", "format", "convention", "lens-of-4000-digits"])
     def test_one_short_error_line(self, workspace, args, named):

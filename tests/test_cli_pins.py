@@ -100,6 +100,8 @@ QUERIES = {
     "negative-cr-ring-non-isolated": "cr ring reflection.json",
     "negative-filling-non-isolated": "cr filling --singularity reflection.json",
     "input-bound-on-spectrum": "reeb report samples/a3.json --bound 5/2",
+    "input-profile-twice": "ledger build samples/a3.json --slope 9/7 --profile Id:1=0 "
+                           "--profile Id:2/2=3",
     "input-no-span": "span check samples/a3.json",
     "input-not-a-homomorphism": "span check not_a_homomorphism.json",
     "input-missing-document": "group info missing.json",

@@ -263,7 +263,7 @@ class TestEnumeration:
         i = 1
         corrupt_generator(monkeypatch, entries)
         with pytest.raises(InternalInconsistency):
-            g.element_order(i)
+            g.eigen_multiplicities(i).order
         with pytest.raises(InternalInconsistency):
             g.eigen_multiplicities(i)
 
@@ -905,7 +905,7 @@ class TestAgainstExactClosure:
                     for gi in words[x]:
                         power = gen_cols[gi][power]
                     o += 1
-                assert g.element_order(x) == o, (g.name, x)
+                assert g.eigen_multiplicities(x).order == o, (g.name, x)
 
 
 class TestCertificate:

@@ -1,11 +1,13 @@
 """Generator ledgers, forced differentials, and the vanishing predicate."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from battery import battery_24, build, corpus, trivial
+from battery import battery_24, build, corpus, run_cli, trivial
 from orbifill import ledger as ledger_module
 from orbifill import reeb
 from orbifill.chen_ruan import twisted_sectors
@@ -117,6 +119,22 @@ class TestBuildLedger:
             build_ledger(g, Fraction(5, 4), profiles)
         assert "Zz:9" in str(info.value) and "Id:1" not in str(info.value)
 
+    def test_repeated_morse_index_is_rejected(self):
+        g = build(corpus.antipodal(2))
+        with pytest.raises(ValueError, match="^cell profile Id:1 lists a Morse index twice$"):
+            build_ledger(g, Fraction(5, 4), {("Id", Fraction(1)): (0, 3, 0)})
+
+    def test_repeated_profile_key_is_refused(self):
+        # Alone, Id:1=3 leaves out the minimum cell and with it the forced
+        # entry. Periods compare as rationals, so Id:2/2 names the family of
+        # Id:1, and a second profile for it is refused, not put in its place.
+        a3 = str(Path(__file__).resolve().parents[1] / "samples" / "a3.json")
+        command = ["ledger", "build", a3, "--slope", "9/7", "--format", "json"]
+        code, out, _ = run_cli([*command, "--profile", "Id:1=3"])
+        assert code == 0 and json.loads(out)["known_differentials"] == []
+        code, out, err = run_cli([*command, "--profile", "Id:1=0", "--profile", "Id:2/2=3"])
+        assert (code, out, err) == (2, "", "error: two cell profiles for the family Id:1\n")
+
     def test_minimum_cell_degree_against_raw_eigen_data(self):
         # Cross-module check: recompute n - (n - 2*age + 2*sum + 1) for the
         # minimum cell straight from the eigenvalue exponents, without going
@@ -208,7 +226,7 @@ class TestCheckLedger:
         # In U(1) a family's cells have Morse indices 0 and 1, so its top cell
         # sits one degree below its minimum cell at the same action.
         ledger = build_ledger(build(corpus.scalar_cyclic(2, n=1)), Fraction(5, 4))
-        gamma0 = ledger.minimum_cell("Id", Fraction(1))
+        gamma0 = known_differentials(ledger)[0].source
         top = next(
             g for g in ledger.generators
             if g.kind == "cell" and g.homotopy_class == "Id" and g.morse_index == 1
@@ -220,7 +238,7 @@ class TestCheckLedger:
 
     def test_degree_step_must_be_one(self):
         ledger = self._ledger()
-        gamma0 = ledger.minimum_cell("Id", Fraction(1))
+        gamma0 = known_differentials(ledger)[0].source
         twisted = next(g for g in ledger.generators if g.kind == "constant-twisted")
         # same class is violated first for this pair; build a same-class pair
         untwisted = next(g for g in ledger.generators if g.kind == "constant-untwisted")
@@ -233,7 +251,7 @@ class TestCheckLedger:
         ledger = self._ledger()
         other = build_ledger(build(corpus.scalar_cyclic(3)), Fraction(1, 4))
         foreign = other.generators[0]
-        gamma0 = ledger.minimum_cell("Id", Fraction(1))
+        gamma0 = known_differentials(ledger)[0].source
         bad = DifferentialEntry(gamma0, foreign, 1, PROVENANCE_PAPER)
         with pytest.raises(InternalInconsistency, match="outside the ledger"):
             check_ledger(ledger, [bad])
@@ -256,22 +274,22 @@ class TestCheckLedger:
 class TestVanishing:
     def test_examples(self):
         g = build(corpus.antipodal(2))
-        assert sh_vanishing(g, CoefficientRing.rationals()) is True
-        assert sh_vanishing(g, CoefficientRing.integers_mod(2)) is False
-        assert sh_vanishing(g, CoefficientRing.integers_mod(3)) is True
+        assert sh_vanishing(g, CoefficientRing.parse("Q")) is True
+        assert sh_vanishing(g, CoefficientRing.parse("Z/2")) is False
+        assert sh_vanishing(g, CoefficientRing.parse("Z/3")) is True
 
     def test_integers(self):
-        assert sh_vanishing(build(trivial()), CoefficientRing.integers()) is True
-        assert sh_vanishing(build(corpus.antipodal(2)), CoefficientRing.integers()) is False
+        assert sh_vanishing(build(trivial()), CoefficientRing.parse("Z")) is True
+        assert sh_vanishing(build(corpus.antipodal(2)), CoefficientRing.parse("Z")) is False
 
     def test_exhaustive_gcd_agreement(self):
         for k in range(1, 49):
             g = build(corpus.scalar_cyclic(k))
             for m in range(2, 31):
                 expected = math.gcd(k, m) == 1
-                assert sh_vanishing(g, CoefficientRing.integers_mod(m)) == expected
+                assert sh_vanishing(g, CoefficientRing.parse(f"Z/{m}")) == expected
 
     def test_non_isolated_rejected(self):
         doc = {"dimension": 2, "conductor": 2, "generators": [[["-1", "0"], ["0", "1"]]]}
         with pytest.raises(NonIsolated):
-            sh_vanishing(build(doc), CoefficientRing.rationals())
+            sh_vanishing(build(doc), CoefficientRing.parse("Q"))

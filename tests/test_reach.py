@@ -41,13 +41,11 @@ IMMUTABILITY = "refuses a write to a record's fields, which no command attempts"
 ALLOWED = {
     "cli._default_cache_dir": BENCH_TRACER,
     "groups.FiniteUnitaryGroup.mult_table": BENCH_TRACER,
-    "chen_ruan.CRRing.__repr__": DEBUGGING,
     "cyclotomic.CyclotomicNumber.__repr__": DEBUGGING,
     "record.Record.__repr__": DEBUGGING,
     "record.Record.__eq__": "records are compared by tests only; commands read their fields",
     "record.Record.__setattr__": IMMUTABILITY,
     "record.Record.__delattr__": IMMUTABILITY,
-    "cyclotomic.divisors": CRITERION_10,
     "cyclotomic.zeta": CRITERION_10,
     "cyclotomic.CyclotomicNumber.is_zero": CRITERION_10,
     "cyclotomic.CyclotomicNumber.inverse": CRITERION_10,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbifill.chen_ruan import CRRing, CupConvention, FillingCRProfile
+from orbifill.chen_ruan import CRRing, CupConvention, cr_of_filling
 from orbifill.coefficients import CoefficientRing
 from orbifill.constraints import BoundaryDescriptor, ConstraintSet
 from orbifill.groups import ConjugacyClass, EigenData
@@ -46,20 +46,22 @@ def test_constructor_checks():
     with pytest.raises(ValueError, match="k must be at least 2"):
         BoundaryDescriptor("lens", 2, 1)
     with pytest.raises(ValueError, match="non-negative"):
-        FillingCRProfile((1, -1), ())
+        cr_of_filling((1, -1), ())
     family = OrbitFamily("Id", 0, Fraction(1), 2, Fraction(2))
     with pytest.raises(ValueError, match="outside 0..3"):
         MorseCell(family, 4)
 
 
-def test_ring_is_mutable_with_a_fresh_dict():
-    first = CRRing(None, (), CupConvention.ORBIT_REPRESENTATIVE_SUM)
-    second = CRRing(None, (), CupConvention.ORBIT_REPRESENTATIVE_SUM)
-    first.structure_constants[(1, 1)] = (1,)
-    assert second.structure_constants == {}
+def test_ring_is_a_record():
+    # A record of its constants: equal by value, frozen, and unhashable
+    # because the constants are a dict.
+    def ring(constants):
+        return CRRing(None, (), CupConvention.ORBIT_REPRESENTATIVE_SUM, constants)
+
+    first, second = ring({(1, 1): (1,)}), ring({})
     assert first != second
-    second.structure_constants[(1, 1)] = (1,)
-    assert first == second
-    assert "structure_constants" not in repr(first)
+    assert first == ring({(1, 1): (1,)})
+    with pytest.raises(AttributeError, match="cannot assign to field 'structure_constants'"):
+        second.structure_constants = {(1, 1): (1,)}
     with pytest.raises(TypeError):
         hash(first)

@@ -119,8 +119,8 @@ class TestGroupTables:
         table = table_of(quaternion8())
         unitary = build(corpus.quaternion())
         # same multiset of element orders
-        orders_a = sorted(_element_order(table, i) for i in range(8))
-        orders_b = sorted(unitary.element_order(i) for i in range(8))
+        orders_a = sorted(_order_in_table(table, i) for i in range(8))
+        orders_b = sorted(unitary.eigen_multiplicities(i).order for i in range(8))
         assert orders_a == orders_b
 
     def test_cyclic_rows_are_sums_mod_k(self):
@@ -568,7 +568,7 @@ class TestLagrangeRejection:
         orders = {g: _element_orders(g) for g in pool}
         for g in pool:
             table = table_of(g)
-            assert orders[g] == [_element_order(table, x) for x in range(g.order)]
+            assert orders[g] == [_order_in_table(table, x) for x in range(g.order)]
         rejected = 0
         for a, b in itertools.product(pool, repeat=2):
             for pair in itertools.product(range(a.order), range(b.order)):
@@ -688,7 +688,7 @@ def _rejected(source, target, images):
     return False
 
 
-def _element_order(table, i):
+def _order_in_table(table, i):
     """The least k >= 1 with i^k = 1, multiplying by i in the table."""
     k, cur = 1, i
     while cur:
@@ -708,7 +708,7 @@ def _walk_map(rng, source, target, gens):
     steps = {
         g: rng.choice(
             [t for t in range(len(target))
-             if _element_order(source, g) % _element_order(target, t) == 0]
+             if _order_in_table(source, g) % _order_in_table(target, t) == 0]
         )
         for g in gens
     }
