@@ -56,6 +56,72 @@ DOCUMENTS = {
                                "right": {"cyclic": 1}, "source": [0] * 8, "target": [0] * 8}},
     "bad_literal.json": {"dimension": 1, "conductor": 4, "generators": [[["1 +* z"]]]},
     "not_unitary.json": {"dimension": 1, "conductor": 1, "generators": [[["2"]]]},
+    # The rejections of a group document, in the order they are checked. A
+    # str is written as it is, anything else as its JSON.
+    "invalid_json.json": "{not json",
+    "digits.json": '{"dimension": ' + "9" * 5000 + ', "conductor": 1, "generators": []}',
+    "array.json": [],
+    "int_name.json": {"name": 1, "dimension": 1, "conductor": 1, "generators": []},
+    "no_dimension.json": {"conductor": 1, "generators": []},
+    "wide.json": {"dimension": 501, "conductor": 1, "generators": []},
+    "conductor_0.json": {"dimension": 1, "conductor": 0, "generators": []},
+    # 2*3*5*7*11*13*17: its reduction table has about 3.9e10 entries.
+    "conductor_510510.json": {"dimension": 1, "conductor": 510510, "generators": []},
+    "object_generators.json": {"dimension": 1, "conductor": 1, "generators": {}},
+    "short_matrix.json": {"dimension": 2, "conductor": 1, "generators": [[["1", "0"]]]},
+    "short_row.json": {"dimension": 2, "conductor": 1, "generators": [[["1", "0"], ["0"]]]},
+    "int_entry.json": {"dimension": 1, "conductor": 1, "generators": [[[1]]]},
+    "empty_literal.json": {"dimension": 1, "conductor": 4, "generators": [[[""]]]},
+    "plus_literal.json": {"dimension": 1, "conductor": 4, "generators": [[["+1"]]]},
+    "open_literal.json": {"dimension": 1, "conductor": 4, "generators": [[["1 +"]]]},
+    "long_literal.json": {"dimension": 1, "conductor": 4, "generators": [[["7" * 5000]]]},
+    "over_zero.json": {"dimension": 1, "conductor": 4, "generators": [[["1/0"]]]},
+    # A unitary rotation of infinite order: 3/5 + 4/5 i is no root of unity.
+    "rotation.json": {"dimension": 2, "conductor": 4,
+                      "generators": [[["3/5", "-4/5"], ["4/5", "3/5"]]]},
+    # 2T at conductor 2^16: its certificate is above the cap.
+    "2t_65536.json": binary_tetrahedral(conductor=2**16),
+    "trivial.json": {"dimension": 2, "conductor": 1, "generators": []},
+    # 634 sectors give 200,661 twisted sector pairs, above the ring's cap.
+    "mu634.json": {"dimension": 1, "conductor": 634, "generators": [[["z"]]]},
+    # -I in U(3) has age 3/2: its minimal discrepancy 1 is terminal.
+    "minus_identity3.json": {"dimension": 3, "conductor": 2,
+                             "generators": [[["-1", "0", "0"], ["0", "-1", "0"],
+                                             ["0", "0", "-1"]]]},
+    # C/mu4 has the degrees 0, 1/2, 1 and 3/2: two of them have no parity.
+    "mu4.json": {"dimension": 1, "conductor": 4, "generators": [[["z"]]]},
+    # The rejections of a span document.
+    "span_array.json": [],
+    "span_not_object.json": {"span": 1},
+    "span_no_middle.json": {"span": {"left": {"cyclic": 1}}},
+    **{name: {"span": {"left": left, "middle": {"cyclic": 1}, "right": {"cyclic": 1},
+                       "source": [0], "target": [0]}}
+       for name, left in [("span_no_kind.json", {}), ("span_empty_table.json", {"table": []}),
+                          ("span_cyclic_0.json", {"cyclic": 0}),
+                          ("span_ref_int.json", {"ref": 1}),
+                          ("span_ref_missing.json", {"ref": "missing.json"}),
+                          ("span_ragged_table.json", {"table": [[0, 1], [1]]}),
+                          ("span_table_entries.json", {"table": [[0, 1], [1, 2]]}),
+                          ("span_table_identity.json", {"table": [[1, 0], [0, 1]]}),
+                          ("span_table_no_inverse.json", {"table": [[0, 1], [1, 1]]}),
+                          # A loop of order 5 in which every x * x is 0: no group.
+                          ("span_table_not_associative.json",
+                           {"table": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                                      [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]})]},
+    "span_source_not_list.json": {"span": {"left": {"cyclic": 1}, "middle": {"cyclic": 1},
+                                           "right": {"cyclic": 1}, "source": 0,
+                                           "target": [0]}},
+    **{name: {"span": {"left": {"cyclic": 2}, "middle": {"cyclic": 2},
+                       "right": {"cyclic": 1}, "source": source, "target": [0, 0]}}
+       for name, source in [("span_short_images.json", [0]),
+                            ("span_image_range.json", [0, 2]),
+                            ("span_image_identity.json", [1, 0])]},
+    # The first span ends in Z/2 and the second starts from Z/3.
+    "span_middle_mismatch.json": {
+        "span1": {"left": {"cyclic": 1}, "middle": {"cyclic": 1}, "right": {"cyclic": 2},
+                  "source": [0], "target": [0]},
+        "span2": {"left": {"cyclic": 3}, "middle": {"cyclic": 1}, "right": {"cyclic": 1},
+                  "source": [0], "target": [0]}},
 }
 
 QUERIES = {
@@ -107,6 +173,87 @@ QUERIES = {
     "input-missing-document": "group info missing.json",
     "input-malformed-literal": "group info bad_literal.json",
     "input-not-unitary": "group info not_unitary.json",
+    # Verdicts that no other query reaches.
+    "reeb-discrepancy-terminal": "reeb discrepancy minus_identity3.json",
+    "cr-ring-indeterminate-parity": "cr ring mu4.json",
+    "constraints-rp-power-of-two": "constraints rp 4",
+    "constraints-boundary-inapplicable": "constraints boundary brieskorn:3,2",
+    # Every other rejection that an option or a document reaches, one query each.
+    "usage-bound-exponent": "reeb report samples/a3.json --bound 1e3",
+    "usage-bound-zero-denominator": "reeb report samples/a3.json --bound 1/0",
+    "usage-bound-invalid": "reeb report samples/a3.json --bound x",
+    "usage-report-no-bound": "reeb report samples/a3.json",
+    "usage-trials-x": "span random --trials x",
+    "usage-span-max-order-1": "span random --max-order 1",
+    "usage-directory-document": "group info samples",
+    "usage-cache-dir-file": "group info samples/a3.json --cache-dir samples/a3.json",
+    "input-json-invalid": "group info invalid_json.json",
+    "input-json-digits": "group info digits.json",
+    "input-document-array": "group info array.json",
+    "input-document-name": "group info int_name.json",
+    "input-document-dimension": "group info no_dimension.json",
+    "input-dimension-cap": "group info wide.json",
+    "input-document-conductor": "group info conductor_0.json",
+    "input-conductor-cap": "group info conductor_510510.json",
+    "input-document-generators": "group info object_generators.json",
+    "input-document-matrix": "group info short_matrix.json",
+    "input-document-row": "group info short_row.json",
+    "input-document-entry": "group info int_entry.json",
+    "input-literal-empty": "group info empty_literal.json",
+    "input-literal-plus": "group info plus_literal.json",
+    "input-literal-open": "group info open_literal.json",
+    "input-literal-long": "group info long_literal.json",
+    "input-literal-zero-denominator": "group info over_zero.json",
+    "input-closure-cap": "group info samples/quaternion.json --max-order 3",
+    "input-certificate-cap": "group info 2t_65536.json",
+    "input-not-finite": "group info rotation.json",
+    "input-ring-pair-cap": "cr ring mu634.json",
+    "input-betti-x": "cr filling --betti 1,x",
+    "input-betti-negative": "cr filling --betti=-1",
+    "input-coefficient-modulus-1": "cr filling --coefficient Z/1",
+    "input-coefficient-modulus-x": "cr filling --coefficient Z/x",
+    "input-coefficient-unknown": "cr filling --coefficient R",
+    "input-bound-zero": "reeb report samples/a3.json --bound 0",
+    "input-family-cap": "reeb report samples/a3.json --bound 1000000/7",
+    "input-discrepancy-trivial": "reeb discrepancy trivial.json",
+    "input-slope-on-spectrum": "ledger build samples/a3.json --slope 5/2",
+    "input-cell-cap": "ledger build samples/a3.json --slope 30000/7",
+    "input-profile-malformed": "ledger build samples/a3.json --slope 9/7 --profile bad",
+    "input-profile-index-x": "ledger build samples/a3.json --slope 9/7 --profile Id:1=x",
+    "input-profile-index-twice": "ledger build samples/a3.json --slope 9/7 --profile Id:1=0,0",
+    "input-profile-index-outside": "ledger build samples/a3.json --slope 9/7 --profile Id:1=0,9",
+    "input-profile-no-family": "ledger build samples/a3.json --slope 9/7 --profile X:1=0",
+    "input-span-array": "span check span_array.json",
+    "input-span-not-object": "span check span_not_object.json",
+    "input-span-missing-key": "span check span_no_middle.json",
+    "input-span-source-not-list": "span check span_source_not_list.json",
+    "input-span-group-kind": "span check span_no_kind.json",
+    "input-span-table-empty": "span check span_empty_table.json",
+    "input-span-cyclic-0": "span check span_cyclic_0.json",
+    "input-span-ref-int": "span check span_ref_int.json",
+    "input-span-ref-missing": "span check span_ref_missing.json",
+    "input-span-group-cap": "span check one_span.json --max-order 2",
+    "input-table-ragged": "span check span_ragged_table.json",
+    "input-table-entries": "span check span_table_entries.json",
+    "input-table-identity": "span check span_table_identity.json",
+    "input-table-no-inverse": "span check span_table_no_inverse.json",
+    "input-table-not-associative": "span check span_table_not_associative.json",
+    "input-images-length": "span check span_short_images.json",
+    "input-images-range": "span check span_image_range.json",
+    "input-images-identity": "span check span_image_identity.json",
+    "input-middle-mismatch": "span check span_middle_mismatch.json",
+    "input-rp-x": "constraints rp x",
+    "input-rp-1": "constraints rp 1",
+    "input-boundary-kind": "constraints boundary torus:2",
+    "input-boundary-form": "constraints boundary lens:2",
+    "input-boundary-integer": "constraints boundary lens:x,3",
+    "input-boundary-k": "constraints boundary lens:1,3",
+    "input-boundary-n": "constraints boundary lens:2,1",
+    "input-boundary-n-positive": "constraints boundary subcritical:0",
+    "input-divisor-factorial-digits": "constraints boundary lens:2000,3",
+    "input-divisor-power-digits": "constraints boundary lens:2,20000",
+    "negative-admit-not-applicable": "constraints admit samples/quaternion.json "
+                                     "--boundary brieskorn:5,3",
 }
 
 
@@ -121,7 +268,7 @@ def run(argv):
 def prepare(directory: Path):
     shutil.copytree(ROOT / "samples", directory / "samples")
     for name, doc in DOCUMENTS.items():
-        (directory / name).write_text(json.dumps(doc))
+        (directory / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
 
 
 def test_pinned_outputs(tmp_path, monkeypatch):
