@@ -15,6 +15,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 
+from .errors import InputError
 from .groups import ConjugacyClass, FiniteUnitaryGroup
 from .record import Record
 from .tables import closure
@@ -233,13 +234,13 @@ def choose_ring(group: FiniteUnitaryGroup, convention: CupConvention | None = No
     associativity sweep for this group while the orbit reading passes, the
     orbit reading is selected. Returns the chosen ring and, by convention
     value, each ring's (passes, counterexample) sweep result. More than
-    MAX_RING_PAIRS twisted sector pairs i <= j raise ValueError before
+    MAX_RING_PAIRS twisted sector pairs i <= j raise InputError before
     either ring is built.
     """
     sectors = len(twisted_sectors(group))
     pairs = (sectors - 1) * sectors // 2
     if pairs > MAX_RING_PAIRS:
-        raise ValueError(f"{sectors} sectors give {pairs} twisted sector pairs, "
+        raise InputError(f"{sectors} sectors give {pairs} twisted sector pairs, "
                          f"more than the cap of {MAX_RING_PAIRS}")
     rings = {c: build_ring(group, c) for c in CupConvention}
     sweeps = {c.value: associativity_sweep(ring) for c, ring in rings.items()}
@@ -286,7 +287,7 @@ def cr_of_filling(betti: tuple[int, ...],
     per singularity in degree 2*age. Torsion of the underlying space is the
     caller's responsibility and passes through untouched."""
     if any(b < 0 for b in betti):
-        raise ValueError("Betti numbers must be non-negative")
+        raise InputError("Betti numbers must be non-negative")
     ranks: dict[Fraction, int] = {}
     for degree, rank in enumerate(betti):
         if rank:

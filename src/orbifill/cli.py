@@ -42,7 +42,6 @@ from .errors import (
     InternalInconsistency,
     NonIsolated,
     NotApplicable,
-    ParseError,
     excerpt,
     integer,
 )
@@ -58,6 +57,7 @@ from .ledger import build_ledger, check_ledger, family_name, known_differentials
 from .reeb import families_below, loop_components, mclean_discrepancy
 from .spans import (
     BATTERY_MAX_ORDER,
+    MAX_TRIALS,
     composition_check,
     pushpull,
     random_composition_battery,
@@ -447,12 +447,10 @@ def _parse_profiles(specs):
         head, _, tail = spec.partition("=")
         label, _, period = head.partition(":")
         if not tail or not period:
-            raise ValueError(
-                f"profile {excerpt(spec)} must look like CLASS:PERIOD=idx,idx,..."
-            )
+            raise InputError(f"profile {excerpt(spec)} must look like CLASS:PERIOD=idx,idx,...")
         key = (label, rational(period))
         if key in profiles:
-            raise ValueError(f"two cell profiles for the family {family_name(*key)}")
+            raise InputError(f"two cell profiles for the family {family_name(*key)}")
         profiles[key] = tuple(integer(i, name="argument --profile") for i in tail.split(","))
     return profiles
 
@@ -514,6 +512,8 @@ def ledger_cmd(action, path, slope, profiles, coefficient, max_order, cache_dir)
 def span_cmd(action, path, trials, seed, max_order, cache_dir):
     """Pullback-pushforward counts and the composition identity."""
     if action == "random":
+        if trials > MAX_TRIALS:
+            raise InputError(f"--trials {excerpt(trials)} is above the cap of {MAX_TRIALS}")
         if max_order is None:
             max_order = BATTERY_MAX_ORDER
         report = random_composition_battery(trials, seed, max_order)
@@ -522,7 +522,7 @@ def span_cmd(action, path, trials, seed, max_order, cache_dir):
         raise UsageError("span check requires a document path")
     doc = read_json(_read(path))
     if not isinstance(doc, dict):
-        raise ParseError("span document must be an object")
+        raise InputError("span document must be an object")
     if max_order is None:
         max_order = DEFAULT_MAX_ORDER
 

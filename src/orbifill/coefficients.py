@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import excerpt, integer
+from .errors import InputError, excerpt, integer
 from .record import Record
 
 
@@ -13,7 +13,7 @@ class CoefficientRing(Record):
         # kind is "Q", "Z", or "Z/m"
         self.__dict__.update(kind=kind, modulus=modulus)
         if kind == "Z/m" and modulus < 2:
-            raise ValueError("modulus must be at least 2")
+            raise InputError("modulus must be at least 2")
 
     def is_invertible(self, k: int) -> bool:
         """Whether the integer k is a unit in this ring."""
@@ -35,4 +35,4 @@ class CoefficientRing(Record):
             return CoefficientRing("Z")
         if t.startswith("z/"):
             return CoefficientRing("Z/m", integer(t[2:], name="coefficient ring Z/m"))
-        raise ValueError(f"unknown coefficient ring {excerpt(text)}")
+        raise InputError(f"unknown coefficient ring {excerpt(text)}")

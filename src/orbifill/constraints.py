@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .cyclotomic import factorize
-from .errors import NotApplicable, excerpt, integer
+from .errors import InputError, NotApplicable, excerpt, integer
 from .groups import FiniteUnitaryGroup
 from .record import Record
 
@@ -33,14 +33,11 @@ class BoundaryDescriptor(Record):
         self.__dict__.update(variant=variant, n=n, k=k)
         if variant in (LENS, BRIESKORN):
             if k is None or k < 2:
-                raise ValueError("k must be at least 2")
+                raise InputError("k must be at least 2")
             if n < 2:
-                raise ValueError("n must be at least 2")
-        elif variant in (SUBCRITICAL, DILATION):
-            if n < 1:
-                raise ValueError("n must be positive")
-        else:
-            raise ValueError(f"unknown boundary variant {variant!r}")
+                raise InputError("n must be at least 2")
+        elif n < 1:  # subcritical or dilation: parse refuses any other kind
+            raise InputError("n must be positive")
 
     @property
     def dimension(self) -> int:
@@ -57,14 +54,14 @@ class BoundaryDescriptor(Record):
         head = head.strip().lower()
         parts = [p.strip() for p in rest.split(",") if p.strip()]
         if head not in FORMS:
-            raise ValueError(f"unknown boundary kind {excerpt(head)}")
+            raise InputError(f"unknown boundary kind {excerpt(head)}")
         try:
             if len(parts) != len(FORMS[head].split(",")):
-                raise ValueError(f"expected the form {head}:{FORMS[head]}")
+                raise InputError(f"expected the form {head}:{FORMS[head]}")
             *k, n = (integer(p) for p in parts)
             return BoundaryDescriptor(head, n, *k)
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"bad boundary descriptor {excerpt(text)}: {e}")
+        except InputError as e:
+            raise InputError(f"bad boundary descriptor {excerpt(text)}: {e}")
 
 
 class ConstraintSet(Record):
@@ -96,9 +93,7 @@ class ConstraintSet(Record):
 
 
 def is_squarefree(k: int) -> bool:
-    """No repeated prime factor."""
-    if k < 1:
-        raise ValueError("squarefree is defined for positive integers")
+    """No repeated prime factor of k >= 1."""
     return all(e == 1 for e in factorize(k).values())
 
 
@@ -119,7 +114,7 @@ def _require_printable(b: BoundaryDescriptor, divisor: str, log10):
     except OverflowError:
         printable = False
     if not printable:
-        raise ValueError(f"boundary {b.variant}:{excerpt(b.k)},{excerpt(b.n)}: its divisor "
+        raise InputError(f"boundary {b.variant}:{excerpt(b.k)},{excerpt(b.n)}: its divisor "
                          f"{divisor} has more than {MAX_DIVISOR_DIGITS} digits")
 
 
@@ -170,7 +165,7 @@ def admissible(group: FiniteUnitaryGroup, b: BoundaryDescriptor) -> tuple[bool, 
 def rp_report(n: int) -> dict:
     """The uniqueness statement for real projective boundaries of dimension 2n-1."""
     if n < 2:
-        raise ValueError("n must be at least 2")
+        raise InputError("n must be at least 2")
     if is_power_of_two(n):
         return {
             "n": n,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
-from .errors import InternalInconsistency, ParseError, excerpt
+from .errors import InputError, InternalInconsistency, excerpt
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -272,13 +272,8 @@ def _reduce(n: int, acc: dict, den: int) -> CyclotomicNumber:
 
 def make(conductor: int, terms) -> CyclotomicNumber:
     """Canonical representative of sum(c * zeta_conductor^e) for (c, e) terms,
-    each c an int or a Fraction, else TypeError."""
-    if conductor < 1:
-        raise ValueError("conductor must be positive")
+    each c an int or a Fraction, at a positive conductor."""
     terms = list(terms)
-    for coeff, _ in terms:
-        if not isinstance(coeff, (int, Fraction)):
-            raise TypeError(f"coefficient {coeff!r} is not an int or a Fraction")
     den = math.lcm(*(c.denominator for c, _ in terms))
     acc = {}
     for c, e in terms:
@@ -316,12 +311,12 @@ def parse_literal(text: str, conductor: int, locus: str | None = None) -> Cyclot
     integer    ::= ['+'|'-'] digits
 
     Digits are decimal as int() reads them, whitespace may surround every
-    token, and a rejection is a ParseError naming its offset in the literal.
+    token, and a rejection is an InputError naming its offset in the literal.
     It quotes a literal of up to 60 characters whole, and a longer one as
     the 60 around the offset, '...' at each cut end, then its length.
     """
     def err(message, offset):
-        raise ParseError(f"{message} at offset {offset} in {excerpt(text, offset)}", locus)
+        raise InputError(f"{message} at offset {offset} in {excerpt(text, offset)}", locus)
 
     if not text.strip():
         err("empty literal", len(text))

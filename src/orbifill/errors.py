@@ -38,51 +38,16 @@ def integer(text: str, low: int | None = None, name: str | None = None) -> int:
 
 
 class InputError(ValueError, ArgumentTypeError):
-    """A malformed document, literal, or option value. Raised by an argparse
-    type, it is a usage error that argparse reports by its message alone."""
-
-
-class ParseError(InputError):
-    """Grammar or schema violation, with a human-readable locus."""
+    """A malformed document, literal, or option value: every input that a
+    command refuses, its message prefixed by ``locus`` if given. Raised by an
+    argparse type, it is a usage error that argparse reports by its message alone."""
 
     def __init__(self, message, locus=None):
-        self.locus = locus
         super().__init__(f"{locus}: {message}" if locus else message)
 
 
-class NotUnitary(InputError):
-    """A generator failed the exact unitarity check."""
-
-    def __init__(self, generator, entry):
-        self.generator = generator
-        self.entry = entry
-        super().__init__(
-            "generator %d is not unitary: conjugate-transpose product "
-            "differs from the identity first at entry (%d, %d)" % (generator, *entry)
-        )
-
-
-class GroupTooLarge(InputError):
-    """Closure enumeration exceeded the configured order cap."""
-
-
 class NonIsolated(Exception):
-    """The group has a nontrivial element with eigenvalue 1.
-
-    ``witness`` is the index of the first offending element.
-    """
-
-    def __init__(self, witness, message=None):
-        self.witness = witness
-        super().__init__(message or f"element {witness} fixes a nonzero vector")
-
-
-class SlopeOnSpectrum(InputError):
-    """A slope or period bound coincides with an admissible orbit period."""
-
-
-class MiddleMismatch(InputError):
-    """Two spans cannot be composed: the shared group differs."""
+    """The group has a nontrivial element with eigenvalue 1."""
 
 
 class NotApplicable(Exception):

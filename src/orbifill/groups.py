@@ -50,20 +50,12 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from collections import Counter
 from fractions import Fraction
 
 from .cyclotomic import (CyclotomicNumber, euler_phi, factorize, one, parse_literal,
                          reduction_size, zero)
-from .errors import (
-    GroupTooLarge,
-    InternalInconsistency,
-    NonIsolated,
-    NotUnitary,
-    ParseError,
-    excerpt,
-)
+from .errors import InputError, InternalInconsistency, NonIsolated, excerpt
 from .record import Record
 from .tables import FiniteGroupTable, closure, orbits
 
@@ -278,7 +270,7 @@ class FiniteUnitaryGroup:
     def require_isolated(self):
         ok, witness = self.is_isolated_singularity()
         if not ok:
-            raise NonIsolated(witness)
+            raise NonIsolated(f"element {witness} fixes a nonzero vector")
 
 
 def _sparse_key(matrix: Matrix) -> tuple:
@@ -440,54 +432,54 @@ def _is_prime(q: int) -> bool:
 
 
 def read_json(text: str):
-    """The value that a group or span document's JSON text writes, else ParseError."""
+    """The value that a group or span document's JSON text writes, else InputError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}", f"line {e.lineno}, column {e.colno}")
+        raise InputError(f"invalid JSON: {e.msg}", f"line {e.lineno}, column {e.colno}")
     except (ValueError, RecursionError):  # int()'s digit limit, or the decoder's depth
-        raise ParseError("invalid JSON: an integer past the digit limit or too deep") from None
+        raise InputError("invalid JSON: an integer past the digit limit or too deep") from None
 
 
-def parse_group(document) -> GroupDocument:
-    """Validate a group document (text or mapping) into exact generators;
+def parse_group(text: str) -> GroupDocument:
+    """Validate a group document's JSON text into exact generators;
     :func:`enumerate_group` builds the group from the result."""
-    doc = read_json(document) if isinstance(document, str) else document
+    doc = read_json(text)
     if not isinstance(doc, dict):
-        raise ParseError("group document must be a JSON object")
+        raise InputError("group document must be a JSON object")
     name = doc.get("name", "")
     if not isinstance(name, str):
-        raise ParseError("must be a string", "name")
+        raise InputError("must be a string", "name")
     dimension = doc.get("dimension")
     if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
-        raise ParseError("must be a positive integer", "dimension")
+        raise InputError("must be a positive integer", "dimension")
     if dimension > MAX_DIMENSION:
-        raise ParseError(f"{excerpt(dimension)} is above the cap of {MAX_DIMENSION}", "dimension")
+        raise InputError(f"{excerpt(dimension)} is above the cap of {MAX_DIMENSION}", "dimension")
     conductor = doc.get("conductor")
     if not isinstance(conductor, int) or isinstance(conductor, bool) or conductor < 1:
-        raise ParseError("must be a positive integer", "conductor")
+        raise InputError("must be a positive integer", "conductor")
     if conductor > MAX_REDUCTION_SIZE or reduction_size(conductor) > MAX_REDUCTION_SIZE:
-        raise ParseError(
+        raise InputError(
             f"{conductor} needs a reduction table of more than {MAX_REDUCTION_SIZE} entries",
             "conductor",
         )
     raw_gens = doc.get("generators")
     if not isinstance(raw_gens, list):
-        raise ParseError("must be a list of matrices", "generators")
+        raise InputError("must be a list of matrices", "generators")
     generators = []
     for gi, mat in enumerate(raw_gens):
         if not isinstance(mat, list) or len(mat) != dimension:
-            raise ParseError(f"must be a {dimension}x{dimension} matrix", f"generators[{gi}]")
+            raise InputError(f"must be a {dimension}x{dimension} matrix", f"generators[{gi}]")
         rows = []
         for ri, row in enumerate(mat):
             if not isinstance(row, list) or len(row) != dimension:
-                raise ParseError(
+                raise InputError(
                     f"must have {dimension} entries", f"generators[{gi}][{ri}]"
                 )
             parsed = []
             for ci, entry in enumerate(row):
                 if not isinstance(entry, str):
-                    raise ParseError(
+                    raise InputError(
                         "entry must be a cyclotomic literal string",
                         f"generators[{gi}][{ri}][{ci}]",
                     )
@@ -507,21 +499,21 @@ def _check_unitary(matrix: Matrix, generator_index: int):
     for r in range(n):
         for c in range(n):
             if product[r][c] != (1 if r == c else 0):
-                raise NotUnitary(generator_index, (r, c))
+                raise InputError(f"generator {generator_index} is not unitary: conjugate-transpose "
+                                 f"product differs from the identity first at entry ({r}, {c})")
 
 
-def enumerate_group(document: GroupDocument, max_order: int = DEFAULT_MAX_ORDER) -> FiniteUnitaryGroup:
+def enumerate_group(document: GroupDocument, max_order: int) -> FiniteUnitaryGroup:
     """The group the document's generators generate: their breadth-first
     closure under multiplication over F_p0 (module docstring). Elements are
     keyed by their reduction mod p0 while the closure runs, and a closure
-    whose generators have denominators is certified exact."""
-    if max_order < 1:
-        raise GroupTooLarge(f"the order cap {max_order} is below 1, the order of the trivial group")
+    whose generators have denominators is certified exact. ``max_order``
+    is at least 1, the order of the trivial group."""
     dens = _denominator(document)
     red = _Reduction(document, *_split_prime(document.conductor, dens, 2))
     found = closure(_identity_mod(document.dimension), red.moves, max_order)
     if found is None:
-        raise GroupTooLarge(f"closure exceeded the order cap {max_order}")
+        raise InputError(f"closure exceeded the order cap {max_order}")
     keys, columns = found
     table = FiniteGroupTable(columns, range(len(keys)), document.name)
     if dens > 1:
@@ -542,7 +534,7 @@ MAX_CERTIFICATE_SIZE = 5 * 10**11
 
 def _certify(document: GroupDocument, dens: int, p0: int, table: FiniteGroupTable):
     """Check every relation x * s = col_s[x] of a closure mod p0 exactly, or
-    raise GroupTooLarge: modulo primes q = 1 (mod N) prime to D = ``dens``
+    raise InputError: modulo primes q = 1 (mod N) prime to D = ``dens``
     with p0 * prod(q) > (2 D^(d+1))^phi(N), all at once modulo their
     product; d is the largest number of generators with a denominator on one
     path from the identity in ``table.tree`` (module docstring). The
@@ -562,7 +554,7 @@ def _certify(document: GroupDocument, dens: int, p0: int, table: FiniteGroupTabl
     bits = math.ceil(phi * (1 + power * math.log2(dens)))
     size = table.order * len(table.columns) * bits**2
     if size > MAX_CERTIFICATE_SIZE:
-        raise GroupTooLarge(
+        raise InputError(
             f"the certificate of order {table.order} at conductor {conductor} needs a "
             f"{bits}-bit modulus: order x generators x bits^2 is {size:.2g}, above the cap "
             f"of {MAX_CERTIFICATE_SIZE:.0g}")
@@ -576,28 +568,23 @@ def _certify(document: GroupDocument, dens: int, p0: int, table: FiniteGroupTabl
     moves = _Reduction(document, modulus, root).moves
     found = closure(_identity_mod(document.dimension), moves, table.order)
     if found is None or tuple(found[1]) != table.columns:
-        raise GroupTooLarge("the generators do not generate a finite group")
+        raise InputError("the generators do not generate a finite group")
 
 
 # -- canonical documents and digests ------------------------------------------
 
 
-def canonical_document(document) -> dict:
-    """Re-render a group document with canonical entry literals and ordering.
-
-    ``document`` is text, a mapping, or the :class:`GroupDocument`
-    :func:`parse_group` returned.
-    """
-    doc = document if isinstance(document, GroupDocument) else parse_group(document)
+def canonical_document(document: GroupDocument) -> dict:
+    """Re-render a parsed group document with canonical entry literals and ordering."""
     return {
-        "name": doc.name,
-        "dimension": doc.dimension,
-        "conductor": doc.conductor,
-        "generators": [[[x.to_literal() for x in row] for row in g] for g in doc.generators],
+        "name": document.name,
+        "dimension": document.dimension,
+        "conductor": document.conductor,
+        "generators": [[[x.to_literal() for x in row] for row in g] for g in document.generators],
     }
 
 
-def document_digest(document) -> str:
+def document_digest(document: GroupDocument) -> str:
     # The built-in sha256, as random.py takes sha512 (hashlib loads OpenSSL),
     # imported here so that commands that hash no document load neither.
     try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coefficients import CoefficientRing
-from .errors import InternalInconsistency, excerpt
+from .errors import InputError, InternalInconsistency, excerpt
 from .groups import FiniteUnitaryGroup
 from .record import Record
 from .reeb import MorseCell, cz_generator, family_count, walk_families
@@ -81,25 +81,25 @@ def build_ledger(
     and one generator of degree 2*age per nontrivial class. Nonconstant
     generators: one per Morse cell of every family with period below the
     slope, with action equal to minus the period. A cell profile keyed by
-    a (class, period) pair that is no such family raises ValueError, and so
+    a (class, period) pair that is no such family raises InputError, and so
     do a profile that lists a Morse index twice and a ledger of more than
     MAX_CELLS cells.
     """
     profiles = cell_profiles or {}
     for (label, period), indices in profiles.items():
         if len(set(indices)) < len(indices):
-            raise ValueError(f"cell profile {family_name(label, period)} lists a Morse index twice")
+            raise InputError(f"cell profile {family_name(label, period)} lists a Morse index twice")
     # Two cells per family under the default profile.
     cells = 2 * family_count(group, slope) + sum(len(p) - 2 for p in profiles.values())
     slope = Fraction(slope)
     at = f"slope {excerpt(slope)}"
     if cells > MAX_CELLS:
-        raise ValueError(f"{at} gives {cells} Morse cells, more than the cap of {MAX_CELLS}")
+        raise InputError(f"{at} gives {cells} Morse cells, more than the cap of {MAX_CELLS}")
     families = walk_families(group, slope)
     known = {(f.class_label, f.period) for f in families}
     unknown = [family_name(label, p) for label, p in profiles if (label, p) not in known]
     if unknown:
-        raise ValueError(f"no family below {at} for cell profiles {', '.join(unknown)}")
+        raise InputError(f"no family below {at} for cell profiles {', '.join(unknown)}")
     class_pos = {cls.label: pos for pos, cls in enumerate(group.classes)}
     generators = [
         FloerGenerator(

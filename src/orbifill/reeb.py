@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import SlopeOnSpectrum, excerpt
+from .errors import InputError, excerpt
 from .groups import EigenData, FiniteUnitaryGroup
 from .record import Record
 
@@ -44,7 +44,7 @@ class MorseCell(Record):
         self.__dict__.update(family=family, morse_index=morse_index)
         top = family.manifold_dimension
         if not 0 <= morse_index <= top:
-            raise ValueError(f"Morse index {excerpt(morse_index)} outside 0..{top} for this family")
+            raise InputError(f"Morse index {excerpt(morse_index)} outside 0..{top} for this family")
 
 
 def _spectrum(group: FiniteUnitaryGroup, class_position: int) -> EigenData:
@@ -98,21 +98,21 @@ def is_on_spectrum(group: FiniteUnitaryGroup, value: Fraction) -> bool:
 
 def family_count(group: FiniteUnitaryGroup, slope, option: str = "slope") -> int:
     """The number of orbit families with period strictly below the slope,
-    summed from the spectra before any family is built. SlopeOnSpectrum
-    when the slope is a period, ValueError when the count is above
-    MAX_FAMILIES; ``option`` names the slope in these messages."""
+    summed from the spectra before any family is built. InputError when
+    the slope is a period or the count is above MAX_FAMILIES; ``option``
+    names the slope in these messages."""
     group.require_isolated()
     slope = Fraction(slope)
     if slope <= 0:
-        raise ValueError("periods are positive rationals in units of 2*pi")
+        raise InputError("periods are positive rationals in units of 2*pi")
     if is_on_spectrum(group, slope):
-        raise SlopeOnSpectrum(f"{option} {excerpt(slope)} is an admissible period")
+        raise InputError(f"{option} {excerpt(slope)} is an admissible period")
     spectra = [_spectrum(group, pos) for pos in range(len(group.classes))]
     # The angle m/o has the periods P = (m or o) + k*o below _limit, as _walk reads them.
     total = sum(max(0, -(-(_limit(s, slope) - (m or s.order)) // s.order))
                 for s in spectra for m in s.multiplicities)
     if total > MAX_FAMILIES:
-        raise ValueError(f"{option} {excerpt(slope)} gives {excerpt(total)} orbit families, "
+        raise InputError(f"{option} {excerpt(slope)} gives {excerpt(total)} orbit families, "
                          f"more than the cap of {MAX_FAMILIES}")
     return total
 
@@ -155,7 +155,7 @@ def mclean_discrepancy(group: FiniteUnitaryGroup) -> tuple[Fraction, str]:
     """
     group.require_isolated()
     if group.order == 1:
-        raise ValueError("the trivial group presents a smooth point, not a singularity")
+        raise InputError("the trivial group presents a smooth point, not a singularity")
     n = group.dimension
     disc = min(
         2 * n - 2 * cls.age - 2

@@ -16,7 +16,7 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import GroupTooLarge, MiddleMismatch, ParseError
+from .errors import InputError
 from .record import Record
 from .tables import FiniteGroupTable, closure, orbits
 
@@ -85,12 +85,12 @@ class Homomorphism(Record):
         self.__dict__.update(source=source, target=target, images=images)
         f = images
         if len(f) != source.order:
-            raise ParseError("homomorphism image list has the wrong length")
+            raise InputError("homomorphism image list has the wrong length")
         n_target = target.order
         if set(map(type, f)) != {int} or min(f) < 0 or max(f) >= n_target:
-            raise ParseError(f"homomorphism images must be element indices below {n_target}")
+            raise InputError(f"homomorphism images must be element indices below {n_target}")
         if f[0] != 0:
-            raise ParseError("homomorphism must send identity to identity")
+            raise InputError("homomorphism must send identity to identity")
         # f(x*g) = f(x)*f(g) for every x and every generator g implies
         # f(x*y) = f(x)*f(y) for all y, by induction on the word length of y,
         # because the generators generate the source. col_g[x] = x*g.
@@ -98,7 +98,7 @@ class Homomorphism(Record):
             right = target.column(f[g])
             if [f[y] for y in col] != [right[v] for v in f]:
                 x = next(x for x, y in enumerate(col) if f[y] != right[f[x]])
-                raise ParseError(f"map is not a homomorphism at pair ({x}, {g})")
+                raise InputError(f"map is not a homomorphism at pair ({x}, {g})")
 
 
 class PointOrbifoldSpan(Record):
@@ -108,9 +108,9 @@ class PointOrbifoldSpan(Record):
                  right: FiniteGroupTable, s: Homomorphism, t: Homomorphism):
         self.__dict__.update(left=left, middle=middle, right=right, s=s, t=t)
         if s.source is not middle or s.target is not left:
-            raise ParseError("source map must go from the middle to the left group")
+            raise InputError("source map must go from the middle to the left group")
         if t.source is not middle or t.target is not right:
-            raise ParseError("target map must go from the middle to the right group")
+            raise InputError("target map must go from the middle to the right group")
 
 
 def span(left, middle, right, s_images, t_images) -> PointOrbifoldSpan:
@@ -137,7 +137,7 @@ def _orbit_conjugates(span1, span2):
     # under the product, so equal generator columns mean equal tables.
     if h2 is not b and (h2.order != b.order or any(
             b.column(g) != list(col) for g, col in zip(h2.generators, h2.columns))):
-        raise MiddleMismatch("the shared group of the two spans differs")
+        raise InputError("the shared group of the two spans differs")
     t1, s2, inv = span1.t.images, span2.s.images, h2.inverses
     moves = [h2.column(inv[t1[g]]) for g in span1.middle.generators]
     moves += [h2.row(s2[g]) for g in span2.middle.generators]
@@ -176,6 +176,9 @@ def composition_check(span1, span2):
 # -- randomized battery --------------------------------------------------------
 
 BATTERY_MAX_ORDER = 24
+# The most trials one span random may run: 50,000 took 7.3 s in process on a
+# shared 2-vCPU x86-64 VM (10,000 took 1.45-1.51 s), so a trial costs ~0.15 ms.
+MAX_TRIALS = 50_000
 
 
 def _group_pool(max_order: int) -> list[FiniteGroupTable]:
@@ -270,42 +273,42 @@ def group_from_document(doc, loader, max_order: int) -> FiniteGroupTable:
     """A group in a span document: a table, a cyclic shorthand, or a
     reference to a unitary group document, which is the table of the group
     the loader enumerates. A table or cyclic order above ``max_order``
-    raises GroupTooLarge before any table is built; a reference is bounded
+    raises InputError before any table is built; a reference is bounded
     by its loader."""
     if isinstance(doc, dict) and "table" in doc:
         table = doc["table"]
         if not (isinstance(table, list) and table and all(isinstance(r, list) for r in table)):
-            raise ParseError("multiplication table must be a non-empty list of rows")
+            raise InputError("multiplication table must be a non-empty list of rows")
         _require_order(len(table), max_order)
         return FiniteGroupTable.from_table(table, name=doc.get("name", ""))
     if isinstance(doc, dict) and "cyclic" in doc:
         k = doc["cyclic"]
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ParseError("cyclic order must be a positive integer")
+            raise InputError("cyclic order must be a positive integer")
         _require_order(k, max_order)
         return cyclic(k)
     if isinstance(doc, dict) and "ref" in doc:
         ref = doc["ref"]
         if not isinstance(ref, str):
-            raise ParseError("'ref' must be the path of a group document")
+            raise InputError("'ref' must be the path of a group document")
         return loader(ref).table
-    raise ParseError("group must provide 'table', 'cyclic', or 'ref'")
+    raise InputError("group must provide 'table', 'cyclic', or 'ref'")
 
 
 def _require_order(order: int, max_order: int):
     if order > max_order:
-        raise GroupTooLarge(f"group order {order} exceeds the order cap {max_order}")
+        raise InputError(f"group order {order} exceeds the order cap {max_order}")
 
 
 def span_from_document(doc, loader, max_order: int) -> PointOrbifoldSpan:
     if not isinstance(doc, dict):
-        raise ParseError("a span must be an object")
+        raise InputError("a span must be an object")
     for key in ("left", "middle", "right", "source", "target"):
         if key not in doc:
-            raise ParseError(f"span document is missing '{key}'")
+            raise InputError(f"span document is missing '{key}'")
     for key in ("source", "target"):
         if not isinstance(doc[key], list):
-            raise ParseError(f"'{key}' must be a list of element indices")
+            raise InputError(f"'{key}' must be a list of element indices")
     left = group_from_document(doc["left"], loader, max_order)
     middle = group_from_document(doc["middle"], loader, max_order)
     right = group_from_document(doc["right"], loader, max_order)

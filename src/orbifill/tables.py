@@ -10,7 +10,7 @@ breadth-first trees from the identity, so no group keeps a |G| x |G| table.
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import InputError
 
 
 class FiniteGroupTable:
@@ -29,7 +29,7 @@ class FiniteGroupTable:
         elements = list(range(n))
         for k, col in enumerate(columns):
             if sorted(col) != elements:
-                raise ParseError(f"generator column {k} is not a permutation")
+                raise InputError(f"generator column {k} is not a permutation")
         self.columns = tuple(columns)
         # col_g[0] = 0*g = g names the generator of each column.
         self.generators = tuple(col[0] for col in self.columns)
@@ -47,14 +47,14 @@ class FiniteGroupTable:
         n = len(t)
         for row in t:
             if len(row) != n:
-                raise ParseError("multiplication table is not square")
+                raise InputError("multiplication table is not square")
             if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
-                raise ParseError("table entries must be element indices")
+                raise InputError("table entries must be element indices")
         if t[0] != tuple(range(n)) or any(row[0] != i for i, row in enumerate(t)):
-            raise ParseError("index 0 is not a two-sided identity")
+            raise InputError("index 0 is not a two-sided identity")
         for i, row in enumerate(t):
             if 0 not in row or t[row.index(0)][i] != 0:
-                raise ParseError(f"element {i} has no two-sided inverse")
+                raise InputError(f"element {i} has no two-sided inverse")
         # Associativity last: a monoid without inverses is rejected above
         # before Light's test takes every element as a generator.
         gens = _check_associative(t)
@@ -136,7 +136,7 @@ class FiniteGroupTable:
             rows = [_along(by_columns, col[0], n) for col in columns]
             if any(list(map(row.__getitem__, col)) != list(map(col.__getitem__, row))
                    for row in rows for col in columns):
-                raise ParseError("the generator columns are not those of a group")
+                raise InputError("the generator columns are not those of a group")
             # The row of g^-1 is the inverse permutation of the row of g.
             inverted_rows = []
             for row in rows:
@@ -192,7 +192,7 @@ def _tree(moves, n: int) -> list[tuple]:
                 reached.append(j)
                 tree.append((j, p, move))
     if len(reached) != n:
-        raise ParseError("the generators do not generate the group")
+        raise InputError("the generators do not generate the group")
     return tree
 
 
@@ -215,7 +215,7 @@ def _check_associative(t: tuple[tuple[int, ...], ...]) -> list[int]:
         if reached[g]:
             continue
         if any(t[row[g]] != tuple(map(row.__getitem__, t[g])) for row in t):
-            raise ParseError("multiplication table is not associative")
+            raise InputError("multiplication table is not associative")
         gens.append(g)
         queue = [t[x][g] for x in members]
         for y in queue:  # queue grows while it is read

@@ -14,6 +14,7 @@ import cmath
 import contextlib
 import importlib.util
 import io
+import json
 import math
 import sys
 from fractions import Fraction
@@ -122,8 +123,13 @@ def document(group):
     return group.document() if isinstance(group, corpus.GroupSpec) else group
 
 
+def parsed(group):
+    """The GroupDocument that parse_group reads from the group's JSON text."""
+    return parse_group(json.dumps(document(group)))
+
+
 def build(group, max_order=20000):
-    return enumerate_group(parse_group(document(group)), max_order)
+    return enumerate_group(parsed(group), max_order)
 
 
 def run_cli(argv):

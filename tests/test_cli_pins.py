@@ -184,6 +184,7 @@ QUERIES = {
     "usage-bound-invalid": "reeb report samples/a3.json --bound x",
     "usage-report-no-bound": "reeb report samples/a3.json",
     "usage-trials-x": "span random --trials x",
+    "input-trials-cap": "span random --trials 50001",
     "usage-span-max-order-1": "span random --max-order 1",
     "usage-directory-document": "group info samples",
     "usage-cache-dir-file": "group info samples/a3.json --cache-dir samples/a3.json",
@@ -252,6 +253,8 @@ QUERIES = {
     "input-boundary-n-positive": "constraints boundary subcritical:0",
     "input-divisor-factorial-digits": "constraints boundary lens:2000,3",
     "input-divisor-power-digits": "constraints boundary lens:2,20000",
+    # k is past a float's range: the digit estimate overflows.
+    "input-divisor-digits-overflow": f"constraints boundary lens:{'9' * 400},3",
     "negative-admit-not-applicable": "constraints admit samples/quaternion.json "
                                      "--boundary brieskorn:5,3",
 }

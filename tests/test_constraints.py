@@ -38,11 +38,6 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             BoundaryDescriptor.parse("lens:2")
 
-    def test_constructor_rejects_unknown_variant(self):
-        with pytest.raises(ValueError) as info:
-            BoundaryDescriptor("torus", 2)
-        assert str(info.value) == "unknown boundary variant 'torus'"
-
 
 class TestConstraintTables:
     def test_smooth_boundaries(self):

@@ -12,7 +12,7 @@ from orbifill import ledger as ledger_module
 from orbifill import reeb
 from orbifill.chen_ruan import twisted_sectors
 from orbifill.coefficients import CoefficientRing
-from orbifill.errors import InternalInconsistency, NonIsolated, SlopeOnSpectrum
+from orbifill.errors import InputError, InternalInconsistency, NonIsolated
 from orbifill.ledger import (
     DifferentialEntry,
     KIND_CELL,
@@ -164,7 +164,7 @@ class TestBuildLedger:
                 assert gen.degree == n - expected_mu, (g.name, gen)
 
     def test_slope_on_spectrum_rejected(self):
-        with pytest.raises(SlopeOnSpectrum):
+        with pytest.raises(InputError):
             build_ledger(build(corpus.antipodal(2)), Fraction(1, 2))
 
     def test_non_isolated_rejected(self):

@@ -9,7 +9,7 @@ import pytest
 import reeb_oracle
 from battery import Q8_MU3, Z7_SEMIDIRECT_Z9, battery_24, battery_48, build, corpus, trivial
 from orbifill import reeb
-from orbifill.errors import NonIsolated, SlopeOnSpectrum
+from orbifill.errors import InputError, NonIsolated
 from orbifill.ledger import KIND_CELL, build_ledger
 from orbifill.reeb import (
     MorseCell,
@@ -187,7 +187,7 @@ class TestLoopComponents:
 class TestFamiliesBelow:
     def test_slope_on_spectrum_rejected(self):
         g = build(corpus.antipodal(2))
-        with pytest.raises(SlopeOnSpectrum):
+        with pytest.raises(InputError):
             families_below(g, Fraction(3, 2))
 
     def test_assembly(self):
