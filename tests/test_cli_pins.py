@@ -20,7 +20,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from battery import binary_tetrahedral, run_cli
+from battery import Z7_SEMIDIRECT_Z9, binary_tetrahedral, corpus, run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PINS = Path(__file__).with_name("cli_pins.json")
@@ -122,6 +122,47 @@ DOCUMENTS = {
                   "source": [0], "target": [0]},
         "span2": {"left": {"cyclic": 3}, "middle": {"cyclic": 1}, "right": {"cyclic": 1},
                   "source": [0], "target": [0]}},
+    # samples/span_pair.json with span1's source images replaced.
+    **{name: {"span1": {"left": {"cyclic": 2}, "middle": {"cyclic": 2}, "right": {"cyclic": 2},
+                        "source": source, "target": [0, 0]},
+              "span2": {"left": {"cyclic": 2}, "middle": {"cyclic": 2}, "right": {"cyclic": 2},
+                        "source": [0, 0], "target": [0, 1]}}
+       for name, source in [("pair_image_5.json", [0, 5]), ("pair_image_bool.json", [0, True]),
+                            ("pair_source_int.json", 1)]},
+    # Booleans where a span group's order or table holds ints: read as ints,
+    # they are Z1 and Z2, and the span would pass.
+    **{name: {"span": {"left": {"cyclic": 1}, "middle": {"cyclic": 2}, "right": {"cyclic": 1},
+                       "source": [0, 0], "target": [0, 0], **groups}}
+       for name, groups in [
+           ("span_cyclic_bool.json", {"left": {"cyclic": True}}),
+           ("span_table_bool.json", {"middle": {"table": [[False, True], [True, False]]}}),
+           ("span_bool_both.json", {"left": {"cyclic": True},
+                                    "middle": {"table": [[False, True], [True, False]]}})]},
+    # Middle tables that are no list of rows; empty image lists match the
+    # empty table, which has no identity.
+    **{name: {"span": {"left": {"cyclic": 1}, "middle": {"table": table},
+                       "right": {"cyclic": 1}, "source": [], "target": []}}
+       for name, table in [("span_table_int.json", 5), ("span_table_flat.json", [1, 2]),
+                           ("span_table_null.json", None), ("span_table_empty_images.json", [])]},
+    # Strings where a span document holds objects.
+    "span_document_string.json": '"span"',
+    "span_string.json": {"span": "left middle right source target"},
+    "span_pair_strings.json": {"span1": "left middle right", "span2": "source target"},
+    "span_group_string.json": {"span": {"left": "cyclic", "middle": {"cyclic": 1},
+                                        "right": {"cyclic": 1}, "source": [0], "target": [0]}},
+    "superscript_literal.json": {"dimension": 1, "conductor": 4, "generators": [[["\u00b2"]]]},
+    "half_entry.json": {"dimension": 2, "conductor": 2,
+                        "generators": [[["1/2", "0"], ["0", "1"]]]},
+    **{f"conductor_{conductor}.json": {"name": "neg", "dimension": 2, "conductor": conductor,
+                                       "generators": [[["-1", "0"], ["0", "-1"]]]}
+       for conductor in (15015, 10**8)},
+    # Read as ints, both are 1 and the document is the group {-1}.
+    **{f"bool_{field}.json": {"dimension": 1, "conductor": 1, "generators": [[["-1"]]],
+                              field: True}
+       for field in ("dimension", "conductor")},
+    "mu3_dim3.json": corpus.scalar_cyclic(3, n=3).document(),
+    # Both conventions pass the sweep on Z7 x| Z9, yet most twisted products differ.
+    "z7xz9.json": Z7_SEMIDIRECT_Z9.document(),
 }
 
 QUERIES = {
@@ -257,6 +298,60 @@ QUERIES = {
     "input-divisor-digits-overflow": f"constraints boundary lens:{'9' * 400},3",
     "negative-admit-not-applicable": "constraints admit samples/quaternion.json "
                                      "--boundary brieskorn:5,3",
+    "version": "--version",
+    "usage-no-command": "",
+    "span-random-seed-3": "span random --trials 150 --seed 3 --format json",
+    "cr-ring-z7xz9": "cr ring z7xz9.json",
+    "cr-ring-z7xz9-full-pairs": "cr ring z7xz9.json --convention full-pairs",
+    "cr-ring-z7xz9-orbit-reps": "cr ring z7xz9.json --convention orbit-reps",
+    "cr-filling-integers": "cr filling --betti 1 --singularity samples/antipodal2.json "
+                           "--coefficient Z",
+    "constraints-admit-admissible": "constraints admit samples/antipodal2.json --boundary lens:2,2",
+    "negative-admit-mu3": "constraints admit mu3_dim3.json --boundary lens:2,3",
+    "input-not-unitary-half": "group info half_entry.json",
+    "input-literal-superscript": "group info superscript_literal.json",
+    "input-conductor-cap-15015": "group info conductor_15015.json",
+    "input-conductor-cap-100000000": "group info conductor_100000000.json",
+    "input-document-dimension-bool": "group info bool_dimension.json",
+    "input-document-conductor-bool": "group info bool_conductor.json",
+    "input-pair-image-range": "span check pair_image_5.json",
+    "input-pair-image-bool": "span check pair_image_bool.json",
+    "input-pair-source-not-list": "span check pair_source_int.json",
+    "input-span-cyclic-bool": "span check span_cyclic_bool.json",
+    "input-span-table-bool": "span check span_table_bool.json",
+    "input-span-bool-both": "span check span_bool_both.json",
+    "input-span-table-int": "span check span_table_int.json",
+    "input-span-table-flat": "span check span_table_flat.json",
+    "input-span-table-null": "span check span_table_null.json",
+    "input-span-table-empty-images": "span check span_table_empty_images.json",
+    "input-span-document-string": "span check span_document_string.json",
+    "input-span-string": "span check span_string.json",
+    "input-span-pair-strings": "span check span_pair_strings.json",
+    "input-span-group-string": "span check span_group_string.json",
+    "usage-span-max-order-0": "span random --trials 3 --max-order 0",
+    "usage-trials-negative": "span random --trials -1",
+    "usage-slope-zero-denominator": "ledger build samples/antipodal2.json --slope 1/0",
+    "input-profile-zero-denominator": "ledger build samples/antipodal2.json --slope 5/4 "
+                                      "--profile Id:1/0=0",
+    "usage-bound-exponent-negative": "reeb report samples/a3.json --bound 304e-2",
+    "input-profile-exponent": "ledger build samples/a3.json --slope 203/101 --profile Id:1e0=0",
+    "input-family-cap-bound": "reeb report samples/a3.json --bound 100001/3",
+    "input-family-cap-slope": "ledger build samples/a3.json --slope 100001/3",
+    # Only the family that none lies below is named.
+    "input-profile-no-family-of-two": "ledger build samples/antipodal2.json --slope 5/4 "
+                                      "--profile Zz:9=0 --profile Id:1=0,3",
+    "input-admit-boundary-form": "constraints admit samples/quaternion.json "
+                                 "--boundary brieskorn:3",
+    "input-admit-boundary-form-subcritical": "constraints admit samples/quaternion.json "
+                                             "--boundary subcritical:1,2",
+    "input-boundary-form-three": "constraints boundary lens:2,3,4",
+    # Divisors of more than 4,300 digits: 1559! (the first factorial past
+    # them), 100000000! and 2^100000.
+    **{f"input-boundary-divisor-digits-{k}-{n}": f"constraints boundary lens:{k},{n}"
+       for k, n in ((1559, 2), (10**8, 2), (2, 10**5))},
+    **{f"input-admit-divisor-digits-{k}-{n}": f"constraints admit trivial.json "
+                                              f"--boundary lens:{k},{n}"
+       for k, n in ((1559, 2), (10**8, 2), (2, 10**5))},
 }
 
 
