@@ -72,8 +72,8 @@ class ConstraintSet(Record):
 
     @property
     def effective_bound(self) -> int:
-        if not self.applicable or not self.divisors:
-            raise NotApplicable(self.reason or "no constraints apply")
+        """The gcd of the divisors: ``describe`` reads it for an applicable
+        set only, and every applicable set has a divisor."""
         return math.gcd(*self.divisors)
 
     def describe(self) -> dict:

@@ -467,6 +467,9 @@ def parse_group(text: str) -> GroupDocument:
     if not isinstance(raw_gens, list):
         raise InputError("must be a list of matrices", "generators")
     generators = []
+    # Entry text -> its value: the values are immutable, so equal entries
+    # share one, and a bad literal raises before it is stored.
+    literals = {}
     for gi, mat in enumerate(raw_gens):
         if not isinstance(mat, list) or len(mat) != dimension:
             raise InputError(f"must be a {dimension}x{dimension} matrix", f"generators[{gi}]")
@@ -483,9 +486,11 @@ def parse_group(text: str) -> GroupDocument:
                         "entry must be a cyclotomic literal string",
                         f"generators[{gi}][{ri}][{ci}]",
                     )
-                parsed.append(
-                    parse_literal(entry, conductor, f"generators[{gi}][{ri}][{ci}]")
-                )
+                value = literals.get(entry)
+                if value is None:
+                    value = literals[entry] = parse_literal(
+                        entry, conductor, f"generators[{gi}][{ri}][{ci}]")
+                parsed.append(value)
             rows.append(tuple(parsed))
         matrix = tuple(rows)
         _check_unitary(matrix, gi)

@@ -18,11 +18,13 @@ class FiniteGroupTable:
 
     The group is given by the column col_g[x] = x*g of each of its
     generators g, and each column must be a permutation of the elements.
-    ``row``, ``column``, ``inverses`` and ``conjugation_maps`` are composed
-    from these along two trees built when any of them is first read.
+    ``row``, ``inverses`` and ``conjugation_maps`` are composed from these
+    along a tree built when any of them is first read, and ``column`` along
+    a second tree built when it is first read.
     """
 
-    __slots__ = ("order", "columns", "generators", "labels", "name", "_by_columns", "_trees")
+    __slots__ = ("order", "columns", "generators", "labels", "name", "_by_columns", "_by_rows",
+                 "_trees")
 
     def __init__(self, columns, labels, name=""):
         n = self.order = len(labels)
@@ -35,7 +37,7 @@ class FiniteGroupTable:
         self.generators = tuple(col[0] for col in self.columns)
         self.labels = tuple(labels)
         self.name = name
-        self._by_columns = self._trees = None
+        self._by_columns = self._by_rows = self._trees = None
 
     @classmethod
     def from_table(cls, table, name=""):
@@ -65,8 +67,11 @@ class FiniteGroupTable:
         return _along(self._built_trees()[0], y, self.order)
 
     def column(self, y: int) -> list[int]:
-        """x -> x*y: along the second tree, j = g*p gives j*y = g*(p*y)."""
-        return _along(self._built_trees()[1], y, self.order)
+        """x -> x*y: along the tree over the generators' rows, j = g*p gives
+        j*y = g*(p*y)."""
+        if self._by_rows is None:
+            self._by_rows = _tree(self._built_trees()[1], self.order)
+        return _along(self._by_rows, y, self.order)
 
     @property
     def inverses(self) -> list[int]:
@@ -124,12 +129,11 @@ class FiniteGroupTable:
                 yield j, x
 
     def _built_trees(self):
-        """The tree over the columns (j = p*g), the tree over the
-        generators' rows (j = g*p), the inverses and the rows of the
-        generators' inverses. The rows are composed along the
-        first tree, and they must commute with the columns: the columns then
-        generate a regular group, whose right multiplications they are, and
-        the rows its left multiplications."""
+        """The tree over the columns (j = p*g), the generators' rows, the
+        inverses and the rows of the generators' inverses. The rows are
+        composed along the first tree, and they must commute with the
+        columns: the columns then generate a regular group, whose right
+        multiplications they are, and the rows its left multiplications."""
         if self._trees is None:
             n, columns = self.order, self.columns
             by_columns = self.tree
@@ -149,7 +153,7 @@ class FiniteGroupTable:
             inverses = [0] * n
             for j, p, col in by_columns:
                 inverses[j] = inverted_row_of[col[0]][inverses[p]]
-            self._trees = by_columns, _tree(rows, n), inverses, inverted_rows
+            self._trees = by_columns, rows, inverses, inverted_rows
         return self._trees
 
 

@@ -1,4 +1,7 @@
-"""End-to-end CLI behavior: exit codes, determinism, the ignored --cache-dir."""
+"""End-to-end CLI behavior that one query's output cannot show: faults
+injected into a command, two command lines compared, time, memory and byte
+bounds, and values from theory. tests/cli_pins.json records the exit code
+and output of each single query."""
 
 import contextlib
 import gc
@@ -15,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from battery import BD12_MU5, binary_tetrahedral, corpus, corrupt_generator, run_cli, trivial
+from battery import BD12_MU5, corpus, corrupt_generator, run_cli, trivial
 from orbifill import chen_ruan as chen_ruan_module
 from orbifill import cli as cli_module
 from orbifill import reeb as reeb_module
@@ -43,9 +46,6 @@ def workspace(tmp_path):
     (tmp_path / "z3.json").write_text(json.dumps(corpus.scalar_cyclic(3, n=3).document()))
     (tmp_path / "trivial.json").write_text(json.dumps(trivial().document()))
     (tmp_path / "bd12xmu5.json").write_text(json.dumps(BD12_MU5.document()))
-    (tmp_path / "broken.json").write_text(
-        json.dumps({"dimension": 2, "conductor": 2, "generators": [[["1/2", "0"], ["0", "1"]]]})
-    )
     (tmp_path / "span_pair.json").write_text(
         json.dumps(
             {
@@ -94,31 +94,6 @@ class TestExitCodes:
         assert result.exit_code == 0
         payload = json.loads(result.stdout)
         assert [s["degree"] for s in payload["sectors"]] == ["0", "2"]
-
-    def test_inadmissible_exits_one(self, workspace):
-        result = invoke(workspace, "constraints", "admit", str(workspace / "z3.json"),
-                        "--boundary", "lens:2,3")
-        assert result.exit_code == 1
-
-    def test_admissible_exits_zero(self, workspace):
-        result = invoke(workspace, "constraints", "admit",
-                        str(workspace / "antipodal2.json"), "--boundary", "lens:2,2")
-        assert result.exit_code == 0
-
-    def test_parse_diagnostics_exit_two(self, workspace):
-        result = Result(["group", "info", str(workspace / "broken.json")])
-        assert result.exit_code == 2
-        assert "not unitary" in result.stderr
-
-    def test_infinite_group_exits_two(self, workspace):
-        # A unitary rotation of infinite order: 3/5 + 4/5 i is no root of unity.
-        path = workspace / "rotation.json"
-        path.write_text(json.dumps({"name": "rot", "dimension": 2, "conductor": 4,
-                                    "generators": [[["3/5", "-4/5"], ["4/5", "3/5"]]]}))
-        result = invoke(workspace, "group", "info", str(path))
-        assert result.exit_code == 2
-        assert result.stderr.splitlines() == [
-            "error: the generators do not generate a finite group"]
 
     def test_corrupted_reduction_exits_three(self, monkeypatch):
         # A reduced matrix that is not diagonalizable, as in
@@ -196,199 +171,10 @@ class TestExitCodes:
         assert json.loads(result.stdout)["vanishes"] is False
 
 
-GROUP_DOCUMENT = {"name": "g", "dimension": 2, "conductor": 4}
-REJECTED_DOCUMENTS = {
-    "array.json": [1, 2],
-    "int_name.json": {**GROUP_DOCUMENT, "name": 5, "generators": []},
-    "object_generators.json": {**GROUP_DOCUMENT, "generators": {}},
-    "short_row.json": {**GROUP_DOCUMENT, "generators": [[["1", "0"], ["0"]]]},
-    "int_entry.json": {**GROUP_DOCUMENT, "generators": [[["1", 0], ["0", "1"]]]},
-    "plus_literal.json": {**GROUP_DOCUMENT, "generators": [[["+1", "0"], ["0", "1"]]]},
-    "superscript_literal.json": {**GROUP_DOCUMENT, "generators": [[["\u00b2", "0"], ["0", "1"]]]},
-    "long_literal.json": {**GROUP_DOCUMENT, "generators": [[["7" * 5000, "0"], ["0", "1"]]]},
-    "ragged_table.json": {"span": {"left": {"cyclic": 1}, "middle": {"table": [[0, 1], [1]]},
-                                   "right": {"cyclic": 1}, "source": [0, 0], "target": [0, 0]}},
-    "short_images.json": {"span": {"left": {"cyclic": 1}, "middle": {"cyclic": 2},
-                                   "right": {"cyclic": 1}, "source": [0], "target": [0, 0]}},
-    "a_file": "",
-    "tetrahedral_2_16.json": binary_tetrahedral(conductor=2**16),
-}
-
-
-class TestRejections:
-    """Rejections and exits by the exit code and the start of the last line
-    on stderr, which for a usage error is argparse's message after its usage
-    lines; tests/cli_pins.json holds the whole stderr of one query per
-    rejection. A run that exits 0 writes nothing to stderr."""
-
-    @pytest.mark.parametrize("args, code, message", [
-        (["group", "info", "{docs}/array.json"], 2, "error: group document must be a JSON object"),
-        (["group", "info", "{docs}/int_name.json"], 2, "error: name: must be a string"),
-        (["group", "info", "{docs}/object_generators.json"],
-         2, "error: generators: must be a list of matrices"),
-        (["group", "info", "{docs}/short_row.json"],
-         2, "error: generators[0][1]: must have 2 entries"),
-        (["group", "info", "{docs}/int_entry.json"],
-         2, "error: generators[0][0][1]: entry must be a cyclotomic literal string"),
-        (["group", "info", "{docs}/plus_literal.json"],
-         2, "error: generators[0][0][0]: unexpected leading '+' at offset 0 in '+1'"),
-        (["group", "info", "{docs}/superscript_literal.json"],
-         2, "error: generators[0][0][0]: unexpected character '\u00b2' at offset 0 in '\u00b2'"),
-        (["group", "info", "{docs}/long_literal.json"],
-         2, "error: generators[0][0][0]: integer too long at offset 0 in '7777"),
-        (["group", "info", "{docs}"], 2, "orbifill group: error: argument path: file '"),
-        (["group", "info", "{samples}/a3.json", "--cache-dir", "{docs}/a_file"],
-         2, "orbifill group: error: argument --cache-dir: directory '"),
-        (["ledger", "build", "{samples}/antipodal2.json", "--slope", "5/4", "--profile", "bad"],
-         2, "error: profile 'bad' must look like CLASS:PERIOD=idx,idx,..."),
-        (["ledger", "build", "{samples}/antipodal2.json", "--slope", "5/4",
-          "--coefficient", "Z"], 0, ""),
-        (["cr", "filling", "--betti", "1", "--singularity", "{samples}/antipodal2.json",
-          "--coefficient", "Z"], 0, ""),
-        (["ledger", "build", "{samples}/antipodal2.json", "--slope", "5/4",
-          "--coefficient", "Z/1"], 2, "error: modulus must be at least 2"),
-        (["ledger", "build", "{samples}/antipodal2.json", "--slope", "5/4",
-          "--coefficient", "R"], 2, "error: unknown coefficient ring 'R'"),
-        (["constraints", "boundary", "subcritical:0"],
-         2, "error: bad boundary descriptor 'subcritical:0': n must be positive"),
-        (["constraints", "rp", "1"], 2, "error: n must be at least 2"),
-        (["reeb", "report", "{samples}/a3.json", "--bound", "0"],
-         2, "error: periods are positive rationals in units of 2*pi"),
-        (["constraints", "boundary", f"lens:{'9' * 400},3"],
-         2, f"error: boundary lens:{'9' * 12}... (400 digits),3: its divisor {'9' * 12}... "
-            "(400 digits)! has more than 4300"),
-        (["group", "info", "{docs}/tetrahedral_2_16.json"],
-         2, "error: the certificate of order 24 at conductor 65536 needs a 131072-bit modulus: "
-            "order x generators x bits^2 is 1.2e+12, above the cap of 5e+11"),
-        (["span", "check", "{docs}/ragged_table.json"],
-         2, "error: multiplication table is not square"),
-        (["span", "check", "{docs}/short_images.json"],
-         2, "error: homomorphism image list has the wrong length"),
-        (["ledger", "build", "{samples}/a3.json", "--slope", "9/7", "--profile", "Id:1=0",
-          "--profile", "Id:2/2=3"], 2, "error: two cell profiles for the family Id:1"),
-        (["ledger", "build", "{samples}/a3.json", "--slope", "9/7", "--profile", "Id:1=0,0"],
-         2, "error: cell profile Id:1 lists a Morse index twice"),
-        (["constraints", "boundary", "lens:2"],
-         2, "error: bad boundary descriptor 'lens:2': expected the form lens:k,n"),
-        (["constraints", "admit", "{samples}/quaternion.json", "--boundary", "brieskorn:3"],
-         2, "error: bad boundary descriptor 'brieskorn:3': expected the form brieskorn:k,n"),
-        (["constraints", "boundary", "lens:2,3,4"],
-         2, "error: bad boundary descriptor 'lens:2,3,4': expected the form lens:k,n"),
-        (["constraints", "admit", "{samples}/quaternion.json", "--boundary", "subcritical:1,2"],
-         2, "error: bad boundary descriptor 'subcritical:1,2': expected the form subcritical:n"),
-    ], ids=["array-document", "int-name", "object-generators", "short-row",
-            "int-entry", "plus-literal", "superscript-literal", "long-literal",
-            "directory-document", "cache-dir-file", "malformed-profile", "integers",
-            "filling-integers", "z-mod-1", "unknown-ring", "subcritical-0", "rp-1", "bound-0",
-            "lens-400-digits", "certificate-cap", "ragged-table", "short-images",
-            "profile-twice", "profile-index-twice", "lens-one-parameter",
-            "admit-brieskorn-one-parameter", "lens-three-parameters",
-            "admit-subcritical-two-parameters"])
-    def test_exit_and_message(self, tmp_path, args, code, message):
-        for name, doc in REJECTED_DOCUMENTS.items():
-            (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
-        result = Result([a.format(docs=tmp_path, samples=SAMPLES) for a in args])
-        assert result.exit_code == code
-        if code:
-            assert result.stderr.splitlines()[-1].startswith(message)
-        else:
-            assert result.stderr == ""
-
-    def test_long_literal_is_quoted_as_an_excerpt(self, tmp_path):
-        path = tmp_path / "long_literal.json"
-        path.write_text(json.dumps(REJECTED_DOCUMENTS["long_literal.json"]))
-        result = Result(["group", "info", str(path)])
-        assert result.exit_code == 2
-        assert result.stderr == ("error: generators[0][0][0]: integer too long at offset 0 in '"
-                                 + "7" * 60 + "'... (5000 characters)\n")
-        assert len(result.stderr.encode()) < 200
-
-    def test_indeterminate_parity(self, tmp_path):
-        # C/mu4 in U(1) has the degrees 0, 1/2, 1 and 3/2.
-        path = tmp_path / "mu4.json"
-        path.write_text(json.dumps(corpus.scalar_cyclic(4, n=1).document()))
-        result = Result(["cr", "ring", str(path), "--format", "json"])
-        assert result.exit_code == 0
-        sectors = json.loads(result.stdout)["sectors"]
-        assert [(s["degree"], s["parity"]) for s in sectors] == [
-            ("0", "even"), ("1/2", "indeterminate"), ("1", "odd"), ("3/2", "indeterminate")]
-
-
 class TestSpanInputs:
-    """Malformed span documents and out-of-range span options are input
-    errors: exit 2 with a message, never a traceback."""
-
-    @pytest.mark.parametrize("source", [[0, 5], [0, True], 1], ids=["index-5", "bool", "not-list"])
-    def test_bad_image_list_exits_two(self, workspace, source):
-        doc = json.loads((workspace / "span_pair.json").read_text())
-        doc["span1"]["source"] = source
-        (workspace / "bad_span.json").write_text(json.dumps(doc))
-        result = invoke(workspace, "span", "check", str(workspace / "bad_span.json"))
-        assert result.exit_code == 2
-        assert result.stderr.startswith("error: ")
-        assert "Traceback" not in result.output
-
-    @pytest.mark.parametrize(
-        "groups",
-        [{"left": {"cyclic": True}},
-         {"middle": {"table": [[False, True], [True, False]]}},
-         {"left": {"cyclic": True}, "middle": {"table": [[False, True], [True, False]]}}],
-        ids=["cyclic-bool", "table-bools", "both"],
-    )
-    def test_bool_group_exits_two(self, workspace, groups):
-        # Read as ints, these are Z1 and Z2 and the span would pass with
-        # pushpull 1/2.
-        doc = {"span": {"left": {"cyclic": 1}, "middle": {"cyclic": 2},
-                        "right": {"cyclic": 1}, "source": [0, 0], "target": [0, 0],
-                        **groups}}
-        (workspace / "bool_span.json").write_text(json.dumps(doc))
-        result = invoke(workspace, "span", "check", str(workspace / "bool_span.json"))
-        assert result.exit_code == 2
-        assert result.stderr.startswith("error: ")
-        assert "Traceback" not in result.output
-
-    @pytest.mark.parametrize("table", [5, [1, 2], None, []],
-                             ids=["int", "flat-list", "null", "empty"])
-    def test_malformed_table_exits_two(self, workspace, table):
-        # Empty image lists match the empty table, which has no identity.
-        doc = {"span": {"left": {"cyclic": 1}, "middle": {"table": table},
-                        "right": {"cyclic": 1}, "source": [], "target": []}}
-        (workspace / "table_span.json").write_text(json.dumps(doc))
-        result = invoke(workspace, "span", "check", str(workspace / "table_span.json"))
-        assert result.exit_code == 2
-        assert result.stderr.startswith("error: ")
-        assert "Traceback" not in result.output
-
-    @pytest.mark.parametrize(
-        "doc",
-        ["span",
-         {"span": "left middle right source target"},
-         {"span1": "left middle right", "span2": "source target"},
-         {"span": {"left": "cyclic", "middle": {"cyclic": 1}, "right": {"cyclic": 1},
-                   "source": [0], "target": [0]}},
-         {"span": {"left": {"ref": 5}, "middle": {"cyclic": 1}, "right": {"cyclic": 1},
-                   "source": [0], "target": [0]}}],
-        ids=["document-string", "span-string", "pair-strings", "group-string", "ref-int"],
-    )
-    def test_non_object_exits_two(self, workspace, doc):
-        # As strings, "in" tests for substrings and indexing takes characters.
-        (workspace / "odd_span.json").write_text(json.dumps(doc))
-        result = invoke(workspace, "span", "check", str(workspace / "odd_span.json"))
-        assert result.exit_code == 2
-        assert result.stderr.startswith("error: ")
-        assert "Traceback" not in result.output
-
-    @pytest.mark.parametrize("value", ["0", "1"])
-    def test_random_max_order_below_two_exits_two(self, workspace, value):
-        result = invoke(workspace, "span", "random", "--trials", "3",
-                        "--max-order", value)
-        assert result.exit_code == 2
-        assert "x>=2" in result.stderr
-
-    def test_random_negative_trials_exits_two(self, workspace):
-        result = invoke(workspace, "span", "random", "--trials", "-1")
-        assert result.exit_code == 2
-        assert "x>=0" in result.stderr
+    """Span options: --trials above the cap runs no trial, and span check
+    honours --max-order. tests/cli_pins.json records each rejection of a span
+    document or option."""
 
     def test_random_trials_above_the_cap_run_none(self, monkeypatch):
         monkeypatch.setattr(cli_module, "random_composition_battery", None)
@@ -461,8 +247,8 @@ class TestSpanCap:
 
 
 class TestDivisorDigits:
-    """A divisor with more digits than Python converts to text (4300) is
-    refused from k and n alone, before it is built."""
+    """A divisor of up to 4300 digits, the most Python converts to text, is
+    printed; tests/cli_pins.json records the refusals of longer ones."""
 
     def test_largest_printable_factorial(self, workspace):
         result = invoke(workspace, "constraints", "boundary", "lens:1558,2",
@@ -471,32 +257,10 @@ class TestDivisorDigits:
         divisors = json.loads(result.stdout)["divisors"]
         assert [len(str(d["divides"])) for d in divisors] == [4300]
 
-    @pytest.mark.parametrize("boundary", ["lens:1559,2", "lens:100000000,2", "lens:2,100000"])
-    @pytest.mark.parametrize("action", ["boundary", "admit"])
-    def test_too_many_digits_exit_two(self, workspace, action, boundary):
-        if action == "boundary":
-            args = ["constraints", "boundary", boundary]
-        else:
-            args = ["constraints", "admit", str(workspace / "trivial.json"), "--boundary", boundary]
-        result = invoke(workspace, *args)
-        assert result.exit_code == 2
-        assert result.stderr.startswith(f"error: boundary {boundary}: its divisor ")
-        assert result.stderr.endswith("has more than 4300 digits\n")
-
 
 class TestGroupDocuments:
-    """Group document fields that would mislead or exhaust the program are
-    input errors: exit 2 with the field named, never a traceback."""
-
-    @pytest.mark.parametrize("conductor", [15015, 10**8])
-    def test_conductor_above_bound_exits_two(self, workspace, conductor):
-        path = workspace / "big_conductor.json"
-        path.write_text(json.dumps({"name": "neg", "dimension": 2, "conductor": conductor,
-                                    "generators": [[["-1", "0"], ["0", "-1"]]]}))
-        result = invoke(workspace, "group", "info", str(path))
-        assert result.exit_code == 2
-        assert "conductor" in result.stderr
-        assert "Traceback" not in result.output
+    """Group documents at a cap or with repeated generators are read as the
+    group they give; tests/cli_pins.json records each document rejection."""
 
     def test_dimension_at_the_cap(self, workspace):
         # One above the cap exits 2, naming the dimension (TestLongValues).
@@ -504,18 +268,6 @@ class TestGroupDocuments:
         path.write_text(json.dumps(trivial(MAX_DIMENSION).document()))
         result = invoke(workspace, "group", "info", str(path))
         assert result.exit_code == 0 and not result.stderr
-
-    @pytest.mark.parametrize("field", ["dimension", "conductor"])
-    def test_bool_field_exits_two(self, workspace, field):
-        # Read as ints, both are 1 and the document is the group {-1}.
-        doc = {"dimension": 1, "conductor": 1, "generators": [[["-1"]]], field: True}
-        path = workspace / "bool_group.json"
-        path.write_text(json.dumps(doc))
-        result = invoke(workspace, "group", "info", str(path))
-        assert result.exit_code == 2
-        assert field in result.stderr
-        assert "Traceback" not in result.output
-
 
     @pytest.mark.parametrize("positions", [[0, 1, 0], [None, 0, 1]],
                              ids=["repeated", "identity-first"])
@@ -539,42 +291,11 @@ class TestGroupDocuments:
             assert payloads[0] == payloads[1], command
 
 
-class TestZeroDenominators:
-    """A rational option with denominator 0 is an input error (exit 2), not
-    a ZeroDivisionError."""
-
-    @pytest.mark.parametrize("args", [
-        ("reeb", "report", "antipodal2.json", "--bound", "1/0"),
-        ("ledger", "build", "antipodal2.json", "--slope", "1/0"),
-        ("ledger", "build", "antipodal2.json", "--slope", "5/4", "--profile", "Id:1/0=0"),
-    ], ids=["bound", "slope", "profile"])
-    def test_exits_two(self, workspace, args):
-        command, action, doc, *rest = args
-        result = invoke(workspace, command, action, str(workspace / doc), *rest)
-        assert result.exit_code == 2
-        assert "1/0" in result.stderr
-        assert "Traceback" not in result.output
-
-
 class TestExponentNotation:
     """Rational options refuse 1eK text, which Fraction would expand into a
     K-digit int before any check; ints, p/q and decimals still parse."""
 
     A3 = str(Path(__file__).resolve().parent.parent / "samples" / "a3.json")
-
-    def test_bound_exits_two(self, workspace):
-        result = invoke(workspace, "reeb", "report", self.A3, "--bound", "304e-2")
-        assert result.exit_code == 2
-        assert "304e-2" in result.stderr
-        assert "Traceback" not in result.output
-
-    def test_profile_period_exits_two(self, workspace):
-        result = invoke(workspace, "ledger", "build", self.A3,
-                        "--slope", "203/101", "--profile", "Id:1e0=0")
-        assert result.exit_code == 2
-        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
-        assert len(errors) == 1 and "1e0" in errors[0]
-        assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("bound", ["304/101", "2.4"])
     def test_plain_forms_accepted(self, workspace, bound):
@@ -863,12 +584,6 @@ class TestCommands:
         assert len(payload["known_differentials"]) == 1
         assert payload["known_differentials"][0]["coefficient"] == 2
 
-    def test_ledger_profile_of_no_family_exits_two(self, workspace):
-        result = invoke(workspace, "ledger", "build", str(workspace / "antipodal2.json"),
-                        "--slope", "5/4", "--profile", "Zz:9=0", "--profile", "Id:1=0,3")
-        assert result.exit_code == 2
-        assert "Zz:9" in result.stderr and "Id:1" not in result.stderr
-
     def test_family_cap_exits_two_quickly(self, workspace):
         # A3 has 6 periods per unit of bound: 200,001 families below 100001/3.
         path = workspace / "a3.json"
@@ -881,22 +596,6 @@ class TestCommands:
             assert result.exit_code == 2, command
             assert "200001 orbit families" in result.stderr and "100000" in result.stderr
             assert "Traceback" not in result.stderr
-
-    @pytest.mark.parametrize("command, value, message", [
-        ("reeb", "5/2", "--bound 5/2 is an admissible period"),
-        ("ledger", "5/2", "slope 5/2 is an admissible period"),
-        ("reeb", "100001/3",
-         "--bound 100001/3 gives 200001 orbit families, more than the cap of 100000"),
-        ("ledger", "100001/3",
-         "slope 100001/3 gives 200001 orbit families, more than the cap of 100000"),
-    ], ids=["reeb-spectrum", "ledger-spectrum", "reeb-cap", "ledger-cap"])
-    def test_messages_name_the_option(self, workspace, command, value, message):
-        path = workspace / "a3.json"
-        path.write_text(json.dumps(corpus.a_type(4).document()))
-        action, flag = ("report", "--bound") if command == "reeb" else ("build", "--slope")
-        result = invoke(workspace, command, action, str(path), flag, value)
-        assert result.exit_code == 2
-        assert result.stderr == f"error: {message}\n"
 
     def test_cell_cap_exits_two(self, workspace, monkeypatch):
         # A3 has 6 periods per unit of slope: 39,998 families, within the
@@ -964,35 +663,21 @@ class TestCommands:
         assert CyclotomicNumber.__mul__ is counted
         assert products == []
 
-    def test_version(self):
-        result = Result(["--version"])
-        assert result.exit_code == 0 and "orbifill" in result.output
+    def test_indeterminate_parity(self, tmp_path):
+        # C/mu4 in U(1) has the degrees 0, 1/2, 1 and 3/2.
+        path = tmp_path / "mu4.json"
+        path.write_text(json.dumps(corpus.scalar_cyclic(4, n=1).document()))
+        result = Result(["cr", "ring", str(path), "--format", "json"])
+        assert result.exit_code == 0
+        sectors = json.loads(result.stdout)["sectors"]
+        assert [(s["degree"], s["parity"]) for s in sectors] == [
+            ("0", "even"), ("1/2", "indeterminate"), ("1", "odd"), ("3/2", "indeterminate")]
 
 
 class TestCommandLine:
     """The parts of the command-line contract that do not depend on a command's
-    output: version text, usage errors exit 2, help exits 0."""
-
-    def test_version_text(self):
-        result = Result(["--version"])
-        assert result.exit_code == 0
-        assert result.stdout == "orbifill, version 0.1.0\n"
-
-    def test_no_command_exits_two(self):
-        result = Result([])
-        assert result.exit_code == 2
-        assert result.stdout == "" and "usage: orbifill" in result.stderr
-
-    def test_unknown_action_exits_two(self, workspace):
-        result = invoke(workspace, "group", "describe", str(workspace / "q8.json"))
-        assert result.exit_code == 2
-        assert "invalid choice: 'describe'" in result.stderr
-
-    def test_missing_document_exits_two(self, workspace):
-        result = invoke(workspace, "group", "info", str(workspace / "absent.json"))
-        assert result.exit_code == 2
-        assert "absent.json' does not exist" in result.stderr
-        assert "Traceback" not in result.output
+    output: help exits 0, each line is one write, and a success returns from
+    main."""
 
     @pytest.mark.parametrize("command", [[], ["group"], ["cr"], ["reeb"], ["ledger"], ["span"],
                                          ["constraints"]], ids=lambda c: c[0] if c else "top")

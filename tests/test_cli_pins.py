@@ -1,22 +1,27 @@
-"""What the goldens leave out, pinned: the ``--format table`` output of a
-query per command and action, the usage errors and the domain-negative exits.
+"""What the goldens leave out, pinned: every check of one command line's
+exit code and output. That is the ``--format table`` output of a query per
+command and action, each rejection an option or a document reaches, and the
+verdicts that no golden reaches.
 
 Each query runs in process, in a directory holding a copy of ``samples/`` and
-the two documents below, and its stdout sha256, stderr sha256 and exit code
-must equal those in ``tests/cli_pins.json``. After an intended change of
-output, re-record the file with
+the documents below, and its stdout sha256, stderr sha256 and exit code
+must equal those in ``tests/cli_pins.json``. Run as a script,
 
-    PYTHONPATH=src python3 tests/test_cli_pins.py
+    PYTHONPATH=src python3 tests/test_cli_pins.py [KEY ...]
 
-and list the changed keys in CHANGES.md. Usage errors carry argparse's usage
-text, wrapped at $COLUMNS, which both set to 80; its wording may differ on
-another Python release.
+records the queries not yet pinned and drops the pins of deleted queries. A
+query whose output differs from its pin is named, its pin is left as it is,
+and the script exits 1. Given keys, it re-records those queries only: after
+an intended change of output, name the changed keys, and list them in
+CHANGES.md. Usage errors carry argparse's usage text, wrapped at $COLUMNS,
+which both set to 80; its wording may differ on another Python release.
 """
 
 import hashlib
 import json
 import os
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -380,10 +385,28 @@ def test_pinned_outputs(tmp_path, monkeypatch):
     assert not differing, f"{len(differing)} of {len(QUERIES)} queries differ: {differing}"
 
 
-if __name__ == "__main__":
+def record(keys):
+    """Record the queries ``keys``, or else those not yet pinned; return the
+    pinned keys, not re-recorded, whose output differs from their pin."""
+    pins = json.loads(PINS.read_text())
+    unknown = sorted(set(keys) - QUERIES.keys())
+    if unknown:
+        sys.exit(f"no query is named {', '.join(unknown)}")
     with tempfile.TemporaryDirectory() as work:
         prepare(Path(work))
         os.chdir(work)
         os.environ["COLUMNS"] = "80"
-        pins = {key: run(args.split()) for key, args in QUERIES.items()}
-    PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+        found = {key: run(QUERIES[key].split()) for key in keys or QUERIES}
+    differing = [] if keys else sorted(k for k in pins.keys() & found.keys()
+                                       if found[k] != pins[k])
+    kept = {key: pins[key] for key in QUERIES.keys() & pins.keys()}
+    kept.update((key, pin) for key, pin in found.items() if keys or key not in pins)
+    PINS.write_text(json.dumps(kept, indent=1, sort_keys=True) + "\n")
+    return differing
+
+
+if __name__ == "__main__":
+    differing = record(sys.argv[1:])
+    if differing:
+        sys.exit("output differs from the pin, which is left as it was: "
+                 + ", ".join(differing) + "\nre-record an intended change by naming its keys")

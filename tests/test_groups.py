@@ -186,6 +186,21 @@ class TestParsing:
         with pytest.raises(InputError, match=r"generators\[0\]\[0\]\[0\]"):
             parsed(doc)
 
+    def test_equal_literals_share_one_value(self):
+        doc = parsed({"dimension": 2, "conductor": 4,
+                      "generators": [[["z", "0"], ["0", "z"]], [["0", "1"], ["-1", "0"]]]})
+        first, second = doc.generators
+        assert first[0][0] is first[1][1]
+        assert first[0][1] is first[1][0] is second[0][0] is second[1][1]
+        assert second[0][1] is not second[1][0]
+
+    def test_bad_literal_after_stored_entries_has_its_own_locus(self):
+        doc = {"dimension": 2, "conductor": 4,
+               "generators": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "1 +"]]]}
+        with pytest.raises(InputError) as info:
+            parsed(doc)
+        assert str(info.value) == "generators[1][1][1]: expected a term at offset 3 in '1 +'"
+
     def test_conductor_bound(self):
         # Both parts of the bound are checked before Phi_N or the table is
         # built: N itself, and the table's entries.

@@ -448,8 +448,8 @@ class TestKernelsAgainstReference:
 
 
 def _recording_tree_builds(monkeypatch):
-    """The (name, order) of each group whose row and column trees are built
-    from here on."""
+    """The (name, order) of each group whose first tree, rows and inverses
+    are built from here on."""
     built = []
     build = FiniteGroupTable._built_trees
 

@@ -1,5 +1,6 @@
-"""The breadth-first closure that builds every keyed group, and the first
-tree of a table on its columns, which records how it found each element."""
+"""The breadth-first closure that builds every keyed group, the first tree
+of a table on its columns, which records how it found each element, and the
+second tree, which only ``column`` reads."""
 
 import pytest
 
@@ -61,3 +62,17 @@ class TestClosure:
     def test_cap(self, identity, moves, order):
         assert len(closure(identity, moves, order)[0]) == order
         assert closure(identity, moves, order - 1) is None
+
+
+class TestTrees:
+    def test_column_tree_built_on_first_column(self):
+        # S3, as in test_permutation_group.
+        _, columns = closure((0, 1, 2), [compose((1, 0, 2)), compose((1, 2, 0))], 6)
+        table = FiniteGroupTable(columns, range(6))
+        inverses, maps = table.inverses, table.conjugation_maps()
+        assert table._by_rows is None
+        assert all(table.row(x)[inverses[x]] == 0 for x in range(6))
+        assert all(m[x] == table.row(inverses[g])[table.column(g)[x]]
+                   for g, m in zip(table.generators, maps) for x in range(6))
+        assert table._by_rows is not None
+        assert all(table.column(y)[x] == table.row(x)[y] for x in range(6) for y in range(6))
