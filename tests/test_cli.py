@@ -247,8 +247,21 @@ class TestSpanCap:
 
 
 class TestDivisorDigits:
-    """A divisor of up to 4300 digits, the most Python converts to text, is
-    printed; tests/cli_pins.json records the refusals of longer ones."""
+    """A divisor with more digits than Python converts to text (4300) is
+    refused from k and n alone, before it is built; one of up to 4300 digits
+    is printed."""
+
+    @pytest.mark.parametrize("boundary", ["lens:1559,2", "lens:100000000,2", "lens:2,100000"])
+    @pytest.mark.parametrize("action", ["boundary", "admit"])
+    def test_too_many_digits_exit_two(self, workspace, action, boundary):
+        if action == "boundary":
+            args = ["constraints", "boundary", boundary]
+        else:
+            args = ["constraints", "admit", str(workspace / "trivial.json"), "--boundary", boundary]
+        result = invoke(workspace, *args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"error: boundary {boundary}: its divisor ")
+        assert result.stderr.endswith("has more than 4300 digits\n")
 
     def test_largest_printable_factorial(self, workspace):
         result = invoke(workspace, "constraints", "boundary", "lens:1558,2",
@@ -583,6 +596,22 @@ class TestCommands:
         payload = json.loads(result.stdout)
         assert len(payload["known_differentials"]) == 1
         assert payload["known_differentials"][0]["coefficient"] == 2
+
+    @pytest.mark.parametrize("command, value, message", [
+        ("reeb", "5/2", "--bound 5/2 is an admissible period"),
+        ("ledger", "5/2", "slope 5/2 is an admissible period"),
+        ("reeb", "100001/3",
+         "--bound 100001/3 gives 200001 orbit families, more than the cap of 100000"),
+        ("ledger", "100001/3",
+         "slope 100001/3 gives 200001 orbit families, more than the cap of 100000"),
+    ], ids=["reeb-spectrum", "ledger-spectrum", "reeb-cap", "ledger-cap"])
+    def test_messages_name_the_option(self, workspace, command, value, message):
+        path = workspace / "a3.json"
+        path.write_text(json.dumps(corpus.a_type(4).document()))
+        action, flag = ("report", "--bound") if command == "reeb" else ("build", "--slope")
+        result = invoke(workspace, command, action, str(path), flag, value)
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {message}\n"
 
     def test_family_cap_exits_two_quickly(self, workspace):
         # A3 has 6 periods per unit of bound: 200,001 families below 100001/3.
