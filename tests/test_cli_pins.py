@@ -207,6 +207,9 @@ QUERIES = {
     "usage-admit-no-boundary": "constraints admit samples/quaternion.json",
     "usage-unknown-action": "group describe samples/quaternion.json",
     "usage-max-order-0": "group info samples/quaternion.json --max-order 0",
+    # Actions that read no document path.
+    "usage-filling-document": "cr filling samples/quaternion.json",
+    "usage-random-document": "span random samples/span_pair.json --trials 3",
     # Domain-negative results (exit 1) and input errors (exit 2).
     "negative-admit": "constraints admit samples/quaternion.json --boundary lens:2,3",
     "negative-cr-ring-non-isolated": "cr ring reflection.json",
