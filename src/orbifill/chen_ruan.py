@@ -56,9 +56,9 @@ class CRRing(Record):
     ``structure_constants[(i, j)]`` holds the (k, coefficient) terms of each
     nonzero product of twisted sectors i and j, and no other pair."""
 
-    def __init__(self, group: FiniteUnitaryGroup, sectors: tuple[ConjugacyClass, ...],
-                 convention: CupConvention, structure_constants: dict):
-        self.__dict__.update(group=group, sectors=sectors, convention=convention,
+    def __init__(self, sectors: tuple[ConjugacyClass, ...], convention: CupConvention,
+                 structure_constants: dict):
+        self.__dict__.update(sectors=sectors, convention=convention,
                              structure_constants=structure_constants)
 
     def sector_count(self) -> int:
@@ -121,15 +121,15 @@ def build_ring(group: FiniteUnitaryGroup, convention: CupConvention) -> CRRing:
                     orbit_size.update((x, weight) for x, y in orbit if y == rep)
                 terms = contributions[(i, j)]
                 terms[k] = terms.get(k, 0) + weight
-    return CRRing(group, sectors, convention,
+    return CRRing(sectors, convention,
                   {pair: tuple(sorted(terms.items())) for pair, terms in contributions.items()})
 
 
 def associativity_sweep(ring: CRRing):
     """Check ([a][b])[c] = [a]([b][c]) over all sector triples.
 
-    Returns (passes, counterexample) where the counterexample is the first
-    failing triple, in lexicographic order, with both evaluations.
+    Returns (passes, counterexample) where the counterexample is
+    {"triple": (a, b, c)}, the first failing triple in lexicographic order.
 
     Built constants are int counts, so both evaluations are ints and compare
     exactly; constants set by hand may be Fractions, and are summed as they
@@ -175,7 +175,7 @@ def associativity_sweep(ring: CRRing):
 
 
 def _first_failure(rows, support, middles):
-    """The first failing (a, b, c) with b in ``middles``, and both sides; or None.
+    """{"triple": the first failing (a, b, c) with b in ``middles``}, or None.
 
     For each (a, b), both sides are summed at once over the c with a nonzero
     [t][c] for some t in [a][b] or a nonzero [b][c], keyed by the int
@@ -200,16 +200,7 @@ def _first_failure(rows, support, middles):
             c = min((key // count for key in left.keys() | right.keys()
                      if left.get(key, 0) != right.get(key, 0)), default=None)
             if c is not None:
-                return {
-                    "triple": (a, b, c),
-                    "left": _terms_at(left, c, count),
-                    "right": _terms_at(right, c, count),
-                }
-
-
-def _terms_at(terms: dict, c: int, count: int) -> dict:
-    """The nonzero terms of one c, keyed by u, from terms keyed c * count + u."""
-    return {key % count: v for key, v in terms.items() if key // count == c and v}
+                return {"triple": (a, b, c)}
 
 
 def commutativity_check(ring: CRRing):

@@ -296,7 +296,6 @@ def group_cmd(action, path, max_order, cache_dir):
     isolated, witness = group.is_isolated_singularity()
     classes = []
     for cls in group.classes:
-        eigen = group.eigen_multiplicities(cls.representative_index)
         classes.append(
             {
                 "label": cls.label,
@@ -304,7 +303,7 @@ def group_cmd(action, path, max_order, cache_dir):
                 "element_order": cls.order,
                 "centralizer_order": cls.centralizer_order,
                 "eigenvalue_multiplicities": {
-                    str(m): mult for m, mult in sorted(eigen.multiplicities.items())
+                    str(m): mult for m, mult in sorted(cls.multiplicities.items())
                 },
             }
         )
@@ -341,6 +340,8 @@ def group_cmd(action, path, max_order, cache_dir):
 def cr_cmd(action, path, convention, betti, singularities, coefficient, max_order, cache_dir):
     """Chen-Ruan data: sectors, ring structure, pairing, filling ranks."""
     if action == "filling":
+        if path is not None:
+            raise UsageError("'filling' reads no document path; pass it with --singularity")
         ring_desc = CoefficientRing.parse(coefficient)
         loaded = [_load_group(spath, max_order, cache_dir) for spath in singularities]
         betti = tuple(integer(b, name="argument --betti") for b in betti.split(","))
@@ -429,7 +430,7 @@ def reeb_cmd(action, path, bound, max_order, cache_dir):
                 "period": str(f.period),
                 "fixed_dim": f.fixed_dim,
                 "cz_index": str(f.cz_index),
-                "homotopy_class": f.homotopy_class,
+                "homotopy_class": f.class_label,
             }
             for f in families
         ),
@@ -512,6 +513,8 @@ def ledger_cmd(action, path, slope, profiles, coefficient, max_order, cache_dir)
 def span_cmd(action, path, trials, seed, max_order, cache_dir):
     """Pullback-pushforward counts and the composition identity."""
     if action == "random":
+        if path is not None:
+            raise UsageError("'random' reads no document path; use 'span check' for one")
         if trials > MAX_TRIALS:
             raise InputError(f"--trials {excerpt(trials)} is above the cap of {MAX_TRIALS}")
         if max_order is None:

@@ -1,4 +1,4 @@
-"""Finite subgroups of U(n): enumeration, conjugacy structure, eigenvalue data.
+"""Finite subgroups of U(n): enumeration, and conjugacy classes with their spectra.
 
 A group is described by a JSON document declaring the dimension n, a single
 cyclotomic conductor N, and generator matrices whose entries are literals in
@@ -15,8 +15,10 @@ is the one record of how it was found. Element orders come from power walks
 along the table's rows, and eigenvalue multiplicities from a reduction mod
 a prime p chosen after the closure, at one rank per candidate eigenvalue.
 Both are read once per cyclic subgroup and spread to every class its powers
-meet. One :class:`_Reduction` sends the generators to Z/m for each of p0,
-the certificate's modulus and p, and holds each reduced generator by its
+meet: each :class:`ConjugacyClass` carries its order and eigenvalue
+multiplicities, its spectrum, and the age that follows from them. One
+:class:`_Reduction` sends the generators to Z/m for each of p0, the
+certificate's modulus and p, and holds each reduced generator by its
 columns, each column by its nonzero (row, value) pairs, so x times s costs n
 products per nonzero entry of s: n^2 on a monomial generator, not n^3.
 Elements are built along the tree only where they are read, mod p for the
@@ -99,15 +101,19 @@ def mat_identity(n: int, conductor: int) -> Matrix:
 
 
 class ConjugacyClass(Record):
-    """A conjugation orbit with its centralizer order and age, in
-    deterministic order. For an isolated C^n/G it is the twisted sector
-    placed in degree 2 * age."""
+    """A conjugation orbit with its centralizer order and spectrum, in
+    deterministic order. Its members have the order o, and
+    ``multiplicities`` maps an exponent m in 0..o-1 to the multiplicity of
+    the eigenvalue zeta_o^m, exponents with multiplicity zero omitted; the
+    age is the sum of m / o over the eigenvalues. For an isolated C^n/G the
+    class is the twisted sector placed in degree 2 * age."""
 
     def __init__(self, label: str, representative_index: int, member_indices: tuple[int, ...],
-                 centralizer_order: int, order: int, age: Fraction):
+                 centralizer_order: int, order: int, multiplicities: dict[int, int]):
         self.__dict__.update(label=label, representative_index=representative_index,
-                             member_indices=member_indices,
-                             centralizer_order=centralizer_order, order=order, age=age)
+                             member_indices=member_indices, centralizer_order=centralizer_order,
+                             order=order, multiplicities=multiplicities,
+                             age=_age(order, multiplicities))
 
     @property
     def size(self) -> int:
@@ -118,15 +124,8 @@ class ConjugacyClass(Record):
         return 2 * self.age
 
 
-class EigenData(Record):
-    """Exact eigenvalue multiplicities of one element.
-
-    ``multiplicities`` maps an exponent m in 0..o-1 to the multiplicity of
-    the eigenvalue zeta_o^m; exponents with multiplicity zero are omitted.
-    """
-
-    def __init__(self, order: int, multiplicities: dict[int, int]):
-        self.__dict__.update(order=order, multiplicities=multiplicities)
+def _age(order: int, multiplicities: dict[int, int]) -> Fraction:
+    return Fraction(sum(m * mult for m, mult in multiplicities.items()), order)
 
 
 class GroupDocument(Record):
@@ -152,7 +151,7 @@ class FiniteUnitaryGroup:
         self.order = table.order
         self.table = table
         self._mult_table = None
-        self._eigen: dict[int, EigenData] = {}
+        self._eigen: dict[int, tuple[int, dict[int, int]]] = {}
         self._classes = None
         self._class_of = None
         self._isolated = None
@@ -180,7 +179,7 @@ class FiniteUnitaryGroup:
             n = self.order
             found = orbits(self.table.conjugation_maps(), n)
             self._spread(found)
-            coarse = sorted(((age(self, c[0]), len(c)), c) for c in found)
+            coarse = sorted(((_age(*self._eigen[c[0]]), len(c)), c) for c in found)
             # Classes that tie on (age, size) are ordered by their
             # representatives' power-basis coefficients as Fractions, entry
             # by entry; only those representatives are rebuilt, in one walk.
@@ -188,12 +187,12 @@ class FiniteUnitaryGroup:
             tied = (c[0] for k, c in coarse if ties[k] > 1)
             keys = {i: _sparse_key(m) for i, m in self.exact(tied)}
             classes = []
-            for pos, ((a, _), members) in enumerate(
+            for pos, (_, members) in enumerate(
                     sorted(coarse, key=lambda kc: (kc[0], keys.get(kc[1][0], ())))):
                 rep = members[0]
                 label = "Id" if rep == 0 else f"c{pos}"
                 classes.append(ConjugacyClass(label, rep, members, n // len(members),
-                                              self._eigen[rep].order, a))
+                                              *self._eigen[rep]))
             self._classes = tuple(classes)
             self._class_of = {
                 m: pos for pos, cls in enumerate(self._classes) for m in cls.member_indices
@@ -201,7 +200,7 @@ class FiniteUnitaryGroup:
         return self._classes
 
     def _spread(self, found: list[tuple[int, ...]]):
-        """Eigen data for the least member of each orbit in ``found``, in
+        """The spectrum of the least member of each orbit in ``found``, in
         ``_eigen``, one read per cyclic subgroup (Isaacs, Character Theory of
         Finite Groups, 1976, ch. 2). The least member g of each orbit no
         earlier read reached is walked along its row until g^o = 1 and read
@@ -230,39 +229,27 @@ class FiniteUnitaryGroup:
                     mults = Counter()
                     for m, mult in exponents.items():
                         mults[m * k % o // d] += mult
-                    self._eigen[rep_of[x]] = EigenData(o // d, dict(sorted(mults.items())))
+                    self._eigen[rep_of[x]] = (o // d, dict(sorted(mults.items())))
 
     def class_position(self, element_index: int) -> int:
         self.classes
         return self._class_of[element_index]
 
-    # -- eigenvalue data -------------------------------------------------------
-
-    def eigen_multiplicities(self, i: int) -> EigenData:
-        """Multiplicity of each eigenvalue zeta_o^m of element i: the data
-        :attr:`classes` spread to i's class, since conjugate elements share
-        their spectra; see :meth:`_spread` and :func:`eigen_exponents`."""
-        data = self._eigen.get(i)
-        if data is None:
-            rep = self.classes[self.class_position(i)].representative_index
-            data = self._eigen[i] = self._eigen[rep]
-        return data
-
-    def fixed_space_dimension(self, i: int) -> int:
-        """dim ker(g - I): the multiplicity of eigenvalue 1."""
-        return self.eigen_multiplicities(i).multiplicities.get(0, 0)
+    def eigen_multiplicities(self, i: int) -> ConjugacyClass:
+        """The class of element i, which carries i's spectrum. No src/ path
+        or test calls it: it stays only because bench/tracer.py wraps it."""
+        return self.classes[self.class_position(i)]
 
     def is_isolated_singularity(self) -> tuple[bool, int | None]:
         """True when no nontrivial element has eigenvalue 1, read from the
-        eigen data :attr:`classes` computed for the class representatives.
+        spectra of the classes.
 
         Each representative is the smallest member of its class, so on
         failure the second component is the first offending element index.
         """
         if self._isolated is None:
             offending = [c.representative_index for c in self.classes
-                         if c.representative_index
-                         and self.fixed_space_dimension(c.representative_index)]
+                         if c.representative_index and c.multiplicities.get(0)]
             witness = min(offending, default=None)
             self._isolated = (witness is None, witness)
         return self._isolated
@@ -282,12 +269,6 @@ def _sparse_key(matrix: Matrix) -> tuple:
     return tuple(tuple((c > 0, -e if c > 0 else e, Fraction(c, x.den))
                        for e, c in x.terms) + ((False, math.inf),)
                  for row in matrix for x in row)
-
-
-def age(group: FiniteUnitaryGroup, element_index: int) -> Fraction:
-    """sum of m_i / o over the eigenvalue exponents of the element."""
-    data = group.eigen_multiplicities(element_index)
-    return Fraction(sum(m * mult for m, mult in data.multiplicities.items()), data.order)
 
 
 class _Reduction:

@@ -15,7 +15,7 @@ from .coefficients import CoefficientRing
 from .errors import InputError, InternalInconsistency, excerpt
 from .groups import FiniteUnitaryGroup
 from .record import Record
-from .reeb import MorseCell, cz_generator, family_count, walk_families
+from .reeb import cz_generator, family_count, walk_families
 
 KIND_CONSTANT_TWISTED = "constant-twisted"
 KIND_CONSTANT_UNTWISTED = "constant-untwisted"
@@ -125,8 +125,7 @@ def build_ledger(
         profile = profiles.get((family.class_label, family.period), (0, family.manifold_dimension))
         isotropy = group.classes[family.class_position].centralizer_order
         for index in profile:
-            cell = MorseCell(family, index)
-            _, degree = cz_generator(cell, group)
+            _, degree = cz_generator(family, index, group)
             generators.append(
                 FloerGenerator(
                     KIND_CELL,

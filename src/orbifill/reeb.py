@@ -3,8 +3,10 @@
 Periods are exact rationals in units of 2*pi, so the simple orbit on the
 sphere has period 1, and the family for class (g) at an eigenvalue angle
 theta = m/o in [0, 1), o the order of g, has the periods theta + k > 0 for
-integers k. Slope genericity is decided by exact comparison against the
-full period spectrum instead of a measure argument.
+integers k. The period walks read these angles, with their multiplicities,
+from the class itself, and hold a period T as the int P = T*o. Slope
+genericity is decided by exact comparison against the full period spectrum
+instead of a measure argument.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError, excerpt
-from .groups import EigenData, FiniteUnitaryGroup
+from .groups import ConjugacyClass, FiniteUnitaryGroup
 from .record import Record
 
 # The most orbit families one query may build: a report of 200,001 families
@@ -29,43 +31,23 @@ class OrbitFamily(Record):
                              period=period, fixed_dim=fixed_dim, cz_index=cz_index)
 
     @property
-    def homotopy_class(self) -> str:
-        # Definitional: the family's orbits lie in the loop component of its
-        # conjugacy class.
-        return self.class_label
-
-    @property
     def manifold_dimension(self) -> int:
         return 2 * self.fixed_dim - 1
 
 
-class MorseCell(Record):
-    def __init__(self, family: OrbitFamily, morse_index: int):
-        self.__dict__.update(family=family, morse_index=morse_index)
-        top = family.manifold_dimension
-        if not 0 <= morse_index <= top:
-            raise InputError(f"Morse index {excerpt(morse_index)} outside 0..{top} for this family")
-
-
-def _spectrum(group: FiniteUnitaryGroup, class_position: int) -> EigenData:
-    """The class's angles m/o with their multiplicities, read once per class
-    from its representative's eigen data. A period T is the int P = T*o."""
-    return group.eigen_multiplicities(group.classes[class_position].representative_index)
-
-
-def _fixed_dim(spectrum: EigenData, period: Fraction) -> int | None:
+def _fixed_dim(spectrum: ConjugacyClass, period: Fraction) -> int | None:
     """The multiplicity of the angle period mod 1, which is the family's
     fixed-space dimension, or None when that is no angle of the class."""
     p = period * spectrum.order
     return spectrum.multiplicities.get(p.numerator % spectrum.order) if p.denominator == 1 else None
 
 
-def _limit(spectrum: EigenData, bound: Fraction) -> int:
+def _limit(spectrum: ConjugacyClass, bound: Fraction) -> int:
     """The int with P < bound*o exactly when P < it, o the class's order."""
     return -(-bound.numerator * spectrum.order // bound.denominator)
 
 
-def _walk(spectrum: EigenData, bound: Fraction) -> list[tuple[int, int]]:
+def _walk(spectrum: ConjugacyClass, bound: Fraction) -> list[tuple[int, int]]:
     """(P, fixed_dim) for each admissible period P/o below the bound, in
     ascending order: the angle m/o gives P = m, m + o, ..., from o if m = 0."""
     o, mult = spectrum.order, spectrum.multiplicities
@@ -74,7 +56,7 @@ def _walk(spectrum: EigenData, bound: Fraction) -> list[tuple[int, int]]:
     return [(k + p, mult[p % o]) for k in range(0, limit, o) for p in starts if k + p < limit]
 
 
-def _index(spectrum: EigenData, p: int) -> Fraction:
+def _index(spectrum: ConjugacyClass, p: int) -> Fraction:
     """Generalized Conley-Zehnder index of the family at the period T = p/o:
     sum_j rho(T + {-theta_j}) - 2*age over the class's eigenvalue angles
     theta_j, with rho(a) = 2a on integers and 2*floor(a) + 1 elsewhere
@@ -92,8 +74,7 @@ def _index(spectrum: EigenData, p: int) -> Fraction:
 
 def is_on_spectrum(group: FiniteUnitaryGroup, value: Fraction) -> bool:
     """Whether the value is an admissible period of some orbit family."""
-    positions = range(len(group.classes))
-    return value > 0 and any(_fixed_dim(_spectrum(group, pos), value) is not None for pos in positions)
+    return value > 0 and any(_fixed_dim(cls, value) is not None for cls in group.classes)
 
 
 def family_count(group: FiniteUnitaryGroup, slope, option: str = "slope") -> int:
@@ -107,10 +88,9 @@ def family_count(group: FiniteUnitaryGroup, slope, option: str = "slope") -> int
         raise InputError("periods are positive rationals in units of 2*pi")
     if is_on_spectrum(group, slope):
         raise InputError(f"{option} {excerpt(slope)} is an admissible period")
-    spectra = [_spectrum(group, pos) for pos in range(len(group.classes))]
     # The angle m/o has the periods P = (m or o) + k*o below _limit, as _walk reads them.
     total = sum(max(0, -(-(_limit(s, slope) - (m or s.order)) // s.order))
-                for s in spectra for m in s.multiplicities)
+                for s in group.classes for m in s.multiplicities)
     if total > MAX_FAMILIES:
         raise InputError(f"{option} {excerpt(slope)} gives {excerpt(total)} orbit families, "
                          f"more than the cap of {MAX_FAMILIES}")
@@ -130,20 +110,23 @@ def walk_families(group: FiniteUnitaryGroup, slope) -> list[OrbitFamily]:
     slope = Fraction(slope)
     out = []
     for pos, cls in enumerate(group.classes):
-        spectrum = _spectrum(group, pos)
-        out += (OrbitFamily(cls.label, pos, Fraction(p, spectrum.order), fixed, _index(spectrum, p))
-                for p, fixed in _walk(spectrum, slope))
+        out += (OrbitFamily(cls.label, pos, Fraction(p, cls.order), fixed, _index(cls, p))
+                for p, fixed in _walk(cls, slope))
     return out
 
 
-def cz_generator(cell: MorseCell, group: FiniteUnitaryGroup) -> tuple[Fraction, Fraction]:
-    """Index of a perturbed generator and its cohomological degree n - index.
+def cz_generator(family: OrbitFamily, morse_index: int,
+                 group: FiniteUnitaryGroup) -> tuple[Fraction, Fraction]:
+    """Index of the generator of the family's cell of that Morse index, and
+    its cohomological degree n - index; InputError unless 0 <= index < 2*fixed_dim.
 
     The Morse-Bott family index counts the full fixed space; breaking the
     family into cells replaces that last term by 1 + ind(x).
     """
-    family = cell.family
-    mu = family.cz_index - family.fixed_dim + 1 + cell.morse_index
+    top = family.manifold_dimension
+    if not 0 <= morse_index <= top:
+        raise InputError(f"Morse index {excerpt(morse_index)} outside 0..{top} for this family")
+    mu = family.cz_index - family.fixed_dim + 1 + morse_index
     return mu, group.dimension - mu
 
 

@@ -132,6 +132,11 @@ def build(group, max_order=20000):
     return enumerate_group(parsed(group), max_order)
 
 
+def class_of(group, x):
+    """The conjugacy class of element x, which carries x's spectrum and age."""
+    return group.classes[group.class_position(x)]
+
+
 def run_cli(argv):
     """Exit code, stdout and stderr of ``main(argv)`` run in process; the
     code is 0 when it returns."""

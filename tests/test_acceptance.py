@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from battery import battery_24, battery_48, build, corpus
+from battery import battery_24, battery_48, build, class_of, corpus
 from orbifill.chen_ruan import (
     CupConvention,
     associativity_sweep,
@@ -20,9 +20,8 @@ from orbifill.chen_ruan import (
 from orbifill.coefficients import CoefficientRing
 from orbifill.constraints import BoundaryDescriptor, constraint_for_boundary
 from orbifill.cyclotomic import cyclotomic_polynomial, make, zeta
-from orbifill.groups import age
 from orbifill.ledger import build_ledger, check_ledger, known_differentials, sh_vanishing
-from orbifill.reeb import MorseCell, cz_generator, families_below, mclean_discrepancy
+from orbifill.reeb import cz_generator, families_below, mclean_discrepancy
 from orbifill.spans import random_composition_battery
 
 
@@ -68,8 +67,8 @@ def test_criterion_02_age_duality_across_battery():
         for g in groups:
             n = g.dimension
             for cls in g.classes[1:]:
-                rep = cls.representative_index
-                assert age(g, rep) + age(g, g.table.inverses[rep]) == n, (g.name, cls.label)
+                dual = class_of(g, g.table.inverses[cls.representative_index])
+                assert cls.age + dual.age == n, (g.name, cls.label)
 
 
 def test_criterion_03_cz_periodicity():
@@ -89,7 +88,7 @@ def test_criterion_04_gamma0_grading_and_forced_differential():
         for g in battery_24():
             (family,) = [f for f in families_below(g, Fraction(101, 97))
                          if (f.class_position, f.period) == (0, 1)]
-            mu, degree = cz_generator(MorseCell(family, 0), g)
+            mu, degree = cz_generator(family, 0, g)
             assert degree == -1, g.name
             ledger = build_ledger(g, Fraction(101, 97))
             entries = known_differentials(ledger)

@@ -16,7 +16,7 @@ import pytest
 
 from battery import (BATTERY_24, BATTERY_48, BD12_MU5, Q8_MU3, Q8_MU5, REDUCTION_NAMES,
                      Z7_SEMIDIRECT_Z9, approx, battery_48, binary_tetrahedral, build,
-                     check_table_structure, corpus, corrupt_generator, dense, document,
+                     check_table_structure, class_of, corpus, corrupt_generator, dense, document,
                      eigen_prime, eigen_root, lift, parsed, power_mod_phi,
                      record_reduced_products, record_prime_searches, reduced_elements, table_of,
                      trivial)
@@ -28,7 +28,6 @@ from orbifill.groups import (
     GroupDocument,
     MAX_CERTIFICATE_SIZE,
     MAX_REDUCTION_SIZE,
-    age,
     canonical_document,
     document_digest,
     mat_conj_transpose,
@@ -275,9 +274,9 @@ class TestEnumeration:
         i = 1
         corrupt_generator(monkeypatch, entries)
         with pytest.raises(InternalInconsistency):
-            g.eigen_multiplicities(i).order
+            class_of(g, i).order
         with pytest.raises(InternalInconsistency):
-            g.eigen_multiplicities(i)
+            class_of(g, i)
 
     def test_trivial_group(self):
         g = build(trivial())
@@ -342,7 +341,7 @@ class TestConjugacyClasses:
 
     def test_class_ordering_is_by_age(self):
         for g in battery_48():
-            ages = [age(g, c.representative_index) for c in g.classes]
+            ages = [c.age for c in g.classes]
             assert ages == sorted(ages)
             assert ages[0] == 0
 
@@ -375,31 +374,28 @@ class TestEigenData:
     def test_minus_identity(self):
         for n in (2, 3, 5):
             g = build(corpus.antipodal(n))
-            data = g.eigen_multiplicities(1)
+            data = class_of(g, 1)
             assert data.order == 2 and data.multiplicities == {1: n}
 
     def test_scalar_cyclic(self):
         g = build(corpus.scalar_cyclic(3))
-        rep = g.classes[1].representative_index
-        data = g.eigen_multiplicities(rep)
+        data = g.classes[1]
         assert data.order == 3 and data.multiplicities == {1: 2}
 
     def test_identity(self):
         g = build(corpus.quaternion())
-        data = g.eigen_multiplicities(0)
-        assert data.multiplicities == {0: 2}
+        assert class_of(g, 0).multiplicities == {0: 2}
 
     def test_multiplicities_sum_to_dimension(self):
         for g in battery_48():
             for cls in g.classes:
-                data = g.eigen_multiplicities(cls.representative_index)
-                assert sum(data.multiplicities.values()) == g.dimension
+                assert sum(cls.multiplicities.values()) == g.dimension
 
     def test_class_function_property(self):
         # Conjugate elements carry identical eigenvalue data.
         for g in battery_48():
             for cls in g.classes:
-                datas = [g.eigen_multiplicities(m) for m in cls.member_indices]
+                datas = [class_of(g, m) for m in cls.member_indices]
                 assert all(
                     d.multiplicities == datas[0].multiplicities and d.order == datas[0].order
                     for d in datas
@@ -429,9 +425,8 @@ class TestEigenData:
     def _check_against_character_formula(g):
         for i in range(g.order):
             o, mults = character_formula(g, i)
-            data = g.eigen_multiplicities(i)
+            data = class_of(g, i)
             assert (data.order, data.multiplicities) == (o, mults), (g.name, i)
-            assert g.fixed_space_dimension(i) == mults.get(0, 0), (g.name, i)
 
     def test_against_rank_reading(self):
         docs = [Z7_SEMIDIRECT_Z9, Q8_MU3, Q8_MU5, BD12_MU5, binary_tetrahedral(5),
@@ -439,7 +434,7 @@ class TestEigenData:
                 diagonal_signs(3)]
         for g in battery_48() + [build(d) for d in docs]:
             for i, reduced in reduced_elements(g, range(g.order)):
-                data = g.eigen_multiplicities(i)
+                data = class_of(g, i)
                 o, mults = rank_reading(g, i, reduced)
                 assert (data.order, list(data.multiplicities.items())) == (
                     o, list(mults.items())), (g.name, i)
@@ -487,8 +482,7 @@ class TestEigenData:
         for name in ("eigen_exponents", "rank_shifted"):
             monkeypatch.setattr(groups, name, lambda *a, f=getattr(groups, name), name=name:
                                 calls.update([name]) or f(*a))
-        for cls in g.classes:
-            g.eigen_multiplicities(cls.representative_index)
+        g.classes
         assert (calls["eigen_exponents"], calls["rank_shifted"]) == (reads, ranks)
 
     @pytest.mark.parametrize(
@@ -558,14 +552,13 @@ class TestEigenData:
                 continue
             elements = dict(g.exact(c.representative_index for c in g.classes))
             for cls in g.classes:
-                idx = cls.representative_index
-                data = g.eigen_multiplicities(idx)
-                mat = np.array([[approx(c) for c in row] for row in elements[idx]])
+                mat = np.array([[approx(c) for c in row]
+                                for row in elements[cls.representative_index]])
                 angles = np.angle(np.linalg.eigvals(mat)) / (2 * np.pi) % 1.0
                 got = sorted(angles)
                 expected = sorted(
-                    (m / data.order) % 1.0
-                    for m, mult in data.multiplicities.items()
+                    (m / cls.order) % 1.0
+                    for m, mult in cls.multiplicities.items()
                     for _ in range(mult)
                 )
                 assert np.allclose(got, expected, atol=1e-9)
@@ -630,7 +623,7 @@ class TestIsolated:
         ok, witness = g.is_isolated_singularity()
         assert not ok
         assert witness is not None
-        assert g.fixed_space_dimension(witness) > 0
+        assert class_of(g, witness).multiplicities.get(0, 0) > 0
 
 
 class TestCanonicalForm:
@@ -714,7 +707,7 @@ class TestIntegerKeys:
             classes = g.classes
             elements = dict(g.exact(c.representative_index for c in classes))
             expected = sorted(classes, key=lambda c: (
-                age(g, c.representative_index), c.size,
+                c.age, c.size,
                 fraction_key(elements[c.representative_index])))
             assert [c.representative_index for c in classes] == [
                 c.representative_index for c in expected], g.name
@@ -757,7 +750,7 @@ def dense_class_order(group):
             m = known[c] = mat_mul(m, generator[tree[c - 1][2][0]])
         return m
 
-    coarse = sorted(((age(group, c[0]), len(c)), c)
+    coarse = sorted(((class_of(group, c[0]).age, len(c)), c)
                     for c in orbits(group.table.conjugation_maps(), group.order))
     out = []
     for _, run in itertools.groupby(coarse, key=lambda kc: kc[0]):
@@ -920,7 +913,7 @@ class TestAgainstExactClosure:
                     for gi in words[x]:
                         power = gen_cols[gi][power]
                     o += 1
-                assert g.eigen_multiplicities(x).order == o, (g.name, x)
+                assert class_of(g, x).order == o, (g.name, x)
 
 
 class TestCertificate:
@@ -953,7 +946,7 @@ class TestCertificate:
         # 4 phi(2^k) = 2^(k+1) bits: up to 2^15 the certificate is under the
         # cap and runs, and above it 2T is refused before any prime is drawn.
         def ages(g):
-            return sorted((age(g, c.representative_index), c.size) for c in g.classes)
+            return sorted((c.age, c.size) for c in g.classes)
 
         expected = ages(build(binary_tetrahedral()))
         for k in range(12, 22):

@@ -148,7 +148,7 @@ class TestBuildLedger:
                 pos = next(
                     i for i, cls in enumerate(g.classes) if cls.label == gen.homotopy_class
                 )
-                eigen = g.eigen_multiplicities(g.classes[pos].representative_index)
+                eigen = g.classes[pos]
                 a = Fraction(
                     sum(m * mult for m, mult in eigen.multiplicities.items()), eigen.order
                 )

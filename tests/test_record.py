@@ -8,16 +8,16 @@ import pytest
 from orbifill.chen_ruan import CRRing, CupConvention, cr_of_filling
 from orbifill.coefficients import CoefficientRing
 from orbifill.constraints import BoundaryDescriptor, ConstraintSet
-from orbifill.groups import ConjugacyClass, EigenData
-from orbifill.reeb import MorseCell, OrbitFamily
+from orbifill.groups import ConjugacyClass
+from orbifill.reeb import OrbitFamily
 
 
 def test_value_equality_and_hash():
-    a = ConjugacyClass("c1", 3, (3, 5), 4, 2, Fraction(1, 2))
-    b = ConjugacyClass(label="c1", representative_index=3, member_indices=(3, 5),
-                       centralizer_order=4, order=2, age=Fraction(1, 2))
-    assert a == b and hash(a) == hash(b) == hash(("c1", 3, (3, 5), 4, 2, Fraction(1, 2)))
-    assert a != ConjugacyClass("c1", 3, (3, 5), 4, 4, Fraction(1, 2))
+    a = OrbitFamily("c1", 1, Fraction(1, 2), 2, Fraction(1))
+    b = OrbitFamily(class_label="c1", class_position=1, period=Fraction(1, 2), fixed_dim=2,
+                    cz_index=Fraction(1))
+    assert a == b and hash(a) == hash(b) == hash(("c1", 1, Fraction(1, 2), 2, Fraction(1)))
+    assert a != OrbitFamily("c1", 1, Fraction(1, 2), 2, Fraction(3))
     assert len({a, b}) == 1
     assert CoefficientRing("Q") != BoundaryDescriptor("subcritical", 1)
 
@@ -25,8 +25,12 @@ def test_value_equality_and_hash():
 def test_defaults_and_unhashable_fields():
     assert CoefficientRing("Z").modulus is None
     assert ConstraintSet((1,), ("r",), True) == ConstraintSet((1,), ("r",), True, None, None)
+    # A class derives its age from its spectrum, which is a dict.
+    a = ConjugacyClass("c1", 3, (3, 5), 4, 4, {1: 1, 3: 1})
+    assert a.age == 1 and a == ConjugacyClass("c1", 3, (3, 5), 4, 4, {3: 1, 1: 1})
+    assert a != ConjugacyClass("c1", 3, (3, 5), 4, 4, {1: 2})
     with pytest.raises(TypeError):
-        hash(EigenData(1, {0: 2}))
+        hash(a)
 
 
 def test_frozen():
@@ -47,16 +51,13 @@ def test_constructor_checks():
         BoundaryDescriptor("lens", 2, 1)
     with pytest.raises(ValueError, match="non-negative"):
         cr_of_filling((1, -1), ())
-    family = OrbitFamily("Id", 0, Fraction(1), 2, Fraction(2))
-    with pytest.raises(ValueError, match="outside 0..3"):
-        MorseCell(family, 4)
 
 
 def test_ring_is_a_record():
     # A record of its constants: equal by value, frozen, and unhashable
     # because the constants are a dict.
     def ring(constants):
-        return CRRing(None, (), CupConvention.ORBIT_REPRESENTATIVE_SUM, constants)
+        return CRRing((), CupConvention.ORBIT_REPRESENTATIVE_SUM, constants)
 
     first, second = ring({(1, 1): (1,)}), ring({})
     assert first != second

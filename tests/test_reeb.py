@@ -12,7 +12,6 @@ from orbifill import reeb
 from orbifill.errors import InputError, NonIsolated
 from orbifill.ledger import KIND_CELL, build_ledger
 from orbifill.reeb import (
-    MorseCell,
     cz_generator,
     families_below,
     is_on_spectrum,
@@ -102,8 +101,8 @@ class TestFamilyIndex:
         for g in map(build, docs):
             n = g.dimension
             for f in walk_families(g, Fraction(193, 97)):
-                spectrum = reeb._spectrum(g, f.class_position)
-                far = reeb._index(spectrum, int((f.period + 10**6) * spectrum.order))
+                cls = g.classes[f.class_position]
+                far = reeb._index(cls, int((f.period + 10**6) * cls.order))
                 assert far == f.cz_index + 2 * n * 10**6, (g.name, f.class_position)
 
 
@@ -112,7 +111,7 @@ class TestGeneratorIndex:
         for doc in (corpus.antipodal(2), corpus.antipodal(4), corpus.quaternion(), trivial()):
             g = build(doc)
             family = _family(g, 0, 1)
-            mu, degree = cz_generator(MorseCell(family, 0), g)
+            mu, degree = cz_generator(family, 0, g)
             assert mu == g.dimension + 1
             assert degree == -1
 
@@ -120,35 +119,34 @@ class TestGeneratorIndex:
         for n in (2, 3, 4):
             g = build(corpus.antipodal(n))
             family = _family(g, 1, Fraction(1, 2))
-            mu, degree = cz_generator(MorseCell(family, 0), g)
+            mu, degree = cz_generator(family, 0, g)
             assert mu == 1 and degree == n - 1
 
     def test_top_cell_contractible(self):
         g = build(corpus.antipodal(3))
         n = g.dimension
         family = _family(g, 0, 1)
-        mu, degree = cz_generator(MorseCell(family, 2 * n - 1), g)
+        mu, degree = cz_generator(family, 2 * n - 1, g)
         assert mu == 3 * n and degree == -2 * n
 
     def test_morse_index_bounds(self):
         g = build(corpus.antipodal(2))
         family = _family(g, 1, Fraction(1, 2))
-        with pytest.raises(ValueError):
-            MorseCell(family, 2 * family.fixed_dim)
-        with pytest.raises(ValueError):
-            MorseCell(family, -1)
+        for index in (2 * family.fixed_dim, -1):
+            with pytest.raises(InputError, match=f"^Morse index {index} outside 0..3 for this"):
+                cz_generator(family, index, g)
 
     def test_morse_bott_correction(self):
         # Minimum-cell index differs from the family index by 1 - fixed_dim.
         for g in battery_24():
             for family in families_below(g, Fraction(292, 97)):
-                mu, _ = cz_generator(MorseCell(family, 0), g)
+                mu, _ = cz_generator(family, 0, g)
                 assert mu - family.cz_index == 1 - family.fixed_dim
 
     def test_homotopy_class_is_conjugacy_class(self):
         for g in battery_24():
             for family in families_below(g, Fraction(292, 97)):
-                assert family.homotopy_class == g.classes[family.class_position].label
+                assert family.class_label == g.classes[family.class_position].label
 
 
 class TestDiscrepancy:
@@ -217,23 +215,21 @@ class TestFamiliesBelow:
         # slope, and the number of families the walk builds.
         slope = Fraction(k, 101)
         for g in battery_48() + [build(Z7_SEMIDIRECT_Z9)]:
-            spectra = [reeb._spectrum(g, pos) for pos in range(len(g.classes))]
             by_slope = sum(max(0, math.ceil(slope - Fraction(m or s.order, s.order)))
-                           for s in spectra for m in s.multiplicities)
+                           for s in g.classes for m in s.multiplicities)
             assert reeb.family_count(g, slope) == by_slope == len(walk_families(g, slope)), g.name
 
     def test_one_period_walk_per_class(self, monkeypatch):
-        # Each class's spectrum is read once per pass over the classes, never
-        # per family: families_below and build_ledger each pass to test the
-        # slope, to count and to walk.
+        # Each class's periods are walked once, never per family:
+        # families_below and build_ledger each walk the classes in order.
         calls = []
-        read = reeb._spectrum
-        monkeypatch.setattr(reeb, "_spectrum", lambda *a: calls.append(a[1]) or read(*a))
+        walk = reeb._walk
+        monkeypatch.setattr(reeb, "_walk", lambda *a: calls.append(a[0]) or walk(*a))
         for g in battery_24():
-            for run, passes in ((families_below, 3), (build_ledger, 3)):
+            for run in (families_below, build_ledger):
                 calls.clear()
                 run(g, Fraction(292, 97))
-                assert calls == list(range(len(g.classes))) * passes, (g.name, run.__name__)
+                assert calls == list(g.classes), (g.name, run.__name__)
 
 
 ORACLE_BOUND = Fraction(292, 97)
@@ -268,7 +264,7 @@ class TestClosedFormOracle:
             n = g.dimension
             for family, (_, _, fixed, index) in zip(families_below(g, ORACLE_BOUND), families):
                 for morse in range(2 * fixed):
-                    _, degree = cz_generator(MorseCell(family, morse), g)
+                    _, degree = cz_generator(family, morse, g)
                     assert degree == reeb_oracle.cell_degree(n, fixed, index, morse), g.name
 
     def test_ledger_cell_degrees(self):

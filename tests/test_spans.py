@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from battery import BD12_MU5, build, check_table_structure, corpus, table_of
+from battery import BD12_MU5, build, check_table_structure, class_of, corpus, table_of
 from orbifill import tables
 from orbifill.errors import InputError
 from orbifill.groups import DEFAULT_MAX_ORDER, canonical_document, document_digest, parse_group
@@ -120,7 +120,7 @@ class TestGroupTables:
         unitary = build(corpus.quaternion())
         # same multiset of element orders
         orders_a = sorted(_order_in_table(table, i) for i in range(8))
-        orders_b = sorted(unitary.eigen_multiplicities(i).order for i in range(8))
+        orders_b = sorted(class_of(unitary, i).order for i in range(8))
         assert orders_a == orders_b
 
     def test_cyclic_rows_are_sums_mod_k(self):
