@@ -210,6 +210,18 @@ QUERIES = {
     # Actions that read no document path.
     "usage-filling-document": "cr filling samples/quaternion.json",
     "usage-random-document": "span random samples/span_pair.json --trials 3",
+    # Options that a sibling action reads, given to an action that reads none.
+    "usage-ring-coefficient": "cr ring samples/quaternion.json --coefficient bogus",
+    "usage-components-bound": "reeb components samples/a3.json --bound 7/3",
+    "usage-check-trials": "span check samples/span_pair.json --trials 5",
+    "usage-rp-max-order": "constraints rp 3 --max-order 5",
+    "usage-canonical-max-order": "group canonical samples/a3.json --max-order 1",
+    "usage-filling-convention": "cr filling --betti 1 --singularity samples/a3.json "
+                                "--convention full-pairs",
+    "usage-boundary-boundary": "constraints boundary lens:2,3 --boundary lens:2,3",
+    # An option before the action.
+    "usage-option-before-action": "cr --format json ring samples/quaternion.json",
+    "usage-admit-missing-document": "constraints admit missing.json --boundary lens:2,2",
     # Domain-negative results (exit 1) and input errors (exit 2).
     "negative-admit": "constraints admit samples/quaternion.json --boundary lens:2,3",
     "negative-cr-ring-non-isolated": "cr ring reflection.json",
