@@ -174,10 +174,6 @@ _OUTCOMES = (
 )
 
 
-class UsageError(Exception):
-    """A command line that parses but asks for something its command cannot do."""
-
-
 def rational(text):
     """A Fraction from an int, p/q or decimal text, else InputError, which
     quotes the text as an excerpt. Exponent notation is refused before
@@ -240,6 +236,20 @@ def _arg(*names, **kwargs):
     return names, kwargs
 
 
+def _chooser(prog, description, name, summaries, metavar=None):
+    """A parser of one of ``summaries``' keys, the argument ``name``, and the
+    arguments after it; its help lists each key with its summary."""
+    parser = argparse.ArgumentParser(
+        prog=prog, description=description, allow_abbrev=False,
+        epilog=f"{name}s:\n" + "\n".join(f"  {key:<12} {line}" for key, line in summaries.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument(name, choices=summaries, type=_one_of(summaries), metavar=metavar,
+                        help=f"one of the {name}s listed below")
+    parser.add_argument("args", nargs=argparse.REMAINDER, metavar="ARGS",
+                        help=f"the {name}'s arguments; see '{prog} {name.upper()} --help'")
+    return parser
+
+
 FORMAT = _arg("--format", dest="fmt", choices=["table", "json"], default="table",
               help="report rendering; json is the stable machine contract")
 # Nothing is cached: --cache-dir is accepted and ignored so that existing
@@ -247,24 +257,33 @@ FORMAT = _arg("--format", dest="fmt", choices=["table", "json"], default="table"
 # parameter of _load_group stay only because bench/tracer.py reads them,
 # until the benchmark retires its cache metrics.
 CACHE_DIR = _arg("--cache-dir", type=_directory, help=argparse.SUPPRESS)
-GROUP_OPTIONS = (
-    _arg("--max-order", type=functools.partial(integer, low=1), default=DEFAULT_MAX_ORDER,
-         help="abort enumeration beyond this order (default: %(default)s)"),
-    CACHE_DIR,
-)
+MAX_ORDER = _arg("--max-order", type=functools.partial(integer, low=1), default=DEFAULT_MAX_ORDER,
+                 help="abort enumeration beyond this order (default: %(default)s)")
+PATH = _arg("path", type=_document)
+# The arguments of an action that reads one group document.
+GROUP_DOCUMENT = (PATH, FORMAT, MAX_ORDER, CACHE_DIR)
 
-# name -> (command, its add_argument calls), in the order of `orbifill --help`.
-COMMANDS = {}
+# command -> its summary in `orbifill --help`, in that order.
+SUMMARIES = {
+    "group": "Inspect a group document: enumeration, classes, eigenvalue data.",
+    "cr": "Chen-Ruan data: sectors, ring structure, pairing, filling ranks.",
+    "reeb": "Reeb orbit families, indices, discrepancy, loop components.",
+    "ledger": "Assemble the generator ledger at a slope, with forced differentials.",
+    "span": "Pullback-pushforward counts and the composition identity.",
+    "constraints": "Filling constraints: divisor tables, admissibility, uniqueness.",
+}
+# command -> {action: (its function, its add_argument calls)}.
+COMMANDS = {command: {} for command in SUMMARIES}
 
 
-def _command(name, *arguments):
-    """Register ``fn`` as command ``name``; ``arguments`` are its ``_arg`` calls,
-    and the first line of its docstring is its summary in ``orbifill --help``.
+def _action(command, action, *arguments):
+    """Register ``fn`` as ``command action``; ``arguments`` are its ``_arg`` calls,
+    and the first line of its docstring is its summary in ``orbifill COMMAND --help``.
     ``fn`` takes the parsed arguments except ``fmt`` and returns its report and
     verdict, which ``main`` renders and maps onto the exit codes."""
 
     def register(fn):
-        COMMANDS[name] = (fn, arguments)
+        COMMANDS[command][action] = (fn, arguments)
         return fn
 
     return register
@@ -279,19 +298,9 @@ def _load_group(path, max_order, cache_dir):
     return enumerate_group(document, max_order), document_digest(document)
 
 
-# -- group ----------------------------------------------------------------------
-
-
-@_command("group", _arg("action", choices=["info", "canonical"]),
-          _arg("path", type=_document), FORMAT, *GROUP_OPTIONS)
-def group_cmd(action, path, max_order, cache_dir):
-    """Inspect a group document: enumeration, classes, eigenvalue data."""
-    if action == "canonical":
-        document = parse_group(_read(path))
-        return {
-            "metadata": _metadata(document_digest(document)),
-            "canonical": canonical_document(document),
-        }, True
+@_action("group", "info", *GROUP_DOCUMENT)
+def group_info(path, max_order, cache_dir):
+    """The group's order, its conjugacy classes and their eigenvalue data."""
     group, digest = _load_group(path, max_order, cache_dir)
     isolated, witness = group.is_isolated_singularity()
     classes = []
@@ -321,58 +330,22 @@ def group_cmd(action, path, max_order, cache_dir):
     return report, True
 
 
-# -- chen-ruan -------------------------------------------------------------------
+@_action("group", "canonical", PATH, FORMAT)
+def group_canonical(path):
+    """The document's canonical form, and its digest."""
+    document = parse_group(_read(path))
+    return {
+        "metadata": _metadata(document_digest(document)),
+        "canonical": canonical_document(document),
+    }, True
 
 
-@_command(
-    "cr",
-    _arg("action", choices=["ring", "sectors", "pairing", "filling"]),
-    _arg("path", nargs="?", type=_document),
-    _arg("--convention", choices=[c.value for c in CupConvention],
-         help="cup-product summation convention; default picks one that passes associativity"),
-    _arg("--betti", default="1", help="comma-separated Betti numbers of the space"),
-    _arg("--singularity", dest="singularities", action="append", default=[], type=_document,
-         help="group document of an isolated singularity (repeatable)"),
-    _arg("--coefficient", default="Q", help="coefficient ring: Q, Z, or Z/m"),
-    FORMAT,
-    *GROUP_OPTIONS,
-)
-def cr_cmd(action, path, convention, betti, singularities, coefficient, max_order, cache_dir):
-    """Chen-Ruan data: sectors, ring structure, pairing, filling ranks."""
-    if action == "filling":
-        if path is not None:
-            raise UsageError("'filling' reads no document path; pass it with --singularity")
-        ring_desc = CoefficientRing.parse(coefficient)
-        loaded = [_load_group(spath, max_order, cache_dir) for spath in singularities]
-        betti = tuple(integer(b, name="argument --betti") for b in betti.split(","))
-        ranks = cr_of_filling(betti, tuple(group for group, _ in loaded))
-        return {
-            "metadata": _metadata(",".join(digest for _, digest in loaded) or None),
-            "coefficient": ring_desc.describe(),
-            "ranks_by_degree": {str(d): r for d, r in ranks.items()},
-            "total_rank": sum(ranks.values()),
-        }, True
-    if path is None:
-        raise UsageError("a group document is required")
+@_action("cr", "ring", *GROUP_DOCUMENT,
+         _arg("--convention", choices=[c.value for c in CupConvention],
+              help="cup-product summation convention; default picks one that passes associativity"))
+def cr_ring(path, convention, max_order, cache_dir):
+    """The Chen-Ruan ring: sectors, products and the associativity sweep."""
     group, digest = _load_group(path, max_order, cache_dir)
-    if action == "sectors":
-        sectors = twisted_sectors(group)
-        return {
-            "metadata": _metadata(digest),
-            "sectors": [
-                {
-                    "label": s.label,
-                    "age": str(s.age),
-                    "degree": str(s.degree),
-                    "centralizer_order": s.centralizer_order,
-                }
-                for s in sectors
-            ],
-            "total_rank": len(sectors),
-        }, True
-    if action == "pairing":
-        report = cr_pairing_check(group)
-        return {"metadata": _metadata(digest), **report}, report["all_pass"]
     wanted = CupConvention(convention) if convention else None
     ring, sweeps = choose_ring(group, wanted)
     report = sector_report(ring, sweeps[ring.convention.value])
@@ -392,35 +365,68 @@ def cr_cmd(action, path, convention, betti, singularities, coefficient, max_orde
     }, True
 
 
-# -- reeb ------------------------------------------------------------------------
-
-
-@_command("reeb", _arg("action", choices=["report", "discrepancy", "components"]),
-          _arg("path", type=_document),
-          _arg("--bound", type=rational,
-               help="period bound for 'report' (rational, units of 2*pi, off the spectrum)"),
-          FORMAT, *GROUP_OPTIONS)
-def reeb_cmd(action, path, bound, max_order, cache_dir):
-    """Reeb orbit families, indices, discrepancy, loop components."""
-    # No bound can be the default: the untwisted class has every positive
-    # integer as a period, and any bound may be on another class's spectrum.
-    if action == "report" and bound is None:
-        raise UsageError("'report' requires --bound")
+@_action("cr", "sectors", *GROUP_DOCUMENT)
+def cr_sectors(path, max_order, cache_dir):
+    """The twisted sectors with their ages and degrees."""
     group, digest = _load_group(path, max_order, cache_dir)
-    if action == "components":
-        return {"metadata": _metadata(digest), "components": loop_components(group)}, True
-    if action == "discrepancy":
-        disc, verdict = mclean_discrepancy(group)
-        return {
-            "metadata": _metadata(digest),
-            "minimal_discrepancy": str(disc),
-            "verdict": verdict,
-        }, True
+    sectors = twisted_sectors(group)
+    return {
+        "metadata": _metadata(digest),
+        "sectors": [
+            {
+                "label": s.label,
+                "age": str(s.age),
+                "degree": str(s.degree),
+                "centralizer_order": s.centralizer_order,
+            }
+            for s in sectors
+        ],
+        "total_rank": len(sectors),
+    }, True
+
+
+@_action("cr", "pairing", *GROUP_DOCUMENT)
+def cr_pairing(path, max_order, cache_dir):
+    """Age duality and the sector pairing."""
+    group, digest = _load_group(path, max_order, cache_dir)
+    report = cr_pairing_check(group)
+    return {"metadata": _metadata(digest), **report}, report["all_pass"]
+
+
+@_action("cr", "filling",
+         _arg("--betti", default="1", help="comma-separated Betti numbers of the space"),
+         _arg("--singularity", dest="singularities", action="append", default=[], type=_document,
+              help="group document of an isolated singularity (repeatable)"),
+         _arg("--coefficient", default="Q", help="coefficient ring: Q, Z, or Z/m"),
+         FORMAT, MAX_ORDER, CACHE_DIR)
+def cr_filling(betti, singularities, coefficient, max_order, cache_dir):
+    """Chen-Ruan ranks of a filling from its Betti numbers and its singularities."""
+    ring_desc = CoefficientRing.parse(coefficient)
+    loaded = [_load_group(spath, max_order, cache_dir) for spath in singularities]
+    betti = tuple(integer(b, name="argument --betti") for b in betti.split(","))
+    ranks = cr_of_filling(betti, tuple(group for group, _ in loaded))
+    return {
+        "metadata": _metadata(",".join(digest for _, digest in loaded) or None),
+        "coefficient": ring_desc.describe(),
+        "ranks_by_degree": {str(d): r for d, r in ranks.items()},
+        "total_rank": sum(ranks.values()),
+    }, True
+
+
+def _discrepancy(group):
+    disc, verdict = mclean_discrepancy(group)
+    return {"minimal_discrepancy": str(disc), "verdict": verdict}
+
+
+# No bound can be the default: the untwisted class has every positive
+# integer as a period, and any bound may be on another class's spectrum.
+@_action("reeb", "report", *GROUP_DOCUMENT,
+         _arg("--bound", type=rational, required=True,
+              help="period bound (rational, units of 2*pi, off the spectrum)"))
+def reeb_report(path, bound, max_order, cache_dir):
+    """Reeb orbit families below a period bound, with the discrepancy and loop components."""
+    group, digest = _load_group(path, max_order, cache_dir)
     families = families_below(group, bound, option="--bound")
-    discrepancy = None
-    if group.order != 1:
-        disc, verdict = mclean_discrepancy(group)
-        discrepancy = {"minimal_discrepancy": str(disc), "verdict": verdict}
     return {
         "metadata": _metadata(digest),
         "bound": str(bound),
@@ -434,12 +440,23 @@ def reeb_cmd(action, path, bound, max_order, cache_dir):
             }
             for f in families
         ),
-        "discrepancy": discrepancy,
+        "discrepancy": _discrepancy(group) if group.order != 1 else None,
         "components": loop_components(group),
     }, True
 
 
-# -- ledger ----------------------------------------------------------------------
+@_action("reeb", "discrepancy", *GROUP_DOCUMENT)
+def reeb_discrepancy(path, max_order, cache_dir):
+    """The minimal discrepancy and whether it is terminal."""
+    group, digest = _load_group(path, max_order, cache_dir)
+    return {"metadata": _metadata(digest), **_discrepancy(group)}, True
+
+
+@_action("reeb", "components", *GROUP_DOCUMENT)
+def reeb_components(path, max_order, cache_dir):
+    """The connected components of the loop space."""
+    group, digest = _load_group(path, max_order, cache_dir)
+    return {"metadata": _metadata(digest), "components": loop_components(group)}, True
 
 
 def _parse_profiles(specs):
@@ -456,18 +473,13 @@ def _parse_profiles(specs):
     return profiles
 
 
-@_command(
-    "ledger",
-    _arg("action", choices=["build"]),
-    _arg("path", type=_document),
-    _arg("--slope", type=rational, required=True, help="Hamiltonian slope (rational, off the spectrum)"),
-    _arg("--profile", dest="profiles", action="append", default=[],
-         help="Morse cell profile per family, e.g. 'Id:1=0,3' (default: min and top cell)"),
-    _arg("--coefficient", default="Q", help="coefficient ring for the vanishing verdict"),
-    FORMAT,
-    *GROUP_OPTIONS,
-)
-def ledger_cmd(action, path, slope, profiles, coefficient, max_order, cache_dir):
+@_action("ledger", "build", *GROUP_DOCUMENT,
+         _arg("--slope", type=rational, required=True,
+              help="Hamiltonian slope (rational, off the spectrum)"),
+         _arg("--profile", dest="profiles", action="append", default=[],
+              help="Morse cell profile per family, e.g. 'Id:1=0,3' (default: min and top cell)"),
+         _arg("--coefficient", default="Q", help="coefficient ring for the vanishing verdict"))
+def ledger_build(path, slope, profiles, coefficient, max_order, cache_dir):
     """Assemble the generator ledger at a slope, with forced differentials."""
     group, digest = _load_group(path, max_order, cache_dir)
     ring = CoefficientRing.parse(coefficient)
@@ -493,41 +505,15 @@ def ledger_cmd(action, path, slope, profiles, coefficient, max_order, cache_dir)
     }, True
 
 
-# -- span ------------------------------------------------------------------------
-
-
-@_command(
-    "span",
-    _arg("action", choices=["check", "random"]),
-    _arg("path", nargs="?", type=_document),
-    _arg("--trials", type=functools.partial(integer, low=0), default=1000,
-         help="(default: %(default)s)"),
-    _arg("--seed", type=integer, default=0, help="(default: %(default)s)"),
-    _arg("--max-order", type=functools.partial(integer, low=2),
-         help="largest group order: of the randomized battery's groups and middles "
-         f"(random, default {BATTERY_MAX_ORDER}), or of every group of the document "
-         f"(check, default {DEFAULT_MAX_ORDER})"),
-    CACHE_DIR,
-    FORMAT,
-)
-def span_cmd(action, path, trials, seed, max_order, cache_dir):
-    """Pullback-pushforward counts and the composition identity."""
-    if action == "random":
-        if path is not None:
-            raise UsageError("'random' reads no document path; use 'span check' for one")
-        if trials > MAX_TRIALS:
-            raise InputError(f"--trials {excerpt(trials)} is above the cap of {MAX_TRIALS}")
-        if max_order is None:
-            max_order = BATTERY_MAX_ORDER
-        report = random_composition_battery(trials, seed, max_order)
-        return {"metadata": _metadata(seed=seed), **report}, report["all_equal"]
-    if path is None:
-        raise UsageError("span check requires a document path")
+@_action("span", "check", PATH, FORMAT,
+         _arg("--max-order", type=functools.partial(integer, low=2), default=DEFAULT_MAX_ORDER,
+              help="largest order of every group of the document (default: %(default)s)"),
+         CACHE_DIR)
+def span_check(path, max_order, cache_dir):
+    """The pushpull of a span, or the composition identity of a pair of spans."""
     doc = read_json(_read(path))
     if not isinstance(doc, dict):
         raise InputError("span document must be an object")
-    if max_order is None:
-        max_order = DEFAULT_MAX_ORDER
 
     def loader(ref):
         group, _ = _load_group(Path(path).parent / ref, max_order, cache_dir)
@@ -541,33 +527,43 @@ def span_cmd(action, path, trials, seed, max_order, cache_dir):
     if "span" in doc:
         sp = span_from_document(doc["span"], loader, max_order)
         return {"metadata": _metadata(), "pushpull": str(pushpull(sp))}, True
-    raise UsageError("span document must contain 'span' or 'span1' and 'span2'")
+    raise InputError("span document must contain 'span' or 'span1' and 'span2'")
 
 
-# -- constraints -------------------------------------------------------------------
+@_action("span", "random",
+         _arg("--trials", type=functools.partial(integer, low=0), default=1000,
+              help="(default: %(default)s)"),
+         _arg("--seed", type=integer, default=0, help="(default: %(default)s)"),
+         _arg("--max-order", type=functools.partial(integer, low=2), default=BATTERY_MAX_ORDER,
+              help="largest order of the battery's groups and middles (default: %(default)s)"),
+         FORMAT)
+def span_random(trials, seed, max_order):
+    """The composition identity on a seeded battery of random span pairs."""
+    if trials > MAX_TRIALS:
+        raise InputError(f"--trials {excerpt(trials)} is above the cap of {MAX_TRIALS}")
+    report = random_composition_battery(trials, seed, max_order)
+    return {"metadata": _metadata(seed=seed), **report}, report["all_equal"]
 
 
-@_command("constraints", _arg("action", choices=["boundary", "admit", "rp"]),
-          _arg("target"),
-          _arg("--boundary", dest="boundary_opt", help="boundary descriptor for 'admit'"),
-          FORMAT, *GROUP_OPTIONS)
-def constraints_cmd(action, target, boundary_opt, max_order, cache_dir):
-    """Filling constraints: divisor tables, admissibility, uniqueness."""
-    if action == "boundary":
-        b = BoundaryDescriptor.parse(target)
-        cs = constraint_for_boundary(b)
-        return {
-            "metadata": _metadata(),
-            "boundary": b.describe(),
-            "dimension": b.dimension,
-            **cs.describe(),
-        }, True
-    if action == "rp":
-        return {"metadata": _metadata(), **rp_report(integer(target, name="argument target"))}, True
-    if boundary_opt is None:
-        raise UsageError("'admit' requires --boundary")
-    b = BoundaryDescriptor.parse(boundary_opt)
-    group, digest = _load_group(target, max_order, cache_dir)
+@_action("constraints", "boundary", _arg("target", help="boundary descriptor"), FORMAT)
+def constraints_boundary(target):
+    """The divisor table and the uniqueness statement of a boundary."""
+    b = BoundaryDescriptor.parse(target)
+    cs = constraint_for_boundary(b)
+    return {
+        "metadata": _metadata(),
+        "boundary": b.describe(),
+        "dimension": b.dimension,
+        **cs.describe(),
+    }, True
+
+
+@_action("constraints", "admit", *GROUP_DOCUMENT,
+         _arg("--boundary", required=True, help="boundary descriptor"))
+def constraints_admit(path, boundary, max_order, cache_dir):
+    """Whether the group's order meets every divisor constraint of a boundary."""
+    b = BoundaryDescriptor.parse(boundary)
+    group, digest = _load_group(path, max_order, cache_dir)
     ok, explanation = admissible(group, b)
     return {
         "metadata": _metadata(digest),
@@ -576,6 +572,12 @@ def constraints_cmd(action, target, boundary_opt, max_order, cache_dir):
         "admissible": ok,
         "explanation": explanation,
     }, ok
+
+
+@_action("constraints", "rp", _arg("target", help="n, for boundaries of dimension 2n-1"), FORMAT)
+def constraints_rp(target):
+    """The uniqueness statement for real projective boundaries."""
+    return {"metadata": _metadata(), **rp_report(integer(target, name="argument target"))}, True
 
 
 def main(argv=None):
@@ -590,28 +592,21 @@ def main(argv=None):
     # modules, which all live until exit: frozen, neither the collections
     # during the query nor those at interpreter shutdown walk them again.
     gc.freeze()
-    top = argparse.ArgumentParser(
-        prog="orbifill",
-        description="Exact invariants of isolated quotient singularities C^n/G.",
-        epilog="commands:\n" + "\n".join(
-            f"  {name:<12} {fn.__doc__.splitlines()[0]}" for name, (fn, _) in COMMANDS.items()),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        allow_abbrev=False,
-    )
+    top = _chooser("orbifill", "Exact invariants of isolated quotient singularities C^n/G.",
+                   "command", SUMMARIES, metavar="COMMAND")
     top.add_argument("--version", action="version", version=f"orbifill, version {__version__}")
-    top.add_argument("command", choices=COMMANDS, type=_one_of(COMMANDS), metavar="COMMAND",
-                     help="one of the commands listed below")
-    top.add_argument("args", nargs=argparse.REMAINDER, metavar="ARGS",
-                     help="the command's arguments; see 'orbifill COMMAND --help'")
     ns = top.parse_args(argv)
-    fn, arguments = COMMANDS[ns.command]
-    parser = argparse.ArgumentParser(prog=f"orbifill {ns.command}", description=fn.__doc__,
-                                     allow_abbrev=False)
+    command, actions = ns.command, COMMANDS[ns.command]
+    summaries = {action: fn.__doc__.splitlines()[0] for action, (fn, _) in actions.items()}
+    middle = _chooser(f"orbifill {command}", SUMMARIES[command], "action", summaries)
+    ns = middle.parse_args(ns.args)
+    fn, arguments = actions[ns.action]
+    # Each action parses only the arguments it reads: any other exits 2.
+    parser = argparse.ArgumentParser(prog=f"orbifill {command} {ns.action}",
+                                     description=fn.__doc__, allow_abbrev=False)
     for names, kwargs in arguments:
         parser.add_argument(*names, **kwargs)
-    # Intermixed, so that options may also come between the action and an
-    # optional path, as in 'cr ring --format json PATH'.
-    options = vars(parser.parse_intermixed_args(ns.args))
+    options = vars(parser.parse_args(ns.args))
     fmt = options.pop("fmt")
     # The report is rendered inside the try: an error raised by a generator in
     # it, or a closed stdout, exits as it would from the command. Any other
@@ -620,8 +615,6 @@ def main(argv=None):
     try:
         report, verdict = fn(**options)
         _emit(report, fmt)
-    except UsageError as e:
-        parser.error(str(e))
     except Exception as e:
         prefix, code = next(((prefix, code) for types, prefix, code in _OUTCOMES
                              if isinstance(e, types)),

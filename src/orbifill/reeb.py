@@ -18,7 +18,7 @@ from .groups import ConjugacyClass, FiniteUnitaryGroup
 from .record import Record
 
 # The most orbit families one query may build: a report of 200,001 families
-# took 4.5 s and 390 MB.
+# took 2.6 s and 104 MB child peak on a 2-vCPU x86-64 VM.
 MAX_FAMILIES = 100_000
 
 

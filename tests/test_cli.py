@@ -84,7 +84,17 @@ def workspace(tmp_path):
 
 
 def invoke(workspace, *args):
-    return Result([*args, "--cache-dir", str(workspace / "cache")])
+    """``Result(args)``, with a --cache-dir under ``workspace`` if the action takes one."""
+    if len(args) > 1 and args[1] in cli_module.COMMANDS.get(args[0], ()):
+        if "--cache-dir" in options_of(*args[:2]):
+            args = (*args, "--cache-dir", str(workspace / "cache"))
+    return Result(args)
+
+
+def options_of(command, action):
+    """The option strings that ``orbifill COMMAND ACTION`` takes."""
+    _, arguments = cli_module.COMMANDS[command][action]
+    return {name for names, _ in arguments for name in names if name.startswith("--")}
 
 
 class TestExitCodes:
@@ -360,7 +370,7 @@ class TestLongValues:
         (["constraints", "boundary", f"lens:{DIGITS},3"], "boundary"),
         (["constraints", "boundary", JUNK + ":1"], "boundary"),
         (["constraints", "admit", A3, "--boundary", JUNK + ":1"], "boundary"),
-        (["constraints", "admit", "{dir}/" + JUNK, "--boundary", "lens:2,2"], "too long"),
+        (["constraints", "admit", "{dir}/" + JUNK, "--boundary", "lens:2,2"], "argument path"),
         (["constraints", "rp", "x"], "target"),
         (["constraints", "rp", DIGITS], "target"),
         ([*LEDGER, "--profile", "X" * 5000 + ":1=0,1"], "cell profiles"),
@@ -518,8 +528,8 @@ class TestIgnoredCacheDir:
         assert list(home.iterdir()) == []
 
     def test_cache_dir_hidden_from_help(self):
-        for command in ("group", "span"):
-            result = Result([command, "--help"])
+        for command, action in (("group", "info"), ("span", "check")):
+            result = Result([command, action, "--help"])
             assert result.exit_code == 0
             assert "--cache-dir" not in result.stdout
 
@@ -708,8 +718,11 @@ class TestCommandLine:
     output: help exits 0, each line is one write, and a success returns from
     main."""
 
-    @pytest.mark.parametrize("command", [[], ["group"], ["cr"], ["reeb"], ["ledger"], ["span"],
-                                         ["constraints"]], ids=lambda c: c[0] if c else "top")
+    @pytest.mark.parametrize("command", [
+        [], *([command] for command in cli_module.COMMANDS),
+        *([command, action] for command, actions in cli_module.COMMANDS.items()
+          for action in actions),
+    ], ids=lambda c: "-".join(c) or "top")
     def test_help_exits_zero(self, command):
         result = Result([*command, "--help"])
         assert result.exit_code == 0
@@ -756,7 +769,7 @@ class TestCommandLine:
         assert result.exit_code == 0
         assert result.stdout == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
-    def test_options_may_precede_an_optional_path(self, workspace):
+    def test_options_may_precede_the_path(self, workspace):
         target = str(workspace / "q8.json")
         before = invoke(workspace, "cr", "sectors", "--format", "json", target)
         after = invoke(workspace, "cr", "sectors", target, "--format", "json")
@@ -807,8 +820,9 @@ class TestCommandLine:
 
 class TestDefaults:
     """Each command and action runs on samples/ with only the arguments it
-    requires, and leaving out an option an action requires is a usage error
-    that names it."""
+    requires, leaving out an option an action requires is a usage error
+    that names it, and so is giving it an option that only a sibling action
+    of its command takes."""
 
     # The positional arguments of each action, if not a sample group document.
     POSITIONAL = {
@@ -823,19 +837,36 @@ class TestDefaults:
         ("ledger", "build"): ["--slope", "7/3"],
         ("constraints", "admit"): ["--boundary", "lens:2,3"],
     }
-    ACTIONS = [
-        (command, action)
-        for command, (_, arguments) in cli_module.COMMANDS.items()
-        for names, kwargs in arguments if names == ("action",)
-        for action in kwargs["choices"]
-    ]
+    ACTIONS = [(command, action) for command, actions in cli_module.COMMANDS.items()
+               for action in actions]
+
+    def required_only(self, command, action):
+        positional = self.POSITIONAL.get((command, action), [str(SAMPLES / "a3.json")])
+        return [command, action, *positional, *self.REQUIRED.get((command, action), [])]
 
     @pytest.mark.parametrize("command, action", ACTIONS, ids=lambda x: x)
     def test_runs_with_required_arguments_only(self, command, action):
-        positional = self.POSITIONAL.get((command, action), [str(SAMPLES / "a3.json")])
-        result = Result([command, action, *positional,
-                         *self.REQUIRED.get((command, action), [])])
+        result = Result(self.required_only(command, action))
         assert result.exit_code in (0, 1), result.stderr
+
+    # Each action with each option that a sibling action takes and it does not.
+    SIBLING_OPTIONS = [
+        (command, action, option)
+        for command, actions in cli_module.COMMANDS.items()
+        for action in actions
+        for option in sorted(set().union(*(options_of(command, other) for other in actions))
+                             - options_of(command, action))
+    ]
+
+    @pytest.mark.parametrize("command, action, option", SIBLING_OPTIONS,
+                             ids=lambda x: x.lstrip("-"))
+    def test_sibling_option_is_refused(self, command, action, option):
+        # An option the action does not read exits 2 rather than being ignored.
+        result = Result([*self.required_only(command, action), option, "1"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        error = result.stderr.splitlines()[-1]
+        assert error == f"orbifill {command} {action}: error: unrecognized arguments: {option} 1"
 
     @pytest.mark.parametrize("command, action", sorted(REQUIRED), ids=lambda x: x)
     def test_missing_option_is_a_usage_error(self, command, action):
@@ -843,8 +874,8 @@ class TestDefaults:
         result = Result([command, action, str(SAMPLES / "a3.json")])
         assert result.exit_code == 2
         error = result.stderr.splitlines()[-1]
-        assert error.startswith(f"orbifill {command}: error: ") and option in error
-        assert "required" in error or "requires" in error
+        assert error == (f"orbifill {command} {action}: error: "
+                         f"the following arguments are required: {option}")
 
 
 def test_import_loads_neither_click_nor_dataclasses():
