@@ -252,10 +252,11 @@ def _chooser(prog, description, name, summaries, metavar=None):
 
 FORMAT = _arg("--format", dest="fmt", choices=["table", "json"], default="table",
               help="report rendering; json is the stable machine contract")
-# Nothing is cached: --cache-dir is accepted and ignored so that existing
-# invocations keep their exit codes. _default_cache_dir and the cache_dir
-# parameter of _load_group stay only because bench/tracer.py reads them,
-# until the benchmark retires its cache metrics.
+# Nothing is cached: every action that takes --max-order but span random
+# accepts and ignores --cache-dir, as old invocations passed it there.
+# _default_cache_dir and the cache_dir parameter of _load_group stay only
+# because bench/tracer.py reads them, until the benchmark retires its cache
+# metrics.
 CACHE_DIR = _arg("--cache-dir", type=_directory, help=argparse.SUPPRESS)
 MAX_ORDER = _arg("--max-order", type=functools.partial(integer, low=1), default=DEFAULT_MAX_ORDER,
                  help="abort enumeration beyond this order (default: %(default)s)")

@@ -84,11 +84,9 @@ def workspace(tmp_path):
 
 
 def invoke(workspace, *args):
-    """``Result(args)``, with a --cache-dir under ``workspace`` if the action takes one."""
-    if len(args) > 1 and args[1] in cli_module.COMMANDS.get(args[0], ()):
-        if "--cache-dir" in options_of(*args[:2]):
-            args = (*args, "--cache-dir", str(workspace / "cache"))
-    return Result(args)
+    """``Result(args)`` with a --cache-dir under ``workspace``, for an action
+    that takes one."""
+    return Result([*args, "--cache-dir", str(workspace / "cache")])
 
 
 def options_of(command, action):
@@ -268,14 +266,13 @@ class TestDivisorDigits:
             args = ["constraints", "boundary", boundary]
         else:
             args = ["constraints", "admit", str(workspace / "trivial.json"), "--boundary", boundary]
-        result = invoke(workspace, *args)
+        result = Result(args) if action == "boundary" else invoke(workspace, *args)
         assert result.exit_code == 2
         assert result.stderr.startswith(f"error: boundary {boundary}: its divisor ")
         assert result.stderr.endswith("has more than 4300 digits\n")
 
-    def test_largest_printable_factorial(self, workspace):
-        result = invoke(workspace, "constraints", "boundary", "lens:1558,2",
-                        "--format", "json")
+    def test_largest_printable_factorial(self):
+        result = Result(["constraints", "boundary", "lens:1558,2", "--format", "json"])
         assert result.exit_code == 0
         divisors = json.loads(result.stdout)["divisors"]
         assert [len(str(d["divides"])) for d in divisors] == [4300]
@@ -417,7 +414,7 @@ class TestLongValues:
             json.dumps({"span": {"left": {"cyclic": 0}, **one}}).replace("0", self.DIGITS, 1))
         docs["bad_json"].write_text('{"span": {"left": {"cyclic": 1} "middle": 1}}')
         docs["deep"].write_text("[" * 100000)
-        result = invoke(workspace, *(a.format(dir=workspace, **docs) for a in args))
+        result = Result([a.format(dir=workspace, **docs) for a in args])
         assert result.exit_code == 2
         errors = [line for line in result.stderr.splitlines() if "error:" in line]
         assert len(errors) == 1 and len(errors[0].encode()) <= 300, errors
@@ -472,10 +469,10 @@ class TestDeterminism:
         assert first.exit_code == second.exit_code == 0
         assert first.stdout == second.stdout
 
-    def test_span_battery_seeded(self, workspace):
-        args = ("span", "random", "--trials", "25", "--seed", "11", "--format", "json")
-        first = invoke(workspace, *args)
-        second = invoke(workspace, *args)
+    def test_span_battery_seeded(self):
+        args = ["span", "random", "--trials", "25", "--seed", "11", "--format", "json"]
+        first = Result(args)
+        second = Result(args)
         assert first.exit_code == 0
         assert first.stdout == second.stdout
         assert json.loads(first.stdout)["all_equal"] is True
@@ -527,6 +524,16 @@ class TestIgnoredCacheDir:
         assert not env_dir.exists()
         assert list(home.iterdir()) == []
 
+    def test_actions_that_take_cache_dir(self):
+        # Every action that takes --max-order, but span random.
+        taking = {(command, action) for command, actions in cli_module.COMMANDS.items()
+                  for action in actions if "--cache-dir" in options_of(command, action)}
+        assert taking == {
+            ("group", "info"), ("cr", "ring"), ("cr", "sectors"), ("cr", "pairing"),
+            ("cr", "filling"), ("reeb", "report"), ("reeb", "discrepancy"),
+            ("reeb", "components"), ("ledger", "build"), ("span", "check"),
+            ("constraints", "admit")}
+
     def test_cache_dir_hidden_from_help(self):
         for command, action in (("group", "info"), ("span", "check")):
             result = Result([command, action, "--help"])
@@ -561,24 +568,22 @@ class TestCommands:
         periods = {(f["class"], f["period"]) for f in payload["families"]}
         assert ("c1", "1/2") in periods and ("Id", "1") in periods
 
-    def test_constraints_boundary_table(self, workspace):
-        result = invoke(workspace, "constraints", "boundary", "lens:2,3",
-                        "--format", "json")
+    def test_constraints_boundary_table(self):
+        result = Result(["constraints", "boundary", "lens:2,3", "--format", "json"])
         payload = json.loads(result.stdout)
         assert payload["effective_bound"] == 2
         assert payload["uniqueness"]["count"] == 1
 
-    def test_constraints_boundary_inapplicable(self, workspace):
-        result = invoke(workspace, "constraints", "boundary", "brieskorn:5,3",
-                        "--format", "json")
+    def test_constraints_boundary_inapplicable(self):
+        result = Result(["constraints", "boundary", "brieskorn:5,3", "--format", "json"])
         assert result.exit_code == 0
         payload = json.loads(result.stdout)
         assert payload["applicable"] is False
         assert payload["reason"] == "requires k < n, got k=5, n=3"
         assert "effective_bound" not in payload
 
-    def test_constraints_rp(self, workspace):
-        result = invoke(workspace, "constraints", "rp", "4", "--format", "json")
+    def test_constraints_rp(self):
+        result = Result(["constraints", "rp", "4", "--format", "json"])
         assert json.loads(result.stdout)["conclusion"] is None
 
     def test_span_check_pair(self, workspace):
